@@ -154,7 +154,7 @@ def encode_int(v):
 
 
 def encode_qz(q):
-    return "%d/%d" % (q.frac.numerator, q.frac.denominator)
+    return "%d/%d" % (q.num, q.den)
 
 
 def encode_cyc(c):

@@ -365,7 +365,7 @@ def psi_value(ext, psi1, e):
     sends the generator 1/m of mu_m to psi1."""
     z, a = ext.parts(e)
     assert a == 0, "element not central"
-    k = int(z.frac * ext.m)
+    k = z.num * ext.m // z.den
     return k * psi1
 
 
@@ -500,9 +500,9 @@ def _class_in_h2(A, values, level=None):
     gm = GModule.finite(A, (m,), [IntMatrix.identity(1)] * A.order)
     tab = {}
     for k, v in values.items():
-        num = v.frac * m
-        assert num.denominator == 1
-        tab[k] = (int(num),)
+        num, rem = divmod(v.num * m, v.den)
+        assert rem == 0
+        tab[k] = (num,)
     x = Cochain(gm, 2, tab)
     return m, tate_group(gm, 2).classify(x)
 

@@ -21,7 +21,7 @@ class FiniteGroup:
     3
     """
 
-    __slots__ = ("order", "table", "inverse", "_classes", "_name")
+    __slots__ = ("order", "table", "inverse", "_classes", "_name", "_powers")
 
     def __init__(self, table, name=None, check=True):
         table = tuple(tuple(row) for row in table)
@@ -29,6 +29,7 @@ class FiniteGroup:
         self.order = len(table)
         self._name = name
         self._classes = None
+        self._powers = [None] * self.order
         if check:
             self._check_axioms()
         inv = [None] * self.order
@@ -62,20 +63,23 @@ class FiniteGroup:
         """g x g^-1."""
         return self.mul(self.mul(g, x), self.inv(g))
 
+    def _cyclic_powers(self, g):
+        """(g^0, g^1, ..., g^(order(g) - 1)), computed once per element."""
+        row = self._powers[g]
+        if row is None:
+            row, x = [0], g
+            while x != 0:
+                row.append(x)
+                x = self.table[x][g]
+            row = self._powers[g] = tuple(row)
+        return row
+
     def element_order(self, g):
-        k, x = 1, g
-        while x != 0:
-            x = self.mul(x, g)
-            k += 1
-        return k
+        return len(self._cyclic_powers(g))
 
     def power(self, g, k):
-        if k < 0:
-            g, k = self.inv(g), -k
-        x = 0
-        for _ in range(k):
-            x = self.mul(x, g)
-        return x
+        row = self._cyclic_powers(g)
+        return row[k % len(row)]
 
     def conjugacy_classes(self):
         """List of sorted tuples of element indices; class of identity first."""
@@ -436,16 +440,16 @@ class CentralExtension:
                 for k2 in range(m):
                     for a2 in range(n):
                         z = QZ(k1 + k2, m) + alpha(a1, a2)
-                        k = int(z.frac * m)
+                        k = z.num * m // z.den
                         table[k1 * n + a1][k2 * n + a2] = k * n + base.mul(a1, a2)
         self.group = FiniteGroup(table, name="mu%d.%s" % (m, base._name))
 
     def element(self, z, a):
         """Index of (z, a) for z in mu_m."""
         z = QZ(z)
-        k = z.frac * self.m
-        assert k.denominator == 1, "central part outside mu_m"
-        return int(k) % self.m * self.base.order + a
+        k, rem = divmod(z.num * self.m, z.den)
+        assert rem == 0, "central part outside mu_m"
+        return k % self.m * self.base.order + a
 
     def parts(self, e):
         k, a = divmod(e, self.base.order)

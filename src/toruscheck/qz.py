@@ -1,8 +1,18 @@
 """Q/Z (roots of unity written additively) and exact cyclotomic numbers.
 
-A QZ value q stands for the root of unity exp(2*pi*i*q).  A Cyc value is a
-formal Q-linear combination of such roots; equality is decided exactly by
-reduction modulo the cyclotomic polynomial of the common level.
+A QZ value q stands for the root of unity exp(2*pi*i*q).  It is stored as a
+pair of Python ints ``num/den`` in lowest terms with ``0 <= num < den``, so
+the group law, equality and hashing need nothing beyond integer arithmetic
+and ``math.gcd``.
+
+A Cyc value is a formal Q-linear combination of such roots, kept as the dict
+``terms: {QZ: coefficient}`` exactly as it was built (reports serialize this
+formal sum verbatim, so it is never rewritten into a canonical basis).
+Coefficients are ints when they are integral and Fractions otherwise.
+Equality is decided exactly by reduction modulo the cyclotomic polynomial of
+the common level n: after scaling by the lcm of the coefficient denominators
+the sum is integral, and each e(k/n) is replaced by its row in a cached table
+of x^k mod Phi_n.  Phi_n is monic, so the reduction stays in the integers.
 """
 
 from __future__ import annotations
@@ -10,6 +20,18 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+
+_new = object.__new__
+
+
+def _qz(num, den):
+    """QZ(num/den) for ints 0 <= num < den, without the argument checks of
+    QZ.__init__."""
+    g = gcd(num, den)
+    q = _new(QZ)
+    q.num = num // g
+    q.den = den // g
+    return q
 
 
 class QZ:
@@ -23,53 +45,82 @@ class QZ:
     3
     """
 
-    __slots__ = ("frac",)
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
         if isinstance(num, QZ):
-            f = num.frac
-        else:
+            self.num, self.den = num.num, num.den
+            return
+        if type(num) is not int or type(den) is not int:
             f = Fraction(num, den)
-        self.frac = f - (f.numerator // f.denominator)  # reduce into [0,1)
+            num, den = f.numerator, f.denominator
+        elif den == 0:
+            raise ZeroDivisionError("QZ(%d, 0)" % num)
+        elif den < 0:
+            num, den = -num, -den
+        num %= den
+        g = gcd(num, den)
+        self.num = num // g
+        self.den = den // g
 
     @property
     def order(self):
-        return self.frac.denominator
+        return self.den
+
+    @property
+    def frac(self):
+        """The canonical lift in [0, 1) as a Fraction."""
+        return Fraction(self.num, self.den)
 
     def __add__(self, other):
-        return QZ(self.frac + QZ(other).frac)
+        if type(other) is not QZ:
+            other = QZ(other)
+        d, e = self.den, other.den
+        if d == e:
+            n = self.num + other.num
+            return _qz(n - d if n >= d else n, d)
+        m = lcm(d, e)
+        return _qz((self.num * (m // d) + other.num * (m // e)) % m, m)
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __sub__(self, other):
-        return QZ(self.frac - QZ(other).frac)
+        if type(other) is not QZ:
+            other = QZ(other)
+        return self + (-other)
 
     def __neg__(self):
-        return QZ(-self.frac)
+        if self.num == 0:
+            return self
+        return _qz(self.den - self.num, self.den)
 
     def __mul__(self, k):
-        assert isinstance(k, int), "QZ only scales by integers"
-        return QZ(self.frac * k)
+        if not isinstance(k, int):
+            raise TypeError("QZ only scales by integers, not %r" % (k,))
+        return _qz(self.num * k % self.den, self.den)
 
     __rmul__ = __mul__
 
     def is_zero(self):
-        return self.frac == 0
+        return self.num == 0
 
     def __eq__(self, other):
+        if isinstance(other, QZ):
+            return self.num == other.num and self.den == other.den
         if isinstance(other, int):
-            return self.frac == Fraction(other % 1)
-        return isinstance(other, QZ) and self.frac == other.frac
+            return self.num == 0
+        return False
 
     def __hash__(self):
-        return hash(self.frac)
+        return self.num * 1000003 ^ self.den
 
     def __repr__(self):
-        return "QZ(%s)" % self.frac
+        if self.den == 1:
+            return "QZ(%d)" % self.num
+        return "QZ(%d/%d)" % (self.num, self.den)
 
     def sort_key(self):
-        return (self.frac.denominator, self.frac.numerator)
+        return (self.den, self.num)
 
 
 def qz_sum(values):
@@ -83,7 +134,8 @@ def qz_sum(values):
 def cyclotomic_poly(n):
     """Coefficients (low degree first) of the n-th cyclotomic polynomial,
     computed by exact division of x^n - 1 by the lower Phi_d."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError("cyclotomic_poly needs n >= 1, got %r" % (n,))
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
@@ -98,13 +150,73 @@ def _polydiv_exact(num, den):
     out = [0] * (len(num) - len(den) + 1)
     for k in range(len(out) - 1, -1, -1):
         c = num[k + len(den) - 1]
-        assert c % den[-1] == 0
-        q = c // den[-1]
+        q, r = divmod(c, den[-1])
+        if r:
+            raise ArithmeticError("polynomial division is not exact")
         out[k] = q
         for i, d in enumerate(den):
             num[k + i] -= q * d
-    assert all(c == 0 for c in num)
+    if any(num):
+        raise ArithmeticError("polynomial division leaves a remainder")
     return out
+
+
+@lru_cache(maxsize=None)
+def _power_residues(n):
+    """Row k (for k in range(n)) is x^k mod Phi_n as sparse (index,
+    coefficient) pairs.  Phi_n is monic, so every coefficient is an
+    integer."""
+    phi = cyclotomic_poly(n)
+    deg = len(phi) - 1
+    # x^deg = -(phi_0 + phi_1 x + ... + phi_(deg-1) x^(deg-1))
+    tail = [(i, c) for i, c in enumerate(phi[:-1]) if c]
+    row = {0: 1}
+    rows = []
+    for _ in range(n):
+        rows.append(tuple(row.items()))
+        nxt = {}
+        for i, a in row.items():
+            if i + 1 < deg:
+                nxt[i + 1] = nxt.get(i + 1, 0) + a
+            else:
+                for j, c in tail:
+                    nxt[j] = nxt.get(j, 0) - a * c
+        row = {i: a for i, a in nxt.items() if a}
+    return tuple(rows)
+
+
+def _coeff(c):
+    """A coefficient as an int when integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _add_into(terms, pairs):
+    """Add (root, coefficient) pairs into a clean terms dict in place,
+    dropping roots whose coefficient cancels."""
+    get = terms.get
+    for q, c in pairs:
+        s = get(q)
+        if s is None:
+            terms[q] = c
+            continue
+        s += c
+        if s:
+            terms[q] = s if type(s) is int else _coeff(s)
+        else:
+            del terms[q]
+    return terms
+
+
+def _cyc(terms):
+    """A Cyc from terms already clean: distinct QZ keys, nonzero
+    coefficients, integral ones as ints."""
+    v = _new(Cyc)
+    v.terms = terms
+    return v
 
 
 class Cyc:
@@ -122,10 +234,10 @@ class Cyc:
         clean = {}
         for q, c in (terms or {}).items():
             q = QZ(q)
-            c = Fraction(c)
+            c = _coeff(c)
             if c:
-                clean[q] = clean.get(q, Fraction(0)) + c
-        self.terms = {q: c for q, c in clean.items() if c}
+                clean[q] = clean.get(q, 0) + c
+        self.terms = {q: _coeff(c) for q, c in clean.items() if c}
 
     @classmethod
     def zero(cls):
@@ -133,75 +245,85 @@ class Cyc:
 
     @classmethod
     def integer(cls, n):
-        return cls({QZ(0): Fraction(n)})
+        return cls({QZ(0): n})
 
     @classmethod
     def rational(cls, r):
-        return cls({QZ(0): Fraction(r)})
+        return cls({QZ(0): r})
 
     @classmethod
     def root(cls, q, coeff=1):
-        return cls({QZ(q): Fraction(coeff)})
+        return cls({QZ(q): coeff})
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for q, c in other.terms.items():
-            out[q] = out.get(q, Fraction(0)) + c
-        return Cyc(out)
+        return _cyc(_add_into(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for q, c in other.terms.items():
-            out[q] = out.get(q, Fraction(0)) - c
-        return Cyc(out)
+        return _cyc(_add_into(dict(self.terms),
+                              ((q, -c) for q, c in other.terms.items())))
 
     def __neg__(self):
-        return Cyc({q: -c for q, c in self.terms.items()})
+        return _cyc({q: -c for q, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Cyc({q: c * other for q, c in self.terms.items()})
-        out = {}
-        for q1, c1 in self.terms.items():
-            for q2, c2 in other.terms.items():
-                q = q1 + q2
-                out[q] = out.get(q, Fraction(0)) + c1 * c2
-        return Cyc(out)
+            out = {q: c * other for q, c in self.terms.items()}
+        else:
+            out = {}
+            get = out.get
+            for q1, c1 in self.terms.items():
+                for q2, c2 in other.terms.items():
+                    q = q1 + q2
+                    out[q] = get(q, 0) + c1 * c2
+        return _cyc({q: c if type(c) is int else _coeff(c)
+                     for q, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def conj(self):
         """Complex conjugate: e(q) -> e(-q)."""
-        return Cyc({-q: c for q, c in self.terms.items()})
+        return _cyc({-q: c for q, c in self.terms.items()})
 
     def scale_root(self, q):
         """Multiply by the root of unity e(q)."""
-        return Cyc({p + QZ(q): c for p, c in self.terms.items()})
+        q = QZ(q)
+        return _cyc({p + q: c for p, c in self.terms.items()})
 
     def level(self):
         n = 1
         for q in self.terms:
-            n = lcm(n, q.order)
+            d = q.den
+            if n % d:
+                n = lcm(n, d)
         return n
 
-    def _coeff_vector(self, n):
-        """Coefficients of the representing polynomial in Q[x]/(x^n - 1)."""
-        v = [Fraction(0)] * n
+    def _residue(self, n):
+        """(acc, den) with acc the integer coefficients of den * self mod
+        Phi_n in the power basis 1, x, ..., x^(deg - 1), x = e(1/n); den is
+        the lcm of the coefficient denominators and n a multiple of the
+        level."""
+        den = 1
+        for c in self.terms.values():
+            if type(c) is not int:
+                den = lcm(den, c.denominator)
+        rows = _power_residues(n)
+        acc = [0] * (len(cyclotomic_poly(n)) - 1)
         for q, c in self.terms.items():
-            k = q.frac * n
-            assert k.denominator == 1
-            v[int(k) % n] += c
-        return v
+            step, r = divmod(n, q.den)
+            if r:
+                raise ValueError("level %d is not a multiple of the order %d"
+                                 % (n, q.den))
+            if den != 1:
+                c = c.numerator * (den // c.denominator)
+            for i, a in rows[q.num * step]:
+                acc[i] += a * c
+        return acc, den
 
     def is_zero(self):
         if not self.terms:
             return True
-        n = self.level()
-        v = self._coeff_vector(n)
-        # zero in Z[zeta_n] iff Phi_n divides the representing polynomial
-        phi = list(cyclotomic_poly(n))
-        rem = _polyrem(v, phi)
-        return all(c == 0 for c in rem)
+        acc, _ = self._residue(self.level())
+        return not any(acc)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -217,21 +339,18 @@ class Cyc:
         """Canonical form relative to a level n (residue mod Phi_n).  Two
         values compare equal iff their keys at a common level agree."""
         n = n or self.level()
-        v = self._coeff_vector(n)
-        rem = _polyrem(v, list(cyclotomic_poly(n)))
-        while rem and rem[-1] == 0:
-            rem.pop()
-        return (n, tuple(rem))
+        acc, den = self._residue(n)
+        while acc and acc[-1] == 0:
+            acc.pop()
+        return (n, tuple(Fraction(a, den) for a in acc))
 
     def as_rational(self):
         """The value as a Fraction if it is rational, else None.  Rationality
         is read off the power-basis representation mod Phi_n."""
-        n = self.level()
-        v = self._coeff_vector(n)
-        rem = _polyrem(v, list(cyclotomic_poly(n)))
-        if all(c == 0 for c in rem[1:]):
-            return rem[0] if rem else Fraction(0)
-        return None
+        acc, den = self._residue(self.level())
+        if any(acc[1:]):
+            return None
+        return Fraction(acc[0], den)
 
     def as_qz(self):
         """If this value is a single root of unity e(q), return q, else None.
@@ -262,19 +381,6 @@ class Cyc:
         return "Cyc(%s)" % " + ".join(bits)
 
 
-def _polyrem(num, den):
-    """Remainder of polynomial division (low degree first, exact arithmetic)."""
-    num = [Fraction(c) for c in num]
-    dn = len(den) - 1
-    lead = Fraction(den[-1])
-    for k in range(len(num) - 1 - dn, -1, -1):
-        c = num[k + dn] / lead
-        if c:
-            for i, d in enumerate(den):
-                num[k + i] -= c * d
-    return num[:dn]
-
-
 def cyc_sum(values):
     total = Cyc.zero()
     for v in values:
@@ -286,19 +392,18 @@ def cyc_div(num, den):
     """Exact division num/den of cyclotomic numbers (den nonzero), via the
     field norm: multiply by all nontrivial Galois conjugates of den, then
     divide by the rational norm."""
-    assert not den.is_zero(), "division by zero"
+    if den.is_zero():
+        raise ZeroDivisionError("cyclotomic division by zero")
     n = lcm(num.level(), den.level())
-
-    def galois(v, k):
-        return Cyc({QZ(q.frac * k): c for q, c in v.terms.items()})
-
     conj_prod = Cyc.integer(1)
     norm = den
     for k in range(2, n + 1):
         if gcd(k, n) == 1:
-            g = galois(den, k)
+            # k is a unit mod n, so q -> k*q keeps the keys distinct
+            g = _cyc({q * k: c for q, c in den.terms.items()})
             conj_prod = conj_prod * g
             norm = norm * g
     q = norm.as_rational()
-    assert q is not None and q != 0, "norm must be a nonzero rational"
-    return (num * conj_prod) * (Fraction(1) / q)
+    if q is None or q == 0:
+        raise ArithmeticError("norm must be a nonzero rational")
+    return (num * conj_prod) * (1 / q)

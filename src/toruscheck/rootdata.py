@@ -373,9 +373,9 @@ def _product_center_coords(tw, twist1, twist2, m1, m2):
         c1 = twist1.datum.center.nf(g1)
         c2 = twist2.datum.center.nf(g2)
         q = twist1.eval_xi_on(m1, c1) + twist2.eval_xi_on(m2, c2)
-        num = q.frac * d
-        assert num.denominator == 1, "product dual element out of range"
-        vals.append(int(num) % d)
+        num, rem = divmod(q.num * d, q.den)
+        assert rem == 0, "product dual element out of range"
+        vals.append(num % d)
     return tuple(vals)
 
 
@@ -427,9 +427,9 @@ def _diagonal_center_coords(tw, twist, k, m1):
         for b in range(k):
             cb = twist.datum.center.nf(gen[b * r:(b + 1) * r])
             q = q + twist.eval_xi_on(m1, cb)
-        num = q.frac * d
-        assert num.denominator == 1
-        vals.append(int(num) % d)
+        num, rem = divmod(q.num * d, q.den)
+        assert rem == 0
+        vals.append(num % d)
     return tuple(vals)
 
 

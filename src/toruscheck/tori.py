@@ -138,10 +138,10 @@ def solve_s(torus, phi, a, denominator):
         row = [T.data[i][j] - (1 if i == j else 0) for j in range(r)]
         slack = [M if k == i else 0 for k in range(r)]
         rows.append(row + slack)
-        num = psi[i].frac * M
-        if num.denominator != 1:
+        num, rem = divmod(psi[i].num * M, psi[i].den)
+        if rem:
             return None
-        target.append(int(num))
+        target.append(num)
     sol = solve_integer(IntMatrix(rows), target)
     if sol is None:
         return None

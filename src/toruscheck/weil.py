@@ -101,10 +101,12 @@ class TorusModel:
         """Q-linear extension: evaluate the canonical [0,1)-lift of s at a
         rational vector, then reduce mod 1.  Restricting to integer vectors
         recovers dual_eval."""
-        total = Fraction(0)
+        num, den = 0, 1
         for q, x in zip(s, vec):
-            total += q.frac * Fraction(x)
-        return QZ(total)
+            x = Fraction(x)
+            d = q.den * x.denominator
+            num, den = num * d + q.num * x.numerator * den, den * d
+        return QZ(num, den)
 
     def dual_sigma(self, i, s):
         """Galois action on the dual torus: (sigma.s)(x) = s(sigma^-1 x)."""

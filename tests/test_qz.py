@@ -1,7 +1,12 @@
+import doctest
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+import toruscheck.qz
 from toruscheck.qz import QZ, Cyc, cyclotomic_poly, cyc_sum, cyc_div
 
 
@@ -87,3 +92,53 @@ def test_cyc_reduced_key_at_common_level():
     y = Cyc.integer(-1)
     assert x == y
     assert x.reduced_key(6) == y.reduced_key(6)
+
+
+def test_qz_doctests():
+    result = doctest.testmod(toruscheck.qz)
+    assert result.attempted > 0 and result.failed == 0
+
+
+OPTIMIZED_CHECKS = """
+import sys
+from fractions import Fraction
+from toruscheck import qz
+from toruscheck.qz import QZ, Cyc, cyc_div, _polydiv_exact
+
+if __debug__:
+    sys.exit("asserts are still enabled")
+
+
+def raises(exc, fn):
+    try:
+        fn()
+    except exc:
+        print("raised", exc.__name__)
+    else:
+        print("silent", exc.__name__)
+
+
+raises(TypeError, lambda: QZ(1, 2) * Fraction(1, 2))
+raises(TypeError, lambda: QZ(1, 2) * 1.5)
+raises(ZeroDivisionError, lambda: QZ(1, 0))
+raises(ZeroDivisionError, lambda: cyc_div(Cyc.integer(1), Cyc.zero()))
+vanishing = Cyc.integer(1) + Cyc.root(QZ(1, 3)) + Cyc.root(QZ(2, 3))
+raises(ZeroDivisionError, lambda: cyc_div(Cyc.integer(1), vanishing))
+raises(ArithmeticError, lambda: _polydiv_exact([1, 0, 1], [1, 1]))
+raises(ArithmeticError, lambda: _polydiv_exact([0, 1], [0, 2]))
+qz.Cyc.as_rational = lambda self: None
+raises(ArithmeticError, lambda: cyc_div(Cyc.integer(1), Cyc.integer(2)))
+"""
+
+
+def test_checks_raise_under_python_O():
+    """The checks in qz raise exceptions, not assertions, so they still
+    run when Python strips asserts."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toruscheck.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 8 and all(l.startswith("raised") for l in lines), \
+        proc.stdout

@@ -1,0 +1,157 @@
+"""Differential tests: toruscheck.qz against the Fraction-backed reference in
+fraction_qz.py.  Formal sums are compared byte for byte through the casefile
+encoders, not only by value, since reports serialize them verbatim.
+
+Each example draws one level L <= 60 and builds every value from roots whose
+orders divide L, so sums mix several orders but stay at a level the
+reference can reduce quickly.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+import fraction_qz as ref
+from toruscheck.casefile import encode_cyc, encode_qz
+from toruscheck.qz import QZ, Cyc, cyc_div, cyc_sum
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def prime_factors(n):
+    return [p for p in range(2, n + 1) if n % p == 0
+            and all(p % k for k in range(2, p))]
+
+
+levels = st.integers(1, 60)
+coeffs = st.one_of(st.integers(-4, 4),
+                   st.fractions(min_value=-3, max_value=3, max_denominator=6))
+
+
+def encode_or_none(q):
+    return None if q is None else encode_qz(q)
+
+
+@st.composite
+def qz_pair(draw, level):
+    d = draw(st.sampled_from(divisors(level)))
+    k = draw(st.integers(-2 * level, 2 * level))
+    return QZ(k, d), ref.QZ(k, d)
+
+
+@st.composite
+def cyc_pair(draw, level):
+    """The same formal sum built with both implementations: a few roots of
+    orders dividing the level (negative exponents, fractional coefficients)
+    and, sometimes, a multiple of a shifted sum of all p-th roots of unity,
+    which is zero without cancelling term by term."""
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        d = draw(st.sampled_from(divisors(level)))
+        terms.append((draw(st.integers(-2 * level, 2 * level)), d,
+                      draw(coeffs)))
+    primes = prime_factors(level)
+    if primes and draw(st.booleans()):
+        p = draw(st.sampled_from(primes))
+        shift = draw(st.integers(-level, level))
+        c = draw(coeffs)
+        terms.extend((j * (level // p) + shift, level, c) for j in range(p))
+    new = cyc_sum(Cyc.root(QZ(k, d), c) for k, d, c in terms)
+    old = ref.Cyc.zero()
+    for k, d, c in terms:
+        old = old + ref.Cyc.root(ref.QZ(k, d), c)
+    return new, old
+
+
+def same(new, old):
+    assert encode_cyc(new) == encode_cyc(old)
+    assert repr(new) == repr(old)
+
+
+@st.composite
+def level_and(draw, *makers):
+    level = draw(levels)
+    return (level,) + tuple(draw(m(level)) for m in makers)
+
+
+@settings(max_examples=150, deadline=None)
+@given(level_and(qz_pair, qz_pair), st.integers(-70, 70))
+def test_qz_matches_reference(data, m):
+    _, (a, ra), (b, rb) = data
+    for new, old in ((a + b, ra + rb), (a - b, ra - rb), (-a, -ra),
+                     (a * m, ra * m), (m * a, m * ra), (a + m, ra + m)):
+        assert encode_qz(new) == encode_qz(old)
+        assert repr(new) == repr(old)
+        assert new.sort_key() == old.sort_key()
+        assert new.order == old.order and new.frac == old.frac
+    assert (a == b) == (ra == rb)
+    assert (a == m) == (ra == m)
+    assert a.is_zero() == ra.is_zero()
+    assert QZ(ra.frac) == a == QZ(a) == QZ(a.num + m * a.den, a.den)
+
+
+@settings(max_examples=120, deadline=None)
+@given(level_and(cyc_pair, cyc_pair, qz_pair), st.integers(-5, 5),
+       st.fractions(min_value=-2, max_value=2, max_denominator=7))
+def test_cyc_ring_ops_match_reference(data, k, r):
+    _, (x, rx), (y, ry), (q, rq) = data
+    same(x, rx)
+    same(x + y, rx + ry)
+    same(x - y, rx - ry)
+    same(x - x, rx - rx)
+    same(-x, -rx)
+    same(x * y, rx * ry)
+    same(x * k, rx * k)
+    same(k * x, k * rx)
+    same(x * r, rx * r)
+    same(x.conj(), rx.conj())
+    same(x.scale_root(q), rx.scale_root(rq))
+    assert x.level() == rx.level()
+
+
+@settings(max_examples=100, deadline=None)
+@given(level_and(cyc_pair, cyc_pair), st.integers(-3, 3),
+       st.fractions(min_value=-2, max_value=2, max_denominator=5))
+def test_cyc_predicates_match_reference(data, k, r):
+    level, (x, rx), (y, ry) = data
+    assert x.is_zero() == rx.is_zero()
+    assert (x - y).is_zero() == (rx - ry).is_zero()
+    assert (x == y) == (rx == ry)
+    assert (x == k) == (rx == k)
+    assert (x == r) == (rx == r)
+    assert (x == Cyc.rational(r)) == (rx == ref.Cyc.rational(r))
+    for n in (None, level, 2 * level):
+        key, rkey = x.reduced_key(n), rx.reduced_key(n)
+        assert key == rkey
+        assert all(type(v) is Fraction for v in key[1])
+    assert x.as_rational() == rx.as_rational()
+    assert type(x.as_rational()) is type(rx.as_rational())
+    assert encode_or_none(x.as_qz()) == encode_or_none(rx.as_qz())
+    root = Cyc.root(QZ(k, level), 1)
+    assert encode_or_none(root.as_qz()) == encode_or_none(
+        ref.Cyc.root(ref.QZ(k, level), 1).as_qz())
+
+
+@settings(max_examples=100, deadline=None)
+@given(levels.flatmap(lambda n: st.lists(st.tuples(
+    st.integers(-2 * n, 2 * n), st.sampled_from(divisors(n)),
+    st.one_of(st.just(0), coeffs)), max_size=6)))
+def test_cyc_constructor_matches_reference(entries):
+    # Fraction keys that differ by an integer merge into one root
+    terms = {Fraction(k, d): c for k, d, c in entries}
+    same(Cyc(terms), ref.Cyc(terms))
+
+
+# levels up to 30 only: the reference multiplies phi(L) Galois conjugates in
+# Fractions, which takes most of a second per division near L = 60
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 30).flatmap(
+    lambda n: st.tuples(cyc_pair(n), cyc_pair(n))))
+def test_cyc_div_matches_reference(pairs):
+    (x, rx), (y, ry) = pairs
+    if ry.is_zero():
+        return
+    same(cyc_div(x, y), ref.cyc_div(rx, ry))
+    same(cyc_div(x * y, y), ref.cyc_div(rx * ry, ry))
