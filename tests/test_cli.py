@@ -10,6 +10,9 @@ from toruscheck.characters import TableCache, character_table
 from toruscheck.groups import FiniteGroup
 from toruscheck.casefile import load_case, CaseFileError
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN = os.path.join(ROOT, "tests", "golden")
+BENCH_GOLDEN = os.path.join(ROOT, "perfbench", "golden", "cli")
 FIXTURE = {
     "schema": 1,
     "rank": 1,
@@ -146,3 +149,24 @@ def test_big_integer_encoding():
     doc = dict(FIXTURE)
     doc["z"] = [[0], ["1"]]
     load_case(doc)
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(BENCH_GOLDEN)))
+def test_fixture_reports_match_golden(name, tmp_path):
+    """Each fixture report equals the benchmark's golden copy byte for byte."""
+    command, fixture = os.path.splitext(name)[0].split(".")
+    path = os.path.join(ROOT, "fixtures", fixture + ".json")
+    code, out = run_main([command, "--input", path], tmp_path)
+    assert code == 0
+    with open(os.path.join(BENCH_GOLDEN, name), "rb") as f:
+        assert out == f.read()
+
+
+@pytest.mark.parametrize("fmt,ext", [("json", "json"), ("text", "txt")])
+def test_random_suite_report_matches_golden(fmt, ext, tmp_path):
+    code, out = run_main(["random-suite", "--seed", "7", "--suite-size", "10",
+                          "--format", fmt], tmp_path)
+    assert code == 0
+    name = "random-suite.seed7.size10." + ext
+    with open(os.path.join(GOLDEN, name), "rb") as f:
+        assert out == f.read()
