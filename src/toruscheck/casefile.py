@@ -9,7 +9,7 @@ import json
 from fractions import Fraction
 
 from .lattice import IntMatrix
-from .qz import QZ
+from .qz import QZ, Cyc
 from .groups import FiniteGroup, GroupAction
 from .cohomology import Cochain
 from .weil import LocalModel, TorusModel, Parameter
@@ -55,6 +55,8 @@ def _as_qz(v, field):
 
 
 def _component_action(spec, rank):
+    if not isinstance(spec, dict):
+        raise CaseFileError("component", "expected an object")
     kind = spec.get("kind")
     if kind == "cyclic":
         order = _as_int(spec.get("order"), "component.order")
@@ -93,6 +95,8 @@ def _component_action(spec, rank):
 
 def load_case(doc):
     """Build (torus, z, phi, extras) from a parsed JSON document."""
+    if not isinstance(doc, dict):
+        raise CaseFileError("case", "expected a JSON object at the top level")
     if doc.get("schema") != SCHEMA_VERSION:
         raise CaseFileError("schema", "unsupported schema %r" % doc.get("schema"))
     rank = _as_int(doc.get("rank"), "rank")
@@ -164,3 +168,8 @@ def encode_cyc(c):
         terms.append([encode_qz(q), "%d/%d" % (coeff.numerator,
                                                coeff.denominator)])
     return terms
+
+
+def decode_cyc(terms):
+    """Inverse of encode_cyc."""
+    return Cyc({QZ(Fraction(q)): Fraction(c) for q, c in terms})

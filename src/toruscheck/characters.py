@@ -17,7 +17,6 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .qz import QZ, Cyc, cyc_sum, cyc_div
-from .groups import FiniteGroup
 
 
 # ---------------------------------------------------------------------------
@@ -72,10 +71,10 @@ def _mat_mul(A, B, p):
             for row in A]
 
 
-def _nullspace(A, p):
-    rows = [list(r) for r in A]
+def _rref(rows, m, p):
+    """Row-reduce `rows` in place over GF(p), pivoting in the first m
+    columns; returns the pivot columns."""
     n = len(rows)
-    m = len(rows[0]) if n else 0
     pivots = []
     r = 0
     for c in range(m):
@@ -93,6 +92,13 @@ def _nullspace(A, p):
         r += 1
         if r == n:
             break
+    return pivots
+
+
+def _nullspace(A, p):
+    rows = [list(r) for r in A]
+    m = len(rows[0]) if rows else 0
+    pivots = _rref(rows, m, p)
     basis = []
     for fc in (c for c in range(m) if c not in pivots):
         v = [0] * m
@@ -104,25 +110,10 @@ def _nullspace(A, p):
 
 
 def _solve_modp(A, b, p):
-    n = len(A)
-    m = len(A[0]) if n else 0
+    m = len(A[0]) if A else 0
     rows = [list(r) + [bb] for r, bb in zip(A, b)]
-    pivots = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, n) if rows[i][c] % p), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
+    pivots = _rref(rows, m, p)
+    for i in range(len(pivots), len(rows)):
         if rows[i][m] % p:
             return None
     x = [0] * m
@@ -450,7 +441,7 @@ def frobenius_induced_value(group, sub_elems, values, g):
 # canonical tensor extension (one-dimensional model)
 
 
-def canonical_tensor_extension(big, sub_elems, x_char, section=None, twist=None):
+def canonical_tensor_extension(big, sub_elems, x_char, twist=None):
     """The canonical linear character of H~ x_A H~ attached to an invariant
     one-dimensional character x of H: on pairs (e1, e2) in the same H-coset
 
@@ -465,7 +456,7 @@ def canonical_tensor_extension(big, sub_elems, x_char, section=None, twist=None)
             if x_char[big.conj(big.inv(e), h)] != x_char[h]:
                 raise ValueError("character is not invariant under the big group")
     cosets = big.right_cosets(sub_elems)
-    section = section or {cs: cs[0] for cs in cosets}
+    section = {cs: cs[0] for cs in cosets}
     coset_of = {}
     for cs in cosets:
         for g in cs:
@@ -489,14 +480,10 @@ def canonical_tensor_extension(big, sub_elems, x_char, section=None, twist=None)
 # Mackey multiplicity transfer (matched extensions over the same A)
 
 
-def _class_in_h2(A, values, level=None):
+def _class_in_h2(A, values, m):
     from .cohomology import GModule, Cochain, tate_group
     from .lattice import IntMatrix
 
-    m = level or 1
-    if level is None:
-        for v in values.values():
-            m = lcm(m, v.order)
     gm = GModule.finite(A, (m,), [IntMatrix.identity(1)] * A.order)
     tab = {}
     for k, v in values.items():
@@ -504,7 +491,7 @@ def _class_in_h2(A, values, level=None):
         assert rem == 0
         tab[k] = (num,)
     x = Cochain(gm, 2, tab)
-    return m, tate_group(gm, 2).classify(x)
+    return tate_group(gm, 2).classify(x)
 
 
 def _section_by_quotient(big, quot):
@@ -564,8 +551,8 @@ def mackey_multiplicity_transfer(data, cache=None):
         m = 1
         for v in list(o1.values()) + list(o2.values()):
             m = lcm(m, v.order)
-        _, c1 = _class_in_h2(stab_group, o1, level=m)
-        _, c2 = _class_in_h2(stab_group, o2, level=m)
+        c1 = _class_in_h2(stab_group, o1, m)
+        c2 = _class_in_h2(stab_group, o2, m)
         if c1 != c2:
             raise ValueError("projective obstruction classes disagree")
         sec1 = _section_by_quotient(big1, quot1)
@@ -822,12 +809,11 @@ def induced_cocycle_check(data, B, A_elems, section):
     return beta, cores, equal
 
 
-def twisted_classes(J, theta, elements=None):
+def twisted_classes(J, theta):
     """Orbits of J acting on itself by g . d = g d theta(g)^-1."""
-    elems = list(elements if elements is not None else range(J.order))
     seen = set()
     classes = []
-    for d in elems:
+    for d in range(J.order):
         if d in seen:
             continue
         orbit = set()

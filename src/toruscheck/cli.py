@@ -13,57 +13,19 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
+from functools import cached_property
+from types import SimpleNamespace
 
-from .lattice import IntMatrix
-from .qz import QZ, Cyc
-from .groups import FiniteGroup, GroupAction
-from .cohomology import (
-    GModule,
-    Cochain,
-    tate_group,
-    ZDomain,
-    FiniteDomain,
-    FiniteSupportChain,
-    coinflation,
-)
-from .weil import (
-    LocalModel,
-    TorusModel,
-    Parameter,
-    tn_iso,
-    tn_inverse,
-    langlands_character,
-    chain_map_phi,
-    hyper_pairing,
-)
-from .characters import (
-    character_table,
-    CharacterTable,
-    TableCache,
-    twisted_orthogonality,
-    is_psi_centralizing,
-    block_twisted_trace,
-    induced_cocycle_check,
-    InducedIntertwinerData,
-    CycMatrix,
-)
-from .rootdata import BasedRootDatum, TwistData, diagram_flip, twisted_sign, \
-    sign_product, sign_induction, levi_restriction
-from .tori import (
-    build_case,
-    compute_h,
-    verify_iso,
-    packet,
-    character_identity_report,
-    invariant_duals,
-)
-from .suite import random_case_data, invariant_vectors
+from . import checks
+from .qz import QZ
+from .groups import FiniteGroup
+from .characters import character_table, CharacterTable, TableCache
+from .tori import build_case, compute_h, packet
 from .casefile import (
     CaseFileError,
     load_case_file,
-    encode_qz,
     encode_cyc,
+    decode_cyc,
     SCHEMA_VERSION,
 )
 
@@ -120,8 +82,7 @@ class DiskTableCache(TableCache):
     def __init__(self, directory):
         super().__init__()
         self.directory = directory
-        if directory:
-            os.makedirs(directory, exist_ok=True)
+        os.makedirs(directory, exist_ok=True)
 
     def _path(self, key):
         return os.path.join(self.directory, "table-%s.json" % key)
@@ -131,15 +92,13 @@ class DiskTableCache(TableCache):
         t = self._tables.get(key)
         if t is not None:
             return t
-        if self.directory:
-            t = self._load(key, group)
-            if t is not None:
-                self._tables[key] = t
-                return t
+        t = self._load(key, group)
+        if t is not None:
+            self._tables[key] = t
+            return t
         t = character_table(group)
         self._tables[key] = t
-        if self.directory:
-            self._store(key, t)
+        self._store(key, t)
         return t
 
     def _store(self, key, table):
@@ -169,15 +128,8 @@ class DiskTableCache(TableCache):
         try:
             with open(path, "r", encoding="utf-8") as f:
                 doc = json.load(f)
-            chars = []
-            for row in doc["chars"]:
-                vals = []
-                for terms in row:
-                    acc = {}
-                    for qs, cs in terms:
-                        acc[QZ(Fraction(qs))] = Fraction(cs)
-                    vals.append(Cyc(acc))
-                chars.append(vals)
+            chars = [[decode_cyc(terms) for terms in row]
+                     for row in doc["chars"]]
             table = CharacterTable(group, chars, [int(d) for d in doc["dims"]])
             table.verify()
             return table
@@ -189,364 +141,103 @@ class DiskTableCache(TableCache):
 # commands
 
 
-def cmd_cohomology(torus, z, phi, extras, rng, report):
-    gm = torus.gmodule()
-    n = torus.model.n
-    r = torus.rank
-    ok = True
-    for _ in range(200):
-        tab = {(i,): tuple(rng.randint(-4, 4) for _ in range(r))
-               for i in range(n)}
-        x = Cochain(gm, 1, tab)
-        if any(any(v) for v in x.d().d().table.values()):
-            ok = False
-            break
-    report.add("cohomology.dd_zero", "differential squares to zero", ok)
+class Inputs(SimpleNamespace):
+    """What the checks of one command read: the parsed case file (torus, z,
+    phi, extras) or the suite size, the seeded rng, the table cache, and
+    the values several checks share, each built on first use."""
 
-    names = {-1: "H-1", 0: "H0", 1: "H1", 2: "H2"}
-    orders = {names[deg]: tate_group(gm, deg).order for deg in (-1, 0, 1, 2)}
-    report.add("cohomology.tate_orders", "Tate group orders", True,
-               {k: orders[k] for k in sorted(orders)})
-
-    H1 = tate_group(gm, 1)
-    ok = all(H1.classify(H1.representative(c)) == c for c in H1.elements())
-    report.add("cohomology.classify_representative",
-               "classify after representative is the identity", ok)
-
-    # cup Leibniz on integer-valued 1-cochains against the module
-    ints = GModule.trivial_ints(gm.group)
-    from .cohomology import cup
-
-    def pairing(a, b):
-        return tuple(a[0] * x for x in b)
-
-    ok = True
-    for _ in range(20):
-        xtab = {(i,): (rng.randint(-3, 3),) for i in range(n)}
-        ytab = {(i,): tuple(rng.randint(-3, 3) for _ in range(r))
-                for i in range(n)}
-        x = Cochain(ints, 1, xtab)
-        y = Cochain(gm, 1, ytab)
-        lhs = cup(x, y, pairing, gm).d()
-        rhs = cup(x.d(), y, pairing, gm).add(cup(x, y.d(), pairing, gm).neg())
-        if lhs.to_vector() != rhs.to_vector():
-            ok = False
-            break
-    report.add("cohomology.cup_leibniz", "cup product Leibniz rule", ok)
-
-    # coinflation commutes with the homology differential (finite model)
-    C4 = FiniteGroup.cyclic(4)
-    C2 = FiniteGroup.cyclic(2)
-    m4 = [IntMatrix.identity(1), IntMatrix([[-1]]),
-          IntMatrix.identity(1), IntMatrix([[-1]])]
-    dom4 = FiniteDomain(C4, m4)
-    dom2 = FiniteDomain(C2, [IntMatrix.identity(1), IntMatrix([[-1]])])
-    ok = True
-    for _ in range(30):
-        supp = {(rng.randrange(4), rng.randrange(4)): (rng.randint(-3, 3),)
-                for _ in range(5)}
-        y = FiniteSupportChain(dom4, 2, 1, supp)
-        lhs = coinflation(y, lambda w: w % 2, dom2).boundary()
-        rhs = coinflation(y.boundary(), lambda w: w % 2, dom2)
-        if lhs.support != rhs.support:
-            ok = False
-            break
-    report.add("cohomology.coinflation_boundary",
-               "coinflation commutes with the differential", ok)
-
-    # two-level compatibility: the chain map and the cup at level n and 2n
-    # agree through inflation (the commuting square of maps between levels)
-    ok = True
-    big = TorusModel(LocalModel(2 * n),
-                     GroupAction.cyclic(2 * n, torus.galois.matrices[1]
-                                        if n > 1 else IntMatrix.identity(r)),
-                     None)
-    N = torus.norm_matrix()
-    from .lattice import kernel_basis
-
-    for lam in kernel_basis(N)[:3]:
-        za = tn_iso(torus, lam)
-        zb = tn_iso(big, lam)
-        for i in range(2 * n):
-            if zb.table[(i,)] != za.table[(i % n,)]:
-                ok = False
-    dom_small = ZDomain(n, torus.galois.matrices[1] if n > 1
-                        else IntMatrix.identity(r))
-    dom_big = ZDomain(2 * n, torus.galois.matrices[1] if n > 1
-                      else IntMatrix.identity(r))
-    for _ in range(10):
-        supp = {(rng.randint(-5, 5),): tuple(rng.randint(-3, 3)
-                                             for _ in range(r))
-                for _ in range(3)}
-        mu_small = FiniteSupportChain(dom_small, 1, r, supp)
-        mu_big = FiniteSupportChain(dom_big, 1, r, supp)
-        if chain_map_phi(torus, mu_small) != chain_map_phi(big, mu_big):
-            ok = False
-    report.add("cohomology.level_square",
-               "coinflation against inflation square at two levels", ok)
-
-
-def cmd_pairing(torus, z, phi, extras, rng, report):
-    gm = torus.gmodule()
-    Hm1 = tate_group(gm, -1)
-    H1 = tate_group(gm, 1)
-    images = set()
-    for coords in Hm1.elements():
-        lam = Hm1.representative(coords)
-        images.add(H1.classify(tn_iso(torus, lam)))
-    report.add("pairing.tn_bijective", "TN map is a bijection",
-               len(images) == Hm1.order and Hm1.order == H1.order,
-               {"order": Hm1.order})
-
-    duals = invariant_duals(torus)
-    rows = set()
-    for coords in Hm1.elements():
-        lam = Hm1.representative(coords)
-        rows.add(tuple(encode_qz(torus.dual_eval(s, lam)) for s in duals))
-    report.add("pairing.kottwitz_perfect",
-               "Kottwitz pairing separates classes", len(rows) == Hm1.order)
-
-    # edge compatibilities of the hyper pairing
-    fT = IntMatrix.zero(torus.rank, torus.rank)
-    z0 = Cochain.zero(gm, 1)
-    ok = True
-    for v in invariant_vectors(torus):
-        got = hyper_pairing(torus, fT, (z0, v), (phi, torus.dual_zero()))
-        if got != langlands_character(torus, phi, v):
-            ok = False
-    report.add("pairing.langlands_edge",
-               "pairing restricts to the Langlands pairing", ok)
-
-    lam_z = tn_inverse(torus, z)
-    ok = True
-    for s in duals:
-        got = hyper_pairing(torus, fT, (z, (0,) * torus.rank),
-                            (Parameter(torus, torus.dual_zero()), s))
-        if got != torus.dual_eval(s, lam_z):
-            ok = False
-    report.add("pairing.kottwitz_edge",
-               "pairing restricts to the Kottwitz pairing", ok)
-
-
-def _twist_from_spec(spec):
-    if "cartan" in spec:
-        datum = BasedRootDatum(IntMatrix(spec["cartan"]),
-                               spec.get("label", "custom"))
-    else:
-        datum = BasedRootDatum.from_label(spec.get("label", "A1"))
-    r = datum.rank
-    n = int(spec.get("n", 2))
-    gp = tuple(spec.get("galois_perm", range(r)))
-    ap = tuple(spec.get("a_perm", range(r)))
-    return TwistData(datum, n, gp, ap)
-
-
-def cmd_sign(torus, z, phi, extras, rng, report):
-    spec = extras.get("root_datum") or {"label": "A1", "n": 2}
-    tw = _twist_from_spec(spec)
-    gmx = tw.xi_module()
-    H2 = tate_group(gmx, 2)
-    xi = tuple(spec.get("xi", [0] * len(H2.group.torsion)))
-    try:
-        s = twisted_sign(tw, xi)
-        report.add("sign.value", "twisted sign of the supplied datum", True,
-                   {"sign": s})
-    except ValueError as e:
-        report.add("sign.value", "twisted sign of the supplied datum", False,
-                   {"error": str(e)})
-
-    # fixtures: adjoint A1 inner form and the E6 flip
-    a1 = TwistData(BasedRootDatum.from_label("A1"), 2, (0,), (0,))
-    report.add("sign.a1_fixture",
-               "A1 nontrivial class gives -1 (rank formula cross-check)",
-               twisted_sign(a1, (1,)) == -1 == (-1) ** (1 - 0))
-    e6 = TwistData(BasedRootDatum.from_label("E6"), 3, tuple(range(6)),
-                   diagram_flip("E6"))
-    H2e = tate_group(e6.xi_module(), 2)
-    ok = all(twisted_sign(e6, c) == 1 for c in H2e.elements())
-    report.add("sign.e6_flip_fixture", "E6 flip gives +1 for every class", ok)
-
-    ok = True
-    count = 0
-    labels = ["A1", "A2", "A3", "D4"]
-    while count < 20:
-        label = rng.choice(labels)
-        d = BasedRootDatum.from_label(label)
-        r = d.rank
-        ap = diagram_flip(label) if rng.random() < 0.5 else tuple(range(r))
-        tw1 = TwistData(d, 2, tuple(range(r)), ap)
-        H2a = tate_group(tw1.xi_module(), 2)
-        xi1 = rng.choice(list(H2a.elements()))
-        try:
-            e_base, e_ind = sign_induction(tw1, xi1, rng.choice((2, 3)))
-        except ValueError:
-            continue
-        if e_base != e_ind:
-            ok = False
-        tw2 = TwistData(BasedRootDatum.from_label("A1"), 2, (0,), (0,))
-        xi2 = rng.choice([(0,), (1,)])
-        try:
-            e1, e2, e12 = sign_product(tw1, xi1, tw2, xi2)
-        except ValueError:
-            continue
-        if e12 != e1 * e2:
-            ok = False
-        count += 1
-    report.add("sign.product_induction",
-               "multiplicativity and induction invariance", ok,
-               {"samples": count})
-
-    # Levi compatibility on the A2 > A1 standard Levi
-    a2 = TwistData(BasedRootDatum.from_label("A2"), 1, (0, 1), (0, 1))
-    rep = levi_restriction(a2, [0])
-    report.add("sign.levi", "Levi restriction of the weight sum",
-               rep["coinvariant_equal"])
-
-
-def cmd_projirr(torus, z, phi, extras, rng, report, cache):
-    A = torus.comp.group
-    try:
-        table = cache.get_or_compute(A)
-        report.add("projirr.table", "component character table orthogonality",
-                   table.verify(), {"dims": table.dims})
-    except ValueError as e:
-        report.add("projirr.table", "component character table orthogonality",
-                   False, {"error": str(e)})
-        return
-
-    case = build_case(torus, z, phi)
-    compute_h(case)
-    pkt, ptable, sel, ext, elems = packet(case)
-    psi = QZ(1, ext.m)
-    ok = True
-    pairs = 0
-    for e in range(ext.group.order):
-        if not is_psi_centralizing(ext, psi, e):
-            continue
-        for e2 in range(ext.group.order):
-            lhs, rhs, verdict = twisted_orthogonality(ext, psi, e, e2, cache)
-            pairs += 1
-            if verdict is False:
-                ok = False
-    report.add("projirr.orthogonality",
-               "twisted orthogonality sweep on the case extension", ok,
-               {"pairs": pairs})
-
-    # corestriction of a scalar intertwiner datum along C2 < C4
-    C2 = FiniteGroup.cyclic(2)
-    J = FiniteGroup.direct_product(C2, C2)
-    act = [list(range(4)), [0, 2, 1, 3]]
-    chi = {0: QZ(0), 1: QZ(1, 2), 2: QZ(1, 2), 3: QZ(0)}
-    pi = [CycMatrix([[Cyc.root(chi[j])]]) for j in range(4)]
-    piT = [CycMatrix.identity(1), CycMatrix([[Cyc.root(QZ(1, 4))]])]
-    data = InducedIntertwinerData(J, C2, act, [0, 0], pi, piT)
-    B = FiniteGroup.cyclic(4)
-    cosets = B.right_cosets([0, 2])
-    section = {cs: cs[0] for cs in cosets}
-    beta, cores, equal = induced_cocycle_check(data, B, [0, 2], section)
-    report.add("projirr.corestriction",
-               "induced cocycle equals the corestriction", equal)
-
-    ok = True
-    for _ in range(100):
-        nblk = rng.randint(1, 4)
-        dim = rng.randint(1, 3)
-        phis = [IntMatrix([[rng.randint(-3, 3) for _ in range(dim)]
-                           for _ in range(dim)]) for _ in range(nblk)]
-        T = IntMatrix([[rng.randint(-3, 3) for _ in range(dim)]
-                       for _ in range(dim)])
-        l, rr, okk = block_twisted_trace(phis, T)
-        if not okk:
-            ok = False
-    report.add("projirr.block_twisted_trace",
-               "block-twisted trace identity on random tuples", ok)
-
-
-def cmd_tori_verify(torus, z, phi, extras, rng, report, cache):
-    case = build_case(torus, z, phi)
-    h = compute_h(case)
-    report.add("tori.h_computed", "comparison function computed", True,
-               {"h": {str(a): encode_qz(v) for a, v in sorted(h.items())}})
-    iso = verify_iso(case)
-    ok = all(v[2] for v in iso.values())
-    witness = {}
-    if not ok:
-        for k, v in iso.items():
-            if not v[2]:
-                witness[str(k)] = [encode_qz(v[0]), encode_qz(v[1])]
-                break
-    report.add("tori.extension_isomorphism",
-               "h(a) + h(b) - h(ab) = alpha-bar - beta-bar", ok, witness)
-
-    pkt, table, sel, ext, elems = packet(case)
-    report.add("tori.packet", "packet enumerated", True,
-               {"dims": [p.dim for p in pkt],
-                "generic": [i for i, p in enumerate(pkt) if p.generic]})
-
-    duals = invariant_duals(torus)[:2]
-    tvecs = invariant_vectors(torus)[:2]
-    ok = True
-    triples = 0
-    witness = {}
-    samples = []
-    for a in case.A_phi_z:
-        for b in case.A_phi_z:
-            for s in duals:
-                for t in tvecs:
-                    r = character_identity_report(case, s, b, t, a)
-                    triples += 1
-                    record = {
-                        "element": [[str(x) for x in r.element[0]],
-                                    r.element[1]],
-                        "dual": [[encode_qz(q) for q in r.dual_element[0]],
-                                 r.dual_element[1]],
-                        "rep": encode_cyc(r.rep_value),
-                        "closed": encode_cyc(r.closed_value),
-                        "endoscopic": encode_cyc(r.endoscopic_value),
-                    }
-                    if len(samples) < 3 and not r.rep_value.is_zero():
-                        samples.append(record)
-                    if not r.all_equal:
-                        ok = False
-                        if not witness:
-                            witness = record
-    detail = {"checked": triples, "values": samples}
-    if witness:
-        detail["failure"] = witness
-    report.add("tori.character_identity",
-               "representation sum = closed form = endoscopic value", ok,
-               detail)
-
-
-def cmd_random_suite(seed, size, report, cache):
-    rng = random.Random(seed)
-    iso_fail = 0
-    char_fail = 0
-    checked = 0
-    for k in range(size):
-        torus, z, phi = random_case_data(rng)
-        case = build_case(torus, z, phi)
+    @cached_property
+    def case(self):
+        case = build_case(self.torus, self.z, self.phi)
         compute_h(case)
-        iso = verify_iso(case)
-        if not all(v[2] for v in iso.values()):
-            iso_fail += 1
-        if len(case.A_phi_z) <= 6:
-            duals = invariant_duals(torus)[:2]
-            tvecs = invariant_vectors(torus)[:2]
-            for a in case.A_phi_z:
-                for b in case.A_phi_z:
-                    for s in duals:
-                        for t in tvecs:
-                            r = character_identity_report(case, s, b, t, a)
-                            checked += 1
-                            if not r.all_equal:
-                                char_fail += 1
-    report.add("suite.extension_isomorphism",
-               "extension identity over the random suite", iso_fail == 0,
-               {"cases": size})
-    report.add("suite.character_identity",
-               "three-way character identity over the random suite",
-               char_fail == 0, {"triples": checked})
+        return case
+
+    @cached_property
+    def suite(self):
+        return checks.suite(self.rng, self.size)
+
+
+#: command -> its checks in report order, as (check id, anchor, run) with
+#: run(inputs) -> checks.Verdict.  A check that raises ValueError (an input
+#: the engines reject, such as a group above the table size bound) fails with
+#: the message as its witness and ends the command.
+COMMANDS = {
+    "cohomology": [
+        ("cohomology.dd_zero", "differential squares to zero",
+         lambda x: checks.dd_zero(x.torus.gmodule(), 1, x.rng, 200, 4)),
+        ("cohomology.tate_orders", "Tate group orders",
+         lambda x: checks.tate_orders(x.torus.gmodule())),
+        ("cohomology.classify_representative",
+         "classify after representative is the identity",
+         lambda x: checks.classify_representative(x.torus.gmodule())),
+        ("cohomology.cup_leibniz", "cup product Leibniz rule",
+         lambda x: checks.cup_leibniz(x.torus.gmodule(), x.rng, 20)),
+        ("cohomology.coinflation_boundary",
+         "coinflation commutes with the differential",
+         lambda x: checks.coinflation_boundary(x.rng, 30)),
+        ("cohomology.level_square",
+         "coinflation against inflation square at two levels",
+         lambda x: checks.level_square(x.torus, x.rng, 10, 5)),
+    ],
+    "pairing": [
+        ("pairing.tn_bijective", "TN map is a bijection",
+         lambda x: checks.tn_bijective(x.torus)),
+        ("pairing.kottwitz_perfect", "Kottwitz pairing separates classes",
+         lambda x: checks.kottwitz_perfect(x.torus)),
+        ("pairing.langlands_edge",
+         "pairing restricts to the Langlands pairing",
+         lambda x: checks.langlands_edge(x.torus, x.phi)),
+        ("pairing.kottwitz_edge", "pairing restricts to the Kottwitz pairing",
+         lambda x: checks.kottwitz_edge(x.torus, x.z)),
+    ],
+    "sign": [
+        ("sign.value", "twisted sign of the supplied datum",
+         lambda x: checks.sign_value(x.extras.get("root_datum")
+                                     or {"label": "A1", "n": 2})),
+        ("sign.a1_fixture",
+         "A1 nontrivial class gives -1 (rank formula cross-check)",
+         lambda x: checks.a1_fixture()),
+        ("sign.e6_flip_fixture", "E6 flip gives +1 for every class",
+         lambda x: checks.e6_flip_fixture()),
+        ("sign.product_induction", "multiplicativity and induction invariance",
+         lambda x: checks.product_induction(x.rng, 20)),
+        ("sign.levi", "Levi restriction of the weight sum",
+         lambda x: checks.levi()),
+    ],
+    "projirr": [
+        ("projirr.table", "component character table orthogonality",
+         lambda x: checks.component_table(x.torus.comp.group, x.cache)),
+        ("projirr.orthogonality",
+         "twisted orthogonality sweep on the case extension",
+         lambda x: checks.orthogonality(packet(x.case)[3], x.cache)),
+        ("projirr.corestriction", "induced cocycle equals the corestriction",
+         lambda x: checks.corestriction(checks.scalar_datum(QZ(1, 4)),
+                                        FiniteGroup.cyclic(4), [0, 2])),
+        ("projirr.block_twisted_trace",
+         "block-twisted trace identity on random tuples",
+         lambda x: checks.block_twisted_traces(x.rng, 100, 3)),
+    ],
+    "tori-verify": [
+        ("tori.h_computed", "comparison function computed",
+         lambda x: checks.h_computed(x.case)),
+        ("tori.extension_isomorphism",
+         "h(a) + h(b) - h(ab) = alpha-bar - beta-bar",
+         lambda x: checks.extension_isomorphism(x.case)),
+        ("tori.packet", "packet enumerated",
+         lambda x: checks.packet_enumerated(x.case)),
+        ("tori.character_identity",
+         "representation sum = closed form = endoscopic value",
+         lambda x: checks.character_identity(x.case)),
+    ],
+    "random-suite": [
+        ("suite.extension_isomorphism",
+         "extension identity over the random suite",
+         lambda x: x.suite[0]),
+        ("suite.character_identity",
+         "three-way character identity over the random suite",
+         lambda x: x.suite[1]),
+    ],
+}
 
 
 def main(argv=None):
@@ -555,9 +246,7 @@ def main(argv=None):
         description="exact verification of cohomological pairings, "
                     "projective characters, and disconnected-torus "
                     "character identities")
-    parser.add_argument("command",
-                        choices=["cohomology", "pairing", "sign", "projirr",
-                                 "tori-verify", "random-suite"])
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--input", help="case file (JSON)")
     parser.add_argument("--output", help="report path (default stdout)")
     parser.add_argument("--format", choices=["json", "text"], default="json")
@@ -570,12 +259,10 @@ def main(argv=None):
     cache = DiskTableCache(args.cache_dir) if args.cache_dir else TableCache()
 
     if args.command == "random-suite":
-        seed = args.seed
-        size = args.suite_size
         digest = hashlib.sha256(
-            b"seed=%d;size=%d" % (seed, size)).hexdigest()[:16]
-        report = Report(args.command, digest)
-        cmd_random_suite(seed, size, report, cache)
+            b"seed=%d;size=%d" % (args.seed, args.suite_size)).hexdigest()[:16]
+        inputs = Inputs(rng=random.Random(args.seed), cache=cache,
+                        size=args.suite_size)
     else:
         if not args.input:
             print("error: --input is required for %s" % args.command,
@@ -588,19 +275,17 @@ def main(argv=None):
         except (CaseFileError, OSError) as e:
             print("error: %s" % e, file=sys.stderr)
             return 2
-        report = Report(args.command, digest)
-        seed = int(extras.get("seed", args.seed))
-        rng = random.Random(seed)
-        if args.command == "cohomology":
-            cmd_cohomology(torus, z, phi, extras, rng, report)
-        elif args.command == "pairing":
-            cmd_pairing(torus, z, phi, extras, rng, report)
-        elif args.command == "sign":
-            cmd_sign(torus, z, phi, extras, rng, report)
-        elif args.command == "projirr":
-            cmd_projirr(torus, z, phi, extras, rng, report, cache)
-        elif args.command == "tori-verify":
-            cmd_tori_verify(torus, z, phi, extras, rng, report, cache)
+        inputs = Inputs(rng=random.Random(int(extras.get("seed", args.seed))),
+                        cache=cache, torus=torus, z=z, phi=phi, extras=extras)
+
+    report = Report(args.command, digest)
+    for check_id, anchor, run in COMMANDS[args.command]:
+        try:
+            verdict = run(inputs)
+        except ValueError as e:
+            report.add(check_id, anchor, False, {"error": str(e)})
+            break
+        report.add(check_id, anchor, verdict.ok, verdict.witness)
 
     text, failed = report.render(args.format, args.check_filter)
     if args.output:

@@ -62,10 +62,6 @@ class GModule:
     def fg(self):
         return FGAbelian(self.ngens, self.rels)
 
-    @property
-    def is_lattice(self):
-        return self.rels.cols == 0
-
     def zero(self):
         return (0,) * self.ngens
 

@@ -8,7 +8,7 @@ exhaustively at construction time.
 
 from __future__ import annotations
 
-from .lattice import IntMatrix, solve_integer, unimodular_inverse
+from .lattice import IntMatrix, unimodular_inverse
 from .qz import QZ
 
 
@@ -363,18 +363,6 @@ def qz_module():
     }
 
 
-def lattice_module(action):
-    """Coefficient hooks for a lattice with a GroupAction."""
-    zero = (0,) * action.rank
-    return {
-        "zero": zero,
-        "add": lambda x, y: tuple(a + b for a, b in zip(x, y)),
-        "sub": lambda x, y: tuple(a - b for a, b in zip(x, y)),
-        "act": lambda g, x: action.act(g, x),
-        "eq": lambda x, y: tuple(x) == tuple(y),
-    }
-
-
 def corestriction_cocycle(alpha, B, A_elems, section):
     """Transfer a QZ-valued 2-cocycle alpha on the subgroup A (given inside B
     by the element list A_elems) to a 2-cocycle on B.
@@ -455,9 +443,6 @@ class CentralExtension:
         k, a = divmod(e, self.base.order)
         return QZ(k, self.m), a
 
-    def central_elements(self):
-        return [self.element(QZ(k, self.m), 0) for k in range(self.m)]
-
     def isomorphism_from_coboundary(self, cochain):
         """For alpha' = alpha + d(cochain), the map (z, a) -> (z + c_a, a) is
         an isomorphism  mu_m x|_{alpha'} A -> mu_m x|_alpha A.  Returns the
@@ -479,6 +464,13 @@ def stabilizer_of_class(A, act_on_class, cls):
     return stab
 
 
+def _coset_blocks(cosets):
+    """Each coset's first element, and the index of the coset (block) that
+    holds each group element."""
+    block_of = {g: bi for bi, cs in enumerate(cosets) for g in cs}
+    return [cs[0] for cs in cosets], block_of
+
+
 def induced_action(gamma, delta_elems, sub_action_matrices, x_rank):
     """Induced module Ind_Delta^Gamma X as a lattice with Gamma-action.
 
@@ -489,11 +481,7 @@ def induced_action(gamma, delta_elems, sub_action_matrices, x_rank):
     """
     cosets = gamma.right_cosets(delta_elems)
     delta_index = {g: i for i, g in enumerate(delta_elems)}
-    reps = [cs[0] for cs in cosets]
-    block_of = {}
-    for bi, cs in enumerate(cosets):
-        for g in cs:
-            block_of[g] = bi
+    reps, block_of = _coset_blocks(cosets)
     k = len(cosets)
     rank = k * x_rank
 
@@ -558,11 +546,7 @@ def decompose_induced_automorphism(gamma, delta_elems, sub_action_matrices,
 
     # the permutation written on cosets: target block j holds f(p^-1(coset_i))
     # find sigma0 with  Delta s  ->  Delta sigma0 s  matching perm
-    reps = [cs[0] for cs in cosets]
-    block_of = {}
-    for bi, cs in enumerate(cosets):
-        for g in cs:
-            block_of[g] = bi
+    reps, block_of = _coset_blocks(cosets)
     sigma0 = None
     for g in range(gamma.order):
         ok = True
@@ -602,11 +586,7 @@ def reconstruct_induced_automorphism(gamma, delta_elems, sub_action_matrices,
                                      cosets, x_rank, sigma0, a_prime):
     """Inverse of decompose_induced_automorphism:  a(f)(s) = a'(f(sigma0^-1 s))."""
     delta_index = {g: i for i, g in enumerate(delta_elems)}
-    reps = [cs[0] for cs in cosets]
-    block_of = {}
-    for bi, cs in enumerate(cosets):
-        for g in cs:
-            block_of[g] = bi
+    reps, block_of = _coset_blocks(cosets)
     k = len(cosets)
     rows = [[0] * (k * x_rank) for _ in range(k * x_rank)]
     for i in range(k):

@@ -9,22 +9,6 @@ All entries are arbitrary-precision Python ints.  Matrices are immutable
 from __future__ import annotations
 
 import itertools
-from math import gcd
-
-
-def xgcd(a, b):
-    """Return (x, y, g) with x*a + y*b == g == gcd(a, b), g >= 0."""
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
 
 
 class IntMatrix:

@@ -122,12 +122,6 @@ class TwistData:
         assert p == list(range(r)), "Galois order must divide n"
         self.Q = FiniteGroup.cyclic(n)
 
-    def galois_power_perm(self, k):
-        p = list(range(self.datum.rank))
-        for _ in range(k % self.n):
-            p = [self.galois_perm[i] for i in p]
-        return tuple(p)
-
     def center_action_matrix(self, perm):
         """Matrix of the permutation action on the coordinates of P/Q."""
         fg = self.datum.center

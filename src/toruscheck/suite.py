@@ -167,13 +167,11 @@ def random_case_data(rng):
     return torus, z, phi
 
 
-def invariant_vectors(torus, bound=1):
+def invariant_vectors(torus):
     """Small integral Galois-invariant vectors to use as test points of the
     F-points model."""
     basis = torus.invariant_lattice()
     out = [(0,) * torus.rank]
     for b in basis:
         out.append(tuple(b))
-        if bound > 1:
-            out.append(tuple(bound * x for x in b))
     return out

@@ -62,16 +62,14 @@ class ToriCase:
     def A(self):
         return self.torus.comp.group
 
-    def comp_mat(self, a):
-        return self.torus.comp.matrices[a]
-
     def act(self, a, vec):
         return self.torus.comp.act(a, vec)
 
     def pair_complex_matrix(self, aut):
         """Matrix of 1 - aut on X: the complex map for a commuting pair
         (z, delta) whose defining relation is  aut.z - z = d(delta)."""
-        return IntMatrix.identity(self.torus.rank) - self.comp_mat(aut)
+        return (IntMatrix.identity(self.torus.rank)
+                - self.torus.comp.matrices[aut])
 
     def f_complex(self, a):
         """Matrix of 1 - a^-1 on X: the complex carrying (z^-1, t_{a^-1}),
@@ -131,7 +129,6 @@ def solve_s(torus, phi, a, denominator):
     psi = torus.dual_sub(torus.dual_comp(a, phi.psi), phi.psi)
     M = denominator
     T = torus._galois_dualT[1 % torus.model.n]
-    ident = IntMatrix.identity(r)
     rows = []
     target = []
     for i in range(r):
@@ -268,14 +265,10 @@ class PacketElement:
     generic: bool
 
 
-def _abar_group(case):
-    return case.A.subgroup_as_group(case.A_phi_z)
-
-
 def _extension(case, which):
     """E^z (which='alpha') or E^phi (which='beta') as a CentralExtension of
     the stabilizer subgroup."""
-    Abar, elems = _abar_group(case)
+    Abar, elems = case.A.subgroup_as_group(case.A_phi_z)
     vals = {}
     m = 1
     for i, a in enumerate(elems):
@@ -396,34 +389,33 @@ def theta_value(case, s_dot, b, t_vec, a):
     Abar_size = len(elems)
     kz = case.kottwitz(s_dot)
 
-    rep = Cyc.zero()
-    for i in sel:
-        left = _char_at(table, ext, i, kz, pos[b])
-        inner = Cyc.zero()
-        for c in case.A_z:
-            cac = A.mul(A.mul(c, a), A.inv(c))
-            if cac not in pos:
-                continue
-            ct = torus.comp.act(c, t_vec)
-            val = langlands_character(
-                torus, case.phi,
-                tuple(x + y for x, y in zip(ct, case.zeta(c, a))))
-            inner = inner + _char_at(table, ext, i, val + case.h[cac], pos[cac])
-        rep = rep + left * inner * Fraction(1, Abar_size)
-
-    binv = A.inv(b)
-    pairing = pair_for_h(case, b)
-    closed = Cyc.zero()
+    # (c a c^-1, phi(c.t + zeta(c, a))) for the conjugators c that keep a
+    # in the stabilizer, shared by both sums
+    conjugates = []
     for c in case.A_z:
         cac = A.mul(A.mul(c, a), A.inv(c))
-        if cac != binv:
+        if cac not in pos:
             continue
         ct = torus.comp.act(c, t_vec)
         val = langlands_character(
             torus, case.phi,
             tuple(x + y for x, y in zip(ct, case.zeta(c, a))))
-        closed = closed + Cyc.root(val)
-    closed = closed.scale_root(kz - pairing)
+        conjugates.append((cac, val))
+
+    rep = Cyc.zero()
+    for i in sel:
+        left = _char_at(table, ext, i, kz, pos[b])
+        inner = Cyc.zero()
+        for cac, val in conjugates:
+            inner = inner + _char_at(table, ext, i, val + case.h[cac], pos[cac])
+        rep = rep + left * inner * Fraction(1, Abar_size)
+
+    binv = A.inv(b)
+    closed = Cyc.zero()
+    for cac, val in conjugates:
+        if cac == binv:
+            closed = closed + Cyc.root(val)
+    closed = closed.scale_root(kz - pair_for_h(case, b))
     return rep, closed
 
 
@@ -488,8 +480,6 @@ def endoscopic_value(case, s_dot, b, t_vec, a):
         ct = torus.comp.act(c, t_vec)
         delta = tuple(x + y + w for x, y, w in
                       zip(ct, case.zeta(c, a), case.t[binv]))
-        # the invariant classifies the same pair the pairing consumes
-        cls, H = invariant_of(case, binv, case.z, delta)
         val = hyper_pairing(torus, fT, (case.z.neg(), delta),
                             (case.phi.neg(), dual_second))
         total = total + Cyc.root(-val)
@@ -520,7 +510,7 @@ def _is_invariant_vec(torus, v):
     return True
 
 
-def invariant_duals(torus, max_order=None):
+def invariant_duals(torus):
     """Generators-style list of Galois-invariant torsion dual points: the
     characters of the torsion of the coinvariants, pulled back to X."""
     from .lattice import FGAbelian, lattice_membership_matrix
@@ -533,17 +523,11 @@ def invariant_duals(torus, max_order=None):
     R = lattice_membership_matrix(cols, r)
     coinv = FGAbelian(r, R)
     out = [torus.dual_zero()]
-    ds = coinv.torsion
-    if not ds:
+    if not coinv.torsion:
         return out
-    m = 1
-    for d in ds:
-        m = lcm(m, d)
-    if max_order:
-        m = min(m, max_order)
     # one dual per torsion generator: s(x) = (U x)_i / d_i
     U = coinv.U
-    for idx, (ci, d) in enumerate(coinv._coord_info):
+    for ci, d in coinv._coord_info:
         if d == 0:
             continue
         s = tuple(QZ(U.data[ci][j], d) for j in range(r))

@@ -86,9 +86,6 @@ class TorusModel:
         """Action of sigma^i on X."""
         return self.galois.act(i % self.model.n, vec)
 
-    def comp_act(self, a, vec):
-        return self.comp.act(a, vec)
-
     # dual-torus points: tuples of QZ, one per basis vector of X
     def dual_zero(self):
         return (QZ(0),) * self.rank
@@ -172,17 +169,12 @@ class Parameter:
             "value at the generator must have zero norm (cocycle identity)"
 
     def value(self, i):
+        """The value at sigma^i; on the model Weil group W = Z, the
+        inflation."""
         return self.table[i % self.torus.model.n]
-
-    def value_on_w(self, w):
-        """Inflation to the model Weil group W = Z."""
-        return self.table[w % self.torus.model.n]
 
     def neg(self):
         return Parameter(self.torus, tuple(-q for q in self.psi))
-
-    def act_comp(self, a):
-        return Parameter(self.torus, self.torus.dual_comp(a, self.psi))
 
 
 def tn_iso(torus, lam):
@@ -327,7 +319,7 @@ def elementary_pairing(torus, dual_pair, chain_pair):
     lam, mu1 = chain_pair
     total = torus.dual_eval(s, lam)
     for (w,), val in mu1.support.items():
-        total = total - torus.dual_eval(d.value_on_w(w), val)
+        total = total - torus.dual_eval(d.value(w), val)
     return total
 
 

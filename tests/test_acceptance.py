@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from toruscheck import checks
 from toruscheck.lattice import IntMatrix
 from toruscheck.qz import QZ, Cyc
 from toruscheck.groups import (
@@ -22,37 +23,17 @@ from toruscheck.groups import (
     decompose_induced_automorphism,
     reconstruct_induced_automorphism,
 )
-from toruscheck.cohomology import (
-    GModule,
-    Cochain,
-    tate_group,
-    cup,
-    FiniteDomain,
-    FiniteSupportChain,
-    coinflation,
-    ZDomain,
-)
-from toruscheck.weil import LocalModel, TorusModel, Parameter, tn_iso, chain_map_phi
+from toruscheck.cohomology import GModule, tate_group
+from toruscheck.weil import LocalModel, TorusModel
 from toruscheck.characters import (
     twisted_orthogonality,
-    is_psi_centralizing,
     irr_with_central_char,
-    block_twisted_trace,
     InducedIntertwinerData,
-    induced_cocycle_check,
     CycMatrix,
-    TABLE_CACHE,
 )
 from toruscheck.rootdata import BasedRootDatum, TwistData, diagram_flip, \
-    twisted_sign, sign_product, sign_induction
-from toruscheck.tori import (
-    build_case,
-    compute_h,
-    verify_iso,
-    character_identity_report,
-    invariant_duals,
-)
-from toruscheck.suite import random_case_data, invariant_vectors
+    twisted_sign
+from toruscheck.suite import random_case_data
 
 
 def announce(num, name, ok, detail=""):
@@ -65,24 +46,14 @@ def announce(num, name, ok, detail=""):
 SUITE_SEED = 20260809
 
 
-def build_suite(min_cases=50):
-    rng = random.Random(SUITE_SEED)
-    cases = []
-    while len(cases) < min_cases:
-        torus, z, phi = random_case_data(rng)
-        case = build_case(torus, z, phi)
-        compute_h(case)
-        cases.append(case)
-    return cases
-
-
 _suite_cache = {}
 
 
 def suite():
     if "cases" not in _suite_cache:
         t0 = time.time()
-        _suite_cache["cases"] = build_suite()
+        _suite_cache["cases"] = list(
+            checks.random_cases(random.Random(SUITE_SEED), 50))
         _suite_cache["build_seconds"] = time.time() - t0
     return _suite_cache["cases"]
 
@@ -102,10 +73,9 @@ def test_criterion_1_extension_isomorphism():
         assert case.A.order <= 8
         if case.A.order == 6 and len(case.A.conjugacy_classes()) == 3:
             saw_nonabelian = True
-        rep = verify_iso(case)
-        pairs += len(rep)
-        if not all(v[2] for v in rep.values()):
-            ok = False
+        v = checks.extension_isomorphism(case)
+        pairs += v.counts["pairs"]
+        ok = ok and v.ok
     elapsed = time.time() - t0 + _suite_cache.get("build_seconds", 0)
     announce(1, "extension isomorphism identity",
              ok and saw_nonabelian and len(cases) >= 50 and elapsed < 120,
@@ -120,28 +90,12 @@ def test_criterion_2_character_identity():
     triples = 0
     vanishing = 0
     for case in suite():
-        if len(case.A_phi_z) > 6:
+        if len(case.A_phi_z) > checks.SWEEP_MAX_STABILIZER:
             continue
-        torus = case.torus
-        duals = invariant_duals(torus)[:2]
-        tvecs = invariant_vectors(torus)[:2]
-        for a in case.A_phi_z:
-            for b in case.A_phi_z:
-                conjugable = any(
-                    case.A.mul(case.A.mul(c, a), case.A.inv(c)) == case.A.inv(b)
-                    for c in case.A_z)
-                for s in duals:
-                    for t in tvecs:
-                        r = character_identity_report(case, s, b, t, a)
-                        triples += 1
-                        if not r.all_equal:
-                            ok = False
-                        if not conjugable:
-                            vanishing += 1
-                            if not (r.rep_value.is_zero()
-                                    and r.closed_value.is_zero()
-                                    and r.endoscopic_value.is_zero()):
-                                ok = False
+        v = checks.character_identity(case)
+        ok = ok and v.ok
+        triples += v.counts["triples"]
+        vanishing += v.counts["vanishing"]
     announce(2, "character identity three ways", ok and triples > 0,
              "%d triples, %d vanishing-branch" % (triples, vanishing))
 
@@ -182,15 +136,9 @@ def test_criterion_3_twisted_orthogonality():
     ok = True
     pairs = 0
     for ext in extension_fixtures():
-        psi = QZ(1, ext.m)
-        for e in range(ext.group.order):
-            if not is_psi_centralizing(ext, psi, e):
-                continue
-            for e2 in range(ext.group.order):
-                lhs, rhs, verdict = twisted_orthogonality(ext, psi, e, e2)
-                pairs += 1
-                if verdict is False:
-                    ok = False
+        v = checks.orthogonality(ext)
+        ok = ok and v.ok
+        pairs += v.witness["pairs"]
     E = klein_nontrivial_extension()
     lhs, rhs, verdict = twisted_orthogonality(E, QZ(1, 2), 0, 0)
     ok = ok and verdict and lhs == Cyc.integer(4)
@@ -221,30 +169,10 @@ def test_criterion_4_twisted_kottwitz_sign():
                 total_signs += 1
                 if s * s != 1:
                     ok = False
-    randomized = 0
-    while randomized < 20:
-        label = rng.choice(["A1", "A2", "A3", "D4"])
-        d = BasedRootDatum.from_label(label)
-        r = d.rank
-        ap = diagram_flip(label) if rng.random() < 0.5 else tuple(range(r))
-        tw = TwistData(d, 2, tuple(range(r)), ap)
-        H2 = tate_group(tw.xi_module(), 2)
-        xi = rng.choice(list(H2.elements()))
-        try:
-            e_base, e_ind = sign_induction(tw, xi, rng.choice((2, 3)))
-            tw2 = TwistData(BasedRootDatum.from_label("A1"), 2, (0,), (0,))
-            e1, e2, e12 = sign_product(tw, xi, tw2, rng.choice([(0,), (1,)]))
-        except ValueError:
-            continue
-        if e_base != e_ind or e12 != e1 * e2:
-            ok = False
-        randomized += 1
-    a1 = TwistData(BasedRootDatum.from_label("A1"), 2, (0,), (0,))
-    ok = ok and twisted_sign(a1, (1,)) == -1 == (-1) ** (1 - 0)
-    e6 = TwistData(BasedRootDatum.from_label("E6"), 3, tuple(range(6)),
-                   diagram_flip("E6"))
-    H2e = tate_group(e6.xi_module(), 2)
-    ok = ok and all(twisted_sign(e6, c) == 1 for c in H2e.elements())
+    laws = checks.product_induction(rng, 20)
+    randomized = laws.witness["samples"]
+    ok = (ok and laws.ok and checks.a1_fixture().ok
+          and checks.e6_flip_fixture().ok)
     announce(4, "twisted Kottwitz sign", ok,
              "%d signs, %d randomized laws" % (total_signs, randomized))
 
@@ -314,96 +242,26 @@ def test_criterion_6_cohomology_algebra():
     ]
     while count < 1000:
         gm = rng.choice(modules)
-        n = gm.group.order
-        deg = rng.choice((1, 2))
-        tab = {t: tuple(rng.randint(-5, 5) for _ in range(gm.ngens))
-               for t in itertools.product(range(n), repeat=deg)}
-        x = Cochain(gm, deg, tab)
-        if any(any(v) for v in x.d().d().table.values()):
-            ok = False
+        ok = checks.dd_zero(gm, rng.choice((1, 2)), rng, 1, 5).ok and ok
         count += 1
-
-    def pairing(a, b):
-        return tuple(a[0] * v for v in b)
 
     leibniz = 0
     for gm in modules:
-        ints = GModule.trivial_ints(gm.group)
-        n = gm.group.order
-        for _ in range(10):
-            x = Cochain(ints, 1, {(i,): (rng.randint(-3, 3),) for i in range(n)})
-            y = Cochain(gm, 1, {(i,): tuple(rng.randint(-3, 3)
-                                            for _ in range(gm.ngens))
-                                for i in range(n)})
-            lhs = cup(x, y, pairing, gm).d()
-            rhs = cup(x.d(), y, pairing, gm).add(
-                cup(x, y.d(), pairing, gm).neg())
-            if lhs.to_vector() != rhs.to_vector():
-                ok = False
-            leibniz += 1
+        ok = checks.cup_leibniz(gm, rng, 10).ok and ok
+        leibniz += 10
 
-    # coinflation commutes with the differential (finite quotient model)
-    C4 = FiniteGroup.cyclic(4)
-    C2 = FiniteGroup.cyclic(2)
-    dom4 = FiniteDomain(C4, [IntMatrix.identity(1), IntMatrix([[-1]]),
-                             IntMatrix.identity(1), IntMatrix([[-1]])])
-    dom2 = FiniteDomain(C2, [IntMatrix.identity(1), IntMatrix([[-1]])])
-    for _ in range(50):
-        supp = {(rng.randrange(4), rng.randrange(4)): (rng.randint(-3, 3),)
-                for _ in range(5)}
-        y = FiniteSupportChain(dom4, 2, 1, supp)
-        lhs = coinflation(y, lambda w: w % 2, dom2).boundary()
-        rhs = coinflation(y.boundary(), lambda w: w % 2, dom2)
-        if lhs.support != rhs.support:
-            ok = False
+    ok = checks.coinflation_boundary(rng, 50).ok and ok
 
-    # the two-level square: the chain map and the TN cup agree through
-    # inflation between levels n and 2n
+    # the two-level square between levels n and 2n
     for mat, n in [(IntMatrix([[-1]]), 2), (IntMatrix([[0, -1], [1, -1]]), 3)]:
         small = TorusModel(LocalModel(n), GroupAction.cyclic(n, mat))
-        big = TorusModel(LocalModel(2 * n), GroupAction.cyclic(2 * n, mat))
-        from toruscheck.lattice import kernel_basis
-
-        for lam in kernel_basis(small.norm_matrix()):
-            za = tn_iso(small, lam)
-            zb = tn_iso(big, lam)
-            for i in range(2 * n):
-                if zb.table[(i,)] != za.table[(i % n,)]:
-                    ok = False
-        ds = ZDomain(n, mat)
-        db = ZDomain(2 * n, mat)
-        for _ in range(20):
-            supp = {(rng.randint(-6, 6),): tuple(rng.randint(-3, 3)
-                                                 for _ in range(small.rank))
-                    for _ in range(3)}
-            mu_s = FiniteSupportChain(ds, 1, small.rank, supp)
-            mu_b = FiniteSupportChain(db, 1, small.rank, supp)
-            if chain_map_phi(small, mu_s) != chain_map_phi(big, mu_b):
-                ok = False
+        ok = checks.level_square(small, rng, 20, 6).ok and ok
     announce(6, "cohomology algebra", ok,
              "%d cochains, %d Leibniz checks" % (count, leibniz))
 
 
-def scalar_datum(w, chi_vals=None):
-    C2 = FiniteGroup.cyclic(2)
-    J = FiniteGroup.direct_product(C2, C2)
-    act = [list(range(4)), [0, 2, 1, 3]]
-    chi = chi_vals or {0: QZ(0), 1: QZ(1, 2), 2: QZ(1, 2), 3: QZ(0)}
-    pi = [CycMatrix([[Cyc.root(chi[j])]]) for j in range(4)]
-    piT = [CycMatrix.identity(1), CycMatrix([[Cyc.root(w)]])]
-    return InducedIntertwinerData(J, C2, act, [0, 0], pi, piT)
-
-
 def q8_matrix_datum():
-    C2xC2 = FiniteGroup.direct_product(FiniteGroup.cyclic(2),
-                                       FiniteGroup.cyclic(2))
-    vals = {}
-    for a in range(4):
-        for b in range(4):
-            a1, a2 = divmod(a, 2)
-            b1, b2 = divmod(b, 2)
-            vals[(a, b)] = QZ(a1 * b1 + a2 * b2 + a2 * b1, 2)
-    E = CentralExtension(C2xC2, 2, Cocycle2(C2xC2, vals))
+    E = klein_nontrivial_extension()
     J = E.group
     A = FiniteGroup.cyclic(2)
     i_cyc = Cyc.root(QZ(1, 4))
@@ -446,37 +304,17 @@ def test_criterion_7_induction_lemmas():
     phases = [QZ(0), QZ(1, 4), QZ(1, 2), QZ(3, 4), QZ(1, 8)]
     for w in phases:
         for B, A_elems in [(B4, [0, 2]), (B2, [0, 1])]:
-            data = scalar_datum(w)
-            cosets = B.right_cosets(A_elems)
-            section = {cs: cs[0] for cs in cosets}
-            beta, cores, equal = induced_cocycle_check(data, B, A_elems, section)
+            data = checks.scalar_datum(w)
+            ok = checks.corestriction(data, B, A_elems).ok and ok
             fixtures += 1
-            if not equal:
-                ok = False
-    # a genuinely two-dimensional matrix fixture and a shifted section
+    # a genuinely two-dimensional matrix fixture, also with a shifted section
     data = q8_matrix_datum()
-    cosets = B4.right_cosets([0, 2])
-    section = {cs: cs[0] for cs in cosets}
-    beta, cores, equal = induced_cocycle_check(data, B4, [0, 2], section)
-    fixtures += 1
-    ok = ok and equal
-    section2 = {cs: cs[-1] for cs in cosets}
-    beta, cores, equal = induced_cocycle_check(data, B4, [0, 2], section2)
-    fixtures += 1
-    ok = ok and equal
+    for end in (0, -1):
+        ok = checks.corestriction(data, B4, [0, 2], end).ok and ok
+        fixtures += 1
 
-    traces = 0
-    while traces < 100:
-        nblk = rng.randint(1, 4)
-        dim = rng.randint(1, 3)
-        phis = [IntMatrix([[rng.randint(-4, 4) for _ in range(dim)]
-                           for _ in range(dim)]) for _ in range(nblk)]
-        T = IntMatrix([[rng.randint(-4, 4) for _ in range(dim)]
-                       for _ in range(dim)])
-        lhs, rhs, okk = block_twisted_trace(phis, T)
-        if not okk:
-            ok = False
-        traces += 1
+    traces = 100
+    ok = checks.block_twisted_traces(rng, traces, 4).ok and ok
     announce(7, "induction lemmas", ok and fixtures >= 10,
              "%d fixtures, %d traces" % (fixtures, traces))
 

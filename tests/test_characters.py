@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from toruscheck.checks import scalar_datum
 from toruscheck.lattice import IntMatrix
 from toruscheck.qz import QZ, Cyc, cyc_div
 from toruscheck.groups import FiniteGroup, Cocycle2, CentralExtension
@@ -344,20 +345,6 @@ def test_cyc_matrix_and_division():
     assert cyc_div(Cyc.root(QZ(1, 3)), Cyc.root(QZ(1, 3))) == Cyc.integer(1)
     v = Cyc.root(QZ(1, 8)) + Cyc.integer(2)
     assert cyc_div(v * Cyc.root(QZ(3, 8)), Cyc.root(QZ(3, 8))) == v
-
-
-def scalar_datum(w):
-    """J = C2 x C2 with A = C2 swapping the factors; pi the invariant
-    character; intertwiner scalar w."""
-    C2 = FiniteGroup.cyclic(2)
-    J = FiniteGroup.direct_product(C2, C2)
-    A = C2
-    act = [list(range(4)), [0, 2, 1, 3]]  # swap (a, b) -> (b, a)
-    g = [0, 0]
-    chi = {0: QZ(0), 1: QZ(1, 2), 2: QZ(1, 2), 3: QZ(0)}
-    pi = [CycMatrix([[Cyc.root(chi[j])]]) for j in range(4)]
-    piT = [CycMatrix.identity(1), CycMatrix([[Cyc.root(w)]])]
-    return InducedIntertwinerData(J, A, act, g, pi, piT)
 
 
 def test_induced_intertwiner_alpha():

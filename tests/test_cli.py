@@ -120,6 +120,25 @@ def test_casefile_validation_messages():
         load_case(bad4)
 
 
+@pytest.mark.parametrize("doc", [[1, 2], "case", 3, None])
+def test_case_file_must_be_an_object(doc, tmp_path, capsys):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CaseFileError) as e:
+        load_case(doc)
+    assert e.value.field == "case"
+    assert main(["tori-verify", "--input", str(path)]) == 2
+    assert "case: expected a JSON object" in capsys.readouterr().err
+
+
+def test_component_must_be_an_object():
+    bad = dict(FIXTURE)
+    bad["component"] = [1]
+    with pytest.raises(CaseFileError) as e:
+        load_case(bad)
+    assert e.value.field == "component"
+
+
 def test_check_filter(tmp_path):
     path = write_fixture(tmp_path)
     code, out = run_main(["tori-verify", "--input", path,
