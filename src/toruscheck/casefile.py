@@ -140,6 +140,10 @@ def load_case(doc):
 
     extras = {k: doc[k] for k in ("root_datum", "seed", "suite_size")
               if k in doc}
+    if "seed" in extras:
+        extras["seed"] = _as_int(extras["seed"], "seed")
+    if not isinstance(extras.get("root_datum", {}), dict):
+        raise CaseFileError("root_datum", "expected an object")
     return torus, z, phi, extras
 
 

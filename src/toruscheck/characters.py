@@ -539,7 +539,6 @@ def mackey_multiplicity_transfer(data, cache=None):
 
     fiber = [(e1, e2) for e1 in range(big1.order) for e2 in range(big2.order)
              if quot1[e1] == quot2[e2]]
-    fiber_index = set(fiber)
     xt_values = {pair: Cyc.zero() for pair in fiber}
     for orbit in data["orbits"]:
         stab_elems = list(orbit["stab"])

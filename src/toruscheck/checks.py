@@ -43,7 +43,7 @@ class Verdict(NamedTuple):
     counts: dict | None = None
 
 
-def random_cochain(gm, degree, rng, bound):
+def _random_cochain(gm, degree, rng, bound):
     tab = {t: tuple(rng.randint(-bound, bound) for _ in range(gm.ngens))
            for t in itertools.product(range(gm.group.order), repeat=degree)}
     return Cochain(gm, degree, tab)
@@ -52,7 +52,7 @@ def random_cochain(gm, degree, rng, bound):
 def dd_zero(gm, degree, rng, samples, bound):
     """d after d vanishes on random cochains with entries in [-bound, bound]."""
     for i in range(samples):
-        x = random_cochain(gm, degree, rng, bound)
+        x = _random_cochain(gm, degree, rng, bound)
         if any(any(v) for v in x.d().d().table.values()):
             return Verdict(False, {"sample": i})
     return Verdict(True)
@@ -78,8 +78,8 @@ def cup_leibniz(gm, rng, samples):
     against random 1-cochains y in gm."""
     ints = GModule.trivial_ints(gm.group)
     for i in range(samples):
-        x = random_cochain(ints, 1, rng, 3)
-        y = random_cochain(gm, 1, rng, 3)
+        x = _random_cochain(ints, 1, rng, 3)
+        y = _random_cochain(gm, 1, rng, 3)
         lhs = cup(x, y, _int_pairing, gm).d()
         rhs = cup(x.d(), y, _int_pairing, gm).add(
             cup(x, y.d(), _int_pairing, gm).neg())
@@ -170,7 +170,7 @@ def kottwitz_edge(torus, z):
     return Verdict(True)
 
 
-def twist_from_spec(spec):
+def _twist_from_spec(spec):
     """TwistData of a case file's `root_datum` block."""
     if "cartan" in spec:
         datum = BasedRootDatum(IntMatrix(spec["cartan"]),
@@ -185,7 +185,7 @@ def twist_from_spec(spec):
 
 
 def sign_value(spec):
-    tw = twist_from_spec(spec)
+    tw = _twist_from_spec(spec)
     H2 = tate_group(tw.xi_module(), 2)
     xi = tuple(spec.get("xi", [0] * len(H2.group.torsion)))
     try:

@@ -162,7 +162,7 @@ def d_matrix(gmod, n):
     g = gmod.ngens
     src = tuples(gmod.group, n)
     cols = []
-    for i, t in enumerate(src):
+    for t in src:
         for k in range(g):
             x = Cochain.zero(gmod, n)
             v = [0] * g
@@ -508,7 +508,6 @@ def enumerate_h_classes(gmod, degree, limit=200000):
     fg = gmod.fg()
     assert fg.free_rank == 0, "enumeration needs a finite module"
     elements = [fg.lift(c) for c in fg.elements()]
-    N = gmod.group.order
     keys = tuples(gmod.group, degree)
     if len(elements) ** len(keys) > limit:
         raise ValueError("enumeration space too large")

@@ -265,7 +265,6 @@ def _exactly_fixed_representative(twist, gm, H2, coords):
     rows = []
     target = []
     for pi in range(npairs):
-        av_minus_v = None
         v = rep.table[pair_keys[pi]]
         av = amat.apply(v)
         for ri in range(k):
@@ -354,8 +353,6 @@ def sign_product(twist1, xi1, twist2, xi2):
 def _product_center_coords(tw, twist1, twist2, m1, m2):
     """Coordinates in Hom(P/Q, Q/Z) of the product from factor coordinates."""
     ds = tw.datum.center.torsion
-    ds1 = twist1.datum.center.torsion
-    ds2 = twist2.datum.center.torsion
     # a dual element is determined by its values on the center generators;
     # produce the QZ values on the product generators and convert back
     fg = tw.datum.center

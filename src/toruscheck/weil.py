@@ -221,7 +221,6 @@ def tn_inverse(torus, z):
     tn_iso(lam) cohomologous to z.  Raises LiftNotFound when z is not a
     cocycle class hit by the map (never, by bijectivity, for valid input)."""
     r = torus.rank
-    model = torus.model
     CUP = _cup_matrix(torus)
     gm = torus.gmodule()
     D0 = d_matrix(gm, 0)

@@ -118,6 +118,13 @@ def test_casefile_validation_messages():
     bad4["galois"] = {"order": 3, "matrix": [[-1]]}
     with pytest.raises(CaseFileError):
         load_case(bad4)
+    for field, value in [("component", [1]), ("seed", "x"), ("seed", [7]),
+                         ("root_datum", [1])]:
+        bad5 = dict(FIXTURE)
+        bad5[field] = value
+        with pytest.raises(CaseFileError) as e:
+            load_case(bad5)
+        assert e.value.field == field
 
 
 @pytest.mark.parametrize("doc", [[1, 2], "case", 3, None])
@@ -129,14 +136,6 @@ def test_case_file_must_be_an_object(doc, tmp_path, capsys):
     assert e.value.field == "case"
     assert main(["tori-verify", "--input", str(path)]) == 2
     assert "case: expected a JSON object" in capsys.readouterr().err
-
-
-def test_component_must_be_an_object():
-    bad = dict(FIXTURE)
-    bad["component"] = [1]
-    with pytest.raises(CaseFileError) as e:
-        load_case(bad)
-    assert e.value.field == "component"
 
 
 def test_check_filter(tmp_path):
