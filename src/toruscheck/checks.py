@@ -54,8 +54,8 @@ def dd_zero(gm, degree, rng, samples, bound):
     for i in range(samples):
         x = _random_cochain(gm, degree, rng, bound)
         if any(any(v) for v in x.d().d().table.values()):
-            return Verdict(False, {"sample": i})
-    return Verdict(True)
+            return Verdict(False, {"sample": i}, {"samples": i + 1})
+    return Verdict(True, None, {"samples": samples})
 
 
 def tate_orders(gm):
@@ -84,8 +84,8 @@ def cup_leibniz(gm, rng, samples):
         rhs = cup(x.d(), y, _int_pairing, gm).add(
             cup(x, y.d(), _int_pairing, gm).neg())
         if lhs.to_vector() != rhs.to_vector():
-            return Verdict(False, {"sample": i})
-    return Verdict(True)
+            return Verdict(False, {"sample": i}, {"samples": i + 1})
+    return Verdict(True, None, {"samples": samples})
 
 
 def coinflation_boundary(rng, samples):
@@ -101,8 +101,8 @@ def coinflation_boundary(rng, samples):
         lhs = coinflation(y, lambda w: w % 2, dom2).boundary()
         rhs = coinflation(y.boundary(), lambda w: w % 2, dom2)
         if lhs.support != rhs.support:
-            return Verdict(False, {"sample": i})
-    return Verdict(True)
+            return Verdict(False, {"sample": i}, {"samples": i + 1})
+    return Verdict(True, None, {"samples": samples})
 
 
 def level_square(torus, rng, samples, bound):
@@ -116,7 +116,8 @@ def level_square(torus, rng, samples, bound):
         za = tn_iso(torus, lam)
         zb = tn_iso(big, lam)
         if any(zb.table[(i,)] != za.table[(i % n,)] for i in range(2 * n)):
-            return Verdict(False, {"lambda": list(lam)})
+            return Verdict(False, {"lambda": list(lam)},
+                           {"samples": 0})
     dom_small = ZDomain(n, gen)
     dom_big = ZDomain(2 * n, gen)
     for i in range(samples):
@@ -126,8 +127,8 @@ def level_square(torus, rng, samples, bound):
         mu_small = FiniteSupportChain(dom_small, 1, r, supp)
         mu_big = FiniteSupportChain(dom_big, 1, r, supp)
         if chain_map_phi(torus, mu_small) != chain_map_phi(big, mu_big):
-            return Verdict(False, {"sample": i})
-    return Verdict(True)
+            return Verdict(False, {"sample": i}, {"samples": i + 1})
+    return Verdict(True, None, {"samples": samples})
 
 
 def tn_bijective(torus):
@@ -295,8 +296,8 @@ def block_twisted_traces(rng, samples, bound):
         T = IntMatrix([[rng.randint(-bound, bound) for _ in range(dim)]
                        for _ in range(dim)])
         if not block_twisted_trace(phis, T)[2]:
-            return Verdict(False, {"sample": i})
-    return Verdict(True)
+            return Verdict(False, {"sample": i}, {"samples": i + 1})
+    return Verdict(True, None, {"samples": samples})
 
 
 def h_computed(case):

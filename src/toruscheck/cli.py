@@ -1,5 +1,5 @@
-"""Batch front end: parse case files, dispatch to the engines, cache
-character tables on disk, and emit deterministic verification reports.
+"""Batch front end: parse case files, run each command's named checks,
+cache character tables on disk, and emit deterministic verification reports.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 input error.
 """

@@ -242,13 +242,15 @@ def test_criterion_6_cohomology_algebra():
     ]
     while count < 1000:
         gm = rng.choice(modules)
-        ok = checks.dd_zero(gm, rng.choice((1, 2)), rng, 1, 5).ok and ok
-        count += 1
+        v = checks.dd_zero(gm, rng.choice((1, 2)), rng, 1, 5)
+        ok = ok and v.ok
+        count += v.counts["samples"]
 
     leibniz = 0
     for gm in modules:
-        ok = checks.cup_leibniz(gm, rng, 10).ok and ok
-        leibniz += 10
+        v = checks.cup_leibniz(gm, rng, 10)
+        ok = ok and v.ok
+        leibniz += v.counts["samples"]
 
     ok = checks.coinflation_boundary(rng, 50).ok and ok
 
@@ -313,8 +315,9 @@ def test_criterion_7_induction_lemmas():
         ok = checks.corestriction(data, B4, [0, 2], end).ok and ok
         fixtures += 1
 
-    traces = 100
-    ok = checks.block_twisted_traces(rng, traces, 4).ok and ok
+    v = checks.block_twisted_traces(rng, 100, 4)
+    ok = ok and v.ok
+    traces = v.counts["samples"]
     announce(7, "induction lemmas", ok and fixtures >= 10,
              "%d fixtures, %d traces" % (fixtures, traces))
 

@@ -33,7 +33,7 @@ def test_sampling_check_names_its_first_failing_sample(monkeypatch):
 
     monkeypatch.setattr(checks, "block_twisted_trace", fake_trace)
     v = checks.block_twisted_traces(random.Random(1), 10, 3)
-    assert v == checks.Verdict(False, {"sample": 2})
+    assert v == checks.Verdict(False, {"sample": 2}, {"samples": 3})
     assert len(calls) == 3
 
 
