@@ -38,6 +38,7 @@ SWEEP_MAX_STABILIZER = 6
 
 
 class Verdict(NamedTuple):
+    """A check's result: pass or fail, its report witness, its counts."""
     ok: bool
     witness: dict | None = None
     counts: dict | None = None
