@@ -11,11 +11,18 @@ from fractions import Fraction
 from .lattice import IntMatrix
 from .qz import QZ, Cyc
 from .groups import FiniteGroup, GroupAction
-from .cohomology import Cochain
+from .cohomology import Cochain, tate_group
 from .weil import LocalModel, TorusModel, Parameter
+from .rootdata import BasedRootDatum, TwistData
 from .suite import s3_action
 
 SCHEMA_VERSION = 1
+
+#: The top-level fields of a case file, and those of its root_datum block;
+#: any other key is an input error.
+FIELDS = ("schema", "rank", "galois", "component", "z", "phi", "root_datum",
+          "seed")
+ROOT_DATUM_FIELDS = ("label", "cartan", "n", "galois_perm", "a_perm", "xi")
 
 
 class CaseFileError(ValueError):
@@ -33,9 +40,17 @@ def _as_int(v, field):
         raise CaseFileError(field, "bad integer %r" % (v,))
 
 
+def _as_int_list(v, field):
+    if not isinstance(v, list):
+        raise CaseFileError(field, "expected a list of integers")
+    return [_as_int(x, field) for x in v]
+
+
 def _as_matrix(v, field, size=None):
     if not isinstance(v, list) or not all(isinstance(r, list) for r in v):
         raise CaseFileError(field, "expected a matrix (list of rows)")
+    if len({len(r) for r in v}) > 1:
+        raise CaseFileError(field, "rows of different lengths")
     rows = [[_as_int(x, field) for x in r] for r in v]
     m = IntMatrix(rows)
     if size is not None and (m.rows, m.cols) != (size, size):
@@ -93,10 +108,61 @@ def _component_action(spec, rank):
     raise CaseFileError("component.kind", "unknown kind %r" % (kind,))
 
 
+def load_root_datum(spec):
+    """(TwistData, xi) from a root_datum block: the datum by Cartan `label`
+    (default A1) or raw `cartan` matrix, Galois order `n` (default 2), the
+    permutations `galois_perm` and `a_perm` (default identity), and `xi`,
+    the class's coordinates in H^2 (default zero), each in range of its
+    invariant factor."""
+    if not isinstance(spec, dict):
+        raise CaseFileError("root_datum", "expected an object")
+    for key in spec:
+        if key not in ROOT_DATUM_FIELDS:
+            raise CaseFileError("root_datum.%s" % key, "unknown field")
+    label = spec.get("label", "custom" if "cartan" in spec else "A1")
+    if not isinstance(label, str):
+        raise CaseFileError("root_datum.label", "expected a string")
+    if "cartan" in spec:
+        cartan = _as_matrix(spec["cartan"], "root_datum.cartan")
+        if cartan.rows != cartan.cols or cartan.rows == 0 \
+                or cartan.det() == 0:
+            raise CaseFileError("root_datum.cartan",
+                                "expected a nonsingular square matrix")
+        datum = BasedRootDatum(cartan, label)
+    else:
+        try:
+            datum = BasedRootDatum.from_label(label)
+        except ValueError as e:
+            raise CaseFileError("root_datum.label", str(e))
+    identity = list(range(datum.rank))
+    n = _as_int(spec.get("n", 2), "root_datum.n")
+    gp = _as_int_list(spec.get("galois_perm", identity),
+                      "root_datum.galois_perm")
+    ap = _as_int_list(spec.get("a_perm", identity), "root_datum.a_perm")
+    try:
+        twist = TwistData(datum, n, gp, ap)
+    except ValueError as e:
+        raise CaseFileError("root_datum", str(e))
+    # H^2 of the cyclic Galois group has the invariant factors of Tate
+    # H^0 (periodicity), which costs far less to build
+    factors = tate_group(twist.xi_module(), 0).group.torsion
+    xi = _as_int_list(spec.get("xi", [0] * len(factors)), "root_datum.xi")
+    if len(xi) != len(factors) or not all(
+            0 <= x < d for x, d in zip(xi, factors)):
+        raise CaseFileError("root_datum.xi", "expected %d coordinates, "
+                            "each below its factor of %r" % (len(factors),
+                                                             list(factors)))
+    return twist, tuple(xi)
+
+
 def load_case(doc):
-    """Build (torus, z, phi, extras) from a parsed JSON document."""
+    """Build (torus, z, phi, extras) from a parsed JSON document; extras
+    holds the seed and load_root_datum's (TwistData, xi), when given."""
     if not isinstance(doc, dict):
         raise CaseFileError("case", "expected a JSON object at the top level")
+    for key in doc:
+        if key not in FIELDS:
+            raise CaseFileError(key, "unknown field")
     if doc.get("schema") != SCHEMA_VERSION:
         raise CaseFileError("schema", "unsupported schema %r" % doc.get("schema"))
     rank = _as_int(doc.get("rank"), "rank")
@@ -138,12 +204,11 @@ def load_case(doc):
     except AssertionError as e:
         raise CaseFileError("phi", str(e))
 
-    extras = {k: doc[k] for k in ("root_datum", "seed", "suite_size")
-              if k in doc}
-    if "seed" in extras:
-        extras["seed"] = _as_int(extras["seed"], "seed")
-    if not isinstance(extras.get("root_datum", {}), dict):
-        raise CaseFileError("root_datum", "expected an object")
+    extras = {}
+    if "seed" in doc:
+        extras["seed"] = _as_int(doc["seed"], "seed")
+    if "root_datum" in doc:
+        extras["root_datum"] = load_root_datum(doc["root_datum"])
     return torus, z, phi, extras
 
 

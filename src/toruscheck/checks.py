@@ -172,26 +172,10 @@ def kottwitz_edge(torus, z):
     return Verdict(True)
 
 
-def _twist_from_spec(spec):
-    """TwistData of a case file's `root_datum` block."""
-    if "cartan" in spec:
-        datum = BasedRootDatum(IntMatrix(spec["cartan"]),
-                               spec.get("label", "custom"))
-    else:
-        datum = BasedRootDatum.from_label(spec.get("label", "A1"))
-    r = datum.rank
-    n = int(spec.get("n", 2))
-    gp = tuple(spec.get("galois_perm", range(r)))
-    ap = tuple(spec.get("a_perm", range(r)))
-    return TwistData(datum, n, gp, ap)
-
-
-def sign_value(spec):
-    tw = _twist_from_spec(spec)
-    H2 = tate_group(tw.xi_module(), 2)
-    xi = tuple(spec.get("xi", [0] * len(H2.group.torsion)))
+def sign_value(twist, xi):
+    """The twisted sign of a case file's root datum and class."""
     try:
-        return Verdict(True, {"sign": twisted_sign(tw, xi)})
+        return Verdict(True, {"sign": twisted_sign(twist, xi)})
     except ValueError as e:
         return Verdict(False, {"error": str(e)})
 

@@ -24,6 +24,7 @@ from .tori import build_case, compute_h, packet
 from .casefile import (
     CaseFileError,
     load_case_file,
+    load_root_datum,
     encode_cyc,
     decode_cyc,
     SCHEMA_VERSION,
@@ -192,8 +193,8 @@ COMMANDS = {
     ],
     "sign": [
         ("sign.value", "twisted sign of the supplied datum",
-         lambda x: checks.sign_value(x.extras.get("root_datum")
-                                     or {"label": "A1", "n": 2})),
+         lambda x: checks.sign_value(*(x.extras.get("root_datum")
+                                       or load_root_datum({})))),
         ("sign.a1_fixture",
          "A1 nontrivial class gives -1 (rank formula cross-check)",
          lambda x: checks.a1_fixture()),
@@ -259,6 +260,9 @@ def main(argv=None):
     cache = DiskTableCache(args.cache_dir) if args.cache_dir else TableCache()
 
     if args.command == "random-suite":
+        if args.suite_size < 0:
+            print("error: --suite-size must be at least 0", file=sys.stderr)
+            return 2
         digest = hashlib.sha256(
             b"seed=%d;size=%d" % (args.seed, args.suite_size)).hexdigest()[:16]
         inputs = Inputs(rng=random.Random(args.seed), cache=cache,

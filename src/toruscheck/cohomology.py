@@ -15,6 +15,7 @@ import itertools
 from .lattice import (
     IntMatrix,
     FGAbelian,
+    Memo,
     Subquotient,
     kernel_basis,
 )
@@ -149,16 +150,24 @@ class Cochain:
         return cls(gmod, degree, table)
 
 
-_d_matrix_cache = {}
+_d_matrix_cache = Memo()
+_tate_cache = Memo()
+
+
+def _module_key(gmod):
+    """Content key of a coefficient module: group table, relations and
+    action matrices."""
+    return (gmod.group.table, gmod.rels.data,
+            tuple(m.data for m in gmod.mats))
 
 
 def d_matrix(gmod, n):
     """Matrix of the coboundary C^n -> C^(n+1) on ambient coordinates."""
-    key = (gmod.group.table, gmod.rels.data,
-           tuple(m.data for m in gmod.mats), n)
-    hit = _d_matrix_cache.get(key)
-    if hit is not None:
-        return hit
+    return _d_matrix_cache.get_or_compute(_module_key(gmod) + (n,),
+                                          _build_d_matrix, gmod, n)
+
+
+def _build_d_matrix(gmod, n):
     g = gmod.ngens
     src = tuples(gmod.group, n)
     cols = []
@@ -170,9 +179,9 @@ def d_matrix(gmod, n):
             x.table[t] = tuple(v)
             cols.append(x.d().to_vector())
     dim_out = g * gmod.group.order ** (n + 1)
-    M = IntMatrix.from_columns(cols, dim_out) if cols else IntMatrix.zero(dim_out, 0)
-    _d_matrix_cache[key] = M
-    return M
+    if not cols:
+        return IntMatrix.zero(dim_out, 0)
+    return IntMatrix.from_columns(cols, dim_out)
 
 
 def _block_diag_rels(gmod, n):
@@ -297,15 +306,18 @@ def tate_group(gmod, n):
 
     Degrees -1 and 0 return Subquotients of the ambient module; degrees 1
     and 2 return CohomologyGroup objects with cochain classify and
-    normalized representatives.
+    normalized representatives.  Each group is built once per module
+    content and degree and then shared (see lattice.Memo).
     """
     if n == -1:
-        return tate_minus1(gmod)
-    if n == 0:
-        return tate_zero(gmod)
-    if n in (1, 2):
-        return CohomologyGroup(gmod, n)
-    raise ValueError("degree outside {-1, 0, 1, 2}: %r" % (n,))
+        build, args = tate_minus1, (gmod,)
+    elif n == 0:
+        build, args = tate_zero, (gmod,)
+    elif n in (1, 2):
+        build, args = CohomologyGroup, (gmod, n)
+    else:
+        raise ValueError("degree outside {-1, 0, 1, 2}: %r" % (n,))
+    return _tate_cache.get_or_compute(_module_key(gmod) + (n,), build, *args)
 
 
 def cup(x, y, pairing, out_gmod):

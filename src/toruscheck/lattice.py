@@ -211,18 +211,50 @@ def smith_normal_form(M):
     return U, D, V
 
 
-_snf_cache = {}
+#: Entry limit of every Memo.
+MEMO_LIMIT = 4096
+
+
+class Memo:
+    """Bounded memo from a content key to a value built once per process.
+
+    Keys are built from the content of the inputs (tuples of ints, never
+    object identity), so equal inputs share one entry however often they
+    are rebuilt.  The value is shared by every caller and must not be
+    mutated.  A full memo is emptied before its next insert, so it never
+    holds more than MEMO_LIMIT entries.
+
+    >>> m = Memo()
+    >>> m.get_or_compute((2, 3), pow, 2, 3), m.get_or_compute((2, 3), pow, 0, 0)
+    (8, 8)
+    """
+
+    __slots__ = ("_entries",)
+
+    def __init__(self):
+        self._entries = {}
+
+    def __len__(self):
+        return len(self._entries)
+
+    def get_or_compute(self, key, compute, *args):
+        """The value under key, computed as compute(*args) on a miss."""
+        try:
+            return self._entries[key]
+        except KeyError:
+            pass
+        value = compute(*args)
+        if len(self._entries) >= MEMO_LIMIT:
+            self._entries.clear()
+        self._entries[key] = value
+        return value
+
+
+_snf_cache = Memo()
 
 
 def snf_cached(M):
-    key = M.data
-    hit = _snf_cache.get(key)
-    if hit is None:
-        hit = smith_normal_form(M)
-        if len(_snf_cache) > 4096:
-            _snf_cache.clear()
-        _snf_cache[key] = hit
-    return hit
+    return _snf_cache.get_or_compute(M.data, smith_normal_form, M)
 
 
 def solve_integer(A, b):

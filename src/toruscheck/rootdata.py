@@ -10,9 +10,10 @@ class of the cyclic model has invariant 1/n.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
-from .lattice import IntMatrix, FGAbelian, Subquotient, solve_integer
+from .lattice import IntMatrix, FGAbelian, Memo, Subquotient, solve_integer
 from .qz import QZ, qz_sum
 from .groups import FiniteGroup
 from .cohomology import GModule, Cochain, tate_group
@@ -20,14 +21,12 @@ from .cohomology import GModule, Cochain, tate_group
 
 def cartan_matrix(label):
     """Cartan matrices for the wired types A_n, D_n, E6."""
-    kind = label[0]
-    n = int(label[1:])
-    if kind == "A":
-        assert n >= 1
+    kind, n = label[:1], label[1:]
+    n = int(n) if n.isdecimal() else 0
+    if kind == "A" and n >= 1:
         return IntMatrix([[2 if i == j else -1 if abs(i - j) == 1 else 0
                            for j in range(n)] for i in range(n)])
-    if kind == "D":
-        assert n >= 3
+    if kind == "D" and n >= 3:
         m = [[0] * n for _ in range(n)]
         for i in range(n):
             m[i][i] = 2
@@ -98,30 +97,56 @@ class BasedRootDatum:
                               "%sx%s" % (self.label, other.label))
 
 
+_twist_cache = Memo()
+
+
+def _per_twist(method):
+    """Memoize a TwistData method on the twist datum's content, its Cartan
+    matrix, n, galois_perm and a_perm, and the method's permutation
+    arguments."""
+    @functools.wraps(method)
+    def memoized(self, *perms):
+        perms = tuple(tuple(p) for p in perms)
+        key = (self.datum.cartan.data, self.n, self.galois_perm, self.a_perm,
+               method.__name__) + perms
+        return _twist_cache.get_or_compute(key, method, self, *perms)
+    return memoized
+
+
 class TwistData:
     """Galois (cyclic of order n, through a diagram automorphism) and a
     second diagram automorphism a, acting on a based root datum; the class
-    xi lives in H^2 of the cyclic group with values in the dual of P/Q."""
+    xi lives in H^2 of the cyclic group with values in the dual of P/Q.
+
+    Raises ValueError unless n >= 1, both permutations permute the simple
+    roots, preserve the Cartan matrix and commute, and the order of the
+    Galois permutation divides n."""
 
     def __init__(self, datum, n, galois_perm, a_perm):
         self.datum = datum
         self.n = n
-        self.galois_perm = tuple(galois_perm)
-        self.a_perm = tuple(a_perm)
+        self.galois_perm = g = tuple(galois_perm)
+        self.a_perm = a = tuple(a_perm)
         r = datum.rank
-        assert len(self.galois_perm) == len(self.a_perm) == r
-        g = perm_matrix(self.galois_perm)
-        a = perm_matrix(self.a_perm)
-        assert g * datum.cartan == datum.cartan * g, "Galois must preserve the datum"
-        assert a * datum.cartan == datum.cartan * a, "a must preserve the datum"
-        assert g * a == a * g, "actions must commute"
-        # order of the Galois permutation must divide n
+        C = datum.cartan.data
+        if n < 1:
+            raise ValueError("n must be at least 1, not %r" % (n,))
+        for name, p in (("galois_perm", g), ("a_perm", a)):
+            if sorted(p) != list(range(r)):
+                raise ValueError("%s must be a permutation of 0..%d"
+                                 % (name, r - 1))
+            if any(C[p[i]][p[j]] != C[i][j]
+                   for i in range(r) for j in range(r)):
+                raise ValueError("%s must preserve the Cartan matrix" % name)
+        if any(g[a[i]] != a[g[i]] for i in range(r)):
+            raise ValueError("galois_perm and a_perm must commute")
         p = list(range(r))
         for _ in range(n):
-            p = [self.galois_perm[i] for i in p]
-        assert p == list(range(r)), "Galois order must divide n"
-        self.Q = FiniteGroup.cyclic(n)
+            p = [g[i] for i in p]
+        if p != list(range(r)):
+            raise ValueError("the order of galois_perm must divide n")
 
+    @_per_twist
     def center_action_matrix(self, perm):
         """Matrix of the permutation action on the coordinates of P/Q."""
         fg = self.datum.center
@@ -134,6 +159,7 @@ class TwistData:
             cols.append(fg.nf(P.apply(vec)))
         return IntMatrix.from_columns(cols, k) if k else IntMatrix.zero(0, 0)
 
+    @_per_twist
     def dual_center_action_matrix(self, perm):
         """Action on M = Hom(P/Q, Q/Z) in the coordinates m_i/d_i:
         (sigma.m)(x) = m(sigma^-1 x)."""
@@ -149,11 +175,13 @@ class TwistData:
             row = []
             for j in range(k):
                 val = Fraction(ds[i] * B.data[j][i], ds[j])
-                assert val.denominator == 1, "dual action must be integral"
+                if val.denominator != 1:
+                    raise ValueError("dual action must be integral")
                 row.append(int(val) % ds[i])
             rows.append(row)
         return IntMatrix(rows)
 
+    @_per_twist
     def xi_module(self):
         """GModule of M = Hom(P/Q, Q/Z) over the cyclic Galois group."""
         ds = self.datum.center.torsion
@@ -161,7 +189,7 @@ class TwistData:
         mats = [IntMatrix.identity(len(ds))]
         for _ in range(self.n - 1):
             mats.append(g1 * mats[-1])
-        return GModule.finite(self.Q, ds, mats)
+        return GModule.finite(FiniteGroup.cyclic(self.n), ds, mats)
 
     def eval_xi_on(self, m_coords, center_coords):
         """<m, x> = sum m_i x_i / d_i in Q/Z."""
@@ -298,7 +326,8 @@ def twisted_sign(twist, xi):
     H2 = tate_group(gm, 2)
     if isinstance(xi, Cochain):
         coords = H2.classify(xi)
-        assert coords is not None, "xi is not a 2-cocycle class"
+        if coords is None:
+            raise ValueError("xi is not a 2-cocycle class")
     else:
         coords = tuple(xi)
     lam, center_coords = lambda_T(twist)
@@ -313,8 +342,9 @@ def twisted_sign(twist, xi):
     for i in range(twist.n):
         value = value + twist.eval_xi_on(fixed.table[(i, 1 % twist.n)],
                                          rep_center)
-    assert (2 * value).is_zero(), \
-        "pairing value has order > 2; datum outside the wired regime"
+    if not (2 * value).is_zero():
+        raise ValueError(
+            "pairing value has order > 2; datum outside the wired regime")
     return 1 if value.is_zero() else -1
 
 

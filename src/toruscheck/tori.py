@@ -57,10 +57,17 @@ class ToriCase:
     s: dict              # a -> dual vector (tuple of QZ)
     lam_z: tuple         # canonical norm-zero inverse of z under the TN map
     h: dict = field(default_factory=dict)
+    pairings: dict = field(default_factory=dict)  # see pairing()
 
     @property
     def A(self):
         return self.torus.comp.group
+
+    def pairing(self, a):
+        """pair_for_h(self, a), computed once per case."""
+        if a not in self.pairings:
+            self.pairings[a] = pair_for_h(self, a)
+        return self.pairings[a]
 
     def act(self, a, vec):
         return self.torus.comp.act(a, vec)
@@ -223,7 +230,10 @@ def pair_for_h(case, a, t_override=None, s_override=None):
 
 
 def compute_h(case, t_override=None, s_override=None):
-    """h(a) = alpha-bar(a^-1, a) + <(z^-1, t_{a^-1}), (phi0^-1, s_a)>."""
+    """h(a) = alpha-bar(a^-1, a) + <(z^-1, t_{a^-1}), (phi0^-1, s_a)>.
+
+    Without overrides the pairings come from case.pairing, which keeps them
+    for theta_value."""
     out = {}
     for a in case.A_phi_z:
         ainv = case.A.inv(a)
@@ -233,7 +243,11 @@ def compute_h(case, t_override=None, s_override=None):
             x + y - w for x, y, w in
             zip(t[ainv], case.act(ainv, t[a]), tab))
         ab = langlands_character(case.torus, case.phi, alpha_inv_a)
-        out[a] = ab + pair_for_h(case, a, t_override, s_override)
+        if t_override or s_override:
+            pairing = pair_for_h(case, a, t_override, s_override)
+        else:
+            pairing = case.pairing(a)
+        out[a] = ab + pairing
     case.h = out
     return out
 
@@ -415,7 +429,7 @@ def theta_value(case, s_dot, b, t_vec, a):
     for cac, val in conjugates:
         if cac == binv:
             closed = closed + Cyc.root(val)
-    closed = closed.scale_root(kz - pair_for_h(case, b))
+    closed = closed.scale_root(kz - case.pairing(b))
     return rep, closed
 
 

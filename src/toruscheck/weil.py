@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .lattice import IntMatrix, solve_integer, unimodular_inverse
+from .lattice import IntMatrix, Memo, solve_integer, unimodular_inverse
 from .qz import QZ, qz_sum
 from .cohomology import (
     GModule,
@@ -323,17 +323,20 @@ def elementary_pairing(torus, dual_pair, chain_pair):
 
 
 def validate_hyper_pair_dual(torus, fT, d, s):
-    """Check (d, s) on the dual complex: s.sigma - s = d(sigma) o fT."""
+    """Check (d, s) on the dual complex: s.sigma - s = d(sigma) o fT.
+    Raises ValueError when it fails."""
     n = torus.model.n
     for i in range(n):
         lhs = torus.dual_sub(torus.dual_sigma(i, s), s)
         rhs = torus.dual_compose(d.value(i), fT)
         if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
-            return False
-    return True
+            raise ValueError("dual-side pair not on the dual complex")
 
 
-def hyper_pairing(torus, fT, pair_T, dual_pair, check=True):
+_lift_cache = Memo()
+
+
+def hyper_pairing(torus, fT, pair_T, dual_pair):
     """Pairing of a class in H^1(Q, T --fT--> T) against a class on the
     dual complex, computed by lifting the T-side class through the
     chain-level maps and applying the elementary pairing.
@@ -342,6 +345,7 @@ def hyper_pairing(torus, fT, pair_T, dual_pair, check=True):
     (integers or Fractions) with fT(u(s)) = s.v - v.
     dual_pair = (d, s): d a Parameter-like dual cocycle, s a dual point with
     s.sigma - s = d(sigma) o fT.
+    Raises ValueError when either pair fails its defining relation.
 
     The lift solves, over Z (after clearing the denominator D of v):
         N lam = 0,
@@ -350,70 +354,78 @@ def hyper_pairing(torus, fT, pair_T, dual_pair, check=True):
         D*phi(mu1) - fT(p) = D*v      (t = p/D),
     with mu1 supported on a finite window, then evaluates
         s(lam) - sum_w d(w)(mu1(w)).
+    The matrix of this system depends only on the Galois action, fT, D and
+    the window, and is built once per such key.
     """
     u, v = pair_T
     d, s = dual_pair
     r = torus.rank
-    model = torus.model
-    n = model.n
+    n = torus.model.n
     v = tuple(Fraction(x) for x in v)
     D = lcm(*[f.denominator for f in v]) if v else 1
-    if check:
-        assert _check_pair_T(torus, fT, u, v), "T-side pair not a hypercocycle"
-        assert validate_hyper_pair_dual(torus, fT, d, s), \
-            "dual-side pair not on the dual complex"
+    _check_pair_T(torus, fT, u, v)
+    validate_hyper_pair_dual(torus, fT, d, s)
 
-    gm = torus.gmodule()
-    CUP = _cup_matrix(torus)
-    D0 = d_matrix(gm, 0)
-    N = torus.norm_matrix()
-
+    dv = [D * x for x in v]
+    if any(x.denominator != 1 for x in dv):
+        raise ValueError("v is not integral at its common denominator")
+    target = ([0] * r + [D * x for x in u.to_vector()] + [0] * r
+              + [int(x) for x in dv])
+    galois = tuple(m.data for m in torus.galois.matrices)
     for halfwidth in (n, 2 * n, 4 * n):
-        window = list(range(-halfwidth, halfwidth))
-        PHI = _phi_matrix(torus, window)
-        BD = _boundary_matrix(torus, window)
-        ncols_mu = r * len(window)
-        rows = []
-        target = []
-        # N lam = 0
-        for i in range(r):
-            rows.append(list(N.data[i]) + [0] * r + [0] * ncols_mu)
-            target.append(0)
-        # CUP lam - D0 p ... note t integral when D == 1; use p = D t
-        # CUP lam - (1/D) D0 p = u  ->  D CUP lam - D0 p = D u
-        for i in range(CUP.rows):
-            rows.append([D * x for x in CUP.data[i]]
-                        + [-x for x in D0.data[i]] + [0] * ncols_mu)
-        target.extend(D * x for x in u.to_vector())
-        # BD mu - fT lam = 0
-        for i in range(r):
-            rows.append([-x for x in fT.data[i]] + [0] * r + list(BD.data[i]))
-            target.append(0)
-        # D PHI mu - fT p = D v
-        for i in range(r):
-            rows.append([0] * r + [-x for x in fT.data[i]]
-                        + [D * x for x in PHI.data[i]])
-            dv = D * v[i]
-            assert dv.denominator == 1
-            target.append(int(dv))
-        A = IntMatrix(rows)
+        A, dom = _lift_cache.get_or_compute(
+            (galois, fT.data, D, halfwidth), _lift_system, torus, fT, D,
+            halfwidth)
         sol = solve_integer(A, target)
         if sol is None:
             continue
         lam = tuple(sol[:r])
-        dom = ZDomain(n, torus.galois.matrices[1] if n > 1
-                      else IntMatrix.identity(r))
         mu = FiniteSupportChain(dom, 1, r)
-        for wi, w in enumerate(window):
+        for wi, w in enumerate(range(-halfwidth, halfwidth)):
             mu.add_into((w,), tuple(sol[2 * r + wi * r: 2 * r + (wi + 1) * r]))
         return elementary_pairing(torus, (d, s), (lam, mu))
     raise LiftNotFound("no chain-level lift found for the hyper pairing input")
 
 
+def _lift_system(torus, fT, D, halfwidth):
+    """The matrix of hyper_pairing's lift system on the window
+    [-halfwidth, halfwidth), in the unknowns (lam, p, mu1), with the chain
+    domain mu1 lives on."""
+    r = torus.rank
+    n = torus.model.n
+    window = list(range(-halfwidth, halfwidth))
+    CUP = _cup_matrix(torus)
+    D0 = d_matrix(torus.gmodule(), 0)
+    N = torus.norm_matrix()
+    PHI = _phi_matrix(torus, window)
+    BD = _boundary_matrix(torus, window)
+    ncols_mu = r * len(window)
+    rows = []
+    # N lam = 0
+    for i in range(r):
+        rows.append(list(N.data[i]) + [0] * r + [0] * ncols_mu)
+    # CUP lam - (1/D) D0 p = u  ->  D CUP lam - D0 p = D u
+    for i in range(CUP.rows):
+        rows.append([D * x for x in CUP.data[i]]
+                    + [-x for x in D0.data[i]] + [0] * ncols_mu)
+    # BD mu - fT lam = 0
+    for i in range(r):
+        rows.append([-x for x in fT.data[i]] + [0] * r + list(BD.data[i]))
+    # D PHI mu - fT p = D v
+    for i in range(r):
+        rows.append([0] * r + [-x for x in fT.data[i]]
+                    + [D * x for x in PHI.data[i]])
+    dom = ZDomain(n, torus.galois.matrices[1] if n > 1
+                  else IntMatrix.identity(r))
+    return IntMatrix(rows), dom
+
+
 def _check_pair_T(torus, fT, u, v):
+    """Check (u, v) on the complex: u a cocycle and fT(u(s)) = s.v - v.
+    Raises ValueError when it fails."""
     for val in u.d().table.values():
         if any(val):
-            return False
+            raise ValueError("T-side pair not a hypercocycle")
     n = torus.model.n
     for i in range(n):
         lhs = fT.apply(u.table[(i,)])
@@ -422,5 +434,4 @@ def _check_pair_T(torus, fT, u, v):
                    for a in range(torus.rank))
         rhs = tuple(x - y for x, y in zip(sv, v))
         if any(Fraction(x) != y for x, y in zip(lhs, rhs)):
-            return False
-    return True
+            raise ValueError("T-side pair not a hypercocycle")

@@ -138,6 +138,37 @@ def test_case_file_must_be_an_object(doc, tmp_path, capsys):
     assert "case: expected a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("root_datum,field", [
+    ({"label": "A2", "n": 1, "a_perm": [0, 0]}, "root_datum"),
+    ({"label": "A2", "n": 1, "galois_perm": [0]}, "root_datum"),
+    ({"label": "A1", "n": 0}, "root_datum"),
+    ({"label": "A0"}, "root_datum.label"),
+    ({"label": "A1", "n": 2, "xi": "x"}, "root_datum.xi"),
+    ({"label": "A1", "n": 2, "xi": [5]}, "root_datum.xi"),
+])
+def test_root_datum_is_validated(root_datum, field, tmp_path, capsys):
+    bad = dict(FIXTURE, root_datum=root_datum)
+    with pytest.raises(CaseFileError) as e:
+        load_case(bad)
+    assert e.value.field == field
+    assert main(["sign", "--input", write_fixture(tmp_path, bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: " + field)
+
+
+@pytest.mark.parametrize("key", ["suite_size", "comment"])
+def test_unknown_top_level_key_is_rejected(key, tmp_path):
+    bad = dict(FIXTURE, **{key: 3})
+    with pytest.raises(CaseFileError) as e:
+        load_case(bad)
+    assert e.value.field == key
+    assert main(["tori-verify", "--input", write_fixture(tmp_path, bad)]) == 2
+
+
+def test_negative_suite_size_is_input_error(capsys):
+    assert main(["random-suite", "--suite-size", "-3"]) == 2
+    assert "--suite-size" in capsys.readouterr().err
+
+
 def test_check_filter(tmp_path):
     path = write_fixture(tmp_path)
     code, out = run_main(["tori-verify", "--input", path,

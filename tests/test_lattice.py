@@ -1,8 +1,10 @@
+import doctest
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import toruscheck.lattice
 from toruscheck.lattice import (
     IntMatrix,
     smith_normal_form,
@@ -170,3 +172,7 @@ def test_subquotient_basic():
     assert c is not None
     rep = sq.representative(c)
     assert sq.classify(rep) == c
+
+
+def test_lattice_doctests():
+    assert doctest.testmod(toruscheck.lattice).failed == 0

@@ -1,0 +1,171 @@
+"""The bounded content-keyed memos: keys separate inputs that differ in
+one entry, cached values equal fresh builds, callers never mutate them, and
+no memo outgrows its limit."""
+
+import os
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from toruscheck import cohomology, lattice, rootdata, weil
+from toruscheck.cli import main
+from toruscheck.cohomology import (
+    CohomologyGroup,
+    GModule,
+    tate_group,
+    tate_minus1,
+    tate_zero,
+)
+from toruscheck.groups import FiniteGroup, GroupAction
+from toruscheck.lattice import IntMatrix, Memo
+from toruscheck.qz import QZ
+from toruscheck.rootdata import BasedRootDatum, TwistData
+from toruscheck.weil import LocalModel, Parameter, TorusModel, hyper_pairing, \
+    tn_iso
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FIXTURES = [os.path.join(ROOT, "fixtures", name)
+            for name in ("norm_one_torus.json", "s3_component.json")]
+MEMOS = [(lattice, "_snf_cache"), (cohomology, "_d_matrix_cache"),
+         (cohomology, "_tate_cache"), (rootdata, "_twist_cache"),
+         (weil, "_lift_cache")]
+
+
+@pytest.fixture
+def fresh_memos(monkeypatch):
+    """Empty memos for the test, so it sees every entry it causes."""
+    for module, name in MEMOS:
+        monkeypatch.setattr(module, name, Memo())
+    return [getattr(module, name) for module, name in MEMOS]
+
+
+def test_memo_never_exceeds_its_limit(monkeypatch):
+    monkeypatch.setattr(lattice, "MEMO_LIMIT", 3)
+    memo = Memo()
+    for k in range(10):
+        assert memo.get_or_compute(("k", k), pow, k, 2) == k * k
+        assert len(memo) <= 3
+    # a cleared entry is rebuilt, not lost
+    assert memo.get_or_compute(("k", 0), pow, 0, 2) == 0
+
+
+def _modules():
+    c2 = FiniteGroup.cyclic(2)
+    one, minus = IntMatrix.identity(1), IntMatrix([[-1]])
+    return {
+        "Z trivial": GModule(c2, 1, None, [one, one]),
+        "Z sign": GModule(c2, 1, None, [one, minus]),
+        "Z/2": GModule.finite(c2, (2,), [one, one]),
+        "Z/3": GModule.finite(c2, (3,), [one, one]),
+        "Z[C3] rotation": GModule.from_action(GroupAction.cyclic(
+            3, IntMatrix([[0, -1], [1, -1]]))),
+        "A2 xi": TwistData(BasedRootDatum.from_label("A2"), 2, (1, 0),
+                           (0, 1)).xi_module(),
+    }
+
+
+def test_tate_groups_are_keyed_by_module_content(fresh_memos):
+    m = _modules()
+    # one action-matrix entry apart, and one invariant factor apart
+    for left, right, n in [("Z trivial", "Z sign", 1), ("Z/2", "Z/3", 2)]:
+        a, b = tate_group(m[left], n), tate_group(m[right], n)
+        assert a is not b and a.order != b.order
+    assert len(cohomology._tate_cache) == 4
+    # an equal module built again shares the entry
+    again = GModule(FiniteGroup.cyclic(2), 1, None,
+                    [IntMatrix.identity(1), IntMatrix([[-1]])])
+    assert tate_group(again, 1) is tate_group(m["Z sign"], 1)
+    assert len(cohomology._tate_cache) == 4
+
+
+def _plain(rep):
+    """A representative as comparable data: a vector or a cochain table."""
+    return getattr(rep, "table", rep)
+
+
+def test_cached_tate_group_matches_a_fresh_build(fresh_memos):
+    fresh = {-1: tate_minus1, 0: tate_zero,
+             1: lambda gm: CohomologyGroup(gm, 1),
+             2: lambda gm: CohomologyGroup(gm, 2)}
+    for name, gm in _modules().items():
+        for n, build in fresh.items():
+            tate_group(gm, n)
+            cached, new = tate_group(gm, n), build(gm)
+            assert cached.group.invariants() == new.group.invariants(), name
+            for coords in cached.elements():
+                rep = cached.representative(coords)
+                assert _plain(new.representative(coords)) == _plain(rep)
+                assert new.classify(rep) == cached.classify(rep) == coords
+
+
+def _lift_inputs():
+    """Valid hyper pairs on the norm-one torus that differ in fT alone
+    (first and third) or in the denominator D of v alone (second and
+    third)."""
+    t = TorusModel(LocalModel(2), GroupAction.cyclic(2, IntMatrix([[-1]])))
+    d = Parameter(t, (QZ(1, 4),)).neg()
+    return t, [
+        (IntMatrix([[2]]), (tn_iso(t, (1,)).neg(), (1,)), (d, (QZ(3, 4),))),
+        (IntMatrix([[1]]), (tn_iso(t, (1,)).neg(), (Fraction(1, 2),)),
+         (d, (QZ(1, 8),))),
+        (IntMatrix([[1]]), (tn_iso(t, (2,)).neg(), (1,)), (d, (QZ(1, 8),))),
+    ]
+
+
+def test_lift_systems_are_keyed_by_fT_and_D(fresh_memos, monkeypatch):
+    t, inputs = _lift_inputs()
+    built = []
+    build = weil._lift_system
+
+    def recording(torus, fT, D, halfwidth):
+        built.append((fT.data, D, halfwidth))
+        return build(torus, fT, D, halfwidth)
+
+    monkeypatch.setattr(weil, "_lift_system", recording)
+    shared = [hyper_pairing(t, *x) for x in inputs]
+    assert shared[0] == QZ(1, 2)
+    # one system per (fT, D), each solved in the first window, then reused
+    assert built == [(((2,),), 1, 2), (((1,),), 2, 2), (((1,),), 1, 2)]
+    assert [hyper_pairing(t, *x) for x in inputs] == shared
+    assert len(built) == len(weil._lift_cache) == 3
+    for x, value in zip(inputs, shared):
+        monkeypatch.setattr(weil, "_lift_cache", Memo())
+        assert hyper_pairing(t, *x) == value
+
+
+def test_twist_data_is_keyed_by_content(fresh_memos):
+    flip, ident = (1, 0), (0, 1)
+    tw = TwistData(BasedRootDatum.from_label("A2"), 1, ident, flip)
+    same = TwistData(BasedRootDatum.from_label("A2"), 1, ident, flip)
+    other = TwistData(BasedRootDatum.from_label("A2"), 1, ident, ident)
+    assert same.dual_center_action_matrix(flip) is \
+        tw.dual_center_action_matrix(flip)
+    assert tw.dual_center_action_matrix(flip) == IntMatrix([[2]])
+    assert tw.dual_center_action_matrix(ident) == IntMatrix([[1]])
+    assert other.xi_module() is not tw.xi_module()
+
+
+def test_cached_values_are_not_mutated(fresh_memos, monkeypatch, tmp_path):
+    """Every value a memo stores during full sign and tori-verify runs reads
+    the same at the end as when it was stored, and no memo outgrows its
+    limit."""
+    stored = []
+    original = Memo.get_or_compute
+
+    def recording(self, key, compute, *args):
+        miss = key not in self._entries
+        value = original(self, key, compute, *args)
+        if miss:
+            stored.append((value, pickle.dumps(value)))
+        return value
+
+    monkeypatch.setattr(Memo, "get_or_compute", recording)
+    for command in ("sign", "tori-verify"):
+        for path in FIXTURES:
+            assert main([command, "--input", path,
+                         "--output", str(tmp_path / "out.json")]) == 0
+    assert len(stored) > 100
+    for value, at_store in stored:
+        assert pickle.dumps(value) == at_store
+    assert all(0 < len(memo) <= lattice.MEMO_LIMIT for memo in fresh_memos)

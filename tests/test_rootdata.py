@@ -217,3 +217,37 @@ def test_levi_restriction_with_galois():
     tw = TwistData(d, 2, diagram_flip("A3"), trivial_perm(3))
     rep = levi_restriction(tw, [0, 2])
     assert rep["coinvariant_equal"]
+
+
+@pytest.mark.parametrize("label,n,gp,ap,message", [
+    ("A2", 1, (0, 1), (0, 0), "a_perm must be a permutation"),
+    ("A2", 1, (0,), (0, 1), "galois_perm must be a permutation"),
+    ("A1", 0, (0,), (0,), "n must be at least 1"),
+    ("A3", 2, (0, 1, 2), (1, 0, 2), "a_perm must preserve"),
+    ("A2", 3, (1, 0), (0, 1), "must divide n"),
+    ("D4", 2, (0, 1, 3, 2), (2, 1, 0, 3), "must commute"),
+])
+def test_twist_data_rejects_invalid_data(label, n, gp, ap, message):
+    with pytest.raises(ValueError, match=message):
+        TwistData(BasedRootDatum.from_label(label), n, gp, ap)
+
+
+@pytest.mark.parametrize("label", ["A0", "D2", "B2", "A", "E7", ""])
+def test_unsupported_cartan_labels(label):
+    with pytest.raises(ValueError, match="unsupported Cartan type"):
+        cartan_matrix(label)
+
+
+@pytest.mark.parametrize("label,n,flip", [
+    ("A1", 2, False), ("A2", 2, True), ("A3", 2, True), ("A3", 4, True),
+    ("D4", 2, True), ("D5", 2, True), ("E6", 3, False),
+])
+def test_xi_module_h0_and_h2_share_invariants(label, n, flip):
+    """The case-file loader bounds xi by the invariant factors of Tate H^0,
+    which equal those of H^2 for a cyclic Galois group."""
+    r = len(cartan_matrix(label).data)
+    gp = diagram_flip(label) if flip else trivial_perm(r)
+    gm = TwistData(BasedRootDatum.from_label(label), n, gp,
+                   trivial_perm(r)).xi_module()
+    assert tate_group(gm, 0).group.invariants() == \
+        tate_group(gm, 2).group.invariants()

@@ -1,8 +1,12 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+from toruscheck import weil
 from toruscheck.lattice import IntMatrix
 from toruscheck.qz import QZ
 from toruscheck.groups import FiniteGroup, GroupAction
@@ -374,11 +378,14 @@ def test_hyper_pairing_rejects_bad_dual_pair():
     fT = IntMatrix([[2]])
     z = tn_iso(t, (1,)).neg()
     phi = Parameter(t, (QZ(1, 4),))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="dual-side"):
         hyper_pairing(t, fT, (z, (1,)), (phi.neg(), (QZ(1, 3),)))
+    garbage = Cochain(t.gmodule(), 1, {(0,): (1,), (1,): (0,)})
+    with pytest.raises(ValueError, match="T-side"):
+        hyper_pairing(t, fT, (garbage, (0,)), (phi.neg(), t.dual_zero()))
 
 
-def test_hyper_pairing_reports_missing_lift():
+def test_hyper_pairing_reports_missing_lift(monkeypatch):
     # a non-cocycle smuggled past the validation must surface as a hard
     # error, never as a silently approximated value
     t = norm_one_torus(2)
@@ -386,6 +393,39 @@ def test_hyper_pairing_reports_missing_lift():
     gm = t.gmodule()
     garbage = Cochain(gm, 1, {(0,): (1,), (1,): (0,)})  # z(1) != 0
     phi = Parameter(t, (QZ(0),))
+    monkeypatch.setattr(weil, "_check_pair_T", lambda *args: None)
     with pytest.raises(LiftNotFound):
-        hyper_pairing(t, fT, (garbage, (0,)), (phi, t.dual_zero()),
-                      check=False)
+        hyper_pairing(t, fT, (garbage, (0,)), (phi, t.dual_zero()))
+
+
+#: An invalid dual-side pair: fT = 0 forces s.sigma = s, but sigma acts by -1
+#: and s = 1/4 is not fixed.
+OPTIMIZED_CHECKS = """
+from toruscheck.lattice import IntMatrix
+from toruscheck.qz import QZ
+from toruscheck.groups import GroupAction
+from toruscheck.cohomology import Cochain
+from toruscheck.weil import LocalModel, TorusModel, Parameter, hyper_pairing
+
+assert False, "asserts are still enabled"
+t = TorusModel(LocalModel(2), GroupAction.cyclic(2, IntMatrix([[-1]])))
+u = Cochain(t.gmodule(), 1, {(0,): (0,), (1,): (0,)})
+try:
+    value = hyper_pairing(t, IntMatrix([[0]]), (u, (0,)),
+                          (Parameter(t, (QZ(0),)), (QZ(1, 4),)))
+except ValueError as e:
+    print("raised", e)
+else:
+    print("returned", value)
+"""
+
+
+def test_hyper_pairing_checks_run_under_python_O():
+    """The pair checks raise ValueError, so python -O rejects an invalid
+    pair instead of pairing it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(weil.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised dual-side pair not on the dual complex\n"
