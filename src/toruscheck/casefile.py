@@ -18,6 +18,11 @@ from .suite import s3_action
 
 SCHEMA_VERSION = 1
 
+#: The largest Galois order a case file may give (`galois.order` and
+#: `root_datum.n`): the cost of the Tate groups of the cyclic Galois group
+#: grows steeply with its order.
+MAX_GALOIS_ORDER = 6
+
 #: The top-level fields of a case file, and those of its root_datum block;
 #: any other key is an input error.
 FIELDS = ("schema", "rank", "galois", "component", "z", "phi", "root_datum",
@@ -78,7 +83,7 @@ def _component_action(spec, rank):
         m = _as_matrix(spec.get("matrix"), "component.matrix", rank)
         try:
             return GroupAction.cyclic(order, m)
-        except AssertionError as e:
+        except (AssertionError, ValueError) as e:
             raise CaseFileError("component.matrix", str(e))
     if kind == "s3":
         extra = rank - 2
@@ -94,7 +99,7 @@ def _component_action(spec, rank):
         try:
             G = FiniteGroup([[_as_int(x, "component.table") for x in row]
                              for row in table])
-        except AssertionError as e:
+        except (AssertionError, ValueError) as e:
             raise CaseFileError("component.table", str(e))
         mats = spec.get("matrices")
         if not isinstance(mats, list) or len(mats) != G.order:
@@ -103,7 +108,7 @@ def _component_action(spec, rank):
         try:
             return GroupAction(G, [_as_matrix(m, "component.matrices", rank)
                                    for m in mats])
-        except AssertionError as e:
+        except (AssertionError, ValueError) as e:
             raise CaseFileError("component.matrices", str(e))
     raise CaseFileError("component.kind", "unknown kind %r" % (kind,))
 
@@ -136,6 +141,9 @@ def load_root_datum(spec):
             raise CaseFileError("root_datum.label", str(e))
     identity = list(range(datum.rank))
     n = _as_int(spec.get("n", 2), "root_datum.n")
+    if n > MAX_GALOIS_ORDER:
+        raise CaseFileError("root_datum.n", "Galois order %d exceeds the "
+                            "bound %d" % (n, MAX_GALOIS_ORDER))
     gp = _as_int_list(spec.get("galois_perm", identity),
                       "root_datum.galois_perm")
     ap = _as_int_list(spec.get("a_perm", identity), "root_datum.a_perm")
@@ -170,10 +178,13 @@ def load_case(doc):
     if not isinstance(gal, dict):
         raise CaseFileError("galois", "expected an object")
     n = _as_int(gal.get("order"), "galois.order")
+    if not 1 <= n <= MAX_GALOIS_ORDER:
+        raise CaseFileError("galois.order", "expected an order from 1 to %d, "
+                            "not %d" % (MAX_GALOIS_ORDER, n))
     gmat = _as_matrix(gal.get("matrix"), "galois.matrix", rank)
     try:
         galois = GroupAction.cyclic(n, gmat)
-    except AssertionError as e:
+    except (AssertionError, ValueError) as e:
         raise CaseFileError("galois.matrix", str(e))
     comp = _component_action(doc.get("component") or {"kind": "trivial"}, rank)
     try:

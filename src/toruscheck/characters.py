@@ -11,12 +11,13 @@ integers and every orthogonality relation is then re-verified exactly.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import threading
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .qz import QZ, Cyc, cyc_sum, cyc_div
+from .qz import QZ, Cyc, cyc_sum, cyc_div, exponent_form, residue
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +161,14 @@ def _charpoly(A, p):
 
 
 def _poly_roots(poly, p):
-    return [x for x in range(p)
-            if sum(c * pow(x, i, p) for i, c in enumerate(poly)) % p == 0]
+    roots = []
+    for x in range(p):
+        v = 0
+        for c in reversed(poly):
+            v = (v * x + c) % p
+        if v == 0:
+            roots.append(x)
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +190,8 @@ class CharacterTable:
                 self.class_index[g] = ci
         self.chars = chars
         self.dims = dims
+        # irr_with_central_char answers, by (generator index, m, psi1)
+        self.central = {}
 
     def value(self, i, g):
         return self.chars[i][self.class_index[g]]
@@ -191,24 +200,65 @@ class CharacterTable:
     def nchars(self):
         return len(self.chars)
 
-    def inner(self, f1, f2):
-        """|G|^-1 sum_g f1(g) conj(f2(g)) for per-class value lists."""
-        total = Cyc.zero()
-        for ci, cls in enumerate(self.classes):
-            total = total + (f1[ci] * f2[ci].conj()) * len(cls)
-        return total * Fraction(1, self.group.order)
-
     def verify(self):
+        """Check the table exactly and return True, or raise ValueError.
+
+        Checked: one row per class and one value per class in each row, the
+        sum of the squared dims is |G|, the rows are orthonormal and the
+        squared values at the identity sum to |G|.  The values are read once
+        as integer exponent vectors at the common level n with the
+        coefficient denominators cleared by their lcm D, so each Gram entry
+        sum_k |C_k| chi_i(k) conj chi_j(k) is a cyclic convolution of ints,
+        compared with |G| D^2 delta_ij after one reduction mod Phi_n."""
         G = self.group
-        assert sum(d * d for d in self.dims) == G.order, "sum of dim^2 fails"
-        for i in range(self.nchars):
-            for j in range(i, self.nchars):
-                got = self.inner(self.chars[i], self.chars[j])
-                assert got == Cyc.integer(1 if i == j else 0), \
-                    "row orthogonality fails at (%d, %d)" % (i, j)
-        col = cyc_sum(self.chars[i][0] * self.chars[i][0]
-                      for i in range(self.nchars))
-        assert col == Cyc.integer(G.order), "column orthogonality fails"
+        r = len(self.classes)
+        if len(self.chars) != r or len(self.dims) != r \
+                or any(len(row) != r for row in self.chars):
+            raise ValueError("table shape: expected %d characters with "
+                             "%d values each" % (r, r))
+        if sum(d * d for d in self.dims) != G.order:
+            raise ValueError("sum of dim^2 fails")
+        n = 1
+        for row in self.chars:
+            for v in row:
+                n = lcm(n, v.level())
+        forms = [[exponent_form(v.terms, n) for v in row]
+                 for row in self.chars]
+        D = 1
+        for row in forms:
+            for _, den in row:
+                D = lcm(D, den)
+        rows = [[[(k, c * (D // den)) for k, c in pairs] for pairs, den in row]
+                for row in forms]
+        sizes = [len(cls) for cls in self.classes]
+        # chi_j(k) conjugated (k -> -k mod n) and weighted by |C_k|
+        conj = [[[(-k % n, c * s) for k, c in vals]
+                 for vals, s in zip(row, sizes)] for row in rows]
+
+        def agrees(vec, value):
+            """Whether the exponent vector vec sums to the integer value."""
+            if not any(vec[1:]):
+                return vec[0] == value
+            acc = residue(enumerate(vec), n)
+            return acc[0] == value and not any(acc[1:])
+
+        for i, row_i in enumerate(rows):
+            for j in range(i, r):
+                vec = [0] * n
+                for vals, cvals in zip(row_i, conj[j]):
+                    for a, c in vals:
+                        for b, d in cvals:
+                            vec[(a + b) % n] += c * d
+                if not agrees(vec, G.order * D * D if i == j else 0):
+                    raise ValueError("row orthogonality fails at (%d, %d)"
+                                     % (i, j))
+        vec = [0] * n
+        for row in rows:
+            for a, c in row[0]:
+                for b, d in row[0]:
+                    vec[(a + b) % n] += c * d
+        if not agrees(vec, G.order * D * D):
+            raise ValueError("column orthogonality fails")
         return True
 
 
@@ -259,7 +309,8 @@ def character_table(group):
             for j in range(d):
                 col = [MS[i][j] for i in range(r)]
                 sol = _solve_modp(S, col, p)
-                assert sol is not None, "class matrix must preserve the space"
+                if sol is None:
+                    raise ValueError("class matrix must preserve the space")
                 cols.append(sol)
             T = [[cols[j][i] for j in range(d)] for i in range(d)]
             for lam in sorted(set(_poly_roots(_charpoly(T, p), p))):
@@ -273,40 +324,56 @@ def character_table(group):
                 if sub:
                     regrouped.append(sub)
         spaces = regrouped
-    assert all(len(b) == 1 for b in spaces) and len(spaces) == r, \
-        "eigenspace splitting incomplete"
+    if len(spaces) != r or any(len(b) != 1 for b in spaces):
+        raise ValueError("eigenspace splitting incomplete")
 
     inv_class = [class_index[G.inv(g)] for g in reps]
-    csizes = [len(c) for c in classes]
+    csize_inv = [pow(len(c), p - 2, p) for c in classes]
+    # The multiplicity of e(j/h) in chi(g), h the order of g, is
+    # h^-1 sum_l chi(g^l) omega_h^(-j l) mod p.  chi(g^l) depends only on
+    # the class of g^l, so each class's row of h sums over the l with g^l
+    # in it is computed once and shared by every character.
+    lifts = []
+    for k in range(r):
+        h = orders[k]
+        wh = pow(omega, exponent // h, p)
+        wpow = [1] * h
+        for t in range(1, h):
+            wpow[t] = wpow[t - 1] * wh % p
+        hinv = pow(h, p - 2, p)
+        sums = {}
+        for l, g in enumerate(G._cyclic_powers(reps[k])):
+            row = sums.setdefault(class_index[g], [0] * h)
+            for j in range(h):
+                row[j] += wpow[-j * l % h]
+        lifts.append((h, [(c, [x * hinv % p for x in row])
+                          for c, row in sums.items()]))
     chars = []
     dims = []
     for (vec,) in spaces:
         v0 = vec[class_index[0]]
-        assert v0 % p
+        if v0 % p == 0:
+            raise ValueError("eigenvector vanishes at the identity")
         inv0 = pow(v0, p - 2, p)
         w = [(x * inv0) % p for x in vec]
         s = 0
         for k in range(r):
-            s = (s + w[k] * w[inv_class[k]] * pow(csizes[k], p - 2, p)) % p
+            s = (s + w[k] * w[inv_class[k]] * csize_inv[k]) % p
         d2 = (G.order * pow(s, p - 2, p)) % p
-        dim = next(dd for dd in range(1, isqrt(G.order) + 1)
-                   if (dd * dd - d2) % p == 0)
-        chi_p = [(dim * w[k] * pow(csizes[k], p - 2, p)) % p for k in range(r)]
+        dim = next((dd for dd in range(1, isqrt(G.order) + 1)
+                    if (dd * dd - d2) % p == 0), None)
+        if dim is None:
+            raise ValueError("no degree squares to |G| / sum |chi|^2")
+        chi_p = [(dim * w[k] * csize_inv[k]) % p for k in range(r)]
         values = []
-        for k in range(r):
-            h = orders[k]
-            wh = pow(omega, exponent // h, p)
-            hinv = pow(h, p - 2, p)
+        for h, lift in lifts:
             terms = {}
             for j in range(h):
-                m = 0
-                for l in range(h):
-                    m = (m + chi_p[class_index[G.power(reps[k], l)]]
-                         * pow(wh, (-j * l) % h, p)) % p
-                m = (m * hinv) % p
-                assert m <= dim, "multiplicity lift out of range"
+                m = sum(chi_p[c] * row[j] for c, row in lift) % p
+                if m > dim:
+                    raise ValueError("multiplicity lift out of range")
                 if m:
-                    terms[QZ(j, h)] = Fraction(m)
+                    terms[QZ(j, h)] = m
             values.append(Cyc(terms))
         chars.append(values)
         dims.append(dim)
@@ -329,9 +396,11 @@ class TableCache:
 
     @staticmethod
     def key(group):
-        import hashlib
-
-        return hashlib.sha256(repr(group.table).encode()).hexdigest()
+        """SHA-256 of the group's full table, computed once per group."""
+        if group.table_key is None:
+            group.table_key = hashlib.sha256(
+                repr(group.table).encode()).hexdigest()
+        return group.table_key
 
     def get_or_compute(self, group):
         k = self.key(group)
@@ -361,11 +430,15 @@ def psi_value(ext, psi1, e):
 
 
 def is_psi_centralizing(ext, psi1, e):
-    E = ext.group
-    for x in range(E.order):
-        comm = E.mul(E.mul(x, e), E.inv(E.mul(e, x)))
-        _, ac = ext.parts(comm)
-        if ac == 0 and not psi_value(ext, psi1, comm).is_zero():
+    """Whether psi vanishes on every central commutator x e x^-1 e^-1.  A
+    commutator k*|A| + 0 is the central element k/m, where psi takes the
+    value k * psi1."""
+    t, inv = ext.group.table, ext.group.inverse
+    n = ext.base.order
+    te = t[e]
+    for x, tx in enumerate(t):
+        k, ac = divmod(t[tx[e]][inv[te[x]]], n)
+        if ac == 0 and k * psi1.num % psi1.den:
             return False
     return True
 
@@ -375,15 +448,19 @@ def irr_with_central_char(ext, psi1, cache=None):
     whose central character sends the generator of mu_m to e(psi1).
 
     A psi whose order does not divide m cannot occur on mu_m at all, so the
-    answer is the empty set (central character divisibility)."""
+    answer is the empty set (central character divisibility).  Answers are
+    kept on the table by (generator index, m, psi1): extensions with one
+    Cayley table share it."""
     table = (cache or TABLE_CACHE).get_or_compute(ext.group)
     if not (ext.m * psi1).is_zero():
         return table, []
     gen = ext.element(QZ(1, ext.m), 0)
-    out = []
-    for i in range(table.nchars):
-        if table.value(i, gen) == table.chars[i][0] * Cyc.root(psi1):
-            out.append(i)
+    key = (gen, ext.m, psi1)
+    out = table.central.get(key)
+    if out is None:
+        out = table.central[key] = [
+            i for i in range(table.nchars)
+            if table.value(i, gen) == table.chars[i][0] * Cyc.root(psi1)]
     return table, out
 
 

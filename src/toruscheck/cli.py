@@ -13,6 +13,7 @@ import json
 import os
 import random
 import sys
+import threading
 from functools import cached_property
 from types import SimpleNamespace
 
@@ -108,8 +109,7 @@ class DiskTableCache(TableCache):
             "chars": [[encode_cyc(v) for v in row] for row in table.chars],
             "dims": table.dims,
         }
-        with open(self._path(key), "w", encoding="utf-8") as f:
-            json.dump(doc, f, sort_keys=True)
+        self._write(self._path(key), doc)
         manifest = os.path.join(self.directory, "manifest.json")
         entries = {}
         if os.path.exists(manifest):
@@ -119,8 +119,22 @@ class DiskTableCache(TableCache):
             except (json.JSONDecodeError, OSError):
                 entries = {}
         entries[key] = {"order": table.group.order}
-        with open(manifest, "w", encoding="utf-8") as f:
-            json.dump(entries, f, sort_keys=True)
+        self._write(manifest, entries)
+
+    def _write(self, path, doc):
+        """Write doc as JSON to a temp file beside path (named per process
+        and thread), then move it over path, so a write cut short leaves
+        the old file whole."""
+        tmp = os.path.join(self.directory, ".%s.%d.%d.tmp" % (
+            os.path.basename(path), os.getpid(), threading.get_ident()))
+        try:
+            with open(tmp, "w", encoding="utf-8") as f:
+                json.dump(doc, f, sort_keys=True)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
     def _load(self, key, group):
         path = self._path(key)
@@ -134,7 +148,7 @@ class DiskTableCache(TableCache):
             table = CharacterTable(group, chars, [int(d) for d in doc["dims"]])
             table.verify()
             return table
-        except (KeyError, ValueError, AssertionError, json.JSONDecodeError):
+        except (KeyError, TypeError, ValueError, ZeroDivisionError):
             return None  # corruption: fall through to recomputation
 
 

@@ -21,7 +21,8 @@ class FiniteGroup:
     3
     """
 
-    __slots__ = ("order", "table", "inverse", "_classes", "_name", "_powers")
+    __slots__ = ("order", "table", "inverse", "_classes", "_name", "_powers",
+                 "table_key")
 
     def __init__(self, table, name=None, check=True):
         table = tuple(tuple(row) for row in table)
@@ -30,28 +31,30 @@ class FiniteGroup:
         self._name = name
         self._classes = None
         self._powers = [None] * self.order
+        self.table_key = None  # set by characters.TableCache.key
         if check:
             self._check_axioms()
-        inv = [None] * self.order
-        for i in range(self.order):
-            for j in range(self.order):
-                if table[i][j] == 0:
-                    inv[i] = j
-        assert all(v is not None for v in inv)
-        self.inverse = tuple(inv)
+        self.inverse = tuple(row.index(0) for row in table)
 
     def _check_axioms(self):
+        """Raise ValueError unless the table is a group law with identity 0:
+        a Latin square whose row and column 0 are the identity map, and
+        associative, which is checked whole rows at a time,
+        row(g_i g_j) = (g_i g_j g_k for k in range(n))."""
         n = self.order
         t = self.table
-        for i in range(n):
-            assert t[0][i] == i and t[i][0] == i, "index 0 must be the identity"
-        for i in range(n):
-            assert sorted(t[i]) == list(range(n)), "rows must be permutations"
-            assert sorted(t[j][i] for j in range(n)) == list(range(n))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    assert t[t[i][j]][k] == t[i][t[j][k]], "associativity fails"
+        ident = list(range(n))
+        rows = [list(row) for row in t]
+        if n == 0 or any(sorted(row) != ident for row in t) or \
+                any(sorted([row[i] for row in t]) != ident for i in ident):
+            raise ValueError("rows and columns must be permutations")
+        if rows[0] != ident or [row[0] for row in t] != ident:
+            raise ValueError("index 0 must be the identity")
+        for ti in t:
+            row_i = ti.__getitem__
+            for tj, tij in zip(t, ti):
+                if rows[tij] != list(map(row_i, tj)):
+                    raise ValueError("associativity fails")
 
     def mul(self, i, j):
         return self.table[i][j]
@@ -419,7 +422,8 @@ class CentralExtension:
         self.m = m
         self.alpha = alpha
         for v in alpha.values.values():
-            assert (m * v).is_zero(), "cocycle values must lie in mu_m"
+            if not (m * v).is_zero():
+                raise ValueError("cocycle values must lie in mu_m")
         n = base.order
         size = m * n
         table = [[0] * size for _ in range(size)]
@@ -436,7 +440,8 @@ class CentralExtension:
         """Index of (z, a) for z in mu_m."""
         z = QZ(z)
         k, rem = divmod(z.num * self.m, z.den)
-        assert rem == 0, "central part outside mu_m"
+        if rem:
+            raise ValueError("central part outside mu_m")
         return k % self.m * self.base.order + a
 
     def parts(self, e):

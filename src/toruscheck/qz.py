@@ -185,6 +185,50 @@ def _power_residues(n):
     return tuple(rows)
 
 
+def exponent_form(terms, n):
+    """A formal sum {QZ: coefficient} at level n, in integers: (pairs, den)
+    with den the lcm of the coefficient denominators and pairs the (k, c)
+    with c * e(k/n) the terms scaled by den, 0 <= k < n, c an int.  n must
+    be a multiple of the order of every root.
+
+    >>> exponent_form({QZ(1, 2): Fraction(1, 2), QZ(1, 3): 2}, 6)
+    ([(3, 1), (2, 4)], 2)
+    """
+    den = 1
+    for c in terms.values():
+        if type(c) is not int:
+            den = lcm(den, c.denominator)
+    pairs = []
+    for q, c in terms.items():
+        step, r = divmod(n, q.den)
+        if r:
+            raise ValueError("level %d is not a multiple of the order %d"
+                             % (n, q.den))
+        if den != 1:
+            c = c.numerator * (den // c.denominator)
+        pairs.append((q.num * step, c))
+    return pairs, den
+
+
+def residue(pairs, n):
+    """Integer coefficients of  sum c * x^k  mod Phi_n, x = e(1/n), in the
+    power basis 1, x, ..., x^(deg - 1), from (k, c) pairs with 0 <= k < n.
+    The sum is zero iff every coefficient is.
+
+    >>> residue([(0, 1), (1, 1), (2, 1)], 3)  # 1 + x + x^2 = Phi_3
+    [0, 0]
+    >>> residue([(3, 1)], 4)                  # x^3 = -x mod x^2 + 1
+    [0, -1]
+    """
+    rows = _power_residues(n)
+    acc = [0] * (len(cyclotomic_poly(n)) - 1)
+    for k, c in pairs:
+        if c:
+            for i, a in rows[k]:
+                acc[i] += a * c
+    return acc
+
+
 def _coeff(c):
     """A coefficient as an int when integral, else as a Fraction."""
     if type(c) is int:
@@ -302,22 +346,8 @@ class Cyc:
         Phi_n in the power basis 1, x, ..., x^(deg - 1), x = e(1/n); den is
         the lcm of the coefficient denominators and n a multiple of the
         level."""
-        den = 1
-        for c in self.terms.values():
-            if type(c) is not int:
-                den = lcm(den, c.denominator)
-        rows = _power_residues(n)
-        acc = [0] * (len(cyclotomic_poly(n)) - 1)
-        for q, c in self.terms.items():
-            step, r = divmod(n, q.den)
-            if r:
-                raise ValueError("level %d is not a multiple of the order %d"
-                                 % (n, q.den))
-            if den != 1:
-                c = c.numerator * (den // c.denominator)
-            for i, a in rows[q.num * step]:
-                acc[i] += a * c
-        return acc, den
+        pairs, den = exponent_form(self.terms, n)
+        return residue(pairs, n), den
 
     def is_zero(self):
         if not self.terms:

@@ -1,0 +1,35 @@
+"""Reference implementation for differential tests: the earlier
+``CharacterTable.verify``, which checks a table in ``Cyc`` arithmetic (one
+``Cyc`` inner product per pair of rows, each compared by ``Cyc`` equality),
+kept apart from returning False where it asserted.
+
+Nothing in the package imports this module.  test_characters.py checks the
+integer ``CharacterTable.verify`` against it on perturbed tables.
+"""
+
+from fractions import Fraction
+
+from toruscheck.qz import Cyc, cyc_sum
+
+
+def inner(table, f1, f2):
+    """|G|^-1 sum_g f1(g) conj(f2(g)) for per-class value lists."""
+    total = Cyc.zero()
+    for ci, cls in enumerate(table.classes):
+        total = total + (f1[ci] * f2[ci].conj()) * len(cls)
+    return total * Fraction(1, table.group.order)
+
+
+def verify(table):
+    """Whether the dims, row orthogonality and column orthogonality hold."""
+    G = table.group
+    if sum(d * d for d in table.dims) != G.order:
+        return False
+    for i in range(table.nchars):
+        for j in range(i, table.nchars):
+            got = inner(table, table.chars[i], table.chars[j])
+            if got != Cyc.integer(1 if i == j else 0):
+                return False
+    col = cyc_sum(table.chars[i][0] * table.chars[i][0]
+                  for i in range(table.nchars))
+    return col == Cyc.integer(G.order)

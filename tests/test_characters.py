@@ -1,14 +1,20 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import cyc_verify
+from toruscheck import characters
 from toruscheck.checks import scalar_datum
 from toruscheck.lattice import IntMatrix
 from toruscheck.qz import QZ, Cyc, cyc_div
 from toruscheck.groups import FiniteGroup, Cocycle2, CentralExtension
 from toruscheck.characters import (
     character_table,
+    CharacterTable,
     TableCache,
     TABLE_CACHE,
     irr_with_central_char,
@@ -118,6 +124,167 @@ def test_table_cache_transparency():
     fresh = character_table(G)
     for i in range(t1.nchars):
         assert all(a == b for a, b in zip(t1.chars[i], fresh.chars[i]))
+
+
+def perturbed_tables(G, rng, count):
+    """count copies of G's table, each changed by one to three of: a root of
+    unity added to one value; one value rewritten with Fraction
+    coefficients (c e(q) + c e(q + 1/2) = 0 added); two rows (and their
+    dims) swapped and one of them conjugated."""
+    base = character_table(G)
+    r = base.nchars
+    for _ in range(count):
+        chars = [list(row) for row in base.chars]
+        dims = list(base.dims)
+        for kind in rng.sample(["root", "fraction", "swap"], rng.randint(1, 3)):
+            i, k = rng.randrange(r), rng.randrange(r)
+            if kind == "root":
+                level = rng.choice([1, 2, 3, 4, 6, 12])
+                chars[i][k] = chars[i][k] + Cyc.root(
+                    QZ(rng.randrange(level), level))
+            elif kind == "fraction":
+                q = QZ(rng.randrange(12), 12)
+                c = Fraction(rng.randint(-5, 5), rng.choice([2, 3, 6]))
+                chars[i][k] = chars[i][k] + Cyc({q: c, q + QZ(1, 2): c})
+            else:
+                j = rng.randrange(r)
+                chars[i], chars[j] = chars[j], [v.conj() for v in chars[i]]
+                dims[i], dims[j] = dims[j], dims[i]
+        yield CharacterTable(G, chars, dims)
+
+
+ORACLE_GROUPS = {
+    "S4": lambda: FiniteGroup.symmetric(4),
+    "D10": lambda: FiniteGroup.dihedral(10),
+    "C3xS3": lambda: FiniteGroup.direct_product(FiniteGroup.cyclic(3),
+                                                FiniteGroup.symmetric(3)),
+    "C12": lambda: FiniteGroup.cyclic(12),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_GROUPS))
+def test_verify_matches_cyc_oracle(name):
+    """The integer verify accepts exactly the perturbed tables that the Cyc
+    arithmetic verify accepts, and raises ValueError on the others."""
+    rng = random.Random("verify-" + name)
+    verdicts = []
+    for table in perturbed_tables(ORACLE_GROUPS[name](), rng, 60):
+        expected = cyc_verify.verify(table)
+        try:
+            got = table.verify()
+        except ValueError:
+            got = False
+        assert got == expected
+        verdicts.append(got)
+    assert True in verdicts and False in verdicts
+
+
+def test_verify_rejects_a_misshapen_table():
+    t = character_table(FiniteGroup.symmetric(3))
+    short = CharacterTable(t.group, [row[:-1] for row in t.chars], t.dims)
+    with pytest.raises(ValueError, match="table shape"):
+        short.verify()
+    with pytest.raises(ValueError, match="table shape"):
+        CharacterTable(t.group, t.chars[:-1], t.dims[:-1]).verify()
+
+
+def test_is_psi_centralizing_matches_definition():
+    """psi vanishes on every central commutator, read through QZ."""
+    C4 = FiniteGroup.cyclic(4)
+    exts = [q8_extension(),
+            CentralExtension(C4, 4, Cocycle2(C4, {
+                (i, j): QZ((i + j) // 4, 4) for i in range(4)
+                for j in range(4)}))]
+    for E in exts:
+        G = E.group
+        for psi in (QZ(0), QZ(1, 4), QZ(1, 2)):
+            for e in range(G.order):
+                expected = True
+                for x in range(G.order):
+                    comm = G.mul(G.mul(x, e), G.inv(G.mul(e, x)))
+                    z, a = E.parts(comm)
+                    if a == 0 and not (z.num * E.m // z.den * psi).is_zero():
+                        expected = False
+                assert is_psi_centralizing(E, psi, e) == expected
+
+
+def test_irr_with_central_char_memo_keys():
+    """mu_4 over the trivial group and mu_1 over C4 share the table of C4;
+    each (generator, m, psi1) gets its own memo entry."""
+    C1, C4 = FiniteGroup.cyclic(1), FiniteGroup.cyclic(4)
+    E1 = CentralExtension(C1, 4, Cocycle2.zero(C1))
+    E4 = CentralExtension(C4, 1, Cocycle2.zero(C4))
+    assert E1.group.table == E4.group.table
+    cache = TableCache()
+    table, quarter = irr_with_central_char(E1, QZ(1, 4), cache)
+    _, half = irr_with_central_char(E1, QZ(1, 2), cache)
+    table4, every = irr_with_central_char(E4, QZ(0), cache)
+    assert table4 is table
+    assert set(table.central) == {(1, 4, QZ(1, 4)), (1, 4, QZ(1, 2)),
+                                  (0, 1, QZ(0))}
+    assert len(quarter) == len(half) == 1 and quarter != half
+    assert every == list(range(4))
+    for E, psi, got in [(E1, QZ(1, 4), quarter), (E1, QZ(1, 2), half),
+                        (E4, QZ(0), every)]:
+        assert irr_with_central_char(E, psi, TableCache())[1] == got
+        assert irr_with_central_char(E, psi, cache)[1] == got
+
+
+#: Under python -O: a non-associative order-5 Latin square, an S3 table
+#: with one value shifted by e(1/3), and a disk-cached table corrupted the
+#: same way, which must be recomputed rather than loaded.
+OPTIMIZED_CHECKS = """
+import json, os, sys, tempfile
+from toruscheck.cli import DiskTableCache
+from toruscheck.characters import CharacterTable, character_table
+from toruscheck.casefile import encode_cyc
+from toruscheck.groups import FiniteGroup
+from toruscheck.qz import QZ, Cyc
+
+if __debug__:
+    sys.exit("asserts are still enabled")
+try:
+    FiniteGroup([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1],
+                 [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]])
+    print("table accepted")
+except ValueError as e:
+    print("table rejected:", e)
+S3 = FiniteGroup.symmetric(3)
+good = character_table(S3)
+chars = [list(row) for row in good.chars]
+chars[2][1] = chars[2][1] + Cyc.root(QZ(1, 3))
+try:
+    CharacterTable(S3, chars, good.dims).verify()
+    print("shifted table passed")
+except ValueError as e:
+    print("shifted table rejected:", e)
+with tempfile.TemporaryDirectory() as d:
+    DiskTableCache(d).get_or_compute(S3)
+    path = os.path.join(d, "table-%s.json" % DiskTableCache.key(S3))
+    with open(path) as f:
+        doc = json.load(f)
+    doc["chars"] = [[encode_cyc(v) for v in row] for row in chars]
+    with open(path, "w") as f:
+        json.dump(doc, f)
+    loaded = DiskTableCache(d).get_or_compute(FiniteGroup.symmetric(3))
+    same = all(a == b for x, y in zip(loaded.chars, good.chars)
+               for a, b in zip(x, y))
+    print("cache entry", "recomputed" if same else "loaded corrupt")
+"""
+
+
+def test_checks_run_under_python_O():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        characters.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "table rejected: associativity fails",
+        "shifted table rejected: row orthogonality fails at (0, 2)",
+        "cache entry recomputed",
+    ]
 
 
 def test_irr_with_central_char():

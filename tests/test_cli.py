@@ -90,6 +90,49 @@ def test_cache_corruption_detected(tmp_path):
     cache2 = DiskTableCache(str(cdir))
     t2 = cache2.get_or_compute(G)  # falls back to recomputation
     assert t2.dims == t1.dims
+    # a short row, a zero denominator, a wrongly typed field and a
+    # document that is not an object are recomputed too
+    good = json.loads(p.read_text())
+    short = json.loads(p.read_text())
+    short["chars"][1] = short["chars"][1][:-1]
+    zero = json.loads(p.read_text())
+    zero["chars"][0][0][0][1] = "1/0"
+    for doc in [short, zero, dict(good, dims=[None] * len(good["dims"])),
+                dict(good, chars=7), [good]]:
+        p.write_text(json.dumps(doc))
+        t3 = DiskTableCache(str(cdir)).get_or_compute(FiniteGroup.dihedral(4))
+        assert t3.dims == t1.dims
+        assert all(a == b for x, y in zip(t3.chars, t1.chars)
+                   for a, b in zip(x, y))
+
+
+def test_cache_writes_are_atomic(tmp_path, monkeypatch):
+    """A json.dump cut short by an error leaves the previous table file and
+    manifest whole, and no temp file behind."""
+    cdir = tmp_path / "cache"
+    cache = DiskTableCache(str(cdir))
+    G = FiniteGroup.dihedral(4)
+    table = cache.get_or_compute(G)
+    key = cache.key(G)
+    before = {p.name: p.read_text() for p in cdir.iterdir()}
+    real_dump = json.dump
+
+    def cut_short(doc, f, **kw):
+        f.write(json.dumps(doc, **kw)[:20])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", cut_short)
+    with pytest.raises(OSError):
+        cache._store(key, table)
+    with pytest.raises(OSError):
+        DiskTableCache(str(cdir)).get_or_compute(FiniteGroup.cyclic(5))
+    monkeypatch.setattr(json, "dump", real_dump)
+    after = {p.name: p.read_text() for p in cdir.iterdir()}
+    assert after == before
+    for text in after.values():
+        json.loads(text)
+    reloaded = DiskTableCache(str(cdir)).get_or_compute(G)
+    assert reloaded.dims == table.dims
 
 
 def test_corrupted_cocycle_rejected(tmp_path):
@@ -153,6 +196,35 @@ def test_root_datum_is_validated(root_datum, field, tmp_path, capsys):
     assert e.value.field == field
     assert main(["sign", "--input", write_fixture(tmp_path, bad)]) == 2
     assert capsys.readouterr().err.startswith("error: " + field)
+
+
+@pytest.mark.parametrize("field,doc", [
+    ("galois.order", dict(FIXTURE, galois={"order": 7, "matrix": [[-1]]})),
+    ("root_datum.n", dict(FIXTURE, root_datum={"label": "A1", "n": 7})),
+])
+def test_galois_order_is_bounded(field, doc, tmp_path, capsys):
+    """Galois orders above MAX_GALOIS_ORDER (6) exit 2 before any Tate
+    group of the cyclic Galois group is built."""
+    with pytest.raises(CaseFileError) as e:
+        load_case(doc)
+    assert e.value.field == field
+    assert main(["sign", "--input", write_fixture(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.startswith("error: %s: " % field)
+
+
+@pytest.mark.parametrize("table,message", [
+    ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0],
+      [4, 2, 0, 1, 3]], "associativity fails"),
+    ([], "rows and columns must be permutations"),
+    ([[0, 1], [1]], "rows and columns must be permutations"),
+])
+def test_bad_component_table_exits_2(table, message, tmp_path, capsys):
+    """A non-associative Latin square, an empty table and a ragged one as
+    the component group's table."""
+    doc = dict(FIXTURE, component={"kind": "table", "table": table,
+                                   "matrices": [[[1]]] * len(table)})
+    assert main(["tori-verify", "--input", write_fixture(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == "error: component.table: %s\n" % message
 
 
 @pytest.mark.parametrize("key", ["suite_size", "comment"])

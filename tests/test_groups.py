@@ -31,7 +31,7 @@ def test_group_constructions():
 
 
 def test_bad_table_rejected():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         FiniteGroup([[0, 1], [1, 1]])
 
 

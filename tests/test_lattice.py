@@ -1,10 +1,8 @@
-import doctest
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import toruscheck.lattice
 from toruscheck.lattice import (
     IntMatrix,
     smith_normal_form,
@@ -172,7 +170,3 @@ def test_subquotient_basic():
     assert c is not None
     rep = sq.representative(c)
     assert sq.classify(rep) == c
-
-
-def test_lattice_doctests():
-    assert doctest.testmod(toruscheck.lattice).failed == 0

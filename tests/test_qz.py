@@ -1,4 +1,3 @@
-import doctest
 import os
 import subprocess
 import sys
@@ -6,7 +5,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-import toruscheck.qz
+import toruscheck
 from toruscheck.qz import QZ, Cyc, cyclotomic_poly, cyc_sum, cyc_div
 
 
@@ -92,11 +91,6 @@ def test_cyc_reduced_key_at_common_level():
     y = Cyc.integer(-1)
     assert x == y
     assert x.reduced_key(6) == y.reduced_key(6)
-
-
-def test_qz_doctests():
-    result = doctest.testmod(toruscheck.qz)
-    assert result.attempted > 0 and result.failed == 0
 
 
 OPTIMIZED_CHECKS = """
