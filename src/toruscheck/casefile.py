@@ -212,7 +212,7 @@ def load_case(doc):
     psi = tuple(_as_qz(x, "phi") for x in phirow)
     try:
         phi = Parameter(torus, psi)
-    except AssertionError as e:
+    except ValueError as e:
         raise CaseFileError("phi", str(e))
 
     extras = {}

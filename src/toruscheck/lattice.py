@@ -9,6 +9,7 @@ All entries are arbitrary-precision Python ints.  Matrices are immutable
 from __future__ import annotations
 
 import itertools
+from operator import mul
 
 
 class IntMatrix:
@@ -88,8 +89,10 @@ class IntMatrix:
     def apply(self, vec):
         """Matrix times column vector, returned as a tuple."""
         vec = tuple(vec)
-        assert len(vec) == self.cols, (len(vec), self.cols)
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.data)
+        if len(vec) != self.cols:
+            raise ValueError("a vector of length %d for %d columns"
+                             % (len(vec), self.cols))
+        return tuple([sum(map(mul, row, vec)) for row in self.data])
 
     def det(self):
         """Determinant by fraction-free (Bareiss) elimination."""

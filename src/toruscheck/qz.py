@@ -123,19 +123,50 @@ class QZ:
         return (self.den, self.num)
 
 
-def qz_sum(values):
-    total = QZ(0)
-    for v in values:
-        total = total + v
-    return total
+def qz_ints(values):
+    """A vector of QZ values in integers: (nums, den) with den the lcm of
+    the orders and nums[i] / den the canonical lift of values[i].
+
+    >>> qz_ints((QZ(1, 2), QZ(1, 3), QZ(0)))
+    ([3, 2, 0], 6)
+    """
+    den = 1
+    for q in values:
+        if den % q.den:
+            den = lcm(den, q.den)
+    return [q.num * (den // q.den) for q in values], den
+
+
+def qz_tuple(nums, den):
+    """The QZ values nums[i] / den mod 1, for ints nums and den >= 1.
+
+    >>> qz_tuple([3, -2, 6], 6)
+    (QZ(1/2), QZ(2/3), QZ(0))
+    """
+    return tuple(_qz(x % den, den) for x in nums)
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n):
-    """Coefficients (low degree first) of the n-th cyclotomic polynomial,
-    computed by exact division of x^n - 1 by the lower Phi_d."""
+    """Coefficients (low degree first) of the n-th cyclotomic polynomial.
+    For squarefree n: exact division of x^n - 1 by the lower Phi_d.
+    Otherwise Phi_n(x) = Phi_r(x^(n/r)), with r the product of the primes
+    dividing n."""
     if n < 1:
         raise ValueError("cyclotomic_poly needs n >= 1, got %r" % (n,))
+    r, rest, p = 1, n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            r *= p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    r *= rest
+    if r < n:
+        phi, step = cyclotomic_poly(r), n // r
+        poly = [0] * ((len(phi) - 1) * step + 1)
+        poly[::step] = phi
+        return tuple(poly)
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
@@ -227,6 +258,49 @@ def residue(pairs, n):
             for i, a in rows[k]:
                 acc[i] += a * c
     return acc
+
+
+def convolve(vec, pairs, acc=None):
+    """The product of  sum_k vec[k] x^k  and  sum c x^k  over the (k, c)
+    pairs, in Z[x]/(x^n - 1) with n = len(vec): the group-ring product of
+    two exponent vectors at level n.  With acc (a list of length n) the
+    product is added to acc, returned as a new list.
+
+    >>> convolve([1, 2, 0], [(1, 1), (2, -1)])  # (1 + 2x)(x - x^2)
+    [-2, 1, 1]
+    >>> convolve([1, 2, 0], [(0, 1)], [5, 0, 0])
+    [6, 2, 0]
+    """
+    n = len(vec)
+    out = [0] * n if acc is None else acc
+    for k, c in pairs:
+        k %= n
+        out = [o + c * x for o, x in zip(out, vec[n - k:] + vec[:n - k])]
+    return out
+
+
+def cyc_from_vector(vec, den=1):
+    """The Cyc  sum_k (vec[k] / den) e(k/n)  with n = len(vec), from an int
+    list indexed by exponent at level n and one common denominator den >= 1.
+
+    Its terms are this element of the group ring Q[Q/Z] with the zero
+    coefficients dropped, so they equal the terms that adding and
+    multiplying the same roots as Cyc values gives, in any order.
+
+    >>> cyc_from_vector([0, 2, 0, -1], 2)
+    Cyc(e(1/4) + -1/2*e(3/4))
+    >>> cyc_from_vector([1, 0, 0, 0, 2, 0], 1)
+    Cyc(1 + 2*e(2/3))
+    """
+    n = len(vec)
+    terms = {}
+    for k, c in enumerate(vec):
+        if c:
+            if den != 1:
+                g = gcd(c, den)
+                c = c // g if g == den else Fraction(c // g, den // g)
+            terms[_qz(k, n)] = c
+    return _cyc(terms)
 
 
 def _coeff(c):
@@ -328,11 +402,6 @@ class Cyc:
         """Complex conjugate: e(q) -> e(-q)."""
         return _cyc({-q: c for q, c in self.terms.items()})
 
-    def scale_root(self, q):
-        """Multiply by the root of unity e(q)."""
-        q = QZ(q)
-        return _cyc({p + q: c for p, c in self.terms.items()})
-
     def level(self):
         n = 1
         for q in self.terms:
@@ -421,19 +490,31 @@ def cyc_sum(values):
 def cyc_div(num, den):
     """Exact division num/den of cyclotomic numbers (den nonzero), via the
     field norm: multiply by all nontrivial Galois conjugates of den, then
-    divide by the rational norm."""
+    divide by the rational norm.  The products run as convolutions of
+    exponent vectors."""
     if den.is_zero():
         raise ZeroDivisionError("cyclotomic division by zero")
-    n = lcm(num.level(), den.level())
-    conj_prod = Cyc.integer(1)
-    norm = den
+    m = den.level()
+    n = lcm(num.level(), m)
+    pairs, d = exponent_form(den.terms, m)
+    # conj is d^count times the product of the conjugates e(q) -> e(kq), k
+    # a unit mod n other than 1: each relabels the exponents of d * den,
+    # so the product stays at den's level m
+    conj = [1] + [0] * (m - 1)
+    count = 0
     for k in range(2, n + 1):
         if gcd(k, n) == 1:
-            # k is a unit mod n, so q -> k*q keeps the keys distinct
-            g = _cyc({q * k: c for q, c in den.terms.items()})
-            conj_prod = conj_prod * g
-            norm = norm * g
-    q = norm.as_rational()
+            conj = convolve(conj, [(j * k % m, c) for j, c in pairs])
+            count += 1
+    q = cyc_from_vector(convolve(conj, pairs), d ** (count + 1)).as_rational()
     if q is None or q == 0:
         raise ArithmeticError("norm must be a nonzero rational")
-    return (num * conj_prod) * (1 / q)
+    # num * conj / (d^count q), with q = a/b and the denominator kept positive
+    npairs, nd = exponent_form(num.terms, n)
+    a, b = q.numerator, q.denominator
+    if a < 0:
+        a, b = -a, -b
+    lifted = [0] * n
+    lifted[::n // m] = conj
+    return cyc_from_vector([x * b for x in convolve(lifted, npairs)],
+                           nd * d ** count * a)

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import lcm
 
 from .lattice import IntMatrix, FGAbelian, Memo, Subquotient, solve_integer
-from .qz import QZ, qz_sum
+from .qz import QZ
 from .groups import FiniteGroup
 from .cohomology import GModule, Cochain, tate_group
 
@@ -194,8 +195,9 @@ class TwistData:
     def eval_xi_on(self, m_coords, center_coords):
         """<m, x> = sum m_i x_i / d_i in Q/Z."""
         ds = self.datum.center.torsion
-        return qz_sum(QZ(m * x, d) for m, x, d in
-                      zip(m_coords, center_coords, ds))
+        L = lcm(*ds)
+        return QZ(sum(m * x * (L // d) for m, x, d in
+                      zip(m_coords, center_coords, ds)), L)
 
 
 def lambda_T(twist, orbit_choice=None):

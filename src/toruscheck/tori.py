@@ -17,11 +17,10 @@ constants (TRIVIAL_FACTORS below).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import lcm
 
 from .lattice import IntMatrix, solve_integer
-from .qz import QZ, Cyc
+from .qz import QZ, Cyc, convolve, cyc_from_vector, exponent_form, qz_ints
 from .cohomology import GModule, Cochain, d_matrix, TwoTermComplex, hyper_h1
 from .weil import (
     TorusModel,
@@ -40,8 +39,9 @@ TRIVIAL_FACTORS = {"e_sign": 1, "epsilon": 1, "delta_I": 1, "delta_II": 1,
                    "delta_IV": 1}
 
 
-class CaseError(RuntimeError):
-    pass
+class CaseError(ValueError):
+    """The case data are inconsistent: a stabilizer that is not a subgroup,
+    or a delta that does not map to the given norm class."""
 
 
 @dataclass
@@ -379,11 +379,25 @@ class CharIdentityReport:
                 and self.closed_value == self.endoscopic_value)
 
 
-def _char_at(table, ext, i, q, x):
-    """chi_i at the element (q, x) of the complex-scaled extension: the
-    central character is the inclusion, so the value is e(q) chi_i((0, x))."""
-    base = table.value(i, ext.element(QZ(0), x))
-    return base.scale_root(q)
+def _character_forms(case, table, sel, ext, elems):
+    """The packet's character values chi_i((0, x)), for i in sel and x
+    indexing elems, as exponent forms at one level L with one common
+    denominator D: (L, D, {i: [pairs of chi_i((0, x)) scaled by D]}).
+    Read once per case.  The central character is the inclusion, so
+    chi_i((q, x)) = e(q) chi_i((0, x))."""
+    cached = getattr(case, "_char_forms", None)
+    if cached is not None:
+        return cached
+    values = {i: [table.value(i, ext.element(QZ(0), x))
+                  for x in range(len(elems))] for i in sel}
+    L = lcm(1, *(v.level() for row in values.values() for v in row))
+    forms = {i: [exponent_form(v.terms, L) for v in row]
+             for i, row in values.items()}
+    D = lcm(1, *(den for row in forms.values() for _, den in row))
+    case._char_forms = (L, D, {
+        i: [[(k, c * (D // den)) for k, c in pairs] for pairs, den in row]
+        for i, row in forms.items()})
+    return case._char_forms
 
 
 def theta_value(case, s_dot, b, t_vec, a):
@@ -393,14 +407,17 @@ def theta_value(case, s_dot, b, t_vec, a):
     stabilizer; t_vec in X^Q (integral model of T(F))."""
     torus = case.torus
     A = case.A
-    assert a in case.A_phi_z and b in case.A_phi_z, "element outside the packet group"
-    assert _is_invariant_dual(torus, s_dot), "s must be Galois-invariant"
-    assert _is_invariant_vec(torus, t_vec), "t must be Galois-invariant"
+    if a not in case.A_phi_z or b not in case.A_phi_z:
+        raise ValueError("element outside the packet group")
+    if not _is_invariant_dual(torus, s_dot):
+        raise ValueError("s must be Galois-invariant")
+    if not _is_invariant_vec(torus, t_vec):
+        raise ValueError("t must be Galois-invariant")
     if not case.h:
         compute_h(case)
     pkt, table, sel, ext, elems = packet(case)
+    L, D, forms = _character_forms(case, table, sel, ext, elems)
     pos = {x: i for i, x in enumerate(elems)}
-    Abar_size = len(elems)
     kz = case.kottwitz(s_dot)
 
     # (c a c^-1, phi(c.t + zeta(c, a))) for the conjugators c that keep a
@@ -416,21 +433,33 @@ def theta_value(case, s_dot, b, t_vec, a):
             tuple(x + y for x, y in zip(ct, case.zeta(c, a))))
         conjugates.append((cac, val))
 
-    rep = Cyc.zero()
+    # the representation sum
+    #   sum_i chi_i((kz, b)) sum_c chi_i((val_c + h(cac), cac)) / |Abar|
+    # in exponent vectors at level N, where e(q) shifts exponents by q N
+    roots = [(pos[cac], val + case.h[cac]) for cac, val in conjugates]
+    N = lcm(L, kz.den, *(q.den for _, q in roots))
+    step = N // L
+    roots = [(x, q.num * (N // q.den)) for x, q in roots]
+    kzs = kz.num * (N // kz.den)
+    acc = [0] * N
     for i in sel:
-        left = _char_at(table, ext, i, kz, pos[b])
-        inner = Cyc.zero()
-        for cac, val in conjugates:
-            inner = inner + _char_at(table, ext, i, val + case.h[cac], pos[cac])
-        rep = rep + left * inner * Fraction(1, Abar_size)
+        row = forms[i]
+        inner = [0] * N
+        for x, shift in roots:
+            for k, c in row[x]:
+                inner[(k * step + shift) % N] += c
+        acc = convolve(inner, [(k * step + kzs, c) for k, c in row[pos[b]]],
+                       acc)
+    rep = cyc_from_vector(acc, D * D * len(elems))
 
     binv = A.inv(b)
-    closed = Cyc.zero()
+    shift = kz - case.pairing(b)
+    closed = {}
     for cac, val in conjugates:
         if cac == binv:
-            closed = closed + Cyc.root(val)
-    closed = closed.scale_root(kz - case.pairing(b))
-    return rep, closed
+            q = val + shift
+            closed[q] = closed.get(q, 0) + 1
+    return rep, Cyc(closed)
 
 
 def hyper_group_for(case, aut):
@@ -479,8 +508,11 @@ def endoscopic_value(case, s_dot, b, t_vec, a):
     """
     torus = case.torus
     A = case.A
-    assert a in case.A_phi_z and b in case.A_phi_z
-    assert all(v == 1 for v in TRIVIAL_FACTORS.values())
+    if a not in case.A_phi_z or b not in case.A_phi_z:
+        raise ValueError("element outside the packet group")
+    if any(v != 1 for v in TRIVIAL_FACTORS.values()):
+        raise ValueError("the classical transfer-factor terms of a torus "
+                         "must be trivial")
     binv = A.inv(b)
     # the conjugated elements sit in the b^-1 coset, so their pairs live on
     # the complex with map 1 - b^-1
@@ -510,11 +542,10 @@ def character_identity_report(case, s_dot, b, t_vec, a):
 
 
 def _is_invariant_dual(torus, s):
-    for i in range(torus.model.n):
-        if any(not (x - y).is_zero()
-               for x, y in zip(torus.dual_sigma(i, s), s)):
-            return False
-    return True
+    nums, den = qz_ints(s)
+    return not any((x - y) % den
+                   for m in torus._galois_dualT
+                   for x, y in zip(m.apply(nums), nums))
 
 
 def _is_invariant_vec(torus, v):

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .lattice import IntMatrix, Memo, solve_integer, unimodular_inverse
-from .qz import QZ, qz_sum
+from .qz import QZ, qz_ints, qz_tuple
 from .cohomology import (
     GModule,
     Cochain,
@@ -32,7 +33,7 @@ from .cohomology import (
 )
 
 
-class LiftNotFound(RuntimeError):
+class LiftNotFound(ValueError):
     """The integer system behind a chain-level lift has no solution; the
     input is outside the model's image (or malformed)."""
 
@@ -86,13 +87,15 @@ class TorusModel:
         """Action of sigma^i on X."""
         return self.galois.act(i % self.model.n, vec)
 
-    # dual-torus points: tuples of QZ, one per basis vector of X
+    # dual-torus points: tuples of QZ, one per basis vector of X; inside
+    # the methods a point is the int vector and denominator of qz_ints
     def dual_zero(self):
         return (QZ(0),) * self.rank
 
     def dual_eval(self, s, vec):
         """Evaluate s in Hom(X, Q/Z) at an integer vector."""
-        return qz_sum(x * q for q, x in zip(s, vec))
+        nums, den = qz_ints(s)
+        return QZ(sum(map(mul, nums, vec)), den)
 
     def dual_eval_rational(self, s, vec):
         """Q-linear extension: evaluate the canonical [0,1)-lift of s at a
@@ -107,14 +110,12 @@ class TorusModel:
 
     def dual_sigma(self, i, s):
         """Galois action on the dual torus: (sigma.s)(x) = s(sigma^-1 x)."""
-        m = self._galois_dualT[i % self.model.n]
-        return tuple(qz_sum(row[j] * s[j] for j in range(self.rank))
-                     for row in m.data)
+        nums, den = qz_ints(s)
+        return qz_tuple(self._galois_dualT[i % self.model.n].apply(nums), den)
 
     def dual_comp(self, a, s):
-        m = self._comp_dualT[a]
-        return tuple(qz_sum(row[j] * s[j] for j in range(self.rank))
-                     for row in m.data)
+        nums, den = qz_ints(s)
+        return qz_tuple(self._comp_dualT[a].apply(nums), den)
 
     def dual_add(self, s, t):
         return tuple(a + b for a, b in zip(s, t))
@@ -124,9 +125,9 @@ class TorusModel:
 
     def dual_compose(self, s, mat):
         """s composed with an integer matrix: (s o m)(x) = s(m x)."""
-        mt = mat.transpose()
-        return tuple(qz_sum(row[j] * s[j] for j in range(self.rank))
-                     for row in mt.data)
+        nums, den = qz_ints(s)
+        return qz_tuple([sum(map(mul, nums, col)) for col in zip(*mat.data)],
+                        den)
 
     def invariant_lattice(self):
         """Basis of X^Q."""
@@ -151,22 +152,28 @@ class Parameter:
     """Unramified Langlands parameter: a 1-cocycle of Q valued in the
     torsion points of the dual torus, determined by its value psi at the
     marked generator; the cocycle condition is N(psi) = 0 for the dual
-    action."""
+    action.
 
-    __slots__ = ("torus", "psi", "table")
+    The value at sigma^i is kept twice: as a tuple of QZ in table[i], and
+    as the int vector nums[i] over the common denominator den."""
+
+    __slots__ = ("torus", "psi", "table", "nums", "den")
 
     def __init__(self, torus, psi):
         self.torus = torus
         self.psi = tuple(QZ(q) for q in psi)
+        psi_nums, den = qz_ints(self.psi)
         n = torus.model.n
-        tab = {0: torus.dual_zero()}
-        for i in range(1, n):
-            tab[i] = torus.dual_add(tab[i - 1],
-                                    torus.dual_sigma(i - 1, self.psi))
-        self.table = tab
-        total = torus.dual_add(tab[n - 1], torus.dual_sigma(n - 1, self.psi))
-        assert all(q.is_zero() for q in total), \
-            "value at the generator must have zero norm (cocycle identity)"
+        nums = [(0,) * torus.rank]
+        for m in torus._galois_dualT:
+            nums.append(tuple((x + y) % den for x, y in
+                              zip(nums[-1], m.apply(psi_nums))))
+        if any(nums.pop()):
+            raise ValueError("value at the generator must have zero norm "
+                             "(cocycle identity)")
+        self.nums = nums
+        self.den = den
+        self.table = {i: qz_tuple(nums[i], den) for i in range(n)}
 
     def value(self, i):
         """The value at sigma^i; on the model Weil group W = Z, the
@@ -182,7 +189,8 @@ def tn_iso(torus, lam):
     z(sigma^i) = sum_j c(i, j) * sigma^(i+j)(lam), a 1-cocycle of Q."""
     model = torus.model
     N = torus.norm_matrix()
-    assert all(v == 0 for v in N.apply(lam)), "input must have zero norm"
+    if any(N.apply(lam)):
+        raise ValueError("input must have zero norm")
     gm = torus.gmodule()
     tab = {}
     for i in range(model.n):
@@ -316,21 +324,28 @@ def elementary_pairing(torus, dual_pair, chain_pair):
     norm-zero lattice element, mu1 a finite-support 1-chain)."""
     d, s = dual_pair
     lam, mu1 = chain_pair
-    total = torus.dual_eval(s, lam)
+    nums, den = qz_ints(s)
+    L = lcm(den, d.den)
+    dk = L // d.den
+    n = torus.model.n
+    total = sum(map(mul, nums, lam)) * (L // den)
     for (w,), val in mu1.support.items():
-        total = total - torus.dual_eval(d.value(w), val)
-    return total
+        total -= sum(map(mul, d.nums[w % n], val)) * dk
+    return QZ(total, L)
 
 
 def validate_hyper_pair_dual(torus, fT, d, s):
-    """Check (d, s) on the dual complex: s.sigma - s = d(sigma) o fT.
+    """Check (d, s) on the dual complex: s.sigma - s = d(sigma) o fT,
+    compared in ints over the lcm L of the denominators of s and d.
     Raises ValueError when it fails."""
-    n = torus.model.n
-    for i in range(n):
-        lhs = torus.dual_sub(torus.dual_sigma(i, s), s)
-        rhs = torus.dual_compose(d.value(i), fT)
-        if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
-            raise ValueError("dual-side pair not on the dual complex")
+    nums, den = qz_ints(s)
+    L = lcm(den, d.den)
+    sk, dk = L // den, L // d.den
+    cols = list(zip(*fT.data))
+    for m, dnums in zip(torus._galois_dualT, d.nums):
+        for x, y, col in zip(m.apply(nums), nums, cols):
+            if ((x - y) * sk - sum(map(mul, dnums, col)) * dk) % L:
+                raise ValueError("dual-side pair not on the dual complex")
 
 
 _lift_cache = Memo()
@@ -361,16 +376,12 @@ def hyper_pairing(torus, fT, pair_T, dual_pair):
     d, s = dual_pair
     r = torus.rank
     n = torus.model.n
-    v = tuple(Fraction(x) for x in v)
-    D = lcm(*[f.denominator for f in v]) if v else 1
-    _check_pair_T(torus, fT, u, v)
+    D = lcm(*(x.denominator for x in v))
+    Dv = [x.numerator * (D // x.denominator) for x in v]
+    _check_pair_T(torus, fT, u, Dv, D)
     validate_hyper_pair_dual(torus, fT, d, s)
 
-    dv = [D * x for x in v]
-    if any(x.denominator != 1 for x in dv):
-        raise ValueError("v is not integral at its common denominator")
-    target = ([0] * r + [D * x for x in u.to_vector()] + [0] * r
-              + [int(x) for x in dv])
+    target = [0] * r + [D * x for x in u.to_vector()] + [0] * r + Dv
     galois = tuple(m.data for m in torus.galois.matrices)
     for halfwidth in (n, 2 * n, 4 * n):
         A, dom = _lift_cache.get_or_compute(
@@ -420,18 +431,14 @@ def _lift_system(torus, fT, D, halfwidth):
     return IntMatrix(rows), dom
 
 
-def _check_pair_T(torus, fT, u, v):
-    """Check (u, v) on the complex: u a cocycle and fT(u(s)) = s.v - v.
+def _check_pair_T(torus, fT, u, Dv, D):
+    """Check (u, v) on the complex, given Dv = D*v with D clearing the
+    denominators of v: u a cocycle and D*fT(u(s)) = (s - 1)(D*v), in ints.
     Raises ValueError when it fails."""
     for val in u.d().table.values():
         if any(val):
             raise ValueError("T-side pair not a hypercocycle")
-    n = torus.model.n
-    for i in range(n):
+    for i, m in enumerate(torus.galois.matrices):
         lhs = fT.apply(u.table[(i,)])
-        m = torus.galois.matrices[i]
-        sv = tuple(sum(Fraction(m.data[a][b]) * v[b] for b in range(torus.rank))
-                   for a in range(torus.rank))
-        rhs = tuple(x - y for x, y in zip(sv, v))
-        if any(Fraction(x) != y for x, y in zip(lhs, rhs)):
+        if any(D * x != y - w for x, y, w in zip(lhs, m.apply(Dv), Dv)):
             raise ValueError("T-side pair not a hypercocycle")

@@ -291,3 +291,40 @@ def test_random_suite_report_matches_golden(fmt, ext, tmp_path):
     name = "random-suite.seed7.size10." + ext
     with open(os.path.join(GOLDEN, name), "rb") as f:
         assert out == f.read()
+
+
+def test_case_error_fails_the_check(monkeypatch, tmp_path):
+    """CaseError is a ValueError: an inconsistent case fails the check that
+    builds it, with the message as witness, instead of a traceback."""
+    from toruscheck import cli
+    from toruscheck.tori import CaseError
+
+    def inconsistent(torus, z, phi):
+        raise CaseError("class not fixed: stabilizer data inconsistent")
+
+    monkeypatch.setattr(cli, "build_case", inconsistent)
+    code, out = run_main(["tori-verify", "--input", write_fixture(tmp_path)],
+                         tmp_path)
+    assert code == 1
+    doc = json.loads(out)
+    assert [(c["id"], c["status"]) for c in doc["checks"]] == [
+        ("tori.h_computed", "fail")]
+    assert doc["checks"][0]["witness"] == {
+        "error": "class not fixed: stabilizer data inconsistent"}
+
+
+def test_lift_not_found_fails_the_check(monkeypatch, tmp_path):
+    """LiftNotFound is a ValueError: a hyper pairing with no chain-level
+    lift fails its check with the message as witness."""
+    from toruscheck import weil
+
+    monkeypatch.setattr(weil, "solve_integer", lambda A, b: None)
+    code, out = run_main(["pairing", "--input", write_fixture(tmp_path)],
+                         tmp_path)
+    assert code == 1
+    doc = json.loads(out)
+    assert [(c["id"], c["status"]) for c in doc["checks"]] == [
+        ("pairing.tn_bijective", "pass"), ("pairing.kottwitz_perfect", "pass"),
+        ("pairing.langlands_edge", "fail")]
+    assert doc["checks"][-1]["witness"] == {
+        "error": "no chain-level lift found for the hyper pairing input"}

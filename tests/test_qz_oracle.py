@@ -8,12 +8,13 @@ reference can reduce quickly.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
 import fraction_qz as ref
 from toruscheck.casefile import encode_cyc, encode_qz
-from toruscheck.qz import QZ, Cyc, cyc_div, cyc_sum
+from toruscheck.qz import QZ, Cyc, convolve, cyc_div, cyc_from_vector, cyc_sum
 
 
 def divisors(n):
@@ -107,7 +108,7 @@ def test_cyc_ring_ops_match_reference(data, k, r):
     same(k * x, k * rx)
     same(x * r, rx * r)
     same(x.conj(), rx.conj())
-    same(x.scale_root(q), rx.scale_root(rq))
+    same(x * Cyc.root(q), rx.scale_root(rq))
     assert x.level() == rx.level()
 
 
@@ -155,3 +156,55 @@ def test_cyc_div_matches_reference(pairs):
         return
     same(cyc_div(x, y), ref.cyc_div(rx, ry))
     same(cyc_div(x * y, y), ref.cyc_div(rx * ry, ry))
+
+
+@st.composite
+def exponent_terms(draw, level):
+    return [(draw(st.integers(-2 * level, 2 * level)), draw(coeffs))
+            for _ in range(draw(st.integers(0, 4)))]
+
+
+@st.composite
+def products(draw):
+    """A level n and a few (x, y, k) standing for x * y * e(k/n), with x and
+    y lists of (exponent, coefficient) terms; sometimes the first product
+    appears again negated, so the whole sum cancels term by term."""
+    n = draw(st.integers(1, 60))
+    out = [(draw(exponent_terms(n)), draw(exponent_terms(n)),
+            draw(st.integers(-n, n))) for _ in range(draw(st.integers(0, 4)))]
+    if out and draw(st.booleans()):
+        x, y, k = out[0]
+        out.append((x, [(j, -c) for j, c in y], k))
+    return n, out
+
+
+@settings(max_examples=150, deadline=None)
+@given(products(), st.integers(1, 12))
+def test_cyc_from_vector_matches_repeated_arithmetic(data, m):
+    """One accumulator over a common denominator against repeated Cyc +, *
+    and multiplication by a root (and the reference's scale_root), compared
+    as encode_cyc bytes: sum x * y * e(k/n) / m."""
+    n, prods = data
+    new, old = Cyc.zero(), ref.Cyc.zero()
+    for x, y, k in prods:
+        nx = cyc_sum(Cyc.root(QZ(j, n), c) for j, c in x)
+        ny = cyc_sum(Cyc.root(QZ(j, n), c) for j, c in y)
+        new = new + nx * ny * Cyc.root(QZ(k, n))
+        ox, oy = ref.Cyc.zero(), ref.Cyc.zero()
+        for j, c in x:
+            ox = ox + ref.Cyc.root(ref.QZ(j, n), c)
+        for j, c in y:
+            oy = oy + ref.Cyc.root(ref.QZ(j, n), c)
+        old = old + (ox * oy).scale_root(ref.QZ(k, n))
+    new, old = new * Fraction(1, m), old * Fraction(1, m)
+    D = lcm(*(Fraction(c).denominator for x, y, _ in prods for _, c in x + y))
+    acc = [0] * n
+    for x, y, k in prods:
+        vx = [0] * n
+        for j, c in x:
+            vx[j % n] += int(c * D)
+        acc = convolve(vx, [(j + k, int(c * D)) for j, c in y], acc)
+    got = cyc_from_vector(acc, D * D * m)
+    assert encode_cyc(got) == encode_cyc(new) == encode_cyc(old)
+    assert repr(got) == repr(old)
+    assert got.terms == new.terms

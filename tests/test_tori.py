@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,7 +7,10 @@ from toruscheck.lattice import IntMatrix
 from toruscheck.qz import QZ, Cyc
 from toruscheck.groups import FiniteGroup, GroupAction, stabilizer_of_class
 from toruscheck.cohomology import Cochain, tate_group
-from toruscheck.weil import LocalModel, TorusModel, Parameter, tn_iso
+from toruscheck.weil import LocalModel, TorusModel, Parameter, tn_iso, \
+    langlands_character
+from toruscheck.casefile import encode_cyc
+from toruscheck.checks import random_cases
 from toruscheck.tori import (
     build_case,
     compute_h,
@@ -214,6 +218,68 @@ def test_theta_trivial_case_mass():
     assert rep == Cyc.integer(2) and closed == Cyc.integer(2)
 
 
+def _theta_by_cyc(case, s_dot, b, t_vec, a):
+    """theta_value's two sums built one Cyc at a time: the oracle for its
+    accumulation in exponent vectors."""
+    torus, A = case.torus, case.A
+    pkt, table, sel, ext, elems = packet(case)
+    pos = {x: i for i, x in enumerate(elems)}
+    kz = case.kottwitz(s_dot)
+
+    def chi(i, q, x):
+        return table.value(i, ext.element(QZ(0), x)) * Cyc.root(q)
+
+    conjugates = []
+    for c in case.A_z:
+        cac = A.mul(A.mul(c, a), A.inv(c))
+        if cac in pos:
+            ct = torus.comp.act(c, t_vec)
+            conjugates.append((cac, langlands_character(
+                torus, case.phi,
+                tuple(x + y for x, y in zip(ct, case.zeta(c, a))))))
+    rep = Cyc.zero()
+    for i in sel:
+        inner = Cyc.zero()
+        for cac, val in conjugates:
+            inner = inner + chi(i, val + case.h[cac], pos[cac])
+        rep = rep + chi(i, kz, pos[b]) * inner * Fraction(1, len(elems))
+    closed = Cyc.zero()
+    for cac, val in conjugates:
+        if cac == A.inv(b):
+            closed = closed + Cyc.root(val + kz - case.pairing(b))
+    return rep, closed
+
+
+class _ScaledTable:
+    """A character table whose values are multiplied by 1 + e(1/5)/3, so the
+    exponent forms have nonzero exponents at a level finer than the roots
+    theta_value shifts by, and a common denominator above 1."""
+
+    FACTOR = Cyc({QZ(0): 1, QZ(1, 5): Fraction(1, 3)})
+
+    def __init__(self, table):
+        self.table = table
+
+    def value(self, i, g):
+        return self.table.value(i, g) * self.FACTOR
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+def test_theta_value_matches_cyc_arithmetic(scaled):
+    for case in random_cases(random.Random(11), 12):
+        if scaled:
+            pkt, table, sel, ext, elems = packet(case)
+            case._packet = (pkt, _ScaledTable(table), sel, ext, elems)
+        for s in invariant_duals(case.torus)[:2]:
+            for t in invariant_vectors(case.torus)[:2]:
+                for a in case.A_phi_z:
+                    for b in case.A_phi_z:
+                        got = theta_value(case, s, b, t, a)
+                        want = _theta_by_cyc(case, s, b, t, a)
+                        assert [encode_cyc(v) for v in got] == \
+                            [encode_cyc(v) for v in want]
+
+
 def test_theta_vanishing_branch():
     # S3 case: a not conjugate to b^-1 makes all three values zero
     rng = random.Random(0)
@@ -318,3 +384,74 @@ def test_invariant_pairs_nontrivially():
     # h(1) = alpha-bar + pairing is covered by the extension identity tests;
     # pin the exact value here for regression
     assert compute_h(case)[1] == QZ(1, 2)
+
+
+#: Bad inputs for the guards of theta_value and endoscopic_value, the
+#: cocycle identity of Parameter and the norm check of tn_iso, run with
+#: asserts stripped.
+OPTIMIZED_GUARDS = """
+import sys
+
+from toruscheck import tori
+from toruscheck.groups import FiniteGroup, GroupAction
+from toruscheck.lattice import IntMatrix
+from toruscheck.qz import QZ
+from toruscheck.tori import build_case, endoscopic_value, theta_value
+from toruscheck.weil import LocalModel, Parameter, TorusModel, tn_iso
+
+if __debug__:
+    sys.exit("asserts are still enabled")
+
+
+def raises(label, fn):
+    try:
+        fn()
+    except ValueError as e:
+        print("raised", label, "-", e)
+    except Exception as e:
+        print("crashed", label, "-", type(e).__name__)
+    else:
+        print("silent", label)
+
+
+minus = GroupAction.cyclic(2, IntMatrix([[-1]]))
+t = TorusModel(LocalModel(2), minus, minus)
+case = build_case(t, tn_iso(t, (1,)), Parameter(t, (QZ(1, 4),)))
+zero = t.dual_zero()
+raises("theta a", lambda: theta_value(case, zero, 0, (0,), 5))
+raises("theta s", lambda: theta_value(case, (QZ(1, 3),), 0, (0,), 0))
+raises("theta t", lambda: theta_value(case, zero, 0, (1,), 0))
+raises("endoscopic b", lambda: endoscopic_value(case, zero, 7, (0,), 0))
+tori.TRIVIAL_FACTORS["epsilon"] = -1
+raises("endoscopic factors", lambda: endoscopic_value(case, zero, 0, (0,), 0))
+t3 = TorusModel(LocalModel(3), GroupAction.trivial(FiniteGroup.cyclic(3), 1))
+raises("parameter", lambda: Parameter(t3, (QZ(1, 2),)))
+raises("tn_iso", lambda: tn_iso(t3, (1,)))
+"""
+
+
+def test_guards_raise_under_python_O():
+    """The guards raise ValueError, so they still run when Python strips
+    asserts."""
+    import os
+    import subprocess
+    import sys
+
+    import toruscheck
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toruscheck.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_GUARDS],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "raised theta a - element outside the packet group",
+        "raised theta s - s must be Galois-invariant",
+        "raised theta t - t must be Galois-invariant",
+        "raised endoscopic b - element outside the packet group",
+        "raised endoscopic factors - the classical transfer-factor terms of "
+        "a torus must be trivial",
+        "raised parameter - value at the generator must have zero norm "
+        "(cocycle identity)",
+        "raised tn_iso - input must have zero norm",
+    ]

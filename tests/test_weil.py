@@ -79,7 +79,7 @@ def test_tn_iso_examples():
     assert any(H1.classify(z))
     # rejects norm-nonzero input
     t3 = TorusModel(LocalModel(3), GroupAction.trivial(FiniteGroup.cyclic(3), 1))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="zero norm"):
         tn_iso(t3, (1,))
 
 
@@ -224,7 +224,7 @@ def test_parameter_requires_norm_zero():
     t = norm_one_torus(2)  # dual action of sigma is -1 too; N_dual = 0: all ok
     Parameter(t, (QZ(1, 3),))
     t2 = TorusModel(LocalModel(2), GroupAction.trivial(FiniteGroup.cyclic(2), 1))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="cocycle identity"):
         Parameter(t2, (QZ(1, 3),))  # N_dual = 2: 2/3 != 0
 
 
