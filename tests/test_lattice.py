@@ -78,6 +78,13 @@ def test_solve_spec_example():
     assert A.apply((1, 0)) == (2, 6)
 
 
+def test_apply_rejects_a_vector_of_the_wrong_length():
+    A = IntMatrix([[2, 4], [6, 8]])
+    for vec in ((1,), (1, 0, 0), ()):
+        with pytest.raises(ValueError, match="for 2 columns"):
+            A.apply(vec)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
 def test_solve_roundtrip_random(r, c, data):
