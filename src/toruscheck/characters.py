@@ -16,8 +16,11 @@ import itertools
 import threading
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import mul
 
-from .qz import QZ, Cyc, cyc_sum, cyc_div, exponent_form, residue
+from .groups import coset_section
+from .qz import (QZ, Cyc, cyc_sum, cyc_div, cyc_from_vector, exponent_form,
+                 residue)
 
 
 # ---------------------------------------------------------------------------
@@ -65,11 +68,17 @@ def _primitive_root(p):
 
 
 def _mat_mul(A, B, p):
-    k = len(B)
+    """A B over GF(p), reading only the nonzero entries of A (a class
+    matrix is sparse)."""
     m = len(B[0])
-    Bt = [[B[r][c] for r in range(k)] for c in range(m)]
-    return [[sum(a * b for a, b in zip(row, col)) % p for col in Bt]
-            for row in A]
+    out = []
+    for row in A:
+        acc = [0] * m
+        for a, brow in zip(row, B):
+            if a:
+                acc = [x + a * y for x, y in zip(acc, brow)]
+        out.append([x % p for x in acc])
+    return out
 
 
 def _rref(rows, m, p):
@@ -110,17 +119,27 @@ def _nullspace(A, p):
     return basis
 
 
-def _solve_modp(A, b, p):
+def _solve_modp(A, B, p):
+    """X with A X = B over GF(p), for an r x m matrix A and an r x k matrix
+    B of right-hand sides, by one row reduction of [A | B]; free unknowns
+    are 0.  None when some column of B is outside the column space of A.
+
+    >>> _solve_modp([[1, 0], [0, 2], [1, 1]], [[1, 3], [4, 2], [3, 4]], 5)
+    [[1, 3], [2, 1]]
+    >>> _solve_modp([[1], [1]], [[1, 1], [1, 2]], 5) is None
+    True
+    """
     m = len(A[0]) if A else 0
-    rows = [list(r) + [bb] for r, bb in zip(A, b)]
+    k = len(B[0]) if B else 0
+    rows = [list(a) + list(b) for a, b in zip(A, B)]
     pivots = _rref(rows, m, p)
-    for i in range(len(pivots), len(rows)):
-        if rows[i][m] % p:
+    for row in rows[len(pivots):]:
+        if any(x % p for x in row[m:]):
             return None
-    x = [0] * m
-    for i, pc in enumerate(pivots):
-        x[pc] = rows[i][m]
-    return x
+    X = [[0] * k for _ in range(m)]
+    for row, pc in zip(rows, pivots):
+        X[pc] = row[m:]
+    return X
 
 
 def _charpoly(A, p):
@@ -192,6 +211,7 @@ class CharacterTable:
         self.dims = dims
         # irr_with_central_char answers, by (generator index, m, psi1)
         self.central = {}
+        self._forms = None
 
     def value(self, i, g):
         return self.chars[i][self.class_index[g]]
@@ -200,14 +220,34 @@ class CharacterTable:
     def nchars(self):
         return len(self.chars)
 
+    def exponent_forms(self):
+        """(n, D, rows): every value in integers, computed once per table.
+        n is the lcm of the values' levels and D the lcm of their coefficient
+        denominators; rows[i][k] holds the (e, c) pairs with c * e(e/n) the
+        terms of D * chars[i][k], 0 <= e < n."""
+        if self._forms is None:
+            n = 1
+            for row in self.chars:
+                for v in row:
+                    n = lcm(n, v.level())
+            forms = [[exponent_form(v.terms, n) for v in row]
+                     for row in self.chars]
+            D = 1
+            for row in forms:
+                for _, den in row:
+                    D = lcm(D, den)
+            self._forms = (n, D, [
+                [[(k, c * (D // den)) for k, c in pairs] for pairs, den in row]
+                for row in forms])
+        return self._forms
+
     def verify(self):
         """Check the table exactly and return True, or raise ValueError.
 
         Checked: one row per class and one value per class in each row, the
         sum of the squared dims is |G|, the rows are orthonormal and the
-        squared values at the identity sum to |G|.  The values are read once
-        as integer exponent vectors at the common level n with the
-        coefficient denominators cleared by their lcm D, so each Gram entry
+        squared values at the identity sum to |G|.  The values are read as
+        the table's exponent forms, so each Gram entry
         sum_k |C_k| chi_i(k) conj chi_j(k) is a cyclic convolution of ints,
         compared with |G| D^2 delta_ij after one reduction mod Phi_n."""
         G = self.group
@@ -218,18 +258,7 @@ class CharacterTable:
                              "%d values each" % (r, r))
         if sum(d * d for d in self.dims) != G.order:
             raise ValueError("sum of dim^2 fails")
-        n = 1
-        for row in self.chars:
-            for v in row:
-                n = lcm(n, v.level())
-        forms = [[exponent_form(v.terms, n) for v in row]
-                 for row in self.chars]
-        D = 1
-        for row in forms:
-            for _, den in row:
-                D = lcm(D, den)
-        rows = [[[(k, c * (D // den)) for k, c in pairs] for pairs, den in row]
-                for row in forms]
+        n, D, rows = self.exponent_forms()
         sizes = [len(cls) for cls in self.classes]
         # chi_j(k) conjugated (k -> -k mod n) and weighted by |C_k|
         conj = [[[(-k % n, c * s) for k, c in vals]
@@ -303,24 +332,17 @@ def character_table(group):
                 regrouped.append(basis)
                 continue
             d = len(basis)
-            S = [[basis[j][i] for j in range(d)] for i in range(r)]  # r x d
-            MS = _mat_mul(M, S, p)
-            cols = []
-            for j in range(d):
-                col = [MS[i][j] for i in range(r)]
-                sol = _solve_modp(S, col, p)
-                if sol is None:
-                    raise ValueError("class matrix must preserve the space")
-                cols.append(sol)
-            T = [[cols[j][i] for j in range(d)] for i in range(d)]
+            S = [list(col) for col in zip(*basis)]  # r x d
+            # M S = S T: T is M restricted to the space in the basis S
+            T = _solve_modp(S, _mat_mul(M, S, p), p)
+            if T is None:
+                raise ValueError("class matrix must preserve the space")
             for lam in sorted(set(_poly_roots(_charpoly(T, p), p))):
                 Tm = [[(T[i][j] - (lam if i == j else 0)) % p
                        for j in range(d)] for i in range(d)]
                 sub = []
                 for nv in _nullspace(Tm, p):
-                    vec = tuple(sum(S[i][j] * nv[j] for j in range(d)) % p
-                                for i in range(r))
-                    sub.append(vec)
+                    sub.append(tuple(sum(map(mul, row, nv)) % p for row in S))
                 if sub:
                     regrouped.append(sub)
         spaces = regrouped
@@ -348,8 +370,10 @@ def character_table(group):
                 row[j] += wpow[-j * l % h]
         lifts.append((h, [(c, [x * hinv % p for x in row])
                           for c, row in sums.items()]))
+    level = exponent if exponent % 2 == 0 else 2 * exponent
     chars = []
     dims = []
+    keys = []
     for (vec,) in spaces:
         v0 = vec[class_index[0]]
         if v0 % p == 0:
@@ -366,21 +390,36 @@ def character_table(group):
             raise ValueError("no degree squares to |G| / sum |chi|^2")
         chi_p = [(dim * w[k] * csize_inv[k]) % p for k in range(r)]
         values = []
+        key = []
         for h, lift in lifts:
+            acc = [0] * h
+            for c, row in lift:
+                x = chi_p[c]
+                if x:
+                    acc = [a + x * b for a, b in zip(acc, row)]
+            step = level // h
             terms = {}
-            for j in range(h):
-                m = sum(chi_p[c] * row[j] for c, row in lift) % p
+            pairs = []
+            for j, m in enumerate(acc):
+                m %= p
                 if m > dim:
                     raise ValueError("multiplicity lift out of range")
                 if m:
                     terms[QZ(j, h)] = m
+                    pairs.append((j * step, m))
             values.append(Cyc(terms))
+            # the residue mod Phi_level with trailing zeros dropped: the
+            # multiplicities are ints, so this is Cyc.reduced_key(level)
+            # without its level and with ints in place of Fractions
+            res = residue(pairs, level)
+            while res and res[-1] == 0:
+                res.pop()
+            key.append(res)
         chars.append(values)
         dims.append(dim)
+        keys.append(key)
 
-    level = exponent if exponent % 2 == 0 else 2 * exponent
-    order = sorted(range(r), key=lambda i: (
-        dims[i], [v.reduced_key(level) for v in chars[i]]))
+    order = sorted(range(r), key=lambda i: (dims[i], keys[i]))
     table = CharacterTable(G, [chars[i] for i in order],
                            [dims[i] for i in order])
     table.verify()
@@ -487,7 +526,16 @@ def twisted_orthogonality(ext, psi1, e, e2, cache=None):
     if not is_psi_centralizing(ext, psi1, e):
         raise ValueError("element is not psi-centralizing; lemma inapplicable")
     table, sel = irr_with_central_char(ext, psi1, cache)
-    lhs = cyc_sum(table.value(i, e) * table.value(i, e2) for i in sel)
+    # the left side as one group-ring sum of the table's exponent forms
+    n, D, rows = table.exponent_forms()
+    k1, k2 = table.class_index[e], table.class_index[e2]
+    vec = [0] * n
+    for i in sel:
+        row = rows[i]
+        for a, c in row[k1]:
+            for b, d in row[k2]:
+                vec[(a + b) % n] += c * d
+    lhs = cyc_from_vector(vec, D * D)
     E = ext.group
     prod = E.mul(e, e2)
     _, ac = ext.parts(prod)
@@ -814,22 +862,9 @@ def induced_cocycle_check(data, B, A_elems, section):
 
     Returns (beta, cores, equal) with beta and cores tables of Cyc scalars.
     """
-    J, A = data.J, data.A
-    A_index = {g: i for i, g in enumerate(A_elems)}
-    cosets = B.right_cosets(A_elems)
-    coset_of = {}
-    for cs in cosets:
-        for g in cs:
-            coset_of[g] = cs
+    J = data.J
     sec = dict(section)
-    for cs, rep in sec.items():
-        assert rep in cs
-
-    def r_of(b):
-        x = B.mul(b, B.inv(sec[coset_of[b]]))
-        assert x in A_index, "section mismatch"
-        return A_index[x]
-
+    cosets, coset_of, r_of = coset_section(B, A_elems, sec)
     coset_list = list(cosets)
     coset_pos = {cs: i for i, cs in enumerate(coset_list)}
     k = len(coset_list)

@@ -22,7 +22,7 @@ class FiniteGroup:
     """
 
     __slots__ = ("order", "table", "inverse", "_classes", "_name", "_powers",
-                 "table_key")
+                 "_gens", "table_key")
 
     def __init__(self, table, name=None, check=True):
         table = tuple(tuple(row) for row in table)
@@ -31,6 +31,7 @@ class FiniteGroup:
         self._name = name
         self._classes = None
         self._powers = [None] * self.order
+        self._gens = None
         self.table_key = None  # set by characters.TableCache.key
         if check:
             self._check_axioms()
@@ -39,22 +40,30 @@ class FiniteGroup:
     def _check_axioms(self):
         """Raise ValueError unless the table is a group law with identity 0:
         a Latin square whose row and column 0 are the identity map, and
-        associative, which is checked whole rows at a time,
-        row(g_i g_j) = (g_i g_j g_k for k in range(n))."""
+        associative, which is checked by Light's test: row(x a) equals
+        x row(a) for every x and every a in a generating set.  The middle
+        elements a with (x a) y = x (a y) for all x, y are closed under
+        products, so they are all of the table once they hold the
+        generators."""
         n = self.order
         t = self.table
-        ident = list(range(n))
-        rows = [list(row) for row in t]
-        if n == 0 or any(sorted(row) != ident for row in t) or \
-                any(sorted([row[i] for row in t]) != ident for i in ident):
+        ident = tuple(range(n))
+        if n == 0 or any(tuple(sorted(row)) != ident for row in t) or \
+                any(tuple(sorted(col)) != ident for col in zip(*t)):
             raise ValueError("rows and columns must be permutations")
-        if rows[0] != ident or [row[0] for row in t] != ident:
+        if t[0] != ident or tuple(row[0] for row in t) != ident:
             raise ValueError("index 0 must be the identity")
-        for ti in t:
-            row_i = ti.__getitem__
-            for tj, tij in zip(t, ti):
-                if rows[tij] != list(map(row_i, tj)):
+        for a in self.generators():
+            ta = t[a]
+            for tx in t:
+                if t[tx[a]] != tuple(map(tx.__getitem__, ta)):
                     raise ValueError("associativity fails")
+
+    def generators(self):
+        """The generating set of `generators(self.table)`, found once."""
+        if self._gens is None:
+            self._gens = generators(self.table)
+        return self._gens
 
     def mul(self, i, j):
         return self.table[i][j]
@@ -218,30 +227,81 @@ class FiniteGroup:
             self.order, ", %s" % self._name if self._name else "")
 
 
+def generators(table):
+    """A generating set of a Cayley table with identity 0 whose rows are
+    permutations, found by closing under right multiplication: an element
+    not yet reached as a product (...((g1 g2) g3)...) of the earlier
+    generators becomes the next generator.
+
+    >>> generators(FiniteGroup.cyclic(6).table)
+    [1]
+    >>> C2 = FiniteGroup.cyclic(2)
+    >>> generators(FiniteGroup.direct_product(C2, C2).table)
+    [1, 2]
+    >>> generators(FiniteGroup.cyclic(1).table)
+    []
+    """
+    reached = [False] * len(table)
+    reached[0] = True
+    closed = [0]  # closed under right multiplication by every generator
+    gens = []
+    for g in range(len(table)):
+        if reached[g]:
+            continue
+        gens.append(g)
+        new = []
+        for x in closed:
+            y = table[x][g]
+            if not reached[y]:
+                reached[y] = True
+                new.append(y)
+        while new:
+            closed.extend(new)
+            nxt = []
+            for x in new:
+                row = table[x]
+                for a in gens:
+                    y = row[a]
+                    if not reached[y]:
+                        reached[y] = True
+                        nxt.append(y)
+            new = nxt
+    return gens
+
+
 class GroupAction:
     """Action of a FiniteGroup on a lattice Z^r by matrices, one per element.
 
-    Matrices must satisfy every relation of the multiplication table.
+    Matrices must satisfy every relation of the multiplication table:
+    m[x s] = m[x] m[s] is checked for every x and every s in the group's
+    generating set, which gives it for every s by induction on products.
+    Raises ValueError otherwise.
     """
 
     __slots__ = ("group", "rank", "matrices")
 
     def __init__(self, group, matrices, check=True):
-        assert len(matrices) == group.order
+        if len(matrices) != group.order:
+            raise ValueError("need one matrix per group element")
         self.group = group
         self.matrices = tuple(matrices)
         self.rank = matrices[0].rows
         if check:
-            ident = IntMatrix.identity(self.rank)
-            assert self.matrices[0] == ident, "identity must act trivially"
-            for m in self.matrices:
-                assert m.rows == m.cols == self.rank
-                assert m.is_unimodular(), "action must be by automorphisms"
-            for i in range(group.order):
-                for j in range(group.order):
-                    assert (self.matrices[i] * self.matrices[j]
-                            == self.matrices[group.mul(i, j)]), \
-                        "matrices must satisfy the group relations"
+            mats = self.matrices
+            if mats[0] != IntMatrix.identity(self.rank):
+                raise ValueError("identity must act trivially")
+            for m in mats:
+                if not m.rows == m.cols == self.rank:
+                    raise ValueError("matrices must be square of the "
+                                     "lattice's rank")
+                if not m.is_unimodular():
+                    raise ValueError("action must be by automorphisms")
+            for s in group.generators():
+                ms = mats[s]
+                for x, mx in enumerate(mats):
+                    if mx * ms != mats[group.mul(x, s)]:
+                        raise ValueError(
+                            "matrices must satisfy the group relations")
 
     @classmethod
     def cyclic(cls, n, matrix):
@@ -298,15 +358,18 @@ class Cocycle2:
         G = self.group
         zero = m["zero"]
         for a in range(G.order):
-            assert m["eq"](self(a, 0), zero), "not normalized in 2nd slot"
-            assert m["eq"](self(0, a), zero), "not normalized in 1st slot"
+            if not m["eq"](self(a, 0), zero):
+                raise ValueError("not normalized in 2nd slot")
+            if not m["eq"](self(0, a), zero):
+                raise ValueError("not normalized in 1st slot")
         for a in range(G.order):
             for b in range(G.order):
                 for c in range(G.order):
                     lhs = m["add"](
                         m["sub"](m["act"](a, self(b, c)), self(G.mul(a, b), c)),
                         m["sub"](self(a, G.mul(b, c)), self(a, b)))
-                    assert m["eq"](lhs, zero), "2-cocycle identity fails"
+                    if not m["eq"](lhs, zero):
+                        raise ValueError("2-cocycle identity fails")
 
     @classmethod
     def zero(cls, group, module=None):
@@ -366,6 +429,30 @@ def qz_module():
     }
 
 
+def coset_section(B, A_elems, section):
+    """Right cosets of the subgroup A (given inside B by the element list
+    A_elems) with the representative `section[c]` chosen in each coset c.
+
+    Returns (cosets, coset_of, r): the cosets as B.right_cosets lists them,
+    the coset of each element of B, and r(b), the index in A_elems of the
+    element with b = r(b) s(coset of b).  Raises ValueError when the section
+    misses a coset or chooses outside one, or when b s^-1 is not in A."""
+    A_index = {g: i for i, g in enumerate(A_elems)}
+    cosets = B.right_cosets(A_elems)
+    coset_of = {g: cs for cs in cosets for g in cs}
+    if any(cs not in section for cs in cosets) \
+            or any(rep not in cs for cs, rep in section.items()):
+        raise ValueError("section must choose inside each coset")
+
+    def r(b):
+        x = B.mul(b, B.inv(section[coset_of[b]]))
+        if x not in A_index:
+            raise ValueError("section/decomposition mismatch")
+        return A_index[x]
+
+    return cosets, coset_of, r
+
+
 def corestriction_cocycle(alpha, B, A_elems, section):
     """Transfer a QZ-valued 2-cocycle alpha on the subgroup A (given inside B
     by the element list A_elems) to a 2-cocycle on B.
@@ -376,32 +463,15 @@ def corestriction_cocycle(alpha, B, A_elems, section):
 
         beta(b1, b2) = sum_c alpha(r(s(c) b1), r(s(c b1) b2)).
     """
-    A_set = list(A_elems)
-    A_index = {g: i for i, g in enumerate(A_set)}
-    cosets = B.right_cosets(A_set)
-    coset_of = {}
-    for cs in cosets:
-        for g in cs:
-            coset_of[g] = cs
-    for cs, rep in section.items():
-        assert rep in cs, "section must choose inside each coset"
-
-    def r(b):
-        s = section[coset_of[b]]
-        x = B.mul(b, B.inv(s))
-        assert x in A_index, "section/decomposition mismatch"
-        return x
-
+    cosets, coset_of, r = coset_section(B, A_elems, section)
     vals = {}
     for b1 in range(B.order):
         for b2 in range(B.order):
             total = QZ(0)
             for cs in cosets:
-                s_c = section[cs]
-                sb1 = B.mul(s_c, b1)
+                sb1 = B.mul(section[cs], b1)
                 s_cb1 = section[coset_of[sb1]]
-                total = total + alpha(A_index[r(sb1)],
-                                      A_index[r(B.mul(s_cb1, b2))])
+                total = total + alpha(r(sb1), r(B.mul(s_cb1, b2)))
             vals[(b1, b2)] = total
     return Cocycle2(B, vals, alpha.module)
 

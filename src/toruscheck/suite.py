@@ -10,6 +10,7 @@ are reproducible."""
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .lattice import IntMatrix
 from .qz import QZ
@@ -79,6 +80,15 @@ def _cyclic_action(group_order, matrix, rank):
 def action_templates(rng):
     """Pairs (galois_action, comp_action) with commuting actions, drawn at
     random from the wired templates."""
+    return rng.choice(_templates())
+
+
+@lru_cache(maxsize=None)
+def _templates():
+    """The wired (Galois order, Galois matrix, component action) templates,
+    built and checked once per process.  Every case drawn from one shares
+    its objects: IntMatrix and GroupAction are immutable, and a FiniteGroup
+    only caches what it derives from its own table."""
     swap2 = IntMatrix([[0, 1], [1, 0]])
     choices = []
 
@@ -121,8 +131,7 @@ def action_templates(rng):
     choices.append((2, plane_swap, GroupAction.cyclic(4, rot4_diag)))
     # rank 4: Q = Z/6 rotation block plus sign block, A = (Z/2)^2-ish cyclic
     add(6, _block_diag([ROTATIONS[6], _neg(2)]), _cyclic_action(2, _neg(4), 4))
-    n, gmat, comp = rng.choice(choices)
-    return n, gmat, comp
+    return tuple(choices)
 
 
 def random_z(torus, rng):

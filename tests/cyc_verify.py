@@ -1,14 +1,19 @@
-"""Reference implementation for differential tests: the earlier
-``CharacterTable.verify``, which checks a table in ``Cyc`` arithmetic (one
-``Cyc`` inner product per pair of rows, each compared by ``Cyc`` equality),
-kept apart from returning False where it asserted.
+"""Reference implementations for differential tests, in ``Cyc`` arithmetic:
+
+* the earlier ``CharacterTable.verify`` (one ``Cyc`` inner product per pair
+  of rows, each compared by ``Cyc`` equality), kept apart from returning
+  False where it asserted;
+* the earlier left side of ``twisted_orthogonality``, a ``cyc_sum`` of
+  ``Cyc`` products over ``Irr(E, psi)``.
 
 Nothing in the package imports this module.  test_characters.py checks the
-integer ``CharacterTable.verify`` against it on perturbed tables.
+integer ``CharacterTable.verify`` against it on perturbed tables, and the
+integer left side of ``twisted_orthogonality`` against it on extensions.
 """
 
 from fractions import Fraction
 
+from toruscheck.characters import irr_with_central_char
 from toruscheck.qz import Cyc, cyc_sum
 
 
@@ -33,3 +38,10 @@ def verify(table):
     col = cyc_sum(table.chars[i][0] * table.chars[i][0]
                   for i in range(table.nchars))
     return col == Cyc.integer(G.order)
+
+
+def twisted_lhs(ext, psi1, e, e2, cache=None):
+    """sum over tau in Irr(E, psi) of chi_tau(e) chi_tau(e2), one Cyc at a
+    time."""
+    table, sel = irr_with_central_char(ext, psi1, cache)
+    return cyc_sum(table.value(i, e) * table.value(i, e2) for i in sel)

@@ -1,3 +1,5 @@
+import importlib.util
+import math
 import os
 import random
 import subprocess
@@ -8,6 +10,7 @@ import pytest
 
 import cyc_verify
 from toruscheck import characters
+from toruscheck.casefile import encode_cyc
 from toruscheck.checks import scalar_datum
 from toruscheck.lattice import IntMatrix
 from toruscheck.qz import QZ, Cyc, cyc_div
@@ -636,3 +639,135 @@ def test_block_twisted_trace():
                        for _ in range(dim)])
         lhs, rhs, ok = block_twisted_trace(phis, T)
         assert ok
+
+
+def _solve_column(A, b, p):
+    """One right-hand side at a time, as the eigenspace split solved before
+    it batched the columns."""
+    m = len(A[0]) if A else 0
+    rows = [list(r) + [bb] for r, bb in zip(A, b)]
+    pivots = characters._rref(rows, m, p)
+    for i in range(len(pivots), len(rows)):
+        if rows[i][m] % p:
+            return None
+    x = [0] * m
+    for i, pc in enumerate(pivots):
+        x[pc] = rows[i][m]
+    return x
+
+
+def test_solve_modp_matches_per_column_solves():
+    """The matrix solve gives the per-column solutions side by side, and
+    None as soon as one column is inconsistent."""
+    p = 13
+    assert characters._solve_modp([[1, 0], [0, 1], [0, 0]],
+                                  [[1, 0], [2, 0], [0, 1]], p) is None
+    assert _solve_column([[1, 0], [0, 1], [0, 0]], [1, 2, 0], p) == [1, 2]
+    rng = random.Random("solve-modp")
+    outcomes = set()
+    for trial in range(300):
+        r, k = rng.randint(1, 6), rng.randint(1, 4)
+        m = rng.randint(1, r)
+        A = [[rng.randrange(p) for _ in range(m)] for _ in range(r)]
+        if trial % 4 == 0:  # a repeated column: free unknowns
+            for row in A:
+                row[-1] = row[0]
+        X = [[rng.randrange(p) for _ in range(k)] for _ in range(m)]
+        B = [[sum(a * x for a, x in zip(row, col)) % p for col in zip(*X)]
+             for row in A]
+        if trial % 3 == 0:
+            j = rng.randrange(k)
+            for row in B:
+                row[j] = rng.randrange(p)
+        got = characters._solve_modp(A, B, p)
+        cols = [_solve_column(A, [row[j] for row in B], p) for j in range(k)]
+        if any(c is None for c in cols):
+            assert got is None
+            outcomes.add("inconsistent")
+            continue
+        assert got == [list(row) for row in zip(*cols)]
+        assert [[sum(a * x for a, x in zip(row, col)) % p
+                 for col in zip(*got)] for row in A] == B
+        outcomes.add("solved")
+    assert outcomes == {"inconsistent", "solved"}
+
+
+def _perfbench_workloads():
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_row_order_is_the_reduced_key_order():
+    """character_table sorts its rows by int residues; the order is the one
+    of Cyc.reduced_key at the table's level, on every perfbench table item
+    and every extension of acceptance criterion 3."""
+    from test_acceptance import extension_fixtures
+
+    groups = []
+    for name, _, make in _perfbench_workloads().TABLE_ITEMS:
+        built = make()
+        if not isinstance(built, FiniteGroup):
+            base, m, vals = built
+            built = CentralExtension(base, m, Cocycle2(base, vals)).group
+        groups.append(built)
+    groups += [ext.group for ext in extension_fixtures()]
+    for G in groups:
+        t = character_table(G)
+        exponent = 1
+        for g in range(G.order):
+            exponent = math.lcm(exponent, G.element_order(g))
+        level = exponent if exponent % 2 == 0 else 2 * exponent
+        keys = [(d, [v.reduced_key(level) for v in row])
+                for d, row in zip(t.dims, t.chars)]
+        assert all(a < b for a, b in zip(keys, keys[1:])), G
+
+
+def _klein_split():
+    K = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
+    return CentralExtension(K, 2, Cocycle2.zero(K))
+
+
+TWISTED_ORACLE = {
+    "klein": _klein_split,
+    "mu2xD6": lambda: CentralExtension(
+        FiniteGroup.dihedral(6), 2, Cocycle2.zero(FiniteGroup.dihedral(6))),
+    "mu4.C4": lambda: CentralExtension(
+        FiniteGroup.cyclic(4), 4, Cocycle2(FiniteGroup.cyclic(4), {
+            (i, j): QZ((i + j) // 4, 4) for i in range(4) for j in range(4)})),
+    "Q8": q8_extension,
+}
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+@pytest.mark.parametrize("name", list(TWISTED_ORACLE))
+def test_twisted_lhs_matches_cyc_sum(name, scaled):
+    """The left side summed over the table's exponent forms has the terms of
+    the Cyc-at-a-time sum, for every psi of order dividing m, every
+    psi-centralizing e and every e2.  A computed table has integer
+    coefficients, so the scaled run puts a table with every value times
+    1 + e(1/5)/3 in the cache, which reaches a level past the group's
+    exponent and a denominator D = 3."""
+    ext = TWISTED_ORACLE[name]()
+    cache = TableCache()
+    if scaled:
+        t = character_table(ext.group)
+        c = Cyc.integer(1) + Cyc.root(QZ(1, 5), Fraction(1, 3))
+        cache._tables[cache.key(ext.group)] = CharacterTable(
+            ext.group, [[v * c for v in row] for row in t.chars], t.dims)
+    compared = 0
+    for k in range(ext.m):
+        psi = QZ(k, ext.m)
+        for e in range(ext.group.order):
+            if not is_psi_centralizing(ext, psi, e):
+                continue
+            for e2 in range(ext.group.order):
+                lhs, _, _ = twisted_orthogonality(ext, psi, e, e2, cache)
+                old = cyc_verify.twisted_lhs(ext, psi, e, e2, cache)
+                assert lhs.terms == old.terms
+                assert encode_cyc(lhs) == encode_cyc(old)
+                compared += 1
+    assert compared >= ext.group.order

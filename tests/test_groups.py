@@ -1,6 +1,12 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import toruscheck
 
 from toruscheck.lattice import IntMatrix
 from toruscheck.qz import QZ
@@ -10,6 +16,8 @@ from toruscheck.groups import (
     Cocycle2,
     CentralExtension,
     corestriction_cocycle,
+    coset_section,
+    generators,
     induced_action,
     decompose_induced_automorphism,
     reconstruct_induced_automorphism,
@@ -47,7 +55,7 @@ def test_group_action_checks():
     sigma = IntMatrix([[-1]])
     act = GroupAction.cyclic(2, sigma)
     assert act.act(1, (3,)) == (-3,)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="group relations"):
         GroupAction.cyclic(3, sigma)  # order 2 matrix cannot define a C3 action
 
 
@@ -87,7 +95,7 @@ def test_cocycle_validation_and_coboundary():
     alpha = Cocycle2(C2, vals)
     beta = alpha.shift_by_coboundary({0: QZ(0), 1: QZ(1, 4)})
     beta.validate()
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="not normalized"):
         bad = {(a, b): QZ(1, 3) if (a, b) == (1, 1) else QZ(0)
                for a in range(2) for b in range(2)}
         bad[(0, 1)] = QZ(1, 3)  # breaks normalization
@@ -262,7 +270,7 @@ def test_induced_automorphism_roundtrip_random():
             sub = [mats[d] for d in delta]
             try:
                 act, cosets = induced_action(gamma, delta, sub, x_rank)
-            except AssertionError:
+            except ValueError:
                 continue
             # random valid automorphism built via reconstruction, then round-trip
             for _ in range(5):
@@ -284,3 +292,230 @@ def test_induced_automorphism_roundtrip_random():
                 assert back == a
                 checked += 1
     assert checked >= 20
+
+
+def _associative(t):
+    n = len(t)
+    return all(t[t[x][y]][z] == t[x][t[y][z]]
+               for x in range(n) for y in range(n) for z in range(n))
+
+
+def _light_accepts(t):
+    try:
+        FiniteGroup(t)
+    except ValueError as e:
+        assert str(e) == "associativity fails"
+        return False
+    return True
+
+
+def _normalized_latin_squares(n, rng=None):
+    """Latin squares on range(n) with row 0 and column 0 the identity, by
+    backtracking over the cells in row order: all of them, or with rng a
+    stream of random ones (candidates tried in random order)."""
+    t = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(c):
+        if c == len(cells):
+            yield tuple(tuple(row) for row in t)
+            return
+        i, j = cells[c]
+        used = set(t[i][:j]) | {t[k][j] for k in range(i)}
+        free = [v for v in range(n) if v not in used]
+        if rng is not None:
+            rng.shuffle(free)
+        for v in free:
+            t[i][j] = v
+            yield from fill(c + 1)
+        t[i][j] = None
+
+    return fill(0)
+
+
+def test_light_test_matches_all_triples_on_small_latin_squares():
+    """Every normalized Latin square of order 1 to 5 (63 of them): the
+    table is accepted exactly when all n^3 triples associate."""
+    seen = {True: 0, False: 0}
+    for n in range(1, 6):
+        for t in _normalized_latin_squares(n):
+            expected = _associative(t)
+            assert _light_accepts(t) == expected, t
+            seen[expected] += 1
+    assert sum(seen.values()) == 63 and seen[False] > 0 and seen[True] > 0
+
+
+def _relabeled(t, rng):
+    """The table under a random relabeling that fixes the identity 0."""
+    n = len(t)
+    perm = [0] + rng.sample(range(1, n), n - 1)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[perm[a]][perm[b]] = perm[t[a][b]]
+    return out
+
+
+def _intercalate_swaps(t):
+    """Loops one 2x2 swap away from the table: wherever rows i, k and
+    columns j, l (none of them 0) hold a b / b a, exchange a and b."""
+    n = len(t)
+    for i, k in itertools.combinations(range(1, n), 2):
+        for j, l in itertools.combinations(range(1, n), 2):
+            if t[i][j] == t[k][l] and t[i][l] == t[k][j]:
+                out = [list(row) for row in t]
+                out[i][j], out[i][l] = t[i][l], t[i][j]
+                out[k][j], out[k][l] = t[k][l], t[k][j]
+                yield out
+
+
+def test_light_test_matches_all_triples_on_loops_of_order_6_to_8():
+    """Seeded loops of order 6 to 8: random normalized Latin squares, the
+    groups of those orders relabeled at random, and loops one intercalate
+    swap away from a group, which fail associativity on few triples."""
+    rng = random.Random("light")
+    C2 = FiniteGroup.cyclic(2)
+    tables = []
+    for n in (6, 7, 8):
+        squares = _normalized_latin_squares(n, rng)
+        tables += [next(squares) for _ in range(10)]
+    for G in [FiniteGroup.cyclic(6), FiniteGroup.symmetric(3),
+              FiniteGroup.cyclic(7), FiniteGroup.cyclic(8),
+              FiniteGroup.dihedral(4),
+              FiniteGroup.direct_product(C2, FiniteGroup.cyclic(4)),
+              FiniteGroup.direct_product(C2, FiniteGroup.direct_product(C2, C2)),
+              _q8()]:
+        t = _relabeled(G.table, rng)
+        tables.append(t)
+        tables += list(itertools.islice(_intercalate_swaps(t), 4))
+    seen = {True: 0, False: 0}
+    for t in tables:
+        expected = _associative(t)
+        assert _light_accepts(t) == expected, t
+        seen[expected] += 1
+    assert seen[True] >= 8 and seen[False] >= 30
+
+
+def _q8():
+    """The quaternion group, as the unit quaternions +-1, +-i, +-j, +-k."""
+    units = {"1": (1, "1"), "i": (1, "i"), "j": (1, "j"), "k": (1, "k")}
+    prod = {("1", x): (1, x) for x in "1ijk"}
+    prod.update({(x, "1"): (1, x) for x in "1ijk"})
+    prod.update({("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"),
+                 ("k", "k"): (-1, "1"), ("i", "j"): (1, "k"),
+                 ("j", "k"): (1, "i"), ("k", "i"): (1, "j"),
+                 ("j", "i"): (-1, "k"), ("k", "j"): (-1, "i"),
+                 ("i", "k"): (-1, "j")})
+    elems = [(s, u) for s in (1, -1) for u in units]
+    index = {e: i for i, e in enumerate(elems)}
+    table = []
+    for s1, u1 in elems:
+        row = []
+        for s2, u2 in elems:
+            s, u = prod[(u1, u2)]
+            row.append(index[(s1 * s2 * s, u)])
+        table.append(row)
+    return FiniteGroup(table)
+
+
+def test_generators_generate():
+    """Closing {0} under right multiplication by the generators reaches
+    every element, and no generator is a product of the earlier ones."""
+    for G in [FiniteGroup.cyclic(1), FiniteGroup.cyclic(12),
+              FiniteGroup.symmetric(4), FiniteGroup.dihedral(6), _q8(),
+              FiniteGroup.direct_product(FiniteGroup.cyclic(2),
+                                         FiniteGroup.symmetric(3))]:
+        gens = generators(G.table)
+        assert gens == G.generators()
+        for k in range(len(gens) + 1):
+            assert (gens[k] not in G.subgroup_closure(gens[:k])
+                    if k < len(gens) else
+                    G.subgroup_closure(gens) == list(range(G.order)))
+
+
+def test_coset_section_rejects_bad_sections():
+    C4 = FiniteGroup.cyclic(4)
+    good = {(0, 2): 0, (1, 3): 3}
+    cosets, coset_of, r = coset_section(C4, [0, 2], good)
+    assert cosets == [(0, 2), (1, 3)] and coset_of[1] == (1, 3)
+    # b = r(b) s(coset of b): 1 = 2 + 3 in C4, and 2 is A_elems[1]
+    assert [r(b) for b in range(4)] == [0, 1, 1, 0]
+    for bad in [{(0, 2): 0, (1, 3): 2}, {(0, 2): 0}]:
+        with pytest.raises(ValueError, match="section must choose"):
+            coset_section(C4, [0, 2], bad)
+    # {0, 1} is not a subgroup of C4: 3 - 1 = 2 is outside it
+    _, _, r = coset_section(C4, [0, 1], {(0, 1): 0, (1, 2): 1, (2, 3): 3,
+                                         (0, 3): 3})
+    with pytest.raises(ValueError, match="mismatch"):
+        [r(b) for b in range(4)]
+
+
+#: Under python -O: a QZ cochain on C3 that is normalized but not a cocycle,
+#: a constant cocycle (not normalized), an action of C2 x C2 that keeps
+#: every relation through one generator and breaks one through the other, a
+#: section that picks outside its coset, and the same action in a case
+#: file, which must exit 2 naming the field.
+OPTIMIZED_CHECKS = """
+import contextlib, io, json, os, sys, tempfile
+from toruscheck.cli import main
+from toruscheck.groups import (Cocycle2, FiniteGroup, GroupAction,
+                               corestriction_cocycle)
+from toruscheck.lattice import IntMatrix
+from toruscheck.qz import QZ
+
+if __debug__:
+    sys.exit("asserts are still enabled")
+
+
+def attempt(label, make):
+    try:
+        make()
+        print(label, "accepted")
+    except ValueError as e:
+        print(label, "rejected:", e)
+
+
+C3 = FiniteGroup.cyclic(3)
+C4 = FiniteGroup.cyclic(4)
+K = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
+attempt("non-cocycle", lambda: Cocycle2(C3, {
+    (a, b): QZ(1, 2) if (a, b) == (1, 1) else QZ(0)
+    for a in range(3) for b in range(3)}))
+attempt("non-normalized", lambda: Cocycle2(C3, {
+    (a, b): QZ(1, 2) for a in range(3) for b in range(3)}))
+# m(x + (0, 1)) = m(x) m(0, 1) holds for every x; m(0, 1) m(1, 0) differs
+# from m(1, 1) = m(1, 0) m(0, 1), since the swap and the sign do not commute
+swap, sign = IntMatrix([[0, 1], [1, 0]]), IntMatrix([[-1, 0], [0, 1]])
+mats = [IntMatrix.identity(2), swap, sign, sign * swap]
+attempt("action", lambda: GroupAction(K, mats))
+attempt("section", lambda: corestriction_cocycle(
+    Cocycle2.zero(FiniteGroup.cyclic(2)), C4, [0, 2], {(0, 2): 0, (1, 3): 2}))
+doc = {"schema": 1, "rank": 2, "galois": {"order": 1, "matrix": [[1, 0], [0, 1]]},
+       "component": {"kind": "table", "table": [list(r) for r in K.table],
+                     "matrices": [[list(r) for r in m.data] for m in mats]},
+       "z": [[0, 0]], "phi": ["0", "0"]}
+with tempfile.TemporaryDirectory() as d:
+    path = os.path.join(d, "case.json")
+    with open(path, "w") as f:
+        json.dump(doc, f)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["tori-verify", "--input", path])
+    print("case file exit", code, err.getvalue().strip())
+"""
+
+
+def test_group_checks_run_under_python_O():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toruscheck.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "non-cocycle rejected: 2-cocycle identity fails",
+        "non-normalized rejected: not normalized in 2nd slot",
+        "action rejected: matrices must satisfy the group relations",
+        "section rejected: section must choose inside each coset",
+        "case file exit 2 error: component.matrices: matrices must satisfy "
+        "the group relations",
+    ]
