@@ -60,9 +60,48 @@ class FiniteGroup:
                     raise ValueError("associativity fails")
 
     def generators(self):
-        """The generating set of `generators(self.table)`, found once."""
+        """A generating set, found once by closing under right
+        multiplication: an element not yet reached as a product
+        (...((g1 g2) g3)...) of the earlier generators becomes the next
+        generator.  Needs only a table with identity 0 whose rows are
+        permutations, so the associativity check can use it.
+
+        >>> FiniteGroup.cyclic(6).generators()
+        [1]
+        >>> C2 = FiniteGroup.cyclic(2)
+        >>> FiniteGroup.direct_product(C2, C2).generators()
+        [1, 2]
+        >>> FiniteGroup.cyclic(1).generators()
+        []
+        """
         if self._gens is None:
-            self._gens = generators(self.table)
+            t = self.table
+            reached = [False] * self.order
+            reached[0] = True
+            closed = [0]  # closed under right multiplication by every gen
+            gens = []
+            for g in range(self.order):
+                if reached[g]:
+                    continue
+                gens.append(g)
+                new = []
+                for x in closed:
+                    y = t[x][g]
+                    if not reached[y]:
+                        reached[y] = True
+                        new.append(y)
+                while new:
+                    closed.extend(new)
+                    nxt = []
+                    for x in new:
+                        row = t[x]
+                        for a in gens:
+                            y = row[a]
+                            if not reached[y]:
+                                reached[y] = True
+                                nxt.append(y)
+                    new = nxt
+            self._gens = gens
         return self._gens
 
     def mul(self, i, j):
@@ -225,48 +264,6 @@ class FiniteGroup:
     def __repr__(self):
         return "FiniteGroup(order=%d%s)" % (
             self.order, ", %s" % self._name if self._name else "")
-
-
-def generators(table):
-    """A generating set of a Cayley table with identity 0 whose rows are
-    permutations, found by closing under right multiplication: an element
-    not yet reached as a product (...((g1 g2) g3)...) of the earlier
-    generators becomes the next generator.
-
-    >>> generators(FiniteGroup.cyclic(6).table)
-    [1]
-    >>> C2 = FiniteGroup.cyclic(2)
-    >>> generators(FiniteGroup.direct_product(C2, C2).table)
-    [1, 2]
-    >>> generators(FiniteGroup.cyclic(1).table)
-    []
-    """
-    reached = [False] * len(table)
-    reached[0] = True
-    closed = [0]  # closed under right multiplication by every generator
-    gens = []
-    for g in range(len(table)):
-        if reached[g]:
-            continue
-        gens.append(g)
-        new = []
-        for x in closed:
-            y = table[x][g]
-            if not reached[y]:
-                reached[y] = True
-                new.append(y)
-        while new:
-            closed.extend(new)
-            nxt = []
-            for x in new:
-                row = table[x]
-                for a in gens:
-                    y = row[a]
-                    if not reached[y]:
-                        reached[y] = True
-                        nxt.append(y)
-            new = nxt
-    return gens
 
 
 class GroupAction:

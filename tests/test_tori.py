@@ -455,3 +455,26 @@ def test_guards_raise_under_python_O():
         "(cocycle identity)",
         "raised tn_iso - input must have zero norm",
     ]
+
+
+def test_suite_templates_are_shared_and_left_unchanged():
+    """random_case_data draws from one tuple of templates per process, and
+    running cases built from them changes no matrix or group table in it."""
+    from toruscheck import suite
+
+    def snapshot(templates):
+        return [(n, gmat.data, comp.group.table,
+                 tuple(m.data for m in comp.matrices))
+                for n, gmat, comp in templates]
+
+    templates = suite._templates()
+    before = snapshot(templates)
+    rng = random.Random(7)
+    for _ in range(12):
+        torus, z, phi = random_case_data(rng)
+        assert any(torus.comp is comp for _, _, comp in templates)
+        case = build_case(torus, z, phi)
+        compute_h(case)
+        packet(case)
+    assert suite._templates() is templates
+    assert snapshot(templates) == before
