@@ -189,7 +189,7 @@ def load_case(doc):
     comp = _component_action(doc.get("component") or {"kind": "trivial"}, rank)
     try:
         torus = TorusModel(LocalModel(n), galois, comp)
-    except AssertionError as e:
+    except ValueError as e:
         raise CaseFileError("component", str(e))
 
     ztab = doc.get("z")

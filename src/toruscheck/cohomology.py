@@ -11,6 +11,7 @@ central extensions built from representatives are canonical.
 from __future__ import annotations
 
 import itertools
+from operator import add, mul, sub
 
 from .lattice import (
     IntMatrix,
@@ -117,23 +118,20 @@ class Cochain:
 
     def d(self):
         """Coboundary: (dx)(g0..gn) = g0.x(g1..gn) + sum (-1)^i x(..gi gi+1..)
-        + (-1)^(n+1) x(g0..gn-1)."""
+        + (-1)^(n+1) x(g0..gn-1), read from the group's face table."""
         gm = self.gmod
-        Q = gm.group
-        n = self.degree
+        mats = [m.data for m in gm.mats]
+        tab = self.table
         out = {}
-        for t in tuples(Q, n + 1):
-            acc = list(gm.act(t[0], self.table[t[1:]]))
-            sign = -1
-            for i in range(n):
-                merged = t[:i] + (Q.mul(t[i], t[i + 1]),) + t[i + 2:]
-                v = self.table[merged]
-                acc = [a + sign * b for a, b in zip(acc, v)]
-                sign = -sign
-            v = self.table[t[:-1]]
-            acc = [a + sign * b for a, b in zip(acc, v)]
+        for t, g, first, minus, plus in face_table(gm.group, self.degree):
+            x = tab[first]
+            acc = [sum(map(mul, row, x)) for row in mats[g]]
+            for f in minus:
+                acc = list(map(sub, acc, tab[f]))
+            for f in plus:
+                acc = list(map(add, acc, tab[f]))
             out[t] = tuple(acc)
-        return Cochain(gm, n + 1, out)
+        return Cochain(gm, self.degree + 1, out)
 
     def to_vector(self):
         ts = tuples(self.gmod.group, self.degree)
@@ -150,8 +148,28 @@ class Cochain:
         return cls(gmod, degree, table)
 
 
+_face_cache = Memo()
 _d_matrix_cache = Memo()
 _tate_cache = Memo()
+
+
+def face_table(group, n):
+    """The faces of the coboundary C^n -> C^(n+1), built once per group
+    table and degree: for each key t of Q^(n+1) in `tuples` order, the tuple
+    (t, t[0], t[1:], minus, plus), where minus and plus hold the merged keys
+    and t[:-1] that enter (dx)(t) with sign -1 and +1."""
+    return _face_cache.get_or_compute((group.table, n), _build_face_table,
+                                      group, n)
+
+
+def _build_face_table(group, n):
+    law = group.table
+    rows = []
+    for t in tuples(group, n + 1):
+        faces = [t[:i] + (law[t[i]][t[i + 1]],) + t[i + 2:]
+                 for i in range(n)] + [t[:-1]]
+        rows.append((t, t[0], t[1:], tuple(faces[0::2]), tuple(faces[1::2])))
+    return tuple(rows)
 
 
 def _module_key(gmod):

@@ -266,13 +266,19 @@ def solve_integer(A, b):
     The solution is deterministic: it has all free SNF coordinates equal
     to zero, so downstream constructions built on it are reproducible.
     """
+    return solve_snf(snf_cached(A), b)
+
+
+def solve_snf(snf, b):
+    """solve_integer for the matrix A whose smith_normal_form is snf, for
+    callers that keep the SNF of a system they solve many times."""
+    U, D, V = snf
     b = tuple(int(x) for x in b)
-    assert len(b) == A.rows
-    U, D, V = snf_cached(A)
+    assert len(b) == D.rows
     c = U.apply(b)
-    n = min(A.rows, A.cols)
-    y = [0] * A.cols
-    for i in range(A.rows):
+    n = min(D.rows, D.cols)
+    y = [0] * D.cols
+    for i in range(D.rows):
         d = D.data[i][i] if i < n else 0
         if d == 0:
             if c[i] != 0:
@@ -280,7 +286,7 @@ def solve_integer(A, b):
         else:
             if c[i] % d != 0:
                 return None
-            if i < A.cols:
+            if i < D.cols:
                 y[i] = c[i] // d
     return V.apply(y)
 

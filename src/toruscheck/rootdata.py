@@ -13,11 +13,14 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import lcm
+from operator import mul, sub
+from typing import NamedTuple
 
-from .lattice import IntMatrix, FGAbelian, Memo, Subquotient, solve_integer
-from .qz import QZ
+from .lattice import IntMatrix, FGAbelian, Memo, Subquotient, \
+    smith_normal_form, solve_integer, solve_snf
 from .groups import FiniteGroup
-from .cohomology import GModule, Cochain, tate_group
+from .cohomology import GModule, Cochain, CohomologyGroup, d_matrix, \
+    tate_group, tuples
 
 
 def cartan_matrix(label):
@@ -102,15 +105,15 @@ _twist_cache = Memo()
 
 
 def _per_twist(method):
-    """Memoize a TwistData method on the twist datum's content, its Cartan
-    matrix, n, galois_perm and a_perm, and the method's permutation
-    arguments."""
+    """Memoize a TwistData method on the twist datum's content (its Cartan
+    matrix, n, galois_perm and a_perm) and the method's arguments:
+    permutations, ints, and twist data, the last again by content."""
     @functools.wraps(method)
-    def memoized(self, *perms):
-        perms = tuple(tuple(p) for p in perms)
-        key = (self.datum.cartan.data, self.n, self.galois_perm, self.a_perm,
-               method.__name__) + perms
-        return _twist_cache.get_or_compute(key, method, self, *perms)
+    def memoized(self, *args):
+        key = (method.__name__, self.key) + tuple(
+            a.key if isinstance(a, TwistData)
+            else a if isinstance(a, int) else tuple(a) for a in args)
+        return _twist_cache.get_or_compute(key, method, self, *args)
     return memoized
 
 
@@ -146,6 +149,7 @@ class TwistData:
             p = [g[i] for i in p]
         if p != list(range(r)):
             raise ValueError("the order of galois_perm must divide n")
+        self.key = (C, n, g, a)
 
     @_per_twist
     def center_action_matrix(self, perm):
@@ -192,12 +196,114 @@ class TwistData:
             mats.append(g1 * mats[-1])
         return GModule.finite(FiniteGroup.cyclic(self.n), ds, mats)
 
-    def eval_xi_on(self, m_coords, center_coords):
-        """<m, x> = sum m_i x_i / d_i in Q/Z."""
+    @_per_twist
+    def product(self, other):
+        """The product datum, self's simple roots first, over the common
+        Galois group.  Raises ValueError unless both have the same n."""
+        if self.n != other.n:
+            raise ValueError("product needs a common Galois group")
+        r = self.datum.rank
+        return TwistData(self.datum.product(other.datum), self.n,
+                         self.galois_perm + tuple(r + i for i in
+                                                  other.galois_perm),
+                         self.a_perm + tuple(r + i for i in other.a_perm))
+
+    @_per_twist
+    def induced(self, blocks):
+        """blocks copies of this datum, Galois acting on each, and a sending
+        block b to block b - 1 and block 0 to the last block through a."""
+        datum = self.datum
+        r = datum.rank
+        rows = []
+        for b in range(blocks):
+            for i in range(r):
+                rows.append([0] * (b * r) + list(datum.cartan.data[i])
+                            + [0] * ((blocks - 1 - b) * r))
+        big = BasedRootDatum(IntMatrix(rows), "%s^%d" % (datum.label, blocks))
+        gp = tuple(b * r + self.galois_perm[i]
+                   for b in range(blocks) for i in range(r))
+        ap = tuple((blocks - 1) * r + self.a_perm[i] for i in range(r)) \
+            + tuple(range(r * (blocks - 1)))
+        return TwistData(big, self.n, gp, ap)
+
+    @_per_twist
+    def sign_presentation(self):
+        """The parts of twisted_sign that do not depend on the class xi;
+        see SignPresentation."""
+        gm = self.xi_module()
+        H2 = tate_group(gm, 2)
+        _, center_coords = lambda_T(self)
+        sq, cls = coinvariant_class(self, center_coords)
+        if not any(cls):
+            return SignPresentation(gm, H2, None, 1, None, None, None)
         ds = self.datum.center.torsion
-        L = lcm(*ds)
-        return QZ(sum(m * x * (L // d) for m, x, d in
-                      zip(m_coords, center_coords, ds)), L)
+        den = lcm(*ds)
+        weights = tuple(x * (den // d) for x, d in
+                        zip(sq.representative(cls), ds))
+        amat = self.dual_center_action_matrix(self.a_perm)
+        pair_keys = tuples(gm.group, 2)
+        return SignPresentation(gm, H2, weights, den, amat, pair_keys,
+                                _fixed_system(gm, amat))
+
+    @_per_twist
+    def factor_dual_map(self, *factors):
+        """Rows W_j and a denominator D such that the factor data's
+        Hom(P/Q, Q/Z) coordinates m, concatenated, take the j-th generator
+        of this datum's P/Q to (W_j . m) / D in Q/Z, when this datum's
+        simple roots are the factors' in order.  Raises ValueError unless
+        the factor ranks add up to this datum's rank."""
+        if sum(f.datum.rank for f in factors) != self.datum.rank:
+            raise ValueError("the factor ranks must add up to %d"
+                             % self.datum.rank)
+        fg = self.datum.center
+        k = len(fg.torsion)
+        den = lcm(*(d for f in factors for d in f.datum.center.torsion))
+        rows = []
+        for j in range(k):
+            gen = fg.lift(tuple(1 if i == j else 0 for i in range(k)))
+            row = []
+            start = 0
+            for f in factors:
+                stop = start + f.datum.rank
+                c = f.datum.center.nf(gen[start:stop])
+                row.extend(x * (den // d) for x, d in
+                           zip(c, f.datum.center.torsion))
+                start = stop
+            rows.append(tuple(row))
+        return tuple(rows), den
+
+    def dual_from_factors(self, factors, m_coords):
+        """Coordinates in this datum's Hom(P/Q, Q/Z) of the element that
+        restricts to the factor datum f as m_f, given the concatenated
+        coordinates (m_f) of the factors.  Raises ValueError when the
+        values on a generator of P/Q of order d are not of order d."""
+        rows, den = self.factor_dual_map(*factors)
+        vals = []
+        for row, d in zip(rows, self.datum.center.torsion):
+            num, rem = divmod(sum(map(mul, row, m_coords)) * d, den)
+            if rem:
+                raise ValueError("dual element out of range")
+            vals.append(num % d)
+        return tuple(vals)
+
+
+class SignPresentation(NamedTuple):
+    """What twisted_sign needs of a twist datum, whatever the class xi.
+
+    gm and H2 are the xi module and its H^2.  weights are the coordinates
+    of the a-coinvariant image of lambda_T, scaled so that a 2-cochain value
+    m pairs with it to sum(m_i w_i) / den in Q/Z; they are None when that
+    image vanishes, and then so are the rest.  amat is a on the xi module,
+    pair_keys the keys of a 2-cochain in `tuples` order, and system the
+    Smith normal form of the a-fixed system of
+    _exactly_fixed_representative."""
+    gm: GModule
+    H2: CohomologyGroup
+    weights: tuple | None
+    den: int
+    amat: IntMatrix | None
+    pair_keys: list | None
+    system: tuple | None
 
 
 def lambda_T(twist, orbit_choice=None):
@@ -273,46 +379,45 @@ def coinvariant_class(twist, center_coords):
     return sq, sq.classify(center_coords)
 
 
-def _exactly_fixed_representative(twist, gm, H2, coords):
+def _fixed_system(gm, amat):
+    """Smith normal form of the matrix of (A - I)(d(u))(s, t) = slack,
+    one row per pair key (s, t) and module coordinate, in the unknowns u
+    (a 1-cochain) and one slack per row, a multiple of that coordinate's
+    modulus."""
+    k = gm.ngens
+    D1 = d_matrix(gm, 1)
+    B = (amat - IntMatrix.identity(k)).data
+    ds = [gm.rels.data[i][i] for i in range(k)]
+    nrows = D1.rows
+    rows = []
+    for pi in range(0, nrows, k):
+        block = list(zip(*D1.data[pi:pi + k]))
+        for ri in range(k):
+            slack = [0] * nrows
+            slack[pi + ri] = ds[ri]
+            rows.append([sum(map(mul, B[ri], col)) for col in block] + slack)
+    return smith_normal_form(IntMatrix(rows))
+
+
+def _exactly_fixed_representative(pres, coords):
     """A cocycle representative of the class that is fixed by a pointwise,
     or None.  Pointwise fixedness is what makes the pairing against a
     2-torsion coinvariant class provably of order 2.
 
     Solves (A - I)(rep + d(u))(s, t) = 0 mod the relation lattice, for a
-    1-cochain u and per-entry modulus slacks."""
-    from .cohomology import d_matrix, tuples, Cochain as CC
-
-    rep = H2.representative(coords)
-    amat = twist.dual_center_action_matrix(twist.a_perm)
-    k = gm.ngens
-    if k == 0:
-        return rep
-    n = twist.n
-    D1 = d_matrix(gm, 1)
-    pair_keys = tuples(gm.group, 2)
-    npairs = len(pair_keys)
-    ds = [gm.rels.data[i][i] for i in range(k)]
-    rows = []
+    1-cochain u and per-entry modulus slacks, against the system of the
+    datum's SignPresentation."""
+    rep = pres.H2.representative(coords)
+    amat = pres.amat
     target = []
-    for pi in range(npairs):
-        v = rep.table[pair_keys[pi]]
-        av = amat.apply(v)
-        for ri in range(k):
-            row = []
-            for uj in range(k * n):
-                acc = 0
-                for cj in range(k):
-                    acc += (amat.data[ri][cj] - (1 if ri == cj else 0)) \
-                        * D1.data[pi * k + cj][uj]
-                row.append(acc)
-            slack = [0] * (npairs * k)
-            slack[pi * k + ri] = ds[ri]
-            rows.append(row + slack)
-            target.append(-(av[ri] - v[ri]))
-    sol = solve_integer(IntMatrix(rows), target)
+    for key in pres.pair_keys:
+        v = rep.table[key]
+        target.extend(map(sub, v, amat.apply(v)))
+    sol = solve_snf(pres.system, target)
     if sol is None:
         return None
-    u = CC.from_vector(gm, 1, sol[:k * n])
+    gm = pres.gm
+    u = Cochain.from_vector(gm, 1, sol[:gm.ngens * gm.group.order])
     return rep.add(u.d())
 
 
@@ -324,30 +429,25 @@ def twisted_sign(twist, xi):
     When the coinvariant image of lambda vanishes the sign is +1 for every
     xi.  Otherwise xi must admit an a-fixed cocycle representative (the
     model avatar of an a-fixed class); inputs without one are rejected."""
-    gm = twist.xi_module()
-    H2 = tate_group(gm, 2)
+    pres = twist.sign_presentation()
     if isinstance(xi, Cochain):
-        coords = H2.classify(xi)
+        coords = pres.H2.classify(xi)
         if coords is None:
             raise ValueError("xi is not a 2-cocycle class")
     else:
         coords = tuple(xi)
-    lam, center_coords = lambda_T(twist)
-    sq, cls = coinvariant_class(twist, center_coords)
-    if not any(cls):
+    if pres.weights is None:
         return 1
-    rep_center = sq.representative(cls)
-    fixed = _exactly_fixed_representative(twist, gm, H2, coords)
+    fixed = _exactly_fixed_representative(pres, coords)
     if fixed is None:
         raise ValueError("xi admits no a-fixed representative; rejected")
-    value = QZ(0)
-    for i in range(twist.n):
-        value = value + twist.eval_xi_on(fixed.table[(i, 1 % twist.n)],
-                                         rep_center)
-    if not (2 * value).is_zero():
+    n = twist.n
+    value = sum(sum(map(mul, fixed.table[(i, 1 % n)], pres.weights))
+                for i in range(n))
+    if 2 * value % pres.den:
         raise ValueError(
             "pairing value has order > 2; datum outside the wired regime")
-    return 1 if value.is_zero() else -1
+    return 1 if value % pres.den == 0 else -1
 
 
 def sign_product(twist1, xi1, twist2, xi2):
@@ -355,105 +455,30 @@ def sign_product(twist1, xi1, twist2, xi2):
     factor signs (multiplicativity check data)."""
     e1 = twisted_sign(twist1, xi1)
     e2 = twisted_sign(twist2, xi2)
-    assert twist1.n == twist2.n, "product needs a common Galois group"
-    datum = twist1.datum.product(twist2.datum)
-    r1 = twist1.datum.rank
-    gp = tuple(list(twist1.galois_perm)
-               + [r1 + i for i in twist2.galois_perm])
-    ap = tuple(list(twist1.a_perm) + [r1 + i for i in twist2.a_perm])
-    tw = TwistData(datum, twist1.n, gp, ap)
-    # xi on the product: concatenate coordinates of canonical representatives
-    gm1 = twist1.xi_module()
-    gm2 = twist2.xi_module()
-    H21 = tate_group(gm1, 2)
-    H22 = tate_group(gm2, 2)
-    rep1 = H21.representative(tuple(xi1))
-    rep2 = H22.representative(tuple(xi2))
-    gm = tw.xi_module()
-    # product center invariant factors are the two torsion tuples interleaved
-    # by the SNF of the block Cartan; map coordinates through center lifts
-    tab = {}
-    for key in rep1.table:
-        m1 = rep1.table[key]
-        m2 = rep2.table[key]
-        tab[key] = _product_center_coords(tw, twist1, twist2, m1, m2)
-    xi = Cochain(gm, 2, tab)
-    e12 = twisted_sign(tw, xi)
+    tw = twist1.product(twist2)
+    # xi on the product: the element of the product's Hom(P/Q, Q/Z) that
+    # the canonical representatives of the factor classes induce, keywise
+    rep1 = twist1.sign_presentation().H2.representative(tuple(xi1))
+    rep2 = twist2.sign_presentation().H2.representative(tuple(xi2))
+    factors = (twist1, twist2)
+    tab = {key: tw.dual_from_factors(factors, m1 + rep2.table[key])
+           for key, m1 in rep1.table.items()}
+    e12 = twisted_sign(tw, Cochain(tw.xi_module(), 2, tab))
     return e1, e2, e12
-
-
-def _product_center_coords(tw, twist1, twist2, m1, m2):
-    """Coordinates in Hom(P/Q, Q/Z) of the product from factor coordinates."""
-    ds = tw.datum.center.torsion
-    # a dual element is determined by its values on the center generators;
-    # produce the QZ values on the product generators and convert back
-    fg = tw.datum.center
-    vals = []
-    for j, d in enumerate(ds):
-        gen = fg.lift(tuple(1 if i == j else 0 for i in range(len(ds))))
-        g1 = gen[:twist1.datum.rank]
-        g2 = gen[twist1.datum.rank:]
-        c1 = twist1.datum.center.nf(g1)
-        c2 = twist2.datum.center.nf(g2)
-        q = twist1.eval_xi_on(m1, c1) + twist2.eval_xi_on(m2, c2)
-        num, rem = divmod(q.num * d, q.den)
-        assert rem == 0, "product dual element out of range"
-        vals.append(num % d)
-    return tuple(vals)
 
 
 def sign_induction(twist, xi, blocks):
     """e on the induced datum (blocks copies with the rotate-then-a twist)
     computed independently, together with e on the base datum."""
     e_base = twisted_sign(twist, xi)
-    datum = twist.datum
-    r = datum.rank
-    k = blocks
-    rows = []
-    for b in range(k):
-        for i in range(r):
-            rows.append([0] * (b * r) + list(datum.cartan.data[i])
-                        + [0] * ((k - 1 - b) * r))
-    big = BasedRootDatum(IntMatrix(rows), "%s^%d" % (datum.label, k))
-    gp = tuple(b * r + twist.galois_perm[i] for b in range(k) for i in range(r))
-    # b sends block i to block i-1; block 0 wraps to block k-1 with the
-    # a-twist
-    bp = [0] * (k * r)
-    for b in range(k):
-        for i in range(r):
-            src = b * r + i
-            if b >= 1:
-                bp[src] = (b - 1) * r + i
-            else:
-                bp[src] = (k - 1) * r + twist.a_perm[i]
-    tw = TwistData(big, twist.n, gp, tuple(bp))
+    tw = twist.induced(blocks)
     # diagonal xi
-    gm1 = twist.xi_module()
-    H21 = tate_group(gm1, 2)
-    rep = H21.representative(tuple(xi))
-    gm = tw.xi_module()
-    tab = {}
-    for key, m1 in rep.table.items():
-        tab[key] = _diagonal_center_coords(tw, twist, k, m1)
-    e_ind = twisted_sign(tw, Cochain(gm, 2, tab))
+    rep = twist.sign_presentation().H2.representative(tuple(xi))
+    factors = (twist,) * blocks
+    tab = {key: tw.dual_from_factors(factors, m1 * blocks)
+           for key, m1 in rep.table.items()}
+    e_ind = twisted_sign(tw, Cochain(tw.xi_module(), 2, tab))
     return e_base, e_ind
-
-
-def _diagonal_center_coords(tw, twist, k, m1):
-    ds = tw.datum.center.torsion
-    fg = tw.datum.center
-    r = twist.datum.rank
-    vals = []
-    for j, d in enumerate(ds):
-        gen = fg.lift(tuple(1 if i == j else 0 for i in range(len(ds))))
-        q = QZ(0)
-        for b in range(k):
-            cb = twist.datum.center.nf(gen[b * r:(b + 1) * r])
-            q = q + twist.eval_xi_on(m1, cb)
-        num, rem = divmod(q.num * d, q.den)
-        assert rem == 0
-        vals.append(num % d)
-    return tuple(vals)
 
 
 def levi_restriction(twist, levi_indices):
@@ -466,10 +491,10 @@ def levi_restriction(twist, levi_indices):
     datum = twist.datum
     levi = sorted(levi_indices)
     lset = set(levi)
-    assert all(twist.galois_perm[i] in lset for i in levi), \
-        "Levi subset not Galois-stable"
-    assert all(twist.a_perm[i] in lset for i in levi), \
-        "Levi subset not a-stable"
+    if not all(twist.galois_perm[i] in lset for i in levi):
+        raise ValueError("Levi subset not Galois-stable")
+    if not all(twist.a_perm[i] in lset for i in levi):
+        raise ValueError("Levi subset not a-stable")
     lam_G, _ = lambda_T(twist)
     # restriction X^*(T_sc) -> X^*(T_M,sc) keeps the Levi coordinates
     img = tuple(lam_G[i] for i in levi)

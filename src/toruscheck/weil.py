@@ -61,20 +61,28 @@ class LocalModel:
 
 class TorusModel:
     """Cocharacter lattice X with a Q-action (through the marked generator)
-    and a commuting action of a finite component group A."""
+    and a commuting action of a finite component group A.
+
+    Raises ValueError unless the Galois action has the model's order and
+    the component action has its rank and commutes with it."""
 
     __slots__ = ("model", "galois", "comp", "rank", "_galois_dualT", "_comp_dualT")
 
     def __init__(self, model, galois_action, comp_action=None):
-        assert galois_action.group.order == model.n
+        if galois_action.group.order != model.n:
+            raise ValueError("the Galois action has order %d, the model %d"
+                             % (galois_action.group.order, model.n))
         self.model = model
         self.galois = galois_action
         self.comp = comp_action
         self.rank = galois_action.rank
         if comp_action is not None:
-            assert comp_action.rank == galois_action.rank
-            assert galois_action.commutes_with(comp_action), \
-                "Galois and component actions must commute"
+            if comp_action.rank != galois_action.rank:
+                raise ValueError("the component action has rank %d, the "
+                                 "Galois action %d"
+                                 % (comp_action.rank, galois_action.rank))
+            if not galois_action.commutes_with(comp_action):
+                raise ValueError("Galois and component actions must commute")
         self._galois_dualT = tuple(
             unimodular_inverse(m).transpose() for m in galois_action.matrices)
         self._comp_dualT = None if comp_action is None else tuple(

@@ -283,6 +283,39 @@ def test_fixture_reports_match_golden(name, tmp_path):
         assert out == f.read()
 
 
+def _run_optimized(args):
+    """python -O -m toruscheck.cli with args, in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    return subprocess.run([sys.executable, "-O", "-m", "toruscheck.cli"]
+                          + args, capture_output=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(BENCH_GOLDEN)))
+def test_fixture_reports_match_golden_under_python_O(name):
+    """With asserts stripped, each fixture report is still the golden copy."""
+    command, fixture = os.path.splitext(name)[0].split(".")
+    proc = _run_optimized([command, "--input",
+                           os.path.join(ROOT, "fixtures", fixture + ".json")])
+    assert proc.returncode == 0, proc.stderr
+    with open(os.path.join(BENCH_GOLDEN, name), "rb") as f:
+        assert proc.stdout == f.read()
+
+
+def test_noncommuting_component_exits_2_under_python_O(tmp_path):
+    """A component matrix that does not commute with the Galois matrix is
+    an input error with asserts stripped too."""
+    doc = {"schema": 1, "rank": 2,
+           "galois": {"order": 2, "matrix": [[0, 1], [1, 0]]},
+           "component": {"kind": "cyclic", "order": 2,
+                         "matrix": [[-1, 0], [0, 1]]},
+           "z": [[0, 0], [0, 0]], "phi": ["0", "0"]}
+    proc = _run_optimized(["tori-verify", "--input",
+                           write_fixture(tmp_path, doc)])
+    assert proc.returncode == 2
+    assert proc.stderr == (b"error: component: Galois and component actions "
+                           b"must commute\n")
+
+
 @pytest.mark.parametrize("fmt,ext", [("json", "json"), ("text", "txt")])
 def test_random_suite_report_matches_golden(fmt, ext, tmp_path):
     code, out = run_main(["random-suite", "--seed", "7", "--suite-size", "10",

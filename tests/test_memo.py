@@ -13,6 +13,7 @@ from toruscheck.cli import main
 from toruscheck.cohomology import (
     CohomologyGroup,
     GModule,
+    face_table,
     tate_group,
     tate_minus1,
     tate_zero,
@@ -27,9 +28,9 @@ from toruscheck.weil import LocalModel, Parameter, TorusModel, hyper_pairing, \
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = [os.path.join(ROOT, "fixtures", name)
             for name in ("norm_one_torus.json", "s3_component.json")]
-MEMOS = [(lattice, "_snf_cache"), (cohomology, "_d_matrix_cache"),
-         (cohomology, "_tate_cache"), (rootdata, "_twist_cache"),
-         (weil, "_lift_cache")]
+MEMOS = [(lattice, "_snf_cache"), (cohomology, "_face_cache"),
+         (cohomology, "_d_matrix_cache"), (cohomology, "_tate_cache"),
+         (rootdata, "_twist_cache"), (weil, "_lift_cache")]
 
 
 @pytest.fixture
@@ -144,6 +145,18 @@ def test_twist_data_is_keyed_by_content(fresh_memos):
     assert tw.dual_center_action_matrix(flip) == IntMatrix([[2]])
     assert tw.dual_center_action_matrix(ident) == IntMatrix([[1]])
     assert other.xi_module() is not tw.xi_module()
+    assert same.sign_presentation() is tw.sign_presentation()
+    assert other.sign_presentation() is not tw.sign_presentation()
+
+
+def test_face_tables_are_keyed_by_group_table(fresh_memos):
+    c4 = FiniteGroup.cyclic(4)
+    klein = FiniteGroup.direct_product(FiniteGroup.cyclic(2),
+                                       FiniteGroup.cyclic(2))
+    assert face_table(FiniteGroup.cyclic(4), 1) is face_table(c4, 1)
+    assert face_table(klein, 1) != face_table(c4, 1)
+    assert face_table(c4, 2) != face_table(c4, 1)
+    assert len(cohomology._face_cache) == 3
 
 
 def test_cached_values_are_not_mutated(fresh_memos, monkeypatch, tmp_path):

@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import toruscheck
 from toruscheck.lattice import IntMatrix
 from toruscheck.qz import QZ
 from toruscheck.cohomology import tate_group
@@ -207,7 +211,7 @@ def test_levi_restriction():
     rep = levi_restriction(tw4, [0, 1])
     assert rep["coinvariant_equal"]
     # non-stable subset rejected
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="not a-stable"):
         levi_restriction(tw4, [2])
 
 
@@ -251,3 +255,58 @@ def test_xi_module_h0_and_h2_share_invariants(label, n, flip):
                    trivial_perm(r)).xi_module()
     assert tate_group(gm, 0).group.invariants() == \
         tate_group(gm, 2).group.invariants()
+
+
+#: Under python -O: a product of data with different n, factor coordinates
+#: that do not give an element of Hom(P/Q, Q/Z) (A2 built from two A1
+#: blocks, once as a product and once as a diagonal), factor ranks that do
+#: not add up, and Levi subsets that are not Galois- or not a-stable.
+OPTIMIZED_CHECKS = """
+import sys
+from toruscheck.rootdata import (BasedRootDatum, TwistData, diagram_flip,
+                                 levi_restriction, sign_product)
+
+if __debug__:
+    sys.exit("asserts are still enabled")
+
+
+def attempt(label, fn):
+    try:
+        print(label, "accepted:", fn())
+    except ValueError as e:
+        print(label, "rejected:", e)
+
+
+def twist(label, n, galois=None, a=None):
+    d = BasedRootDatum.from_label(label)
+    ident = tuple(range(d.rank))
+    return TwistData(d, n, galois or ident, a or ident)
+
+
+a1, a2 = twist("A1", 2), twist("A2", 2)
+attempt("product", lambda: sign_product(a1, (1,), twist("A1", 3), ()))
+attempt("product coordinates", lambda: a2.dual_from_factors((a1, a1), (0, 1)))
+attempt("diagonal coordinates",
+        lambda: a2.dual_from_factors((a1,) * 2, (1,) * 2))
+attempt("factor ranks", lambda: a2.dual_from_factors((a1,), (1,)))
+attempt("Galois-stable", lambda: levi_restriction(
+    twist("A3", 2, galois=diagram_flip("A3")), [0]))
+attempt("a-stable", lambda: levi_restriction(
+    twist("D4", 1, a=diagram_flip("D4")), [2]))
+"""
+
+
+def test_sign_checks_run_under_python_O():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toruscheck.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "product rejected: product needs a common Galois group",
+        "product coordinates rejected: dual element out of range",
+        "diagonal coordinates rejected: dual element out of range",
+        "factor ranks rejected: the factor ranks must add up to 2",
+        "Galois-stable rejected: Levi subset not Galois-stable",
+        "a-stable rejected: Levi subset not a-stable",
+    ]

@@ -220,6 +220,21 @@ def test_langlands_character_examples():
         assert langlands_character(t, phi, Nmu).is_zero()
 
 
+@pytest.mark.parametrize("n,galois,comp,message", [
+    (3, GroupAction.cyclic(2, IntMatrix([[-1]])), None,
+     "the Galois action has order 2, the model 3"),
+    (2, GroupAction.cyclic(2, IntMatrix([[-1]])),
+     GroupAction.cyclic(2, IntMatrix([[0, 1], [1, 0]])),
+     "the component action has rank 2, the Galois action 1"),
+    (2, GroupAction.cyclic(2, IntMatrix([[0, 1], [1, 0]])),
+     GroupAction.cyclic(2, IntMatrix([[-1, 0], [0, 1]])),
+     "Galois and component actions must commute"),
+])
+def test_torus_model_rejects_inconsistent_actions(n, galois, comp, message):
+    with pytest.raises(ValueError, match=message):
+        TorusModel(LocalModel(n), galois, comp)
+
+
 def test_parameter_requires_norm_zero():
     t = norm_one_torus(2)  # dual action of sigma is -1 too; N_dual = 0: all ok
     Parameter(t, (QZ(1, 3),))
