@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
 
-from .groups import coset_section
+from .groups import Cocycle2, coset_section
 from .qz import (QZ, Cyc, cyc_sum, cyc_div, cyc_from_vector, exponent_form,
                  residue)
 
@@ -506,11 +506,11 @@ def irr_with_central_char(ext, psi1, cache=None):
 def alpha_regular_class_count(ext):
     """Number of alpha-regular classes of the base group: a is regular when
     alpha(a, b) = alpha(b, a) for every b in the centralizer of a."""
-    A = ext.base
+    A, c = ext.base, ext.alpha.ints
     count = 0
     for cls in A.conjugacy_classes():
         a = cls[0]
-        if all(ext.alpha(a, b) == ext.alpha(b, a) for b in A.centralizer(a)):
+        if all(c[a][b] == c[b][a] for b in A.centralizer(a)):
             count += 1
     return count
 
@@ -605,17 +605,16 @@ def canonical_tensor_extension(big, sub_elems, x_char, twist=None):
 # Mackey multiplicity transfer (matched extensions over the same A)
 
 
-def _class_in_h2(A, values, m):
+def _class_in_h2(alpha, m):
+    """The class of alpha in H^2 of its group with coefficients in mu_m,
+    for m a multiple of alpha's level."""
     from .cohomology import GModule, Cochain, tate_group
     from .lattice import IntMatrix
 
+    A, s = alpha.group, m // alpha.m
     gm = GModule.finite(A, (m,), [IntMatrix.identity(1)] * A.order)
-    tab = {}
-    for k, v in values.items():
-        num, rem = divmod(v.num * m, v.den)
-        assert rem == 0
-        tab[k] = (num,)
-    x = Cochain(gm, 2, tab)
+    x = Cochain(gm, 2, {(a, b): (s * v,) for a, row in enumerate(alpha.ints)
+                        for b, v in enumerate(row)})
     return tate_group(gm, 2).classify(x)
 
 
@@ -630,7 +629,8 @@ def _section_by_quotient(big, quot):
 
 def _obstruction_cocycle(big, quot, stab_group, stab_elems, x, w):
     """2-cocycle of the stabilizer from the section and intertwiner scalars:
-    alpha(a, b) = x(s_a s_b s_ab^-1) + w(a) + w(b) - w(ab)."""
+    alpha(a, b) = x(s_a s_b s_ab^-1) + w(a) + w(b) - w(ab).  Raises
+    ValueError unless that is a normalized cocycle (w(1) = 0)."""
     sec = _section_by_quotient(big, quot)
     vals = {}
     for i, a in enumerate(stab_elems):
@@ -638,7 +638,7 @@ def _obstruction_cocycle(big, quot, stab_group, stab_elems, x, w):
             ab = stab_elems[stab_group.mul(i, j)]
             h = big.mul(big.mul(sec[a], sec[b]), big.inv(sec[ab]))
             vals[(i, j)] = (x[h] + w[a] + w[b]) - w[ab]
-    return vals
+    return Cocycle2(stab_group, vals)
 
 
 def mackey_multiplicity_transfer(data, cache=None):
@@ -672,11 +672,9 @@ def mackey_multiplicity_transfer(data, cache=None):
         w1, w2 = orbit["w1"], orbit["w2"]
         o1 = _obstruction_cocycle(big1, quot1, stab_group, stab_elems, x1, w1)
         o2 = _obstruction_cocycle(big2, quot2, stab_group, stab_elems, x2, w2)
-        m = 1
-        for v in list(o1.values()) + list(o2.values()):
-            m = lcm(m, v.order)
-        c1 = _class_in_h2(stab_group, o1, m)
-        c2 = _class_in_h2(stab_group, o2, m)
+        m = lcm(o1.m, o2.m)
+        c1 = _class_in_h2(o1, m)
+        c2 = _class_in_h2(o2, m)
         if c1 != c2:
             raise ValueError("projective obstruction classes disagree")
         sec1 = _section_by_quotient(big1, quot1)

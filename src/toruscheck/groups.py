@@ -8,8 +8,10 @@ exhaustively at construction time.
 
 from __future__ import annotations
 
+from math import gcd, lcm
+
 from .lattice import IntMatrix, unimodular_inverse
-from .qz import QZ
+from .qz import QZ, qz_ints, qz_tuple
 
 
 class FiniteGroup:
@@ -323,107 +325,108 @@ class GroupAction:
 
 
 class Cocycle2:
-    """Normalized 2-cocycle on a finite group with values in an abelian
-    coefficient object.
+    """Normalized 2-cocycle of a finite group with values in Q/Z and trivial
+    action, kept as one int table at its level `m`, the lcm of the orders
+    of its values: alpha(a, b) = ints[a][b] / m.  Normalization
+    alpha(a, 1) = alpha(1, a) = 0 and the cocycle identity
 
-    The coefficient module is described by (add, neg, zero, act, eq) hooks so
-    the same class serves lattice-valued, QZ-valued and torsion-valued
-    cocycles.  The cocycle identity
+        c(g2,g3) - c(g1 g2, g3) + c(g1, g2 g3) - c(g1, g2) = 0
 
-        g1.c(g2,g3) - c(g1 g2, g3) + c(g1, g2 g3) - c(g1, g2) = 0
+    are checked on those ints for all triples at construction (ValueError).
 
-    is verified on all triples at construction.
+    >>> G = FiniteGroup.direct_product(FiniteGroup.cyclic(2),
+    ...                                FiniteGroup.cyclic(3))
+    >>> carry = {(a, b): QZ((a // 3 + b // 3) // 2, 2)
+    ...          + QZ((a % 3 + b % 3) // 3, 3)
+    ...          for a in range(6) for b in range(6)}
+    >>> alpha = Cocycle2(G, carry)
+    >>> alpha(3, 3), alpha(1, 2), alpha.m
+    (QZ(1/2), QZ(1/3), 6)
     """
 
-    __slots__ = ("group", "values", "module")
+    __slots__ = ("group", "m", "ints")
 
-    def __init__(self, group, values, module=None, check=True):
+    def __init__(self, group, values):
+        n = group.order
+        nums, self.m = qz_ints([values[(a, b)] for a in range(n)
+                                for b in range(n)])
         self.group = group
-        self.module = module or qz_module()
-        vals = {}
-        for (a, b), v in values.items():
-            vals[(a, b)] = v
-        self.values = vals
-        if check:
-            self.validate()
-
-    def __call__(self, a, b):
-        return self.values[(a, b)]
-
-    def validate(self):
-        m = self.module
-        G = self.group
-        zero = m["zero"]
-        for a in range(G.order):
-            if not m["eq"](self(a, 0), zero):
-                raise ValueError("not normalized in 2nd slot")
-            if not m["eq"](self(0, a), zero):
-                raise ValueError("not normalized in 1st slot")
-        for a in range(G.order):
-            for b in range(G.order):
-                for c in range(G.order):
-                    lhs = m["add"](
-                        m["sub"](m["act"](a, self(b, c)), self(G.mul(a, b), c)),
-                        m["sub"](self(a, G.mul(b, c)), self(a, b)))
-                    if not m["eq"](lhs, zero):
-                        raise ValueError("2-cocycle identity fails")
+        self.ints = tuple(tuple(nums[a * n:a * n + n]) for a in range(n))
+        self.validate()
 
     @classmethod
-    def zero(cls, group, module=None):
-        module = module or qz_module()
-        vals = {(a, b): module["zero"]
-                for a in range(group.order) for b in range(group.order)}
-        return cls(group, vals, module, check=False)
+    def _from_ints(cls, group, rows, m):
+        """The cocycle with values rows[a][b] / m, trusted to be one and
+        brought to its level."""
+        rows = [[x % m for x in row] for row in rows]
+        g = gcd(m, *(x for row in rows for x in row))
+        self = cls.__new__(cls)
+        self.group = group
+        self.m = m // g
+        self.ints = tuple(tuple(x // g for x in row) for row in rows)
+        return self
+
+    def __call__(self, a, b):
+        return QZ(self.ints[a][b], self.m)
+
+    @property
+    def values(self):
+        n = self.group.order
+        return dict(zip(((a, b) for a in range(n) for b in range(n)),
+                        qz_tuple([x for r in self.ints for x in r], self.m)))
+
+    def validate(self):
+        c, m = self.ints, self.m
+        for a in range(self.group.order):
+            if c[a][0] or c[0][a]:
+                raise ValueError("not normalized in %s slot"
+                                 % ("2nd" if c[a][0] else "1st"))
+        t = self.group.table
+        for a, ta in enumerate(t):
+            ca = c[a]
+            for b, tb in enumerate(t):
+                cb, cab, x = c[b], c[ta[b]], ca[b]
+                if any((u - v + ca[w] - x) % m
+                       for u, v, w in zip(cb, cab, tb)):
+                    raise ValueError("2-cocycle identity fails")
+
+    @classmethod
+    def zero(cls, group):
+        return cls._from_ints(group, [[0] * group.order] * group.order, 1)
 
     def add(self, other):
-        m = self.module
-        vals = {k: m["add"](v, other.values[k]) for k, v in self.values.items()}
-        return Cocycle2(self.group, vals, m, check=False)
+        m = lcm(self.m, other.m)
+        s, o = m // self.m, m // other.m
+        return Cocycle2._from_ints(self.group, [
+            [s * x + o * y for x, y in zip(r, q)]
+            for r, q in zip(self.ints, other.ints)], m)
 
     def neg(self):
-        m = self.module
-        vals = {k: m["sub"](m["zero"], v) for k, v in self.values.items()}
-        return Cocycle2(self.group, vals, m, check=False)
+        return Cocycle2._from_ints(
+            self.group, [[-x for x in row] for row in self.ints], self.m)
 
     def shift_by_coboundary(self, cochain):
-        """Add d(cochain) for a normalized 1-cochain {g: value}."""
-        m = self.module
-        G = self.group
-        vals = {}
-        for (a, b), v in self.values.items():
-            d = m["sub"](m["add"](m["act"](a, cochain[b]), cochain[a]),
-                         cochain[G.mul(a, b)])
-            vals[(a, b)] = m["add"](v, d)
-        return Cocycle2(self.group, vals, m, check=False)
+        """Add d(cochain) for a normalized 1-cochain {g: QZ}."""
+        f, d = qz_ints([cochain[g] for g in range(self.group.order)])
+        m = lcm(self.m, d)
+        s, t, c = m // self.m, m // d, self.ints
+        return Cocycle2._from_ints(self.group, [
+            [s * c[a][b] + t * (f[a] + f[b] - f[ab])
+             for b, ab in enumerate(ta)]
+            for a, ta in enumerate(self.group.table)], m)
 
     def restrict(self, subgroup_elems, subgroup):
         """Restriction along an injection of a subgroup given by its element
         list (index i of `subgroup` maps to subgroup_elems[i])."""
-        vals = {}
-        for i in range(subgroup.order):
-            for j in range(subgroup.order):
-                vals[(i, j)] = self(subgroup_elems[i], subgroup_elems[j])
-        return Cocycle2(subgroup, vals, self.module, check=False)
+        return self.inflate(subgroup, subgroup_elems)
 
     def inflate(self, big_group, projection):
-        """Inflation along a surjection big_group -> group."""
-        vals = {}
-        for a in range(big_group.order):
-            for b in range(big_group.order):
-                vals[(a, b)] = self(projection[a], projection[b])
-        return Cocycle2(big_group, vals, self.module, check=False)
-
-
-def qz_module():
-    """Coefficient hooks for QZ with trivial action."""
-    zero = QZ(0)
-    return {
-        "zero": zero,
-        "add": lambda x, y: x + y,
-        "sub": lambda x, y: x - y,
-        "act": lambda g, x: x,
-        "eq": lambda x, y: x == y,
-    }
+        """Inflation along a surjection big_group -> group (the same pullback
+        serves any map)."""
+        c = self.ints
+        proj = [projection[a] for a in range(big_group.order)]
+        return Cocycle2._from_ints(
+            big_group, [[c[a][b] for b in proj] for a in proj], self.m)
 
 
 def coset_section(B, A_elems, section):
@@ -461,16 +464,20 @@ def corestriction_cocycle(alpha, B, A_elems, section):
         beta(b1, b2) = sum_c alpha(r(s(c) b1), r(s(c b1) b2)).
     """
     cosets, coset_of, r = coset_section(B, A_elems, section)
-    vals = {}
-    for b1 in range(B.order):
-        for b2 in range(B.order):
-            total = QZ(0)
-            for cs in cosets:
-                sb1 = B.mul(section[cs], b1)
-                s_cb1 = section[coset_of[sb1]]
-                total = total + alpha(r(sb1), r(B.mul(s_cb1, b2)))
-            vals[(b1, b2)] = total
-    return Cocycle2(B, vals, alpha.module)
+    c = alpha.ints
+
+    def value(b1, b2):
+        total = 0
+        for cs in cosets:
+            sb1 = B.mul(section[cs], b1)
+            total += c[r(sb1)][r(B.mul(section[coset_of[sb1]], b2))]
+        return total
+
+    n = B.order
+    beta = Cocycle2._from_ints(
+        B, [[value(b1, b2) for b2 in range(n)] for b1 in range(n)], alpha.m)
+    beta.validate()
+    return beta
 
 
 class CentralExtension:
@@ -488,19 +495,12 @@ class CentralExtension:
         self.base = base
         self.m = m
         self.alpha = alpha
-        for v in alpha.values.values():
-            if not (m * v).is_zero():
-                raise ValueError("cocycle values must lie in mu_m")
-        n = base.order
-        size = m * n
-        table = [[0] * size for _ in range(size)]
-        for k1 in range(m):
-            for a1 in range(n):
-                for k2 in range(m):
-                    for a2 in range(n):
-                        z = QZ(k1 + k2, m) + alpha(a1, a2)
-                        k = z.num * m // z.den
-                        table[k1 * n + a1][k2 * n + a2] = k * n + base.mul(a1, a2)
+        if m % alpha.m:
+            raise ValueError("cocycle values must lie in mu_m")
+        s, n = m // alpha.m, base.order
+        table = [[(k1 + k2 + s * c) % m * n + ab
+                  for k2 in range(m) for ab, c in zip(ta, ca)]
+                 for k1 in range(m) for ta, ca in zip(base.table, alpha.ints)]
         self.group = FiniteGroup(table, name="mu%d.%s" % (m, base._name))
 
     def element(self, z, a):

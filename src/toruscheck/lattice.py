@@ -80,8 +80,8 @@ class IntMatrix:
         if isinstance(other, int):
             return IntMatrix([[other * a for a in r] for r in self.data])
         assert self.cols == other.rows, (self.cols, other.rows)
-        ot = other.transpose().data
-        return IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in ot]
+        cols = list(zip(*other.data))
+        return IntMatrix([[sum(map(mul, row, col)) for col in cols]
                           for row in self.data])
 
     __rmul__ = __mul__

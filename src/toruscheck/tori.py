@@ -283,15 +283,10 @@ def _extension(case, which):
     """E^z (which='alpha') or E^phi (which='beta') as a CentralExtension of
     the stabilizer subgroup."""
     Abar, elems = case.A.subgroup_as_group(case.A_phi_z)
-    vals = {}
-    m = 1
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            q = case.alpha_bar(a, b) if which == "alpha" else case.beta_bar(a, b)
-            vals[(i, j)] = q
-            m = lcm(m, q.order)
-    alpha = Cocycle2(Abar, vals)
-    return CentralExtension(Abar, m, alpha), elems
+    bar = case.alpha_bar if which == "alpha" else case.beta_bar
+    alpha = Cocycle2(Abar, {(i, j): bar(a, b) for i, a in enumerate(elems)
+                            for j, b in enumerate(elems)})
+    return CentralExtension(Abar, alpha.m, alpha), elems
 
 
 def packet(case):

@@ -507,6 +507,19 @@ def test_mackey_transfer_rejects_mismatched_classes():
         mackey_multiplicity_transfer(data)
 
 
+def test_obstruction_class_is_read_at_the_common_level():
+    # the carry cocycle 1/2 at (1, 1) of C2 is d(1/4) with 1/4 in mu_4, so
+    # its class dies in H^2(C2, mu_4) though not in H^2(C2, mu_2)
+    C2 = FiniteGroup.cyclic(2)
+    carry = Cocycle2(C2, {(a, b): QZ(a * b, 2)
+                          for a in range(2) for b in range(2)})
+    zero = Cocycle2.zero(C2)
+    assert (characters._class_in_h2(carry, 2)
+            != characters._class_in_h2(zero, 2))
+    assert (characters._class_in_h2(carry, 4)
+            == characters._class_in_h2(zero, 4))
+
+
 def test_cyc_matrix_and_division():
     i = Cyc.root(QZ(1, 4))
     M = CycMatrix([[i, 0], [0, -1 * i]])

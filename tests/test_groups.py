@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -6,6 +7,7 @@ import sys
 
 import pytest
 
+import cocycle_reference
 import toruscheck
 
 from toruscheck.lattice import IntMatrix
@@ -21,7 +23,6 @@ from toruscheck.groups import (
     decompose_induced_automorphism,
     reconstruct_induced_automorphism,
     BlockDecompositionError,
-    qz_module,
 )
 
 
@@ -184,6 +185,104 @@ def test_central_extension_multiplication():
     for x in range(8):
         for y in range(8):
             assert iso[E2.group.mul(x, y)] == E.group.mul(iso[x], iso[y])
+
+
+def _reference_groups():
+    """Each group with homomorphisms (phi, k) onto cyclic groups C_k: the
+    carry cocycle of C_k pulled back along phi is an integral 2-cocycle."""
+    C2, C3, C4 = (FiniteGroup.cyclic(n) for n in (2, 3, 4))
+    S3 = FiniteGroup.symmetric(3)
+    sign = [int(S3.element_order(g) == 2) for g in range(6)]
+    return {
+        "C2": (C2, [(list(range(2)), 2)]),
+        "C3": (C3, [(list(range(3)), 3)]),
+        "C4": (C4, [(list(range(4)), 4), ([g % 2 for g in range(4)], 2)]),
+        "C2xC2": (FiniteGroup.direct_product(C2, C2),
+                  [([g // 2 for g in range(4)], 2),
+                   ([g % 2 for g in range(4)], 2)]),
+        "S3": (S3, [(sign, 2)]),
+    }
+
+
+def _random_qz(rng, nonzero=False):
+    den = rng.choice((2, 3, 4, 6) if nonzero else (1, 2, 3, 4, 6))
+    return QZ(rng.randrange(1 if nonzero else 0, den), den)
+
+
+def _random_table(G, homs, rng):
+    """A normalized QZ table on G: carry cocycles times random values plus
+    the coboundary of a random normalized 1-cochain, then either kept,
+    changed at one entry, changed in an identity slot, or redrawn."""
+    n = G.order
+    f = [QZ(0)] + [_random_qz(rng) for _ in range(n - 1)]
+    vals = {(a, b): f[a] + f[b] - f[G.mul(a, b)]
+            for a in range(n) for b in range(n)}
+    for phi, k in homs:
+        t = _random_qz(rng)
+        for (a, b) in vals:
+            vals[(a, b)] += (phi[a] + phi[b]) // k * t
+    kind = rng.randrange(4)
+    if kind == 1:
+        key = (rng.randrange(1, n), rng.randrange(1, n))
+        vals[key] += _random_qz(rng, nonzero=True)
+    elif kind == 2:
+        a = rng.randrange(1, n)
+        vals[rng.choice([(a, 0), (0, a)])] += _random_qz(rng, nonzero=True)
+    elif kind == 3:
+        for (a, b) in vals:
+            vals[(a, b)] = _random_qz(rng) if a and b else QZ(0)
+    return vals
+
+
+def _outcome(make):
+    try:
+        return "accepted", make()
+    except ValueError as e:
+        return "rejected", str(e)
+
+
+@pytest.mark.parametrize("name", sorted(_reference_groups()))
+def test_cocycle_matches_hook_reference(name):
+    """Cocycle2 and CentralExtension against the QZ-hook cocycle check and
+    QZ-arithmetic extension table they replaced, on seeded random tables
+    with values of mixed orders: the same accept or reject, the same
+    message and the same Cayley table."""
+    G, homs = _reference_groups()[name]
+    rng = random.Random(name)
+    seen = set()
+    for _ in range(40):
+        vals = _random_table(G, homs, rng)
+        got = _outcome(lambda: Cocycle2(G, vals))
+        want = _outcome(lambda: cocycle_reference.validate(G, vals))
+        assert got[0] == want[0]
+        seen.add(got[0] if got[0] == "accepted" else got[1])
+        if got[0] == "rejected":
+            assert got[1] == want[1]
+            continue
+        alpha = got[1]
+        assert alpha.values == vals
+        assert alpha.m == math.lcm(*(v.order for v in vals.values()))
+        for m in (alpha.m, 2 * alpha.m, rng.randrange(1, 13)):
+            ext = _outcome(lambda: CentralExtension(G, m, alpha).group.table)
+            ref = _outcome(
+                lambda: cocycle_reference.extension_table(G, m, vals))
+            assert ext[0] == ref[0]
+            if ext[0] == "accepted":
+                assert [list(r) for r in ext[1]] == ref[1]
+            else:
+                assert ext[1] == ref[1]
+        f = {0: QZ(0), **{g: _random_qz(rng) for g in range(1, G.order)}}
+        shifted = {(a, b): v + f[a] + f[b] - f[G.mul(a, b)]
+                   for (a, b), v in vals.items()}
+        assert alpha.shift_by_coboundary(f).values == shifted
+        df = Cocycle2.zero(G).shift_by_coboundary(f)
+        assert alpha.add(df).values == shifted
+        assert alpha.neg().values == {k: -v for k, v in vals.items()}
+        assert alpha.add(alpha.neg()).values == Cocycle2.zero(G).values
+    # on C2 every normalized table is a cocycle: (1, 1) is its one entry
+    assert "accepted" in seen
+    assert ("2-cocycle identity fails" in seen) == (G.order > 2)
+    assert seen & {"not normalized in 1st slot", "not normalized in 2nd slot"}
 
 
 def test_induced_automorphism_example():
@@ -448,15 +547,16 @@ def test_coset_section_rejects_bad_sections():
 
 
 #: Under python -O: a QZ cochain on C3 that is normalized but not a cocycle,
-#: a constant cocycle (not normalized), an action of C2 x C2 that keeps
-#: every relation through one generator and breaks one through the other, a
-#: section that picks outside its coset, and the same action in a case
-#: file, which must exit 2 naming the field.
+#: a constant cocycle (not normalized), an extension by mu_3 of a cocycle
+#: of level 2, an action of C2 x C2 that keeps every relation through one
+#: generator and breaks one through the other, a section that picks outside
+#: its coset, and the same action in a case file, which must exit 2 naming
+#: the field.
 OPTIMIZED_CHECKS = """
 import contextlib, io, json, os, sys, tempfile
 from toruscheck.cli import main
-from toruscheck.groups import (Cocycle2, FiniteGroup, GroupAction,
-                               corestriction_cocycle)
+from toruscheck.groups import (CentralExtension, Cocycle2, FiniteGroup,
+                               GroupAction, corestriction_cocycle)
 from toruscheck.lattice import IntMatrix
 from toruscheck.qz import QZ
 
@@ -480,6 +580,9 @@ attempt("non-cocycle", lambda: Cocycle2(C3, {
     for a in range(3) for b in range(3)}))
 attempt("non-normalized", lambda: Cocycle2(C3, {
     (a, b): QZ(1, 2) for a in range(3) for b in range(3)}))
+C2 = FiniteGroup.cyclic(2)
+attempt("mu_m", lambda: CentralExtension(C2, 3, Cocycle2(C2, {
+    (a, b): QZ(a * b, 2) for a in range(2) for b in range(2)})))
 # m(x + (0, 1)) = m(x) m(0, 1) holds for every x; m(0, 1) m(1, 0) differs
 # from m(1, 1) = m(1, 0) m(0, 1), since the swap and the sign do not commute
 swap, sign = IntMatrix([[0, 1], [1, 0]]), IntMatrix([[-1, 0], [0, 1]])
@@ -511,6 +614,7 @@ def test_group_checks_run_under_python_O():
     assert proc.stdout.splitlines() == [
         "non-cocycle rejected: 2-cocycle identity fails",
         "non-normalized rejected: not normalized in 2nd slot",
+        "mu_m rejected: cocycle values must lie in mu_m",
         "action rejected: matrices must satisfy the group relations",
         "section rejected: section must choose inside each coset",
         "case file exit 2 error: component.matrices: matrices must satisfy "
