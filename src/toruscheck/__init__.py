@@ -6,7 +6,7 @@ Everything is computed exactly: lattices over Z via Smith normal form,
 characters as cyclotomic integers, pairings as elements of Q/Z.
 """
 
-from .lattice import IntMatrix, smith_normal_form, solve_integer, FGAbelian, AbHom
+from .lattice import IntMatrix, smith_normal_form, solve_integer, FGAbelian
 from .qz import QZ, Cyc
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "smith_normal_form",
     "solve_integer",
     "FGAbelian",
-    "AbHom",
     "QZ",
     "Cyc",
 ]

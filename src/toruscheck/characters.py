@@ -779,9 +779,6 @@ class CycMatrix:
             self.rows[i][j] == other.rows[i][j]
             for i in range(self.n) for j in range(self.m))
 
-    def trace(self):
-        return cyc_sum(self.rows[i][i] for i in range(self.n))
-
 
 def _scalar_ratio(lhs, rhs):
     """The scalar c with lhs = c * rhs, asserted to exist."""

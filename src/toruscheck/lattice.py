@@ -22,11 +22,13 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows_data):
-        data = tuple(tuple(int(x) for x in row) for row in rows_data)
+        data = tuple(map(tuple, rows_data))
         self.data = data
         self.rows = len(data)
-        self.cols = len(data[0]) if data else 0
-        assert all(len(r) == self.cols for r in data), "ragged rows"
+        self.cols = cols = len(data[0]) if data else 0
+        for row in data:
+            if len(row) != cols:
+                raise ValueError("ragged rows")
 
     @classmethod
     def identity(cls, n):
@@ -40,7 +42,8 @@ class IntMatrix:
     def from_columns(cls, columns, rows=None):
         columns = [tuple(c) for c in columns]
         if rows is None:
-            assert columns, "need rows for an empty column list"
+            if not columns:
+                raise ValueError("need rows for an empty column list")
             rows = len(columns[0])
         return cls([[c[i] for c in columns] for i in range(rows)])
 
@@ -64,12 +67,14 @@ class IntMatrix:
         return "IntMatrix(%s)" % [list(r) for r in self.data]
 
     def __add__(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("matrices of different shapes")
         return IntMatrix([[a + b for a, b in zip(ra, rb)]
                           for ra, rb in zip(self.data, other.data)])
 
     def __sub__(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("matrices of different shapes")
         return IntMatrix([[a - b for a, b in zip(ra, rb)]
                           for ra, rb in zip(self.data, other.data)])
 
@@ -79,7 +84,9 @@ class IntMatrix:
     def __mul__(self, other):
         if isinstance(other, int):
             return IntMatrix([[other * a for a in r] for r in self.data])
-        assert self.cols == other.rows, (self.cols, other.rows)
+        if self.cols != other.rows:
+            raise ValueError("%d columns times %d rows"
+                             % (self.cols, other.rows))
         cols = list(zip(*other.data))
         return IntMatrix([[sum(map(mul, row, col)) for col in cols]
                           for row in self.data])
@@ -274,7 +281,9 @@ def solve_snf(snf, b):
     callers that keep the SNF of a system they solve many times."""
     U, D, V = snf
     b = tuple(int(x) for x in b)
-    assert len(b) == D.rows
+    if len(b) != D.rows:
+        raise ValueError("a right-hand side of length %d for %d rows"
+                         % (len(b), D.rows))
     c = U.apply(b)
     n = min(D.rows, D.cols)
     y = [0] * D.cols
@@ -300,40 +309,31 @@ def kernel_basis(A):
 
 
 def hnf_image_basis(A):
-    """Basis of the column span of A (image lattice), via SNF."""
+    """Basis of the column span of A (image lattice): with U A V = D from
+    its SNF, column j of U^-1 D, that is d_j times column j of U^-1."""
     U, D, V = snf_cached(A)
-    # Columns of U^-1 * D span the image; U^-1 = adjugate route avoided:
-    # solve U X = D columnwise using unimodularity of U.
-    n = min(A.rows, A.cols)
+    Uinv = unimodular_inverse(U)
     basis = []
-    for j in range(n):
+    for j in range(min(A.rows, A.cols)):
         d = D.data[j][j]
         if d == 0:
             break
-        col = tuple(D.data[i][j] for i in range(A.rows))
-        x = solve_integer(U, col)
-        assert x is not None
-        basis.append(x)
+        basis.append(tuple(d * x for x in Uinv.column(j)))
     return basis
 
 
 def unimodular_inverse(M):
-    """Exact inverse of a unimodular integer matrix."""
-    assert M.rows == M.cols
-    cols = []
-    for j in range(M.rows):
-        e = tuple(1 if i == j else 0 for i in range(M.rows))
-        x = solve_integer(M, e)
-        assert x is not None, "matrix is not unimodular"
-        cols.append(x)
-    return IntMatrix.from_columns(cols, M.rows)
+    """Exact inverse V U of a unimodular matrix M, from its SNF U M V = I.
 
+    Raises ValueError for a singular or non-square M.
 
-def lattice_membership_matrix(basis, ambient_dim):
-    """Matrix whose columns are the given lattice basis vectors."""
-    if not basis:
-        return IntMatrix.zero(ambient_dim, 0)
-    return IntMatrix.from_columns(basis, ambient_dim)
+    >>> unimodular_inverse(IntMatrix([[2, 1], [1, 1]]))
+    IntMatrix([[1, -1], [-1, 2]])
+    """
+    U, D, V = snf_cached(M)
+    if D != IntMatrix.identity(M.rows):
+        raise ValueError("matrix is not unimodular")
+    return V * U
 
 
 class FGAbelian:
@@ -342,19 +342,23 @@ class FGAbelian:
 
     invariant factors d1 | d2 | ... (each >= 2) plus a free rank.
 
-    >>> G = FGAbelian.from_relations(2, IntMatrix([[2, 0], [0, 1]]))
+    >>> G = FGAbelian(2, IntMatrix([[2, 0], [0, 1]]))
     >>> (G.torsion, G.free_rank)
     ((2,), 0)
     """
 
-    __slots__ = ("ngens", "rels", "U", "torsion", "free_rank", "_coord_info")
+    __slots__ = ("ngens", "rels", "U", "Uinv", "torsion", "free_rank",
+                 "_coord_info")
 
     def __init__(self, ngens, rels):
-        assert rels.rows == ngens
+        if rels.rows != ngens:
+            raise ValueError("%d relation rows for %d generators"
+                             % (rels.rows, ngens))
         self.ngens = ngens
         self.rels = rels
         U, D, V = snf_cached(rels)
         self.U = U
+        self.Uinv = unimodular_inverse(U)
         n = min(rels.rows, rels.cols)
         torsion = []
         coord_info = []  # (index into U-coords, modulus or 0)
@@ -368,16 +372,6 @@ class FGAbelian:
         self.torsion = tuple(torsion)
         self.free_rank = sum(1 for _, d in coord_info if d == 0)
         self._coord_info = tuple(coord_info)
-
-    @classmethod
-    def from_relations(cls, ngens, rels=None):
-        if rels is None:
-            rels = IntMatrix.zero(ngens, 0)
-        return cls(ngens, rels)
-
-    @classmethod
-    def free(cls, rank):
-        return cls.from_relations(rank)
 
     def invariants(self):
         return self.torsion, self.free_rank
@@ -407,53 +401,24 @@ class FGAbelian:
     def lift(self, coords):
         """An ambient vector with the given normal form."""
         coords = tuple(coords)
-        assert len(coords) == len(self._coord_info)
+        if len(coords) != len(self._coord_info):
+            raise ValueError("%d coordinates for %d invariants"
+                             % (len(coords), len(self._coord_info)))
         y = [0] * self.ngens
         for (i, _), c in zip(self._coord_info, coords):
             y[i] = c
-        return solve_integer(self.U, y)
+        return self.Uinv.apply(y)
 
     def elements(self):
         """Iterate all normal forms (finite groups only)."""
-        assert self.free_rank == 0, "infinite group"
+        if self.free_rank:
+            raise ValueError("cannot list the elements of an infinite group")
         ranges = [range(d) for d in self.torsion]
         return itertools.product(*ranges)
-
-    def same_invariants(self, other):
-        return self.torsion == other.torsion and self.free_rank == other.free_rank
 
     def __repr__(self):
         parts = ["Z"] * self.free_rank + ["Z/%d" % d for d in self.torsion]
         return "FGAbelian(%s)" % (" + ".join(parts) if parts else "0")
-
-
-class AbHom:
-    """Homomorphism between FGAbelian groups, given by a matrix on ambient
-    generators.  Well-definedness means the matrix maps the domain's
-    relation lattice into the codomain's."""
-
-    __slots__ = ("domain", "codomain", "matrix")
-
-    def __init__(self, domain, codomain, matrix):
-        assert matrix.rows == codomain.ngens and matrix.cols == domain.ngens
-        self.domain = domain
-        self.codomain = codomain
-        self.matrix = matrix
-
-    def is_well_defined(self):
-        for j in range(self.domain.rels.cols):
-            img = self.matrix.apply(self.domain.rels.column(j))
-            if any(self.codomain.nf(img)):
-                return False
-        return True
-
-    def apply(self, vec):
-        return self.matrix.apply(vec)
-
-    def compose(self, other):
-        """self after other."""
-        assert other.codomain is self.domain or other.codomain.same_invariants(self.domain)
-        return AbHom(other.domain, self.codomain, self.matrix * other.matrix)
 
 
 class Subquotient:
@@ -469,18 +434,16 @@ class Subquotient:
 
     def __init__(self, ambient_dim, sub_gens, bdry_gens, rel_gens=()):
         self.ambient_dim = ambient_dim
-        sub = [tuple(v) for v in sub_gens]
-        # Column-reduce the subgens to a basis via SNF image computation.
-        M = lattice_membership_matrix(sub, ambient_dim)
-        basis = hnf_image_basis(M)
-        self._Lmat = lattice_membership_matrix(basis, ambient_dim)
+        basis = hnf_image_basis(IntMatrix.from_columns(sub_gens, ambient_dim))
+        self._Lmat = IntMatrix.from_columns(basis, ambient_dim)
         self.L = basis
         rels_in_L = []
         for v in list(bdry_gens) + list(rel_gens):
             c = solve_integer(self._Lmat, v)
-            assert c is not None, "boundary vector outside the cycle lattice"
+            if c is None:
+                raise ValueError("boundary vector outside the cycle lattice")
             rels_in_L.append(c)
-        R = lattice_membership_matrix(rels_in_L, len(basis))
+        R = IntMatrix.from_columns(rels_in_L, len(basis))
         self.group = FGAbelian(len(basis), R)
 
     def classify(self, vec):

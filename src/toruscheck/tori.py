@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import lcm
 
-from .lattice import IntMatrix, solve_integer
+from .lattice import FGAbelian, IntMatrix, solve_integer
 from .qz import QZ, Cyc, convolve, cyc_from_vector, exponent_form, qz_ints
 from .cohomology import GModule, Cochain, d_matrix, TwoTermComplex, hyper_h1
 from .weil import (
@@ -164,12 +164,13 @@ def s_denominator(torus, phi):
 def build_case(torus, z, phi):
     """Solve all coboundary equations and assemble the ToriCase.
 
-    Raises CaseError when an element passes the stabilizer solvability test
-    for [z] but the dual-side system is inconsistent in a way that breaks
-    the subgroup structure (model inconsistency)."""
+    Raises CaseError when z is not a cocycle, when an element passes the
+    stabilizer solvability test for [z] but the dual-side system is
+    inconsistent in a way that breaks the subgroup structure (model
+    inconsistency), or when a solution fails its equation."""
     A = torus.comp.group
-    for val in z.d().table.values():
-        assert not any(val), "z is not a cocycle"
+    if any(any(val) for val in z.d().table.values()):
+        raise CaseError("z is not a cocycle")
     t = {}
     A_z = []
     for a in range(A.order):
@@ -192,8 +193,8 @@ def build_case(torus, z, phi):
     lam_z = tn_inverse(torus, z)
     case = ToriCase(torus=torus, z=z, phi=phi, A_z=A_z, A_phi_z=A_phi_z,
                     t=t, s=s, lam_z=lam_z)
-    assert case.t[0] == (0,) * torus.rank
-    assert all(q.is_zero() for q in case.s[0])
+    if any(case.t[0]) or not all(q.is_zero() for q in case.s[0]):
+        raise CaseError("the identity must have t = 0 and s = 0")
     _check_case_invariants(case)
     return case
 
@@ -206,14 +207,16 @@ def _check_case_invariants(case):
             lhs = tuple(x - y for x, y in zip(torus.sigma(i, case.t[a]), case.t[a]))
             az = torus.comp.act(a, case.z.table[(i,)])
             rhs = tuple(x - y for x, y in zip(az, case.z.table[(i,)]))
-            assert lhs == rhs, "t_a does not solve its coboundary equation"
+            if lhs != rhs:
+                raise CaseError("t_a does not solve its coboundary equation")
     for a in case.A_phi_z:
         for i in range(n):
             lhs = torus.dual_sub(torus.dual_sigma(i, case.s[a]), case.s[a])
             rhs = torus.dual_sub(torus.dual_comp(a, case.phi.value(i)),
                                  case.phi.value(i))
-            assert all((x - y).is_zero() for x, y in zip(lhs, rhs)), \
-                "s_a does not solve its dual coboundary equation"
+            if not all((x - y).is_zero() for x, y in zip(lhs, rhs)):
+                raise CaseError(
+                    "s_a does not solve its dual coboundary equation")
 
 
 def pair_for_h(case, a, t_override=None, s_override=None):
@@ -296,7 +299,8 @@ def packet(case):
 
     Returns (elements, table, sel, ext, elems).  When the class of z is
     trivial, the member whose centralizer-side character is trivial carries
-    the generic flag."""
+    the generic flag.  Raises CaseError when the packet fails its size,
+    dimension, generic-member or h-bijection check."""
     cached = getattr(case, "_packet", None)
     if cached is not None:
         return cached
@@ -306,9 +310,11 @@ def packet(case):
     table, sel = irr_with_central_char(ext_phi, QZ(1, ext_phi.m))
     # packet size and dimensions: as many members as regular classes, with
     # squared dimensions filling the component group
-    assert len(sel) == alpha_regular_class_count(ext_phi)
-    dims = [table.dims[i] for i in sel]
-    assert sum(d * d for d in dims) == len(elems)
+    if len(sel) != alpha_regular_class_count(ext_phi):
+        raise CaseError("the packet size is not the regular class count")
+    if sum(table.dims[i] ** 2 for i in sel) != len(elems):
+        raise CaseError("the squared packet dimensions do not sum to the "
+                        "stabilizer order")
     _check_h_bijection(case, ext_phi, table, sel, elems)
     z_trivial = _z_class_trivial(case)
     out = []
@@ -319,9 +325,9 @@ def packet(case):
                 table.value(i, ext_phi.element(QZ(0), ei)) == Cyc.integer(1)
                 for ei in range(len(elems)))
         out.append(PacketElement(index=i, dim=table.dims[i], generic=generic))
-    if z_trivial:
-        assert sum(1 for e in out if e.generic) == 1, \
-            "exactly one generic member expected when z is trivial"
+    if z_trivial and sum(1 for e in out if e.generic) != 1:
+        raise CaseError("exactly one generic member expected when z is "
+                        "trivial")
     case._packet = (out, table, sel, ext_phi, elems)
     return case._packet
 
@@ -331,9 +337,9 @@ def _check_h_bijection(case, ext_phi, table, sel, elems):
     identity-central-character characters of the torus-side extension: the
     concrete content of the extension isomorphism on representations."""
     ext_z, elems_z = _extension(case, "alpha")
-    assert elems_z == elems
     table_z, sel_z = irr_with_central_char(ext_z, QZ(1, ext_z.m))
-    assert len(sel_z) == len(sel), "the two extensions disagree in size"
+    if elems_z != elems or len(sel_z) != len(sel):
+        raise CaseError("the two extensions disagree in size")
     rows_z = []
     for i in sel_z:
         rows_z.append([table_z.value(i, ext_z.element(QZ(0), ei))
@@ -344,9 +350,11 @@ def _check_h_bijection(case, ext_phi, table, sel, elems):
                    for ei, a in enumerate(elems)]
         hits = [k for k, row in enumerate(rows_z)
                 if all(x == y for x, y in zip(twisted, row))]
-        assert len(hits) == 1, "h does not induce a character bijection"
+        if len(hits) != 1:
+            raise CaseError("h does not induce a character bijection")
         matched.add(hits[0])
-    assert len(matched) == len(sel)
+    if len(matched) != len(sel):
+        raise CaseError("h does not induce a character bijection")
 
 
 def _z_class_trivial(case):
@@ -553,15 +561,12 @@ def _is_invariant_vec(torus, v):
 def invariant_duals(torus):
     """Generators-style list of Galois-invariant torsion dual points: the
     characters of the torsion of the coinvariants, pulled back to X."""
-    from .lattice import FGAbelian, lattice_membership_matrix
-
     r = torus.rank
     ident = IntMatrix.identity(r)
     cols = []
     for m in torus.galois.matrices[1:]:
         cols.extend((m - ident).columns())
-    R = lattice_membership_matrix(cols, r)
-    coinv = FGAbelian(r, R)
+    coinv = FGAbelian(r, IntMatrix.from_columns(cols, r))
     out = [torus.dual_zero()]
     if not coinv.torsion:
         return out

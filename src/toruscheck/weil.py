@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .lattice import IntMatrix, Memo, solve_integer, unimodular_inverse
+from .lattice import IntMatrix, Memo, solve_integer
 from .qz import QZ, qz_ints, qz_tuple
 from .cohomology import (
     GModule,
@@ -83,10 +83,13 @@ class TorusModel:
                                  % (comp_action.rank, galois_action.rank))
             if not galois_action.commutes_with(comp_action):
                 raise ValueError("Galois and component actions must commute")
-        self._galois_dualT = tuple(
-            unimodular_inverse(m).transpose() for m in galois_action.matrices)
+        # the dual actions m_g^-T; the actions are checked, so m_g^-1 is
+        # m_(g^-1)
+        self._galois_dualT = tuple(galois_action.matrices[g].transpose()
+                                   for g in galois_action.group.inverse)
         self._comp_dualT = None if comp_action is None else tuple(
-            unimodular_inverse(m).transpose() for m in comp_action.matrices)
+            comp_action.matrices[g].transpose()
+            for g in comp_action.group.inverse)
 
     def gmodule(self):
         return GModule.from_action(self.galois)

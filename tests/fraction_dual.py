@@ -5,12 +5,30 @@ test-only oracle for tests/test_dual_oracle.py.
 
 Each function takes the torus and reads the same dual-action matrices
 (`_galois_dualT`, `_comp_dualT`) as the library, so only the arithmetic
-differs.
+differs.  `dual_transposes` is the oracle for those matrices themselves:
+the inverse of each action matrix solved column by column, as the library
+built them before it read them off the inverse group elements.
 """
 
 from fractions import Fraction
 
+from toruscheck.lattice import IntMatrix, solve_integer
 from toruscheck.qz import QZ
+
+
+def column_inverse(M):
+    """The inverse of a unimodular M, one solve_integer per column."""
+    cols = []
+    for j in range(M.rows):
+        x = solve_integer(M, tuple(int(i == j) for i in range(M.rows)))
+        assert x is not None, "matrix is not unimodular"
+        cols.append(x)
+    return IntMatrix.from_columns(cols, M.rows)
+
+
+def dual_transposes(action):
+    """The dual action m_g^-T of every group element g."""
+    return tuple(column_inverse(m).transpose() for m in action.matrices)
 
 
 def qz_sum(values):

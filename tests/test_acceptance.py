@@ -180,14 +180,14 @@ def test_criterion_4_twisted_kottwitz_sign():
 def all_coinvariant_duals(torus):
     """Every character of the torsion of the coinvariants, pulled back to X,
     tagged by its coordinate tuple (faithful enumeration)."""
-    from toruscheck.lattice import FGAbelian, lattice_membership_matrix
+    from toruscheck.lattice import FGAbelian
 
     r = torus.rank
     ident = IntMatrix.identity(r)
     cols = []
     for m in torus.galois.matrices[1:]:
         cols.extend((m - ident).columns())
-    coinv = FGAbelian(r, lattice_membership_matrix(cols, r))
+    coinv = FGAbelian(r, IntMatrix.from_columns(cols, r))
     gens = [(ci, d) for ci, d in coinv._coord_info if d]
     duals = []
     for combo in itertools.product(*[range(d) for _, d in gens]):

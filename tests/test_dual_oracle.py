@@ -1,6 +1,6 @@
-"""Differential tests: the integer dual-torus actions, the Parameter table
-and the two hyper-pair checks against the QZ/Fraction versions in
-fraction_dual.py.
+"""Differential tests: the dual-action matrices, the integer dual-torus
+actions, the Parameter table and the two hyper-pair checks against the
+solve_integer and QZ/Fraction versions in fraction_dual.py.
 
 Each example draws a torus of rank 1-4 with a cyclic Galois action of order
 1-6 (blocks of finite order conjugated by a random unimodular matrix), a
@@ -9,19 +9,25 @@ the Galois action.  Inputs are built to satisfy each check, then perturbed,
 so both accepting and rejecting inputs are compared.
 """
 
+import os
 from fractions import Fraction
 from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
 import fraction_dual as ref
-from toruscheck import weil
+from toruscheck import suite, weil
+from toruscheck.casefile import load_case_file
 from toruscheck.cohomology import Cochain
 from toruscheck.groups import GroupAction
 from toruscheck.lattice import IntMatrix, unimodular_inverse
 from toruscheck.qz import QZ, qz_tuple
 from toruscheck.tori import _is_invariant_dual
 from toruscheck.weil import LocalModel, Parameter, TorusModel
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FIXTURES = [os.path.join(ROOT, "fixtures", name)
+            for name in ("norm_one_torus.json", "s3_component.json")]
 
 #: integer matrices of finite order, by order
 BLOCKS = {
@@ -103,6 +109,8 @@ def dual_norm(torus, s):
 def test_dual_actions_match_oracle(data):
     (torus, fT), s, vec, i, a = data
     a %= torus.comp.group.order
+    assert torus._galois_dualT == ref.dual_transposes(torus.galois)
+    assert torus._comp_dualT == ref.dual_transposes(torus.comp)
     assert torus.dual_eval(s, vec) == ref.dual_eval(torus, s, vec)
     assert torus.dual_sigma(i, s) == ref.dual_sigma(torus, i, s)
     assert torus.dual_comp(a, s) == ref.dual_comp(torus, a, s)
@@ -110,6 +118,17 @@ def test_dual_actions_match_oracle(data):
     assert _is_invariant_dual(torus, s) == ref.is_invariant_dual(torus, s)
     inv = dual_norm(torus, s)
     assert _is_invariant_dual(torus, inv) and ref.is_invariant_dual(torus, inv)
+
+
+def test_dual_transposes_match_oracle_on_fixtures_and_suite():
+    """The dual actions equal the column-by-column inverses, transposed, on
+    both fixtures and on every template a random suite torus is built from."""
+    models = [load_case_file(path)[0] for path in FIXTURES]
+    models += [TorusModel(LocalModel(n), GroupAction.cyclic(n, gmat), comp)
+               for n, gmat, comp in suite._templates()]
+    for torus in models:
+        assert torus._galois_dualT == ref.dual_transposes(torus.galois)
+        assert torus._comp_dualT == ref.dual_transposes(torus.comp)
 
 
 @settings(max_examples=150, deadline=None)

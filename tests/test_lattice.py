@@ -1,15 +1,21 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import toruscheck
 from toruscheck.lattice import (
     IntMatrix,
     smith_normal_form,
     solve_integer,
     kernel_basis,
+    hnf_image_basis,
+    unimodular_inverse,
     FGAbelian,
-    AbHom,
     Subquotient,
 )
 
@@ -153,20 +159,71 @@ def test_fgabelian_lift_roundtrip():
     G = FGAbelian(3, IntMatrix([[2, 0], [0, 4], [0, 0]]))
     for coords in G_coords(G):
         assert G.nf(G.lift(coords)) == coords
+    # random relation matrices on 1-4 generators, random normal forms
+    rng = random.Random(3)
+    for _ in range(60):
+        n, k = rng.randint(1, 4), rng.randint(0, 4)
+        G = FGAbelian(n, IntMatrix([[rng.randint(-6, 6) for _ in range(k)]
+                                    for _ in range(n)]))
+        for _ in range(10):
+            coords = tuple([rng.randrange(d) for d in G.torsion]
+                           + [rng.randint(-9, 9)] * G.free_rank)
+            assert G.nf(G.lift(coords)) == coords
 
 
 def G_coords(G):
-    import itertools
-
     ranges = [range(d) for d in G.torsion] + [range(-2, 3)] * G.free_rank
     return itertools.product(*ranges)
 
 
-def test_abhom_well_defined():
-    dom = FGAbelian(1, IntMatrix([[2]]))  # Z/2
-    cod = FGAbelian(1, IntMatrix([[4]]))  # Z/4
-    assert AbHom(dom, cod, IntMatrix([[2]])).is_well_defined()  # x -> 2x ok
-    assert not AbHom(dom, cod, IntMatrix([[1]])).is_well_defined()
+@st.composite
+def unimodular_matrices(draw):
+    """A product of 0-12 elementary matrices of size 1-6: row additions,
+    row swaps and sign changes."""
+    n = draw(st.integers(1, 6))
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 12))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(st.integers(-3, 3))
+        if i == j:
+            rows[i] = [-x for x in rows[i]]
+        elif c == 0:
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return IntMatrix(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unimodular_matrices())
+def test_unimodular_inverse_random(M):
+    inv = unimodular_inverse(M)
+    assert inv * M == IntMatrix.identity(M.rows)
+    assert M * inv == IntMatrix.identity(M.rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0]], [[2]], [[1, 1], [1, 1]], [[1, 0], [0, 2]], [[0] * 3] * 3,
+    [[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]]])
+def test_unimodular_inverse_rejects_other_matrices(rows):
+    with pytest.raises(ValueError, match="not unimodular"):
+        unimodular_inverse(IntMatrix(rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_hnf_image_basis_spans_the_column_lattice(r, c, data):
+    entries = [[data.draw(st.integers(-9, 9)) for _ in range(c)]
+               for _ in range(r)]
+    A = IntMatrix(entries)
+    basis = hnf_image_basis(A)
+    B = IntMatrix.from_columns(basis, r)
+    # each lattice holds the other's generators, and the basis has rank
+    # many vectors, so it is a basis of the column lattice of A
+    assert all(solve_integer(B, col) is not None for col in A.columns())
+    assert all(solve_integer(A, v) is not None for v in basis)
+    _, D, _ = smith_normal_form(A)
+    assert len(basis) == sum(1 for d in diag_entries(D) if d)
 
 
 def test_subquotient_basic():
@@ -177,3 +234,58 @@ def test_subquotient_basic():
     assert c is not None
     rep = sq.representative(c)
     assert sq.classify(rep) == c
+
+
+#: Under python -O: each input check of lattice on an input that fails it.
+OPTIMIZED_CHECKS = """
+import sys
+from toruscheck.lattice import (FGAbelian, IntMatrix, Subquotient,
+                                solve_integer, unimodular_inverse)
+
+if __debug__:
+    sys.exit("asserts are still enabled")
+
+
+def attempt(label, make):
+    try:
+        make()
+        print(label, "accepted")
+    except ValueError as e:
+        print(label, "rejected:", e)
+
+
+A = IntMatrix([[2, 4], [6, 8]])
+attempt("ragged", lambda: IntMatrix([[1, 2], [3]]))
+attempt("no columns", lambda: IntMatrix.from_columns([]))
+attempt("sum", lambda: A + IntMatrix.identity(3))
+attempt("difference", lambda: A - IntMatrix([[1, 2]]))
+attempt("product", lambda: A * IntMatrix([[1, 2]]))
+attempt("solve", lambda: solve_integer(A, (1, 2, 3)))
+attempt("inverse", lambda: unimodular_inverse(A))
+attempt("relations", lambda: FGAbelian(3, A))
+G = FGAbelian(2, IntMatrix([[2], [0]]))
+attempt("lift", lambda: G.lift((1,)))
+attempt("elements", lambda: G.elements())
+attempt("boundary", lambda: Subquotient(2, [(2, 0), (0, 1)], [(1, 0)]))
+"""
+
+
+def test_lattice_checks_run_under_python_O():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toruscheck.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "ragged rejected: ragged rows",
+        "no columns rejected: need rows for an empty column list",
+        "sum rejected: matrices of different shapes",
+        "difference rejected: matrices of different shapes",
+        "product rejected: 2 columns times 1 rows",
+        "solve rejected: a right-hand side of length 3 for 2 rows",
+        "inverse rejected: matrix is not unimodular",
+        "relations rejected: 2 relation rows for 3 generators",
+        "lift rejected: 1 coordinates for 2 invariants",
+        "elements rejected: cannot list the elements of an infinite group",
+        "boundary rejected: boundary vector outside the cycle lattice",
+    ]

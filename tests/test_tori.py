@@ -457,6 +457,93 @@ def test_guards_raise_under_python_O():
     ]
 
 
+#: Under python -O: a wrong t_a and a wrong h on the norm-one fixture,
+#: first through build_case and packet, then through cli.main, which must
+#: fail a check with the message as witness.
+OPTIMIZED_CASE_CHECKS = """
+import contextlib, io, json, os, sys
+
+from toruscheck import cli, tori
+from toruscheck.casefile import load_case_file
+from toruscheck.qz import QZ
+
+if __debug__:
+    sys.exit("asserts are still enabled")
+
+FIXTURE = sys.argv[1]
+solve_t, compute_h = tori.solve_t, tori.compute_h
+
+
+def wrong_t(torus, z, a):
+    # t_a plus a vector sigma does not fix, for a != 1
+    x = solve_t(torus, z, a)
+    return x if x is None or a == 0 else tuple(v + 1 for v in x)
+
+
+def wrong_h(case):
+    # h moved off by a cube root of unity at one element: no character
+    out = compute_h(case)
+    out[max(out)] += QZ(1, 3)
+    return out
+
+
+def run(label, make):
+    try:
+        make()
+        print(label, "accepted")
+    except tori.CaseError as e:
+        print(label, "rejected:", e)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["tori-verify", "--input", FIXTURE])
+    last = json.loads(out.getvalue())["checks"][-1]
+    print(label, "exit", code, last["id"], last["status"], last["witness"])
+
+
+torus, z, phi, _ = load_case_file(FIXTURE)
+tori.solve_t = wrong_t
+run("t_a", lambda: tori.build_case(torus, z, phi))
+tori.solve_t = solve_t
+cli.compute_h = wrong_h
+
+
+def packet_of_wrong_h():
+    case = tori.build_case(torus, z, phi)
+    wrong_h(case)
+    tori.packet(case)
+
+
+run("h", packet_of_wrong_h)
+"""
+
+
+def test_case_checks_fail_under_python_O():
+    """A wrong t_a or h raises CaseError with asserts stripped, and the CLI
+    turns it into a failed check with a witness."""
+    import os
+    import subprocess
+    import sys
+
+    import toruscheck
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toruscheck.__file__)))
+    fixture = os.path.join(os.path.dirname(src), "fixtures",
+                           "norm_one_torus.json")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CASE_CHECKS, fixture],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "t_a rejected: t_a does not solve its coboundary equation",
+        "t_a exit 1 tori.h_computed fail "
+        "{'error': 't_a does not solve its coboundary equation'}",
+        "h rejected: h does not induce a character bijection",
+        "h exit 1 tori.packet fail "
+        "{'error': 'h does not induce a character bijection'}",
+    ]
+
+
 def test_suite_templates_are_shared_and_left_unchanged():
     """random_case_data draws from one tuple of templates per process, and
     running cases built from them changes no matrix or group table in it."""

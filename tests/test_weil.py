@@ -168,10 +168,7 @@ def dual_points_killing_IX(torus):
     cols = []
     for m in torus.galois.matrices[1:]:
         cols.extend((m - ident).columns())
-    from toruscheck.lattice import lattice_membership_matrix
-
-    R = lattice_membership_matrix(cols, r)
-    coinv = FGAbelian(r, R)
+    coinv = FGAbelian(r, IntMatrix.from_columns(cols, r))
     exps = coinv.torsion
     out = []
     if not exps:
