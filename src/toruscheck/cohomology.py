@@ -82,7 +82,8 @@ class Cochain:
         self.gmod = gmod
         self.degree = degree
         self.table = dict(table)
-        assert len(self.table) == gmod.group.order ** degree
+        if len(self.table) != gmod.group.order ** degree:
+            raise ValueError("a cochain table of the wrong size")
 
     @classmethod
     def zero(cls, gmod, degree):
@@ -595,7 +596,8 @@ class ZDomain(ChainDomain):
         mats = [IntMatrix.identity(self.rank)]
         for _ in range(n - 1):
             mats.append(sigma_matrix * mats[-1])
-        assert sigma_matrix * mats[-1] == mats[0], "matrix order must divide n"
+        if sigma_matrix * mats[-1] != mats[0]:
+            raise ValueError("matrix order must divide n")
         self.mats = mats
 
     def mul(self, a, b):
@@ -668,7 +670,8 @@ class FiniteSupportChain:
         """The three-term alternating-sum homology differential."""
         W = self.domain
         n = self.degree
-        assert n >= 1
+        if n < 1:
+            raise ValueError("a degree-0 chain has no boundary")
         out = FiniteSupportChain(W, n - 1, self.rank)
         for key, val in self.support.items():
             # first term: x^-1 . y(x, w_1..w_{n-1}) collected at (w_1..w_{n-1})

@@ -103,7 +103,8 @@ class IntMatrix:
 
     def det(self):
         """Determinant by fraction-free (Bareiss) elimination."""
-        assert self.rows == self.cols
+        if self.rows != self.cols:
+            raise ValueError("determinant of a non-square matrix")
         n = self.rows
         if n == 0:
             return 1

@@ -28,6 +28,8 @@ from .weil import (
     tn_inverse,
     langlands_character,
     hyper_pairing,
+    hyper_lift,
+    pair_with_lift,
 )
 from .characters import irr_with_central_char, alpha_regular_class_count
 from .groups import Cocycle2, CentralExtension
@@ -56,8 +58,13 @@ class ToriCase:
     t: dict              # a -> integral vector in X
     s: dict              # a -> dual vector (tuple of QZ)
     lam_z: tuple         # canonical norm-zero inverse of z under the TN map
+    z_inv: Cochain       # z^-1 and phi0^-1, the inverses every pairing reads
+    phi_inv: Parameter
     h: dict = field(default_factory=dict)
     pairings: dict = field(default_factory=dict)  # see pairing()
+    sweep: dict = field(default_factory=dict)     # see conjugates()
+    inner: dict = field(default_factory=dict)     # see theta_value()
+    lifts: dict = field(default_factory=dict)     # see endoscopic_value()
 
     @property
     def A(self):
@@ -68,6 +75,23 @@ class ToriCase:
         if a not in self.pairings:
             self.pairings[a] = pair_for_h(self, a)
         return self.pairings[a]
+
+    def conjugates(self, a, t_vec):
+        """(c a c^-1, delta0, phi(delta0)) with delta0 = c.t_vec + zeta(c, a),
+        for the c in A_z that keep a in A_phi_z: the data both sums of the
+        character identity read at (a, t_vec), built once per pair."""
+        key = (a, tuple(t_vec))
+        if key not in self.sweep:
+            A, stab = self.A, set(self.A_phi_z)
+            out = self.sweep[key] = []
+            for c in self.A_z:
+                cac = A.mul(A.mul(c, a), A.inv(c))
+                if cac in stab:
+                    delta0 = tuple(x + y for x, y in
+                                   zip(self.act(c, t_vec), self.zeta(c, a)))
+                    out.append((cac, delta0, langlands_character(
+                        self.torus, self.phi, delta0)))
+        return self.sweep[key]
 
     def act(self, a, vec):
         return self.torus.comp.act(a, vec)
@@ -192,7 +216,8 @@ def build_case(torus, z, phi):
         raise CaseError("class not fixed: stabilizer data inconsistent")
     lam_z = tn_inverse(torus, z)
     case = ToriCase(torus=torus, z=z, phi=phi, A_z=A_z, A_phi_z=A_phi_z,
-                    t=t, s=s, lam_z=lam_z)
+                    t=t, s=s, lam_z=lam_z, z_inv=z.neg(),
+                    phi_inv=phi.neg())
     if any(case.t[0]) or not all(q.is_zero() for q in case.s[0]):
         raise CaseError("the identity must have t = 0 and s = 0")
     _check_case_invariants(case)
@@ -228,8 +253,7 @@ def pair_for_h(case, a, t_override=None, s_override=None):
     t = (t_override or case.t)[ainv]
     s = (s_override or case.s)[a]
     fT = case.f_complex(a)
-    u = case.z.neg()
-    return hyper_pairing(torus, fT, (u, t), (case.phi.neg(), s))
+    return hyper_pairing(torus, fT, (case.z_inv, t), (case.phi_inv, s))
 
 
 def compute_h(case, t_override=None, s_override=None):
@@ -422,43 +446,38 @@ def theta_value(case, s_dot, b, t_vec, a):
     L, D, forms = _character_forms(case, table, sel, ext, elems)
     pos = {x: i for i, x in enumerate(elems)}
     kz = case.kottwitz(s_dot)
-
-    # (c a c^-1, phi(c.t + zeta(c, a))) for the conjugators c that keep a
-    # in the stabilizer, shared by both sums
-    conjugates = []
-    for c in case.A_z:
-        cac = A.mul(A.mul(c, a), A.inv(c))
-        if cac not in pos:
-            continue
-        ct = torus.comp.act(c, t_vec)
-        val = langlands_character(
-            torus, case.phi,
-            tuple(x + y for x, y in zip(ct, case.zeta(c, a))))
-        conjugates.append((cac, val))
+    conjugates = case.conjugates(a, t_vec)
 
     # the representation sum
     #   sum_i chi_i((kz, b)) sum_c chi_i((val_c + h(cac), cac)) / |Abar|
-    # in exponent vectors at level N, where e(q) shifts exponents by q N
-    roots = [(pos[cac], val + case.h[cac]) for cac, val in conjugates]
-    N = lcm(L, kz.den, *(q.den for _, q in roots))
+    # in exponent vectors at level N, where e(q) shifts exponents by q N;
+    # the inner sums depend on (a, t_vec) and on N through kz.den alone
+    key = (a, tuple(t_vec), kz.den)
+    if key not in case.inner:
+        roots = [(pos[cac], val + case.h[cac]) for cac, _, val in conjugates]
+        N = lcm(L, kz.den, *(q.den for _, q in roots))
+        step = N // L
+        roots = [(x, q.num * (N // q.den)) for x, q in roots]
+        inners = {}
+        for i in sel:
+            inner = inners[i] = [0] * N
+            for x, shift in roots:
+                for k, c in forms[i][x]:
+                    inner[(k * step + shift) % N] += c
+        case.inner[key] = (N, inners)
+    N, inners = case.inner[key]
     step = N // L
-    roots = [(x, q.num * (N // q.den)) for x, q in roots]
     kzs = kz.num * (N // kz.den)
     acc = [0] * N
     for i in sel:
-        row = forms[i]
-        inner = [0] * N
-        for x, shift in roots:
-            for k, c in row[x]:
-                inner[(k * step + shift) % N] += c
-        acc = convolve(inner, [(k * step + kzs, c) for k, c in row[pos[b]]],
-                       acc)
+        acc = convolve(inners[i],
+                       [(k * step + kzs, c) for k, c in forms[i][pos[b]]], acc)
     rep = cyc_from_vector(acc, D * D * len(elems))
 
     binv = A.inv(b)
     shift = kz - case.pairing(b)
     closed = {}
-    for cac, val in conjugates:
+    for cac, _, val in conjugates:
         if cac == binv:
             q = val + shift
             closed[q] = closed.get(q, 0) + 1
@@ -518,20 +537,20 @@ def endoscopic_value(case, s_dot, b, t_vec, a):
                          "must be trivial")
     binv = A.inv(b)
     # the conjugated elements sit in the b^-1 coset, so their pairs live on
-    # the complex with map 1 - b^-1
+    # the complex with map 1 - b^-1.  The lift of each pair is kept on the
+    # case; a new pair is checked, then the dual pair, then solved, as in
+    # hyper_pairing, and every evaluation checks the dual pair again
     fT = case.pair_complex_matrix(binv)
-    dual_second = torus.dual_add(s_dot, case.s[b])
+    dual = (case.phi_inv, torus.dual_add(s_dot, case.s[b]))
     total = Cyc.zero()
-    for c in case.A_z:
-        cac = A.mul(A.mul(c, a), A.inv(c))
-        if cac != binv:
-            continue
-        ct = torus.comp.act(c, t_vec)
-        delta = tuple(x + y + w for x, y, w in
-                      zip(ct, case.zeta(c, a), case.t[binv]))
-        val = hyper_pairing(torus, fT, (case.z.neg(), delta),
-                            (case.phi.neg(), dual_second))
-        total = total + Cyc.root(-val)
+    for cac, delta0, _ in case.conjugates(a, t_vec):
+        if cac == binv:
+            delta = tuple(x + y for x, y in zip(delta0, case.t[binv]))
+            if (binv, delta) not in case.lifts:
+                case.lifts[binv, delta] = hyper_lift(
+                    torus, fT, (case.z_inv, delta), dual)
+            total = total + Cyc.root(
+                -pair_with_lift(torus, fT, case.lifts[binv, delta], dual))
     return total
 
 

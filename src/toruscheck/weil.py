@@ -364,33 +364,41 @@ _lift_cache = Memo()
 
 def hyper_pairing(torus, fT, pair_T, dual_pair):
     """Pairing of a class in H^1(Q, T --fT--> T) against a class on the
-    dual complex, computed by lifting the T-side class through the
-    chain-level maps and applying the elementary pairing.
+    dual complex: the chain-level lift of the T-side class (hyper_lift),
+    evaluated against the dual pair (pair_with_lift).
 
     pair_T = (u, v): u a 1-cocycle of Q in X (a Cochain), v a vector over X
     (integers or Fractions) with fT(u(s)) = s.v - v.
     dual_pair = (d, s): d a Parameter-like dual cocycle, s a dual point with
     s.sigma - s = d(sigma) o fT.
-    Raises ValueError when either pair fails its defining relation.
+    Raises ValueError when either pair fails its defining relation,
+    checking the T-side pair first, then the dual pair, then solving.
+    """
+    return elementary_pairing(torus, dual_pair,
+                              hyper_lift(torus, fT, pair_T, dual_pair))
+
+
+def hyper_lift(torus, fT, pair_T, dual_pair):
+    """The chain-level lift (lam, mu1) of the T-side class pair_T, which
+    depends on pair_T alone, not on the dual class it is paired with.
+    Checks pair_T and then dual_pair before solving.
 
     The lift solves, over Z (after clearing the denominator D of v):
         N lam = 0,
         cup(lam) - d0(t) = u,
         boundary(mu1) = fT lam,
         D*phi(mu1) - fT(p) = D*v      (t = p/D),
-    with mu1 supported on a finite window, then evaluates
-        s(lam) - sum_w d(w)(mu1(w)).
-    The matrix of this system depends only on the Galois action, fT, D and
-    the window, and is built once per such key.
+    with mu1 supported on a finite window.  The matrix of this system
+    depends only on the Galois action, fT, D and the window, and is built
+    once per such key.  Raises LiftNotFound when no window admits a lift.
     """
     u, v = pair_T
-    d, s = dual_pair
     r = torus.rank
     n = torus.model.n
     D = lcm(*(x.denominator for x in v))
     Dv = [x.numerator * (D // x.denominator) for x in v]
     _check_pair_T(torus, fT, u, Dv, D)
-    validate_hyper_pair_dual(torus, fT, d, s)
+    validate_hyper_pair_dual(torus, fT, *dual_pair)
 
     target = [0] * r + [D * x for x in u.to_vector()] + [0] * r + Dv
     galois = tuple(m.data for m in torus.galois.matrices)
@@ -405,8 +413,15 @@ def hyper_pairing(torus, fT, pair_T, dual_pair):
         mu = FiniteSupportChain(dom, 1, r)
         for wi, w in enumerate(range(-halfwidth, halfwidth)):
             mu.add_into((w,), tuple(sol[2 * r + wi * r: 2 * r + (wi + 1) * r]))
-        return elementary_pairing(torus, (d, s), (lam, mu))
+        return lam, mu
     raise LiftNotFound("no chain-level lift found for the hyper pairing input")
+
+
+def pair_with_lift(torus, fT, lift, dual_pair):
+    """Evaluate a hyper_lift against a dual pair on the dual complex of fT:
+    the dual pair is checked, then s(lam) - sum_w d(w)(mu1(w))."""
+    validate_hyper_pair_dual(torus, fT, *dual_pair)
+    return elementary_pairing(torus, dual_pair, lift)
 
 
 def _lift_system(torus, fT, D, halfwidth):

@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 import cochain_reference
 
+import toruscheck
 from toruscheck.lattice import IntMatrix
 from toruscheck.groups import FiniteGroup, GroupAction
 from toruscheck.cohomology import (
@@ -430,3 +434,45 @@ def test_normalize_cocycle():
     assert y.table[(0, 0)] == (0,) and y.table[(0, 1)] == (0,)
     assert y.table[(1, 0)] == (0,)
     assert all(v == (0,) for v in y.d().table.values())
+
+
+#: Under python -O: a cochain table of the wrong size, a Weil-group domain
+#: whose matrix order does not divide n, and the boundary of a 0-chain.
+OPTIMIZED_CHECKS = """
+import sys
+from toruscheck.lattice import IntMatrix
+from toruscheck.groups import GroupAction
+from toruscheck.cohomology import (Cochain, FiniteSupportChain, GModule,
+                                   ZDomain)
+
+if __debug__:
+    sys.exit("asserts are still enabled")
+
+
+def attempt(label, make):
+    try:
+        make()
+        print(label, "accepted")
+    except ValueError as e:
+        print(label, "rejected:", e)
+
+
+gm = GModule.from_action(GroupAction.cyclic(2, IntMatrix([[-1]])))
+attempt("cochain", lambda: Cochain(gm, 1, {(0,): (0,)}))
+attempt("domain", lambda: ZDomain(2, IntMatrix([[0, -1], [1, 0]])))
+chain = FiniteSupportChain(ZDomain(2, IntMatrix([[-1]])), 0, 1, {(): (1,)})
+attempt("boundary", chain.boundary)
+"""
+
+
+def test_cohomology_checks_run_under_python_O():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toruscheck.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "cochain rejected: a cochain table of the wrong size",
+        "domain rejected: matrix order must divide n",
+        "boundary rejected: a degree-0 chain has no boundary",
+    ]

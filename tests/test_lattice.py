@@ -267,6 +267,7 @@ G = FGAbelian(2, IntMatrix([[2], [0]]))
 attempt("lift", lambda: G.lift((1,)))
 attempt("elements", lambda: G.elements())
 attempt("boundary", lambda: Subquotient(2, [(2, 0), (0, 1)], [(1, 0)]))
+attempt("det", lambda: IntMatrix([[1, 2]]).det())
 """
 
 
@@ -288,4 +289,5 @@ def test_lattice_checks_run_under_python_O():
         "lift rejected: 1 coordinates for 2 invariants",
         "elements rejected: cannot list the elements of an infinite group",
         "boundary rejected: boundary vector outside the cycle lattice",
+        "det rejected: determinant of a non-square matrix",
     ]

@@ -110,6 +110,21 @@ def test_twisted_sign_a1():
     assert twisted_sign(tw, (1,)) == (-1) ** (1 - 0)
 
 
+def test_twisted_sign_rejects_a_pairing_of_order_above_two(monkeypatch):
+    """The order-2 guard: the A1 class of sign -1 pairs to 1/2; with the
+    weights halved against the denominator it pairs to 1/4, outside the
+    wired regime, and twisted_sign raises instead of returning a sign."""
+    tw = TwistData(BasedRootDatum.from_label("A1"), 2, trivial_perm(1),
+                   trivial_perm(1))
+    assert twisted_sign(tw, (1,)) == -1
+    pres = tw.sign_presentation()
+    monkeypatch.setattr(tw, "sign_presentation",
+                        lambda: pres._replace(den=2 * pres.den))
+    assert twisted_sign(tw, (0,)) == 1
+    with pytest.raises(ValueError, match="pairing value has order > 2"):
+        twisted_sign(tw, (1,))
+
+
 def test_twisted_sign_e6_flip_always_plus():
     d = BasedRootDatum.from_label("E6")
     tw = TwistData(d, 3, trivial_perm(6), diagram_flip("E6"))

@@ -386,6 +386,66 @@ def test_invariant_pairs_nontrivially():
     assert compute_h(case)[1] == QZ(1, 2)
 
 
+def _error(fn):
+    """The message of the ValueError fn raises."""
+    with pytest.raises(ValueError) as info:
+        fn()
+    return str(info.value)
+
+
+def test_swept_case_still_rejects_bad_inputs():
+    """The (a, t) data and lifts kept on a swept case skip no guard: a
+    non-invariant t or s and an element outside A_phi_z raise the same
+    ValueError as on a fresh case."""
+    swept, fresh = norm_one_case(), norm_one_case()
+    torus = swept.torus
+    for a in swept.A_phi_z:
+        for b in swept.A_phi_z:
+            for s in invariant_duals(torus):
+                for t in invariant_vectors(torus):
+                    assert character_identity_report(swept, s, b, t, a).all_equal
+    zero, bad_s, bad_t = torus.dual_zero(), (QZ(1, 3),), (1,)
+    bad = [(zero, 0, bad_t, 0), (zero, 1, bad_t, 1),
+           (bad_s, 0, (0,), 0), (bad_s, 1, (0,), 1),
+           (zero, 0, (0,), 5), (zero, 7, (0,), 0)]
+    for fn in (theta_value, endoscopic_value):
+        for args in bad:
+            want = _error(lambda: fn(fresh, *args))
+            assert _error(lambda: fn(swept, *args)) == want, (fn, args)
+    # the swept case still rejects through the lift path, not only the
+    # theta_value guards
+    assert _error(lambda: endoscopic_value(swept, zero, 1, bad_t, 1)) == \
+        "T-side pair not a hypercocycle"
+    assert _error(lambda: endoscopic_value(swept, bad_s, 1, (0,), 1)) == \
+        "dual-side pair not on the dual complex"
+
+
+def test_per_case_data_do_not_depend_on_call_order():
+    """endoscopic_value before theta_value, over (a, b, s, t) in shuffled
+    order on one case, gives the values of one fresh case per call."""
+    rng = random.Random(0)
+    # the first eight draws hold an S3 stabilizer and an A_z larger than
+    # A_phi_z
+    drawn = [norm_one_case]
+    for _ in range(8):
+        data = random_case_data(rng)
+        if len(build_case(*data).A_phi_z) <= 6:
+            drawn.append(lambda data=data: build_case(*data))
+    for make in drawn:
+        case = make()
+        torus = case.torus
+        calls = [(s, b, t, a) for a in case.A_phi_z for b in case.A_phi_z
+                 for s in invariant_duals(torus)[:2]
+                 for t in invariant_vectors(torus)[:2]]
+        rng.shuffle(calls)
+        for args in calls:
+            endo = endoscopic_value(case, *args)
+            rep, closed = theta_value(case, *args)
+            want = (*theta_value(make(), *args), endoscopic_value(make(), *args))
+            assert [encode_cyc(v) for v in (rep, closed, endo)] == \
+                [encode_cyc(v) for v in want], args
+
+
 #: Bad inputs for the guards of theta_value and endoscopic_value, the
 #: cocycle identity of Parameter and the norm check of tn_iso, run with
 #: asserts stripped.

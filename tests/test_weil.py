@@ -410,6 +410,54 @@ def test_hyper_pairing_reports_missing_lift(monkeypatch):
         hyper_pairing(t, fT, (garbage, (0,)), (phi, t.dual_zero()))
 
 
+def test_hyper_pairing_error_precedence(monkeypatch):
+    """The T-side check comes first, then the dual-side check, and only then
+    the solve: a dual-side failure raises before any lift is attempted, so
+    LiftNotFound never takes its place."""
+    t = norm_one_torus(2)
+    fT = IntMatrix([[2]])
+    z = tn_iso(t, (1,)).neg()
+    phi = Parameter(t, (QZ(1, 4),))
+    garbage = Cochain(t.gmodule(), 1, {(0,): (1,), (1,): (0,)})
+    bad_dual = (phi.neg(), (QZ(1, 3),))
+    solves = []
+    monkeypatch.setattr(weil, "solve_integer",
+                        lambda *args: solves.append(args))
+    for pair_T, dual, side in [((garbage, (0,)), bad_dual, "T-side"),
+                               ((z, (1,)), bad_dual, "dual-side")]:
+        with pytest.raises(ValueError, match=side) as info:
+            hyper_pairing(t, fT, pair_T, dual)
+        assert not isinstance(info.value, LiftNotFound)
+        with pytest.raises(ValueError, match=side):
+            weil.hyper_lift(t, fT, pair_T, dual)
+    assert solves == []
+    # with every check passing, the stubbed solve is reached and finds none
+    with pytest.raises(LiftNotFound):
+        hyper_pairing(t, fT, (z, (1,)), (phi.neg(), (QZ(1, 4),)))
+    assert solves
+
+
+def test_hyper_pairing_is_lift_then_evaluation():
+    """One lift of the T-side class serves every dual pair, and each
+    evaluation still checks its dual pair."""
+    t = norm_one_torus(2)
+    fT = IntMatrix([[2]])
+    z = tn_iso(t, (1,)).neg()
+    lift = weil.hyper_lift(t, fT, (z, (1,)),
+                           (Parameter(t, (QZ(1, 4),)).neg(), (QZ(1, 4),)))
+    values = set()
+    for q in (QZ(1, 4), QZ(3, 4), QZ(1, 8), QZ(0)):
+        # s on the dual complex of fT = 2: -2 s = 2 d(sigma) = -2 q
+        d = Parameter(t, (q,)).neg()
+        for s in ((q,), (q + QZ(1, 2),)):
+            value = weil.pair_with_lift(t, fT, lift, (d, s))
+            assert value == hyper_pairing(t, fT, (z, (1,)), (d, s))
+            values.add(value)
+        with pytest.raises(ValueError, match="dual-side"):
+            weil.pair_with_lift(t, fT, lift, (d, (q + QZ(1, 3),)))
+    assert len(values) > 1
+
+
 #: An invalid dual-side pair: fT = 0 forces s.sigma = s, but sigma acts by -1
 #: and s = 1/4 is not fixed.
 OPTIMIZED_CHECKS = """
