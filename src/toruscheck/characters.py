@@ -18,9 +18,8 @@ from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
 
-from .groups import Cocycle2, coset_section
-from .qz import (QZ, Cyc, cyc_sum, cyc_div, cyc_from_vector, exponent_form,
-                 residue)
+from .groups import Cocycle2, FiniteGroup, coset_section
+from .qz import QZ, Cyc, cyc_div, cyc_from_vector, exponent_forms, residue
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +63,7 @@ def _primitive_root(p):
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
             return g
-    raise AssertionError("no primitive root found")
+    raise ValueError("no primitive root found")
 
 
 def _mat_mul(A, B, p):
@@ -221,24 +220,9 @@ class CharacterTable:
         return len(self.chars)
 
     def exponent_forms(self):
-        """(n, D, rows): every value in integers, computed once per table.
-        n is the lcm of the values' levels and D the lcm of their coefficient
-        denominators; rows[i][k] holds the (e, c) pairs with c * e(e/n) the
-        terms of D * chars[i][k], 0 <= e < n."""
+        """qz.exponent_forms of the rows, computed once per table."""
         if self._forms is None:
-            n = 1
-            for row in self.chars:
-                for v in row:
-                    n = lcm(n, v.level())
-            forms = [[exponent_form(v.terms, n) for v in row]
-                     for row in self.chars]
-            D = 1
-            for row in forms:
-                for _, den in row:
-                    D = lcm(D, den)
-            self._forms = (n, D, [
-                [[(k, c * (D // den)) for k, c in pairs] for pairs, den in row]
-                for row in forms])
+            self._forms = exponent_forms(self.chars)
         return self._forms
 
     def verify(self):
@@ -463,7 +447,8 @@ def psi_value(ext, psi1, e):
     """psi applied to the central part of a central element e, where psi
     sends the generator 1/m of mu_m to psi1."""
     z, a = ext.parts(e)
-    assert a == 0, "element not central"
+    if a:
+        raise ValueError("element not central")
     k = z.num * ext.m // z.den
     return k * psi1
 
@@ -595,7 +580,8 @@ def canonical_tensor_extension(big, sub_elems, x_char, twist=None):
         s = section[cs]
         h1 = big.mul(e1, big.inv(s))
         h2 = big.mul(e2, big.inv(s))
-        assert h1 in H and h2 in H
+        if h1 not in H or h2 not in H:
+            raise ValueError("section outside its coset")
         return (x_char[h1] + twist[cs]) - (x_char[h2] + twist[cs])
 
     return value
@@ -703,8 +689,8 @@ def mackey_multiplicity_transfer(data, cache=None):
         out = []
         for i in range(table.nchars):
             for x in xs:
-                total = cyc_sum(Cyc.root(-x[h]) * table.value(i, h)
-                                for h in sub)
+                total = sum((Cyc.root(-x[h]) * table.value(i, h)
+                             for h in sub), Cyc.zero())
                 if (total * Fraction(1, len(sub))).as_rational():
                     out.append(i)
                     break
@@ -721,16 +707,19 @@ def mackey_multiplicity_transfer(data, cache=None):
                 total = total + (xt_values[(e1, e2)]
                                  * t1.value(i, e1).conj() * t2.value(j, e2))
             m = (total * Fraction(1, len(fiber))).as_rational()
-            assert m is not None and m.denominator == 1 and m >= 0, \
-                "multiplicity must be a nonnegative integer"
-            assert m <= 1, "multiplicity exceeds 1"
+            if m is None or m.denominator != 1 or m < 0:
+                raise ValueError("multiplicity must be a nonnegative integer")
+            if m > 1:
+                raise ValueError("multiplicity exceeds 1")
             mult[(i, j)] = int(m)
     corr = {}
     for i in over1:
         hits = [j for j in over2 if mult[(i, j)] == 1]
-        assert len(hits) == 1, "correspondence is not a bijection"
+        if len(hits) != 1:
+            raise ValueError("correspondence is not a bijection")
         corr[i] = hits[0]
-    assert len(set(corr.values())) == len(over1) == len(over2)
+    if not len(set(corr.values())) == len(over1) == len(over2):
+        raise ValueError("correspondence is not a bijection")
     return corr, t1, t2, over1, over2
 
 
@@ -741,7 +730,8 @@ def restriction_multiplicity(table_big, big, sub_group, sub_elems, i, table_sub,
     for si, g in enumerate(sub_elems):
         total = total + table_big.value(i, g) * table_sub.value(j, si).conj()
     m = (total * Fraction(1, len(sub_elems))).as_rational()
-    assert m is not None and m.denominator == 1 and m >= 0
+    if m is None or m.denominator != 1 or m < 0:
+        raise ValueError("multiplicity must be a nonnegative integer")
     return int(m)
 
 
@@ -768,10 +758,12 @@ class CycMatrix:
         return cls([[c if i == j else z for j in range(n)] for i in range(n)])
 
     def mul(self, other):
-        assert self.m == other.n
+        if self.m != other.n:
+            raise ValueError("%d columns times %d rows" % (self.m, other.n))
         return CycMatrix(
-            [[cyc_sum(self.rows[i][k] * other.rows[k][j]
-                      for k in range(self.m)) for j in range(other.m)]
+            [[sum((self.rows[i][k] * other.rows[k][j]
+                   for k in range(self.m)), Cyc.zero())
+              for j in range(other.m)]
              for i in range(self.n)])
 
     def eq(self, other):
@@ -781,15 +773,16 @@ class CycMatrix:
 
 
 def _scalar_ratio(lhs, rhs):
-    """The scalar c with lhs = c * rhs, asserted to exist."""
+    """The scalar c with lhs = c * rhs.  Raises ValueError when there is
+    none."""
     for i in range(lhs.n):
         for j in range(lhs.m):
             if not rhs.rows[i][j].is_zero():
                 c = cyc_div(lhs.rows[i][j], rhs.rows[i][j])
-                assert lhs.eq(CycMatrix.scalar(c, lhs.n).mul(rhs)), \
-                    "matrices are not proportional"
+                if not lhs.eq(CycMatrix.scalar(c, lhs.n).mul(rhs)):
+                    raise ValueError("matrices are not proportional")
                 return c
-    raise AssertionError("zero matrix in scalar extraction")
+    raise ValueError("zero matrix in scalar extraction")
 
 
 class InducedIntertwinerData:
@@ -945,77 +938,31 @@ def block_rotation_class_bijection(J, theta, n):
 
     Returns (ok, class_count).  Checked by exhausting both orbit sets, so
     it only suits small groups and small n."""
-    size = J.order ** n
+    # element i of the direct product J^n is the i-th block tuple in
+    # lexicographic order
+    blocks = list(itertools.product(range(J.order), repeat=n))
+    index = {t: i for i, t in enumerate(blocks)}
+    big = J
+    for _ in range(n - 1):
+        big = FiniteGroup.direct_product(big, J)
+    # the rotate-then-theta automorphism
+    big_theta = [index[t[1:] + (theta[t[0]],)] for t in blocks]
 
-    def decode(i):
-        out = []
-        for _ in range(n):
-            i, r = divmod(i, J.order)
-            out.append(r)
-        return tuple(out)
-
-    def encode(t):
-        i = 0
-        for x in reversed(t):
-            i = i * J.order + x
-        return i
-
-    def mul_tuple(a, b):
-        return tuple(J.mul(x, y) for x, y in zip(a, b))
-
-    def big_theta(t):
-        return t[1:] + (theta[t[0]],)
-
-    # twisted classes of the product under the rotate-then-theta automorphism
-    seen = set()
-    big_classes = []
-    for i in range(size):
-        if i in seen:
-            continue
-        orbit = set()
-        frontier = {i}
-        while frontier:
-            x = frontier.pop()
-            if x in orbit:
-                continue
-            orbit.add(x)
-            xt = decode(x)
-            for g in range(size):
-                gt = decode(g)
-                inv_tg = tuple(J.inv(v) for v in big_theta(gt))
-                y = encode(mul_tuple(mul_tuple(gt, xt), inv_tg))
-                if y not in orbit:
-                    frontier.add(y)
-        seen |= orbit
-        big_classes.append(orbit)
-    small_classes = twisted_classes(J, theta)
-    if len(big_classes) != len(small_classes):
-        return False, len(small_classes)
-    class_of = {}
-    for ci, cls in enumerate(small_classes):
-        for d in cls:
-            class_of[d] = ci
-    hit = set()
-    for orbit in big_classes:
-        images = set()
-        for i in orbit:
-            t = decode(i)
-            prod = t[0]
-            for x in t[1:]:
-                prod = J.mul(prod, x)
-            images.add(class_of[prod])
-        if len(images) != 1:
-            return False, len(small_classes)
-        hit.add(images.pop())
-    ok = hit == set(range(len(small_classes)))
-    # the inverse relation: multiplying the one-block inclusion back
-    for d in range(J.order):
-        t = (d,) + (0,) * (n - 1)
+    def product(t):
         prod = t[0]
         for x in t[1:]:
             prod = J.mul(prod, x)
-        ok = ok and prod == d
-    return ok, len(small_classes)
+        return prod
+
+    small = twisted_classes(J, theta)
+    class_of = {d: ci for ci, cls in enumerate(small) for d in cls}
+    images = [{class_of[product(blocks[i])] for i in orbit}
+              for orbit in twisted_classes(big, big_theta)]
+    ok = (len(images) == len(small) and all(len(im) == 1 for im in images)
+          and set().union(*images) == set(range(len(small)))
+          and all(product((d,) + (0,) * (n - 1)) == d
+                  for d in range(J.order)))
+    return ok, len(small)
 
 
 def block_twisted_trace(phis, T):
@@ -1026,9 +973,8 @@ def block_twisted_trace(phis, T):
     Returns (lhs, rhs, equal)."""
     n = len(phis)
     dim = phis[0].rows
-    for m in phis:
-        assert m.rows == m.cols == dim, "dimension mismatch"
-    assert T.rows == T.cols == dim, "dimension mismatch"
+    if any(not m.rows == m.cols == dim for m in [*phis, T]):
+        raise ValueError("dimension mismatch")
     last = phis[n - 1] * T
     lhs = 0
     for idx in itertools.product(range(dim), repeat=n):

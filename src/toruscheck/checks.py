@@ -13,11 +13,13 @@ of the report bytes.
 from __future__ import annotations
 
 import itertools
+from math import lcm, prod
 from typing import NamedTuple
 
 from .lattice import IntMatrix, kernel_basis
 from .qz import QZ, Cyc
-from .groups import FiniteGroup, GroupAction
+from .groups import FiniteGroup, GroupAction, induced_action, \
+    decompose_induced_automorphism, reconstruct_induced_automorphism
 from .cohomology import GModule, Cochain, tate_group, cup, ZDomain, \
     FiniteDomain, FiniteSupportChain, coinflation
 from .weil import LocalModel, TorusModel, Parameter, tn_iso, tn_inverse, \
@@ -142,11 +144,23 @@ def tn_bijective(torus):
 
 
 def kottwitz_perfect(torus):
+    """The pairing of Tate H^-1 with the characters of the torsion of the
+    coinvariants is perfect: |H^-1| is the product of the orders of the
+    generator duals of invariant_duals, no nonzero class pairs to zero with
+    every generator (distinct rows), and no nonzero combination of the
+    generators pairs to zero with every class."""
     Hm1 = tate_group(torus.gmodule(), -1)
     duals = invariant_duals(torus)
-    rows = {tuple(torus.dual_eval(s, Hm1.representative(c)) for s in duals)
-            for c in Hm1.elements()}
-    return Verdict(len(rows) == Hm1.order)
+    reps = [Hm1.representative(c) for c in Hm1.elements()]
+    # values[j][c]: the j-th generator dual at the c-th class, in Q/Z
+    values = [[torus.dual_eval(s, lam) for lam in reps] for s in duals]
+    orders = [lcm(1, *(q.den for q in s)) for s in duals]
+    left = len(set(zip(*values))) == Hm1.order
+    right = all(
+        any(not sum((v * k for v, k in zip(col, combo)), QZ(0)).is_zero()
+            for col in zip(*values))
+        for combo in itertools.product(*map(range, orders)) if any(combo))
+    return Verdict(prod(orders) == Hm1.order and left and right)
 
 
 def langlands_edge(torus, phi):
@@ -178,6 +192,30 @@ def sign_value(twist, xi):
         return Verdict(True, {"sign": twisted_sign(twist, xi)})
     except ValueError as e:
         return Verdict(False, {"error": str(e)})
+
+
+def sign_squares():
+    """Every accepted twisted sign squares to one, over every class of the
+    data A1, A2, A3, D4 and E6 with n = 2, with a trivial and with the
+    diagram flip; classes the sign rejects are skipped.  The witness names
+    the first failure."""
+    signs = 0
+    failure = None
+    for label in ("A1", "A2", "A3", "D4", "E6"):
+        d = BasedRootDatum.from_label(label)
+        r = d.rank
+        for ap in (tuple(range(r)), diagram_flip(label)):
+            tw = TwistData(d, 2, tuple(range(r)), ap)
+            for xi in tate_group(tw.xi_module(), 2).elements():
+                try:
+                    s = twisted_sign(tw, xi)
+                except ValueError:
+                    continue
+                signs += 1
+                if s * s != 1 and failure is None:
+                    failure = {"label": label, "a_perm": list(ap),
+                               "xi": list(xi), "sign": s}
+    return Verdict(failure is None, failure, {"signs": signs})
 
 
 def _a1_inner():
@@ -227,6 +265,53 @@ def levi():
     """Levi compatibility on the A2 > A1 standard Levi."""
     a2 = TwistData(BasedRootDatum.from_label("A2"), 1, (0, 1), (0, 1))
     return Verdict(levi_restriction(a2, [0])["coinvariant_equal"])
+
+
+def induced_automorphism_roundtrip(rng, samples):
+    """Decomposing a reconstructed block automorphism of an induced module
+    and reconstructing it again gives the same matrix, on random equivariant
+    automorphisms: a random setup, normalizer element sigma0 and a' = +-1.
+    Draws that are not equivariant are redrawn.  The witness names the
+    first failing sample."""
+    one, minus = IntMatrix.identity(1), IntMatrix([[-1]])
+    C2, C4, C6 = (FiniteGroup.cyclic(n) for n in (2, 4, 6))
+    # (Gamma, Delta, Delta's matrices on X, rank of X), index at most 4
+    setups = [
+        (C4, [0, 2], [one, minus], 1),
+        (C4, [0, 2], [one] * 2, 1),
+        (C6, [0, 2, 4], [one] * 3, 1),
+        (C6, [0, 3], [one, minus], 1),
+        (FiniteGroup.cyclic(8), [0, 2, 4, 6], [one, minus, one, minus], 1),
+        (FiniteGroup.direct_product(C2, C2), [0, 1],
+         [IntMatrix.identity(2), IntMatrix([[0, 1], [1, 0]])], 2),
+    ]
+    count = 0
+    while count < samples:
+        gamma, delta, sub, x_rank = setup = rng.choice(setups)
+        act, cosets = induced_action(gamma, delta, sub, x_rank)
+        sigma0 = rng.randrange(gamma.order)
+        dset = set(delta)
+        if {gamma.conj(sigma0, d) for d in dset} != dset:
+            continue
+        ident = IntMatrix.identity(x_rank)
+        a_pr = rng.choice([ident, -ident])
+        a = reconstruct_induced_automorphism(gamma, delta, sub, cosets,
+                                             x_rank, sigma0, a_pr)
+        if a * act.matrices[1] != act.matrices[1] * a:
+            continue  # not equivariant for this sigma0
+        witness = {"sample": count, "setup": setups.index(setup),
+                   "sigma0": sigma0, "a_prime": a_pr.data[0][0]}
+        try:
+            s_out, a_out = decompose_induced_automorphism(
+                gamma, delta, sub, act, cosets, x_rank, a)
+        except ValueError as e:
+            witness["error"] = str(e)
+            return Verdict(False, witness, {"samples": count + 1})
+        if reconstruct_induced_automorphism(gamma, delta, sub, cosets, x_rank,
+                                            s_out, a_out) != a:
+            return Verdict(False, witness, {"samples": count + 1})
+        count += 1
+    return Verdict(True, None, {"samples": count})
 
 
 def component_table(group, cache):

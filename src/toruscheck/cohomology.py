@@ -34,13 +34,16 @@ class GModule:
         self.rels = rels if rels is not None else IntMatrix.zero(ngens, 0)
         self.mats = tuple(mats)
         if check:
-            assert len(mats) == group.order
-            assert self.mats[0] == IntMatrix.identity(ngens)
+            if len(mats) != group.order:
+                raise ValueError("need one matrix per group element")
+            if self.mats[0] != IntMatrix.identity(ngens):
+                raise ValueError("identity must act trivially")
             fg = FGAbelian(ngens, self.rels)
             for m in self.mats:
                 for j in range(self.rels.cols):
                     img = m.apply(self.rels.column(j))
-                    assert not any(fg.nf(img)), "action not defined mod relations"
+                    if any(fg.nf(img)):
+                        raise ValueError("action not defined mod relations")
 
     @classmethod
     def from_action(cls, action):
@@ -92,16 +95,6 @@ class Cochain:
 
     def __call__(self, *args):
         return self.table[tuple(args)]
-
-    def is_normalized(self):
-        if self.degree == 0:
-            return True
-        zero = self.gmod.zero()
-        for t, v in self.table.items():
-            if 0 in t and tuple(v) != zero:
-                if any(self.gmod.fg().nf(v)):
-                    return False
-        return True
 
     def add(self, other):
         return Cochain(self.gmod, self.degree,
@@ -250,7 +243,9 @@ class CohomologyGroup:
         return self.group.order
 
     def classify(self, cochain):
-        assert cochain.degree == self.degree
+        if cochain.degree != self.degree:
+            raise ValueError("a cochain of degree %d for H^%d"
+                             % (cochain.degree, self.degree))
         return self.sq.classify(cochain.to_vector())
 
     def representative(self, coords):
@@ -276,15 +271,20 @@ def normalize_cocycle(x):
     return x.sub(shift.d())
 
 
+def group_norm(gmod):
+    """The norm map: the sum of the action matrices."""
+    norm = IntMatrix.zero(gmod.ngens, gmod.ngens)
+    for m in gmod.mats:
+        norm = norm + m
+    return norm
+
+
 def tate_minus1(gmod):
     """H^-1 = ker(norm) / augmentation submodule, as a Subquotient of the
     ambient module."""
     g = gmod.ngens
     Q = gmod.group
-    norm = IntMatrix.zero(g, g)
-    for s in range(Q.order):
-        norm = norm + gmod.mats[s]
-    zgens = cocycle_sublattice(norm, list(gmod.rels.columns()))
+    zgens = cocycle_sublattice(group_norm(gmod), list(gmod.rels.columns()))
     bdry = []
     ident = IntMatrix.identity(g)
     for s in range(Q.order):
@@ -313,10 +313,7 @@ def tate_zero(gmod):
                 col[s * g + k] = rc[k]
             rel_target.append(col)
     zgens = cocycle_sublattice(A, rel_target)
-    norm = IntMatrix.zero(g, g)
-    for s in range(Q.order):
-        norm = norm + gmod.mats[s]
-    bdry = list(norm.columns()) + list(gmod.rels.columns())
+    bdry = list(group_norm(gmod).columns()) + list(gmod.rels.columns())
     return Subquotient(g, zgens + list(gmod.rels.columns()), bdry)
 
 
@@ -365,10 +362,14 @@ class TwoTermComplex:
     __slots__ = ("T", "U", "f")
 
     def __init__(self, T, U, f):
-        assert T.group.table == U.group.table, "complex needs one group"
-        assert f.rows == U.ngens and f.cols == T.ngens
+        if T.group.table != U.group.table:
+            raise ValueError("complex needs one group")
+        if f.rows != U.ngens or f.cols != T.ngens:
+            raise ValueError("f must be a %d x %d matrix"
+                             % (U.ngens, T.ngens))
         for s in range(T.group.order):
-            assert f * T.mats[s] == U.mats[s] * f, "f must be equivariant"
+            if f * T.mats[s] != U.mats[s] * f:
+                raise ValueError("f must be equivariant")
         self.T = T
         self.U = U
         self.f = f
@@ -439,7 +440,8 @@ class HyperH1:
         return True
 
     def classify(self, z, c):
-        assert self.is_pair(z, c), "not a hypercocycle for this complex"
+        if not self.is_pair(z, c):
+            raise ValueError("not a hypercocycle for this complex")
         vec = tuple(z.to_vector()) + tuple(c)
         return self.sq.classify(vec)
 
@@ -453,116 +455,9 @@ class HyperH1:
     def elements(self):
         return self.group.elements()
 
-    def verify_exactness(self):
-        """Exactness at this node of the long sequence
-        H^0(U) -> H^1(T -> U) -> H^1(T) -> H^1(U): the kernel of the map to
-        H^1(T) equals the image of the invariants of U, and the composite
-        into H^1(U) vanishes.  Checked on generators via integer solving."""
-        from .lattice import solve_integer
-
-        cx = self.cx
-        H1T = CohomologyGroup(cx.T, 1)
-        H1U = CohomologyGroup(cx.U, 1)
-        ngen = len(self.group.torsion) + self.group.free_rank
-
-        def gen_coords(i):
-            return tuple(1 if k == i else 0 for k in range(ngen))
-
-        j_cols = []
-        for i in range(ngen):
-            z, c = self.representative(gen_coords(i))
-            j_cols.append(H1T.classify(z))
-            fz = Cochain(cx.U, 1, {k: cx.f.apply(v)
-                                   for k, v in z.table.items()})
-            if any(H1U.classify(fz)):
-                return False  # composite into H^1(U) must vanish
-        # classes of (0, u) for a basis of the invariants of U
-        rowsU = []
-        ident = IntMatrix.identity(cx.U.ngens)
-        for s in range(cx.U.group.order):
-            rowsU.extend((cx.U.mats[s] - ident).data)
-        inv_basis = cocycle_sublattice(IntMatrix(rowsU),
-                                       _block_diag_rels(cx.U, 1))
-        z0 = Cochain.zero(cx.T, 1)
-        from_h0 = [self.classify(z0, tuple(u)) for u in inv_basis]
-        for cls in from_h0:
-            z, _ = self.representative(cls)
-            if any(H1T.classify(z)):
-                return False  # image of H^0(U) must die in H^1(T)
-        # kernel of j as a lattice in generator coefficients: J x = 0 modulo
-        # the moduli of H^1(T) and of this group
-        width = len(H1T.group.torsion) + H1T.group.free_rank
-        if ngen == 0:
-            return True
-        if width == 0:
-            kern = [gen_coords(i) for i in range(ngen)]
-        else:
-            J = IntMatrix([[j_cols[i][r] for i in range(ngen)]
-                           for r in range(width)])
-            moduli = []
-            for r, d in enumerate(H1T.group.torsion):
-                col = [0] * width
-                col[r] = d
-                moduli.append(tuple(col))
-            kern = cocycle_sublattice(J, moduli)
-        own_moduli = []
-        for r, d in enumerate(self.group.torsion):
-            col = [0] * ngen
-            col[r] = d
-            own_moduli.append(tuple(col))
-        # every kernel generator must be a combination of H^0(U)-images
-        span_cols = [list(g) for g in from_h0] + [list(c) for c in own_moduli]
-        for v in kern:
-            target = self.group.nf(self.group.lift(tuple(v)))
-            if not span_cols:
-                if any(target):
-                    return False
-                continue
-            A = IntMatrix.from_columns(span_cols, ngen)
-            if solve_integer(A, target) is None:
-                return False
-        return True
-
 
 def hyper_h1(cx):
     return HyperH1(cx)
-
-
-def enumerate_h_classes(gmod, degree, limit=200000):
-    """Independent oracle for H^1/H^2 of a *finite* coefficient module:
-    enumerate every cochain table, filter cocycles, and count classes as
-    orbits under coboundary shifts.  Exponential; guarded by `limit` on the
-    number of tables.  Cross-validates the SNF route."""
-    import itertools as it
-
-    assert degree in (1, 2)
-    fg = gmod.fg()
-    assert fg.free_rank == 0, "enumeration needs a finite module"
-    elements = [fg.lift(c) for c in fg.elements()]
-    keys = tuples(gmod.group, degree)
-    if len(elements) ** len(keys) > limit:
-        raise ValueError("enumeration space too large")
-
-    def is_cocycle(table):
-        x = Cochain(gmod, degree, dict(zip(keys, table)))
-        return all(not any(fg.nf(v)) for v in x.d().table.values())
-
-    cocycles = [table for table in it.product(elements, repeat=len(keys))
-                if is_cocycle(table)]
-    cokeys = tuples(gmod.group, degree - 1)
-    shifts = set()
-    for lower in it.product(elements, repeat=len(cokeys)):
-        x = Cochain(gmod, degree - 1, dict(zip(cokeys, lower)))
-        d = x.d()
-        shifts.add(tuple(fg.nf(d.table[k]) for k in keys))
-    classes = set()
-    for z in cocycles:
-        canon = min(
-            tuple(fg.nf(tuple(a + b for a, b in zip(v, fg.lift(s))))
-                  for v, s in zip(z, shift))
-            for shift in shifts)
-        classes.add(canon)
-    return len(classes)
 
 
 # ---------------------------------------------------------------------------
@@ -697,25 +592,4 @@ def coinflation(chain, projection, target_domain):
     out = FiniteSupportChain(target_domain, chain.degree, chain.rank)
     for key, val in chain.support.items():
         out.add_into(tuple(projection(w) for w in key), val)
-    return out
-
-
-def coinflation_pointwise(chain, fibers, target_domain, keys):
-    """Evaluate coinflation at given keys by explicit fiber enumeration.
-
-    `fibers` maps a target element to the finite list of its preimages;
-    a missing or infinite fiber on the support is rejected.
-    """
-    out = FiniteSupportChain(target_domain, chain.degree, chain.rank)
-    for key in keys:
-        fib_lists = []
-        for w in key:
-            f = fibers(w)
-            if f is None:
-                raise ValueError("infinite fiber over %r" % (w,))
-            fib_lists.append(list(f))
-        total = (0,) * chain.rank
-        for lifted in itertools.product(*fib_lists):
-            total = tuple(a + b for a, b in zip(total, chain.value(lifted)))
-        out.add_into(key, total)
     return out

@@ -241,8 +241,10 @@ class FiniteGroup:
         """The subgroup on the given elements as its own FiniteGroup, plus
         the list mapping new indices to ambient elements."""
         elems = list(elems)
-        assert elems[0] == 0, "identity must come first"
-        assert self.is_subgroup(elems)
+        if elems[0] != 0:
+            raise ValueError("identity must come first")
+        if not self.is_subgroup(elems):
+            raise ValueError("elements do not form a subgroup")
         index = {g: i for i, g in enumerate(elems)}
         table = [[index[self.mul(a, b)] for b in elems] for a in elems]
         return FiniteGroup(table, check=False), elems
@@ -319,7 +321,9 @@ class GroupAction:
         return self.matrices[g].apply(vec)
 
     def commutes_with(self, other):
-        assert self.rank == other.rank
+        if self.rank != other.rank:
+            raise ValueError("actions of ranks %d and %d"
+                             % (self.rank, other.rank))
         return all((a * b) == (b * a)
                    for a in self.matrices for b in other.matrices)
 
@@ -415,14 +419,10 @@ class Cocycle2:
              for b, ab in enumerate(ta)]
             for a, ta in enumerate(self.group.table)], m)
 
-    def restrict(self, subgroup_elems, subgroup):
-        """Restriction along an injection of a subgroup given by its element
-        list (index i of `subgroup` maps to subgroup_elems[i])."""
-        return self.inflate(subgroup, subgroup_elems)
-
     def inflate(self, big_group, projection):
-        """Inflation along a surjection big_group -> group (the same pullback
-        serves any map)."""
+        """The pullback along a map big_group -> group, given by the list of
+        images: inflation along a surjection, restriction along the
+        inclusion of a subgroup's element list."""
         c = self.ints
         proj = [projection[a] for a in range(big_group.order)]
         return Cocycle2._from_ints(
@@ -532,7 +532,8 @@ def stabilizer_of_class(A, act_on_class, cls):
     act_on_class(a, cls) -> cls.  The result is checked to be a subgroup
     (it always is when act_on_class is a genuine action)."""
     stab = [a for a in range(A.order) if act_on_class(a, cls) == cls]
-    assert A.is_subgroup(stab), "stabilizer failed subgroup closure"
+    if not A.is_subgroup(stab):
+        raise ValueError("stabilizer failed subgroup closure")
     return stab
 
 
@@ -593,7 +594,9 @@ def decompose_induced_automorphism(gamma, delta_elems, sub_action_matrices,
     mixes blocks or the block permutation is not Gamma-equivariant.
     """
     k = len(cosets)
-    assert a_matrix.rows == a_matrix.cols == k * x_rank
+    if not a_matrix.rows == a_matrix.cols == k * x_rank:
+        raise ValueError("an automorphism of the induced module must be "
+                         "%d x %d" % (k * x_rank, k * x_rank))
 
     def block(i, j):
         return [[a_matrix.data[i * x_rank + r][j * x_rank + c]

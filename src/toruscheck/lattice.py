@@ -301,6 +301,22 @@ def solve_snf(snf, b):
     return V.apply(y)
 
 
+def block_diagonal(blocks):
+    """The matrix with the given blocks down its diagonal.
+
+    >>> block_diagonal([IntMatrix([[2]]), IntMatrix([[0, 1], [1, 0]])])
+    IntMatrix([[2, 0, 0], [0, 0, 1], [0, 1, 0]])
+    """
+    width = sum(b.cols for b in blocks)
+    rows = []
+    left = 0
+    for b in blocks:
+        for row in b.data:
+            rows.append([0] * left + list(row) + [0] * (width - left - b.cols))
+        left += b.cols
+    return IntMatrix(rows)
+
+
 def kernel_basis(A):
     """Basis (list of tuples) of the integer kernel lattice of A."""
     U, D, V = snf_cached(A)
@@ -374,9 +390,6 @@ class FGAbelian:
         self.free_rank = sum(1 for _, d in coord_info if d == 0)
         self._coord_info = tuple(coord_info)
 
-    def invariants(self):
-        return self.torsion, self.free_rank
-
     @property
     def order(self):
         """Group order, or 0 when infinite."""
@@ -386,9 +399,6 @@ class FGAbelian:
         for d in self.torsion:
             n *= d
         return n
-
-    def is_trivial(self):
-        return not self.torsion and self.free_rank == 0
 
     def nf(self, vec):
         """Normal form of an ambient vector: one residue per torsion factor

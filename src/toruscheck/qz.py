@@ -241,6 +241,23 @@ def exponent_form(terms, n):
     return pairs, den
 
 
+def exponent_forms(rows):
+    """Rows of Cyc values in integers: (n, D, forms) with n the lcm of the
+    values' levels, D the lcm of their coefficient denominators, and
+    forms[i][k] the (e, c) pairs with c * e(e/n) the terms of D * rows[i][k],
+    0 <= e < n.
+
+    >>> exponent_forms([[Cyc.root(QZ(1, 2), Fraction(1, 3))], [Cyc.integer(2)]])
+    (2, 3, [[[(1, 1)]], [[(0, 6)]]])
+    """
+    rows = [list(row) for row in rows]
+    n = lcm(1, *(v.level() for row in rows for v in row))
+    forms = [[exponent_form(v.terms, n) for v in row] for row in rows]
+    D = lcm(1, *(den for row in forms for _, den in row))
+    return n, D, [[[(k, c * (D // den)) for k, c in pairs]
+                   for pairs, den in row] for row in forms]
+
+
 def residue(pairs, n):
     """Integer coefficients of  sum c * x^k  mod Phi_n, x = e(1/n), in the
     power basis 1, x, ..., x^(deg - 1), from (k, c) pairs with 0 <= k < n.
@@ -478,13 +495,6 @@ class Cyc:
             else:
                 bits.append("%s*e(%s)" % (c, q.frac))
         return "Cyc(%s)" % " + ".join(bits)
-
-
-def cyc_sum(values):
-    total = Cyc.zero()
-    for v in values:
-        total = total + v
-    return total
 
 
 def cyc_div(num, den):

@@ -17,7 +17,7 @@ from operator import mul, sub
 from typing import NamedTuple
 
 from .lattice import IntMatrix, FGAbelian, Memo, Subquotient, \
-    smith_normal_form, solve_integer, solve_snf
+    block_diagonal, smith_normal_form, solve_integer, solve_snf
 from .groups import FiniteGroup
 from .cohomology import GModule, Cochain, CohomologyGroup, d_matrix, \
     tate_group, tuples
@@ -83,21 +83,12 @@ class BasedRootDatum:
     def from_label(cls, label):
         return cls(cartan_matrix(label), label)
 
-    def center_invariants(self):
-        return self.center.torsion
-
     def center_class(self, weight_vec):
         """Image of a weight in P/Q, as normal-form coordinates."""
         return self.center.nf(weight_vec)
 
     def product(self, other):
-        n, m = self.rank, other.rank
-        rows = []
-        for i in range(n):
-            rows.append(list(self.cartan.data[i]) + [0] * m)
-        for i in range(m):
-            rows.append([0] * n + list(other.cartan.data[i]))
-        return BasedRootDatum(IntMatrix(rows),
+        return BasedRootDatum(block_diagonal([self.cartan, other.cartan]),
                               "%sx%s" % (self.label, other.label))
 
 
@@ -214,12 +205,8 @@ class TwistData:
         block b to block b - 1 and block 0 to the last block through a."""
         datum = self.datum
         r = datum.rank
-        rows = []
-        for b in range(blocks):
-            for i in range(r):
-                rows.append([0] * (b * r) + list(datum.cartan.data[i])
-                            + [0] * ((blocks - 1 - b) * r))
-        big = BasedRootDatum(IntMatrix(rows), "%s^%d" % (datum.label, blocks))
+        big = BasedRootDatum(block_diagonal([datum.cartan] * blocks),
+                             "%s^%d" % (datum.label, blocks))
         gp = tuple(b * r + self.galois_perm[i]
                    for b in range(blocks) for i in range(r))
         ap = tuple((blocks - 1) * r + self.a_perm[i] for i in range(r)) \

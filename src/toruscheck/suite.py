@@ -12,23 +12,11 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .lattice import IntMatrix
+from .lattice import IntMatrix, block_diagonal
 from .qz import QZ
 from .groups import FiniteGroup, GroupAction
 from .cohomology import Cochain, tate_group
 from .weil import LocalModel, TorusModel, Parameter
-
-
-def _block_diag(mats):
-    n = sum(m.rows for m in mats)
-    rows = [[0] * n for _ in range(n)]
-    off = 0
-    for m in mats:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                rows[off + i][off + j] = m.data[i][j]
-        off += m.rows
-    return IntMatrix(rows)
 
 
 def _neg(n):
@@ -60,21 +48,15 @@ def s3_action(extra_rank=0):
                 c = S3.mul(a, b)
                 if c not in mats:
                     mats[c] = mats[a] * mats[b]
-    pad = IntMatrix.identity(extra_rank) if extra_rank else None
-    out = []
-    for g in range(6):
-        m = mats[g]
-        out.append(_block_diag([m, pad]) if pad else m)
-    return GroupAction(S3, out)
+    pad = IntMatrix.identity(extra_rank)
+    return GroupAction(S3, [block_diagonal([mats[g], pad]) for g in range(6)])
 
 
 def _cyclic_action(group_order, matrix, rank):
     """Cyclic group of the given order acting through a matrix whose order
     divides it, padded to the target rank."""
-    m = matrix
-    if m.rows < rank:
-        m = _block_diag([m, IntMatrix.identity(rank - m.rows)])
-    return GroupAction.cyclic(group_order, m)
+    return GroupAction.cyclic(group_order, block_diagonal(
+        [matrix, IntMatrix.identity(rank - matrix.rows)]))
 
 
 def action_templates(rng):
@@ -118,19 +100,20 @@ def _templates():
                   IntMatrix([[1, 0], [0, -1]]), IntMatrix([[-1, 0], [0, 1]])]
     choices.append((2, _neg(2), GroupAction(K, klein_mats)))
     # rank 3: rotation + an extra coordinate, A = -1 on everything
-    add(3, _block_diag([ROTATIONS[3], IntMatrix.identity(1)]),
+    add(3, block_diagonal([ROTATIONS[3], IntMatrix.identity(1)]),
         _cyclic_action(2, _neg(3), 3))
-    add(4, _block_diag([ROTATIONS[4], _neg(1)]),
+    add(4, block_diagonal([ROTATIONS[4], _neg(1)]),
         _cyclic_action(2, _neg(3), 3))
     # rank 3: S3 on the first two coordinates, Q = Z/2 by -1 overall
     choices.append((2, _neg(3), s3_action(extra_rank=1)))
     # rank 4: two swapped planes: Q swaps the planes, A rotates both
     plane_swap = IntMatrix([[0, 0, 1, 0], [0, 0, 0, 1],
                             [1, 0, 0, 0], [0, 1, 0, 0]])
-    rot4_diag = _block_diag([ROTATIONS[4], ROTATIONS[4]])
+    rot4_diag = block_diagonal([ROTATIONS[4], ROTATIONS[4]])
     choices.append((2, plane_swap, GroupAction.cyclic(4, rot4_diag)))
     # rank 4: Q = Z/6 rotation block plus sign block, A = (Z/2)^2-ish cyclic
-    add(6, _block_diag([ROTATIONS[6], _neg(2)]), _cyclic_action(2, _neg(4), 4))
+    add(6, block_diagonal([ROTATIONS[6], _neg(2)]),
+        _cyclic_action(2, _neg(4), 4))
     return tuple(choices)
 
 
@@ -152,10 +135,7 @@ def random_parameter(torus, rng, max_den=4):
     generator, sampled uniformly from the solutions at a random level."""
     r = torus.rank
     d = rng.choice([k for k in (2, 3, 4) if k <= max_den])
-    N = IntMatrix.zero(r, r)
-    for i in range(torus.model.n):
-        m = torus._galois_dualT[i]
-        N = N + m
+    N = torus.norm_matrix().transpose()
     sols = []
     for combo in itertools.product(range(d), repeat=r):
         vec = N.apply(combo)

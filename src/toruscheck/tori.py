@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from .lattice import FGAbelian, IntMatrix, solve_integer
-from .qz import QZ, Cyc, convolve, cyc_from_vector, exponent_form, qz_ints
+from .qz import QZ, Cyc, convolve, cyc_from_vector, exponent_forms, qz_ints
 from .cohomology import GModule, Cochain, d_matrix, TwoTermComplex, hyper_h1
 from .weil import (
     TorusModel,
@@ -65,6 +65,9 @@ class ToriCase:
     sweep: dict = field(default_factory=dict)     # see conjugates()
     inner: dict = field(default_factory=dict)     # see theta_value()
     lifts: dict = field(default_factory=dict)     # see endoscopic_value()
+    packet_data: tuple | None = None              # see packet()
+    char_forms: tuple | None = None               # see _character_forms()
+    hyper_groups: dict = field(default_factory=dict)  # see hyper_group_for()
 
     @property
     def A(self):
@@ -325,9 +328,8 @@ def packet(case):
     trivial, the member whose centralizer-side character is trivial carries
     the generic flag.  Raises CaseError when the packet fails its size,
     dimension, generic-member or h-bijection check."""
-    cached = getattr(case, "_packet", None)
-    if cached is not None:
-        return cached
+    if case.packet_data is not None:
+        return case.packet_data
     if not case.h:
         compute_h(case)
     ext_phi, elems = _extension(case, "beta")
@@ -352,8 +354,8 @@ def packet(case):
     if z_trivial and sum(1 for e in out if e.generic) != 1:
         raise CaseError("exactly one generic member expected when z is "
                         "trivial")
-    case._packet = (out, table, sel, ext_phi, elems)
-    return case._packet
+    case.packet_data = (out, table, sel, ext_phi, elems)
+    return case.packet_data
 
 
 def _check_h_bijection(case, ext_phi, table, sel, elems):
@@ -412,19 +414,12 @@ def _character_forms(case, table, sel, ext, elems):
     denominator D: (L, D, {i: [pairs of chi_i((0, x)) scaled by D]}).
     Read once per case.  The central character is the inclusion, so
     chi_i((q, x)) = e(q) chi_i((0, x))."""
-    cached = getattr(case, "_char_forms", None)
-    if cached is not None:
-        return cached
-    values = {i: [table.value(i, ext.element(QZ(0), x))
-                  for x in range(len(elems))] for i in sel}
-    L = lcm(1, *(v.level() for row in values.values() for v in row))
-    forms = {i: [exponent_form(v.terms, L) for v in row]
-             for i, row in values.items()}
-    D = lcm(1, *(den for row in forms.values() for _, den in row))
-    case._char_forms = (L, D, {
-        i: [[(k, c * (D // den)) for k, c in pairs] for pairs, den in row]
-        for i, row in forms.items()})
-    return case._char_forms
+    if case.char_forms is None:
+        L, D, rows = exponent_forms(
+            [table.value(i, ext.element(QZ(0), x)) for x in range(len(elems))]
+            for i in sel)
+        case.char_forms = (L, D, dict(zip(sel, rows)))
+    return case.char_forms
 
 
 def theta_value(case, s_dot, b, t_vec, a):
@@ -486,14 +481,11 @@ def theta_value(case, s_dot, b, t_vec, a):
 
 def hyper_group_for(case, aut):
     """H^1(Q, X --(1 - aut)--> X), cached per pair automorphism."""
-    cache = getattr(case, "_hyper_cache", None)
-    if cache is None:
-        cache = case._hyper_cache = {}
-    if aut not in cache:
+    if aut not in case.hyper_groups:
         T = GModule.from_action(case.torus.galois)
         cx = TwoTermComplex(T, T, case.pair_complex_matrix(aut))
-        cache[aut] = hyper_h1(cx)
-    return cache[aut]
+        case.hyper_groups[aut] = hyper_h1(cx)
+    return case.hyper_groups[aut]
 
 
 def invariant_of(case, aut, z, delta, gamma=None):
@@ -506,8 +498,6 @@ def invariant_of(case, aut, z, delta, gamma=None):
     coker(1 - aut); otherwise the projection of delta is used."""
     torus = case.torus
     f = case.pair_complex_matrix(aut)
-    from .lattice import FGAbelian
-
     coker = FGAbelian(torus.rank, f)
     if gamma is not None:
         if coker.nf(delta) != tuple(gamma):

@@ -30,6 +30,7 @@ from .cohomology import (
     d_matrix,
     ZDomain,
     FiniteSupportChain,
+    group_norm,
 )
 
 
@@ -46,7 +47,8 @@ class LocalModel:
     __slots__ = ("n",)
 
     def __init__(self, n):
-        assert n >= 1
+        if n < 1:
+            raise ValueError("n must be at least 1, not %r" % (n,))
         self.n = n
 
     def c(self, i, j):
@@ -153,10 +155,7 @@ class TorusModel:
         return kernel_basis(IntMatrix(rows))
 
     def norm_matrix(self):
-        N = IntMatrix.zero(self.rank, self.rank)
-        for m in self.galois.matrices:
-            N = N + m
-        return N
+        return group_norm(self.gmodule())
 
 
 class Parameter:
@@ -195,15 +194,11 @@ class Parameter:
         return Parameter(self.torus, tuple(-q for q in self.psi))
 
 
-def tn_iso(torus, lam):
-    """Tate-Nakayama map on a norm-zero lattice element:
-    z(sigma^i) = sum_j c(i, j) * sigma^(i+j)(lam), a 1-cocycle of Q."""
+def _tn_values(torus, lam):
+    """The values sum_j c(i, j) * sigma^(i+j)(lam) for i in range(n), for
+    any lattice vector lam."""
     model = torus.model
-    N = torus.norm_matrix()
-    if any(N.apply(lam)):
-        raise ValueError("input must have zero norm")
-    gm = torus.gmodule()
-    tab = {}
+    out = []
     for i in range(model.n):
         acc = (0,) * torus.rank
         for j in range(model.n):
@@ -211,28 +206,25 @@ def tn_iso(torus, lam):
             if cij:
                 v = torus.sigma(i + j, lam)
                 acc = tuple(a + cij * b for a, b in zip(acc, v))
-        tab[(i,)] = acc
-    return Cochain(gm, 1, tab)
+        out.append(acc)
+    return out
+
+
+def tn_iso(torus, lam):
+    """Tate-Nakayama map on a norm-zero lattice element:
+    z(sigma^i) = sum_j c(i, j) * sigma^(i+j)(lam), a 1-cocycle of Q."""
+    if any(torus.norm_matrix().apply(lam)):
+        raise ValueError("input must have zero norm")
+    return Cochain(torus.gmodule(), 1,
+                   {(i,): v for i, v in enumerate(_tn_values(torus, lam))})
 
 
 def _cup_matrix(torus):
     """Matrix of lam -> tn_iso(lam) as a map X -> C^1(Q, X) (ambient)."""
     r = torus.rank
-    model = torus.model
-    cols = []
-    for k in range(r):
-        e = tuple(1 if i == k else 0 for i in range(r))
-        col = []
-        for i in range(model.n):
-            acc = [0] * r
-            for j in range(model.n):
-                cij = model.c(i, j)
-                if cij:
-                    v = torus.sigma(i + j, e)
-                    acc = [a + cij * b for a, b in zip(acc, v)]
-            col.extend(acc)
-        cols.append(tuple(col))
-    return IntMatrix.from_columns(cols, r * model.n)
+    cols = [[x for v in _tn_values(torus, e) for x in v]
+            for e in IntMatrix.identity(r).data]
+    return IntMatrix.from_columns(cols, r * torus.model.n)
 
 
 def tn_inverse(torus, z):
@@ -256,14 +248,6 @@ def tn_inverse(torus, z):
     if sol is None:
         raise LiftNotFound("no norm-zero preimage under the TN map")
     return tuple(sol[:r])
-
-
-def kottwitz_character(torus, z, s):
-    """The character of the component group of the Galois-fixed dual torus
-    attached to a cocycle class: value s(lam_z) where lam_z inverts the TN
-    map.  Accepts z as a Cochain or a precomputed norm-zero lam."""
-    lam = z if isinstance(z, tuple) else tn_inverse(torus, z)
-    return torus.dual_eval(s, lam)
 
 
 def langlands_character(torus, phi, vec):

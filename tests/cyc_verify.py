@@ -3,7 +3,7 @@
 * the earlier ``CharacterTable.verify`` (one ``Cyc`` inner product per pair
   of rows, each compared by ``Cyc`` equality), kept apart from returning
   False where it asserted;
-* the earlier left side of ``twisted_orthogonality``, a ``cyc_sum`` of
+* the earlier left side of ``twisted_orthogonality``, a ``sum`` of
   ``Cyc`` products over ``Irr(E, psi)``.
 
 Nothing in the package imports this module.  test_characters.py checks the
@@ -14,7 +14,7 @@ integer left side of ``twisted_orthogonality`` against it on extensions.
 from fractions import Fraction
 
 from toruscheck.characters import irr_with_central_char
-from toruscheck.qz import Cyc, cyc_sum
+from toruscheck.qz import Cyc
 
 
 def inner(table, f1, f2):
@@ -35,8 +35,8 @@ def verify(table):
             got = inner(table, table.chars[i], table.chars[j])
             if got != Cyc.integer(1 if i == j else 0):
                 return False
-    col = cyc_sum(table.chars[i][0] * table.chars[i][0]
-                  for i in range(table.nchars))
+    col = sum((table.chars[i][0] * table.chars[i][0]
+               for i in range(table.nchars)), Cyc.zero())
     return col == Cyc.integer(G.order)
 
 
@@ -44,4 +44,5 @@ def twisted_lhs(ext, psi1, e, e2, cache=None):
     """sum over tau in Irr(E, psi) of chi_tau(e) chi_tau(e2), one Cyc at a
     time."""
     table, sel = irr_with_central_char(ext, psi1, cache)
-    return cyc_sum(table.value(i, e) * table.value(i, e2) for i in sel)
+    return sum((table.value(i, e) * table.value(i, e2) for i in sel),
+               Cyc.zero())

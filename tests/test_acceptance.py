@@ -5,7 +5,6 @@ lattice basis on the torus side, and the zero dual plus one dual per
 torsion generator of the coinvariants on the centralizer side.
 """
 
-import itertools
 import random
 import time
 
@@ -19,11 +18,8 @@ from toruscheck.groups import (
     GroupAction,
     Cocycle2,
     CentralExtension,
-    induced_action,
-    decompose_induced_automorphism,
-    reconstruct_induced_automorphism,
 )
-from toruscheck.cohomology import GModule, tate_group
+from toruscheck.cohomology import GModule
 from toruscheck.weil import LocalModel, TorusModel
 from toruscheck.characters import (
     twisted_orthogonality,
@@ -31,8 +27,6 @@ from toruscheck.characters import (
     InducedIntertwinerData,
     CycMatrix,
 )
-from toruscheck.rootdata import BasedRootDatum, TwistData, diagram_flip, \
-    twisted_sign
 from toruscheck.suite import random_case_data
 
 
@@ -152,51 +146,13 @@ def test_criterion_4_twisted_kottwitz_sign():
     induction invariance on at least 20 randomized data; the A1 fixture
     matches the rank formula and the E6 flip is +1 for every class."""
     rng = random.Random(41)
-    ok = True
-    total_signs = 0
-    labels = ["A1", "A2", "A3", "D4", "E6"]
-    for label in labels:
-        d = BasedRootDatum.from_label(label)
-        r = d.rank
-        for ap in (tuple(range(r)), diagram_flip(label)):
-            tw = TwistData(d, 2, tuple(range(r)), ap)
-            H2 = tate_group(tw.xi_module(), 2)
-            for coords in H2.elements():
-                try:
-                    s = twisted_sign(tw, coords)
-                except ValueError:
-                    continue
-                total_signs += 1
-                if s * s != 1:
-                    ok = False
+    squares = checks.sign_squares()
     laws = checks.product_induction(rng, 20)
-    randomized = laws.witness["samples"]
-    ok = (ok and laws.ok and checks.a1_fixture().ok
+    ok = (squares.ok and laws.ok and checks.a1_fixture().ok
           and checks.e6_flip_fixture().ok)
     announce(4, "twisted Kottwitz sign", ok,
-             "%d signs, %d randomized laws" % (total_signs, randomized))
-
-
-def all_coinvariant_duals(torus):
-    """Every character of the torsion of the coinvariants, pulled back to X,
-    tagged by its coordinate tuple (faithful enumeration)."""
-    from toruscheck.lattice import FGAbelian
-
-    r = torus.rank
-    ident = IntMatrix.identity(r)
-    cols = []
-    for m in torus.galois.matrices[1:]:
-        cols.extend((m - ident).columns())
-    coinv = FGAbelian(r, IntMatrix.from_columns(cols, r))
-    gens = [(ci, d) for ci, d in coinv._coord_info if d]
-    duals = []
-    for combo in itertools.product(*[range(d) for _, d in gens]):
-        s = [QZ(0)] * r
-        for k, (ci, d) in zip(combo, gens):
-            for j in range(r):
-                s[j] = s[j] + QZ(k * coinv.U.data[ci][j], d)
-        duals.append((combo, tuple(s)))
-    return duals
+             "%d signs, %d randomized laws" % (squares.counts["signs"],
+                                               laws.witness["samples"]))
 
 
 def test_criterion_5_duality_perfectness():
@@ -208,21 +164,7 @@ def test_criterion_5_duality_perfectness():
     ok = True
     while checked < 20:
         torus, z, phi = random_case_data(rng)
-        gm = torus.gmodule()
-        Hm1 = tate_group(gm, -1)
-        duals = all_coinvariant_duals(torus)
-        if len(duals) != Hm1.order:
-            ok = False
-        classes = list(Hm1.elements())
-        reps = [Hm1.representative(c) for c in classes]
-        for c, lam in zip(classes, reps):
-            if any(c) and all(torus.dual_eval(s, lam).is_zero()
-                              for _, s in duals):
-                ok = False  # nonzero class in the left kernel
-        for combo, s in duals:
-            if any(combo) and all(torus.dual_eval(s, lam).is_zero()
-                                  for lam in reps):
-                ok = False  # nonzero dual in the right kernel
+        ok = checks.kottwitz_perfect(torus).ok and ok
         checked += 1
     announce(5, "duality perfectness", ok, "%d modules" % checked)
 
@@ -325,48 +267,6 @@ def test_criterion_7_induction_lemmas():
 def test_criterion_8_induced_automorphism_roundtrip():
     """decompose after reconstruct is the identity on at least 20 random
     block-structured equivariant automorphisms with index at most 4."""
-    rng = random.Random(8)
-    ok = True
-    count = 0
-    setups = []
-    C4 = FiniteGroup.cyclic(4)
-    C6 = FiniteGroup.cyclic(6)
-    C8 = FiniteGroup.cyclic(8)
-    K4 = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
-    setups.append((C4, [0, 2], [IntMatrix.identity(1), IntMatrix([[-1]])], 1))
-    setups.append((C4, [0, 2], [IntMatrix.identity(1)] * 2, 1))
-    setups.append((C6, [0, 2, 4], [IntMatrix.identity(1)] * 3, 1))
-    setups.append((C6, [0, 3], [IntMatrix.identity(1), IntMatrix([[-1]])], 1))
-    setups.append((C8, [0, 2, 4, 6],
-                   [IntMatrix.identity(1), IntMatrix([[-1]]),
-                    IntMatrix.identity(1), IntMatrix([[-1]])], 1))
-    setups.append((K4, [0, 1], [IntMatrix.identity(2),
-                                IntMatrix([[0, 1], [1, 0]])], 2))
-    while count < 20:
-        gamma, delta, sub, x_rank = rng.choice(setups)
-        act, cosets = induced_action(gamma, delta, sub, x_rank)
-        sigma0 = rng.randrange(gamma.order)
-        dset = set(delta)
-        if {gamma.conj(sigma0, d) for d in dset} != dset:
-            continue
-        choices = [IntMatrix.identity(x_rank),
-                   IntMatrix([[-1 if i == j else 0 for j in range(x_rank)]
-                              for i in range(x_rank)])]
-        a_pr = rng.choice(choices)
-        a = reconstruct_induced_automorphism(gamma, delta, sub, cosets,
-                                             x_rank, sigma0, a_pr)
-        if a * act.matrices[1] != act.matrices[1] * a:
-            continue  # not equivariant for this sigma0 choice
-        try:
-            s_out, a_out = decompose_induced_automorphism(
-                gamma, delta, sub, act, cosets, x_rank, a)
-        except Exception:
-            ok = False
-            count += 1
-            continue
-        back = reconstruct_induced_automorphism(gamma, delta, sub, cosets,
-                                                x_rank, s_out, a_out)
-        if back != a:
-            ok = False
-        count += 1
-    announce(8, "induced automorphism decomposition", ok, "%d samples" % count)
+    v = checks.induced_automorphism_roundtrip(random.Random(8), 20)
+    announce(8, "induced automorphism decomposition", v.ok,
+             "%d samples" % v.counts["samples"])

@@ -784,3 +784,103 @@ def test_twisted_lhs_matches_cyc_sum(name, scaled):
                 assert encode_cyc(lhs) == encode_cyc(old)
                 compared += 1
     assert compared >= ext.group.order
+
+
+#: Bad inputs for every guard of characters.py that an input can reach,
+#: run with asserts stripped.
+OPTIMIZED_GUARDS = """
+import sys
+
+from toruscheck import characters
+from toruscheck.characters import (CycMatrix, InducedIntertwinerData,
+    block_twisted_trace, character_table, mackey_multiplicity_transfer,
+    psi_value, restriction_multiplicity)
+from toruscheck.groups import CentralExtension, Cocycle2, FiniteGroup
+from toruscheck.lattice import IntMatrix
+from toruscheck.qz import QZ
+
+if __debug__:
+    sys.exit("asserts are still enabled")
+
+
+def raises(label, fn):
+    try:
+        fn()
+    except ValueError as e:
+        print("raised", label, "-", e)
+    except Exception as e:
+        print("crashed", label, "-", type(e).__name__)
+    else:
+        print("silent", label)
+
+
+C2 = FiniteGroup.cyclic(2)
+K4 = FiniteGroup.direct_product(C2, C2)
+ext = CentralExtension(K4, 2, Cocycle2.zero(K4))
+raises("primitive root", lambda: characters._primitive_root(2))
+raises("psi", lambda: psi_value(ext, QZ(1, 2), ext.element(QZ(0), 1)))
+
+D4 = FiniteGroup.dihedral(4)
+rot = next(g for g in range(8) if D4.element_order(g) == 4)
+H = D4.subgroup_closure([rot])
+quot = [0 if g in H else 1 for g in range(8)]
+
+
+def x(m):
+    return {D4.power(rot, k): QZ(k * m, 4) for k in range(4)}
+
+
+def mackey(*pairs):
+    orbits = [{"stab": [0], "x1": x1, "x2": x2, "w1": {0: QZ(0)},
+               "w2": {0: QZ(0)}} for x1, x2 in pairs]
+    return lambda: mackey_multiplicity_transfer({
+        "big1": D4, "big2": D4, "sub1": H, "sub2": H, "quot1": quot,
+        "quot2": quot, "A": C2, "orbits": orbits})
+
+
+not_a_character = dict(x(1))
+not_a_character[D4.power(rot, 2)] = QZ(0)
+raises("mackey integer", mackey((not_a_character, x(1))))
+raises("mackey at most 1", mackey((x(1), x(1)), (x(1), x(1))))
+raises("mackey one hit", mackey((x(1), x(2))))
+raises("mackey injective", mackey((x(0), x(1)), (x(1), x(1))))
+raises("restriction", lambda: restriction_multiplicity(
+    character_table(D4), D4, None, [0, rot], 0,
+    character_table(FiniteGroup.cyclic(4)), 1))
+one = CycMatrix.identity(1)
+raises("matrix shape", lambda: CycMatrix.identity(2).mul(one))
+
+
+raises("proportional", lambda: InducedIntertwinerData(
+    FiniteGroup.cyclic(1), C2, [[0], [0]], [0, 0], [CycMatrix.identity(2)],
+    [CycMatrix.identity(2), CycMatrix([[1, 0], [0, 2]])]).alpha(1, 1))
+raises("zero matrix", lambda: InducedIntertwinerData(
+    FiniteGroup.cyclic(1), C2, [[0], [0]], [0, 0], [CycMatrix.identity(2)],
+    [CycMatrix([[0, 0], [0, 0]]), CycMatrix.identity(2)]).alpha(1, 1))
+raises("trace", lambda: block_twisted_trace([IntMatrix.identity(2)],
+                                            IntMatrix.identity(1)))
+"""
+
+
+def test_guards_raise_under_python_O():
+    """The guards of characters.py raise ValueError, so they still run when
+    Python strips asserts."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        characters.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_GUARDS],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "raised primitive root - no primitive root found",
+        "raised psi - element not central",
+        "raised mackey integer - multiplicity must be a nonnegative integer",
+        "raised mackey at most 1 - multiplicity exceeds 1",
+        "raised mackey one hit - correspondence is not a bijection",
+        "raised mackey injective - correspondence is not a bijection",
+        "raised restriction - multiplicity must be a nonnegative integer",
+        "raised matrix shape - 2 columns times 1 rows",
+        "raised proportional - matrices are not proportional",
+        "raised zero matrix - zero matrix in scalar extraction",
+        "raised trace - dimension mismatch",
+    ]

@@ -6,6 +6,8 @@ import json
 import os
 import random
 
+import pytest
+
 from toruscheck import checks
 from toruscheck.characters import CharacterTable
 from toruscheck.qz import Cyc
@@ -62,3 +64,93 @@ def test_engine_value_error_fails_and_ends_the_command(monkeypatch, tmp_path,
     assert [c["id"] for c in doc["checks"]] == ["projirr.table"]
     assert doc["checks"][0]["status"] == "fail"
     assert "exceeds" in doc["checks"][0]["witness"]["error"]
+
+
+def _norm_one_torus():
+    from toruscheck.casefile import load_case_file
+    return load_case_file(FIXTURE)[0]
+
+
+def test_kottwitz_perfect_fails_on_truncated_duals(monkeypatch):
+    torus = _norm_one_torus()
+    assert checks.kottwitz_perfect(torus) == checks.Verdict(True)
+    real = checks.invariant_duals
+    monkeypatch.setattr(checks, "invariant_duals",
+                        lambda torus: real(torus)[:-1])
+    assert checks.kottwitz_perfect(torus) == checks.Verdict(False)
+
+
+def test_kottwitz_perfect_fails_on_a_repeated_generator(monkeypatch):
+    """On Z^2 with sigma = -1, H^-1 is (Z/2)^2; the generators 1/2 e_1
+    twice have the right orders but miss the classes and duals of e_2."""
+    from toruscheck.groups import GroupAction
+    from toruscheck.lattice import IntMatrix
+    from toruscheck.weil import LocalModel, TorusModel
+
+    torus = TorusModel(LocalModel(2),
+                       GroupAction.cyclic(2, -IntMatrix.identity(2)))
+    duals = checks.invariant_duals(torus)
+    assert len(duals) == 3 and checks.kottwitz_perfect(torus).ok
+    monkeypatch.setattr(checks, "invariant_duals",
+                        lambda torus: [duals[0], duals[1], duals[1]])
+    assert checks.kottwitz_perfect(torus) == checks.Verdict(False)
+
+
+def test_sign_squares_names_the_first_bad_sign(monkeypatch):
+    v = checks.sign_squares()
+    assert v.ok and v.witness is None and v.counts["signs"] > 0
+    monkeypatch.setattr(checks, "twisted_sign", lambda twist, xi: 2)
+    bad = checks.sign_squares()
+    assert not bad.ok
+    assert bad.witness == {"label": "A1", "a_perm": [0], "xi": [0],
+                           "sign": 2}
+    assert bad.counts["signs"] > v.counts["signs"]
+
+
+def test_sign_squares_witness_is_the_first_failure(monkeypatch):
+    from toruscheck.rootdata import diagram_flip, twisted_sign
+
+    def flip_d4_doubles(twist, xi):
+        s = twisted_sign(twist, xi)
+        flipped = twist.a_perm != tuple(range(twist.datum.rank))
+        return 2 * s if twist.datum.label == "D4" and flipped else s
+
+    signs = checks.sign_squares().counts
+    monkeypatch.setattr(checks, "twisted_sign", flip_d4_doubles)
+    v = checks.sign_squares()
+    assert not v.ok
+    assert (v.witness["label"], v.witness["a_perm"], abs(v.witness["sign"])) \
+        == ("D4", list(diagram_flip("D4")), 2)
+    assert v.counts == signs
+
+
+def test_induced_roundtrip_fails_on_a_perturbed_reconstruction(monkeypatch):
+    v = checks.induced_automorphism_roundtrip(random.Random(8), 20)
+    assert v == checks.Verdict(True, None, {"samples": 20})
+    real = checks.reconstruct_induced_automorphism
+    monkeypatch.setattr(checks, "reconstruct_induced_automorphism",
+                        lambda *args: -real(*args))
+    bad = checks.induced_automorphism_roundtrip(random.Random(8), 20)
+    assert not bad.ok
+    assert bad.witness["sample"] == 0 and bad.counts == {"samples": 1}
+    assert "error" not in bad.witness
+
+
+def test_induced_roundtrip_names_a_decomposition_error(monkeypatch):
+    from toruscheck.groups import BlockDecompositionError
+
+    def refuse(*args):
+        raise BlockDecompositionError("not block-structured")
+
+    monkeypatch.setattr(checks, "decompose_induced_automorphism", refuse)
+    v = checks.induced_automorphism_roundtrip(random.Random(8), 20)
+    assert not v.ok
+    assert v.witness["sample"] == 0
+    assert v.witness["error"] == "not block-structured"
+
+    def crash(*args):
+        raise KeyError("a bug, not a rejected input")
+
+    monkeypatch.setattr(checks, "decompose_induced_automorphism", crash)
+    with pytest.raises(KeyError):
+        checks.induced_automorphism_roundtrip(random.Random(8), 20)

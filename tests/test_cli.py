@@ -262,10 +262,6 @@ def test_missing_input_is_input_error(tmp_path, capsys):
 
 
 def test_big_integer_encoding():
-    from toruscheck.casefile import encode_int
-
-    assert encode_int(5) == 5
-    assert encode_int(2 ** 60) == str(2 ** 60)
     # integer strings are accepted on input
     doc = dict(FIXTURE)
     doc["z"] = [[0], ["1"]]

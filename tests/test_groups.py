@@ -108,7 +108,7 @@ def test_cocycle_inflation_restriction_validity():
     alpha = Cocycle2(C4, {(a, b): QZ((a + b) // 4, 2)
                           for a in range(4) for b in range(4)})
     # restriction to the subgroup {0, 2} is a valid cocycle
-    res = alpha.restrict([0, 2], C2)
+    res = alpha.inflate(C2, [0, 2])
     res.validate()
     # inflation along C4 -> C2 of a C2-cocycle is a valid C4-cocycle
     beta = Cocycle2(C2, {(a, b): QZ(1, 2) if a == b == 1 else QZ(0)
@@ -147,7 +147,7 @@ def test_corestriction_after_restriction_is_index_multiple():
     rep = H2.representative(gen)
     qz_vals = {k: QZ(v[0], 2) for k, v in rep.table.items()}
     alpha = Cocycle2(C4, qz_vals)
-    res = alpha.restrict([0, 2], C2)
+    res = alpha.inflate(C2, [0, 2])
     sec = {tuple(sorted(cs)): cs[0] for cs in C4.right_cosets([0, 2])}
     # embed the restricted cocycle back on the subgroup inside C4
     sub_vals = {}
@@ -619,4 +619,59 @@ def test_group_checks_run_under_python_O():
         "section rejected: section must choose inside each coset",
         "case file exit 2 error: component.matrices: matrices must satisfy "
         "the group relations",
+    ]
+
+
+#: Bad inputs for every guard of groups.py that had been an assert, run
+#: with asserts stripped.
+OPTIMIZED_GUARDS = """
+import sys
+
+from toruscheck.groups import (FiniteGroup, GroupAction, induced_action,
+    decompose_induced_automorphism, stabilizer_of_class)
+from toruscheck.lattice import IntMatrix
+
+if __debug__:
+    sys.exit("asserts are still enabled")
+
+
+def raises(label, fn):
+    try:
+        fn()
+    except ValueError as e:
+        print("raised", label, "-", e)
+    except Exception as e:
+        print("crashed", label, "-", type(e).__name__)
+    else:
+        print("silent", label)
+
+
+C2, C4 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)
+raises("identity first", lambda: C4.subgroup_as_group([2, 0]))
+raises("subgroup", lambda: C4.subgroup_as_group([0, 1]))
+raises("ranks", lambda: GroupAction.trivial(C2, 1).commutes_with(
+    GroupAction.trivial(C2, 2)))
+raises("stabilizer", lambda: stabilizer_of_class(
+    C4, lambda a, cls: cls if a == 1 else cls + 1, 0))
+sub = [IntMatrix.identity(1), IntMatrix([[-1]])]
+act, cosets = induced_action(C4, [0, 2], sub, 1)
+raises("shape", lambda: decompose_induced_automorphism(
+    C4, [0, 2], sub, act, cosets, 1, IntMatrix.identity(3)))
+"""
+
+
+def test_guards_raise_under_python_O():
+    """The guards of groups.py raise ValueError, so they still run when
+    Python strips asserts."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toruscheck.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_GUARDS],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "raised identity first - identity must come first",
+        "raised subgroup - elements do not form a subgroup",
+        "raised ranks - actions of ranks 1 and 2",
+        "raised stabilizer - stabilizer failed subgroup closure",
+        "raised shape - an automorphism of the induced module must be 2 x 2",
     ]

@@ -93,7 +93,8 @@ def test_cached_tate_group_matches_a_fresh_build(fresh_memos):
         for n, build in fresh.items():
             tate_group(gm, n)
             cached, new = tate_group(gm, n), build(gm)
-            assert cached.group.invariants() == new.group.invariants(), name
+            assert (cached.group.torsion, cached.group.free_rank) == \
+                (new.group.torsion, new.group.free_rank), name
             for coords in cached.elements():
                 rep = cached.representative(coords)
                 assert _plain(new.representative(coords)) == _plain(rep)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import fraction_qz as ref
 from toruscheck.casefile import encode_cyc, encode_qz
-from toruscheck.qz import QZ, Cyc, convolve, cyc_div, cyc_from_vector, cyc_sum
+from toruscheck.qz import QZ, Cyc, convolve, cyc_div, cyc_from_vector
 
 
 def divisors(n):
@@ -59,7 +59,7 @@ def cyc_pair(draw, level):
         shift = draw(st.integers(-level, level))
         c = draw(coeffs)
         terms.extend((j * (level // p) + shift, level, c) for j in range(p))
-    new = cyc_sum(Cyc.root(QZ(k, d), c) for k, d, c in terms)
+    new = sum((Cyc.root(QZ(k, d), c) for k, d, c in terms), Cyc.zero())
     old = ref.Cyc.zero()
     for k, d, c in terms:
         old = old + ref.Cyc.root(ref.QZ(k, d), c)
@@ -187,8 +187,8 @@ def test_cyc_from_vector_matches_repeated_arithmetic(data, m):
     n, prods = data
     new, old = Cyc.zero(), ref.Cyc.zero()
     for x, y, k in prods:
-        nx = cyc_sum(Cyc.root(QZ(j, n), c) for j, c in x)
-        ny = cyc_sum(Cyc.root(QZ(j, n), c) for j, c in y)
+        nx = sum((Cyc.root(QZ(j, n), c) for j, c in x), Cyc.zero())
+        ny = sum((Cyc.root(QZ(j, n), c) for j, c in y), Cyc.zero())
         new = new + nx * ny * Cyc.root(QZ(k, n))
         ox, oy = ref.Cyc.zero(), ref.Cyc.zero()
         for j, c in x:

@@ -269,7 +269,7 @@ def test_theta_value_matches_cyc_arithmetic(scaled):
     for case in random_cases(random.Random(11), 12):
         if scaled:
             pkt, table, sel, ext, elems = packet(case)
-            case._packet = (pkt, _ScaledTable(table), sel, ext, elems)
+            case.packet_data = (pkt, _ScaledTable(table), sel, ext, elems)
         for s in invariant_duals(case.torus)[:2]:
             for t in invariant_vectors(case.torus)[:2]:
                 for a in case.A_phi_z:
