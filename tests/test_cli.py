@@ -322,6 +322,19 @@ def test_random_suite_report_matches_golden(fmt, ext, tmp_path):
         assert out == f.read()
 
 
+@pytest.mark.parametrize("seed", [0, 5])
+def test_random_suite_size25_matches_golden(seed, tmp_path):
+    """The largest random-suite sizes a change is checked at: each report
+    equals the copy written by the code before the integer presentations
+    moved behind block_matrix and homology."""
+    code, out = run_main(["random-suite", "--seed", str(seed),
+                          "--suite-size", "25"], tmp_path)
+    assert code == 0
+    name = "random-suite.seed%d.size25.json" % seed
+    with open(os.path.join(GOLDEN, name), "rb") as f:
+        assert out == f.read()
+
+
 def test_case_error_fails_the_check(monkeypatch, tmp_path):
     """CaseError is a ValueError: an inconsistent case fails the check that
     builds it, with the message as witness, instead of a traceback."""
