@@ -25,8 +25,8 @@ from .cohomology import GModule, Cochain, tate_group, cup, ZDomain, \
 from .weil import LocalModel, TorusModel, Parameter, tn_iso, tn_inverse, \
     langlands_character, chain_map_phi, hyper_pairing
 from .characters import twisted_orthogonality, is_psi_centralizing, \
-    block_twisted_trace, induced_cocycle_check, InducedIntertwinerData, \
-    CycMatrix
+    irr_with_central_char, block_twisted_trace, induced_cocycle_check, \
+    InducedIntertwinerData, CycMatrix
 from .rootdata import BasedRootDatum, TwistData, diagram_flip, twisted_sign, \
     sign_product, sign_induction, levi_restriction
 from .tori import build_case, compute_h, verify_iso, packet, \
@@ -288,7 +288,7 @@ def induced_automorphism_roundtrip(rng, samples):
     count = 0
     while count < samples:
         gamma, delta, sub, x_rank = setup = rng.choice(setups)
-        act, cosets = induced_action(gamma, delta, sub, x_rank)
+        act, cosets = induced_action(gamma, delta, sub)
         sigma0 = rng.randrange(gamma.order)
         dset = set(delta)
         if {gamma.conj(sigma0, d) for d in dset} != dset:
@@ -296,7 +296,7 @@ def induced_automorphism_roundtrip(rng, samples):
         ident = IntMatrix.identity(x_rank)
         a_pr = rng.choice([ident, -ident])
         a = reconstruct_induced_automorphism(gamma, delta, sub, cosets,
-                                             x_rank, sigma0, a_pr)
+                                             sigma0, a_pr)
         if a * act.matrices[1] != act.matrices[1] * a:
             continue  # not equivariant for this sigma0
         witness = {"sample": count, "setup": setups.index(setup),
@@ -307,7 +307,7 @@ def induced_automorphism_roundtrip(rng, samples):
         except ValueError as e:
             witness["error"] = str(e)
             return Verdict(False, witness, {"samples": count + 1})
-        if reconstruct_induced_automorphism(gamma, delta, sub, cosets, x_rank,
+        if reconstruct_induced_automorphism(gamma, delta, sub, cosets,
                                             s_out, a_out) != a:
             return Verdict(False, witness, {"samples": count + 1})
         count += 1
@@ -333,6 +333,17 @@ def orthogonality(ext, cache=None):
             if verdict is False:
                 return Verdict(False, {"pairs": pairs, "failure": [e, e2]})
     return Verdict(True, {"pairs": pairs})
+
+
+def klein_four_pin(ext):
+    """On the nontrivial extension of C2 x C2 by mu_2, exactly one
+    irreducible has central character 1/2, it is two-dimensional, and
+    twisted orthogonality at e = e2 = 1 sums to 4 = |Z_A(1)|."""
+    psi = QZ(1, 2)
+    lhs, _, verdict = twisted_orthogonality(ext, psi, 0, 0)
+    table, sel = irr_with_central_char(ext, psi)
+    return Verdict(bool(verdict) and lhs == Cyc.integer(4)
+                   and [table.dims[i] for i in sel] == [2])
 
 
 def scalar_datum(w):

@@ -18,6 +18,8 @@ from .lattice import (
     FGAbelian,
     Memo,
     Subquotient,
+    block_diagonal,
+    block_matrix,
     kernel_basis,
 )
 
@@ -56,10 +58,8 @@ class GModule:
     @classmethod
     def finite(cls, group, invariants, mats):
         """Finite module with given invariant factors (d_1, ..., d_g)."""
-        g = len(invariants)
-        rels = IntMatrix([[invariants[i] if i == j else 0 for j in range(g)]
-                          for i in range(g)])
-        return cls(group, g, rels, mats)
+        rels = block_diagonal([IntMatrix([[d]]) for d in invariants])
+        return cls(group, len(invariants), rels, mats)
 
     def act(self, g, vec):
         return self.mats[g].apply(vec)
@@ -190,36 +190,33 @@ def _build_d_matrix(gmod, n):
             v[k] = 1
             x.table[t] = tuple(v)
             cols.append(x.d().to_vector())
-    dim_out = g * gmod.group.order ** (n + 1)
-    if not cols:
-        return IntMatrix.zero(dim_out, 0)
-    return IntMatrix.from_columns(cols, dim_out)
+    return IntMatrix.from_columns(cols, g * gmod.group.order ** (n + 1))
 
 
-def _block_diag_rels(gmod, n):
-    """Relation columns of C^n = (ambient module)^(Q^n)."""
-    g = gmod.ngens
-    cnt = gmod.group.order ** n
-    cols = []
-    for i in range(cnt):
-        for j in range(gmod.rels.cols):
-            col = [0] * (g * cnt)
-            rc = gmod.rels.column(j)
-            for k in range(g):
-                col[i * g + k] = rc[k]
-            cols.append(col)
-    return cols
+def _rels(gmod, n):
+    """Relation columns of C^n = (ambient module)^(Q^n), block by block."""
+    return block_diagonal([gmod.rels] * gmod.group.order ** n)
 
 
-def cocycle_sublattice(A, target_rel_cols):
-    """Basis of {x : A x lies in the lattice spanned by target_rel_cols}."""
-    if not target_rel_cols:
-        return kernel_basis(A)
-    R = IntMatrix.from_columns(target_rel_cols, A.rows)
-    stacked = IntMatrix([[A.data[i][j] for j in range(A.cols)]
-                         + [-R.data[i][j] for j in range(R.cols)]
-                         for i in range(A.rows)])
-    return [v[:A.cols] for v in kernel_basis(stacked)]
+def cocycle_sublattice(A, rel_out):
+    """Basis of {x : A x lies in the column span of the matrix rel_out}."""
+    return [v[:A.cols] for v in kernel_basis(block_matrix([[A, -rel_out]]))]
+
+
+def homology(A, rel_out, B, rel_here):
+    """Homology at the middle of Z^m --B--> Z^(A.cols) --A--> Z^k, with the
+    columns of rel_here and rel_out as relations in the middle and on the
+    right: the x with A x in the span of rel_out, modulo the columns of B
+    and rel_here, as a Subquotient.
+
+    >>> H = homology(IntMatrix([[0]]), IntMatrix([[1]]), IntMatrix([[2]]),
+    ...              IntMatrix.zero(1, 0))
+    >>> H.group.torsion
+    (2,)
+    """
+    here = rel_here.columns()
+    return Subquotient(A.cols, cocycle_sublattice(A, rel_out) + here,
+                       B.columns() + here)
 
 
 class CohomologyGroup:
@@ -228,14 +225,8 @@ class CohomologyGroup:
     def __init__(self, gmod, degree):
         self.gmod = gmod
         self.degree = degree
-        dn = d_matrix(gmod, degree)
-        rel_out = _block_diag_rels(gmod, degree + 1)
-        zgens = cocycle_sublattice(dn, rel_out)
-        rel_here = _block_diag_rels(gmod, degree)
-        dprev = d_matrix(gmod, degree - 1)
-        bdry = [dprev.column(j) for j in range(dprev.cols)] + rel_here
-        dim = gmod.ngens * gmod.group.order ** degree
-        self.sq = Subquotient(dim, zgens + rel_here, bdry)
+        self.sq = homology(d_matrix(gmod, degree), _rels(gmod, degree + 1),
+                           d_matrix(gmod, degree - 1), _rels(gmod, degree))
         self.group = self.sq.group
 
     @property
@@ -273,48 +264,21 @@ def normalize_cocycle(x):
 
 def group_norm(gmod):
     """The norm map: the sum of the action matrices."""
-    norm = IntMatrix.zero(gmod.ngens, gmod.ngens)
-    for m in gmod.mats:
-        norm = norm + m
-    return norm
+    return sum(gmod.mats[1:], gmod.mats[0])
 
 
 def tate_minus1(gmod):
     """H^-1 = ker(norm) / augmentation submodule, as a Subquotient of the
     ambient module."""
-    g = gmod.ngens
-    Q = gmod.group
-    zgens = cocycle_sublattice(group_norm(gmod), list(gmod.rels.columns()))
-    bdry = []
-    ident = IntMatrix.identity(g)
-    for s in range(Q.order):
-        m = gmod.mats[s] - ident
-        bdry.extend(m.columns())
-    bdry.extend(gmod.rels.columns())
-    return Subquotient(g, zgens + list(gmod.rels.columns()), bdry)
+    ident = IntMatrix.identity(gmod.ngens)
+    return homology(group_norm(gmod), gmod.rels,
+                    block_matrix([[m - ident for m in gmod.mats]]), gmod.rels)
 
 
 def tate_zero(gmod):
     """H^0 = invariants / image of the norm."""
-    g = gmod.ngens
-    Q = gmod.group
-    ident = IntMatrix.identity(g)
-    stacked_rows = []
-    for s in range(Q.order):
-        m = gmod.mats[s] - ident
-        stacked_rows.extend(m.data)
-    A = IntMatrix(stacked_rows)
-    rel_target = []
-    for j in range(gmod.rels.cols):
-        rc = gmod.rels.column(j)
-        for s in range(Q.order):
-            col = [0] * (g * Q.order)
-            for k in range(g):
-                col[s * g + k] = rc[k]
-            rel_target.append(col)
-    zgens = cocycle_sublattice(A, rel_target)
-    bdry = list(group_norm(gmod).columns()) + list(gmod.rels.columns())
-    return Subquotient(g, zgens + list(gmod.rels.columns()), bdry)
+    return homology(d_matrix(gmod, 0), _rels(gmod, 1),
+                    group_norm(gmod), gmod.rels)
 
 
 def tate_group(gmod, n):
@@ -381,43 +345,17 @@ class HyperH1:
 
     def __init__(self, cx):
         self.cx = cx
-        gT, gU = cx.T.ngens, cx.U.ngens
-        Q = cx.T.group
-        N = Q.order
-        d1 = d_matrix(cx.T, 1)  # C^1(T) -> C^2(T)
-        d0U = d_matrix(cx.U, 0)  # U -> C^1(U)
-        # F: C^1(T) -> C^1(U) applying f pointwise
-        dimT1 = gT * N
-        dimU1 = gU * N
-        rows = [[0] * (dimT1 + gU) for _ in range(d1.rows + dimU1)]
-        for i in range(d1.rows):
-            for j in range(dimT1):
-                rows[i][j] = d1.data[i][j]
-        for blk in range(N):
-            for r in range(gU):
-                for c in range(gT):
-                    rows[d1.rows + blk * gU + r][blk * gT + c] = cx.f.data[r][c]
-            for r in range(gU):
-                for c in range(gU):
-                    rows[d1.rows + blk * gU + r][dimT1 + c] = -d0U.data[blk * gU + r][c]
-        A = IntMatrix(rows)
-        rel_target = _block_diag_rels(cx.T, 2)
-        relU1 = _block_diag_rels(cx.U, 1)
-        padded = [list(col) + [0] * dimU1 for col in rel_target]
-        padded += [[0] * d1.rows + list(col) for col in relU1]
-        zgens = cocycle_sublattice(A, padded)
-        # boundaries (d0 t, f t)
-        d0T = d_matrix(cx.T, 0)
-        bdry = []
-        for j in range(gT):
-            col = list(d0T.column(j)) + list(cx.f.column(j))
-            bdry.append(col)
-        relT1 = _block_diag_rels(cx.T, 1)
-        rel_here = [list(c) + [0] * gU for c in relT1]
-        rel_here += [[0] * dimT1 + list(c) for c in _block_diag_rels(cx.U, 0)]
-        self.sq = Subquotient(dimT1 + gU, zgens + rel_here, bdry + rel_here)
+        T, U, N = cx.T, cx.U, cx.T.group.order
+        # unknowns (z, c) in C^1(T) + U: dz = 0 and f(z) = dc, up to relations
+        A = block_matrix([[d_matrix(T, 1), 0],
+                          [block_diagonal([cx.f] * N), -d_matrix(U, 0)]])
+        # boundaries (d0 t, f t) for t in T
+        B = block_matrix([[d_matrix(T, 0)], [cx.f]])
+        self.sq = homology(
+            A, block_diagonal([_rels(T, 2), _rels(U, 1)]),
+            B, block_diagonal([_rels(T, 1), U.rels]))
         self.group = self.sq.group
-        self._dims = (dimT1, gU)
+        self._dims = (T.ngens * N, U.ngens)
 
     @property
     def order(self):
@@ -464,29 +402,12 @@ def hyper_h1(cx):
 # finite-support chains
 
 
-class ChainDomain:
-    """Domain of chain groups: a group W (possibly infinite) acting on a
-    coefficient lattice through a finite quotient."""
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    one = None
-
-    def act(self, w, vec):
-        raise NotImplementedError
-
-
-class ZDomain(ChainDomain):
+class ZDomain:
     """The model Weil group W = Z mapping onto Q = Z/n; w acts on the
     coefficient lattice through sigma^w."""
 
     def __init__(self, n, sigma_matrix):
         self.n = n
-        self.one = 0
         self.rank = sigma_matrix.rows
         mats = [IntMatrix.identity(self.rank)]
         for _ in range(n - 1):
@@ -505,12 +426,11 @@ class ZDomain(ChainDomain):
         return self.mats[w % self.n].apply(vec)
 
 
-class FiniteDomain(ChainDomain):
+class FiniteDomain:
     """A finite group W with an action on the coefficient lattice."""
 
     def __init__(self, group, mats):
         self.group = group
-        self.one = 0
         self.mats = mats
 
     def mul(self, a, b):

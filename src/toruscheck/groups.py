@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .lattice import IntMatrix, unimodular_inverse
+from .lattice import IntMatrix, block_matrix, unimodular_inverse
 from .qz import QZ, qz_ints, qz_tuple
 
 
@@ -544,7 +544,7 @@ def _coset_blocks(cosets):
     return [cs[0] for cs in cosets], block_of
 
 
-def induced_action(gamma, delta_elems, sub_action_matrices, x_rank):
+def induced_action(gamma, delta_elems, sub_action_matrices):
     """Induced module Ind_Delta^Gamma X as a lattice with Gamma-action.
 
     The module is the space of Delta-equivariant functions f : Gamma -> X,
@@ -556,20 +556,16 @@ def induced_action(gamma, delta_elems, sub_action_matrices, x_rank):
     delta_index = {g: i for i, g in enumerate(delta_elems)}
     reps, block_of = _coset_blocks(cosets)
     k = len(cosets)
-    rank = k * x_rank
 
     def matrix_for(g):
-        rows = [[0] * rank for _ in range(rank)]
+        grid = [[0] * k for _ in range(k)]
         for bi, rep in enumerate(reps):
             t = gamma.mul(rep, g)
             bj = block_of[t]
             d = gamma.mul(t, gamma.inv(reps[bj]))  # t = d * rep_j, d in Delta
-            dm = sub_action_matrices[delta_index[d]]
             # (g.f)(rep_i) = d . f(rep_j): block (i, j) = matrix of d
-            for r in range(x_rank):
-                for c in range(x_rank):
-                    rows[bi * x_rank + r][bj * x_rank + c] = dm.data[r][c]
-        return IntMatrix(rows)
+            grid[bi][bj] = sub_action_matrices[delta_index[d]]
+        return block_matrix(grid)
 
     mats = [matrix_for(g) for g in range(gamma.order)]
     return GroupAction(gamma, mats), cosets
@@ -658,18 +654,15 @@ def decompose_induced_automorphism(gamma, delta_elems, sub_action_matrices,
 
 
 def reconstruct_induced_automorphism(gamma, delta_elems, sub_action_matrices,
-                                     cosets, x_rank, sigma0, a_prime):
+                                     cosets, sigma0, a_prime):
     """Inverse of decompose_induced_automorphism:  a(f)(s) = a'(f(sigma0^-1 s))."""
     delta_index = {g: i for i, g in enumerate(delta_elems)}
     reps, block_of = _coset_blocks(cosets)
     k = len(cosets)
-    rows = [[0] * (k * x_rank) for _ in range(k * x_rank)]
+    grid = [[0] * k for _ in range(k)]
     for i in range(k):
         t = gamma.mul(gamma.inv(sigma0), reps[i])
         j = block_of[t]
         d = gamma.mul(t, gamma.inv(reps[j]))
-        m = a_prime * sub_action_matrices[delta_index[d]]
-        for r in range(x_rank):
-            for c in range(x_rank):
-                rows[i * x_rank + r][j * x_rank + c] = m.data[r][c]
-    return IntMatrix(rows)
+        grid[i][j] = a_prime * sub_action_matrices[delta_index[d]]
+    return block_matrix(grid)

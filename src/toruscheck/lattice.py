@@ -301,20 +301,52 @@ def solve_snf(snf, b):
     return V.apply(y)
 
 
+def block_matrix(grid):
+    """The matrix assembled from a grid of IntMatrix blocks, where 0 stands
+    for a zero block.  Each block row takes its height and each block column
+    its width from the blocks in it; a matrix with no rows gives no width.
+
+    Raises ValueError when the blocks of a block row or column disagree, or
+    when a block row or column has no block to read its size from.
+
+    >>> block_matrix([[IntMatrix([[1, 2]]), 0], [0, IntMatrix([[3], [4]])]])
+    IntMatrix([[1, 2, 0], [0, 0, 3], [0, 0, 4]])
+    """
+    width = len(grid[0]) if grid else 0
+    if any(len(row) != width for row in grid):
+        raise ValueError("block rows of different lengths")
+    heights = [_block_size([b.rows for b in row if isinstance(b, IntMatrix)],
+                           "row") for row in grid]
+    widths = []
+    for col in zip(*grid):
+        blocks = [b for b in col if isinstance(b, IntMatrix)]
+        widths.append(_block_size([b.cols for b in blocks if b.rows]
+                                  or [b.cols for b in blocks], "column"))
+    out = []
+    for row, h in zip(grid, heights):
+        pieces = [b.data if isinstance(b, IntMatrix) else ((0,) * w,) * h
+                  for b, w in zip(row, widths)]
+        out.extend(itertools.chain.from_iterable(parts)
+                   for parts in zip(*pieces))
+    return IntMatrix(out)
+
+
+def _block_size(sizes, kind):
+    if not sizes:
+        raise ValueError("a block %s of zeros only" % kind)
+    if any(n != sizes[0] for n in sizes):
+        raise ValueError("blocks of sizes %s in one block %s" % (sizes, kind))
+    return sizes[0]
+
+
 def block_diagonal(blocks):
     """The matrix with the given blocks down its diagonal.
 
     >>> block_diagonal([IntMatrix([[2]]), IntMatrix([[0, 1], [1, 0]])])
     IntMatrix([[2, 0, 0], [0, 0, 1], [0, 1, 0]])
     """
-    width = sum(b.cols for b in blocks)
-    rows = []
-    left = 0
-    for b in blocks:
-        for row in b.data:
-            rows.append([0] * left + list(row) + [0] * (width - left - b.cols))
-        left += b.cols
-    return IntMatrix(rows)
+    return block_matrix([[b if i == j else 0 for j in range(len(blocks))]
+                         for i, b in enumerate(blocks)])
 
 
 def kernel_basis(A):
@@ -443,13 +475,13 @@ class Subquotient:
 
     __slots__ = ("ambient_dim", "L", "group", "_Lmat")
 
-    def __init__(self, ambient_dim, sub_gens, bdry_gens, rel_gens=()):
+    def __init__(self, ambient_dim, sub_gens, bdry_gens):
         self.ambient_dim = ambient_dim
         basis = hnf_image_basis(IntMatrix.from_columns(sub_gens, ambient_dim))
         self._Lmat = IntMatrix.from_columns(basis, ambient_dim)
         self.L = basis
         rels_in_L = []
-        for v in list(bdry_gens) + list(rel_gens):
+        for v in bdry_gens:
             c = solve_integer(self._Lmat, v)
             if c is None:
                 raise ValueError("boundary vector outside the cycle lattice")

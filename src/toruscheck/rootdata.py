@@ -17,7 +17,7 @@ from operator import mul, sub
 from typing import NamedTuple
 
 from .lattice import IntMatrix, FGAbelian, Memo, Subquotient, \
-    block_diagonal, smith_normal_form, solve_integer, solve_snf
+    block_diagonal, block_matrix, smith_normal_form, solve_integer, solve_snf
 from .groups import FiniteGroup
 from .cohomology import GModule, Cochain, CohomologyGroup, d_matrix, \
     tate_group, tuples
@@ -351,18 +351,14 @@ def coinvariant_class(twist, center_coords):
     """Class of a center element in the a-coinvariants of X^*(Z)^Gamma...
     computed in X^*(Z) modulo (1 - a) (the Galois action is by the same
     diagram automorphisms and lambda is already Gamma-invariant)."""
-    fg = twist.datum.center
-    ds = fg.torsion
+    ds = twist.datum.center.torsion
     k = len(ds)
     if k == 0:
         return Subquotient(0, [], []), ()
-    A = twist.center_action_matrix(twist.a_perm)
     ident = IntMatrix.identity(k)
-    rels = [[ds[i] if i == j else 0 for j in range(k)] for i in range(k)]
-    sub = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
-    bdry = list((A - ident).columns()) + [tuple(r) for r in
-                                          IntMatrix(rels).columns()]
-    sq = Subquotient(k, sub, bdry)
+    bdry = block_matrix([[twist.center_action_matrix(twist.a_perm) - ident,
+                          block_diagonal([IntMatrix([[d]]) for d in ds])]])
+    sq = Subquotient(k, ident.columns(), bdry.columns())
     return sq, sq.classify(center_coords)
 
 
@@ -371,19 +367,10 @@ def _fixed_system(gm, amat):
     one row per pair key (s, t) and module coordinate, in the unknowns u
     (a 1-cochain) and one slack per row, a multiple of that coordinate's
     modulus."""
-    k = gm.ngens
-    D1 = d_matrix(gm, 1)
-    B = (amat - IntMatrix.identity(k)).data
-    ds = [gm.rels.data[i][i] for i in range(k)]
-    nrows = D1.rows
-    rows = []
-    for pi in range(0, nrows, k):
-        block = list(zip(*D1.data[pi:pi + k]))
-        for ri in range(k):
-            slack = [0] * nrows
-            slack[pi + ri] = ds[ri]
-            rows.append([sum(map(mul, B[ri], col)) for col in block] + slack)
-    return smith_normal_form(IntMatrix(rows))
+    pairs = gm.group.order ** 2
+    B = block_diagonal([amat - IntMatrix.identity(gm.ngens)] * pairs)
+    return smith_normal_form(block_matrix(
+        [[B * d_matrix(gm, 1), block_diagonal([gm.rels] * pairs)]]))
 
 
 def _exactly_fixed_representative(pres, coords):
@@ -509,8 +496,6 @@ def _in_coinvariant_boundary(tw, diff):
     k = tw.datum.rank
     A = perm_matrix(tw.a_perm) - IntMatrix.identity(k)
     G = perm_matrix(tw.galois_perm) - IntMatrix.identity(k)
-    # x must satisfy G x = 0 (invariant) and A x = diff: stack and solve with
-    # the invariance as extra rows mapping to 0
-    rows = list(A.data) + list(G.data)
-    target = list(diff) + [0] * k
-    return solve_integer(IntMatrix(rows), target) is not None
+    # A x = diff for an invariant x: G x = 0 as extra rows
+    return solve_integer(block_matrix([[A], [G]]),
+                         list(diff) + [0] * k) is not None

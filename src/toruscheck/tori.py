@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import lcm
 
-from .lattice import FGAbelian, IntMatrix, solve_integer
+from .lattice import FGAbelian, IntMatrix, block_matrix, solve_integer
 from .qz import QZ, Cyc, convolve, cyc_from_vector, exponent_forms, qz_ints
 from .cohomology import GModule, Cochain, d_matrix, TwoTermComplex, hyper_h1
 from .weil import (
@@ -162,18 +162,17 @@ def solve_s(torus, phi, a, denominator):
     r = torus.rank
     psi = torus.dual_sub(torus.dual_comp(a, phi.psi), phi.psi)
     M = denominator
-    T = torus._galois_dualT[1 % torus.model.n]
-    rows = []
+    ident = IntMatrix.identity(r)
     target = []
-    for i in range(r):
-        row = [T.data[i][j] - (1 if i == j else 0) for j in range(r)]
-        slack = [M if k == i else 0 for k in range(r)]
-        rows.append(row + slack)
-        num, rem = divmod(psi[i].num * M, psi[i].den)
+    for q in psi:
+        num, rem = divmod(q.num * M, q.den)
         if rem:
             return None
         target.append(num)
-    sol = solve_integer(IntMatrix(rows), target)
+    # (T - 1) x + M y = M psi in ints, with s = x / M
+    A = block_matrix([[torus._galois_dualT[1 % torus.model.n] - ident,
+                       M * ident]])
+    sol = solve_integer(A, target)
     if sol is None:
         return None
     return tuple(QZ(k, M) for k in sol[:r])
@@ -572,19 +571,10 @@ def invariant_duals(torus):
     characters of the torsion of the coinvariants, pulled back to X."""
     r = torus.rank
     ident = IntMatrix.identity(r)
-    cols = []
-    for m in torus.galois.matrices[1:]:
-        cols.extend((m - ident).columns())
-    coinv = FGAbelian(r, IntMatrix.from_columns(cols, r))
-    out = [torus.dual_zero()]
-    if not coinv.torsion:
-        return out
-    # one dual per torsion generator: s(x) = (U x)_i / d_i
-    U = coinv.U
-    for ci, d in coinv._coord_info:
-        if d == 0:
-            continue
-        s = tuple(QZ(U.data[ci][j], d) for j in range(r))
-        if _is_invariant_dual(torus, s):
-            out.append(s)
-    return out
+    gens = [m - ident for m in torus.galois.matrices[1:]]
+    coinv = FGAbelian(r, block_matrix([gens]) if gens
+                      else IntMatrix.zero(r, 0))
+    # one dual per torsion factor d: s(e_j) = (coordinate of e_j) / d
+    coords = [coinv.nf(e) for e in ident.data]
+    return [torus.dual_zero()] + [tuple(QZ(c[t], d) for c in coords)
+                                  for t, d in enumerate(coinv.torsion)]

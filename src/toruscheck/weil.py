@@ -22,7 +22,8 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .lattice import IntMatrix, Memo, solve_integer
+from .lattice import IntMatrix, Memo, block_matrix, kernel_basis, \
+    solve_integer
 from .qz import QZ, qz_ints, qz_tuple
 from .cohomology import (
     GModule,
@@ -144,15 +145,9 @@ class TorusModel:
 
     def invariant_lattice(self):
         """Basis of X^Q."""
-        from .lattice import kernel_basis
-
-        rows = []
         ident = IntMatrix.identity(self.rank)
-        for m in self.galois.matrices[1:]:
-            rows.extend((m - ident).data)
-        if not rows:
-            return [tuple(ident.column(j)) for j in range(self.rank)]
-        return kernel_basis(IntMatrix(rows))
+        rows = [[m - ident] for m in self.galois.matrices[1:]]
+        return kernel_basis(block_matrix(rows)) if rows else ident.columns()
 
     def norm_matrix(self):
         return group_norm(self.gmodule())
@@ -232,19 +227,10 @@ def tn_inverse(torus, z):
     tn_iso(lam) cohomologous to z.  Raises LiftNotFound when z is not a
     cocycle class hit by the map (never, by bijectivity, for valid input)."""
     r = torus.rank
-    CUP = _cup_matrix(torus)
-    gm = torus.gmodule()
-    D0 = d_matrix(gm, 0)
-    N = torus.norm_matrix()
     # unknowns (lam, x): CUP lam - D0 x = z, N lam = 0
-    rows = []
-    for i in range(CUP.rows):
-        rows.append(list(CUP.data[i]) + [-v for v in D0.data[i]])
-    for i in range(r):
-        rows.append(list(N.data[i]) + [0] * r)
-    A = IntMatrix(rows)
-    target = list(z.to_vector()) + [0] * r
-    sol = solve_integer(A, target)
+    A = block_matrix([[_cup_matrix(torus), -d_matrix(torus.gmodule(), 0)],
+                      [torus.norm_matrix(), 0]])
+    sol = solve_integer(A, list(z.to_vector()) + [0] * r)
     if sol is None:
         raise LiftNotFound("no norm-zero preimage under the TN map")
     return tuple(sol[:r])
@@ -281,12 +267,10 @@ def chain_map_phi(torus, mu1):
     return acc
 
 
-def _phi_matrix(torus, window):
-    """Matrix of chain_map_phi on chains supported on the given window."""
+def _phi_matrix(torus, window, dom):
+    """Matrix of chain_map_phi on chains over dom on the given window."""
     r = torus.rank
     cols = []
-    dom = ZDomain(torus.model.n, torus.galois.matrices[1]
-                  if torus.model.n > 1 else IntMatrix.identity(r))
     for w in window:
         for k in range(r):
             e = [0] * r
@@ -299,14 +283,9 @@ def _phi_matrix(torus, window):
 def _boundary_matrix(torus, window):
     """Matrix of the degree-1 homology differential on the window:
     mu -> sum_w (sigma^-w - 1) mu(w)."""
-    r = torus.rank
-    cols = []
-    for w in window:
-        for k in range(r):
-            e = tuple(1 if i == k else 0 for i in range(r))
-            v = torus.sigma(-w, e)
-            cols.append(tuple(a - b for a, b in zip(v, e)))
-    return IntMatrix.from_columns(cols, r)
+    ident = IntMatrix.identity(torus.rank)
+    mats = torus.galois.matrices
+    return block_matrix([[mats[-w % torus.model.n] - ident for w in window]])
 
 
 def elementary_pairing(torus, dual_pair, chain_pair):
@@ -415,30 +394,18 @@ def _lift_system(torus, fT, D, halfwidth):
     r = torus.rank
     n = torus.model.n
     window = list(range(-halfwidth, halfwidth))
-    CUP = _cup_matrix(torus)
-    D0 = d_matrix(torus.gmodule(), 0)
-    N = torus.norm_matrix()
-    PHI = _phi_matrix(torus, window)
-    BD = _boundary_matrix(torus, window)
-    ncols_mu = r * len(window)
-    rows = []
-    # N lam = 0
-    for i in range(r):
-        rows.append(list(N.data[i]) + [0] * r + [0] * ncols_mu)
-    # CUP lam - (1/D) D0 p = u  ->  D CUP lam - D0 p = D u
-    for i in range(CUP.rows):
-        rows.append([D * x for x in CUP.data[i]]
-                    + [-x for x in D0.data[i]] + [0] * ncols_mu)
-    # BD mu - fT lam = 0
-    for i in range(r):
-        rows.append([-x for x in fT.data[i]] + [0] * r + list(BD.data[i]))
-    # D PHI mu - fT p = D v
-    for i in range(r):
-        rows.append([0] * r + [-x for x in fT.data[i]]
-                    + [D * x for x in PHI.data[i]])
     dom = ZDomain(n, torus.galois.matrices[1] if n > 1
                   else IntMatrix.identity(r))
-    return IntMatrix(rows), dom
+    A = block_matrix([
+        # N lam = 0
+        [torus.norm_matrix(), 0, 0],
+        # CUP lam - (1/D) D0 p = u  ->  D CUP lam - D0 p = D u
+        [D * _cup_matrix(torus), -d_matrix(torus.gmodule(), 0), 0],
+        # BD mu - fT lam = 0
+        [-fT, 0, _boundary_matrix(torus, window)],
+        # D PHI mu - fT p = D v
+        [0, -fT, D * _phi_matrix(torus, window, dom)]])
+    return A, dom
 
 
 def _check_pair_T(torus, fT, u, Dv, D):

@@ -18,7 +18,7 @@ from toruscheck.cohomology import (
     CohomologyGroup,
     FiniteSupportChain,
     cocycle_sublattice,
-    _block_diag_rels,
+    _rels,
     tuples,
 )
 from toruscheck.lattice import IntMatrix, solve_integer
@@ -60,7 +60,7 @@ def verify_exactness(H):
     ident = IntMatrix.identity(cx.U.ngens)
     for s in range(cx.U.group.order):
         rowsU.extend((cx.U.mats[s] - ident).data)
-    inv_basis = cocycle_sublattice(IntMatrix(rowsU), _block_diag_rels(cx.U, 1))
+    inv_basis = cocycle_sublattice(IntMatrix(rowsU), _rels(cx.U, 1))
     z0 = Cochain.zero(cx.T, 1)
     from_h0 = [H.classify(z0, tuple(u)) for u in inv_basis]
     for cls in from_h0:
@@ -82,7 +82,7 @@ def verify_exactness(H):
             col = [0] * width
             col[r] = d
             moduli.append(tuple(col))
-        kern = cocycle_sublattice(J, moduli)
+        kern = cocycle_sublattice(J, IntMatrix.from_columns(moduli, width))
     own_moduli = []
     for r, d in enumerate(H.group.torsion):
         col = [0] * ngen

@@ -21,12 +21,7 @@ from toruscheck.groups import (
 )
 from toruscheck.cohomology import GModule
 from toruscheck.weil import LocalModel, TorusModel
-from toruscheck.characters import (
-    twisted_orthogonality,
-    irr_with_central_char,
-    InducedIntertwinerData,
-    CycMatrix,
-)
+from toruscheck.characters import InducedIntertwinerData, CycMatrix
 from toruscheck.suite import random_case_data
 
 
@@ -133,11 +128,7 @@ def test_criterion_3_twisted_orthogonality():
         v = checks.orthogonality(ext)
         ok = ok and v.ok
         pairs += v.witness["pairs"]
-    E = klein_nontrivial_extension()
-    lhs, rhs, verdict = twisted_orthogonality(E, QZ(1, 2), 0, 0)
-    ok = ok and verdict and lhs == Cyc.integer(4)
-    table, sel = irr_with_central_char(E, QZ(1, 2))
-    ok = ok and len(sel) == 1 and table.dims[sel[0]] == 2
+    ok = ok and checks.klein_four_pin(klein_nontrivial_extension()).ok
     announce(3, "twisted orthogonality", ok, "%d pairs" % pairs)
 
 

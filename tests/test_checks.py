@@ -26,6 +26,15 @@ def test_check_ids_are_unique_and_prefixed():
             assert cid.startswith(prefix.get(command, command + "."))
 
 
+def test_klein_four_pin_fails_on_the_split_extension():
+    """On the split extension mu_2 x C2 x C2 the sum at e = e2 = 1 is 4
+    too, but over four one-dimensional characters, so the pin fails."""
+    from toruscheck.groups import FiniteGroup, Cocycle2, CentralExtension
+    K = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
+    assert checks.klein_four_pin(CentralExtension(K, 2, Cocycle2.zero(K))) \
+        == checks.Verdict(False)
+
+
 def test_sampling_check_names_its_first_failing_sample(monkeypatch):
     calls = []
 

@@ -13,8 +13,8 @@ MODULES = ["toruscheck"] + sorted(
 
 #: Modules whose docstrings hold examples; a case for one of them that runs
 #: no example means the examples were lost.
-WITH_EXAMPLES = {"toruscheck.characters", "toruscheck.groups",
-                 "toruscheck.lattice", "toruscheck.qz"}
+WITH_EXAMPLES = {"toruscheck.characters", "toruscheck.cohomology",
+                 "toruscheck.groups", "toruscheck.lattice", "toruscheck.qz"}
 
 
 @pytest.mark.parametrize("name", MODULES)

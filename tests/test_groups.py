@@ -290,12 +290,12 @@ def test_induced_automorphism_example():
     C4 = FiniteGroup.cyclic(4)
     delta = [0, 2]
     sub = [IntMatrix.identity(1), IntMatrix.identity(1)]
-    act, cosets = induced_action(C4, delta, sub, 1)
+    act, cosets = induced_action(C4, delta, sub)
     a = IntMatrix([[0, -1], [-1, 0]])
     sigma0, a_prime = decompose_induced_automorphism(C4, delta, sub, act, cosets, 1, a)
     assert sigma0 in (1, 3)
     assert a_prime == IntMatrix([[-1]])
-    back = reconstruct_induced_automorphism(C4, delta, sub, cosets, 1, sigma0, a_prime)
+    back = reconstruct_induced_automorphism(C4, delta, sub, cosets, sigma0, a_prime)
     assert back == a
 
 
@@ -303,18 +303,35 @@ def test_induced_automorphism_identity():
     C4 = FiniteGroup.cyclic(4)
     delta = [0, 2]
     sub = [IntMatrix.identity(1), IntMatrix([[-1]])]
-    act, cosets = induced_action(C4, delta, sub, 1)
+    act, cosets = induced_action(C4, delta, sub)
     ident = IntMatrix.identity(2)
     sigma0, a_prime = decompose_induced_automorphism(C4, delta, sub, act, cosets, 1, ident)
     assert sigma0 in delta  # coset of Delta
     assert a_prime == IntMatrix.identity(1)
 
 
+def test_induced_action_from_a_non_normal_subgroup_of_s3():
+    """Ind of the trivial module from a subgroup of order 2 of S3 is the
+    permutation module on its three right cosets: the trace of g counts the
+    cosets Delta s with Delta s g = Delta s.  S3 is nonabelian, so a block
+    layout that gave g -> (action of g^-1) fails the homomorphism check."""
+    S3 = FiniteGroup.symmetric(3)
+    t = next(g for g in range(1, 6) if S3.mul(g, g) == 0)
+    act, cosets = induced_action(S3, [0, t], [IntMatrix.identity(1)] * 2)
+    traces = []
+    for g in range(6):
+        m = act.matrices[g]
+        traces.append(sum(m.data[i][i] for i in range(m.rows)))
+        assert traces[-1] == sum(1 for cs in cosets
+                                 if {S3.mul(x, g) for x in cs} == set(cs))
+    assert sorted(traces) == [0, 0, 1, 1, 1, 3]
+
+
 def test_induced_automorphism_rejects_block_mixing():
     C4 = FiniteGroup.cyclic(4)
     delta = [0, 2]
     sub = [IntMatrix.identity(1), IntMatrix.identity(1)]
-    act, cosets = induced_action(C4, delta, sub, 1)
+    act, cosets = induced_action(C4, delta, sub)
     with pytest.raises(BlockDecompositionError):
         decompose_induced_automorphism(
             C4, delta, sub, act, cosets, 1, IntMatrix([[1, 1], [0, 1]]))
@@ -367,7 +384,7 @@ def test_induced_automorphism_roundtrip_random():
                 continue
             sub = [mats[d] for d in delta]
             try:
-                act, cosets = induced_action(gamma, delta, sub, x_rank)
+                act, cosets = induced_action(gamma, delta, sub)
             except ValueError:
                 continue
             # random valid automorphism built via reconstruction, then round-trip
@@ -379,14 +396,14 @@ def test_induced_automorphism_roundtrip_random():
                 a_pr = random.choice(
                     [IntMatrix.identity(x_rank), -IntMatrix.identity(x_rank)])
                 a = reconstruct_induced_automorphism(
-                    gamma, delta, sub, cosets, x_rank, sigma0, a_pr)
+                    gamma, delta, sub, cosets, sigma0, a_pr)
                 try:
                     s_out, a_out = decompose_induced_automorphism(
                         gamma, delta, sub, act, cosets, x_rank, a)
                 except BlockDecompositionError:
                     continue  # a need not be equivariant for every sigma0/a'
                 back = reconstruct_induced_automorphism(
-                    gamma, delta, sub, cosets, x_rank, s_out, a_out)
+                    gamma, delta, sub, cosets, s_out, a_out)
                 assert back == a
                 checked += 1
     assert checked >= 20
@@ -654,7 +671,7 @@ raises("ranks", lambda: GroupAction.trivial(C2, 1).commutes_with(
 raises("stabilizer", lambda: stabilizer_of_class(
     C4, lambda a, cls: cls if a == 1 else cls + 1, 0))
 sub = [IntMatrix.identity(1), IntMatrix([[-1]])]
-act, cosets = induced_action(C4, [0, 2], sub, 1)
+act, cosets = induced_action(C4, [0, 2], sub)
 raises("shape", lambda: decompose_induced_automorphism(
     C4, [0, 2], sub, act, cosets, 1, IntMatrix.identity(3)))
 """

@@ -17,6 +17,8 @@ from toruscheck.lattice import (
     unimodular_inverse,
     FGAbelian,
     Subquotient,
+    block_diagonal,
+    block_matrix,
 )
 
 
@@ -236,11 +238,49 @@ def test_subquotient_basic():
     assert sq.classify(rep) == c
 
 
+def test_block_matrix_places_each_block_at_its_offsets():
+    """Entry (r, c) of block (i, j) lands at row r plus the heights of the
+    block rows above and column c plus the widths of the block columns to
+    the left; a 0 block is zero.  Row 0 and column 0 of each grid hold
+    matrices, so every size is read from a block; widths may be 0."""
+    rng = random.Random(5)
+    for _ in range(100):
+        heights = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+        widths = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+        grid = [[IntMatrix([[rng.randint(-5, 5) for _ in range(w)]
+                            for _ in range(h)])
+                 if i == 0 or j == 0 or rng.random() < 0.5 else 0
+                 for j, w in enumerate(widths)]
+                for i, h in enumerate(heights)]
+        M = block_matrix(grid)
+        assert (M.rows, M.cols) == (sum(heights), sum(widths))
+        for i, j in itertools.product(range(len(heights)), range(len(widths))):
+            b = grid[i][j]
+            for r, c in itertools.product(range(heights[i]), range(widths[j])):
+                want = b.data[r][c] if isinstance(b, IntMatrix) else 0
+                assert M.data[sum(heights[:i]) + r][sum(widths[:j]) + c] == want
+
+
+def test_block_matrix_takes_no_width_from_a_matrix_without_rows():
+    """A matrix with no rows reports 0 columns, whatever it stood for; the
+    width of its block column comes from the other blocks."""
+    no_rows = IntMatrix.zero(0, 3)
+    assert no_rows.cols == 0
+    M = block_matrix([[no_rows, 0], [IntMatrix.identity(2), IntMatrix([[5], [6]])]])
+    assert M == IntMatrix([[1, 0, 5], [0, 1, 6]])
+    # with no other block the width is the 0 the matrix reports
+    assert block_matrix([[no_rows]]) == IntMatrix([])
+    assert block_diagonal([IntMatrix.zero(2, 0), IntMatrix.zero(1, 0)]) \
+        == IntMatrix([[], [], []])
+    assert block_diagonal([]) == IntMatrix([])
+
+
 #: Under python -O: each input check of lattice on an input that fails it.
 OPTIMIZED_CHECKS = """
 import sys
 from toruscheck.lattice import (FGAbelian, IntMatrix, Subquotient,
-                                solve_integer, unimodular_inverse)
+                                block_matrix, solve_integer,
+                                unimodular_inverse)
 
 if __debug__:
     sys.exit("asserts are still enabled")
@@ -268,6 +308,12 @@ attempt("lift", lambda: G.lift((1,)))
 attempt("elements", lambda: G.elements())
 attempt("boundary", lambda: Subquotient(2, [(2, 0), (0, 1)], [(1, 0)]))
 attempt("det", lambda: IntMatrix([[1, 2]]).det())
+I1, I2 = IntMatrix.identity(1), IntMatrix.identity(2)
+attempt("grid", lambda: block_matrix([[I1], [I1, 0]]))
+attempt("heights", lambda: block_matrix([[I1, I2]]))
+attempt("widths", lambda: block_matrix([[I1], [I2]]))
+attempt("zero row", lambda: block_matrix([[I1, 0], [0, 0]]))
+attempt("zero column", lambda: block_matrix([[I1, 0], [I1, 0]]))
 """
 
 
@@ -290,4 +336,9 @@ def test_lattice_checks_run_under_python_O():
         "elements rejected: cannot list the elements of an infinite group",
         "boundary rejected: boundary vector outside the cycle lattice",
         "det rejected: determinant of a non-square matrix",
+        "grid rejected: block rows of different lengths",
+        "heights rejected: blocks of sizes [1, 2] in one block row",
+        "widths rejected: blocks of sizes [1, 2] in one block column",
+        "zero row rejected: a block row of zeros only",
+        "zero column rejected: a block column of zeros only",
     ]

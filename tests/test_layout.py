@@ -18,6 +18,8 @@ README = os.path.join(os.path.dirname(os.path.dirname(SRC)), "README.md")
 #: Checks only the acceptance gate calls (no CLI command runs them); the
 #: README section "Checks and the acceptance gate" names each.
 GATE_ONLY = {
+    "checks.klein_four_pin":
+        "criterion 3: the Klein-four sum is 4 over one 2-dimensional character",
     "checks.sign_squares": "criterion 4: every accepted sign squares to one",
     "checks.induced_automorphism_roundtrip":
         "criterion 8: decompose after reconstruct is the identity",
