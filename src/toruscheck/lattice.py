@@ -304,7 +304,8 @@ def solve_snf(snf, b):
 def block_matrix(grid):
     """The matrix assembled from a grid of IntMatrix blocks, where 0 stands
     for a zero block.  Each block row takes its height and each block column
-    its width from the blocks in it; a matrix with no rows gives no width.
+    its width from the blocks in it.  A matrix with no rows reports 0
+    columns, so it sets a width only where no block with rows does.
 
     Raises ValueError when the blocks of a block row or column disagree, or
     when a block row or column has no block to read its size from.
@@ -312,8 +313,7 @@ def block_matrix(grid):
     >>> block_matrix([[IntMatrix([[1, 2]]), 0], [0, IntMatrix([[3], [4]])]])
     IntMatrix([[1, 2, 0], [0, 0, 3], [0, 0, 4]])
     """
-    width = len(grid[0]) if grid else 0
-    if any(len(row) != width for row in grid):
+    if len({len(row) for row in grid}) > 1:
         raise ValueError("block rows of different lengths")
     heights = [_block_size([b.rows for b in row if isinstance(b, IntMatrix)],
                            "row") for row in grid]
@@ -326,16 +326,14 @@ def block_matrix(grid):
     for row, h in zip(grid, heights):
         pieces = [b.data if isinstance(b, IntMatrix) else ((0,) * w,) * h
                   for b, w in zip(row, widths)]
-        out.extend(itertools.chain.from_iterable(parts)
-                   for parts in zip(*pieces))
+        out.extend(map(itertools.chain.from_iterable, zip(*pieces)))
     return IntMatrix(out)
 
 
 def _block_size(sizes, kind):
-    if not sizes:
-        raise ValueError("a block %s of zeros only" % kind)
-    if any(n != sizes[0] for n in sizes):
-        raise ValueError("blocks of sizes %s in one block %s" % (sizes, kind))
+    if len(set(sizes)) != 1:
+        raise ValueError("blocks of sizes %s in one block %s" % (sizes, kind)
+                         if sizes else "a block %s of zeros only" % kind)
     return sizes[0]
 
 
