@@ -200,6 +200,8 @@ def _rels(gmod, n):
 
 def cocycle_sublattice(A, rel_out):
     """Basis of {x : A x lies in the column span of the matrix rel_out}."""
+    if not rel_out.cols:  # A itself, so its SNF shares A's memo key
+        return kernel_basis(A)
     return [v[:A.cols] for v in kernel_basis(block_matrix([[A, -rel_out]]))]
 
 
