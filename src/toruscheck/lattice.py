@@ -307,8 +307,9 @@ def block_matrix(grid):
     its width from the blocks in it.  A matrix with no rows reports 0
     columns, so it sets a width only where no block with rows does.
 
-    Raises ValueError when the blocks of a block row or column disagree, or
-    when a block row or column has no block to read its size from.
+    Raises ValueError when the grid's rows differ in length, when the
+    blocks of a block row or column disagree, or when a block row or column
+    has no block to read its size from.
 
     >>> block_matrix([[IntMatrix([[1, 2]]), 0], [0, IntMatrix([[3], [4]])]])
     IntMatrix([[1, 2, 0], [0, 0, 3], [0, 0, 4]])
@@ -463,8 +464,8 @@ class FGAbelian:
 
 
 class Subquotient:
-    """Subquotient L / (B + R) of a quotient module Z^g / R, where the
-    sublattice L and the boundary lattice B are given by generating vectors.
+    """Subquotient L / B of Z^g, from generating vectors of L and of B
+    inside it; for a quotient Z^g / R both include R (cohomology.homology).
 
     Provides classify (ambient vector -> normal form in the quotient) and
     representative (normal form -> ambient vector), the presentation engine
