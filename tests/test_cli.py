@@ -324,9 +324,9 @@ def test_random_suite_report_matches_golden(fmt, ext, tmp_path):
 
 @pytest.mark.parametrize("seed", [0, 5])
 def test_random_suite_size25_matches_golden(seed, tmp_path):
-    """The largest random-suite sizes a change is checked at: each report
-    equals the copy written by the code before the integer presentations
-    moved behind block_matrix and homology."""
+    """random-suite at size 25: each report equals its golden copy, written
+    before the integer presentations moved behind block_matrix and
+    homology."""
     code, out = run_main(["random-suite", "--seed", str(seed),
                           "--suite-size", "25"], tmp_path)
     assert code == 0

@@ -302,25 +302,18 @@ def test_theta_vanishing_branch():
     pytest.skip("no full-S3 case drawn")
 
 
-def _template_and_fixture_tori():
-    from toruscheck.casefile import load_case_file
-    from toruscheck.suite import _templates
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    tori = [TorusModel(LocalModel(n), GroupAction.cyclic(n, gmat), comp)
-            for n, gmat, comp in _templates()]
-    for name in ("norm_one_torus", "s3_component"):
-        torus, _, _, _ = load_case_file(
-            os.path.join(root, "fixtures", name + ".json"))
-        tori.append(torus)
-    return tori
-
-
 def test_invariant_duals_one_invariant_dual_per_torsion_factor():
     """Over the 18 suite templates and both fixtures: after the zero dual,
     invariant_duals gives one Galois-invariant dual per torsion factor of
     the coinvariants, of that factor's order.  The factors are read from
     Tate H^-1, which is the torsion of the coinvariants of a lattice."""
-    tori = _template_and_fixture_tori()
+    from toruscheck.casefile import load_case_file
+    from toruscheck.suite import _templates
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    tori = [TorusModel(LocalModel(n), GroupAction.cyclic(n, gmat), comp)
+            for n, gmat, comp in _templates()]
+    tori += [load_case_file(os.path.join(root, "fixtures", name))[0]
+             for name in ("norm_one_torus.json", "s3_component.json")]
     assert len(tori) == 20
     for torus in tori:
         zero, *duals = invariant_duals(torus)
