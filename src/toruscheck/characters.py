@@ -5,8 +5,9 @@ induction, and finite-group models of the extension and induction lemmas
 of intertwiner cocycles, block-twisted traces).
 
 A character table is computed over a prime field GF(p) with p = 1 mod the
-group exponent; eigenvalue multiplicities are lifted to honest cyclotomic
-integers and every orthogonality relation is then re-verified exactly.
+group exponent (Dixon, with Schneider's echelonized eigenspaces and Galois
+orbits); eigenvalue multiplicities are lifted to honest cyclotomic integers
+and every orthogonality relation is then re-verified exactly.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ import hashlib
 import itertools
 import threading
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .groups import Cocycle2, FiniteGroup, coset_section
-from .qz import QZ, Cyc, cyc_div, cyc_from_vector, exponent_forms, residue
+from .qz import (QZ, Cyc, _cyc, _qz, cyc_div, cyc_from_vector, exponent_forms,
+                 residue)
 
 
 # ---------------------------------------------------------------------------
@@ -66,23 +68,11 @@ def _primitive_root(p):
     raise ValueError("no primitive root found")
 
 
-def _mat_mul(A, B, p):
-    """A B over GF(p), reading only the nonzero entries of A (a class
-    matrix is sparse)."""
-    m = len(B[0])
-    out = []
-    for row in A:
-        acc = [0] * m
-        for a, brow in zip(row, B):
-            if a:
-                acc = [x + a * y for x, y in zip(acc, brow)]
-        out.append([x % p for x in acc])
-    return out
-
-
-def _rref(rows, m, p):
+def _rref(rows, m, p, reduced=True):
     """Row-reduce `rows` in place over GF(p), pivoting in the first m
-    columns; returns the pivot columns."""
+    columns; returns the pivot columns.  With reduced=False only the rows
+    below each pivot are cleared (row echelon form), which keeps a sparse
+    matrix sparse."""
     n = len(rows)
     pivots = []
     r = 0
@@ -93,7 +83,7 @@ def _rref(rows, m, p):
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = pow(rows[r][c], p - 2, p)
         rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(n):
+        for i in range(n) if reduced else range(r + 1, n):
             if i != r and rows[i][c] % p:
                 f = rows[i][c]
                 rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
@@ -105,40 +95,21 @@ def _rref(rows, m, p):
 
 
 def _nullspace(A, p):
+    """A basis of {x : A x = 0} over GF(p), one vector per free column c,
+    with x[c] = 1 and 0 at the other free columns; the pivot entries come
+    by back substitution from the row echelon form."""
     rows = [list(r) for r in A]
     m = len(rows[0]) if rows else 0
-    pivots = _rref(rows, m, p)
+    pivots = _rref(rows, m, p, reduced=False)
+    on = set(pivots)
     basis = []
-    for fc in (c for c in range(m) if c not in pivots):
+    for fc in (c for c in range(m) if c not in on):
         v = [0] * m
         v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-rows[i][fc]) % p
+        for row, pc in zip(reversed(rows[:len(pivots)]), reversed(pivots)):
+            v[pc] = -sum(map(mul, row[pc + 1:], v[pc + 1:])) % p
         basis.append(v)
     return basis
-
-
-def _solve_modp(A, B, p):
-    """X with A X = B over GF(p), for an r x m matrix A and an r x k matrix
-    B of right-hand sides, by one row reduction of [A | B]; free unknowns
-    are 0.  None when some column of B is outside the column space of A.
-
-    >>> _solve_modp([[1, 0], [0, 2], [1, 1]], [[1, 3], [4, 2], [3, 4]], 5)
-    [[1, 3], [2, 1]]
-    >>> _solve_modp([[1], [1]], [[1, 1], [1, 2]], 5) is None
-    True
-    """
-    m = len(A[0]) if A else 0
-    k = len(B[0]) if B else 0
-    rows = [list(a) + list(b) for a, b in zip(A, B)]
-    pivots = _rref(rows, m, p)
-    for row in rows[len(pivots):]:
-        if any(x % p for x in row[m:]):
-            return None
-    X = [[0] * k for _ in range(m)]
-    for row, pc in zip(rows, pivots):
-        X[pc] = row[m:]
-    return X
 
 
 def _charpoly(A, p):
@@ -178,15 +149,174 @@ def _charpoly(A, p):
     return polys[n]
 
 
+def _poly_eval(poly, x, p):
+    v = 0
+    for c in reversed(poly):
+        v = (v * x + c) % p
+    return v
+
+
 def _poly_roots(poly, p):
-    roots = []
-    for x in range(p):
-        v = 0
-        for c in reversed(poly):
-            v = (v * x + c) % p
-        if v == 0:
-            roots.append(x)
-    return roots
+    return [x for x in range(p) if _poly_eval(poly, x, p) == 0]
+
+
+def _echelon(vectors, m, p):
+    """An echelon basis of the span of independent vectors of length m:
+    (rows, pivots, rest), rows in reduced row echelon form over GF(p), so a
+    vector v of the span is sum_j v[pivots[j]] rows[j]; rest pairs each
+    other column c with the entries rows[j][c].
+
+    >>> space = _echelon([[1, 2, 3], [0, 1, 1]], 3, 5)
+    >>> space
+    ([[1, 0, 1], [0, 1, 1]], [0, 1], [(2, [1, 1])])
+    >>> _in_span([2, 3, 0], space, 5), _in_span([0, 0, 1], space, 5)
+    (True, False)
+    """
+    rows = [list(v) for v in vectors]
+    pivots = _rref(rows, m, p)
+    rows = rows[:len(pivots)]
+    on = set(pivots)
+    rest = [(c, [row[c] for row in rows]) for c in range(m) if c not in on]
+    return rows, pivots, rest
+
+
+def _in_span(v, space, p):
+    """Whether v is in the span of an echelon basis: v equals
+    sum_j v[pivots[j]] rows[j], which holds at the pivot columns by
+    construction, so only the other columns are compared."""
+    _, pivots, rest = space
+    coords = [v[c] for c in pivots]
+    return all((sum(map(mul, coords, col)) - v[c]) % p == 0
+               for c, col in rest)
+
+
+def _class_matrix(G, cls, reps):
+    """The class matrix (M)_{j,k} = #{(x, y) in cls x C_j : x y = rep_k},
+    by columns: column k lists its nonzero (j, count)."""
+    t, inv, index = G.table, G.inverse, G.class_index()
+    cols = []
+    for rep in reps:
+        col = {}
+        for x in cls:
+            j = index[t[inv[x]][rep]]
+            col[j] = col.get(j, 0) + 1
+        cols.append(tuple(col.items()))
+    return cols
+
+
+def _apply(cols, v, p):
+    """M v over GF(p) for a class matrix M given by columns."""
+    out = [0] * len(cols)
+    for col, x in zip(cols, v):
+        if x:
+            for j, a in col:
+                out[j] += a * x
+    return [y % p for y in out]
+
+
+def _power_maps(G, exponent):
+    """The power maps of G other than the identity, one per distinct map:
+    (l, pi) with pi[k] the class of g_k^l for g_k the first element of
+    class k, and l the least exponent prime to `exponent` giving that map.
+    Each permutes the classes and keeps their sizes; a group whose
+    characters are all rational has none.
+
+    >>> _power_maps(FiniteGroup.cyclic(5), 5)
+    [(2, (0, 2, 4, 1, 3)), (3, (0, 3, 1, 4, 2)), (4, (0, 4, 3, 2, 1))]
+    >>> _power_maps(FiniteGroup.symmetric(4), 12)
+    []
+    """
+    index = G.class_index()
+    powers = [G._cyclic_powers(cls[0]) for cls in G.conjugacy_classes()]
+    seen = {tuple(range(len(powers)))}
+    maps = []
+    for l in range(2, exponent):
+        if gcd(l, exponent) == 1:
+            pi = tuple(index[row[l % len(row)]] for row in powers)
+            if pi not in seen:
+                seen.add(pi)
+                maps.append((l, pi))
+    return maps
+
+
+def _normalized(v, p):
+    """v scaled to 1 at the identity class, as a tuple."""
+    if v[0] % p == 0:
+        raise ValueError("eigenvector vanishes at the identity")
+    inv0 = pow(v[0], p - 2, p)
+    return tuple(x * inv0 % p for x in v)
+
+
+def _eigenvectors(G, p, maps):
+    """The common eigenvectors over GF(p) of the class matrices of G, each
+    scaled to 1 at the identity class: one per irreducible character chi,
+    whose entry k is |C_k| chi(g_k) / chi(1) mod p.
+
+    Dixon's split, with Schneider's refinements.  Each eigenspace is kept
+    as an echelon basis, so the class matrix M restricted to it, T, is read
+    off the images M b_i at the pivots; an image outside the space raises
+    ValueError.  The identity class matrix splits nothing and is skipped.
+    When an eigenvector w is found, each w o pi_l over the power maps is
+    the eigenvector of a Galois conjugate chi^(l); it takes the place of a
+    nullspace when its eigenvalue w[pi_l(K)] is a simple root of T's
+    characteristic polynomial, it lies in the space, and M w' = lambda w'."""
+    classes = G.conjugacy_classes()
+    reps = [cls[0] for cls in classes]
+    r = len(classes)
+    spaces = [_echelon([[int(i == j) for i in range(r)] for j in range(r)],
+                       r, p)]
+    found = set()
+    pending = set()  # conjugates of found eigenvectors, not yet placed
+    for K in range(1, r):
+        if all(len(space[0]) == 1 for space in spaces):
+            break
+        M = _class_matrix(G, classes[K], reps)
+        by_value = {}
+        for u in pending:
+            by_value.setdefault(u[K], []).append(u)
+        regrouped = []
+        for space in spaces:
+            rows, pivots, _ = space
+            if len(rows) == 1:
+                regrouped.append(space)
+                continue
+            d = len(rows)
+            images = [_apply(M, b, p) for b in rows]
+            if not all(_in_span(v, space, p) for v in images):
+                raise ValueError("class matrix must preserve the space")
+            T = [[v[c] for v in images] for c in pivots]
+            poly = _charpoly(T, p)
+            slope = [i * c % p for i, c in enumerate(poly)][1:]
+            for lam in _poly_roots(poly, p):
+                w = None
+                if _poly_eval(slope, lam, p):  # a simple root
+                    w = next((u for u in by_value.get(lam, ())
+                              if u in pending and _in_span(u, space, p)
+                              and _apply(M, u, p)
+                              == [lam * x % p for x in u]), None)
+                if w is None:
+                    Tm = [[(T[i][j] - (lam if i == j else 0)) % p
+                           for j in range(d)] for i in range(d)]
+                    cols = list(zip(*rows))
+                    sub = [[sum(map(mul, col, nv)) % p for col in cols]
+                           for nv in _nullspace(Tm, p)]
+                    if len(sub) != 1:
+                        if sub:
+                            regrouped.append(_echelon(sub, r, p))
+                        continue
+                    w = _normalized(sub[0], p)
+                    for _, pi in maps:
+                        u = tuple(w[k] for k in pi)
+                        if u not in found and u not in pending:
+                            pending.add(u)
+                            by_value.setdefault(u[K], []).append(u)
+                pending.discard(w)
+                found.add(w)
+                regrouped.append(_echelon([w], r, p))
+        spaces = regrouped
+    if len(spaces) != r or any(len(space[0]) != 1 for space in spaces):
+        raise ValueError("eigenspace splitting incomplete")
+    return [_normalized(space[0][0], p) for space in spaces]
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +332,7 @@ class CharacterTable:
     def __init__(self, group, chars, dims):
         self.group = group
         self.classes = group.conjugacy_classes()
-        self.class_index = {}
-        for ci, cls in enumerate(self.classes):
-            for g in cls:
-                self.class_index[g] = ci
+        self.class_index = group.class_index()
         self.chars = chars
         self.dims = dims
         # irr_with_central_char answers, by (generator index, m, psi1)
@@ -277,70 +404,46 @@ class CharacterTable:
 
 def character_table(group):
     """Dixon's method: split class-matrix eigenspaces over GF(p) with
-    p = 1 mod exp(G), then lift eigenvalue multiplicities to cyclotomics."""
+    p = 1 mod exp(G), then lift eigenvalue multiplicities to cyclotomics,
+    once per Galois orbit of characters and of classes."""
     G = group
     if G.order > CharacterTable.MAX_ORDER:
         raise ValueError("group order %d exceeds the configured bound %d"
                          % (G.order, CharacterTable.MAX_ORDER))
     classes = G.conjugacy_classes()
+    index = G.class_index()
     r = len(classes)
     reps = [cls[0] for cls in classes]
-    class_index = {}
-    for ci, cls in enumerate(classes):
-        for g in cls:
-            class_index[g] = ci
     orders = [G.element_order(g) for g in reps]
     exponent = 1
     for o in orders:
         exponent = lcm(exponent, o)
     p = _find_prime(exponent, 2 * G.order + 1)
     omega = pow(_primitive_root(p), (p - 1) // exponent, p)
+    maps = _power_maps(G, exponent)
+    vectors = _eigenvectors(G, p, maps)
 
-    # class matrices (M_i)_{j,k} = #{(x, y) in C_i x C_j : x y = rep_k}
-    mats = []
-    for i in range(r):
-        M = [[0] * r for _ in range(r)]
-        for x in classes[i]:
-            xi = G.inv(x)
-            for k in range(r):
-                M[class_index[G.mul(xi, reps[k])]][k] += 1
-        mats.append(M)
-
-    spaces = [[tuple(1 if i == j else 0 for i in range(r)) for j in range(r)]]
-    for M in mats:
-        if all(len(b) == 1 for b in spaces):
-            break
-        regrouped = []
-        for basis in spaces:
-            if len(basis) == 1:
-                regrouped.append(basis)
-                continue
-            d = len(basis)
-            S = [list(col) for col in zip(*basis)]  # r x d
-            # M S = S T: T is M restricted to the space in the basis S
-            T = _solve_modp(S, _mat_mul(M, S, p), p)
-            if T is None:
-                raise ValueError("class matrix must preserve the space")
-            for lam in sorted(set(_poly_roots(_charpoly(T, p), p))):
-                Tm = [[(T[i][j] - (lam if i == j else 0)) % p
-                       for j in range(d)] for i in range(d)]
-                sub = []
-                for nv in _nullspace(Tm, p):
-                    sub.append(tuple(sum(map(mul, row, nv)) % p for row in S))
-                if sub:
-                    regrouped.append(sub)
-        spaces = regrouped
-    if len(spaces) != r or any(len(b) != 1 for b in spaces):
-        raise ValueError("eigenspace splitting incomplete")
-
-    inv_class = [class_index[G.inv(g)] for g in reps]
+    # chi(g^l) = sigma_l(chi(g)) for l prime to the exponent, so class
+    # pi_l(k) carries the values of class k with e(j/h) moved to e(jl/h):
+    # source[c] = (k, l) with c = pi_l(k), k the first class of its orbit.
+    source = [None] * r
+    for k in range(r):
+        if source[k] is None:
+            source[k] = (k, 1)
+            for l, pi in maps:
+                if source[pi[k]] is None:
+                    source[pi[k]] = (k, l)
+    inv_class = [index[G.inv(g)] for g in reps]
     csize_inv = [pow(len(c), p - 2, p) for c in classes]
     # The multiplicity of e(j/h) in chi(g), h the order of g, is
     # h^-1 sum_l chi(g^l) omega_h^(-j l) mod p.  chi(g^l) depends only on
     # the class of g^l, so each class's row of h sums over the l with g^l
-    # in it is computed once and shared by every character.
+    # in it is computed once and shared by every character; only the first
+    # class of each orbit needs one.
     lifts = []
     for k in range(r):
+        if source[k] != (k, 1):
+            continue
         h = orders[k]
         wh = pow(omega, exponent // h, p)
         wpow = [1] * h
@@ -349,21 +452,42 @@ def character_table(group):
         hinv = pow(h, p - 2, p)
         sums = {}
         for l, g in enumerate(G._cyclic_powers(reps[k])):
-            row = sums.setdefault(class_index[g], [0] * h)
+            row = sums.setdefault(index[g], [0] * h)
             for j in range(h):
                 row[j] += wpow[-j * l % h]
-        lifts.append((h, [(c, [x * hinv % p for x in row])
-                          for c, row in sums.items()]))
+        lifts.append((k, h, [(c, [x * hinv % p for x in row])
+                             for c, row in sums.items()]))
     level = exponent if exponent % 2 == 0 else 2 * exponent
-    chars = []
-    dims = []
-    keys = []
-    for (vec,) in spaces:
-        v0 = vec[class_index[0]]
-        if v0 % p == 0:
-            raise ValueError("eigenvector vanishes at the identity")
-        inv0 = pow(v0, p - 2, p)
-        w = [(x * inv0) % p for x in vec]
+
+    def row_of(mults, l):
+        """The values and sort key of chi^(l) from chi's nonzero
+        multiplicities (j, m) at the first class of each class orbit."""
+        values = []
+        key = []
+        for c, (k, lc) in enumerate(source):
+            h = orders[c]
+            pairs = mults[k]
+            scale = lc * l % h
+            if scale != 1:
+                pairs = sorted((j * scale % h, x) for j, x in pairs)
+            values.append(_cyc({_qz(j, h): x for j, x in pairs}))
+            # the residue mod Phi_level with trailing zeros dropped: the
+            # multiplicities are ints, so this is Cyc.reduced_key(level)
+            # without its level and with ints in place of Fractions
+            step = level // h
+            res = residue([(j * step, x) for j, x in pairs], level)
+            while res and res[-1] == 0:
+                res.pop()
+            key.append(res)
+        return values, key
+
+    position = {w: i for i, w in enumerate(vectors)}
+    chars = [None] * r
+    dims = [None] * r
+    keys = [None] * r
+    for i, w in enumerate(vectors):
+        if chars[i] is not None:
+            continue
         s = 0
         for k in range(r):
             s = (s + w[k] * w[inv_class[k]] * csize_inv[k]) % p
@@ -373,35 +497,27 @@ def character_table(group):
         if dim is None:
             raise ValueError("no degree squares to |G| / sum |chi|^2")
         chi_p = [(dim * w[k] * csize_inv[k]) % p for k in range(r)]
-        values = []
-        key = []
-        for h, lift in lifts:
+        mults = {}
+        for k, h, lift in lifts:
             acc = [0] * h
             for c, row in lift:
                 x = chi_p[c]
                 if x:
                     acc = [a + x * b for a, b in zip(acc, row)]
-            step = level // h
-            terms = {}
-            pairs = []
-            for j, m in enumerate(acc):
-                m %= p
-                if m > dim:
-                    raise ValueError("multiplicity lift out of range")
-                if m:
-                    terms[QZ(j, h)] = m
-                    pairs.append((j * step, m))
-            values.append(Cyc(terms))
-            # the residue mod Phi_level with trailing zeros dropped: the
-            # multiplicities are ints, so this is Cyc.reduced_key(level)
-            # without its level and with ints in place of Fractions
-            res = residue(pairs, level)
-            while res and res[-1] == 0:
-                res.pop()
-            key.append(res)
-        chars.append(values)
-        dims.append(dim)
-        keys.append(key)
+            m = [a % p for a in acc]
+            if max(m) > dim:
+                raise ValueError("multiplicity lift out of range")
+            mults[k] = [(j, x) for j, x in enumerate(m) if x]
+        # chi and its Galois conjugates chi^(l), whose eigenvectors are
+        # w o pi_l; the conjugates' multiplicities are chi's, permuted
+        for l, j in [(1, i)] + [(l, position.get(tuple(w[k] for k in pi)))
+                                for l, pi in maps]:
+            if j is None:
+                raise ValueError("Galois conjugate eigenvector missing "
+                                 "from the table")
+            if chars[j] is None:
+                chars[j], keys[j] = row_of(mults, l)
+                dims[j] = dim
 
     order = sorted(range(r), key=lambda i: (dims[i], keys[i]))
     table = CharacterTable(G, [chars[i] for i in order],
@@ -521,18 +637,17 @@ def twisted_orthogonality(ext, psi1, e, e2, cache=None):
             for b, d in row[k2]:
                 vec[(a + b) % n] += c * d
     lhs = cyc_from_vector(vec, D * D)
-    E = ext.group
-    prod = E.mul(e, e2)
-    _, ac = ext.parts(prod)
-    ebar = ext.parts(e)[1]
-    e2bar = ext.parts(e2)[1]
     A = ext.base
+    prod = ext.group.mul(e, e2)
+    # the A-parts a of the elements k |A| + a
+    ac, ebar, e2bar = prod % A.order, e % A.order, e2 % A.order
     if ac == 0:
         rhs = Cyc.root(psi_value(ext, psi1, prod)) * len(A.centralizer(ebar))
         return lhs, rhs, lhs == rhs
-    if A.class_of(A.inv(ebar)) != A.class_of(e2bar):
-        rhs = Cyc.zero()
-        return lhs, rhs, lhs == rhs
+    index = A.class_index()
+    if index[A.inv(ebar)] != index[e2bar]:
+        # lhs is zero iff its exponent vector is zero mod Phi_n
+        return lhs, Cyc.zero(), not any(residue(enumerate(vec), n))
     return lhs, None, None
 
 

@@ -23,8 +23,8 @@ class FiniteGroup:
     3
     """
 
-    __slots__ = ("order", "table", "inverse", "_classes", "_name", "_powers",
-                 "_gens", "table_key")
+    __slots__ = ("order", "table", "inverse", "_classes", "_class_index",
+                 "_name", "_powers", "_gens", "table_key")
 
     def __init__(self, table, name=None, check=True):
         table = tuple(tuple(row) for row in table)
@@ -32,6 +32,7 @@ class FiniteGroup:
         self.order = len(table)
         self._name = name
         self._classes = None
+        self._class_index = None
         self._powers = [None] * self.order
         self._gens = None
         self.table_key = None  # set by characters.TableCache.key
@@ -135,25 +136,31 @@ class FiniteGroup:
         return row[k % len(row)]
 
     def conjugacy_classes(self):
-        """List of sorted tuples of element indices; class of identity first."""
+        """List of sorted tuples of element indices; class of identity first.
+        The element-to-class list (`class_index`) is built with it."""
         if self._classes is None:
-            seen = [False] * self.order
+            index = [None] * self.order
             classes = []
             for g in range(self.order):
-                if seen[g]:
+                if index[g] is not None:
                     continue
                 cls = sorted({self.conj(h, g) for h in range(self.order)})
                 for x in cls:
-                    seen[x] = True
+                    index[x] = len(classes)
                 classes.append(tuple(cls))
             self._classes = classes
+            self._class_index = tuple(index)
         return self._classes
 
-    def class_of(self, g):
-        for idx, cls in enumerate(self.conjugacy_classes()):
-            if g in cls:
-                return idx
-        raise ValueError(g)
+    def class_index(self):
+        """The index in `conjugacy_classes()` of each element's class.
+
+        >>> FiniteGroup.symmetric(3).class_index()
+        (0, 1, 2, 1, 1, 2)
+        """
+        if self._class_index is None:
+            self.conjugacy_classes()
+        return self._class_index
 
     def centralizer(self, g):
         return [h for h in range(self.order) if self.mul(h, g) == self.mul(g, h)]

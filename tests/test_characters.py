@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import characters_reference
 import cyc_verify
 from toruscheck import characters
 from toruscheck.casefile import encode_cyc
@@ -654,57 +655,6 @@ def test_block_twisted_trace():
         assert ok
 
 
-def _solve_column(A, b, p):
-    """One right-hand side at a time, as the eigenspace split solved before
-    it batched the columns."""
-    m = len(A[0]) if A else 0
-    rows = [list(r) + [bb] for r, bb in zip(A, b)]
-    pivots = characters._rref(rows, m, p)
-    for i in range(len(pivots), len(rows)):
-        if rows[i][m] % p:
-            return None
-    x = [0] * m
-    for i, pc in enumerate(pivots):
-        x[pc] = rows[i][m]
-    return x
-
-
-def test_solve_modp_matches_per_column_solves():
-    """The matrix solve gives the per-column solutions side by side, and
-    None as soon as one column is inconsistent."""
-    p = 13
-    assert characters._solve_modp([[1, 0], [0, 1], [0, 0]],
-                                  [[1, 0], [2, 0], [0, 1]], p) is None
-    assert _solve_column([[1, 0], [0, 1], [0, 0]], [1, 2, 0], p) == [1, 2]
-    rng = random.Random("solve-modp")
-    outcomes = set()
-    for trial in range(300):
-        r, k = rng.randint(1, 6), rng.randint(1, 4)
-        m = rng.randint(1, r)
-        A = [[rng.randrange(p) for _ in range(m)] for _ in range(r)]
-        if trial % 4 == 0:  # a repeated column: free unknowns
-            for row in A:
-                row[-1] = row[0]
-        X = [[rng.randrange(p) for _ in range(k)] for _ in range(m)]
-        B = [[sum(a * x for a, x in zip(row, col)) % p for col in zip(*X)]
-             for row in A]
-        if trial % 3 == 0:
-            j = rng.randrange(k)
-            for row in B:
-                row[j] = rng.randrange(p)
-        got = characters._solve_modp(A, B, p)
-        cols = [_solve_column(A, [row[j] for row in B], p) for j in range(k)]
-        if any(c is None for c in cols):
-            assert got is None
-            outcomes.add("inconsistent")
-            continue
-        assert got == [list(row) for row in zip(*cols)]
-        assert [[sum(a * x for a, x in zip(row, col)) % p
-                 for col in zip(*got)] for row in A] == B
-        outcomes.add("solved")
-    assert outcomes == {"inconsistent", "solved"}
-
-
 def _perfbench_workloads():
     path = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "perfbench", "workloads.py")
@@ -760,7 +710,8 @@ TWISTED_ORACLE = {
 def test_twisted_lhs_matches_cyc_sum(name, scaled):
     """The left side summed over the table's exponent forms has the terms of
     the Cyc-at-a-time sum, for every psi of order dividing m, every
-    psi-centralizing e and every e2.  A computed table has integer
+    psi-centralizing e and every e2, and the verdict is the Cyc equality of
+    that sum with the right side.  A computed table has integer
     coefficients, so the scaled run puts a table with every value times
     1 + e(1/5)/3 in the cache, which reaches a level past the group's
     exponent and a denominator D = 3."""
@@ -778,16 +729,122 @@ def test_twisted_lhs_matches_cyc_sum(name, scaled):
             if not is_psi_centralizing(ext, psi, e):
                 continue
             for e2 in range(ext.group.order):
-                lhs, _, _ = twisted_orthogonality(ext, psi, e, e2, cache)
+                lhs, rhs, verdict = twisted_orthogonality(ext, psi, e, e2,
+                                                          cache)
                 old = cyc_verify.twisted_lhs(ext, psi, e, e2, cache)
                 assert lhs.terms == old.terms
                 assert encode_cyc(lhs) == encode_cyc(old)
+                if rhs is not None:
+                    assert verdict == (old == rhs)
                 compared += 1
     assert compared >= ext.group.order
 
 
+@pytest.mark.parametrize("name", ["mu2xD6", "Q8"])
+def test_zero_branch_verdict_matches_cyc_equality(name):
+    """Where the right side is 0, the verdict decided in ints is the Cyc
+    equality lhs == 0, also on a table with e(1/3) added to every value on
+    a non-central class (so the central characters stay), where some of
+    those sums are not zero."""
+    ext = TWISTED_ORACLE[name]()
+    t = character_table(ext.group)
+    shift = Cyc.root(QZ(1, 3))
+    chars = [[v + shift if len(cls) > 1 else v
+              for v, cls in zip(row, t.classes)] for row in t.chars]
+    cache = TableCache()
+    cache._tables[cache.key(ext.group)] = CharacterTable(ext.group, chars,
+                                                         t.dims)
+    psi = QZ(1, ext.m)
+    seen = set()
+    for e in range(ext.group.order):
+        if not is_psi_centralizing(ext, psi, e):
+            continue
+        for e2 in range(ext.group.order):
+            lhs, rhs, verdict = twisted_orthogonality(ext, psi, e, e2, cache)
+            if rhs is not None and rhs.terms == {}:
+                assert verdict == (lhs == Cyc.zero())
+                seen.add(verdict)
+    assert False in seen
+
+
+def _reference_groups(family):
+    if family == "table_items":
+        out = []
+        for _, _, make in _perfbench_workloads().TABLE_ITEMS:
+            built = make()
+            if not isinstance(built, FiniteGroup):
+                base, m, vals = built
+                built = CentralExtension(base, m, Cocycle2(base, vals)).group
+            out.append(built)
+        return out
+    if family == "cyclic":
+        return [FiniteGroup.cyclic(n) for n in range(1, 31)]
+    if family == "dihedral":
+        return [FiniteGroup.dihedral(n) for n in range(3, 31)]
+    C3 = FiniteGroup.cyclic(3)
+    # x -> x + 1 and x -> 10 x on Z/33: there the eigenvalue of a Galois
+    # conjugate can be a repeated root in the space it lies in
+    affine = FiniteGroup.from_permutations(
+        [tuple((x + 1) % 33 for x in range(33)),
+         tuple(10 * x % 33 for x in range(33))])
+    return [q8_extension().group, FiniteGroup.direct_product(C3, C3),
+            TWISTED_ORACLE["mu4.C4"]().group, affine]
+
+
+@pytest.mark.parametrize("family",
+                         ["table_items", "cyclic", "dihedral", "others"])
+def test_table_matches_reference(family):
+    """character_table gives the dims, the row order and every value's
+    terms, in the order they were built, of the construction with one
+    nullspace and one lift per character (tests/characters_reference.py):
+    on the 23 perfbench table items, C_n for n <= 30, D_n for 3 <= n <= 30,
+    Q8, C3 x C3, mu4.C4 and the affine group x -> 10 x + b of Z/33 (order
+    66), where only the simple-root test keeps a permuted eigenvector from
+    standing for a whole eigenspace."""
+    groups = _reference_groups(family)
+    assert len(groups) == {"table_items": 23, "cyclic": 30, "dihedral": 28,
+                           "others": 4}[family]
+    for G in groups:
+        new = character_table(G)
+        old = characters_reference.character_table(G)
+        assert new.dims == old.dims, G
+        assert [[list(v.terms.items()) for v in row] for row in new.chars] \
+            == [[list(v.terms.items()) for v in row] for row in old.chars], G
+
+
+def test_one_nullspace_per_galois_orbit(monkeypatch):
+    """C30 has one Galois orbit of characters per divisor of 30, so its
+    table takes 8 nullspaces, not 30; S4 is rational and has no power map
+    but the identity."""
+    calls = []
+    nullspace = characters._nullspace
+
+    def counted(A, p):
+        calls.append(len(A))
+        return nullspace(A, p)
+
+    monkeypatch.setattr(characters, "_nullspace", counted)
+    character_table(FiniteGroup.cyclic(30))
+    assert len(calls) == 8
+    assert characters._power_maps(FiniteGroup.symmetric(4), 12) == []
+
+
+def test_permuted_eigenvectors_are_checked_before_use(monkeypatch):
+    """A class permutation that is not a power map gives vectors that fail
+    their class-matrix check, so the split takes nullspaces instead, and the
+    lift finds no row for them and raises."""
+    def bogus(G, exponent):
+        r = len(G.conjugacy_classes())
+        return [(2, (0, 2, 1) + tuple(range(3, r)))]
+
+    monkeypatch.setattr(characters, "_power_maps", bogus)
+    with pytest.raises(ValueError, match="conjugate eigenvector missing"):
+        character_table(FiniteGroup.cyclic(5))
+
+
 #: Bad inputs for every guard of characters.py that an input can reach,
-#: run with asserts stripped.
+#: run with asserts stripped, and two guards of character_table that only
+#: a patched helper reaches.
 OPTIMIZED_GUARDS = """
 import sys
 
@@ -859,6 +916,25 @@ raises("zero matrix", lambda: InducedIntertwinerData(
     [CycMatrix([[0, 0], [0, 0]]), CycMatrix.identity(2)]).alpha(1, 1))
 raises("trace", lambda: block_twisted_trace([IntMatrix.identity(2)],
                                             IntMatrix.identity(1)))
+raises("order bound", lambda: character_table(FiniteGroup.cyclic(401)))
+
+# No group reaches the next two guards; a patched helper does.
+class_matrix = characters._class_matrix
+
+
+def into_identity(G, cls, reps):
+    # the true class matrix for class 1, then one sending every class to
+    # the identity class
+    if cls == G.conjugacy_classes()[1]:
+        return class_matrix(G, cls, reps)
+    return [((0, 1),)] * len(reps)
+
+
+characters._class_matrix = into_identity
+raises("invariance", lambda: character_table(D4))
+characters._class_matrix = class_matrix
+characters._power_maps = lambda G, exponent: [(2, (0, 2, 1, 3, 4))]
+raises("conjugate", lambda: character_table(FiniteGroup.cyclic(5)))
 """
 
 
@@ -883,4 +959,9 @@ def test_guards_raise_under_python_O():
         "raised proportional - matrices are not proportional",
         "raised zero matrix - zero matrix in scalar extraction",
         "raised trace - dimension mismatch",
+        "raised order bound - group order 401 exceeds the configured "
+        "bound 400",
+        "raised invariance - class matrix must preserve the space",
+        "raised conjugate - Galois conjugate eigenvector missing from the "
+        "table",
     ]

@@ -20,6 +20,7 @@ from toruscheck.rootdata import (
     sign_product,
     sign_induction,
     levi_restriction,
+    _in_coinvariant_boundary,
 )
 
 
@@ -228,6 +229,31 @@ def test_levi_restriction():
     # non-stable subset rejected
     with pytest.raises(ValueError, match="not a-stable"):
         levi_restriction(tw4, [2])
+
+
+def test_levi_restriction_across_representatives():
+    """D4 with a swapping nodes 2 and 3, Levi {2, 3}: lambda_{T,G} built on
+    node 3 restricts to (0, 1) while lambda_{T,M} is (1, 0), so they differ
+    coordinatewise, and (-1, 1) = (a - 1)(1, 0) puts them in one
+    a-coinvariant class."""
+    d4 = BasedRootDatum.from_label("D4")
+    tw4 = TwistData(d4, 1, trivial_perm(4), diagram_flip("D4"))
+    rep = levi_restriction(tw4, [2, 3], orbit_choice={2: 1})
+    assert rep["image"] == (0, 1) and rep["intrinsic"] == (1, 0)
+    assert not rep["exact_equal"] and rep["coinvariant_equal"]
+
+
+def test_coinvariant_boundary_needs_an_invariant_preimage():
+    """With Galois and a both swapping the nodes of A1 x A1, (-1, 1) is
+    (a - 1)(1, 0), but every Galois-invariant x has (a - 1) x = 0, so it is
+    not in (1 - a) of the invariants."""
+    tw = TwistData(BasedRootDatum(IntMatrix([[2, 0], [0, 2]])), 2, (1, 0),
+                   (1, 0))
+    assert _in_coinvariant_boundary(tw, (0, 0))
+    assert not _in_coinvariant_boundary(tw, (-1, 1))
+    flip_only = TwistData(tw.datum, 1, (0, 1), (1, 0))
+    assert _in_coinvariant_boundary(flip_only, (-1, 1))
+    assert not _in_coinvariant_boundary(flip_only, (1, 0))
 
 
 def test_levi_restriction_with_galois():

@@ -45,6 +45,25 @@ def norm_one_torus(n=2):
     return TorusModel(model, act)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_boundary_matrix_is_the_chain_boundary(n):
+    """The lift system's boundary block sends a window chain's coordinates
+    to FiniteSupportChain.boundary of that chain over the lift's ZDomain:
+    sum_w (sigma^-w - 1) mu(w).  At Galois order 3 and 4 sigma^w and
+    sigma^-w differ, so this pins the orientation."""
+    torus = norm_one_torus(n)
+    r = torus.rank
+    dom = ZDomain(n, torus.galois.matrices[1])
+    window = list(range(-2 * n, 2 * n))
+    B = weil._boundary_matrix(torus, window)
+    rng = random.Random("boundary-%d" % n)
+    for _ in range(20):
+        x = [rng.randint(-3, 3) for _ in range(r * len(window))]
+        mu = FiniteSupportChain(dom, 1, r, {
+            (w,): x[i * r:(i + 1) * r] for i, w in enumerate(window)})
+        assert tuple(B.apply(x)) == mu.boundary().value(())
+
+
 def test_fundamental_cocycle_generates_h2():
     model = LocalModel(3)
     Q = FiniteGroup.cyclic(3)
