@@ -455,16 +455,13 @@ def sign_induction(twist, xi, blocks):
     return e_base, e_ind
 
 
-def levi_restriction(twist, levi_indices, orbit_choice=None):
+def levi_restriction(twist, levi_indices):
     """Compatibility of the fundamental-weight sums along a standard Levi
     subset of the simple roots (stable under Galois and a).
 
     Returns a report dict with the restricted image of lambda_{T,G}, the
     intrinsic lambda_{T,M}, exact equality, and equality of a-coinvariant
-    classes in X^*(T_{M,sc}).  orbit_choice is passed to lambda_T for
-    lambda_{T,G}: with another representative of an a-orbit inside the
-    Levi the two sums differ coordinatewise, and only their a-coinvariant
-    classes must agree."""
+    classes in X^*(T_{M,sc})."""
     datum = twist.datum
     levi = sorted(levi_indices)
     lset = set(levi)
@@ -472,7 +469,7 @@ def levi_restriction(twist, levi_indices, orbit_choice=None):
         raise ValueError("Levi subset not Galois-stable")
     if not all(twist.a_perm[i] in lset for i in levi):
         raise ValueError("Levi subset not a-stable")
-    lam_G, _ = lambda_T(twist, orbit_choice)
+    lam_G, _ = lambda_T(twist)
     # restriction X^*(T_sc) -> X^*(T_M,sc) keeps the Levi coordinates
     img = tuple(lam_G[i] for i in levi)
     sub_cartan = IntMatrix([[datum.cartan.data[i][j] for j in levi]

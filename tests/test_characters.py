@@ -829,19 +829,6 @@ def test_one_nullspace_per_galois_orbit(monkeypatch):
     assert characters._power_maps(FiniteGroup.symmetric(4), 12) == []
 
 
-def test_permuted_eigenvectors_are_checked_before_use(monkeypatch):
-    """A class permutation that is not a power map gives vectors that fail
-    their class-matrix check, so the split takes nullspaces instead, and the
-    lift finds no row for them and raises."""
-    def bogus(G, exponent):
-        r = len(G.conjugacy_classes())
-        return [(2, (0, 2, 1) + tuple(range(3, r)))]
-
-    monkeypatch.setattr(characters, "_power_maps", bogus)
-    with pytest.raises(ValueError, match="conjugate eigenvector missing"):
-        character_table(FiniteGroup.cyclic(5))
-
-
 #: Bad inputs for every guard of characters.py that an input can reach,
 #: run with asserts stripped, and two guards of character_table that only
 #: a patched helper reaches.
@@ -933,6 +920,9 @@ def into_identity(G, cls, reps):
 characters._class_matrix = into_identity
 raises("invariance", lambda: character_table(D4))
 characters._class_matrix = class_matrix
+# a class permutation of C5 that is not a power map: its vectors fail their
+# class-matrix check, so the split takes nullspaces, and the lift then finds
+# no row for them
 characters._power_maps = lambda G, exponent: [(2, (0, 2, 1, 3, 4))]
 raises("conjugate", lambda: character_table(FiniteGroup.cyclic(5)))
 """

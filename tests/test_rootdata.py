@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import toruscheck
+from toruscheck import rootdata
 from toruscheck.lattice import IntMatrix
 from toruscheck.qz import QZ
 from toruscheck.cohomology import tate_group
@@ -231,14 +232,20 @@ def test_levi_restriction():
         levi_restriction(tw4, [2])
 
 
-def test_levi_restriction_across_representatives():
+def test_levi_restriction_across_representatives(monkeypatch):
     """D4 with a swapping nodes 2 and 3, Levi {2, 3}: lambda_{T,G} built on
     node 3 restricts to (0, 1) while lambda_{T,M} is (1, 0), so they differ
     coordinatewise, and (-1, 1) = (a - 1)(1, 0) puts them in one
     a-coinvariant class."""
     d4 = BasedRootDatum.from_label("D4")
     tw4 = TwistData(d4, 1, trivial_perm(4), diagram_flip("D4"))
-    rep = levi_restriction(tw4, [2, 3], orbit_choice={2: 1})
+    choose = rootdata.lambda_T
+
+    def on_node_3(twist, orbit_choice=None):
+        return choose(twist, {2: 1} if twist is tw4 else orbit_choice)
+
+    monkeypatch.setattr(rootdata, "lambda_T", on_node_3)
+    rep = levi_restriction(tw4, [2, 3])
     assert rep["image"] == (0, 1) and rep["intrinsic"] == (1, 0)
     assert not rep["exact_equal"] and rep["coinvariant_equal"]
 
