@@ -270,12 +270,19 @@ def test_big_integer_encoding():
 
 @pytest.mark.parametrize("name", sorted(os.listdir(BENCH_GOLDEN)))
 def test_fixture_reports_match_golden(name, tmp_path):
-    """Each fixture report equals the benchmark's golden copy byte for byte."""
+    """Each fixture report equals its golden copy byte for byte: the JSON
+    report the benchmark's copy, the text report the one in tests/golden/cli."""
     command, fixture = os.path.splitext(name)[0].split(".")
     path = os.path.join(ROOT, "fixtures", fixture + ".json")
     code, out = run_main([command, "--input", path], tmp_path)
     assert code == 0
     with open(os.path.join(BENCH_GOLDEN, name), "rb") as f:
+        assert out == f.read()
+    code, out = run_main([command, "--input", path, "--format", "text"],
+                         tmp_path, "out.txt")
+    assert code == 0
+    stem = os.path.splitext(name)[0]
+    with open(os.path.join(GOLDEN, "cli", stem + ".txt"), "rb") as f:
         assert out == f.read()
 
 
