@@ -546,10 +546,13 @@ class TableCache:
         t = self._tables.get(k)
         if t is not None:
             return t
-        t = character_table(group)
+        t = self._miss(k, group)
         with self._lock:
-            self._tables.setdefault(k, t)
-        return self._tables[k]
+            return self._tables.setdefault(k, t)
+
+    def _miss(self, key, group):
+        """The table of a group whose key is not in the cache."""
+        return character_table(group)
 
 
 TABLE_CACHE = TableCache()
@@ -867,11 +870,6 @@ class CycMatrix:
     def identity(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def scalar(cls, c, n):
-        z = Cyc.zero()
-        return cls([[c if i == j else z for j in range(n)] for i in range(n)])
-
     def mul(self, other):
         if self.m != other.n:
             raise ValueError("%d columns times %d rows" % (self.m, other.n))
@@ -890,13 +888,16 @@ class CycMatrix:
 def _scalar_ratio(lhs, rhs):
     """The scalar c with lhs = c * rhs.  Raises ValueError when there is
     none."""
-    for i in range(lhs.n):
-        for j in range(lhs.m):
-            if not rhs.rows[i][j].is_zero():
-                c = cyc_div(lhs.rows[i][j], rhs.rows[i][j])
-                if not lhs.eq(CycMatrix.scalar(c, lhs.n).mul(rhs)):
-                    raise ValueError("matrices are not proportional")
-                return c
+    if (lhs.n, lhs.m) != (rhs.n, rhs.m):
+        raise ValueError("matrices are not proportional")
+    pairs = [(x, y) for xs, ys in zip(lhs.rows, rhs.rows)
+             for x, y in zip(xs, ys)]
+    for x, y in pairs:
+        if not y.is_zero():
+            c = cyc_div(x, y)
+            if any(a != c * b for a, b in pairs):
+                raise ValueError("matrices are not proportional")
+            return c
     raise ValueError("zero matrix in scalar extraction")
 
 

@@ -29,7 +29,7 @@ from .characters import twisted_orthogonality, is_psi_centralizing, \
     InducedIntertwinerData, CycMatrix
 from .rootdata import BasedRootDatum, TwistData, diagram_flip, twisted_sign, \
     sign_product, sign_induction, levi_restriction
-from .tori import build_case, compute_h, verify_iso, packet, \
+from .tori import build_case, verify_iso, packet, \
     character_identity_report, invariant_duals
 from .suite import random_case_data, invariant_vectors
 from .casefile import encode_qz, encode_cyc
@@ -449,12 +449,10 @@ def character_identity(case):
 
 
 def random_cases(rng, count):
-    """`count` seeded random cases, each built with h computed."""
+    """`count` seeded random cases."""
     for _ in range(count):
         torus, z, phi = random_case_data(rng)
-        case = build_case(torus, z, phi)
-        compute_h(case)
-        yield case
+        yield build_case(torus, z, phi)
 
 
 def suite(rng, size):

@@ -472,12 +472,6 @@ class FiniteSupportChain:
         elif key in self.support:
             del self.support[key]
 
-    def add(self, other):
-        out = FiniteSupportChain(self.domain, self.degree, self.rank, self.support)
-        for k, v in other.support.items():
-            out.add_into(k, v)
-        return out
-
     def neg(self):
         return FiniteSupportChain(
             self.domain, self.degree, self.rank,

@@ -11,7 +11,6 @@ class of the cyclic model has invariant 1/n.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from math import lcm
 from operator import mul, sub
 from typing import NamedTuple
@@ -170,10 +169,10 @@ class TwistData:
         for i in range(k):
             row = []
             for j in range(k):
-                val = Fraction(ds[i] * B.data[j][i], ds[j])
-                if val.denominator != 1:
+                val, rem = divmod(ds[i] * B.data[j][i], ds[j])
+                if rem:
                     raise ValueError("dual action must be integral")
-                row.append(int(val) % ds[i])
+                row.append(val % ds[i])
             rows.append(row)
         return IntMatrix(rows)
 
@@ -293,14 +292,13 @@ class SignPresentation(NamedTuple):
     system: tuple | None
 
 
-def lambda_T(twist, orbit_choice=None):
+def lambda_T(twist):
     """The fundamental-weight sum over representatives of the a-orbits of
     Galois orbits: a Gamma-invariant weight whose a-coinvariant image is
     independent of the representative choice.
 
-    Returns (weight vector, center coordinates, coinvariant class data).
-    orbit_choice optionally selects a different representative per a-orbit
-    (for the independence check): a map orbit-index -> offset.
+    Returns (weight vector, center coordinates).  The representative of
+    each a-orbit is its first Galois orbit in index order.
     """
     datum = twist.datum
     r = datum.rank
@@ -328,16 +326,11 @@ def lambda_T(twist, orbit_choice=None):
     for i in range(len(gorbits)):
         if i in seen_o:
             continue
-        cycle = [i]
-        j = a_on_orbits[i]
-        while j != i:
-            cycle.append(j)
+        chosen.append(i)
+        j = i
+        while j not in seen_o:
+            seen_o.add(j)
             j = a_on_orbits[j]
-        seen_o.update(cycle)
-        pick = 0
-        if orbit_choice is not None:
-            pick = orbit_choice.get(len(chosen), 0) % len(cycle)
-        chosen.append(cycle[pick])
     lam = [0] * r
     for i in chosen:
         for w in gorbits[i]:

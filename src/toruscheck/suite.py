@@ -130,11 +130,11 @@ def random_z(torus, rng):
     return z.add(dx)
 
 
-def random_parameter(torus, rng, max_den=4):
+def random_parameter(torus, rng):
     """A random unramified parameter: a norm-zero torsion dual value at the
     generator, sampled uniformly from the solutions at a random level."""
     r = torus.rank
-    d = rng.choice([k for k in (2, 3, 4) if k <= max_den])
+    d = rng.choice([2, 3, 4])
     N = torus.norm_matrix().transpose()
     sols = []
     for combo in itertools.product(range(d), repeat=r):

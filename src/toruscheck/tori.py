@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from .lattice import FGAbelian, IntMatrix, block_matrix, solve_integer
-from .qz import QZ, Cyc, convolve, cyc_from_vector, exponent_forms, qz_ints
+from .qz import QZ, Cyc, convolve, cyc_from_vector, qz_ints
 from .cohomology import GModule, Cochain, d_matrix, TwoTermComplex, hyper_h1
 from .weil import (
     TorusModel,
@@ -60,14 +60,12 @@ class ToriCase:
     lam_z: tuple         # canonical norm-zero inverse of z under the TN map
     z_inv: Cochain       # z^-1 and phi0^-1, the inverses every pairing reads
     phi_inv: Parameter
-    h: dict = field(default_factory=dict)
+    h: dict = field(default_factory=dict)         # see compute_h()
     pairings: dict = field(default_factory=dict)  # see pairing()
     sweep: dict = field(default_factory=dict)     # see conjugates()
     inner: dict = field(default_factory=dict)     # see theta_value()
     lifts: dict = field(default_factory=dict)     # see endoscopic_value()
     packet_data: tuple | None = None              # see packet()
-    char_forms: tuple | None = None               # see _character_forms()
-    hyper_groups: dict = field(default_factory=dict)  # see hyper_group_for()
 
     @property
     def A(self):
@@ -188,7 +186,8 @@ def s_denominator(torus, phi):
 
 
 def build_case(torus, z, phi):
-    """Solve all coboundary equations and assemble the ToriCase.
+    """Solve all coboundary equations and assemble the ToriCase, with its
+    comparison function h computed.
 
     Raises CaseError when z is not a cocycle, when an element passes the
     stabilizer solvability test for [z] but the dual-side system is
@@ -223,6 +222,7 @@ def build_case(torus, z, phi):
     if any(case.t[0]) or not all(q.is_zero() for q in case.s[0]):
         raise CaseError("the identity must have t = 0 and s = 0")
     _check_case_invariants(case)
+    compute_h(case)
     return case
 
 
@@ -246,47 +246,27 @@ def _check_case_invariants(case):
                     "s_a does not solve its dual coboundary equation")
 
 
-def pair_for_h(case, a, t_override=None, s_override=None):
+def pair_for_h(case, a):
     """The pairing <(z^-1, t_{a^-1}), (phi0^-1, s_a)> on the complex with
     map 1 - a^-1."""
-    torus = case.torus
-    A = case.A
-    ainv = A.inv(a)
-    t = (t_override or case.t)[ainv]
-    s = (s_override or case.s)[a]
-    fT = case.f_complex(a)
-    return hyper_pairing(torus, fT, (case.z_inv, t), (case.phi_inv, s))
+    t = case.t[case.A.inv(a)]
+    return hyper_pairing(case.torus, case.f_complex(a), (case.z_inv, t),
+                         (case.phi_inv, case.s[a]))
 
 
-def compute_h(case, t_override=None, s_override=None):
-    """h(a) = alpha-bar(a^-1, a) + <(z^-1, t_{a^-1}), (phi0^-1, s_a)>.
-
-    Without overrides the pairings come from case.pairing, which keeps them
-    for theta_value."""
-    out = {}
-    for a in case.A_phi_z:
-        ainv = case.A.inv(a)
-        t = t_override or case.t
-        tab = t[case.A.mul(ainv, a)]
-        alpha_inv_a = tuple(
-            x + y - w for x, y, w in
-            zip(t[ainv], case.act(ainv, t[a]), tab))
-        ab = langlands_character(case.torus, case.phi, alpha_inv_a)
-        if t_override or s_override:
-            pairing = pair_for_h(case, a, t_override, s_override)
-        else:
-            pairing = case.pairing(a)
-        out[a] = ab + pairing
-    case.h = out
-    return out
+def compute_h(case):
+    """h(a) = alpha-bar(a^-1, a) + <(z^-1, t_{a^-1}), (phi0^-1, s_a)>, kept
+    as case.h and returned.  The pairings come from case.pairing, which
+    keeps them for theta_value."""
+    case.h = {a: case.alpha_bar(case.A.inv(a), a) + case.pairing(a)
+              for a in case.A_phi_z}
+    return case.h
 
 
 def verify_iso(case):
     """The extension-isomorphism identity for every pair, exactly in Q/Z.
 
     Returns {(a, b): (lhs, rhs, equal)}."""
-    if not case.h:
-        compute_h(case)
     report = {}
     for a in case.A_phi_z:
         for b in case.A_phi_z:
@@ -329,8 +309,6 @@ def packet(case):
     dimension, generic-member or h-bijection check."""
     if case.packet_data is not None:
         return case.packet_data
-    if not case.h:
-        compute_h(case)
     ext_phi, elems = _extension(case, "beta")
     table, sel = irr_with_central_char(ext_phi, QZ(1, ext_phi.m))
     # packet size and dimensions: as many members as regular classes, with
@@ -407,20 +385,6 @@ class CharIdentityReport:
                 and self.closed_value == self.endoscopic_value)
 
 
-def _character_forms(case, table, sel, ext, elems):
-    """The packet's character values chi_i((0, x)), for i in sel and x
-    indexing elems, as exponent forms at one level L with one common
-    denominator D: (L, D, {i: [pairs of chi_i((0, x)) scaled by D]}).
-    Read once per case.  The central character is the inclusion, so
-    chi_i((q, x)) = e(q) chi_i((0, x))."""
-    if case.char_forms is None:
-        L, D, rows = exponent_forms(
-            [table.value(i, ext.element(QZ(0), x)) for x in range(len(elems))]
-            for i in sel)
-        case.char_forms = (L, D, dict(zip(sel, rows)))
-    return case.char_forms
-
-
 def theta_value(case, s_dot, b, t_vec, a):
     """Representation-sum and closed-form values of the twisted character.
 
@@ -434,11 +398,13 @@ def theta_value(case, s_dot, b, t_vec, a):
         raise ValueError("s must be Galois-invariant")
     if not _is_invariant_vec(torus, t_vec):
         raise ValueError("t must be Galois-invariant")
-    if not case.h:
-        compute_h(case)
     pkt, table, sel, ext, elems = packet(case)
-    L, D, forms = _character_forms(case, table, sel, ext, elems)
-    pos = {x: i for i, x in enumerate(elems)}
+    # chi_i((0, x)) is the table's exponent form (level L, denominator D)
+    # at the class of (0, x), which is element i in the k|Abar| + i encoding
+    # of x = elems[i]; the central character is the inclusion, so
+    # chi_i((q, x)) = e(q) chi_i((0, x))
+    L, D, forms = table.exponent_forms()
+    col = {x: table.class_index[i] for i, x in enumerate(elems)}
     kz = case.kottwitz(s_dot)
     conjugates = case.conjugates(a, t_vec)
 
@@ -448,7 +414,7 @@ def theta_value(case, s_dot, b, t_vec, a):
     # the inner sums depend on (a, t_vec) and on N through kz.den alone
     key = (a, tuple(t_vec), kz.den)
     if key not in case.inner:
-        roots = [(pos[cac], val + case.h[cac]) for cac, _, val in conjugates]
+        roots = [(col[cac], val + case.h[cac]) for cac, _, val in conjugates]
         N = lcm(L, kz.den, *(q.den for _, q in roots))
         step = N // L
         roots = [(x, q.num * (N // q.den)) for x, q in roots]
@@ -465,7 +431,7 @@ def theta_value(case, s_dot, b, t_vec, a):
     acc = [0] * N
     for i in sel:
         acc = convolve(inners[i],
-                       [(k * step + kzs, c) for k, c in forms[i][pos[b]]], acc)
+                       [(k * step + kzs, c) for k, c in forms[i][col[b]]], acc)
     rep = cyc_from_vector(acc, D * D * len(elems))
 
     binv = A.inv(b)
@@ -476,15 +442,6 @@ def theta_value(case, s_dot, b, t_vec, a):
             q = val + shift
             closed[q] = closed.get(q, 0) + 1
     return rep, Cyc(closed)
-
-
-def hyper_group_for(case, aut):
-    """H^1(Q, X --(1 - aut)--> X), cached per pair automorphism."""
-    if aut not in case.hyper_groups:
-        T = GModule.from_action(case.torus.galois)
-        cx = TwoTermComplex(T, T, case.pair_complex_matrix(aut))
-        case.hyper_groups[aut] = hyper_h1(cx)
-    return case.hyper_groups[aut]
 
 
 def invariant_of(case, aut, z, delta, gamma=None):
@@ -501,7 +458,8 @@ def invariant_of(case, aut, z, delta, gamma=None):
     if gamma is not None:
         if coker.nf(delta) != tuple(gamma):
             raise CaseError("not a norm of delta")
-    H = hyper_group_for(case, aut)
+    T = GModule.from_action(torus.galois)
+    H = hyper_h1(TwoTermComplex(T, T, f))
     cls = H.classify(z.neg(), tuple(delta))
     return cls, H
 

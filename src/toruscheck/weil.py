@@ -18,7 +18,6 @@ Sign conventions (recorded once, used everywhere):
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from operator import mul
 
@@ -107,20 +106,11 @@ class TorusModel:
         return (QZ(0),) * self.rank
 
     def dual_eval(self, s, vec):
-        """Evaluate s in Hom(X, Q/Z) at an integer vector."""
+        """Evaluate s in Hom(X, Q/Z) at an integer vector.  At a rational
+        vector this is the Q-linear extension of the canonical [0,1)-lift of
+        s, reduced mod 1."""
         nums, den = qz_ints(s)
         return QZ(sum(map(mul, nums, vec)), den)
-
-    def dual_eval_rational(self, s, vec):
-        """Q-linear extension: evaluate the canonical [0,1)-lift of s at a
-        rational vector, then reduce mod 1.  Restricting to integer vectors
-        recovers dual_eval."""
-        num, den = 0, 1
-        for q, x in zip(s, vec):
-            x = Fraction(x)
-            d = q.den * x.denominator
-            num, den = num * d + q.num * x.numerator * den, den * d
-        return QZ(num, den)
 
     def dual_sigma(self, i, s):
         """Galois action on the dual torus: (sigma.s)(x) = s(sigma^-1 x)."""
@@ -240,9 +230,7 @@ def langlands_character(torus, phi, vec):
     """Single-Frobenius evaluation: the character of X^Q (the F-points
     model) attached to an unramified parameter, extended Q-linearly to
     rational invariant vectors via the canonical [0,1)-lift."""
-    if all(isinstance(x, int) for x in vec):
-        return torus.dual_eval(phi.value(1), vec)
-    return torus.dual_eval_rational(phi.value(1), vec)
+    return torus.dual_eval(phi.value(1), vec)
 
 
 def chain_map_phi(torus, mu1):

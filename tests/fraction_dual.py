@@ -5,7 +5,9 @@ test-only oracle for tests/test_dual_oracle.py.
 
 Each function takes the torus and reads the same dual-action matrices
 (`_galois_dualT`, `_comp_dualT`) as the library, so only the arithmetic
-differs.  `dual_transposes` is the oracle for those matrices themselves:
+differs.  `dual_eval_rational` is the evaluation at rational vectors that
+toruscheck.weil kept beside `dual_eval` before `dual_eval` took rational
+vectors too.  `dual_transposes` is the oracle for those matrices themselves:
 the inverse of each action matrix solved column by column, as the library
 built them before it read them off the inverse group elements.
 """
@@ -44,6 +46,17 @@ def _act(m, s, rank):
 
 def dual_eval(torus, s, vec):
     return qz_sum(x * q for q, x in zip(s, vec))
+
+
+def dual_eval_rational(torus, s, vec):
+    """Q-linear extension: evaluate the canonical [0,1)-lift of s at a
+    rational vector, then reduce mod 1."""
+    num, den = 0, 1
+    for q, x in zip(s, vec):
+        x = Fraction(x)
+        d = q.den * x.denominator
+        num, den = num * d + q.num * x.numerator * den, den * d
+    return QZ(num, den)
 
 
 def dual_sigma(torus, i, s):

@@ -525,7 +525,7 @@ def test_cyc_matrix_and_division():
     i = Cyc.root(QZ(1, 4))
     M = CycMatrix([[i, 0], [0, -1 * i]])
     N = M.mul(M)
-    assert N.eq(CycMatrix.scalar(Cyc.integer(-1), 2))
+    assert N.eq(CycMatrix([[-1, 0], [0, -1]]))
     assert cyc_div(Cyc.root(QZ(1, 3)), Cyc.root(QZ(1, 3))) == Cyc.integer(1)
     v = Cyc.root(QZ(1, 8)) + Cyc.integer(2)
     assert cyc_div(v * Cyc.root(QZ(3, 8)), Cyc.root(QZ(3, 8))) == v

@@ -107,8 +107,8 @@ def test_cache_corruption_detected(tmp_path):
 
 
 def test_cache_writes_are_atomic(tmp_path, monkeypatch):
-    """A json.dump cut short by an error leaves the previous table file and
-    manifest whole, and no temp file behind."""
+    """A json.dump cut short by an error leaves the previous table file
+    whole, and no temp file behind."""
     cdir = tmp_path / "cache"
     cache = DiskTableCache(str(cdir))
     G = FiniteGroup.dihedral(4)
@@ -131,6 +131,20 @@ def test_cache_writes_are_atomic(tmp_path, monkeypatch):
     assert after == before
     for text in after.values():
         json.loads(text)
+    reloaded = DiskTableCache(str(cdir)).get_or_compute(G)
+    assert reloaded.dims == table.dims
+
+
+def test_cache_keeps_no_manifest(tmp_path):
+    """A cache directory holds one file per table and no manifest.json; a
+    stale manifest there is neither read nor rewritten."""
+    cdir = tmp_path / "cache"
+    G = FiniteGroup.dihedral(4)
+    table = DiskTableCache(str(cdir)).get_or_compute(G)
+    assert os.listdir(cdir) == ["table-%s.json" % TableCache.key(G)]
+    (cdir / "manifest.json").write_text("not json")
+    DiskTableCache(str(cdir)).get_or_compute(FiniteGroup.cyclic(5))
+    assert (cdir / "manifest.json").read_text() == "not json"
     reloaded = DiskTableCache(str(cdir)).get_or_compute(G)
     assert reloaded.dims == table.dims
 

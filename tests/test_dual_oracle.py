@@ -120,6 +120,25 @@ def test_dual_actions_match_oracle(data):
     assert _is_invariant_dual(torus, inv) and ref.is_invariant_dual(torus, inv)
 
 
+def rationals(rank):
+    return st.lists(st.one_of(st.integers(-3, 3),
+                              st.fractions(-3, 3, max_denominator=6)),
+                    min_size=rank, max_size=rank).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tori().flatmap(lambda x: st.tuples(
+    st.just(x), duals(x[0].rank), duals(x[0].rank), rationals(x[0].rank))))
+def test_rational_evaluation_matches_oracle(data):
+    """At rational vectors, dual_eval and langlands_character give the
+    Q-linear extension of the canonical lift, as the Fraction oracle does."""
+    (torus, _), s, u, vec = data
+    assert torus.dual_eval(s, vec) == ref.dual_eval_rational(torus, s, vec)
+    phi = Parameter(torus, ref.dual_sub(ref.dual_sigma(torus, 1, u), u))
+    assert weil.langlands_character(torus, phi, vec) == \
+        ref.dual_eval_rational(torus, phi.value(1), vec)
+
+
 def test_dual_transposes_match_oracle_on_fixtures_and_suite():
     """The dual actions equal the column-by-column inverses, transposed, on
     both fixtures and on every template a random suite torus is built from."""

@@ -2,7 +2,10 @@
 
 Every top-level function or class of ``src/toruscheck`` and every public
 method must be named somewhere in ``src/`` outside its own definition, or
-be listed below with the reason it stays.  A listed name must still be
+be listed below with the reason it stays.  A top-level definition counts
+as named through a name, an attribute or an import; a method only through
+an attribute (``obj.name``), so a local variable of the same name does not
+hide an uncalled method.  A listed name must still be
 defined, must still have no caller in ``src/`` (else it leaves the list),
 and must be named in its README section.
 """
@@ -56,17 +59,24 @@ LIBRARY_ONLY = {
 }
 
 
-def _definitions_and_names():
-    """({qualified name: (file, first line, last line)}, [(file, line,
-    name)]) over the package: its top-level functions and classes and the
-    public methods of those classes, and every name, attribute and imported
-    name it mentions."""
-    defs, names = {}, []
+def _package_sources():
+    """{file name: source} over src/toruscheck."""
+    out = {}
     for fn in sorted(os.listdir(SRC)):
-        if not fn.endswith(".py"):
-            continue
-        with open(os.path.join(SRC, fn), encoding="utf-8") as f:
-            tree = ast.parse(f.read())
+        if fn.endswith(".py"):
+            with open(os.path.join(SRC, fn), encoding="utf-8") as f:
+                out[fn] = f.read()
+    return out
+
+
+def _definitions_and_names(sources):
+    """({qualified name: (file, first line, last line)}, [(file, line,
+    name, is_attribute)]) over the sources: their top-level functions and
+    classes and the public methods of those classes, and every name,
+    attribute and imported name they mention."""
+    defs, names = {}, []
+    for fn, text in sources.items():
+        tree = ast.parse(text)
         mod = fn[:-3]
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -81,23 +91,27 @@ def _definitions_and_names():
                             fn, sub.lineno, sub.end_lineno)
         for n in ast.walk(tree):
             if isinstance(n, ast.Name):
-                names.append((fn, n.lineno, n.id))
+                names.append((fn, n.lineno, n.id, False))
             elif isinstance(n, ast.Attribute):
-                names.append((fn, n.lineno, n.attr))
+                names.append((fn, n.lineno, n.attr, True))
             elif isinstance(n, (ast.Import, ast.ImportFrom)):
-                names.extend((fn, n.lineno, a.name.split(".")[-1])
+                names.extend((fn, n.lineno, a.name.split(".")[-1], False)
                              for a in n.names)
     return defs, names
 
 
-def _uncalled():
-    """The qualified names of the definitions nothing else in src/ names."""
-    defs, names = _definitions_and_names()
+def _uncalled(sources=None):
+    """The definitions (as _definitions_and_names gives them) and the
+    qualified names of those nothing else in the sources (default: src/)
+    names."""
+    defs, names = _definitions_and_names(sources or _package_sources())
     out = set()
     for qual, (fn, first, last) in defs.items():
         short = qual.rsplit(".", 1)[1]
-        if not any(name == short and not (f == fn and first <= line <= last)
-                   for f, line, name in names):
+        method = qual.count(".") == 2
+        if not any(name == short and (attr or not method)
+                   and not (f == fn and first <= line <= last)
+                   for f, line, name, attr in names):
             out.add(qual)
     return defs, out
 
@@ -116,6 +130,28 @@ def test_every_definition_has_a_caller_or_a_reason():
     assert sorted(uncalled - listed) == [], "defined but never called in src/"
     assert sorted(listed - set(defs)) == [], "listed but no longer defined"
     assert sorted(listed - uncalled) == [], "listed but now called in src/"
+
+
+CLASS_OF = """
+class Group:
+    def class_of(self, g):
+        return g
+
+
+def bijection(classes):
+    class_of = {d: i for i, d in enumerate(classes)}
+    return [class_of[d] for d in classes]
+"""
+
+
+def test_a_local_name_does_not_call_a_method():
+    """A method counts as called only through an attribute: a local dict of
+    the same name leaves it uncalled, and obj.class_of(...) calls it."""
+    _, uncalled = _uncalled({"groups.py": CLASS_OF})
+    assert "groups.Group.class_of" in uncalled
+    called = CLASS_OF + "\n\nprint(Group().class_of(0))\n"
+    _, uncalled = _uncalled({"groups.py": called})
+    assert "groups.Group.class_of" not in uncalled
 
 
 def test_listed_names_are_in_the_readme():

@@ -83,11 +83,10 @@ def test_lambda_representative_independence():
     d = BasedRootDatum.from_label("A2")
     tw = TwistData(d, 1, trivial_perm(2), diagram_flip("A2"))
     sq, _ = coinvariant_class(tw, (0,))
-    classes = set()
-    for pick in (0, 1):
-        lam, cc = lambda_T(tw, orbit_choice={0: pick})
-        classes.add(sq.classify(cc))
-    assert len(classes) == 1
+    lam, cc = lambda_T(tw)
+    other = (0, 1)
+    assert lam == (1, 0)
+    assert sq.classify(cc) == sq.classify(d.center_class(other))
 
 
 def test_e6_flip_action_is_negation():
@@ -241,8 +240,11 @@ def test_levi_restriction_across_representatives(monkeypatch):
     tw4 = TwistData(d4, 1, trivial_perm(4), diagram_flip("D4"))
     choose = rootdata.lambda_T
 
-    def on_node_3(twist, orbit_choice=None):
-        return choose(twist, {2: 1} if twist is tw4 else orbit_choice)
+    def on_node_3(twist):
+        if twist is not tw4:
+            return choose(twist)
+        lam = (1, 1, 0, 1)
+        return lam, d4.center_class(lam)
 
     monkeypatch.setattr(rootdata, "lambda_T", on_node_3)
     rep = levi_restriction(tw4, [2, 3])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from toruscheck.lattice import IntMatrix
-from toruscheck.qz import QZ, Cyc
+from toruscheck.qz import QZ, Cyc, exponent_forms
 from toruscheck.groups import FiniteGroup, GroupAction, stabilizer_of_class
 from toruscheck.cohomology import Cochain, tate_group
 from toruscheck.weil import LocalModel, TorusModel, Parameter, tn_iso, \
@@ -139,14 +140,14 @@ def test_h_choice_retwist_properties():
     phi = Parameter(torus, (QZ(1, 4), QZ(3, 4)))
     case = build_case(torus, z, phi)
     assert case.A_phi_z == [0, 1]
-    h = dict(compute_h(case))
-    # shift t_1 by the invariant vector (1, 1)
-    from toruscheck.weil import langlands_character
-
+    kept = case.h
+    h = dict(kept)
+    # shift t_1 by the invariant vector (1, 1); h is computed on a copy of
+    # the case with the other t and no kept pairings
     x = (1, 1)
     t2 = dict(case.t)
     t2[1] = tuple(a + b for a, b in zip(t2[1], x))
-    h2 = compute_h(case, t_override=t2)
+    h2 = compute_h(dataclasses.replace(case, t=t2, pairings={}))
     shift = langlands_character(torus, phi, x)
     assert h2[1] == h[1] + shift
     # dual retwist: y invariant torsion dual: sigma swaps coordinates, so
@@ -154,9 +155,20 @@ def test_h_choice_retwist_properties():
     y = (QZ(1, 2), QZ(1, 2))
     s2 = dict(case.s)
     s2[1] = torus.dual_add(s2[1], y)
-    h3 = compute_h(case, s_override=s2)
+    h3 = compute_h(dataclasses.replace(case, s=s2, pairings={}))
     assert h3[1] == h[1] - case.kottwitz(y)
-    compute_h(case)  # restore
+    # the copies left the case's own h as it was
+    assert case.h is kept and case.h == h
+
+
+def test_build_case_computes_h():
+    """build_case returns the case with h computed, equal to the h that
+    compute_h gives on the case and on a copy without its kept pairings."""
+    for case in random_cases(random.Random(3), 12):
+        h = dict(case.h)
+        assert set(h) == set(case.A_phi_z)
+        assert compute_h(dataclasses.replace(case, h={}, pairings={})) == h
+        assert compute_h(case) == h
 
 
 def test_verify_iso_randomized():
@@ -261,9 +273,15 @@ class _ScaledTable:
 
     def __init__(self, table):
         self.table = table
+        self.class_index = table.class_index
+        self.forms = exponent_forms([[v * self.FACTOR for v in row]
+                                     for row in table.chars])
 
     def value(self, i, g):
         return self.table.value(i, g) * self.FACTOR
+
+    def exponent_forms(self):
+        return self.forms
 
 
 @pytest.mark.parametrize("scaled", [False, True])
@@ -590,16 +608,8 @@ torus, z, phi, _ = load_case_file(FIXTURE)
 tori.solve_t = wrong_t
 run("t_a", lambda: tori.build_case(torus, z, phi))
 tori.solve_t = solve_t
-cli.compute_h = wrong_h
-
-
-def packet_of_wrong_h():
-    case = tori.build_case(torus, z, phi)
-    wrong_h(case)
-    tori.packet(case)
-
-
-run("h", packet_of_wrong_h)
+tori.compute_h = wrong_h
+run("h", lambda: tori.packet(tori.build_case(torus, z, phi)))
 """
 
 
