@@ -285,7 +285,8 @@ def test_big_integer_encoding():
 @pytest.mark.parametrize("name", sorted(os.listdir(BENCH_GOLDEN)))
 def test_fixture_reports_match_golden(name, tmp_path):
     """Each fixture report equals its golden copy byte for byte: the JSON
-    report the benchmark's copy, the text report the one in tests/golden/cli."""
+    report the benchmark's copy, the text report its copy in
+    tests/golden/cli."""
     command, fixture = os.path.splitext(name)[0].split(".")
     path = os.path.join(ROOT, "fixtures", fixture + ".json")
     code, out = run_main([command, "--input", path], tmp_path)

@@ -5,9 +5,9 @@ method must be named somewhere in ``src/`` outside its own definition, or
 be listed below with the reason it stays.  A top-level definition counts
 as named through a name, an attribute or an import; a method only through
 an attribute (``obj.name``), so a local variable of the same name does not
-hide an uncalled method.  A listed name must still be
-defined, must still have no caller in ``src/`` (else it leaves the list),
-and must be named in its README section.
+hide an uncalled method.  A listed name must still be defined, must still
+have no caller in ``src/`` (else it leaves the list), and must be named in
+its README section.
 """
 
 import ast

@@ -54,7 +54,7 @@ def test_build_trivial_case():
     case = trivial_case()
     assert case.t == {0: (0,), 1: (0,)}
     assert all(all(q.is_zero() for q in v) for v in case.s.values())
-    h = compute_h(case)
+    h = case.h
     assert all(v.is_zero() for v in h.values())
     assert all(case.alpha_bar(a, b).is_zero()
                for a in case.A_phi_z for b in case.A_phi_z)
@@ -65,7 +65,7 @@ def test_build_norm_one_case():
     case = norm_one_case()
     assert case.A_z == [0, 1] and case.A_phi_z == [0, 1]
     assert case.t[1] == (1,)
-    h = compute_h(case)
+    h = case.h
     assert h[0].is_zero()
     rep = verify_iso(case)
     assert all(v[2] for v in rep.values())
@@ -176,7 +176,6 @@ def test_verify_iso_randomized():
     for _ in range(8):
         torus, z, phi = random_case_data(rng)
         case = build_case(torus, z, phi)
-        compute_h(case)
         rep = verify_iso(case)
         assert all(v[2] for v in rep.values()), "extension identity failed"
 
@@ -189,7 +188,6 @@ def test_packet_trivial_component_group():
     z = tn_iso(torus, (1,))
     phi = Parameter(torus, (QZ(1, 2),))
     case = build_case(torus, z, phi)
-    compute_h(case)
     pkt, *_ = packet(case)
     assert len(pkt) == 1 and pkt[0].dim == 1
 
@@ -197,12 +195,10 @@ def test_packet_trivial_component_group():
 def test_packet_generic_flag():
     # z trivial: exactly one generic member (the trivial partner character)
     case = trivial_case()
-    compute_h(case)
     pkt, *_ = packet(case)
     assert sum(1 for p in pkt if p.generic) == 1
     # nontrivial z class: no flags
     case2 = norm_one_case()
-    compute_h(case2)
     pkt2, *_ = packet(case2)
     assert all(not p.generic for p in pkt2)
 
@@ -215,7 +211,6 @@ def test_packet_s3_dimensions():
         case = build_case(torus, z, phi)
         if len(case.A_phi_z) != 6:
             continue
-        compute_h(case)
         pkt, table, sel, ext, elems = packet(case)
         dims = sorted(p.dim for p in pkt)
         assert dims == [1, 1, 2]
@@ -227,7 +222,6 @@ def test_packet_s3_dimensions():
 def test_theta_trivial_case_mass():
     # all data trivial: the value at the identity pair is |A|
     case = trivial_case()
-    compute_h(case)
     rep, closed = theta_value(case, case.torus.dual_zero(), 0, (0,), 0)
     assert rep == Cyc.integer(2) and closed == Cyc.integer(2)
 
@@ -308,7 +302,6 @@ def test_theta_vanishing_branch():
         case = build_case(torus, z, phi)
         if len(case.A_phi_z) != 6:
             continue
-        compute_h(case)
         A = case.A
         three = next(a for a in case.A_phi_z if A.element_order(a) == 3)
         two = next(a for a in case.A_phi_z if A.element_order(a) == 2)
@@ -346,7 +339,6 @@ def test_invariant_duals_one_invariant_dual_per_torsion_factor():
 
 def test_three_way_agreement_norm_one():
     case = norm_one_case()
-    compute_h(case)
     torus = case.torus
     for a in case.A_phi_z:
         for b in case.A_phi_z:
@@ -364,7 +356,6 @@ def test_three_way_agreement_randomized():
         case = build_case(torus, z, phi)
         if len(case.A_phi_z) > 6:
             continue
-        compute_h(case)
         duals = invariant_duals(torus)[:2]
         tvecs = invariant_vectors(torus)[:2]
         for a in case.A_phi_z:
@@ -427,7 +418,7 @@ def test_invariant_pairs_nontrivially():
     assert val == QZ(1, 2) or not val.is_zero() or val.is_zero()
     # h(1) = alpha-bar + pairing is covered by the extension identity tests;
     # pin the exact value here for regression
-    assert compute_h(case)[1] == QZ(1, 2)
+    assert case.h[1] == QZ(1, 2)
 
 
 def _error(fn):
@@ -657,7 +648,6 @@ def test_suite_templates_are_shared_and_left_unchanged():
         torus, z, phi = random_case_data(rng)
         assert any(torus.comp is comp for _, _, comp in templates)
         case = build_case(torus, z, phi)
-        compute_h(case)
         packet(case)
     assert suite._templates() is templates
     assert snapshot(templates) == before
