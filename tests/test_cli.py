@@ -301,6 +301,19 @@ def test_fixture_reports_match_golden(name, tmp_path):
         assert out == f.read()
 
 
+@pytest.mark.parametrize("command", ["cohomology", "pairing", "sign",
+                                     "projirr", "tori-verify"])
+def test_galois_order_6_reports_match_golden(command, tmp_path):
+    """A rank-2 case over the Galois group of order 6 (component s3), whose
+    cochains have faces a group of order 2 never shows: each JSON report
+    equals its golden copy in tests/golden/galois6."""
+    path = os.path.join(ROOT, "tests", "galois6_case.json")
+    code, out = run_main([command, "--input", path], tmp_path)
+    assert code == 0
+    with open(os.path.join(GOLDEN, "galois6", command + ".json"), "rb") as f:
+        assert out == f.read()
+
+
 def _run_optimized(args):
     """python -O -m toruscheck.cli with args, in a fresh process."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
