@@ -11,7 +11,7 @@ from fractions import Fraction
 from .lattice import IntMatrix
 from .qz import QZ, Cyc
 from .groups import FiniteGroup, GroupAction
-from .cohomology import Cochain, tate_group
+from .cohomology import Cochain, tate_group, tuples
 from .weil import LocalModel, TorusModel, Parameter
 from .rootdata import BasedRootDatum, TwistData
 from .suite import s3_action
@@ -195,15 +195,17 @@ def load_case(doc):
     ztab = doc.get("z")
     if not isinstance(ztab, list) or len(ztab) != n:
         raise CaseFileError("z", "expected %d rows (one per sigma power)" % n)
-    table = {}
+    vec = []
     for i, row in enumerate(ztab):
         if not isinstance(row, list) or len(row) != rank:
             raise CaseFileError("z[%d]" % i, "expected %d entries" % rank)
-        table[(i,)] = tuple(_as_int(x, "z[%d]" % i) for x in row)
+        vec.extend(_as_int(x, "z[%d]" % i) for x in row)
     gm = torus.gmodule()
-    z = Cochain(gm, 1, table)
-    for key, val in z.d().table.items():
-        if any(val):
+    z = Cochain(gm, 1, vec)
+    dz = z.d().vec
+    for j, x in enumerate(dz):
+        if x:
+            key = tuples(gm.group, 2)[j // rank]
             raise CaseFileError("z", "cocycle identity fails at %r" % (key,))
 
     phirow = doc.get("phi")

@@ -717,8 +717,7 @@ def _class_in_h2(alpha, m):
 
     A, s = alpha.group, m // alpha.m
     gm = GModule.finite(A, (m,), [IntMatrix.identity(1)] * A.order)
-    x = Cochain(gm, 2, {(a, b): (s * v,) for a, row in enumerate(alpha.ints)
-                        for b, v in enumerate(row)})
+    x = Cochain(gm, 2, [s * v for row in alpha.ints for v in row])
     return tate_group(gm, 2).classify(x)
 
 

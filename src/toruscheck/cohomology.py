@@ -3,15 +3,17 @@ groups H^n for n in {-1, 0, 1, 2}, cup products, hypercohomology of a
 two-term complex T -> U, and finite-support chains with their homology
 differential and coinflation.
 
-Cochains are full tables on Q^n; every computed H^1/H^2 class carries a
-normalized representative (vanishing when any argument is the identity) so
-central extensions built from representatives are canonical.
+Cochains are flat int vectors over the keys of Q^n, and the coboundary is
+one sparse integer operator per module content and degree; every computed
+H^1/H^2 class carries a normalized representative (vanishing when any
+argument is the identity) so central extensions built from representatives
+are canonical.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 from .lattice import (
     IntMatrix,
@@ -75,95 +77,76 @@ def tuples(group, n):
     return list(itertools.product(range(group.order), repeat=n))
 
 
+def _key_index(key, order):
+    """The position of key = (t_0, ..., t_(n-1)) among the keys of Q^n in
+    `tuples` order: sum(t_i |Q|^(n-1-i))."""
+    i = 0
+    for t in key:
+        i = i * order + t
+    return i
+
+
 class Cochain:
-    """Inhomogeneous n-cochain on Q with values in a GModule, stored as a
-    full table indexed by Q^n.  For n = 0 the table has the single key ()."""
+    """Inhomogeneous n-cochain on Q with values in a GModule, stored as one
+    flat int vector: the ngens coordinates of the value at each key of Q^n,
+    keys in `tuples` order.  For n = 0 the single key is ().  The vector is
+    the ambient coordinate vector every integer presentation (d_matrix,
+    classify) reads."""
 
-    __slots__ = ("gmod", "degree", "table")
+    __slots__ = ("gmod", "degree", "vec")
 
-    def __init__(self, gmod, degree, table):
+    def __init__(self, gmod, degree, vec):
         self.gmod = gmod
         self.degree = degree
-        self.table = dict(table)
-        if len(self.table) != gmod.group.order ** degree:
-            raise ValueError("a cochain table of the wrong size")
+        self.vec = tuple(vec)
+        if len(self.vec) != gmod.ngens * gmod.group.order ** degree:
+            raise ValueError("a cochain vector of the wrong length")
 
     @classmethod
     def zero(cls, gmod, degree):
-        z = gmod.zero()
-        return cls(gmod, degree, {t: z for t in tuples(gmod.group, degree)})
+        return cls(gmod, degree,
+                   (0,) * (gmod.ngens * gmod.group.order ** degree))
 
-    def __call__(self, *args):
-        return self.table[tuple(args)]
+    def __call__(self, *key):
+        """The value at key = (t_0, ..., t_(n-1)): the ngens entries at
+        offset ngens * sum(t_i |Q|^(n-1-i))."""
+        N = self.gmod.group.order
+        if len(key) != self.degree or not all(0 <= t < N for t in key):
+            raise KeyError(key)
+        g = self.gmod.ngens
+        i = _key_index(key, N) * g
+        return self.vec[i:i + g]
 
     def add(self, other):
-        return Cochain(self.gmod, self.degree,
-                       {t: tuple(a + b for a, b in zip(v, other.table[t]))
-                        for t, v in self.table.items()})
+        return Cochain(self.gmod, self.degree, map(add, self.vec,
+                                                   self._like(other)))
 
     def sub(self, other):
-        return Cochain(self.gmod, self.degree,
-                       {t: tuple(a - b for a, b in zip(v, other.table[t]))
-                        for t, v in self.table.items()})
+        return Cochain(self.gmod, self.degree, map(sub, self.vec,
+                                                   self._like(other)))
+
+    def _like(self, other):
+        """other's vector, which must have this cochain's degree and length."""
+        if other.degree != self.degree or len(other.vec) != len(self.vec):
+            raise ValueError("cochains of different degrees or modules")
+        return other.vec
 
     def neg(self):
-        return Cochain(self.gmod, self.degree,
-                       {t: tuple(-a for a in v) for t, v in self.table.items()})
+        return Cochain(self.gmod, self.degree, map(neg, self.vec))
 
     def d(self):
         """Coboundary: (dx)(g0..gn) = g0.x(g1..gn) + sum (-1)^i x(..gi gi+1..)
-        + (-1)^(n+1) x(g0..gn-1), read from the group's face table."""
-        gm = self.gmod
-        mats = [m.data for m in gm.mats]
-        tab = self.table
-        out = {}
-        for t, g, first, minus, plus in face_table(gm.group, self.degree):
-            x = tab[first]
-            acc = [sum(map(mul, row, x)) for row in mats[g]]
-            for f in minus:
-                acc = list(map(sub, acc, tab[f]))
-            for f in plus:
-                acc = list(map(add, acc, tab[f]))
-            out[t] = tuple(acc)
-        return Cochain(gm, self.degree + 1, out)
-
-    def to_vector(self):
-        ts = tuples(self.gmod.group, self.degree)
-        out = []
-        for t in ts:
-            out.extend(self.table[t])
-        return tuple(out)
-
-    @classmethod
-    def from_vector(cls, gmod, degree, vec):
-        ts = tuples(gmod.group, degree)
-        g = gmod.ngens
-        table = {t: tuple(vec[i * g:(i + 1) * g]) for i, t in enumerate(ts)}
-        return cls(gmod, degree, table)
+        + (-1)^(n+1) x(g0..gn-1), one compiled row per entry of dx."""
+        get = self.vec.__getitem__
+        return Cochain(self.gmod, self.degree + 1,
+                       [sum(map(mul, cs, map(get, js)))
+                        for js, cs in coboundary_rows(self.gmod, self.degree)])
 
 
-_face_cache = Memo()
+_rows_cache = Memo()
+_dd_cache = Memo()
 _d_matrix_cache = Memo()
 _tate_cache = Memo()
-
-
-def face_table(group, n):
-    """The faces of the coboundary C^n -> C^(n+1), built once per group
-    table and degree: for each key t of Q^(n+1) in `tuples` order, the tuple
-    (t, t[0], t[1:], minus, plus), where minus and plus hold the merged keys
-    and t[:-1] that enter (dx)(t) with sign -1 and +1."""
-    return _face_cache.get_or_compute((group.table, n), _build_face_table,
-                                      group, n)
-
-
-def _build_face_table(group, n):
-    law = group.table
-    rows = []
-    for t in tuples(group, n + 1):
-        faces = [t[:i] + (law[t[i]][t[i + 1]],) + t[i + 2:]
-                 for i in range(n)] + [t[:-1]]
-        rows.append((t, t[0], t[1:], tuple(faces[0::2]), tuple(faces[1::2])))
-    return tuple(rows)
 
 
 def _module_key(gmod):
@@ -173,24 +156,79 @@ def _module_key(gmod):
             tuple(m.data for m in gmod.mats))
 
 
+def coboundary_rows(gmod, n):
+    """The coboundary C^n -> C^(n+1) as sparse integer rows, built once per
+    module content and degree: for each entry of dx in vector order, the
+    pair (js, cs) of the entries of x it reads and their coefficients,
+    zeros dropped, so that (dx)[r] = sum(c * x[j] for j, c in zip(js, cs))."""
+    return _rows_cache.get_or_compute(_module_key(gmod) + (n,),
+                                      _build_rows, gmod, n)
+
+
+def _build_rows(gmod, n):
+    g, N, law = gmod.ngens, gmod.group.order, gmod.group.table
+    rows = []
+    for t in itertools.product(range(N), repeat=n + 1):
+        # the keys whose values enter (dx)(t) with sign -1, +1, -1, ...
+        faces = [t[:i] + (law[t[i]][t[i + 1]],) + t[i + 2:]
+                 for i in range(n)] + [t[:-1]]
+        first = _key_index(t[1:], N) * g
+        starts = [_key_index(f, N) * g for f in faces]
+        for k, action_row in enumerate(gmod.mats[t[0]].data):
+            acc = dict(zip(range(first, first + g), action_row))
+            for i, start in enumerate(starts):
+                j = start + k
+                acc[j] = acc.get(j, 0) + (1 if i % 2 else -1)
+            rows.append(_sparse_row(acc))
+    return tuple(rows)
+
+
+def _sparse_row(acc):
+    """(js, cs) from a dict of index -> coefficient: the indices in
+    increasing order and their coefficients, zeros dropped."""
+    row = sorted((j, c) for j, c in acc.items() if c)
+    return tuple(j for j, _ in row), tuple(c for _, c in row)
+
+
+def dd_rows(gmod, n):
+    """The nonzero rows of the composite d o d: C^n -> C^(n+2), as (js, cs)
+    pairs like coboundary_rows, multiplied out exactly and built once per
+    module content and degree.  A coboundary with d o d = 0 on all of C^n
+    gives none."""
+    return _dd_cache.get_or_compute(_module_key(gmod) + (n,),
+                                    _build_dd_rows, gmod, n)
+
+
+def _build_dd_rows(gmod, n):
+    inner = coboundary_rows(gmod, n)
+    rows = []
+    for js, cs in coboundary_rows(gmod, n + 1):
+        acc = {}
+        for j, c in zip(js, cs):
+            for i, b in zip(*inner[j]):
+                acc[i] = acc.get(i, 0) + c * b
+        row = _sparse_row(acc)
+        if row[0]:
+            rows.append(row)
+    return tuple(rows)
+
+
 def d_matrix(gmod, n):
-    """Matrix of the coboundary C^n -> C^(n+1) on ambient coordinates."""
+    """Matrix of the coboundary C^n -> C^(n+1) on ambient coordinates: the
+    rows of coboundary_rows, written densely."""
     return _d_matrix_cache.get_or_compute(_module_key(gmod) + (n,),
                                           _build_d_matrix, gmod, n)
 
 
 def _build_d_matrix(gmod, n):
-    g = gmod.ngens
-    src = tuples(gmod.group, n)
-    cols = []
-    for t in src:
-        for k in range(g):
-            x = Cochain.zero(gmod, n)
-            v = [0] * g
-            v[k] = 1
-            x.table[t] = tuple(v)
-            cols.append(x.d().to_vector())
-    return IntMatrix.from_columns(cols, g * gmod.group.order ** (n + 1))
+    width = gmod.ngens * gmod.group.order ** n
+    dense = []
+    for js, cs in coboundary_rows(gmod, n):
+        row = [0] * width
+        for j, c in zip(js, cs):
+            row[j] = c
+        dense.append(row)
+    return IntMatrix(dense)
 
 
 def _rels(gmod, n):
@@ -239,11 +277,10 @@ class CohomologyGroup:
         if cochain.degree != self.degree:
             raise ValueError("a cochain of degree %d for H^%d"
                              % (cochain.degree, self.degree))
-        return self.sq.classify(cochain.to_vector())
+        return self.sq.classify(cochain.vec)
 
     def representative(self, coords):
-        vec = self.sq.representative(coords)
-        x = Cochain.from_vector(self.gmod, self.degree, vec)
+        x = Cochain(self.gmod, self.degree, self.sq.representative(coords))
         return normalize_cocycle(x)
 
     def elements(self):
@@ -257,10 +294,10 @@ def normalize_cocycle(x):
     if x.degree != 2:
         return x
     gm = x.gmod
-    c0 = x.table[(0, 0)]
-    if all(v == 0 for v in c0):
+    c0 = x(0, 0)
+    if not any(c0):
         return x
-    shift = Cochain(gm, 1, {(g,): c0 for g in range(gm.group.order)})
+    shift = Cochain(gm, 1, c0 * gm.group.order)
     return x.sub(shift.d())
 
 
@@ -311,14 +348,18 @@ def cup(x, y, pairing, out_gmod):
     """
     Q = x.gmod.group
     p, q = x.degree, y.degree
-    out = {}
-    for t in tuples(Q, p + q):
-        left = t[:p]
+    gx, gy = x.gmod.ngens, y.gmod.ngens
+    ys = [y.vec[j * gy:(j + 1) * gy] for j in range(Q.order ** q)]
+    out = []
+    for i, left in enumerate(tuples(Q, p)):
         g = 0
         for s in left:
             g = Q.mul(g, s)
-        yv = y.gmod.act(g, y.table[t[p:]])
-        out[t] = pairing(x.table[left], yv)
+        xv = x.vec[i * gx:(i + 1) * gx]
+        rows = y.gmod.mats[g].data
+        for yv in ys:
+            out.extend(pairing(xv, tuple([sum(map(mul, row, yv))
+                                          for row in rows])))
     return Cochain(out_gmod, p + q, out)
 
 
@@ -368,12 +409,12 @@ class HyperH1:
         the quotient modules."""
         cx = self.cx
         fgT = cx.T.fg()
-        for val in z.d().table.values():
-            if any(fgT.nf(val)):
-                return False
+        dz = z.d()
+        if any(any(fgT.nf(dz(*t))) for t in tuples(cx.T.group, 2)):
+            return False
         fgU = cx.U.fg()
         for s in range(cx.T.group.order):
-            lhs = cx.f.apply(z.table[(s,)])
+            lhs = cx.f.apply(z(s))
             rhs = tuple(a - b for a, b in zip(cx.U.act(s, c), c))
             if any(fgU.nf(tuple(x - y for x, y in zip(lhs, rhs)))):
                 return False
@@ -382,13 +423,12 @@ class HyperH1:
     def classify(self, z, c):
         if not self.is_pair(z, c):
             raise ValueError("not a hypercocycle for this complex")
-        vec = tuple(z.to_vector()) + tuple(c)
-        return self.sq.classify(vec)
+        return self.sq.classify(z.vec + tuple(c))
 
     def representative(self, coords):
         vec = self.sq.representative(coords)
         dimT1, gU = self._dims
-        z = Cochain.from_vector(self.cx.T, 1, vec[:dimT1])
+        z = Cochain(self.cx.T, 1, vec[:dimT1])
         c = tuple(vec[dimT1:])
         return z, c
 

@@ -154,14 +154,7 @@ def cyclotomic_poly(n):
     dividing n."""
     if n < 1:
         raise ValueError("cyclotomic_poly needs n >= 1, got %r" % (n,))
-    r, rest, p = 1, n, 2
-    while p * p <= rest:
-        if rest % p == 0:
-            r *= p
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    r *= rest
+    r = _radical(n)
     if r < n:
         phi, step = cyclotomic_poly(r), n // r
         poly = [0] * ((len(phi) - 1) * step + 1)
@@ -172,6 +165,18 @@ def cyclotomic_poly(n):
         if n % d == 0:
             poly = _polydiv_exact(poly, cyclotomic_poly(d))
     return tuple(poly)
+
+
+def _radical(n):
+    """The product of the primes dividing n >= 1."""
+    r, rest, p = 1, n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            r *= p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return r * rest
 
 
 def _polydiv_exact(num, den):
@@ -194,9 +199,36 @@ def _polydiv_exact(num, den):
 
 @lru_cache(maxsize=None)
 def _power_residues(n):
+    """The reduction of level n to an odd squarefree level s, as (m, even,
+    s, deg, rows): n = m r with r the radical of n, s = r / 2 if r is even
+    (even true) and r otherwise, deg the degree of Phi_n, and rows a list of
+    n slots whose slot k holds x^k mod Phi_n once a residue call has read
+    it (see _power_residue).  A filled slot never changes."""
+    r = _radical(n)
+    even = r % 2 == 0
+    s = r // 2 if even else r
+    return (n // r, even, s, (n // r) * (len(cyclotomic_poly(s)) - 1),
+            [None] * n)
+
+
+def _power_residue(m, even, s, k):
+    """x^k mod Phi_n as sparse (index, coefficient) pairs, for (m, even, s)
+    from _power_residues(n).  Phi_n(x) = Phi_r(x^m), and Phi_r(y) =
+    +-Phi_s(-y) when r = 2s, so with k = q m + j and y = x^m, x^k = x^j y^q
+    reduces to row q mod s of the odd level s, its i-th entry moved to
+    x^(m i + j) and multiplied by (-1)^(q + i) when r is even."""
+    q, j = divmod(k, m)
+    row = _odd_level_rows(s)[q % s]
+    if even:
+        return tuple((m * i + j, -a if (q + i) % 2 else a) for i, a in row)
+    return tuple((m * i + j, a) for i, a in row)
+
+
+@lru_cache(maxsize=None)
+def _odd_level_rows(n):
     """Row k (for k in range(n)) is x^k mod Phi_n as sparse (index,
-    coefficient) pairs.  Phi_n is monic, so every coefficient is an
-    integer."""
+    coefficient) pairs, built by x^(k+1) = x x^k.  Phi_n is monic, so every
+    coefficient is an integer."""
     phi = cyclotomic_poly(n)
     deg = len(phi) - 1
     # x^deg = -(phi_0 + phi_1 x + ... + phi_(deg-1) x^(deg-1))
@@ -268,11 +300,14 @@ def residue(pairs, n):
     >>> residue([(3, 1)], 4)                  # x^3 = -x mod x^2 + 1
     [0, -1]
     """
-    rows = _power_residues(n)
-    acc = [0] * (len(cyclotomic_poly(n)) - 1)
+    m, even, s, deg, rows = _power_residues(n)
+    acc = [0] * deg
     for k, c in pairs:
         if c:
-            for i, a in rows[k]:
+            row = rows[k]
+            if row is None:
+                row = rows[k] = _power_residue(m, even, s, k)
+            for i, a in row:
                 acc[i] += a * c
     return acc
 

@@ -221,14 +221,13 @@ class TwistData:
         _, center_coords = lambda_T(self)
         sq, cls = coinvariant_class(self, center_coords)
         if not any(cls):
-            return SignPresentation(gm, H2, None, 1, None, None, None)
+            return SignPresentation(gm, H2, None, 1, None, None)
         ds = self.datum.center.torsion
         den = lcm(*ds)
         weights = tuple(x * (den // d) for x, d in
                         zip(sq.representative(cls), ds))
         amat = self.dual_center_action_matrix(self.a_perm)
-        pair_keys = tuples(gm.group, 2)
-        return SignPresentation(gm, H2, weights, den, amat, pair_keys,
+        return SignPresentation(gm, H2, weights, den, amat,
                                 _fixed_system(gm, amat))
 
     @_per_twist
@@ -280,15 +279,13 @@ class SignPresentation(NamedTuple):
     of the a-coinvariant image of lambda_T, scaled so that a 2-cochain value
     m pairs with it to sum(m_i w_i) / den in Q/Z; they are None when that
     image vanishes, and then so are the rest.  amat is a on the xi module,
-    pair_keys the keys of a 2-cochain in `tuples` order, and system the
-    Smith normal form of the a-fixed system of
+    and system the Smith normal form of the a-fixed system of
     _exactly_fixed_representative."""
     gm: GModule
     H2: CohomologyGroup
     weights: tuple | None
     den: int
     amat: IntMatrix | None
-    pair_keys: list | None
     system: tuple | None
 
 
@@ -375,16 +372,16 @@ def _exactly_fixed_representative(pres, coords):
     1-cochain u and per-entry modulus slacks, against the system of the
     datum's SignPresentation."""
     rep = pres.H2.representative(coords)
-    amat = pres.amat
+    g = pres.gm.ngens
     target = []
-    for key in pres.pair_keys:
-        v = rep.table[key]
-        target.extend(map(sub, v, amat.apply(v)))
+    for i in range(0, len(rep.vec), g):
+        v = rep.vec[i:i + g]
+        target.extend(map(sub, v, pres.amat.apply(v)))
     sol = solve_snf(pres.system, target)
     if sol is None:
         return None
     gm = pres.gm
-    u = Cochain.from_vector(gm, 1, sol[:gm.ngens * gm.group.order])
+    u = Cochain(gm, 1, sol[:g * gm.group.order])
     return rep.add(u.d())
 
 
@@ -409,7 +406,7 @@ def twisted_sign(twist, xi):
     if fixed is None:
         raise ValueError("xi admits no a-fixed representative; rejected")
     n = twist.n
-    value = sum(sum(map(mul, fixed.table[(i, 1 % n)], pres.weights))
+    value = sum(sum(map(mul, fixed(i, 1 % n), pres.weights))
                 for i in range(n))
     if 2 * value % pres.den:
         raise ValueError(
@@ -428,9 +425,10 @@ def sign_product(twist1, xi1, twist2, xi2):
     rep1 = twist1.sign_presentation().H2.representative(tuple(xi1))
     rep2 = twist2.sign_presentation().H2.representative(tuple(xi2))
     factors = (twist1, twist2)
-    tab = {key: tw.dual_from_factors(factors, m1 + rep2.table[key])
-           for key, m1 in rep1.table.items()}
-    e12 = twisted_sign(tw, Cochain(tw.xi_module(), 2, tab))
+    vec = []
+    for key in tuples(rep1.gmod.group, 2):
+        vec.extend(tw.dual_from_factors(factors, rep1(*key) + rep2(*key)))
+    e12 = twisted_sign(tw, Cochain(tw.xi_module(), 2, vec))
     return e1, e2, e12
 
 
@@ -442,9 +440,10 @@ def sign_induction(twist, xi, blocks):
     # diagonal xi
     rep = twist.sign_presentation().H2.representative(tuple(xi))
     factors = (twist,) * blocks
-    tab = {key: tw.dual_from_factors(factors, m1 * blocks)
-           for key, m1 in rep.table.items()}
-    e_ind = twisted_sign(tw, Cochain(tw.xi_module(), 2, tab))
+    vec = []
+    for key in tuples(rep.gmod.group, 2):
+        vec.extend(tw.dual_from_factors(factors, rep(*key) * blocks))
+    e_ind = twisted_sign(tw, Cochain(tw.xi_module(), 2, vec))
     return e_base, e_ind
 
 

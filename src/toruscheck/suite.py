@@ -126,7 +126,7 @@ def random_z(torus, rng):
     coords = rng.choice(classes)
     z = H1.representative(coords)
     shift = tuple(rng.randint(-2, 2) for _ in range(torus.rank))
-    dx = Cochain(gm, 0, {(): shift}).d()
+    dx = Cochain(gm, 0, shift).d()
     return z.add(dx)
 
 

@@ -149,8 +149,8 @@ def solve_t(torus, z, a):
     target = []
     n = torus.model.n
     for i in range(n):
-        av = torus.comp.act(a, z.table[(i,)])
-        target.extend(x - y for x, y in zip(av, z.table[(i,)]))
+        zi = z(i)
+        target.extend(x - y for x, y in zip(torus.comp.act(a, zi), zi))
     return solve_integer(D0, target)
 
 
@@ -194,7 +194,7 @@ def build_case(torus, z, phi):
     inconsistent in a way that breaks the subgroup structure (model
     inconsistency), or when a solution fails its equation."""
     A = torus.comp.group
-    if any(any(val) for val in z.d().table.values()):
+    if any(z.d().vec):
         raise CaseError("z is not a cocycle")
     t = {}
     A_z = []
@@ -232,8 +232,8 @@ def _check_case_invariants(case):
     for a in case.A_z:
         for i in range(n):
             lhs = tuple(x - y for x, y in zip(torus.sigma(i, case.t[a]), case.t[a]))
-            az = torus.comp.act(a, case.z.table[(i,)])
-            rhs = tuple(x - y for x, y in zip(az, case.z.table[(i,)]))
+            zi = case.z(i)
+            rhs = tuple(x - y for x, y in zip(torus.comp.act(a, zi), zi))
             if lhs != rhs:
                 raise CaseError("t_a does not solve its coboundary equation")
     for a in case.A_phi_z:

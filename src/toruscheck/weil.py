@@ -56,9 +56,9 @@ class LocalModel:
         return ((i % n) + (j % n)) // n
 
     def fundamental_cochain(self, group_module):
-        tab = {(i, j): (self.c(i, j),)
-               for i in range(self.n) for j in range(self.n)}
-        return Cochain(group_module, 2, tab)
+        n = self.n
+        return Cochain(group_module, 2,
+                       [self.c(i, j) for i in range(n) for j in range(n)])
 
 
 class TorusModel:
@@ -201,7 +201,7 @@ def tn_iso(torus, lam):
     if any(torus.norm_matrix().apply(lam)):
         raise ValueError("input must have zero norm")
     return Cochain(torus.gmodule(), 1,
-                   {(i,): v for i, v in enumerate(_tn_values(torus, lam))})
+                   [x for v in _tn_values(torus, lam) for x in v])
 
 
 def _cup_matrix(torus):
@@ -220,7 +220,7 @@ def tn_inverse(torus, z):
     # unknowns (lam, x): CUP lam - D0 x = z, N lam = 0
     A = block_matrix([[_cup_matrix(torus), -d_matrix(torus.gmodule(), 0)],
                       [torus.norm_matrix(), 0]])
-    sol = solve_integer(A, list(z.to_vector()) + [0] * r)
+    sol = solve_integer(A, z.vec + (0,) * r)
     if sol is None:
         raise LiftNotFound("no norm-zero preimage under the TN map")
     return tuple(sol[:r])
@@ -351,7 +351,7 @@ def hyper_lift(torus, fT, pair_T, dual_pair):
     _check_pair_T(torus, fT, u, Dv, D)
     validate_hyper_pair_dual(torus, fT, *dual_pair)
 
-    target = [0] * r + [D * x for x in u.to_vector()] + [0] * r + Dv
+    target = [0] * r + [D * x for x in u.vec] + [0] * r + Dv
     galois = tuple(m.data for m in torus.galois.matrices)
     for halfwidth in (n, 2 * n, 4 * n):
         A, dom = _lift_cache.get_or_compute(
@@ -400,10 +400,9 @@ def _check_pair_T(torus, fT, u, Dv, D):
     """Check (u, v) on the complex, given Dv = D*v with D clearing the
     denominators of v: u a cocycle and D*fT(u(s)) = (s - 1)(D*v), in ints.
     Raises ValueError when it fails."""
-    for val in u.d().table.values():
-        if any(val):
-            raise ValueError("T-side pair not a hypercocycle")
+    if any(u.d().vec):
+        raise ValueError("T-side pair not a hypercocycle")
     for i, m in enumerate(torus.galois.matrices):
-        lhs = fT.apply(u.table[(i,)])
+        lhs = fT.apply(u(i))
         if any(D * x != y - w for x, y, w in zip(lhs, m.apply(Dv), Dv)):
             raise ValueError("T-side pair not a hypercocycle")

@@ -13,6 +13,7 @@ functions for tests/test_cohomology.py and tests/test_weil.py.
 
 import itertools
 
+from cochain_reference import from_table, table
 from toruscheck.cohomology import (
     Cochain,
     CohomologyGroup,
@@ -28,7 +29,7 @@ def is_normalized(x):
     if x.degree == 0:
         return True
     zero = x.gmod.zero()
-    for t, v in x.table.items():
+    for t, v in table(x).items():
         if 0 in t and tuple(v) != zero:
             if any(x.gmod.fg().nf(v)):
                 return False
@@ -52,7 +53,8 @@ def verify_exactness(H):
     for i in range(ngen):
         z, c = H.representative(gen_coords(i))
         j_cols.append(H1T.classify(z))
-        fz = Cochain(cx.U, 1, {k: cx.f.apply(v) for k, v in z.table.items()})
+        fz = from_table(cx.U, 1, {k: cx.f.apply(v)
+                                  for k, v in table(z).items()})
         if any(H1U.classify(fz)):
             return False  # composite into H^1(U) must vanish
     # classes of (0, u) for a basis of the invariants of U
@@ -115,18 +117,19 @@ def enumerate_h_classes(gmod, degree, limit=200000):
     if len(elements) ** len(keys) > limit:
         raise ValueError("enumeration space too large")
 
-    def is_cocycle(table):
-        x = Cochain(gmod, degree, dict(zip(keys, table)))
-        return all(not any(fg.nf(v)) for v in x.d().table.values())
+    def is_cocycle(values):
+        x = from_table(gmod, degree, dict(zip(keys, values)))
+        return all(not any(fg.nf(v)) for v in table(x.d()).values())
 
-    cocycles = [table for table in itertools.product(elements, repeat=len(keys))
-                if is_cocycle(table)]
+    cocycles = [values for values in itertools.product(elements,
+                                                       repeat=len(keys))
+                if is_cocycle(values)]
     cokeys = tuples(gmod.group, degree - 1)
     shifts = set()
     for lower in itertools.product(elements, repeat=len(cokeys)):
-        x = Cochain(gmod, degree - 1, dict(zip(cokeys, lower)))
+        x = from_table(gmod, degree - 1, dict(zip(cokeys, lower)))
         d = x.d()
-        shifts.add(tuple(fg.nf(d.table[k]) for k in keys))
+        shifts.add(tuple(fg.nf(d(*k)) for k in keys))
     classes = set()
     for z in cocycles:
         canon = min(

@@ -111,11 +111,10 @@ def validate_hyper_pair_dual(torus, fT, table, s):
 
 def check_pair_T(torus, fT, u, v):
     v = tuple(Fraction(x) for x in v)
-    for val in u.d().table.values():
-        if any(val):
-            raise ValueError("T-side pair not a hypercocycle")
+    if any(u.d().vec):
+        raise ValueError("T-side pair not a hypercocycle")
     for i in range(torus.model.n):
-        lhs = fT.apply(u.table[(i,)])
+        lhs = fT.apply(u(i))
         m = torus.galois.matrices[i]
         sv = tuple(sum(Fraction(m.data[a][b]) * v[b] for b in range(torus.rank))
                    for a in range(torus.rank))

@@ -158,6 +158,20 @@ def test_corrupted_cocycle_rejected(tmp_path):
     assert code == 2
 
 
+def test_non_cocycle_z_names_the_first_failing_key(tmp_path, capsys):
+    """A z that breaks the cocycle identity is an input error naming the
+    first pair of Q^2 in `tuples` order where d(z) is not zero."""
+    doc = {"schema": 1, "rank": 1, "galois": {"order": 3, "matrix": [[1]]},
+           "component": {"kind": "trivial"}, "z": [[0], [1], [2]],
+           "phi": ["0"]}
+    with pytest.raises(CaseFileError) as e:
+        load_case(doc)
+    assert str(e.value) == "z: cocycle identity fails at (1, 2)"
+    assert main(["cohomology", "--input", write_fixture(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == \
+        "error: z: cocycle identity fails at (1, 2)\n"
+
+
 def test_casefile_validation_messages():
     bad = dict(FIXTURE)
     bad["z"] = [[0], [1], [2]]

@@ -7,8 +7,10 @@ import pytest
 
 import cochain_reference
 import cohomology_reference as ref
+from cochain_reference import from_table
 
 import toruscheck
+from toruscheck import checks
 from toruscheck.lattice import IntMatrix
 from toruscheck.groups import FiniteGroup, GroupAction
 from toruscheck.cohomology import (
@@ -16,6 +18,8 @@ from toruscheck.cohomology import (
     Cochain,
     tate_group,
     cup,
+    d_matrix,
+    dd_rows,
     TwoTermComplex,
     hyper_h1,
     ZDomain,
@@ -23,7 +27,6 @@ from toruscheck.cohomology import (
     FiniteSupportChain,
     coinflation,
     normalize_cocycle,
-    tuples,
 )
 
 
@@ -38,20 +41,19 @@ def triv_module(n, rank=1):
 
 def test_d_of_constant():
     gm = neg_module(2)
-    x = Cochain(gm, 0, {(): (3,)})
+    x = Cochain(gm, 0, (3,))
     dx = x.d()
-    assert dx.table[(0,)] == (0,)
-    assert dx.table[(1,)] == (-6,)  # sigma(m) - m = -3 - 3
+    assert dx(0) == (0,)
+    assert dx(1) == (-6,)  # sigma(m) - m = -3 - 3
 
 
 def test_d_squared_zero_random():
     random.seed(5)
     gm = GModule.from_action(GroupAction.cyclic(4, IntMatrix([[-1]])))
     for _ in range(25):
-        x = Cochain(gm, 1, {t: (random.randint(-5, 5),) for t in
-                            [(i,) for i in range(4)]})
+        x = Cochain(gm, 1, [random.randint(-5, 5) for i in range(4)])
         ddx = x.d().d()
-        assert all(v == (0,) for v in ddx.table.values())
+        assert ddx.vec == (0,) * 64
 
 
 def _sign_matrices(group):
@@ -60,21 +62,42 @@ def _sign_matrices(group):
             for g in range(group.order)]
 
 
+def _regular_matrices(group):
+    """The permutation matrices of left multiplication on Z[group]."""
+    n = group.order
+    return [IntMatrix([[1 if group.mul(g, j) == i else 0 for j in range(n)]
+                       for i in range(n)]) for g in range(n)]
+
+
 def _coboundary_modules():
-    c2, c3, c4 = (FiniteGroup.cyclic(n) for n in (2, 3, 4))
+    c2, c3, c4, c6 = (FiniteGroup.cyclic(n) for n in (2, 3, 4, 6))
     s3 = FiniteGroup.symmetric(3)
     sign = _sign_matrices(s3)
     rot = GroupAction.cyclic(3, IntMatrix([[0, -1], [1, -1]]))
     c4_mats = [IntMatrix([[1, 0], [0, (-1) ** k]]) for k in range(4)]
+    swap = IntMatrix([[0, 1], [1, 0]])
     return {
         "Z over C2": GModule.trivial_ints(c2),
         "Z over S3": GModule.trivial_ints(s3),
+        "Z^2 over C6": GModule.from_action(GroupAction.trivial(c6, 2)),
         "Z by -1 over C4": neg_module(4),
+        "Z by -1 over C6": neg_module(6),
         "Z^2 by rotation over C3": GModule.from_action(rot),
+        "Z^2 by rotation over C6": GModule.from_action(GroupAction.cyclic(
+            6, IntMatrix([[1, -1], [1, 0]]))),
         "Z by the sign of S3": GModule.from_action(GroupAction(s3, sign)),
+        "Z^2 by the swap over C2": GModule.from_action(
+            GroupAction.cyclic(2, swap)),
+        "Z[S3] permuted by S3": GModule.from_action(
+            GroupAction(s3, _regular_matrices(s3))),
+        "Z[C6] permuted by C6": GModule.from_action(
+            GroupAction(c6, _regular_matrices(c6))),
         "Z/2 + Z/4 over C4": GModule.finite(c4, (2, 4), c4_mats),
         "Z/3 by the sign of S3": GModule.finite(s3, (3,), sign),
         "Z/2 over C3": GModule.finite(c3, (2,), [IntMatrix([[1]])] * 3),
+        "Z/3 + Z/3 swapped over C6": GModule.finite(
+            c6, (3, 3), [swap if k % 2 else IntMatrix.identity(2)
+                         for k in range(6)]),
     }
 
 
@@ -86,13 +109,65 @@ def test_d_matches_reference(name):
     gm = _coboundary_modules()[name]
     rng = random.Random(name)
     for degree in range(4):
+        size = gm.ngens * gm.group.order ** degree
         for _ in range(3):
-            x = Cochain(gm, degree, {
-                t: tuple(rng.randint(-9, 9) for _ in range(gm.ngens))
-                for t in tuples(gm.group, degree)})
+            x = Cochain(gm, degree, [rng.randint(-9, 9) for _ in range(size)])
             got, want = x.d(), cochain_reference.coboundary(x)
             assert got.degree == want.degree == degree + 1
-            assert list(got.table.items()) == list(want.table.items())
+            assert got.vec == want.vec
+
+
+@pytest.mark.parametrize("name", sorted(_coboundary_modules()))
+def test_d_matrix_matches_unit_cochains(name):
+    """d_matrix, written from the compiled rows, equals entry for entry the
+    matrix built column by column from the coboundaries of unit cochains,
+    in degrees 0-2."""
+    gm = _coboundary_modules()[name]
+    for degree in range(3 if gm.group.order ** 3 * gm.ngens < 400 else 2):
+        assert d_matrix(gm, degree) == cochain_reference.d_matrix(gm, degree)
+
+
+def _non_homomorphism():
+    """Z^2 over C3 with matrices that fix the identity but do not compose
+    like the group: d o d is not zero on it."""
+    return GModule(FiniteGroup.cyclic(3), 2, None,
+                   [IntMatrix.identity(2), IntMatrix([[0, 1], [1, 0]]),
+                    IntMatrix([[2, 0], [0, 1]])], check=False)
+
+
+def _sampled_modules():
+    modules = dict(_coboundary_modules())
+    modules["non-homomorphism"] = _non_homomorphism()
+    return modules
+
+
+@pytest.mark.parametrize("name", sorted(_sampled_modules()))
+def test_sampled_checks_match_per_sample_reference(name):
+    """checks.dd_zero (one composed operator) and checks.cup_leibniz (flat
+    cup products) against their per-sample key-at-a-time forms: the same
+    Verdict, witness and counts, and the same rng state afterwards, on
+    valid modules and on one whose matrices are not a homomorphism."""
+    gm = _sampled_modules()[name]
+    for degree in range(3):
+        for samples in (0, 5):
+            ours, theirs = random.Random(name), random.Random(name)
+            assert checks.dd_zero(gm, degree, ours, samples, 3) == \
+                cochain_reference.dd_zero(gm, degree, theirs, samples, 3)
+            assert ours.getstate() == theirs.getstate()
+    ours, theirs = random.Random(name), random.Random(name)
+    assert checks.cup_leibniz(gm, ours, 4) == \
+        cochain_reference.cup_leibniz(gm, theirs, 4)
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_sampled_checks_fail_on_a_non_homomorphism():
+    """The module whose matrices are not a homomorphism fails both sampled
+    checks at the first sample, and d o d has nonzero rows on it."""
+    gm = _non_homomorphism()
+    assert dd_rows(gm, 1)
+    assert checks.dd_zero(gm, 1, random.Random(0), 20, 3) == \
+        checks.Verdict(False, {"sample": 0}, {"samples": 1})
+    assert not checks.cup_leibniz(gm, random.Random(0), 20).ok
 
 
 def test_tate_examples():
@@ -176,12 +251,12 @@ def test_cup_leibniz_random():
         return (a[0] * b[0],)
 
     for _ in range(10):
-        x = Cochain(ints, 1, {(i,): (random.randint(-3, 3),) for i in range(4)})
-        y = Cochain(gm, 1, {(i,): (random.randint(-3, 3),) for i in range(4)})
+        x = Cochain(ints, 1, [random.randint(-3, 3) for i in range(4)])
+        y = Cochain(gm, 1, [random.randint(-3, 3) for i in range(4)])
         lhs = cup(x, y, pairing, gm).d()
         rhs = cup(x.d(), y, pairing, gm).add(cup(x, y.d(), pairing, gm).neg())
         # d(x u y) = dx u y + (-1)^p x u dy with p = 1
-        assert lhs.to_vector() == rhs.to_vector()
+        assert lhs.vec == rhs.vec
 
 
 def test_cup_with_norm_zero_element_spec_example():
@@ -199,10 +274,10 @@ def test_cup_with_norm_zero_element_spec_example():
             v = gm.act(Q.mul(r, t), lam)
             acc = tuple(x + c[(r, t)] * y for x, y in zip(acc, v))
         table[(r,)] = acc
-    z = Cochain(gm, 1, table)
-    assert z.table[(0,)] == (0,)
-    assert z.table[(1,)] == (1,)
-    assert all(v == (0,) for v in z.d().table.values())
+    z = from_table(gm, 1, table)
+    assert z(0) == (0,)
+    assert z(1) == (1,)
+    assert not any(z.d().vec)
     # cocycle identity 1 + sigma.1 = 0 holds; coboundary obstruction:
     # (s-1)t = -2t = 1 unsolvable
     H1 = tate_group(gm, 1)
@@ -405,9 +480,8 @@ def test_cyclic_periodicity_h0_h2():
         images = set()
         for coords in H0.elements():
             m = H0.representative(coords)
-            tab = {(i, j): tuple(model.c(i, j) * x for x in m)
-                   for i in range(n) for j in range(n)}
-            x = Cochain(gm, 2, tab)
+            x = Cochain(gm, 2, [model.c(i, j) * x for i in range(n)
+                                for j in range(n) for x in m])
             cls = H2.classify(x)
             assert cls is not None
             images.add(cls)
@@ -427,15 +501,17 @@ def test_normalize_cocycle():
     Q = FiniteGroup.cyclic(2)
     gm = GModule.trivial_ints(Q)
     # full (non-normalized) 2-cocycle: constant 1 is a cocycle for trivial action
-    x = Cochain(gm, 2, {t: (1,) for t in [(a, b) for a in range(2) for b in range(2)]})
+    x = Cochain(gm, 2, (1, 1, 1, 1))
     y = normalize_cocycle(x)
-    assert y.table[(0, 0)] == (0,) and y.table[(0, 1)] == (0,)
-    assert y.table[(1, 0)] == (0,)
-    assert all(v == (0,) for v in y.d().table.values())
+    assert y(0, 0) == (0,) and y(0, 1) == (0,)
+    assert y(1, 0) == (0,)
+    assert not any(y.d().vec)
 
 
-#: Under python -O: a cochain table of the wrong size, a Weil-group domain
-#: whose matrix order does not divide n, and the boundary of a 0-chain.
+#: Under python -O: cochain vectors too short and too long (one value per
+#: key, but two entries in each value of a rank-1 module), the sum of
+#: cochains of different degrees, a Weil-group domain whose matrix order
+#: does not divide n, and the boundary of a 0-chain.
 OPTIMIZED_CHECKS = """
 import sys
 from toruscheck.lattice import IntMatrix
@@ -456,7 +532,9 @@ def attempt(label, make):
 
 
 gm = GModule.from_action(GroupAction.cyclic(2, IntMatrix([[-1]])))
-attempt("cochain", lambda: Cochain(gm, 1, {(0,): (0,)}))
+attempt("cochain", lambda: Cochain(gm, 1, (0,)))
+attempt("long cochain", lambda: Cochain(gm, 1, (0, 5, 1, 7)))
+attempt("sum", lambda: Cochain(gm, 1, (0, 5)).add(Cochain(gm, 2, (1, 7, 0, 0))))
 attempt("domain", lambda: ZDomain(2, IntMatrix([[0, -1], [1, 0]])))
 chain = FiniteSupportChain(ZDomain(2, IntMatrix([[-1]])), 0, 1, {(): (1,)})
 attempt("boundary", chain.boundary)
@@ -470,7 +548,9 @@ def test_cohomology_checks_run_under_python_O():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "cochain rejected: a cochain table of the wrong size",
+        "cochain rejected: a cochain vector of the wrong length",
+        "long cochain rejected: a cochain vector of the wrong length",
+        "sum rejected: cochains of different degrees or modules",
         "domain rejected: matrix order must divide n",
         "boundary rejected: a degree-0 chain has no boundary",
     ]
@@ -514,8 +594,7 @@ raises("shape", lambda: TwoTermComplex(gm, gm, IntMatrix.identity(2)))
 triv = GModule.from_action(GroupAction.trivial(C2, 1))
 raises("equivariant", lambda: TwoTermComplex(gm, triv, one))
 H = hyper_h1(TwoTermComplex(gm, gm, IntMatrix([[2]])))
-raises("hypercocycle", lambda: H.classify(
-    Cochain(gm, 1, {(0,): (1,), (1,): (0,)}), (0,)))
+raises("hypercocycle", lambda: H.classify(Cochain(gm, 1, (1, 0)), (0,)))
 """
 
 

@@ -13,7 +13,8 @@ from toruscheck.cli import main
 from toruscheck.cohomology import (
     CohomologyGroup,
     GModule,
-    face_table,
+    coboundary_rows,
+    dd_rows,
     tate_group,
     tate_minus1,
     tate_zero,
@@ -28,8 +29,9 @@ from toruscheck.weil import LocalModel, Parameter, TorusModel, hyper_pairing, \
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = [os.path.join(ROOT, "fixtures", name)
             for name in ("norm_one_torus.json", "s3_component.json")]
-MEMOS = [(lattice, "_snf_cache"), (cohomology, "_face_cache"),
-         (cohomology, "_d_matrix_cache"), (cohomology, "_tate_cache"),
+MEMOS = [(lattice, "_snf_cache"), (cohomology, "_rows_cache"),
+         (cohomology, "_dd_cache"), (cohomology, "_d_matrix_cache"),
+         (cohomology, "_tate_cache"),
          (rootdata, "_twist_cache"), (weil, "_lift_cache")]
 
 
@@ -81,8 +83,8 @@ def test_tate_groups_are_keyed_by_module_content(fresh_memos):
 
 
 def _plain(rep):
-    """A representative as comparable data: a vector or a cochain table."""
-    return getattr(rep, "table", rep)
+    """A representative as comparable data: a vector or a cochain's vector."""
+    return getattr(rep, "vec", rep)
 
 
 def test_cached_tate_group_matches_a_fresh_build(fresh_memos):
@@ -150,18 +152,31 @@ def test_twist_data_is_keyed_by_content(fresh_memos):
     assert other.sign_presentation() is not tw.sign_presentation()
 
 
-def test_face_tables_are_keyed_by_group_table(fresh_memos):
-    c4 = FiniteGroup.cyclic(4)
+def test_coboundary_rows_are_keyed_by_module_content(fresh_memos):
+    """Equal module content shares one entry of the rows memo, however the
+    module is built; a different action, group table or degree gets its own
+    rows, and so does d o d."""
+    m = _modules()
+    again = GModule(FiniteGroup.cyclic(2), 1, None,
+                    [IntMatrix.identity(1), IntMatrix([[-1]])])
+    assert coboundary_rows(again, 1) is coboundary_rows(m["Z sign"], 1)
+    assert coboundary_rows(m["Z trivial"], 1) != \
+        coboundary_rows(m["Z sign"], 1)
+    assert coboundary_rows(m["Z sign"], 2) != coboundary_rows(m["Z sign"], 1)
     klein = FiniteGroup.direct_product(FiniteGroup.cyclic(2),
                                        FiniteGroup.cyclic(2))
-    assert face_table(FiniteGroup.cyclic(4), 1) is face_table(c4, 1)
-    assert face_table(klein, 1) != face_table(c4, 1)
-    assert face_table(c4, 2) != face_table(c4, 1)
-    assert len(cohomology._face_cache) == 3
+    c4 = FiniteGroup.cyclic(4)
+    assert coboundary_rows(GModule.trivial_ints(klein), 1) != \
+        coboundary_rows(GModule.trivial_ints(c4), 1)
+    assert len(cohomology._rows_cache) == 5
+    assert dd_rows(again, 1) is dd_rows(m["Z sign"], 1) == ()
+    assert len(cohomology._rows_cache) == 5
+    assert len(cohomology._dd_cache) == 1
 
 
 def test_cached_values_are_not_mutated(fresh_memos, monkeypatch, tmp_path):
-    """Every value a memo stores during full sign and tori-verify runs reads
+    """Every value a memo stores during full cohomology, sign and
+    tori-verify runs reads
     the same at the end as when it was stored, and no memo outgrows its
     limit."""
     stored = []
@@ -175,7 +190,7 @@ def test_cached_values_are_not_mutated(fresh_memos, monkeypatch, tmp_path):
         return value
 
     monkeypatch.setattr(Memo, "get_or_compute", recording)
-    for command in ("sign", "tori-verify"):
+    for command in ("cohomology", "sign", "tori-verify"):
         for path in FIXTURES:
             assert main([command, "--input", path,
                          "--output", str(tmp_path / "out.json")]) == 0

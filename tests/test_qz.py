@@ -6,6 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 import toruscheck
+from toruscheck import qz
 from toruscheck.qz import QZ, Cyc, cyclotomic_poly, cyc_div, _polydiv_exact
 
 
@@ -149,3 +150,41 @@ def test_cyclotomic_poly_matches_division_by_all_divisors():
                 poly = _polydiv_exact(poly, direct[d])
         direct[n] = tuple(poly)
         assert cyclotomic_poly(n) == direct[n], n
+
+
+def _recurrence_rows(n):
+    """x^k mod Phi_n for every k < n by x^(k+1) = x x^k, as dicts."""
+    phi = cyclotomic_poly(n)
+    deg = len(phi) - 1
+    rows, row = [], {0: 1}
+    for _ in range(n):
+        rows.append(row)
+        nxt = {}
+        for i, a in row.items():
+            if i + 1 < deg:
+                nxt[i + 1] = nxt.get(i + 1, 0) + a
+            else:
+                for j, c in enumerate(phi[:-1]):
+                    nxt[j] = nxt.get(j, 0) - a * c
+        row = {i: a for i, a in nxt.items() if a}
+    return rows
+
+
+def test_power_residue_rows_match_the_recurrence():
+    """Each residue row, reduced through the odd squarefree level, is the
+    row the recurrence at level n gives; a row is built only when a
+    residue call reads it, and a row handed out stays the same object."""
+    for n in list(range(1, 121)) + [360, 1155, 2310]:
+        rows = _recurrence_rows(n)
+        for k in range(n):
+            want = [0] * (len(cyclotomic_poly(n)) - 1)
+            for i, a in rows[k].items():
+                want[i] = a
+            assert qz.residue([(k, 1)], n) == want, (n, k)
+    qz._power_residues.cache_clear()
+    slots = qz._power_residues(13860)[4]
+    assert qz.residue([(13859, 2), (7, 0)], 13860)
+    assert [k for k, row in enumerate(slots) if row is not None] == [13859]
+    row = slots[13859]
+    qz.residue([(k, 1) for k in range(0, 13860, 7)], 13860)
+    assert slots[13859] is row

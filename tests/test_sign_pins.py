@@ -23,7 +23,7 @@ from toruscheck.rootdata import BasedRootDatum, TwistData, diagram_flip, \
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 with open(os.path.join(ROOT, "tests", "golden", "signs.json")) as f:
     PINS = json.load(f)
-MEMOS = [(rootdata, "_twist_cache"), (cohomology, "_face_cache"),
+MEMOS = [(rootdata, "_twist_cache"), (cohomology, "_rows_cache"),
          (cohomology, "_d_matrix_cache"), (cohomology, "_tate_cache")]
 #: The cold pass makes every call that returns signs but only the first
 #: few calls per datum that reject the class: each cold call rebuilds the

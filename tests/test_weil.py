@@ -72,7 +72,7 @@ def test_fundamental_cocycle_generates_h2():
     gm = GModule.trivial_ints(Q)
     c = model.fundamental_cochain(gm)
     assert is_normalized(c)
-    assert all(v == (0,) for v in c.d().table.values())
+    assert not any(c.d().vec)
     H2 = tate_group(gm, 2)
     assert H2.order == 3
     cls = H2.classify(c)
@@ -90,10 +90,10 @@ def test_tn_iso_examples():
     t = norm_one_torus(2)
     # lam = 0 -> zero cocycle
     z0 = tn_iso(t, (0,))
-    assert all(v == (0,) for v in z0.table.values())
+    assert not any(z0.vec)
     # n = 2, X = Z with -1, lam = 1 -> z(sigma) = 1, nontrivial class
     z = tn_iso(t, (1,))
-    assert z.table[(1,)] == (1,)
+    assert z(1) == (1,)
     H1 = tate_group(t.gmodule(), 1)
     assert any(H1.classify(z))
     # rejects norm-nonzero input
@@ -299,10 +299,10 @@ def test_phi_psi_boundary_compatibility():
                     for _ in range(3)}
             mu1 = FiniteSupportChain(dom, 1, t.rank, supp)
             val = chain_map_phi(t, mu1)
-            lhs = Cochain(gm, 0, {(): val}).d()
+            lhs = Cochain(gm, 0, val).d()
             lam = mu1.boundary().value(())
             rhs = tn_iso(t, lam)
-            assert lhs.to_vector() == rhs.to_vector()
+            assert lhs.vec == rhs.vec
 
 
 def test_elementary_pairing_degenerations():
@@ -365,7 +365,7 @@ def test_hyper_pairing_two_representative_agreement():
     val1 = hyper_pairing(t, fT, (z, v), (d, s))
     # shift the T-side by a boundary with x = 3: (u + d0 x, v + fT x)
     x = (3,)
-    dx = Cochain(gm, 0, {(): x}).d()
+    dx = Cochain(gm, 0, x).d()
     z2 = z.add(dx)
     v2 = (v[0] + 2 * x[0],)
     val2 = hyper_pairing(t, fT, (z2, v2), (d, s))
@@ -411,7 +411,7 @@ def test_hyper_pairing_rejects_bad_dual_pair():
     phi = Parameter(t, (QZ(1, 4),))
     with pytest.raises(ValueError, match="dual-side"):
         hyper_pairing(t, fT, (z, (1,)), (phi.neg(), (QZ(1, 3),)))
-    garbage = Cochain(t.gmodule(), 1, {(0,): (1,), (1,): (0,)})
+    garbage = Cochain(t.gmodule(), 1, (1, 0))
     with pytest.raises(ValueError, match="T-side"):
         hyper_pairing(t, fT, (garbage, (0,)), (phi.neg(), t.dual_zero()))
 
@@ -422,7 +422,7 @@ def test_hyper_pairing_reports_missing_lift(monkeypatch):
     t = norm_one_torus(2)
     fT = IntMatrix([[2]])
     gm = t.gmodule()
-    garbage = Cochain(gm, 1, {(0,): (1,), (1,): (0,)})  # z(1) != 0
+    garbage = Cochain(gm, 1, (1, 0))  # z(1) != 0
     phi = Parameter(t, (QZ(0),))
     monkeypatch.setattr(weil, "_check_pair_T", lambda *args: None)
     with pytest.raises(LiftNotFound):
@@ -437,7 +437,7 @@ def test_hyper_pairing_error_precedence(monkeypatch):
     fT = IntMatrix([[2]])
     z = tn_iso(t, (1,)).neg()
     phi = Parameter(t, (QZ(1, 4),))
-    garbage = Cochain(t.gmodule(), 1, {(0,): (1,), (1,): (0,)})
+    garbage = Cochain(t.gmodule(), 1, (1, 0))
     bad_dual = (phi.neg(), (QZ(1, 3),))
     solves = []
     monkeypatch.setattr(weil, "solve_integer",
@@ -488,7 +488,7 @@ from toruscheck.weil import LocalModel, TorusModel, Parameter, hyper_pairing
 
 assert False, "asserts are still enabled"
 t = TorusModel(LocalModel(2), GroupAction.cyclic(2, IntMatrix([[-1]])))
-u = Cochain(t.gmodule(), 1, {(0,): (0,), (1,): (0,)})
+u = Cochain(t.gmodule(), 1, (0, 0))
 try:
     value = hyper_pairing(t, IntMatrix([[0]]), (u, (0,)),
                           (Parameter(t, (QZ(0),)), (QZ(1, 4),)))
