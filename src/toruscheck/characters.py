@@ -16,6 +16,7 @@ import hashlib
 import itertools
 import threading
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -460,10 +461,10 @@ def character_table(group):
     level = exponent if exponent % 2 == 0 else 2 * exponent
 
     def row_of(mults, l):
-        """The values and sort key of chi^(l) from chi's nonzero
-        multiplicities (j, m) at the first class of each class orbit."""
+        """The values of chi^(l) and its nonzero multiplicities (j, m) at
+        each class, from chi's at the first class of each class orbit."""
         values = []
-        key = []
+        row_pairs = []
         for c, (k, lc) in enumerate(source):
             h = orders[c]
             pairs = mults[k]
@@ -471,20 +472,13 @@ def character_table(group):
             if scale != 1:
                 pairs = sorted((j * scale % h, x) for j, x in pairs)
             values.append(_cyc({_qz(j, h): x for j, x in pairs}))
-            # the residue mod Phi_level with trailing zeros dropped: the
-            # multiplicities are ints, so this is Cyc.reduced_key(level)
-            # without its level and with ints in place of Fractions
-            step = level // h
-            res = residue([(j * step, x) for j, x in pairs], level)
-            while res and res[-1] == 0:
-                res.pop()
-            key.append(res)
-        return values, key
+            row_pairs.append(pairs)
+        return values, row_pairs
 
     position = {w: i for i, w in enumerate(vectors)}
     chars = [None] * r
     dims = [None] * r
-    keys = [None] * r
+    pairs = [None] * r
     for i, w in enumerate(vectors):
         if chars[i] is not None:
             continue
@@ -516,10 +510,39 @@ def character_table(group):
                 raise ValueError("Galois conjugate eigenvector missing "
                                  "from the table")
             if chars[j] is None:
-                chars[j], keys[j] = row_of(mults, l)
+                chars[j], pairs[j] = row_of(mults, l)
                 dims[j] = dim
 
-    order = sorted(range(r), key=lambda i: (dims[i], keys[i]))
+    keys = {}
+
+    def key(i, c):
+        """The residue of chi_i at class c mod Phi_level with trailing zeros
+        dropped, built once per (row, class): the multiplicities are ints,
+        so this is Cyc.reduced_key(level) without its level and with ints
+        in place of Fractions."""
+        res = keys.get((i, c))
+        if res is None:
+            step = level // orders[c]
+            res = residue([(j * step, x) for j, x in pairs[i][c]], level)
+            while res and res[-1] == 0:
+                res.pop()
+            keys[i, c] = res
+        return res
+
+    def compare(i, j):
+        """Rows by dims, then by their residue keys class by class.  Equal
+        multiplicities give equal values, so a key is built only at the
+        classes where the multiplicities differ."""
+        if dims[i] != dims[j]:
+            return -1 if dims[i] < dims[j] else 1
+        for c, (p_i, p_j) in enumerate(zip(pairs[i], pairs[j])):
+            if p_i != p_j:
+                k_i, k_j = key(i, c), key(j, c)
+                if k_i != k_j:
+                    return -1 if k_i < k_j else 1
+        return 0
+
+    order = sorted(range(r), key=cmp_to_key(compare))
     table = CharacterTable(G, [chars[i] for i in order],
                            [dims[i] for i in order])
     table.verify()

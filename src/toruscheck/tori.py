@@ -16,11 +16,12 @@ constants (TRIVIAL_FACTORS below).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import lcm
 
 from .lattice import FGAbelian, IntMatrix, block_matrix, solve_integer
-from .qz import QZ, Cyc, convolve, cyc_from_vector, qz_ints
+from .qz import QZ, Cyc, cyc_from_vector, qz_ints
 from .cohomology import GModule, Cochain, d_matrix, TwoTermComplex, hyper_h1
 from .weil import (
     TorusModel,
@@ -30,6 +31,7 @@ from .weil import (
     hyper_pairing,
     hyper_lift,
     pair_with_lift,
+    validate_hyper_pair_dual,
 )
 from .characters import irr_with_central_char, alpha_regular_class_count
 from .groups import Cocycle2, CentralExtension
@@ -64,7 +66,12 @@ class ToriCase:
     pairings: dict = field(default_factory=dict)  # see pairing()
     sweep: dict = field(default_factory=dict)     # see conjugates()
     inner: dict = field(default_factory=dict)     # see theta_value()
+    kottwitz_values: dict = field(default_factory=dict)  # see theta_value()
+    products: dict = field(default_factory=dict)  # see theta_value()
+    complexes: dict = field(default_factory=dict)  # see pair_complex_matrix()
+    duals: dict = field(default_factory=dict)     # see endoscopic_value()
     lifts: dict = field(default_factory=dict)     # see endoscopic_value()
+    columns: dict | None = None                   # see theta_value()
     packet_data: tuple | None = None              # see packet()
 
     @property
@@ -80,11 +87,14 @@ class ToriCase:
     def conjugates(self, a, t_vec):
         """(c a c^-1, delta0, phi(delta0)) with delta0 = c.t_vec + zeta(c, a),
         for the c in A_z that keep a in A_phi_z: the data both sums of the
-        character identity read at (a, t_vec), built once per pair."""
+        character identity read at (a, t_vec), built once per pair.  They
+        are kept only for a Galois-invariant t_vec, so a bad t_vec leaves
+        the case as it was."""
         key = (a, tuple(t_vec))
-        if key not in self.sweep:
+        out = self.sweep.get(key)
+        if out is None:
             A, stab = self.A, set(self.A_phi_z)
-            out = self.sweep[key] = []
+            out = []
             for c in self.A_z:
                 cac = A.mul(A.mul(c, a), A.inv(c))
                 if cac in stab:
@@ -92,16 +102,22 @@ class ToriCase:
                                    zip(self.act(c, t_vec), self.zeta(c, a)))
                     out.append((cac, delta0, langlands_character(
                         self.torus, self.phi, delta0)))
-        return self.sweep[key]
+            if _is_invariant_vec(self.torus, t_vec):
+                self.sweep[key] = out
+        return out
 
     def act(self, a, vec):
         return self.torus.comp.act(a, vec)
 
     def pair_complex_matrix(self, aut):
         """Matrix of 1 - aut on X: the complex map for a commuting pair
-        (z, delta) whose defining relation is  aut.z - z = d(delta)."""
-        return (IntMatrix.identity(self.torus.rank)
-                - self.torus.comp.matrices[aut])
+        (z, delta) whose defining relation is  aut.z - z = d(delta), built
+        once per aut."""
+        f = self.complexes.get(aut)
+        if f is None:
+            f = self.complexes[aut] = (IntMatrix.identity(self.torus.rank)
+                                       - self.torus.comp.matrices[aut])
+        return f
 
     def f_complex(self, a):
         """Matrix of 1 - a^-1 on X: the complex carrying (z^-1, t_{a^-1}),
@@ -389,59 +405,93 @@ def theta_value(case, s_dot, b, t_vec, a):
     """Representation-sum and closed-form values of the twisted character.
 
     s_dot: Galois-invariant torsion dual point; b, a in the joint
-    stabilizer; t_vec in X^Q (integral model of T(F))."""
+    stabilizer; t_vec in X^Q (integral model of T(F)).
+
+    The representation sum
+        (1/|Abar|) sum_i chi_i((kz, b)) sum_c chi_i((val_c + h(cac), cac))
+    is summed over the conjugators' classes x first, from the same values:
+        e(kz) (1/|Abar|) sum_x S[x] P[b][x]
+    with S[x] = sum over {c : cac = x} of e(val_c + h(x)) and P[b][x] the
+    column product (_column_product); no orthogonality relation is used.
+    The Kottwitz value is kept per s, S and the closed-form roots per
+    (a, t), and P per (b, x); a value is kept only after its guard passes,
+    so a bad s or t raises on every call and leaves the case as it was."""
     torus = case.torus
-    A = case.A
     if a not in case.A_phi_z or b not in case.A_phi_z:
         raise ValueError("element outside the packet group")
-    if not _is_invariant_dual(torus, s_dot):
-        raise ValueError("s must be Galois-invariant")
-    if not _is_invariant_vec(torus, t_vec):
-        raise ValueError("t must be Galois-invariant")
-    pkt, table, sel, ext, elems = packet(case)
-    # chi_i((0, x)) is the table's exponent form (level L, denominator D)
-    # at the class of (0, x), which is element i in the k|Abar| + i encoding
-    # of x = elems[i]; the central character is the inclusion, so
-    # chi_i((q, x)) = e(q) chi_i((0, x))
-    L, D, forms = table.exponent_forms()
-    col = {x: table.class_index[i] for i, x in enumerate(elems)}
-    kz = case.kottwitz(s_dot)
-    conjugates = case.conjugates(a, t_vec)
+    s_key = tuple(s_dot)
+    kz = case.kottwitz_values.get(s_key)
+    if kz is None:
+        if not _is_invariant_dual(torus, s_dot):
+            raise ValueError("s must be Galois-invariant")
+        kz = case.kottwitz(s_dot)
+    t_key = (a, tuple(t_vec))
+    sums = case.inner.get(t_key)
+    if sums is None:
+        if not _is_invariant_vec(torus, t_vec):
+            raise ValueError("t must be Galois-invariant")
+        sums = case.inner[t_key] = _inner_sums(case, a, t_vec)
+    case.kottwitz_values[s_key] = kz
+    M, by_class = sums
 
-    # the representation sum
-    #   sum_i chi_i((kz, b)) sum_c chi_i((val_c + h(cac), cac)) / |Abar|
-    # in exponent vectors at level N, where e(q) shifts exponents by q N;
-    # the inner sums depend on (a, t_vec) and on N through kz.den alone
-    key = (a, tuple(t_vec), kz.den)
-    if key not in case.inner:
-        roots = [(col[cac], val + case.h[cac]) for cac, _, val in conjugates]
-        N = lcm(L, kz.den, *(q.den for _, q in roots))
-        step = N // L
-        roots = [(x, q.num * (N // q.den)) for x, q in roots]
-        inners = {}
-        for i in sel:
-            inner = inners[i] = [0] * N
-            for x, shift in roots:
-                for k, c in forms[i][x]:
-                    inner[(k * step + shift) % N] += c
-        case.inner[key] = (N, inners)
-    N, inners = case.inner[key]
-    step = N // L
+    # chi_i((0, y)) is the table's exponent form (level L, denominator D) at
+    # the class of (0, y), which is element j in the k|Abar| + j encoding of
+    # y = elems[j].  Exponent vectors are at level N, where e(q) shifts
+    # exponents by q N
+    _, table, sel, _, elems = packet(case)
+    L, D, forms = table.exponent_forms()
+    if case.columns is None:
+        case.columns = {y: table.class_index[j] for j, y in enumerate(elems)}
+    col = case.columns
+    N = lcm(L, kz.den, M)
+    step, sstep = N // L, N // M
     kzs = kz.num * (N // kz.den)
     acc = [0] * N
-    for i in sel:
-        acc = convolve(inners[i],
-                       [(k * step + kzs, c) for k, c in forms[i][col[b]]], acc)
+    for x, (_, roots) in by_class.items():
+        prod = case.products.get((b, x))
+        if prod is None:
+            prod = case.products[b, x] = _column_product(
+                forms, sel, L, col[b], col[x])
+        for e, m in roots:
+            shift = e * sstep + kzs
+            for k, c in prod:
+                acc[(k * step + shift) % N] += m * c
     rep = cyc_from_vector(acc, D * D * len(elems))
 
-    binv = A.inv(b)
+    binv = case.A.inv(b)
     shift = kz - case.pairing(b)
-    closed = {}
-    for cac, _, val in conjugates:
-        if cac == binv:
-            q = val + shift
-            closed[q] = closed.get(q, 0) + 1
+    closed = Counter(val + shift for val in
+                     (by_class[binv][0] if binv in by_class else ()))
     return rep, Cyc(closed)
+
+
+def _column_product(forms, sel, L, cb, cx):
+    """P[b][x] = sum over the packet sel of chi_i((0, b)) chi_i((0, x)), from
+    the exponent forms at the class columns cb and cx: sparse (k, c) pairs
+    at level L, times the forms' denominator squared, zeros dropped."""
+    acc = {}
+    for i in sel:
+        for k1, c1 in forms[i][cb]:
+            for k2, c2 in forms[i][cx]:
+                k = (k1 + k2) % L
+                acc[k] = acc.get(k, 0) + c1 * c2
+    return tuple((k, c) for k, c in sorted(acc.items()) if c)
+
+
+def _inner_sums(case, a, t_vec):
+    """(M, {x: (vals, roots)}) over the classes x = cac of the conjugates at
+    (a, t_vec): vals lists val_c over the c with cac = x, in the order of
+    ToriCase.conjugates, and roots is S[x] as (exponent, count) pairs at the
+    level M of all the roots val_c + h(x)."""
+    by_class = {}
+    for cac, _, val in case.conjugates(a, t_vec):
+        by_class.setdefault(cac, []).append(val)
+    counts = {x: Counter(val + case.h[x] for val in vals)
+              for x, vals in by_class.items()}
+    M = lcm(1, *(q.den for roots in counts.values() for q in roots))
+    return M, {x: (vals, [(q.num * (M // q.den), m)
+                          for q, m in counts[x].items()])
+               for x, vals in by_class.items()}
 
 
 def invariant_of(case, aut, z, delta, gamma=None):
@@ -484,21 +534,28 @@ def endoscopic_value(case, s_dot, b, t_vec, a):
                          "must be trivial")
     binv = A.inv(b)
     # the conjugated elements sit in the b^-1 coset, so their pairs live on
-    # the complex with map 1 - b^-1.  The lift of each pair is kept on the
-    # case; a new pair is checked, then the dual pair, then solved, as in
-    # hyper_pairing, and every evaluation checks the dual pair again
+    # the complex with map 1 - b^-1.  A new dual pair (phi0^-1, s s_b) is
+    # checked first and kept per (s, b) once the call succeeds.  The lift
+    # of each pair is kept per (b^-1, delta); a new pair is checked, then
+    # the dual pair, then solved, as in hyper_pairing, and every evaluation
+    # checks the dual pair again
     fT = case.pair_complex_matrix(binv)
-    dual = (case.phi_inv, torus.dual_add(s_dot, case.s[b]))
-    total = Cyc.zero()
+    key = (tuple(s_dot), b)
+    dual = case.duals.get(key)
+    if dual is None:
+        dual = (case.phi_inv, torus.dual_add(s_dot, case.s[b]))
+        validate_hyper_pair_dual(torus, fT, *dual)
+    roots = {}
     for cac, delta0, _ in case.conjugates(a, t_vec):
         if cac == binv:
             delta = tuple(x + y for x, y in zip(delta0, case.t[binv]))
             if (binv, delta) not in case.lifts:
                 case.lifts[binv, delta] = hyper_lift(
                     torus, fT, (case.z_inv, delta), dual)
-            total = total + Cyc.root(
-                -pair_with_lift(torus, fT, case.lifts[binv, delta], dual))
-    return total
+            q = -pair_with_lift(torus, fT, case.lifts[binv, delta], dual)
+            roots[q] = roots.get(q, 0) + 1
+    case.duals[key] = dual
+    return Cyc(roots)
 
 
 def character_identity_report(case, s_dot, b, t_vec, a):

@@ -1,6 +1,9 @@
 """Reference implementation for differential tests: the original
 Fraction-backed QZ and Cyc, kept verbatim apart from the ``num``/``den``
-properties that let ``casefile.encode_qz`` read an oracle QZ.
+properties that let ``casefile.encode_qz`` read an oracle QZ, and from
+``Cyc.as_qz``, which reduces the value once and steps through the powers of
+x mod Phi_m instead of reducing one difference per candidate root (the same
+answer, from one reduction per root instead of a dense division).
 
 Nothing in the package imports this module.  test_qz_oracle.py checks
 ``toruscheck.qz`` against it operation by operation.
@@ -204,12 +207,17 @@ class Cyc:
         return None
 
     def as_qz(self):
+        # self reduced mod Phi_m once, against x^k mod Phi_m for k < m,
+        # each power one multiply-by-x and one reduction from the last
         n = self.level()
         m = n if n % 2 == 0 else 2 * n
+        phi = list(cyclotomic_poly(m))
+        rem = _polyrem(self._coeff_vector(m), phi)
+        power = [Fraction(1)] + [Fraction(0)] * (len(phi) - 2)
         for k in range(m):
-            q = QZ(k, m)
-            if self == Cyc.root(q):
-                return q
+            if power == rem:
+                return QZ(k, m)
+            power = _polyrem([Fraction(0)] + power, phi)
         return None
 
     def __repr__(self):

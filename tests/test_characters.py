@@ -14,7 +14,7 @@ from toruscheck import characters
 from toruscheck.casefile import encode_cyc
 from toruscheck.checks import scalar_datum
 from toruscheck.lattice import IntMatrix
-from toruscheck.qz import QZ, Cyc, cyc_div
+from toruscheck.qz import QZ, Cyc, cyc_div, residue
 from toruscheck.groups import FiniteGroup, Cocycle2, CentralExtension
 from toruscheck.characters import (
     character_table,
@@ -680,13 +680,73 @@ def test_row_order_is_the_reduced_key_order():
     groups += [ext.group for ext in extension_fixtures()]
     for G in groups:
         t = character_table(G)
-        exponent = 1
-        for g in range(G.order):
-            exponent = math.lcm(exponent, G.element_order(g))
-        level = exponent if exponent % 2 == 0 else 2 * exponent
+        level = _table_level(G)
         keys = [(d, [v.reduced_key(level) for v in row])
                 for d, row in zip(t.dims, t.chars)]
         assert all(a < b for a, b in zip(keys, keys[1:])), G
+
+
+def _table_level(G):
+    """The level character_table sorts its rows at: the exponent of G, or
+    twice it when odd."""
+    exponent = 1
+    for g in range(G.order):
+        exponent = math.lcm(exponent, G.element_order(g))
+    return exponent if exponent % 2 == 0 else 2 * exponent
+
+
+def _dihedral_table(n):
+    """D_n of order 2n from its multiplication table, r^i s^e at index
+    i + n e: FiniteGroup.dihedral composes permutations, which for n = 200
+    takes longer than the table's rows."""
+    return FiniteGroup([[(i + (-1) ** e * j) % n + n * (e ^ f)
+                         for f in (0, 1) for j in range(n)]
+                        for e in (0, 1) for i in range(n)], name="D%d" % n)
+
+
+def test_row_order_goes_past_equal_values():
+    """Different multiplicities can give equal values: in C4 x D4 the
+    2-dimensional rows have eigenvalues {i, -i} or {1, -1} at some elements
+    of order 4, value 0 either way.  With the elements relabeled so that
+    such a class comes before the classes that tell those rows apart, the
+    sort must go on past it; the order is still the full-key order."""
+    base = FiniteGroup.direct_product(FiniteGroup.cyclic(4),
+                                      FiniteGroup.dihedral(4))
+    n = base.order
+    label = [0] + random.Random(0).sample(range(1, n), n - 1)
+    old = sorted(range(n), key=label.__getitem__)
+    G = FiniteGroup([[label[base.table[old[a]][old[b]]] for b in range(n)]
+                     for a in range(n)])
+    t = character_table(G)
+    level = _table_level(G)
+    keys = [(d, [v.reduced_key(level) for v in row])
+            for d, row in zip(t.dims, t.chars)]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+@pytest.mark.parametrize("group", ["C200", "D200"])
+def test_row_order_on_large_tables(group):
+    """The row sort builds residues only at the classes where two rows'
+    multiplicities differ; on C200 and D200, whose rows mostly differ at
+    the first class they can, the order is still the one of the whole
+    keys.  The values have integer coefficients, so the int residue of
+    each value's exponent form at the sort level, with trailing zeros
+    dropped, orders like Cyc.reduced_key at that level."""
+    G = FiniteGroup.cyclic(200) if group == "C200" else _dihedral_table(200)
+    t = character_table(G)
+    level = _table_level(G)
+    n, D, forms = t.exponent_forms()
+    assert D == 1 and level % n == 0
+
+    def key(pairs):
+        res = residue([(k * (level // n), c) for k, c in pairs], level)
+        while res and res[-1] == 0:
+            res.pop()
+        return res
+
+    keys = [(d, [key(pairs) for pairs in row])
+            for d, row in zip(t.dims, forms)]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def _klein_split():

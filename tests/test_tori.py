@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cochain_reference import from_table, table
+from tori_reference import theta_by_convolution
 from toruscheck.lattice import IntMatrix
 from toruscheck.qz import QZ, Cyc, exponent_forms
 from toruscheck.groups import FiniteGroup, GroupAction, stabilizer_of_class
@@ -295,6 +296,48 @@ def test_theta_value_matches_cyc_arithmetic(scaled):
                             [encode_cyc(v) for v in want]
 
 
+def _swap_cases():
+    """Cases for the swapped-sum oracle: the first draws of random.Random(0)
+    with a stabilizer of order at most 6, which hold an S3 stabilizer, and
+    the norm-one torus with a trivially acting cyclic component of order
+    12, whose conjugators all fix a."""
+    rng = random.Random(0)
+    cases = []
+    for _ in range(10):
+        case = build_case(*random_case_data(rng))
+        if len(case.A_phi_z) <= 6:
+            cases.append(case)
+    model, minus = LocalModel(2), IntMatrix([[-1]])
+    torus = TorusModel(model, GroupAction.cyclic(2, minus),
+                       GroupAction.cyclic(12, IntMatrix([[1]])))
+    cases.append(build_case(torus, tn_iso(torus, (1,)),
+                            Parameter(torus, (QZ(1, 4),))))
+    return cases
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+def test_theta_value_matches_per_character_convolution(scaled):
+    """theta_value sums over the conjugators' classes x with the column
+    products P[b][x]; tests/tori_reference.py sums over the packet with one
+    convolution per member.  Same values, term for term, on an S3
+    stabilizer and on the table scaled to a denominator above 1."""
+    nonabelian = False
+    for case in _swap_cases():
+        pkt, table, sel, ext, elems = packet(case)
+        nonabelian = nonabelian or any(p.dim > 1 for p in pkt)
+        if scaled:
+            case.packet_data = (pkt, _ScaledTable(table), sel, ext, elems)
+        for s in invariant_duals(case.torus)[:3]:
+            for t in invariant_vectors(case.torus)[:2]:
+                for a in case.A_phi_z:
+                    for b in case.A_phi_z:
+                        got = theta_value(case, s, b, t, a)
+                        want = theta_by_convolution(case, s, b, t, a)
+                        assert [encode_cyc(v) for v in got] == \
+                            [encode_cyc(v) for v in want], (s, b, t, a)
+    assert nonabelian
+
+
 def test_theta_vanishing_branch():
     # S3 case: a not conjugate to b^-1 makes all three values zero
     rng = random.Random(0)
@@ -454,6 +497,54 @@ def test_swept_case_still_rejects_bad_inputs():
         "T-side pair not a hypercocycle"
     assert _error(lambda: endoscopic_value(swept, bad_s, 1, (0,), 1)) == \
         "dual-side pair not on the dual complex"
+
+
+def _kept(case):
+    """Every field of the case, with its dicts copied: what a call keeps
+    shows as a difference."""
+    return {f.name: (dict(v) if isinstance(v, dict) else v)
+            for f in dataclasses.fields(case)
+            for v in [getattr(case, f.name)]}
+
+
+def test_bad_s_or_t_raise_on_every_call_and_keep_nothing():
+    """A guard runs once per distinct value, and a value is kept only after
+    its guard passes: a non-invariant s or t raises on every call, before
+    and after the good values of a sweep are kept, and leaves every field
+    of the case as it was."""
+    case = norm_one_case()
+    torus = case.torus
+    zero, bad_s, bad_t = torus.dual_zero(), (QZ(1, 3),), (1,)
+    s_msg, t_msg = "s must be Galois-invariant", "t must be Galois-invariant"
+    dual_msg = "dual-side pair not on the dual complex"
+    bad = [(theta_value, (bad_s, 0, (0,), 0), s_msg),
+           (theta_value, (bad_s, 1, (0,), 0), s_msg),
+           (theta_value, (bad_s, 0, bad_t, 0), s_msg),
+           (theta_value, (zero, 0, bad_t, 0), t_msg),
+           (theta_value, (zero, 1, bad_t, 1), t_msg),
+           (endoscopic_value, (bad_s, 0, (0,), 0), dual_msg),
+           # no conjugator of a lands on b^-1, so no lift is evaluated
+           (endoscopic_value, (bad_s, 1, (0,), 0), dual_msg),
+           (endoscopic_value, (zero, 0, bad_t, 0),
+            "T-side pair not a hypercocycle"),
+           (endoscopic_value, (zero, 1, bad_t, 1),
+            "T-side pair not a hypercocycle")]
+
+    def rejected():
+        for fn, args, msg in bad:
+            before = _kept(case)
+            for _ in range(2):
+                assert _error(lambda: fn(case, *args)) == msg, (fn, args)
+            assert _kept(case) == before, (fn, args)
+
+    rejected()
+    for a in case.A_phi_z:
+        for b in case.A_phi_z:
+            for s in invariant_duals(torus):
+                for t in invariant_vectors(torus):
+                    assert character_identity_report(case, s, b, t, a).all_equal
+    assert case.kottwitz_values and case.inner and case.duals
+    rejected()
 
 
 def test_per_case_data_do_not_depend_on_call_order():
