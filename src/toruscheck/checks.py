@@ -414,6 +414,18 @@ def packet_enumerated(case):
                                       if p.generic]})
 
 
+def _identity_record(r):
+    """The witness record of one character-identity report."""
+    return {
+        "element": [[str(x) for x in r.element[0]], r.element[1]],
+        "dual": [[encode_qz(q) for q in r.dual_element[0]],
+                 r.dual_element[1]],
+        "rep": encode_cyc(r.rep_value),
+        "closed": encode_cyc(r.closed_value),
+        "endoscopic": encode_cyc(r.endoscopic_value),
+    }
+
+
 def character_identity(case):
     """Representation sum = closed form = endoscopic value for every
     stabilizer pair (a, b) over the test elements (the first two invariant
@@ -427,29 +439,20 @@ def character_identity(case):
     samples = []
     failure = None
     for a in case.A_phi_z:
+        conjugates = {A.mul(A.mul(c, a), A.inv(c)) for c in case.A_z}
         for b in case.A_phi_z:
-            conjugable = any(A.mul(A.mul(c, a), A.inv(c)) == A.inv(b)
-                             for c in case.A_z)
+            conjugable = A.inv(b) in conjugates
             for s in duals:
                 for t in tvecs:
                     r = character_identity_report(case, s, b, t, a)
                     triples += 1
                     vanishing += not conjugable
-                    record = {
-                        "element": [[str(x) for x in r.element[0]],
-                                    r.element[1]],
-                        "dual": [[encode_qz(q) for q in r.dual_element[0]],
-                                 r.dual_element[1]],
-                        "rep": encode_cyc(r.rep_value),
-                        "closed": encode_cyc(r.closed_value),
-                        "endoscopic": encode_cyc(r.endoscopic_value),
-                    }
                     if len(samples) < 3 and not r.rep_value.is_zero():
-                        samples.append(record)
+                        samples.append(_identity_record(r))
                     if failure is None and not (
                             r.all_equal
                             and (conjugable or r.rep_value.is_zero())):
-                        failure = record
+                        failure = _identity_record(r)
     detail = {"checked": triples, "values": samples}
     if failure:
         detail["failure"] = failure

@@ -436,8 +436,9 @@ class HyperH1:
         return self.group.elements()
 
 
-def hyper_h1(cx):
-    return HyperH1(cx)
+def hyper_h1(T, U, f):
+    """H^1 of the complex T --f--> U."""
+    return HyperH1(TwoTermComplex(T, U, f))
 
 
 # ---------------------------------------------------------------------------

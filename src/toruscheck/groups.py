@@ -1,5 +1,5 @@
 """Finite groups as multiplication tables, actions on lattices, 2-cocycles,
-central extensions by roots of unity, corestriction, and the block
+central extensions by roots of unity, coset sections, and the block
 decomposition of automorphisms of induced modules.
 
 Groups are small (orders up to ~200 in tests), so every law is checked
@@ -164,20 +164,6 @@ class FiniteGroup:
 
     def centralizer(self, g):
         return [h for h in range(self.order) if self.mul(h, g) == self.mul(g, h)]
-
-    def subgroup_closure(self, gens):
-        # in a finite group, closure under multiplication is a subgroup
-        elems = {0} | set(gens)
-        changed = True
-        while changed:
-            changed = False
-            for a in list(elems):
-                for b in list(elems):
-                    c = self.mul(a, b)
-                    if c not in elems:
-                        elems.add(c)
-                        changed = True
-        return sorted(elems)
 
     def is_subgroup(self, elems):
         s = set(elems)
@@ -416,25 +402,6 @@ class Cocycle2:
         return Cocycle2._from_ints(
             self.group, [[-x for x in row] for row in self.ints], self.m)
 
-    def shift_by_coboundary(self, cochain):
-        """Add d(cochain) for a normalized 1-cochain {g: QZ}."""
-        f, d = qz_ints([cochain[g] for g in range(self.group.order)])
-        m = lcm(self.m, d)
-        s, t, c = m // self.m, m // d, self.ints
-        return Cocycle2._from_ints(self.group, [
-            [s * c[a][b] + t * (f[a] + f[b] - f[ab])
-             for b, ab in enumerate(ta)]
-            for a, ta in enumerate(self.group.table)], m)
-
-    def inflate(self, big_group, projection):
-        """The pullback along a map big_group -> group, given by the list of
-        images: inflation along a surjection, restriction along the
-        inclusion of a subgroup's element list."""
-        c = self.ints
-        proj = [projection[a] for a in range(big_group.order)]
-        return Cocycle2._from_ints(
-            big_group, [[c[a][b] for b in proj] for a in proj], self.m)
-
 
 def coset_section(B, A_elems, section):
     """Right cosets of the subgroup A (given inside B by the element list
@@ -458,33 +425,6 @@ def coset_section(B, A_elems, section):
         return A_index[x]
 
     return cosets, coset_of, r
-
-
-def corestriction_cocycle(alpha, B, A_elems, section):
-    """Transfer a QZ-valued 2-cocycle alpha on the subgroup A (given inside B
-    by the element list A_elems) to a 2-cocycle on B.
-
-    `section` maps each right coset (sorted tuple of B-elements) to a chosen
-    representative inside it.  With r(b) defined by b = r(b) s(coset of b),
-    the corestriction is
-
-        beta(b1, b2) = sum_c alpha(r(s(c) b1), r(s(c b1) b2)).
-    """
-    cosets, coset_of, r = coset_section(B, A_elems, section)
-    c = alpha.ints
-
-    def value(b1, b2):
-        total = 0
-        for cs in cosets:
-            sb1 = B.mul(section[cs], b1)
-            total += c[r(sb1)][r(B.mul(section[coset_of[sb1]], b2))]
-        return total
-
-    n = B.order
-    beta = Cocycle2._from_ints(
-        B, [[value(b1, b2) for b2 in range(n)] for b1 in range(n)], alpha.m)
-    beta.validate()
-    return beta
 
 
 class CentralExtension:
@@ -521,27 +461,6 @@ class CentralExtension:
     def parts(self, e):
         k, a = divmod(e, self.base.order)
         return QZ(k, self.m), a
-
-    def isomorphism_from_coboundary(self, cochain):
-        """For alpha' = alpha + d(cochain), the map (z, a) -> (z + c_a, a) is
-        an isomorphism  mu_m x|_{alpha'} A -> mu_m x|_alpha A.  Returns the
-        index map."""
-        out = {}
-        for k in range(self.m):
-            for a in range(self.base.order):
-                z = QZ(k, self.m) + cochain[a]
-                out[k * self.base.order + a] = self.element(z, a)
-        return out
-
-
-def stabilizer_of_class(A, act_on_class, cls):
-    """Elements of A fixing a classified point under a supplied action
-    act_on_class(a, cls) -> cls.  The result is checked to be a subgroup
-    (it always is when act_on_class is a genuine action)."""
-    stab = [a for a in range(A.order) if act_on_class(a, cls) == cls]
-    if not A.is_subgroup(stab):
-        raise ValueError("stabilizer failed subgroup closure")
-    return stab
 
 
 def _coset_blocks(cosets):

@@ -503,20 +503,6 @@ class Cyc:
             return None
         return Fraction(acc[0], den)
 
-    def as_qz(self):
-        """If this value is a single root of unity e(q), return q, else None.
-
-        Roots of unity inside Q(zeta_n) form mu_n for even n and mu_2n for
-        odd n, so the scan covers both.
-        """
-        n = self.level()
-        m = n if n % 2 == 0 else 2 * n
-        for k in range(m):
-            q = QZ(k, m)
-            if self == Cyc.root(q):
-                return q
-        return None
-
     def __repr__(self):
         if not self.terms:
             return "Cyc(0)"

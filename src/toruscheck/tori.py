@@ -22,7 +22,7 @@ from math import lcm
 
 from .lattice import FGAbelian, IntMatrix, block_matrix, solve_integer
 from .qz import QZ, Cyc, cyc_from_vector, qz_ints
-from .cohomology import GModule, Cochain, d_matrix, TwoTermComplex, hyper_h1
+from .cohomology import Cochain, d_matrix
 from .weil import (
     TorusModel,
     Parameter,
@@ -33,7 +33,8 @@ from .weil import (
     pair_with_lift,
     validate_hyper_pair_dual,
 )
-from .characters import irr_with_central_char, alpha_regular_class_count
+from .characters import (alpha_regular_class_count, column_product,
+                         irr_with_central_char)
 from .groups import Cocycle2, CentralExtension
 
 # for tori the adjoint quotient is trivial, so the classical factor terms
@@ -412,10 +413,11 @@ def theta_value(case, s_dot, b, t_vec, a):
     is summed over the conjugators' classes x first, from the same values:
         e(kz) (1/|Abar|) sum_x S[x] P[b][x]
     with S[x] = sum over {c : cac = x} of e(val_c + h(x)) and P[b][x] the
-    column product (_column_product); no orthogonality relation is used.
-    The Kottwitz value is kept per s, S and the closed-form roots per
-    (a, t), and P per (b, x); a value is kept only after its guard passes,
-    so a bad s or t raises on every call and leaves the case as it was."""
+    column product (characters.column_product); no orthogonality relation
+    is used.  The Kottwitz value is kept per s, S and the closed-form roots
+    per (a, t), and P per (b, x); a value is kept only after its guard
+    passes, so a bad s or t raises on every call and leaves the case as it
+    was."""
     torus = case.torus
     if a not in case.A_phi_z or b not in case.A_phi_z:
         raise ValueError("element outside the packet group")
@@ -439,7 +441,7 @@ def theta_value(case, s_dot, b, t_vec, a):
     # y = elems[j].  Exponent vectors are at level N, where e(q) shifts
     # exponents by q N
     _, table, sel, _, elems = packet(case)
-    L, D, forms = table.exponent_forms()
+    L, D, _ = table.exponent_forms()
     if case.columns is None:
         case.columns = {y: table.class_index[j] for j, y in enumerate(elems)}
     col = case.columns
@@ -450,8 +452,8 @@ def theta_value(case, s_dot, b, t_vec, a):
     for x, (_, roots) in by_class.items():
         prod = case.products.get((b, x))
         if prod is None:
-            prod = case.products[b, x] = _column_product(
-                forms, sel, L, col[b], col[x])
+            prod = case.products[b, x] = column_product(
+                table, sel, col[b], col[x])
         for e, m in roots:
             shift = e * sstep + kzs
             for k, c in prod:
@@ -463,19 +465,6 @@ def theta_value(case, s_dot, b, t_vec, a):
     closed = Counter(val + shift for val in
                      (by_class[binv][0] if binv in by_class else ()))
     return rep, Cyc(closed)
-
-
-def _column_product(forms, sel, L, cb, cx):
-    """P[b][x] = sum over the packet sel of chi_i((0, b)) chi_i((0, x)), from
-    the exponent forms at the class columns cb and cx: sparse (k, c) pairs
-    at level L, times the forms' denominator squared, zeros dropped."""
-    acc = {}
-    for i in sel:
-        for k1, c1 in forms[i][cb]:
-            for k2, c2 in forms[i][cx]:
-                k = (k1 + k2) % L
-                acc[k] = acc.get(k, 0) + c1 * c2
-    return tuple((k, c) for k, c in sorted(acc.items()) if c)
 
 
 def _inner_sums(case, a, t_vec):
@@ -492,26 +481,6 @@ def _inner_sums(case, a, t_vec):
     return M, {x: (vals, [(q.num * (M // q.den), m)
                           for q, m in counts[x].items()])
                for x, vals in by_class.items()}
-
-
-def invariant_of(case, aut, z, delta, gamma=None):
-    """The relative-position invariant of a commuting pair (z, delta) for
-    the automorphism aut (defining relation aut.z - z = d(delta)): the
-    class of (-z, delta) on the complex with map 1 - aut, in the integral
-    hypercohomology.
-
-    When gamma is given, delta must map to it in the coinvariants
-    coker(1 - aut); otherwise the projection of delta is used."""
-    torus = case.torus
-    f = case.pair_complex_matrix(aut)
-    coker = FGAbelian(torus.rank, f)
-    if gamma is not None:
-        if coker.nf(delta) != tuple(gamma):
-            raise CaseError("not a norm of delta")
-    T = GModule.from_action(torus.galois)
-    H = hyper_h1(TwoTermComplex(T, T, f))
-    cls = H.classify(z.neg(), tuple(delta))
-    return cls, H
 
 
 def endoscopic_value(case, s_dot, b, t_vec, a):

@@ -55,11 +55,6 @@ class LocalModel:
         n = self.n
         return ((i % n) + (j % n)) // n
 
-    def fundamental_cochain(self, group_module):
-        n = self.n
-        return Cochain(group_module, 2,
-                       [self.c(i, j) for i in range(n) for j in range(n)])
-
 
 class TorusModel:
     """Cocharacter lattice X with a Q-action (through the marked generator)
@@ -126,12 +121,6 @@ class TorusModel:
 
     def dual_sub(self, s, t):
         return tuple(a - b for a, b in zip(s, t))
-
-    def dual_compose(self, s, mat):
-        """s composed with an integer matrix: (s o m)(x) = s(m x)."""
-        nums, den = qz_ints(s)
-        return qz_tuple([sum(map(mul, nums, col)) for col in zip(*mat.data)],
-                        den)
 
     def invariant_lattice(self):
         """Basis of X^Q."""

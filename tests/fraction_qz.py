@@ -1,9 +1,10 @@
 """Reference implementation for differential tests: the original
 Fraction-backed QZ and Cyc, kept verbatim apart from the ``num``/``den``
 properties that let ``casefile.encode_qz`` read an oracle QZ, and from
-``Cyc.as_qz``, which reduces the value once and steps through the powers of
-x mod Phi_m instead of reducing one difference per candidate root (the same
-answer, from one reduction per root instead of a dense division).
+``cyc_div``, which takes the norm of the denominator as one product with the
+product of its conjugates instead of a second running product (the norm is
+read only as a value; the conjugate product's terms are compared with
+``toruscheck.qz.cyc_div``'s, so it stays unreduced).
 
 Nothing in the package imports this module.  test_qz_oracle.py checks
 ``toruscheck.qz`` against it operation by operation.
@@ -206,20 +207,6 @@ class Cyc:
             return rem[0] if rem else Fraction(0)
         return None
 
-    def as_qz(self):
-        # self reduced mod Phi_m once, against x^k mod Phi_m for k < m,
-        # each power one multiply-by-x and one reduction from the last
-        n = self.level()
-        m = n if n % 2 == 0 else 2 * n
-        phi = list(cyclotomic_poly(m))
-        rem = _polyrem(self._coeff_vector(m), phi)
-        power = [Fraction(1)] + [Fraction(0)] * (len(phi) - 2)
-        for k in range(m):
-            if power == rem:
-                return QZ(k, m)
-            power = _polyrem([Fraction(0)] + power, phi)
-        return None
-
     def __repr__(self):
         if not self.terms:
             return "Cyc(0)"
@@ -255,12 +242,9 @@ def cyc_div(num, den):
         return Cyc({QZ(q.frac * k): c for q, c in v.terms.items()})
 
     conj_prod = Cyc.integer(1)
-    norm = den
     for k in range(2, n + 1):
         if gcd(k, n) == 1:
-            g = galois(den, k)
-            conj_prod = conj_prod * g
-            norm = norm * g
-    q = norm.as_rational()
+            conj_prod = conj_prod * galois(den, k)
+    q = (den * conj_prod).as_rational()
     assert q is not None and q != 0, "norm must be a nonzero rational"
     return (num * conj_prod) * (Fraction(1) / q)

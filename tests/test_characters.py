@@ -10,6 +10,10 @@ import pytest
 
 import characters_reference
 import cyc_verify
+from lemmas import (block_rotation_class_bijection, canonical_tensor_extension,
+                    class_in_h2, frobenius_induced_value,
+                    mackey_multiplicity_transfer, restriction_multiplicity,
+                    subgroup_closure)
 from toruscheck import characters
 from toruscheck.casefile import encode_cyc
 from toruscheck.checks import scalar_datum
@@ -25,10 +29,6 @@ from toruscheck.characters import (
     alpha_regular_class_count,
     twisted_orthogonality,
     is_psi_centralizing,
-    frobenius_induced_value,
-    canonical_tensor_extension,
-    mackey_multiplicity_transfer,
-    restriction_multiplicity,
     CycMatrix,
     InducedIntertwinerData,
     induced_cocycle_check,
@@ -357,7 +357,7 @@ def test_twisted_orthogonality_sweep_small():
 def test_frobenius_induction():
     S3 = FiniteGroup.symmetric(3)
     threecycle = next(g for g in range(6) if S3.element_order(g) == 3)
-    H = S3.subgroup_closure([threecycle])
+    H = subgroup_closure(S3, [threecycle])
     # faithful character of Z/3 inside S3
     sub_group, elems = S3.subgroup_as_group(H)
     vals = {}
@@ -378,7 +378,7 @@ def test_frobenius_induction():
 def d4_with_rotation_subgroup():
     D4 = FiniteGroup.dihedral(4)
     rot = next(g for g in range(8) if D4.element_order(g) == 4)
-    H = D4.subgroup_closure([rot])
+    H = subgroup_closure(D4, [rot])
     return D4, rot, H
 
 
@@ -426,7 +426,7 @@ def test_mackey_transfer_d4_q8():
     Q8 = E.group
     # cyclic order-4 subgroup of Q8
     i_elt = next(g for g in range(8) if Q8.element_order(g) == 4)
-    H2 = Q8.subgroup_closure([i_elt])
+    H2 = subgroup_closure(Q8, [i_elt])
     A = FiniteGroup.cyclic(2)
     quot1 = [0 if g in set(H1) else 1 for g in range(8)]
     quot2 = [0 if g in set(H2) else 1 for g in range(8)]
@@ -515,10 +515,10 @@ def test_obstruction_class_is_read_at_the_common_level():
     carry = Cocycle2(C2, {(a, b): QZ(a * b, 2)
                           for a in range(2) for b in range(2)})
     zero = Cocycle2.zero(C2)
-    assert (characters._class_in_h2(carry, 2)
-            != characters._class_in_h2(zero, 2))
-    assert (characters._class_in_h2(carry, 4)
-            == characters._class_in_h2(zero, 4))
+    assert (class_in_h2(carry, 2)
+            != class_in_h2(zero, 2))
+    assert (class_in_h2(carry, 4)
+            == class_in_h2(zero, 4))
 
 
 def test_cyc_matrix_and_division():
@@ -619,8 +619,6 @@ def test_induced_cocycle_check_matrix_datum():
 
 
 def test_block_rotation_class_bijection():
-    from toruscheck.characters import block_rotation_class_bijection
-
     S3 = FiniteGroup.symmetric(3)
     ident = list(range(6))
     ok, count = block_rotation_class_bijection(S3, ident, 2)
@@ -889,16 +887,18 @@ def test_one_nullspace_per_galois_orbit(monkeypatch):
     assert characters._power_maps(FiniteGroup.symmetric(4), 12) == []
 
 
-#: Bad inputs for every guard of characters.py that an input can reach,
-#: run with asserts stripped, and two guards of character_table that only
-#: a patched helper reaches.
+#: Bad inputs for every guard of characters.py that an input can reach and
+#: for the Mackey and restriction guards of tests/lemmas.py, run with
+#: asserts stripped, and two guards of character_table that only a patched
+#: helper reaches.
 OPTIMIZED_GUARDS = """
 import sys
 
+from lemmas import (mackey_multiplicity_transfer, restriction_multiplicity,
+                    subgroup_closure)
 from toruscheck import characters
 from toruscheck.characters import (CycMatrix, InducedIntertwinerData,
-    block_twisted_trace, character_table, mackey_multiplicity_transfer,
-    psi_value, restriction_multiplicity)
+    block_twisted_trace, character_table, psi_value)
 from toruscheck.groups import CentralExtension, Cocycle2, FiniteGroup
 from toruscheck.lattice import IntMatrix
 from toruscheck.qz import QZ
@@ -926,7 +926,7 @@ raises("psi", lambda: psi_value(ext, QZ(1, 2), ext.element(QZ(0), 1)))
 
 D4 = FiniteGroup.dihedral(4)
 rot = next(g for g in range(8) if D4.element_order(g) == 4)
-H = D4.subgroup_closure([rot])
+H = subgroup_closure(D4, [rot])
 quot = [0 if g in H else 1 for g in range(8)]
 
 
@@ -989,11 +989,12 @@ raises("conjugate", lambda: character_table(FiniteGroup.cyclic(5)))
 
 
 def test_guards_raise_under_python_O():
-    """The guards of characters.py raise ValueError, so they still run when
-    Python strips asserts."""
+    """The guards of characters.py and of the lemma models it uses raise
+    ValueError, so they still run when Python strips asserts."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         characters.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_GUARDS],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr

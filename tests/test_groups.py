@@ -9,6 +9,8 @@ import pytest
 
 import cocycle_reference
 import toruscheck
+from lemmas import (corestriction_cocycle, inflate, isomorphism_from_coboundary,
+                    shift_by_coboundary, subgroup_closure)
 
 from toruscheck.lattice import IntMatrix
 from toruscheck.qz import QZ
@@ -17,13 +19,15 @@ from toruscheck.groups import (
     GroupAction,
     Cocycle2,
     CentralExtension,
-    corestriction_cocycle,
     coset_section,
     induced_action,
     decompose_induced_automorphism,
     reconstruct_induced_automorphism,
     BlockDecompositionError,
 )
+
+#: tests/, put on the path of the python -O subprocesses for lemmas.py
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 def test_group_constructions():
@@ -45,7 +49,7 @@ def test_bad_table_rejected():
 
 def test_subgroup_and_cosets():
     C4 = FiniteGroup.cyclic(4)
-    H = C4.subgroup_closure([2])
+    H = subgroup_closure(C4, [2])
     assert H == [0, 2]
     cosets = C4.right_cosets(H)
     assert sorted(cosets) == [(0, 2), (1, 3)]
@@ -93,7 +97,7 @@ def test_cocycle_validation_and_coboundary():
     C2 = FiniteGroup.cyclic(2)
     vals = {(a, b): QZ(1, 2) if a == b == 1 else QZ(0) for a in range(2) for b in range(2)}
     alpha = Cocycle2(C2, vals)
-    beta = alpha.shift_by_coboundary({0: QZ(0), 1: QZ(1, 4)})
+    beta = shift_by_coboundary(alpha, {0: QZ(0), 1: QZ(1, 4)})
     beta.validate()
     with pytest.raises(ValueError, match="not normalized"):
         bad = {(a, b): QZ(1, 3) if (a, b) == (1, 1) else QZ(0)
@@ -108,12 +112,12 @@ def test_cocycle_inflation_restriction_validity():
     alpha = Cocycle2(C4, {(a, b): QZ((a + b) // 4, 2)
                           for a in range(4) for b in range(4)})
     # restriction to the subgroup {0, 2} is a valid cocycle
-    res = alpha.inflate(C2, [0, 2])
+    res = inflate(alpha, C2, [0, 2])
     res.validate()
     # inflation along C4 -> C2 of a C2-cocycle is a valid C4-cocycle
     beta = Cocycle2(C2, {(a, b): QZ(1, 2) if a == b == 1 else QZ(0)
                          for a in range(2) for b in range(2)})
-    infl = beta.inflate(C4, [g % 2 for g in range(4)])
+    infl = inflate(beta, C4, [g % 2 for g in range(4)])
     infl.validate()
 
 
@@ -148,7 +152,7 @@ def test_corestriction_after_restriction_is_index_multiple():
     rep = H2.representative(gen)
     qz_vals = {k: QZ(v[0], 2) for k, v in table(rep).items()}
     alpha = Cocycle2(C4, qz_vals)
-    res = alpha.inflate(C2, [0, 2])
+    res = inflate(alpha, C2, [0, 2])
     sec = {tuple(sorted(cs)): cs[0] for cs in C4.right_cosets([0, 2])}
     # embed the restricted cocycle back on the subgroup inside C4
     sub_vals = {}
@@ -180,9 +184,9 @@ def test_central_extension_multiplication():
     assert sum(1 for s in sqs if s == 0) == 2
     # extension from a cohomologous cocycle is isomorphic via the explicit map
     shift = {0: QZ(0), 1: QZ(1, 2), 2: QZ(0), 3: QZ(1, 2)}
-    alpha2 = alpha.shift_by_coboundary(shift)
+    alpha2 = shift_by_coboundary(alpha, shift)
     E2 = CentralExtension(C2xC2, 2, alpha2)
-    iso = E2.isomorphism_from_coboundary(shift)
+    iso = isomorphism_from_coboundary(E2, shift)
     for x in range(8):
         for y in range(8):
             assert iso[E2.group.mul(x, y)] == E.group.mul(iso[x], iso[y])
@@ -275,8 +279,8 @@ def test_cocycle_matches_hook_reference(name):
         f = {0: QZ(0), **{g: _random_qz(rng) for g in range(1, G.order)}}
         shifted = {(a, b): v + f[a] + f[b] - f[G.mul(a, b)]
                    for (a, b), v in vals.items()}
-        assert alpha.shift_by_coboundary(f).values == shifted
-        df = Cocycle2.zero(G).shift_by_coboundary(f)
+        assert shift_by_coboundary(alpha, f).values == shifted
+        df = shift_by_coboundary(Cocycle2.zero(G), f)
         assert alpha.add(df).values == shifted
         assert alpha.neg().values == {k: -v for k, v in vals.items()}
         assert alpha.add(alpha.neg()).values == Cocycle2.zero(G).values
@@ -348,7 +352,7 @@ def test_induced_automorphism_roundtrip_random():
         (FiniteGroup.dihedral(4), None),
     ]:
         if delta is None:
-            delta = gamma.subgroup_closure([next(
+            delta = subgroup_closure(gamma, [next(
                 g for g in range(gamma.order) if gamma.element_order(g) == 2
                 and all(gamma.conj(h, g) in (g, 0) or True for h in range(gamma.order)))])
             # take the center-ish subgroup of D4: rotations by pi
@@ -542,9 +546,9 @@ def test_generators_generate():
                                          FiniteGroup.symmetric(3))]:
         gens = G.generators()
         for k in range(len(gens) + 1):
-            assert (gens[k] not in G.subgroup_closure(gens[:k])
+            assert (gens[k] not in subgroup_closure(G, gens[:k])
                     if k < len(gens) else
-                    G.subgroup_closure(gens) == list(range(G.order)))
+                    subgroup_closure(G, gens) == list(range(G.order)))
 
 
 def test_coset_section_rejects_bad_sections():
@@ -573,8 +577,9 @@ def test_coset_section_rejects_bad_sections():
 OPTIMIZED_CHECKS = """
 import contextlib, io, json, os, sys, tempfile
 from toruscheck.cli import main
+from lemmas import corestriction_cocycle
 from toruscheck.groups import (CentralExtension, Cocycle2, FiniteGroup,
-                               GroupAction, corestriction_cocycle)
+                               GroupAction)
 from toruscheck.lattice import IntMatrix
 from toruscheck.qz import QZ
 
@@ -625,7 +630,7 @@ with tempfile.TemporaryDirectory() as d:
 
 def test_group_checks_run_under_python_O():
     src = os.path.dirname(os.path.dirname(os.path.abspath(toruscheck.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, TESTS]))
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -640,13 +645,15 @@ def test_group_checks_run_under_python_O():
     ]
 
 
-#: Bad inputs for every guard of groups.py that had been an assert, run
-#: with asserts stripped.
+#: Bad inputs for every guard of groups.py that had been an assert, and for
+#: the subgroup guard of lemmas.stabilizer_of_class, run with asserts
+#: stripped.
 OPTIMIZED_GUARDS = """
 import sys
 
+from lemmas import stabilizer_of_class
 from toruscheck.groups import (FiniteGroup, GroupAction, induced_action,
-    decompose_induced_automorphism, stabilizer_of_class)
+    decompose_induced_automorphism)
 from toruscheck.lattice import IntMatrix
 
 if __debug__:
@@ -679,10 +686,10 @@ raises("shape", lambda: decompose_induced_automorphism(
 
 
 def test_guards_raise_under_python_O():
-    """The guards of groups.py raise ValueError, so they still run when
-    Python strips asserts."""
+    """The guards of groups.py and lemmas.stabilizer_of_class raise
+    ValueError, so they still run when Python strips asserts."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(toruscheck.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, TESTS]))
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_GUARDS],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr

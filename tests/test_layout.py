@@ -2,21 +2,25 @@
 
 Every top-level function or class of ``src/toruscheck`` and every public
 method must be named somewhere in ``src/`` outside its own definition, or
-be listed below with the reason it stays.  A top-level definition counts
-as named through a name, an attribute or an import; a method only through
-an attribute (``obj.name``), so a local variable of the same name does not
-hide an uncalled method.  A listed name must still be defined, must still
-have no caller in ``src/`` (else it leaves the list), and must be named in
-its README section.
+be listed below with the reason it stays: a check only the acceptance gate
+runs, or a definition the benchmark under perfbench/ names.  A top-level
+definition counts as named through a name, an attribute or an import; a
+method only through an attribute (``obj.name``), so a local variable of the
+same name does not hide an uncalled method.  A listed name must still be
+defined, must still have no caller in ``src/`` (else it leaves the list),
+and must be named in its README section.
 """
 
 import ast
 import os
+import re
 
 import toruscheck
 
 SRC = os.path.dirname(os.path.abspath(toruscheck.__file__))
-README = os.path.join(os.path.dirname(os.path.dirname(SRC)), "README.md")
+ROOT = os.path.dirname(os.path.dirname(SRC))
+README = os.path.join(ROOT, "README.md")
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 #: Checks only the acceptance gate calls (no CLI command runs them); the
 #: README section "Checks and the acceptance gate" names each.
@@ -28,34 +32,15 @@ GATE_ONLY = {
         "criterion 8: decompose after reconstruct is the identity",
 }
 
-#: Library code no check reaches; the README table "Library code the checks
-#: do not reach" names each, with the lemma it models and its test.
-LIBRARY_ONLY = {
-    "characters.mackey_multiplicity_transfer":
-        "the induced-correspondence lemma for matched extensions",
-    "characters.restriction_multiplicity":
-        "restriction multiplicities the Mackey test compares against",
-    "characters.canonical_tensor_extension":
-        "the canonical extension of an invariant character",
-    "characters.frobenius_induced_value": "Frobenius induction",
-    "characters.block_rotation_class_bijection":
-        "twisted classes of J^n against those of J",
-    "groups.FiniteGroup.dihedral": "a constructor tests and perfbench use",
-    "groups.FiniteGroup.subgroup_closure": "a constructor tests use",
+#: Definitions only the benchmark reaches; the README table "Library code
+#: the checks do not reach" names each, and some file under perfbench/
+#: names each.  A lemma that only a test states lives in tests/lemmas.py.
+BENCHMARK_ONLY = {
+    "groups.FiniteGroup.dihedral": "a constructor perfbench's tables use",
     "groups.FiniteGroup.power": "perfbench's tracer counts its calls",
-    "groups.Cocycle2.inflate": "inflation and restriction of 2-cocycles",
-    "groups.Cocycle2.shift_by_coboundary":
-        "cohomologous cocycles give isomorphic extensions",
-    "groups.CentralExtension.isomorphism_from_coboundary":
-        "cohomologous cocycles give isomorphic extensions",
-    "groups.corestriction_cocycle": "corestriction of 2-cocycles",
-    "groups.stabilizer_of_class": "stabilizers of classified points",
-    "qz.Cyc.reduced_key": "canonical forms the tests and perfbench compare",
-    "qz.Cyc.as_qz": "recognising a single root of unity",
-    "tori.invariant_of": "the relative-position invariant of a pair",
-    "weil.LocalModel.fundamental_cochain":
-        "the fundamental class generates H^2",
-    "weil.TorusModel.dual_compose": "dual points composed with a matrix",
+    "qz.Cyc.reduced_key": "canonical forms perfbench's tests compare",
+    "cohomology.hyper_h1":
+        "perfbench's tracer wraps it; H^1 of a two-term complex",
 }
 
 
@@ -126,7 +111,7 @@ def _readme_section(title):
 
 def test_every_definition_has_a_caller_or_a_reason():
     defs, uncalled = _uncalled()
-    listed = set(GATE_ONLY) | set(LIBRARY_ONLY)
+    listed = set(GATE_ONLY) | set(BENCHMARK_ONLY)
     assert sorted(uncalled - listed) == [], "defined but never called in src/"
     assert sorted(listed - set(defs)) == [], "listed but no longer defined"
     assert sorted(listed - uncalled) == [], "listed but now called in src/"
@@ -159,5 +144,19 @@ def test_listed_names_are_in_the_readme():
     library = _readme_section("Library code the checks do not reach")
     assert [q for q in sorted(GATE_ONLY)
             if "`%s`" % q.split(".", 1)[1] not in checks] == []
-    assert [q for q in sorted(LIBRARY_ONLY)
+    assert [q for q in sorted(BENCHMARK_ONLY)
             if "| `%s` |" % q not in library] == []
+
+
+def test_benchmark_only_names_are_named_in_perfbench():
+    """Each BENCHMARK_ONLY definition is named, as a whole word, in some
+    file under perfbench/, so the list cannot hold code only tests use."""
+    texts = []
+    for dirpath, _, files in os.walk(PERFBENCH):
+        for fn in sorted(files):
+            if fn.endswith((".py", ".json")):
+                with open(os.path.join(dirpath, fn), encoding="utf-8") as f:
+                    texts.append(f.read())
+    assert [q for q in sorted(BENCHMARK_ONLY)
+            if not any(re.search(r"\b%s\b" % q.rsplit(".", 1)[1], text)
+                       for text in texts)] == []

@@ -47,13 +47,6 @@ def test_cyc_ring_ops():
     assert b == Cyc.integer(2)
 
 
-def test_cyc_as_qz():
-    assert Cyc.root(QZ(3, 8)).as_qz() == QZ(3, 8)
-    assert Cyc.integer(1).as_qz() == QZ(0)
-    assert (Cyc.root(QZ(1, 3)) + Cyc.root(QZ(2, 3))).as_qz() == QZ(1, 2)
-    assert Cyc.integer(2).as_qz() is None
-
-
 qz_values = st.builds(QZ, st.integers(-20, 20), st.integers(1, 12))
 cyc_values = st.lists(
     st.tuples(qz_values, st.integers(-4, 4)), min_size=0, max_size=4,

@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 
 from cochain_reference import from_table, table
+from lemmas import invariant_of, stabilizer_of_class
 from tori_reference import theta_by_convolution
 from toruscheck.lattice import IntMatrix
 from toruscheck.qz import QZ, Cyc, exponent_forms
-from toruscheck.groups import FiniteGroup, GroupAction, stabilizer_of_class
+from toruscheck.groups import FiniteGroup, GroupAction
 from toruscheck.cohomology import Cochain, tate_group
 from toruscheck.weil import LocalModel, TorusModel, Parameter, tn_iso, \
     langlands_character
@@ -24,7 +25,6 @@ from toruscheck.tori import (
     packet,
     theta_value,
     endoscopic_value,
-    invariant_of,
     character_identity_report,
     invariant_duals,
     CaseError,

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from cohomology_reference import is_normalized
+from lemmas import fundamental_cochain
 from toruscheck import weil
 from toruscheck.lattice import IntMatrix
 from toruscheck.qz import QZ
@@ -70,7 +71,7 @@ def test_fundamental_cocycle_generates_h2():
     from toruscheck.cohomology import GModule
 
     gm = GModule.trivial_ints(Q)
-    c = model.fundamental_cochain(gm)
+    c = fundamental_cochain(model, gm)
     assert is_normalized(c)
     assert not any(c.d().vec)
     H2 = tate_group(gm, 2)
@@ -378,7 +379,8 @@ def test_hyper_pairing_two_representative_agreement():
     u_dual = (QZ(1, 8),)
     du = t.dual_sub(t.dual_sigma(1, u_dual), u_dual)
     d3 = Parameter(t, (d.psi[0] + du[0],))
-    s3 = (s[0] + t.dual_compose(u_dual, fT)[0],)
+    # rank 1: the one coordinate of u o fT is its value at the basis vector
+    s3 = (s[0] + t.dual_eval(u_dual, fT.apply((1,))),)
     val3 = hyper_pairing(t, fT, (z, v), (d3, s3))
     assert val3 == val1
 
