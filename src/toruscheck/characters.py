@@ -19,7 +19,7 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from .groups import coset_section
-from .qz import (QZ, Cyc, _cyc, _qz, cyc_div, cyc_from_vector, exponent_forms,
+from .qz import (QZ, Cyc, _cyc, _qz, cyc_div, cyc_from_pairs, exponent_forms,
                  residue)
 
 
@@ -646,14 +646,13 @@ def column_product(table, sel, k1, k2):
     table's exponent forms: sparse (k, c) pairs at the table's level L,
     times the forms' denominator D squared, zeros dropped."""
     L, _, forms = table.exponent_forms()
-    acc = {}
+    acc = [0] * L
     for i in sel:
         row = forms[i]
         for a, c in row[k1]:
             for b, d in row[k2]:
-                k = (a + b) % L
-                acc[k] = acc.get(k, 0) + c * d
-    return tuple((k, c) for k, c in sorted(acc.items()) if c)
+                acc[(a + b) % L] += c * d
+    return [(k, c) for k, c in enumerate(acc) if c]
 
 
 def twisted_orthogonality(ext, psi1, e, e2, cache=None):
@@ -670,10 +669,7 @@ def twisted_orthogonality(ext, psi1, e, e2, cache=None):
     n, D, _ = table.exponent_forms()
     pairs = column_product(table, sel, table.class_index[e],
                            table.class_index[e2])
-    vec = [0] * n
-    for k, c in pairs:
-        vec[k] = c
-    lhs = cyc_from_vector(vec, D * D)
+    lhs = cyc_from_pairs(pairs, n, D * D)
     A = ext.base
     prod = ext.group.mul(e, e2)
     # the A-parts a of the elements k |A| + a

@@ -344,9 +344,18 @@ def cyc_from_vector(vec, den=1):
     >>> cyc_from_vector([1, 0, 0, 0, 2, 0], 1)
     Cyc(1 + 2*e(2/3))
     """
-    n = len(vec)
+    return cyc_from_pairs(enumerate(vec), len(vec), den)
+
+
+def cyc_from_pairs(pairs, n, den=1):
+    """cyc_from_vector from the (k, c) pairs of the vector's entries, each k
+    at most once: the Cyc  sum (c / den) e(k/n), zero coefficients dropped.
+
+    >>> cyc_from_pairs([(1, 2), (3, -1)], 4, 2)
+    Cyc(e(1/4) + -1/2*e(3/4))
+    """
     terms = {}
-    for k, c in enumerate(vec):
+    for k, c in pairs:
         if c:
             if den != 1:
                 g = gcd(c, den)
