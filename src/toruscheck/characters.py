@@ -155,8 +155,41 @@ def _poly_eval(poly, x, p):
     return v
 
 
+def _divide_root(poly, x, p):
+    """(quotient, remainder) of poly by X - x over GF(p), low degree
+    first (synthetic division); the remainder is poly(x)."""
+    q = [0] * (len(poly) - 1)
+    acc = 0
+    for i in range(len(poly) - 1, 0, -1):
+        acc = (acc * x + poly[i]) % p
+        q[i - 1] = acc
+    return q, (acc * x + poly[0]) % p
+
+
 def _poly_roots(poly, p):
-    return [x for x in range(p) if _poly_eval(poly, x, p) == 0]
+    """The distinct roots in GF(p), ascending, of poly: coefficients mod p,
+    low degree first, the last one nonzero.
+
+    Each root is divided out as often as it divides, so the scan stops
+    once the quotient is constant, and a last linear factor, whose root
+    lies above every root divided out, is solved directly.
+
+    >>> _poly_roots([1, 0, 4, 2], 7)  # 2 (X - 1)^2 (X - 3) mod 7
+    [1, 3]
+    """
+    roots = []
+    x = 0
+    while len(poly) > 2 and x < p:
+        if _poly_eval(poly, x, p) == 0:
+            roots.append(x)
+            q, rem = _divide_root(poly, x, p)
+            while rem == 0:
+                poly = q
+                q, rem = _divide_root(poly, x, p)
+        x += 1
+    if len(poly) == 2:
+        roots.append(-poly[0] * pow(poly[1], p - 2, p) % p)
+    return roots
 
 
 def _echelon(vectors, m, p):
@@ -255,7 +288,8 @@ def _eigenvectors(G, p, maps):
     Dixon's split, with Schneider's refinements.  Each eigenspace is kept
     as an echelon basis, so the class matrix M restricted to it, T, is read
     off the images M b_i at the pivots; an image outside the space raises
-    ValueError.  The identity class matrix splits nothing and is skipped.
+    ValueError.  The identity class matrix splits nothing and is skipped,
+    and so is a space on which T is a scalar lambda I.
     When an eigenvector w is found, each w o pi_l over the power maps is
     the eigenvector of a Galois conjugate chi^(l); it takes the place of a
     nullspace when its eigenvalue w[pi_l(K)] is a simple root of T's
@@ -285,6 +319,13 @@ def _eigenvectors(G, p, maps):
             if not all(_in_span(v, space, p) for v in images):
                 raise ValueError("class matrix must preserve the space")
             T = [[v[c] for v in images] for c in pivots]
+            lam = T[0][0]
+            if all(x == (lam if i == j else 0)
+                   for i, row in enumerate(T) for j, x in enumerate(row)):
+                # T = lambda I: M splits nothing here, and the space is
+                # already in echelon form
+                regrouped.append(space)
+                continue
             poly = _charpoly(T, p)
             slope = [i * c % p for i, c in enumerate(poly)][1:]
             for lam in _poly_roots(poly, p):
@@ -337,6 +378,8 @@ class CharacterTable:
         self.dims = dims
         # irr_with_central_char answers, by (generator index, m, psi1)
         self.central = {}
+        # column_product pairs, by (tuple(sel), k1, k2) with k1 <= k2
+        self.products = {}
         self._forms = None
 
     def value(self, i, g):
@@ -595,14 +638,15 @@ def psi_value(ext, psi1, e):
 
 
 def is_psi_centralizing(ext, psi1, e):
-    """Whether psi vanishes on every central commutator x e x^-1 e^-1.  A
-    commutator k*|A| + 0 is the central element k/m, where psi takes the
-    value k * psi1."""
-    t, inv = ext.group.table, ext.group.inverse
+    """Whether psi vanishes on every central commutator x e x^-1 e^-1.  The
+    commutators are the y e^-1 for y in the class of e.  A commutator
+    k*|A| + 0 is the central element k/m, where psi takes the value
+    k * psi1."""
+    G = ext.group
+    t, einv = G.table, G.inverse[e]
     n = ext.base.order
-    te = t[e]
-    for x, tx in enumerate(t):
-        k, ac = divmod(t[tx[e]][inv[te[x]]], n)
+    for y in G.class_of(e):
+        k, ac = divmod(t[y][einv], n)
         if ac == 0 and k * psi1.num % psi1.den:
             return False
     return True
@@ -644,15 +688,21 @@ def alpha_regular_class_count(ext):
 def column_product(table, sel, k1, k2):
     """sum over i in sel of chi_i(class k1) chi_i(class k2), from the
     table's exponent forms: sparse (k, c) pairs at the table's level L,
-    times the forms' denominator D squared, zeros dropped."""
-    L, _, forms = table.exponent_forms()
-    acc = [0] * L
-    for i in sel:
-        row = forms[i]
-        for a, c in row[k1]:
-            for b, d in row[k2]:
-                acc[(a + b) % L] += c * d
-    return [(k, c) for k, c in enumerate(acc) if c]
+    times the forms' denominator D squared, zeros dropped.  The pairs are
+    kept on the table (`products`), once per selection and unordered pair
+    of classes."""
+    key = (tuple(sel), k1, k2) if k1 <= k2 else (tuple(sel), k2, k1)
+    pairs = table.products.get(key)
+    if pairs is None:
+        L, _, forms = table.exponent_forms()
+        acc = [0] * L
+        for i in sel:
+            row = forms[i]
+            for a, c in row[k1]:
+                for b, d in row[k2]:
+                    acc[(a + b) % L] += c * d
+        pairs = table.products[key] = [(k, c) for k, c in enumerate(acc) if c]
+    return pairs
 
 
 def twisted_orthogonality(ext, psi1, e, e2, cache=None):

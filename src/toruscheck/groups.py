@@ -139,12 +139,14 @@ class FiniteGroup:
         """List of sorted tuples of element indices; class of identity first.
         The element-to-class list (`class_index`) is built with it."""
         if self._classes is None:
+            t = self.table
+            pairs = list(zip(t, self.inverse))  # (row of h, h^-1)
             index = [None] * self.order
             classes = []
             for g in range(self.order):
                 if index[g] is not None:
                     continue
-                cls = sorted({self.conj(h, g) for h in range(self.order)})
+                cls = sorted({t[th[g]][hi] for th, hi in pairs})
                 for x in cls:
                     index[x] = len(classes)
                 classes.append(tuple(cls))
@@ -161,6 +163,15 @@ class FiniteGroup:
         if self._class_index is None:
             self.conjugacy_classes()
         return self._class_index
+
+    def class_of(self, g):
+        """The conjugacy class of g, read from the cached class list.
+
+        >>> FiniteGroup.symmetric(3).class_of(1)
+        (1, 3, 4)
+        """
+        k = self.class_index()[g]  # builds the class list on first use
+        return self._classes[k]
 
     def centralizer(self, g):
         return [h for h in range(self.order) if self.mul(h, g) == self.mul(g, h)]

@@ -68,7 +68,6 @@ class ToriCase:
     sweep: dict = field(default_factory=dict)     # see conjugates()
     inner: dict = field(default_factory=dict)     # see theta_value()
     kottwitz_values: dict = field(default_factory=dict)  # see theta_value()
-    products: dict = field(default_factory=dict)  # see theta_value()
     complexes: dict = field(default_factory=dict)  # see pair_complex_matrix()
     duals: dict = field(default_factory=dict)     # see endoscopic_value()
     lifts: dict = field(default_factory=dict)     # see endoscopic_value()
@@ -398,8 +397,12 @@ class CharIdentityReport:
 
     @property
     def all_equal(self):
-        return (self.rep_value == self.closed_value
-                and self.closed_value == self.endoscopic_value)
+        """Equal formal sums are equal values, so the values are reduced
+        mod Phi_n only where their terms differ."""
+        rep, closed, endo = (self.rep_value.terms, self.closed_value.terms,
+                             self.endoscopic_value.terms)
+        return ((closed == endo or self.closed_value == self.endoscopic_value)
+                and (rep == closed or self.rep_value == self.closed_value))
 
 
 def theta_value(case, s_dot, b, t_vec, a):
@@ -414,10 +417,10 @@ def theta_value(case, s_dot, b, t_vec, a):
         e(kz) (1/|Abar|) sum_x S[x] P[b][x]
     with S[x] = sum over {c : cac = x} of e(val_c + h(x)) and P[b][x] the
     column product (characters.column_product); no orthogonality relation
-    is used.  The Kottwitz value is kept per s, S and the closed-form roots
-    per (a, t), and P per (b, x); a value is kept only after its guard
-    passes, so a bad s or t raises on every call and leaves the case as it
-    was."""
+    is used.  The Kottwitz value is kept per s, and S and the closed-form
+    roots per (a, t); a value is kept only after its guard passes, so a bad
+    s or t raises on every call and leaves the case as it was.  P is kept
+    on the table, by column_product."""
     torus = case.torus
     if a not in case.A_phi_z or b not in case.A_phi_z:
         raise ValueError("element outside the packet group")
@@ -450,10 +453,7 @@ def theta_value(case, s_dot, b, t_vec, a):
     kzs = kz.num * (N // kz.den)
     acc = [0] * N
     for x, (_, roots) in by_class.items():
-        prod = case.products.get((b, x))
-        if prod is None:
-            prod = case.products[b, x] = column_product(
-                table, sel, col[b], col[x])
+        prod = column_product(table, sel, col[b], col[x])
         for e, m in roots:
             shift = e * sstep + kzs
             for k, c in prod:

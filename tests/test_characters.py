@@ -16,6 +16,7 @@ from lemmas import (block_rotation_class_bijection, canonical_tensor_extension,
                     subgroup_closure)
 from toruscheck import characters
 from toruscheck.casefile import encode_cyc
+from toruscheck.cli import DiskTableCache
 from toruscheck.checks import scalar_datum
 from toruscheck.lattice import IntMatrix
 from toruscheck.qz import QZ, Cyc, cyc_div, residue
@@ -193,15 +194,18 @@ def test_verify_rejects_a_misshapen_table():
 
 
 def test_is_psi_centralizing_matches_definition():
-    """psi vanishes on every central commutator, read through QZ."""
-    C4 = FiniteGroup.cyclic(4)
-    exts = [q8_extension(),
-            CentralExtension(C4, 4, Cocycle2(C4, {
-                (i, j): QZ((i + j) // 4, 4) for i in range(4)
-                for j in range(4)}))]
+    """psi vanishes on every central commutator x e x^-1 e^-1 over all x in
+    E, read through QZ: on Q8 and on every extension of acceptance
+    criterion 3 (mu2 x S4 and mu4.C4 among them), for every psi of order
+    dividing m and for psi = 1/4 and 1/2."""
+    from test_acceptance import extension_fixtures
+
+    exts = [q8_extension()] + extension_fixtures()
+    assert {E.group.order for E in exts} >= {48, 16}
     for E in exts:
         G = E.group
-        for psi in (QZ(0), QZ(1, 4), QZ(1, 2)):
+        psis = {QZ(k, E.m) for k in range(E.m)} | {QZ(1, 4), QZ(1, 2)}
+        for psi in psis:
             for e in range(G.order):
                 expected = True
                 for x in range(G.order):
@@ -885,6 +889,122 @@ def test_one_nullspace_per_galois_orbit(monkeypatch):
     character_table(FiniteGroup.cyclic(30))
     assert len(calls) == 8
     assert characters._power_maps(FiniteGroup.symmetric(4), 12) == []
+
+
+def _table_primes():
+    """The prime p = 1 mod exp(G) of character_table, for each perfbench
+    table item."""
+    primes = set()
+    for G in _reference_groups("table_items"):
+        exponent = math.lcm(*(G.element_order(g) for g in range(G.order)))
+        primes.add(characters._find_prime(exponent, 2 * G.order + 1))
+    return sorted(primes)
+
+
+def test_poly_roots_match_the_scan():
+    """_poly_roots stops early but returns what scanning all of GF(p)
+    returns: random products of linear factors, with repeated roots, the
+    roots 0 and p - 1, degree 1, a scalar other than 1 in front, and some
+    with an irreducible quadratic factor, over the primes the perfbench
+    table items use."""
+    rng = random.Random(19)
+    primes = _table_primes()
+    assert len(primes) >= 5
+    for p in primes:
+        # X^2 - c for a non-square c has no root in GF(p)
+        c = next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1)
+        for trial in range(60):
+            poly = [rng.randrange(1, p)]
+            degree = 1 if trial < 5 else rng.randrange(1, 9)
+            pool = [0, p - 1] + [rng.randrange(p) for _ in range(3)]
+            for _ in range(degree):
+                root = rng.choice(pool)
+                poly = [(a - root * b) % p
+                        for a, b in zip([0] + poly, poly + [0])]
+            if trial % 4 == 3:
+                poly = [(a - c * b) % p for a, b in
+                        zip([0, 0] + poly, poly + [0, 0])]
+            scan = [x for x in range(p)
+                    if characters._poly_eval(poly, x, p) == 0]
+            assert characters._poly_roots(poly, p) == scan, (p, poly)
+
+
+@pytest.mark.parametrize("name, nullspaces, charpolys",
+                         [("C2xD4", 17, 8), ("C2xS4", 15, 6)])
+def test_scalar_spaces_take_no_nullspace(monkeypatch, name, nullspaces,
+                                         charpolys):
+    """A class matrix acting on an eigenspace as a scalar splits nothing
+    there, so the space is kept without a characteristic polynomial or a
+    nullspace (the split without that test took 28 and 19 on C2 x D4, 30
+    and 21 on C2 x S4)."""
+    calls = {"nullspace": 0, "charpoly": 0}
+    nullspace, charpoly = characters._nullspace, characters._charpoly
+
+    def counted_nullspace(A, p):
+        calls["nullspace"] += 1
+        return nullspace(A, p)
+
+    def counted_charpoly(A, p):
+        calls["charpoly"] += 1
+        return charpoly(A, p)
+
+    monkeypatch.setattr(characters, "_nullspace", counted_nullspace)
+    monkeypatch.setattr(characters, "_charpoly", counted_charpoly)
+    C2 = FiniteGroup.cyclic(2)
+    other = {"C2xD4": FiniteGroup.dihedral(4),
+             "C2xS4": FiniteGroup.symmetric(4)}[name]
+    character_table(FiniteGroup.direct_product(C2, other))
+    assert calls == {"nullspace": nullspaces, "charpoly": charpolys}
+
+
+def test_kept_column_products_equal_a_fresh_sum():
+    """After a twisted-orthogonality sweep, every pair list kept on the
+    table equals the sum over the selection read from the exponent forms,
+    with the classes in either order, and both orders read one entry."""
+    for ext in [TWISTED_ORACLE["mu4.C4"](), q8_extension()]:
+        cache = TableCache()
+        table = cache.get_or_compute(ext.group)
+        assert table.products == {}
+        psi = QZ(1, ext.m)
+        for e in range(ext.group.order):
+            if is_psi_centralizing(ext, psi, e):
+                for e2 in range(ext.group.order):
+                    twisted_orthogonality(ext, psi, e, e2, cache)
+        L, _, forms = table.exponent_forms()
+        assert table.products
+        for (sel, k1, k2), kept in list(table.products.items()):
+            assert k1 <= k2
+            for a, b in [(k1, k2), (k2, k1)]:
+                fresh = [0] * L
+                for i in sel:
+                    for x, c in forms[i][a]:
+                        for y, d in forms[i][b]:
+                            fresh[(x + y) % L] += c * d
+                assert kept == [(k, c) for k, c in enumerate(fresh) if c]
+                assert characters.column_product(table, list(sel), a, b) \
+                    is kept
+
+
+def test_disk_cache_keeps_no_column_products(tmp_path):
+    """Kept column products are not written to a table's file, and a table
+    loaded from the file starts with none."""
+    ext = TWISTED_ORACLE["mu4.C4"]()
+    cache = DiskTableCache(str(tmp_path))
+    table = cache.get_or_compute(ext.group)
+    path = os.path.join(str(tmp_path), "table-%s.json" % cache.key(ext.group))
+    with open(path, "rb") as f:
+        before = f.read()
+    psi = QZ(1, ext.m)
+    for e2 in range(ext.group.order):
+        twisted_orthogonality(ext, psi, 0, e2, cache)
+    assert table.products
+    cache._store(cache.key(ext.group), table)
+    with open(path, "rb") as f:
+        assert f.read() == before
+    loaded = DiskTableCache(str(tmp_path)).get_or_compute(ext.group)
+    assert loaded is not table and loaded.products == {}
+    assert [[v.terms for v in row] for row in loaded.chars] == \
+        [[v.terms for v in row] for row in table.chars]
 
 
 #: Bad inputs for every guard of characters.py that an input can reach and

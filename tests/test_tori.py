@@ -272,6 +272,7 @@ class _ScaledTable:
         self.class_index = table.class_index
         self.forms = exponent_forms([[v * self.FACTOR for v in row]
                                      for row in table.chars])
+        self.products = {}  # characters.column_product keeps its pairs here
 
     def value(self, i, g):
         return self.table.value(i, g) * self.FACTOR
