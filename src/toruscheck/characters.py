@@ -661,9 +661,9 @@ def irr_with_central_char(ext, psi1, cache=None):
     kept on the table by (generator index, m, psi1): extensions with one
     Cayley table share it."""
     table = (cache or TABLE_CACHE).get_or_compute(ext.group)
-    if not (ext.m * psi1).is_zero():
+    if ext.m % psi1.den:
         return table, []
-    gen = ext.element(QZ(1, ext.m), 0)
+    gen = ext.generator
     key = (gen, ext.m, psi1)
     out = table.central.get(key)
     if out is None:
@@ -874,6 +874,7 @@ def induced_cocycle_check(data, B, A_elems, section):
 
     tilde_cache = {b: tilde_H(b) for b in range(B.order)}
     hb_cache = {b: h_b(b) for b in range(B.order)}
+    alpha = {}      # data.alpha per pair of A, at its first use
     beta = {}
     cores = {}
     for b1 in range(B.order):
@@ -898,8 +899,11 @@ def induced_cocycle_check(data, B, A_elems, section):
             for cs in coset_list:
                 sb1 = B.mul(sec[cs], b1)
                 a_first = r_of(sb1)
-                a_second = r_of(B.mul(sec[coset_of[sb1]], b2))
-                prod = prod * data.alpha(a_first, a_second)
+                key = (a_first, r_of(B.mul(sec[coset_of[sb1]], b2)))
+                value = alpha.get(key)
+                if value is None:
+                    value = alpha[key] = data.alpha(*key)
+                prod = prod * value
             cores[(b1, b2)] = prod
     equal = all(beta[key] == cores[key] for key in beta)
     return beta, cores, equal

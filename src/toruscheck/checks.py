@@ -247,25 +247,31 @@ def e6_flip_fixture():
 def product_induction(rng, samples):
     """Induction invariance and multiplicativity against the A1 inner form
     on random data of type A1, A2, A3 or D4 (with or without the diagram
-    flip); data the sign rejects are redrawn."""
+    flip); data the sign rejects are redrawn.  Each datum is built once
+    per call, at its first draw."""
     labels = ["A1", "A2", "A3", "D4"]
+    a1 = _a1_inner()
+    data = {}
     count = 0
     while count < samples:
         label = rng.choice(labels)
-        d = BasedRootDatum.from_label(label)
-        r = d.rank
-        ap = diagram_flip(label) if rng.random() < 0.5 else tuple(range(r))
-        tw = TwistData(d, 2, tuple(range(r)), ap)
+        flip = rng.random() < 0.5
+        tw = data.get((label, flip))
+        if tw is None:
+            d = BasedRootDatum.from_label(label)
+            ident = tuple(range(d.rank))
+            tw = data[label, flip] = TwistData(
+                d, 2, ident, diagram_flip(label) if flip else ident)
         xi = rng.choice(list(tate_group(tw.xi_module(), 2).elements()))
         try:
             e_base, e_ind = sign_induction(tw, xi, rng.choice((2, 3)))
-            e1, e2, e12 = sign_product(tw, xi, _a1_inner(),
-                                       rng.choice([(0,), (1,)]))
+            e1, e2, e12 = sign_product(tw, xi, a1, rng.choice([(0,), (1,)]))
         except ValueError:
             continue
         if e_base != e_ind or e12 != e1 * e2:
             return Verdict(False, {"samples": count, "label": label,
-                                   "a_perm": list(ap), "xi": list(xi)})
+                                   "a_perm": list(tw.a_perm),
+                                   "xi": list(xi)})
         count += 1
     return Verdict(True, {"samples": count})
 

@@ -447,7 +447,7 @@ class CentralExtension:
     Elements are encoded as indices k*|A| + a for k in range(m).
     """
 
-    __slots__ = ("base", "m", "alpha", "group")
+    __slots__ = ("base", "m", "alpha", "group", "generator")
 
     def __init__(self, base, m, alpha):
         self.base = base
@@ -460,6 +460,8 @@ class CentralExtension:
                   for k2 in range(m) for ab, c in zip(ta, ca)]
                  for k1 in range(m) for ta, ca in zip(base.table, alpha.ints)]
         self.group = FiniteGroup(table, name="mu%d.%s" % (m, base._name))
+        #: the index of (1/m, identity), the generator of mu_m
+        self.generator = 1 % m * n
 
     def element(self, z, a):
         """Index of (z, a) for z in mu_m."""

@@ -231,6 +231,14 @@ class TwistData:
                                 _fixed_system(gm, amat))
 
     @_per_twist
+    def fixed_representative(self, coords):
+        """_exactly_fixed_representative of the class with H^2 coordinates
+        coords against this datum's SignPresentation, kept per datum and
+        class.  None (no a-fixed representative) is kept too: twisted_sign
+        rejects such a class on every call."""
+        return _exactly_fixed_representative(self.sign_presentation(), coords)
+
+    @_per_twist
     def factor_dual_map(self, *factors):
         """Rows W_j and a denominator D such that the factor data's
         Hom(P/Q, Q/Z) coordinates m, concatenated, take the j-th generator
@@ -392,7 +400,9 @@ def twisted_sign(twist, xi):
 
     When the coinvariant image of lambda vanishes the sign is +1 for every
     xi.  Otherwise xi must admit an a-fixed cocycle representative (the
-    model avatar of an a-fixed class); inputs without one are rejected."""
+    model avatar of an a-fixed class); inputs without one are rejected.
+    The representative is kept per datum and class; the pairing and its
+    order-2 guard run on every call."""
     pres = twist.sign_presentation()
     if isinstance(xi, Cochain):
         coords = pres.H2.classify(xi)
@@ -402,7 +412,7 @@ def twisted_sign(twist, xi):
         coords = tuple(xi)
     if pres.weights is None:
         return 1
-    fixed = _exactly_fixed_representative(pres, coords)
+    fixed = twist.fixed_representative(coords)
     if fixed is None:
         raise ValueError("xi admits no a-fixed representative; rejected")
     n = twist.n

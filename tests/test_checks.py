@@ -163,3 +163,162 @@ def test_induced_roundtrip_names_a_decomposition_error(monkeypatch):
     monkeypatch.setattr(checks, "decompose_induced_automorphism", crash)
     with pytest.raises(KeyError):
         checks.induced_automorphism_roundtrip(random.Random(8), 20)
+
+
+#: The CLI's default seeds 0-9, the fixtures' seeds 7 and 11, and the
+#: acceptance gate's 41.
+ORACLE_SEEDS = sorted(set(range(10)) | {7, 11, 41})
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_product_induction_matches_the_per_sample_loop(seed):
+    """Building each datum once per call keeps the verdict and every draw:
+    the rng ends in the same state as after the per-sample loop."""
+    import checks_reference
+
+    ref_rng, rng = random.Random(seed), random.Random(seed)
+    want = checks_reference.product_induction(ref_rng, 20)
+    assert checks.product_induction(rng, 20) == want
+    assert want.ok and want.witness == {"samples": 20}
+    assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_product_induction_failure_matches_the_per_sample_loop(
+        seed, monkeypatch):
+    """A product law that fails on its fourth sample gives the same
+    witness and leaves the rng where the per-sample loop leaves it."""
+    import checks_reference
+    from toruscheck import rootdata
+
+    def failing_on(k):
+        calls = []
+
+        def sign_product(*args):
+            calls.append(1)
+            e1, e2, e12 = rootdata.sign_product(*args)
+            return (e1, e2, -e12) if len(calls) == k else (e1, e2, e12)
+        return sign_product
+
+    ref_rng, rng = random.Random(seed), random.Random(seed)
+    monkeypatch.setattr(checks_reference, "sign_product", failing_on(4))
+    want = checks_reference.product_induction(ref_rng, 20)
+    monkeypatch.setattr(checks, "sign_product", failing_on(4))
+    assert checks.product_induction(rng, 20) == want
+    assert not want.ok and want.witness["samples"] == 3
+    assert rng.getstate() == ref_rng.getstate()
+
+
+def _corestriction_data():
+    """(data, B, A_elems, end): the acceptance gate's ten scalar fixtures
+    with both sections, and its two-dimensional Q8 fixture."""
+    from test_acceptance import q8_matrix_datum
+    from toruscheck.groups import FiniteGroup
+    from toruscheck.qz import QZ
+
+    B4, B2 = FiniteGroup.cyclic(4), FiniteGroup.cyclic(2)
+    out = [(checks.scalar_datum(w), B, A_elems, end)
+           for w in (QZ(0), QZ(1, 4), QZ(1, 2), QZ(3, 4), QZ(1, 8))
+           for B, A_elems in ((B4, [0, 2]), (B2, [0, 1]))
+           for end in (0, -1)]
+    data = q8_matrix_datum()
+    return out + [(data, B4, [0, 2], end) for end in (0, -1)]
+
+
+def _recording_alpha(monkeypatch, fail=None):
+    """A log of the corestriction check's work: each alpha pair asked for,
+    and "beta" for each beta ratio in between.  Alpha raises ValueError on
+    the pair `fail`."""
+    import checks_reference
+    from toruscheck import characters
+    from toruscheck.characters import InducedIntertwinerData
+
+    log, inside = [], []
+    real_alpha, real_ratio = InducedIntertwinerData.alpha, \
+        characters._scalar_ratio
+
+    def alpha(self, a1, a2):
+        log.append((a1, a2))
+        if (a1, a2) == fail:
+            raise ValueError("alpha%r refused" % ((a1, a2),))
+        inside.append(1)
+        try:
+            return real_alpha(self, a1, a2)
+        finally:
+            inside.pop()
+
+    def ratio(lhs, rhs):
+        if not inside:
+            log.append("beta")
+        return real_ratio(lhs, rhs)
+
+    monkeypatch.setattr(InducedIntertwinerData, "alpha", alpha)
+    monkeypatch.setattr(characters, "_scalar_ratio", ratio)
+    monkeypatch.setattr(checks_reference, "_scalar_ratio", ratio)
+    return log
+
+
+def _first_uses(log):
+    """The log with every alpha pair after its first request dropped."""
+    seen = set()
+    out = []
+    for x in log:
+        if x == "beta" or x not in seen:
+            out.append(x)
+            seen.add(x)
+    return out
+
+
+def test_induced_cocycle_check_matches_the_per_coset_alpha_product(
+        monkeypatch):
+    """The alpha table of one call gives the same beta and cores tables as
+    one alpha per (b1, b2, coset), and asks for each pair once, at the
+    point of its first use there."""
+    import checks_reference
+    from toruscheck.characters import induced_cocycle_check
+    from toruscheck.groups import FiniteGroup
+    from toruscheck.qz import QZ
+
+    log = _recording_alpha(monkeypatch)
+    for data, B, A_elems, end in _corestriction_data():
+        section = {cs: cs[end] for cs in B.right_cosets(A_elems)}
+        want = checks_reference.induced_cocycle_check(data, B, A_elems,
+                                                      section)
+        ref_log = list(log)
+        log.clear()
+        got = induced_cocycle_check(data, B, A_elems, section)
+        assert got == want and got[2]
+        assert log == _first_uses(ref_log)
+        assert checks.corestriction(data, B, A_elems, end).ok
+        log.clear()
+    # the scalar datum on C4: 4 alpha pairs, where the loop asks 32 times
+    B4 = FiniteGroup.cyclic(4)
+    section = {cs: cs[0] for cs in B4.right_cosets([0, 2])}
+    data = checks.scalar_datum(QZ(1, 4))
+    checks_reference.induced_cocycle_check(data, B4, [0, 2], section)
+    assert len(log) - log.count("beta") == 32
+    log.clear()
+    induced_cocycle_check(data, B4, [0, 2], section)
+    assert len(log) - log.count("beta") == 4
+
+
+@pytest.mark.parametrize("fail", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_induced_cocycle_check_raises_where_the_reference_raises(
+        fail, monkeypatch):
+    """An alpha that raises stops both versions at the same point."""
+    import checks_reference
+    from toruscheck.characters import induced_cocycle_check
+    from toruscheck.groups import FiniteGroup
+    from toruscheck.qz import QZ
+
+    log = _recording_alpha(monkeypatch, fail)
+    data, B4 = checks.scalar_datum(QZ(1, 4)), FiniteGroup.cyclic(4)
+    section = {cs: cs[0] for cs in B4.right_cosets([0, 2])}
+    with pytest.raises(ValueError) as want:
+        checks_reference.induced_cocycle_check(data, B4, [0, 2], section)
+    ref_log = list(log)
+    log.clear()
+    with pytest.raises(ValueError) as got:
+        induced_cocycle_check(data, B4, [0, 2], section)
+    assert str(got.value) == str(want.value)
+    assert log == _first_uses(ref_log)

@@ -192,6 +192,16 @@ def test_central_extension_multiplication():
             assert iso[E2.group.mul(x, y)] == E.group.mul(iso[x], iso[y])
 
 
+def test_central_extension_generator():
+    """The kept generator of mu_m is the element (1/m, identity)."""
+    for base in (FiniteGroup.cyclic(1), FiniteGroup.cyclic(2),
+                 FiniteGroup.symmetric(3)):
+        for m in (1, 2, 3, 4, 6):
+            ext = CentralExtension(base, m, Cocycle2.zero(base))
+            assert ext.generator == ext.element(QZ(1, m), 0)
+            assert ext.parts(ext.generator) == (QZ(1, m), 0)
+
+
 def _reference_groups():
     """Each group with homomorphisms (phi, k) onto cyclic groups C_k: the
     carry cocycle of C_k pulled back along phi is an integral 2-cocycle."""

@@ -198,3 +198,76 @@ def test_cached_values_are_not_mutated(fresh_memos, monkeypatch, tmp_path):
     for value, at_store in stored:
         assert pickle.dumps(value) == at_store
     assert all(0 < len(memo) <= lattice.MEMO_LIMIT for memo in fresh_memos)
+
+
+def _sign_data():
+    """The data of checks.sign_squares (n = 2, trivial and flipped a, over
+    A1, A2, A3, D4 and E6) and E6 with n = 3 and the flip."""
+    from toruscheck.rootdata import diagram_flip
+    out = []
+    for label in ("A1", "A2", "A3", "D4", "E6"):
+        d = BasedRootDatum.from_label(label)
+        ident = tuple(range(d.rank))
+        out += [TwistData(d, 2, ident, ap)
+                for ap in (ident, diagram_flip(label))]
+    e6 = BasedRootDatum.from_label("E6")
+    return out + [TwistData(e6, 3, tuple(range(6)), diagram_flip("E6"))]
+
+
+def _signs(data):
+    """Every class's sign, or the message of its rejection, per datum."""
+    out = []
+    for tw in data:
+        for xi in tate_group(tw.xi_module(), 2).elements():
+            try:
+                out.append(rootdata.twisted_sign(tw, xi))
+            except ValueError as e:
+                out.append(str(e))
+    return out
+
+
+def test_kept_fixed_representatives_equal_fresh_ones(fresh_memos,
+                                                     monkeypatch):
+    """Each class's kept a-fixed representative is a fresh
+    _exactly_fixed_representative, built once however often the sign is
+    asked for; a class without one is rejected on every call; and an
+    emptied memo gives the same signs."""
+    fresh = rootdata._exactly_fixed_representative
+    built = []
+
+    def recording(pres, coords):
+        built.append((id(pres), coords))
+        return fresh(pres, coords)
+
+    monkeypatch.setattr(rootdata, "_exactly_fixed_representative", recording)
+    data = _sign_data()
+    signs = _signs(data)
+    kept, rejected = set(), set()
+    for tw in data:
+        pres = tw.sign_presentation()
+        for xi in pres.H2.elements():
+            if pres.weights is None:
+                # the sign is +1 for every class; no representative is kept
+                assert rootdata.twisted_sign(tw, xi) == 1
+                assert ("fixed_representative", tw.key, xi) \
+                    not in rootdata._twist_cache._entries
+                continue
+            want = fresh(pres, xi)
+            got = tw.fixed_representative(xi)
+            assert (got is None) == (want is None)
+            if want is None:
+                rejected.add((tw.key, xi))
+                for _ in range(2):
+                    with pytest.raises(ValueError, match="no a-fixed"):
+                        rootdata.twisted_sign(tw, xi)
+            else:
+                kept.add((tw.key, xi))
+                assert got.vec == want.vec
+                assert rootdata.twisted_sign(tw, xi) in (1, -1)
+    # A1 (one datum: its flip is trivial) and A3 keep 2 each, flipped A3
+    # keeps 1 and flipped D4 2; flipped A3 rejects 1 class, flipped D4 2
+    assert (len(kept), len(rejected)) == (7, 3)
+    assert len(built) == len(set(built)) == 10
+    assert _signs(data) == signs
+    monkeypatch.setattr(rootdata, "_twist_cache", Memo())
+    assert _signs(data) == signs

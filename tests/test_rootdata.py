@@ -310,11 +310,13 @@ def test_xi_module_h0_and_h2_share_invariants(label, n, flip):
 #: Under python -O: a product of data with different n, factor coordinates
 #: that do not give an element of Hom(P/Q, Q/Z) (A2 built from two A1
 #: blocks, once as a product and once as a diagonal), factor ranks that do
-#: not add up, and Levi subsets that are not Galois- or not a-stable.
+#: not add up, Levi subsets that are not Galois- or not a-stable, a class
+#: without an a-fixed representative (asked for twice), and a pairing of
+#: order 4 on a class whose representative is already kept.
 OPTIMIZED_CHECKS = """
 import sys
 from toruscheck.rootdata import (BasedRootDatum, TwistData, diagram_flip,
-                                 levi_restriction, sign_product)
+                                 levi_restriction, sign_product, twisted_sign)
 
 if __debug__:
     sys.exit("asserts are still enabled")
@@ -343,6 +345,13 @@ attempt("Galois-stable", lambda: levi_restriction(
     twist("A3", 2, galois=diagram_flip("A3")), [0]))
 attempt("a-stable", lambda: levi_restriction(
     twist("D4", 1, a=diagram_flip("D4")), [2]))
+a3 = twist("A3", 2, a=diagram_flip("A3"))
+attempt("a-fixed", lambda: twisted_sign(a3, (1,)))
+attempt("a-fixed again", lambda: twisted_sign(a3, (1,)))
+attempt("kept", lambda: twisted_sign(a1, (1,)))
+pres = a1.sign_presentation()
+a1.sign_presentation = lambda: pres._replace(den=2 * pres.den)
+attempt("order 2", lambda: twisted_sign(a1, (1,)))
 """
 
 
@@ -359,4 +368,10 @@ def test_sign_checks_run_under_python_O():
         "factor ranks rejected: the factor ranks must add up to 2",
         "Galois-stable rejected: Levi subset not Galois-stable",
         "a-stable rejected: Levi subset not a-stable",
+        "a-fixed rejected: xi admits no a-fixed representative; rejected",
+        "a-fixed again rejected: xi admits no a-fixed representative; "
+        "rejected",
+        "kept accepted: -1",
+        "order 2 rejected: pairing value has order > 2; datum outside the "
+        "wired regime",
     ]
