@@ -268,37 +268,81 @@ def snf_cached(M):
     return _snf_cache.get_or_compute(M.data, smith_normal_form, M)
 
 
+_plan_cache = Memo()
+
+
 def solve_integer(A, b):
     """Canonical integer solution x of A x = b, or None when unsolvable.
 
     The solution is deterministic: it has all free SNF coordinates equal
     to zero, so downstream constructions built on it are reproducible.
+    The solve plan of A is built once per matrix and kept (_plan_cache).
     """
-    return solve_snf(snf_cached(A), b)
+    return _solve(_plan_cache.get_or_compute(A.data, _plan_of, A), b)
+
+
+def _plan_of(A):
+    return solve_plan(snf_cached(A))
 
 
 def solve_snf(snf, b):
-    """solve_integer for the matrix A whose smith_normal_form is snf, for
-    callers that keep the SNF of a system they solve many times."""
+    """solve_integer for the matrix A whose smith_normal_form is snf, for a
+    caller that keeps the SNF itself.  With U A V = D and c = U b, every row
+    must have d_i | c_i, and c_i = 0 where d_i = 0; then x = V y with
+    y_i = c_i / d_i where d_i != 0 and every free coordinate zero.  The
+    plan of snf is built on each call."""
+    return _solve(solve_plan(snf), b)
+
+
+def solve_plan(snf):
+    """The sparse form of an SNF (U, D, V) that _solve reads: the number of
+    rows and columns, the rows of U with d_i = 0 as (columns, entries), and
+    for each row with d_i != 0 its (columns, entries) in U, d_i and column i
+    of V as (rows, entries).  Zero entries are dropped.
+
+    >>> solve_plan(smith_normal_form(IntMatrix([[2], [0]])))
+    (2, 1, (((1,), (1,)),), (((0,), (1,), 2, (0,), (1,)),))
+    """
     U, D, V = snf
-    b = tuple(int(x) for x in b)
-    if len(b) != D.rows:
-        raise ValueError("a right-hand side of length %d for %d rows"
-                         % (len(b), D.rows))
-    c = U.apply(b)
     n = min(D.rows, D.cols)
-    y = [0] * D.cols
-    for i in range(D.rows):
+    vcols = list(zip(*V.data))
+    zero_rows, pivots = [], []
+    for i, row in enumerate(U.data):
         d = D.data[i][i] if i < n else 0
         if d == 0:
-            if c[i] != 0:
-                return None
+            zero_rows.append(_nonzero(row))
         else:
-            if c[i] % d != 0:
-                return None
-            if i < D.cols:
-                y[i] = c[i] // d
-    return V.apply(y)
+            pivots.append((*_nonzero(row), d, *_nonzero(vcols[i])))
+    return D.rows, D.cols, tuple(zero_rows), tuple(pivots)
+
+
+def _nonzero(vec):
+    """The indices and the values of the nonzero entries of vec."""
+    return (tuple(itertools.compress(range(len(vec)), vec)),
+            tuple(filter(None, vec)))
+
+
+def _solve(plan, b):
+    """The canonical solution of solve_snf from the plan of the SNF."""
+    nrows, ncols, zero_rows, pivots = plan
+    b = tuple(map(int, b))
+    if len(b) != nrows:
+        raise ValueError("a right-hand side of length %d for %d rows"
+                         % (len(b), nrows))
+    at = b.__getitem__
+    for cols, vals in zero_rows:
+        if sum(map(mul, vals, map(at, cols))):
+            return None
+    x = [0] * ncols
+    for cols, vals, d, rows, vvals in pivots:
+        c = sum(map(mul, vals, map(at, cols)))
+        if c % d:
+            return None
+        y = c // d
+        if y:
+            for r, e in zip(rows, vvals):
+                x[r] += e * y
+    return tuple(x)
 
 
 def block_matrix(grid):

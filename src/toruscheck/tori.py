@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from .lattice import FGAbelian, IntMatrix, block_matrix, solve_integer
-from .qz import QZ, Cyc, cyc_from_vector, qz_ints
+from .qz import QZ, Cyc, cyc_from_pairs, qz_ints
 from .cohomology import Cochain, d_matrix
 from .weil import (
     TorusModel,
@@ -51,7 +51,11 @@ class CaseError(ValueError):
 
 @dataclass
 class ToriCase:
-    """The full case bundle for a pure inner form of a disconnected torus."""
+    """The full case bundle for a pure inner form of a disconnected torus.
+
+    The fields from h on keep values computed from the others, each under
+    what it depends on (see the method or function named beside it), so a
+    copy with other t, s, z or phi must start them empty."""
 
     torus: TorusModel
     z: Cochain
@@ -64,13 +68,17 @@ class ToriCase:
     z_inv: Cochain       # z^-1 and phi0^-1, the inverses every pairing reads
     phi_inv: Parameter
     h: dict = field(default_factory=dict)         # see compute_h()
+    alpha_bars: dict = field(default_factory=dict)  # see alpha_bar()
+    beta_bars: dict = field(default_factory=dict)   # see beta_bar()
     pairings: dict = field(default_factory=dict)  # see pairing()
     sweep: dict = field(default_factory=dict)     # see conjugates()
     inner: dict = field(default_factory=dict)     # see theta_value()
+    reps: dict = field(default_factory=dict)      # see theta_value()
     kottwitz_values: dict = field(default_factory=dict)  # see theta_value()
     complexes: dict = field(default_factory=dict)  # see pair_complex_matrix()
     duals: dict = field(default_factory=dict)     # see endoscopic_value()
     lifts: dict = field(default_factory=dict)     # see endoscopic_value()
+    pair_values: dict = field(default_factory=dict)  # see endoscopic_value()
     columns: dict | None = None                   # see theta_value()
     packet_data: tuple | None = None              # see packet()
 
@@ -137,10 +145,20 @@ class ToriCase:
                      zip(self.s[a], self.torus.dual_comp(a, self.s[b]), sab))
 
     def alpha_bar(self, a, b):
-        return langlands_character(self.torus, self.phi, self.alpha(a, b))
+        """[phi](alpha(a, b)), kept per (a, b)."""
+        v = self.alpha_bars.get((a, b))
+        if v is None:
+            v = self.alpha_bars[a, b] = langlands_character(
+                self.torus, self.phi, self.alpha(a, b))
+        return v
 
     def beta_bar(self, a, b):
-        return self.torus.dual_eval(self.beta(a, b), self.lam_z)
+        """beta(a, b) evaluated at lam_z, kept per (a, b)."""
+        v = self.beta_bars.get((a, b))
+        if v is None:
+            v = self.beta_bars[a, b] = self.torus.dual_eval(self.beta(a, b),
+                                                            self.lam_z)
+        return v
 
     def kottwitz(self, s):
         return self.torus.dual_eval(s, self.lam_z)
@@ -417,10 +435,14 @@ def theta_value(case, s_dot, b, t_vec, a):
         e(kz) (1/|Abar|) sum_x S[x] P[b][x]
     with S[x] = sum over {c : cac = x} of e(val_c + h(x)) and P[b][x] the
     column product (characters.column_product); no orthogonality relation
-    is used.  The Kottwitz value is kept per s, and S and the closed-form
-    roots per (a, t); a value is kept only after its guard passes, so a bad
-    s or t raises on every call and leaves the case as it was.  P is kept
-    on the table, by column_product."""
+    is used.  It depends on s only through the factor e(kz), so the sum
+    without that factor is kept per (b, a, t), as exponents and
+    numerators, and each s shifts the exponents by kz: a bijection of Q/Z,
+    so the terms stay apart and equal those of the whole sum.  The
+    Kottwitz value is kept per s, and S and the closed-form roots per
+    (a, t); a value is kept only after its guard passes, so a bad s or t
+    raises on every call and leaves the case as it was.  P is kept on the
+    table, by column_product."""
     torus = case.torus
     if a not in case.A_phi_z or b not in case.A_phi_z:
         raise ValueError("element outside the packet group")
@@ -437,34 +459,54 @@ def theta_value(case, s_dot, b, t_vec, a):
             raise ValueError("t must be Galois-invariant")
         sums = case.inner[t_key] = _inner_sums(case, a, t_vec)
     case.kottwitz_values[s_key] = kz
-    M, by_class = sums
+    data = packet(case)
+    kept = case.reps.get((b, t_key))
+    if kept is None:
+        kept = case.reps[b, t_key] = _rep_sum(case, data, b, sums)
+    N, den, exps, nums = kept
+    n = lcm(N, kz.den)
+    step, kzs = n // N, kz.num * (n // kz.den)
+    rep = cyc_from_pairs([((k * step + kzs) % n, c)
+                          for k, c in zip(exps, nums)], n, den)
 
-    # chi_i((0, y)) is the table's exponent form (level L, denominator D) at
-    # the class of (0, y), which is element j in the k|Abar| + j encoding of
-    # y = elems[j].  Exponent vectors are at level N, where e(q) shifts
-    # exponents by q N
-    _, table, sel, _, elems = packet(case)
+    binv = case.A.inv(b)
+    shift = kz - case.pairing(b)
+    by_class = sums[1]
+    closed = Counter(val + shift for val in
+                     (by_class[binv][0] if binv in by_class else ()))
+    return rep, Cyc(closed)
+
+
+def _rep_sum(case, data, b, sums):
+    """(N, den, exponents, numerators): the representation sum without its
+    factor e(kz), (1/|Abar|) sum_x S[x] P[b][x], as the terms
+    (c / den) e(k/N) at the level N = lcm(L, M), zeros dropped, from the
+    packet data and the (a, t) entry sums = (M, by_class).  Tuples of ints
+    take far less memory than a Cyc's dict of QZ keys, which a large sweep
+    would keep by the thousand.
+
+    chi_i((0, y)) is the table's exponent form (level L, denominator D) at
+    the class of (0, y), which is element j in the k|Abar| + j encoding of
+    y = elems[j].  The terms are added up by exponent at level lcm(L, M)."""
+    M, by_class = sums
+    _, table, sel, _, elems = data
     L, D, _ = table.exponent_forms()
     if case.columns is None:
         case.columns = {y: table.class_index[j] for j, y in enumerate(elems)}
     col = case.columns
-    N = lcm(L, kz.den, M)
+    N = lcm(L, M)
     step, sstep = N // L, N // M
-    kzs = kz.num * (N // kz.den)
-    acc = [0] * N
+    acc = {}
+    get = acc.get
     for x, (_, roots) in by_class.items():
         prod = column_product(table, sel, col[b], col[x])
         for e, m in roots:
-            shift = e * sstep + kzs
+            shift = e * sstep
             for k, c in prod:
-                acc[(k * step + shift) % N] += m * c
-    rep = cyc_from_vector(acc, D * D * len(elems))
-
-    binv = case.A.inv(b)
-    shift = kz - case.pairing(b)
-    closed = Counter(val + shift for val in
-                     (by_class[binv][0] if binv in by_class else ()))
-    return rep, Cyc(closed)
+                k = (k * step + shift) % N
+                acc[k] = get(k, 0) + m * c
+    exps = tuple(k for k, c in acc.items() if c)
+    return N, D * D * len(elems), exps, tuple(acc[k] for k in exps)
 
 
 def _inner_sums(case, a, t_vec):
@@ -493,6 +535,8 @@ def endoscopic_value(case, s_dot, b, t_vec, a):
         sum_{c in A^[z], c a c^-1 = b^-1} e(-<(z^-1, delta_c), (phi0^-1, s s_b)>)
 
     with delta_c the twisted-conjugated element written over the base point.
+    The dual pair is kept per (s, b), the lift per (b^-1, delta) and its
+    pairing value per ((s, b), delta), each once its checks have passed.
     """
     torus = case.torus
     A = case.A
@@ -506,8 +550,9 @@ def endoscopic_value(case, s_dot, b, t_vec, a):
     # the complex with map 1 - b^-1.  A new dual pair (phi0^-1, s s_b) is
     # checked first and kept per (s, b) once the call succeeds.  The lift
     # of each pair is kept per (b^-1, delta); a new pair is checked, then
-    # the dual pair, then solved, as in hyper_pairing, and every evaluation
-    # checks the dual pair again
+    # the dual pair, then solved, as in hyper_pairing.  Its value against
+    # the dual pair is kept per ((s, b), delta) once pair_with_lift has
+    # checked the dual pair again
     fT = case.pair_complex_matrix(binv)
     key = (tuple(s_dot), b)
     dual = case.duals.get(key)
@@ -518,10 +563,14 @@ def endoscopic_value(case, s_dot, b, t_vec, a):
     for cac, delta0, _ in case.conjugates(a, t_vec):
         if cac == binv:
             delta = tuple(x + y for x, y in zip(delta0, case.t[binv]))
-            if (binv, delta) not in case.lifts:
-                case.lifts[binv, delta] = hyper_lift(
-                    torus, fT, (case.z_inv, delta), dual)
-            q = -pair_with_lift(torus, fT, case.lifts[binv, delta], dual)
+            q = case.pair_values.get((key, delta))
+            if q is None:
+                lift = case.lifts.get((binv, delta))
+                if lift is None:
+                    lift = case.lifts[binv, delta] = hyper_lift(
+                        torus, fT, (case.z_inv, delta), dual)
+                q = case.pair_values[key, delta] = -pair_with_lift(
+                    torus, fT, lift, dual)
             roots[q] = roots.get(q, 0) + 1
     case.duals[key] = dual
     return Cyc(roots)

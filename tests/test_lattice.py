@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import toruscheck
+from lattice_reference import solve_dense
+from toruscheck import checks, weil
 from toruscheck.lattice import (
     IntMatrix,
     smith_normal_form,
     solve_integer,
+    solve_snf,
     kernel_basis,
     hnf_image_basis,
     unimodular_inverse,
@@ -125,6 +128,123 @@ def test_solve_unsolvable_has_snf_obstruction():
                     bad = bad or c[i] % d != 0
             assert bad
             found += 1
+
+
+def _unimodular(rng, n):
+    """(M, M^-1) for a random unimodular n x n matrix M: a product of
+    elementary row operations and sign flips, each undone on M^-1 by the
+    inverse column operation."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in m]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            q = rng.randint(-2, 2)
+            m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+            for row in inv:
+                row[j] -= q * row[i]
+        if rng.random() < 0.3:
+            m[i] = [-x for x in m[i]]
+            for row in inv:
+                row[i] = -row[i]
+    return IntMatrix(m), IntMatrix(inv)
+
+
+def _oracle_systems(rng):
+    """(kind, A, L, diag) over seeded random matrices: tall, wide, square,
+    rank deficient and zero, each A = L S R with L and R unimodular and S
+    the rows x cols matrix with diag, entries drawn from 1, 2, 3 and 6,
+    down its diagonal and zeros elsewhere."""
+    shapes = [("tall", 6, 3, 3), ("wide", 3, 6, 3), ("square", 4, 4, 4),
+              ("rank deficient", 5, 5, 2), ("rank deficient", 4, 7, 1),
+              ("zero", 3, 4, 0)]
+    for kind, rows, cols, rank in shapes:
+        for _ in range(6):
+            diag = [rng.choice((1, 2, 3, 6)) for _ in range(rank)]
+            S = IntMatrix([[diag[i] if i == j and i < rank else 0
+                            for j in range(cols)] for i in range(rows)])
+            L, Linv = _unimodular(rng, rows)
+            assert L * Linv == IntMatrix.identity(rows)
+            yield kind, L * S * _unimodular(rng, cols)[0], L, diag
+
+
+def _right_hand_sides(rng, L, diag):
+    """(kind, b) with b = L c: A x = b is S y = c with y = R x, solvable
+    exactly when s_i | c_i below the rank and c_i = 0 past it.  The kinds
+    are solvable, failing on a residue (where some s_i > 1), nonzero past
+    the rank (where the rank is below the row count), and one drawn at
+    random."""
+    rank = len(diag)
+    solvable = [s * rng.randint(-4, 4) for s in diag] + [0] * (L.rows - rank)
+    out = [("solvable", solvable)]
+    for i, s in enumerate(diag):
+        if s > 1:
+            c = list(solvable)
+            c[i] += rng.randint(1, s - 1)
+            out.append(("residue", c))
+            break
+    if rank < L.rows:
+        c = list(solvable)
+        c[rng.randrange(rank, L.rows)] = rng.choice((-3, -1, 1, 2))
+        out.append(("past the rank", c))
+    out = [(kind, L.apply(c)) for kind, c in out]
+    out.append(("random", tuple(rng.randint(-9, 9) for _ in range(L.rows))))
+    return out
+
+
+def test_solve_plan_matches_the_dense_solve():
+    """solve_integer and solve_snf, which solve from the sparse plan of the
+    SNF, return the very tuple the dense U/D/V solve returns, or None in the
+    same cases, on every kind of matrix and right-hand side."""
+    rng = random.Random(21)
+    seen = set()
+    for kind, A, L, diag in _oracle_systems(rng):
+        snf = smith_normal_form(A)
+        for rhs, b in _right_hand_sides(rng, L, diag):
+            want = solve_dense(snf, b)
+            assert solve_integer(A, b) == want, (kind, rhs, A, b)
+            assert solve_snf(snf, b) == want, (kind, rhs, A, b)
+            if rhs == "solvable":
+                assert want is not None and A.apply(want) == tuple(b)
+            elif rhs != "random":
+                assert want is None, (kind, rhs, A, b)
+            seen.add((kind, rhs))
+    assert {rhs for _, rhs in seen} == {"solvable", "residue",
+                                        "past the rank", "random"}
+    assert ("zero", "past the rank") in seen
+    assert ("rank deficient", "residue") in seen
+
+
+def test_solve_plan_matches_the_dense_solve_on_lift_systems(monkeypatch):
+    """Every integer system weil solves in a swept suite case, the
+    hyper_lift systems of the suite templates among them, gets from the
+    plan the tuple the dense solve gives, or None in the same cases."""
+    solved = []
+
+    def recording(A, b):
+        x = solve_integer(A, b)
+        solved.append((A, tuple(b), x))
+        return x
+
+    monkeypatch.setattr(weil, "solve_integer", recording)
+    for case in checks.random_cases(random.Random(1), 12):
+        if len(case.A_phi_z) <= checks.SWEEP_MAX_STABILIZER:
+            assert checks.character_identity(case).ok
+    systems = {A.data for A, _, _ in solved}
+    assert len(systems) >= 10 and len(solved) >= 50
+    # each right-hand side also moved by one in its first and last entry,
+    # which the wide, low-rank lift systems mostly cannot meet
+    unsolvable = 0
+    for A, b, x in solved:
+        snf = smith_normal_form(A)
+        assert x == solve_dense(snf, b)
+        for j in (0, len(b) - 1):
+            moved = b[:j] + (b[j] + 1,) + b[j + 1:]
+            want = solve_dense(snf, moved)
+            assert solve_integer(A, moved) == want
+            unsolvable += want is None
+    assert any(A.cols > A.rows and x is not None for A, _, x in solved)
+    assert unsolvable >= 50
 
 
 def test_kernel_cokernel_examples():
@@ -279,8 +399,8 @@ def test_block_matrix_takes_no_width_from_a_matrix_without_rows():
 OPTIMIZED_CHECKS = """
 import sys
 from toruscheck.lattice import (FGAbelian, IntMatrix, Subquotient,
-                                block_matrix, solve_integer,
-                                unimodular_inverse)
+                                block_matrix, smith_normal_form,
+                                solve_integer, solve_snf, unimodular_inverse)
 
 if __debug__:
     sys.exit("asserts are still enabled")
@@ -314,6 +434,13 @@ attempt("heights", lambda: block_matrix([[I1, I2]]))
 attempt("widths", lambda: block_matrix([[I1], [I2]]))
 attempt("zero row", lambda: block_matrix([[I1, 0], [0, 0]]))
 attempt("zero column", lambda: block_matrix([[I1, 0], [I1, 0]]))
+# SNF diag(2, 4): c = U b = (1, 3) fails d_0 | c_0
+print("residue", solve_integer(A, (1, 0)),
+      solve_snf(smith_normal_form(A), (1, 0)))
+# rank 1 of 2 rows: the second row of c = U b must be 0
+B = IntMatrix([[2], [0]])
+print("past the rank", solve_integer(B, (0, 1)),
+      solve_snf(smith_normal_form(B), (0, 1)))
 """
 
 
@@ -341,4 +468,6 @@ def test_lattice_checks_run_under_python_O():
         "widths rejected: blocks of sizes [1, 2] in one block column",
         "zero row rejected: a block row of zeros only",
         "zero column rejected: a block column of zeros only",
+        "residue None None",
+        "past the rank None None",
     ]

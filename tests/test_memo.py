@@ -29,7 +29,8 @@ from toruscheck.weil import LocalModel, Parameter, TorusModel, hyper_pairing, \
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = [os.path.join(ROOT, "fixtures", name)
             for name in ("norm_one_torus.json", "s3_component.json")]
-MEMOS = [(lattice, "_snf_cache"), (cohomology, "_rows_cache"),
+MEMOS = [(lattice, "_snf_cache"), (lattice, "_plan_cache"),
+         (cohomology, "_rows_cache"),
          (cohomology, "_dd_cache"), (cohomology, "_d_matrix_cache"),
          (cohomology, "_tate_cache"),
          (rootdata, "_twist_cache"), (weil, "_lift_cache")]
@@ -51,6 +52,24 @@ def test_memo_never_exceeds_its_limit(monkeypatch):
         assert len(memo) <= 3
     # a cleared entry is rebuilt, not lost
     assert memo.get_or_compute(("k", 0), pow, 0, 2) == 0
+
+
+def test_solve_plans_are_keyed_by_matrix_content(fresh_memos, monkeypatch):
+    """An equal matrix built again shares the solve plan and the SNF of the
+    first; a matrix one entry apart gets its own; an emptied plan memo
+    gives the same solutions."""
+    A, again = IntMatrix([[2, 4], [6, 8]]), IntMatrix([[2, 4], [6, 8]])
+    other = IntMatrix([[2, 4], [6, 9]])
+    assert lattice.solve_integer(A, (2, 6)) == (1, 0)
+    assert lattice.solve_integer(again, (4, 12)) == (2, 0)
+    assert len(lattice._plan_cache) == len(lattice._snf_cache) == 1
+    assert lattice.solve_integer(other, (2, 6)) == (1, 0)
+    assert lattice.solve_integer(other, (1, 6)) is None
+    assert len(lattice._plan_cache) == len(lattice._snf_cache) == 2
+    monkeypatch.setattr(lattice, "_plan_cache", Memo())
+    assert lattice.solve_integer(again, (4, 12)) == (2, 0)
+    assert lattice.solve_integer(other, (1, 6)) is None
+    assert len(lattice._plan_cache) == 2
 
 
 def _modules():

@@ -9,7 +9,7 @@ import pytest
 from cochain_reference import from_table, table
 from lemmas import invariant_of, stabilizer_of_class
 from tori_reference import theta_by_convolution
-from toruscheck.lattice import IntMatrix
+from toruscheck.lattice import IntMatrix, block_diagonal
 from toruscheck.qz import QZ, Cyc, exponent_forms
 from toruscheck.groups import FiniteGroup, GroupAction
 from toruscheck.cohomology import Cochain, tate_group
@@ -28,8 +28,10 @@ from toruscheck.tori import (
     character_identity_report,
     invariant_duals,
     CaseError,
+    ToriCase,
 )
-from toruscheck.suite import random_case_data, invariant_vectors
+from toruscheck.suite import ROTATIONS, invariant_vectors, random_case_data, \
+    s3_action
 
 
 def norm_one_case(psi=QZ(1, 4), z_lam=(1,)):
@@ -128,6 +130,29 @@ def test_stabilizer_swapped_z3_classes():
     assert case.A_z == [0]
 
 
+def retwisted(case, **changes):
+    """dataclasses.replace(case, **changes) with every field that has a
+    default reset to it: the fields a case keeps values in, read from
+    dataclasses.fields, so one added later is reset too.  The copy shares
+    no kept value with the case."""
+    fresh = {}
+    for f in dataclasses.fields(case):
+        if f.default_factory is not dataclasses.MISSING:
+            fresh[f.name] = f.default_factory()
+        elif f.default is not dataclasses.MISSING:
+            fresh[f.name] = f.default
+    return dataclasses.replace(case, **{**fresh, **changes})
+
+
+def _fresh_copy(case):
+    """A ToriCase built from the fields of case that have no default, so it
+    has kept nothing yet."""
+    return ToriCase(**{f.name: getattr(case, f.name)
+                       for f in dataclasses.fields(case)
+                       if f.default is dataclasses.MISSING
+                       and f.default_factory is dataclasses.MISSING})
+
+
 def test_h_choice_retwist_properties():
     # retwisting t_a by x_a in X^Q multiplies h(a) by [phi](x_a); the dual
     # retwist by an invariant y_a multiplies by -[z](y_a).  Needs X^Q != 0.
@@ -149,7 +174,7 @@ def test_h_choice_retwist_properties():
     x = (1, 1)
     t2 = dict(case.t)
     t2[1] = tuple(a + b for a, b in zip(t2[1], x))
-    h2 = compute_h(dataclasses.replace(case, t=t2, pairings={}))
+    h2 = compute_h(retwisted(case, t=t2))
     shift = langlands_character(torus, phi, x)
     assert h2[1] == h[1] + shift
     # dual retwist: y invariant torsion dual: sigma swaps coordinates, so
@@ -157,7 +182,7 @@ def test_h_choice_retwist_properties():
     y = (QZ(1, 2), QZ(1, 2))
     s2 = dict(case.s)
     s2[1] = torus.dual_add(s2[1], y)
-    h3 = compute_h(dataclasses.replace(case, s=s2, pairings={}))
+    h3 = compute_h(retwisted(case, s=s2))
     assert h3[1] == h[1] - case.kottwitz(y)
     # the copies left the case's own h as it was
     assert case.h is kept and case.h == h
@@ -169,8 +194,55 @@ def test_build_case_computes_h():
     for case in random_cases(random.Random(3), 12):
         h = dict(case.h)
         assert set(h) == set(case.A_phi_z)
-        assert compute_h(dataclasses.replace(case, h={}, pairings={})) == h
+        assert compute_h(retwisted(case)) == h
         assert compute_h(case) == h
+
+
+def _trivially_acting(n_gal, gal_matrix, comp_order, z_lam, psi):
+    """A case whose cyclic component of order comp_order acts trivially on
+    a rank-1 lattice, so alpha(a^-1, a) = t_(a^-1) + t_a and
+    beta(a^-1, a) = s_(a^-1) + s_a move when t_a or s_a do."""
+    torus = TorusModel(LocalModel(n_gal),
+                       GroupAction.cyclic(n_gal, IntMatrix([[gal_matrix]])),
+                       GroupAction.cyclic(comp_order, IntMatrix([[1]])))
+    z = tn_iso(torus, z_lam) if z_lam else \
+        Cochain.zero(torus.gmodule(), 1)
+    return build_case(torus, z, Parameter(torus, psi))
+
+
+def _h_and_iso(case):
+    return dict(compute_h(case)), verify_iso(case)
+
+
+def test_retwisted_copies_keep_no_bars():
+    """A retwist that moves alpha-bar(a^-1, a), or beta-bar, on a copy of a
+    case that has kept its bars: h and verify_iso on the copy equal those
+    of a case built fresh from the copy's data, and differ from the
+    original's where the retwist moves them, so a kept bar carried over to
+    the copy would show."""
+    # Q trivial of order 2 on Z, psi = 1/2; C3 trivial; t_1 moved by 1
+    case = _trivially_acting(2, 1, 3, None, (QZ(1, 2),))
+    assert case.A_phi_z == [0, 1, 2]
+    h, iso = _h_and_iso(case)
+    assert case.alpha_bars and case.beta_bars
+    t2 = dict(case.t)
+    t2[1] = tuple(x + 1 for x in t2[1])
+    copy = retwisted(case, t=t2)
+    got = _h_and_iso(copy)
+    assert got == _h_and_iso(_fresh_copy(copy))
+    assert got[0][1] == h[1] + QZ(1, 2)
+    assert all(v[2] for v in got[1].values())
+    # Q by -1 on Z, z nontrivial (lam_z = 1); C4 trivial; s_1 moved by 1/2
+    case = _trivially_acting(2, -1, 4, (1,), (QZ(1, 4),))
+    assert case.A_phi_z == [0, 1, 2, 3]
+    h, iso = _h_and_iso(case)
+    s2 = dict(case.s)
+    s2[1] = case.torus.dual_add(s2[1], (QZ(1, 2),))
+    copy = retwisted(case, s=s2)
+    got = _h_and_iso(copy)
+    assert got == _h_and_iso(_fresh_copy(copy))
+    assert got[1][3, 1][1] == iso[3, 1][1] - QZ(1, 2)
+    assert all(v[2] for v in got[1].values())
 
 
 def test_verify_iso_randomized():
@@ -572,6 +644,44 @@ def test_per_case_data_do_not_depend_on_call_order():
             want = (*theta_value(make(), *args), endoscopic_value(make(), *args))
             assert [encode_cyc(v) for v in (rep, closed, endo)] == \
                 [encode_cyc(v) for v in want], args
+
+
+def _s3_case_with_a_kottwitz_shift():
+    """S3 acting on one plane and Q = Z/3 rotating another: the stabilizer
+    is all of S3 (a two-dimensional packet member) and there are two
+    invariant duals, the second with Kottwitz value 1/3, so the shift
+    e(kz) and the shift e(-kz) differ."""
+    g = block_diagonal([IntMatrix.identity(2), ROTATIONS[3]])
+    torus = TorusModel(LocalModel(3), GroupAction.cyclic(3, g), s3_action(2))
+    z = tate_group(torus.gmodule(), 1).representative((1,))
+    return build_case(torus, z, Parameter(torus, (QZ(0), QZ(0), QZ(1, 3),
+                                                  QZ(0))))
+
+
+def test_kept_rep_sums_shift_by_the_kottwitz_value():
+    """The representation sum kept per (b, a, t) and shifted for each s:
+    over every (a, b, s, t) of an S3 stabilizer with a dual of Kottwitz
+    value 1/3, in shuffled order, theta_value on one case gives the values
+    of a fresh case per call and of the Cyc-at-a-time oracle, and the
+    three values agree."""
+    make = _s3_case_with_a_kottwitz_shift
+    case = make()
+    torus = case.torus
+    duals = invariant_duals(torus)
+    assert len(case.A_phi_z) == 6 and len(duals) == 2
+    assert case.kottwitz(duals[1]) == QZ(1, 3)
+    assert sorted(p.dim for p in packet(case)[0]) == [1, 1, 2]
+    calls = [(s, b, t, a) for a in case.A_phi_z for b in case.A_phi_z
+             for s in duals for t in invariant_vectors(torus)]
+    random.Random(5).shuffle(calls)
+    shifted = 0
+    for args in calls:
+        got = [encode_cyc(v) for v in theta_value(case, *args)]
+        assert got == [encode_cyc(v) for v in theta_value(make(), *args)]
+        assert got == [encode_cyc(v) for v in _theta_by_cyc(case, *args)]
+        assert character_identity_report(case, *args).all_equal
+        shifted += args[0] == duals[1] and bool(got[0])
+    assert len(case.reps) == len(calls) // 2 and shifted == len(calls) // 2
 
 
 #: Bad inputs for the guards of theta_value and endoscopic_value, the
