@@ -912,26 +912,33 @@ def induced_cocycle_check(data, B, A_elems, section):
 def block_twisted_trace(phis, T):
     """Both sides of the block-twisted trace identity: the trace of
     (Phi_0 (x) ... (x) Phi_{n-1}) composed with the cyclic-shift-then-T
-    operator versus tr(Phi_0 ... Phi_{n-1} T), for integer matrices.
+    operator versus tr(Phi_0 ... Phi_{n-1} T), for integer matrices.  The
+    products are taken on the rows of each matrix's data, read once.
 
     Returns (lhs, rhs, equal)."""
     n = len(phis)
     dim = phis[0].rows
     if any(not m.rows == m.cols == dim for m in [*phis, T]):
         raise ValueError("dimension mismatch")
-    last = phis[n - 1] * T
+    datas = [m.data for m in phis]
+    t_cols = list(zip(*T.data))
+
+    def times(rows, cols):
+        return [[sum(map(mul, row, col)) for col in cols] for row in rows]
+
+    last = times(datas[n - 1], t_cols)
     lhs = 0
     for idx in itertools.product(range(dim), repeat=n):
         term = 1
         for kk in range(n - 1):
-            term *= phis[kk].data[idx[kk]][idx[kk + 1]]
+            term *= datas[kk][idx[kk]][idx[kk + 1]]
             if term == 0:
                 break
         if term:
-            lhs += term * last.data[idx[n - 1]][idx[0]]
-    prod = phis[0]
-    for m in phis[1:]:
-        prod = prod * m
-    prod = prod * T
-    rhs = sum(prod.data[i][i] for i in range(dim))
+            lhs += term * last[idx[n - 1]][idx[0]]
+    prod = datas[0]
+    for m in datas[1:]:
+        prod = times(prod, list(zip(*m)))
+    # the trace of prod T: row i of prod against column i of T
+    rhs = sum(sum(map(mul, row, col)) for row, col in zip(prod, t_cols))
     return lhs, rhs, lhs == rhs

@@ -7,7 +7,9 @@ its report record carries, and counts for callers that print them.  A
 sampling check stops at its first failing sample and names it in the
 witness; a sweep runs to the end.  The CLI passes one rng through all the
 checks of a command, so the order in which each check draws from it is part
-of the report bytes.
+of the report bytes.  Random integers come from `suite.draws`, which gives
+the values, and leaves the rng in the state, of one `randint` per value, so
+a check may draw a sample's values in one call.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .rootdata import BasedRootDatum, TwistData, diagram_flip, twisted_sign, \
     sign_product, sign_induction, levi_restriction
 from .tori import build_case, verify_iso, packet, \
     character_identity_report, invariant_duals
-from .suite import random_case_data, invariant_vectors
+from .suite import random_case_data, invariant_vectors, draws
 from .casefile import encode_qz, encode_cyc
 
 #: The suite sweeps the character identity only over stabilizers this small;
@@ -51,8 +53,7 @@ def _random_cochain(gm, degree, rng, bound):
     """Entries in [-bound, bound], drawn key by key in `tuples` order and
     coordinate by coordinate within a key."""
     size = gm.ngens * gm.group.order ** degree
-    return Cochain(gm, degree,
-                   [rng.randint(-bound, bound) for _ in range(size)])
+    return Cochain(gm, degree, draws(rng, -bound, bound, size))
 
 
 def dd_zero(gm, degree, rng, samples, bound):
@@ -107,7 +108,7 @@ def coinflation_boundary(rng, samples):
     dom4 = FiniteDomain(FiniteGroup.cyclic(4), signs * 2)
     dom2 = FiniteDomain(FiniteGroup.cyclic(2), signs)
     for i in range(samples):
-        supp = {(rng.randrange(4), rng.randrange(4)): (rng.randint(-3, 3),)
+        supp = {tuple(draws(rng, 0, 3, 2)): tuple(draws(rng, -3, 3, 1))
                 for _ in range(5)}
         y = FiniteSupportChain(dom4, 2, 1, supp)
         lhs = coinflation(y, lambda w: w % 2, dom2).boundary()
@@ -133,9 +134,8 @@ def level_square(torus, rng, samples, bound):
     dom_small = ZDomain(n, gen)
     dom_big = ZDomain(2 * n, gen)
     for i in range(samples):
-        supp = {(rng.randint(-bound, bound),): tuple(rng.randint(-3, 3)
-                                                     for _ in range(r))
-                for _ in range(3)}
+        supp = {tuple(draws(rng, -bound, bound, 1)):
+                tuple(draws(rng, -3, 3, r)) for _ in range(3)}
         mu_small = FiniteSupportChain(dom_small, 1, r, supp)
         mu_big = FiniteSupportChain(dom_big, 1, r, supp)
         if chain_map_phi(torus, mu_small) != chain_map_phi(big, mu_big):
@@ -304,7 +304,7 @@ def induced_automorphism_roundtrip(rng, samples):
     while count < samples:
         gamma, delta, sub, x_rank = setup = rng.choice(setups)
         act, cosets = induced_action(gamma, delta, sub)
-        sigma0 = rng.randrange(gamma.order)
+        sigma0, = draws(rng, 0, gamma.order - 1, 1)
         dset = set(delta)
         if {gamma.conj(sigma0, d) for d in dset} != dset:
             continue
@@ -383,14 +383,16 @@ def corestriction(data, B, sub, end=0):
 
 def block_twisted_traces(rng, samples, bound):
     """The block-twisted trace identity on random tuples of up to four
-    square blocks of dimension up to three, entries in [-bound, bound]."""
+    square blocks of dimension up to three, entries in [-bound, bound]:
+    per sample the block count, the dimension, then the entries of the
+    blocks and of T, row by row, as one flat draw."""
     for i in range(samples):
-        nblk = rng.randint(1, 4)
-        dim = rng.randint(1, 3)
-        phis = [IntMatrix([[rng.randint(-bound, bound) for _ in range(dim)]
-                           for _ in range(dim)]) for _ in range(nblk)]
-        T = IntMatrix([[rng.randint(-bound, bound) for _ in range(dim)]
-                       for _ in range(dim)])
+        nblk, = draws(rng, 1, 4, 1)
+        dim, = draws(rng, 1, 3, 1)
+        flat = draws(rng, -bound, bound, (nblk + 1) * dim * dim)
+        rows = [flat[j:j + dim] for j in range(0, len(flat), dim)]
+        *phis, T = (IntMatrix(rows[j:j + dim])
+                    for j in range(0, len(rows), dim))
         if not block_twisted_trace(phis, T)[2]:
             return Verdict(False, {"sample": i}, {"samples": i + 1})
     return Verdict(True, None, {"samples": samples})

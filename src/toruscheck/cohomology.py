@@ -524,29 +524,39 @@ class FiniteSupportChain:
         n = self.degree
         if n < 1:
             raise ValueError("a degree-0 chain has no boundary")
-        out = FiniteSupportChain(W, n - 1, self.rank)
-        for key, val in self.support.items():
-            # first term: x^-1 . y(x, w_1..w_{n-1}) collected at (w_1..w_{n-1})
-            x = key[0]
-            out.add_into(key[1:], W.act(W.inv(x), val))
-            # middle terms: (-1)^i at (w_1,..,w_{i-1}, w_i x^-1 twist..)
-            sign = -1
-            for i in range(1, n):
-                # term i merges slots i and i+1: contributes y(..u, v..) to the
-                # tuple with w_i = u v
-                merged = key[:i - 1] + (W.mul(key[i - 1], key[i]),) + key[i + 1:]
-                out.add_into(merged, tuple(sign * a for a in val))
-                sign = -sign
-            # last term: (-1)^n at (w_1..w_{n-1})
-            out.add_into(key[:-1], tuple(sign * a for a in val))
-        return out
+
+        def terms():
+            for key, val in self.support.items():
+                # first term: x^-1 . y(x, w_1..w_{n-1}) at (w_1..w_{n-1})
+                yield key[1:], W.act(W.inv(key[0]), val)
+                # middle terms: (-1)^i at (w_1,..,w_{i-1}, w_i w_{i+1},..);
+                # term i merges slots i and i+1
+                signed = (tuple(map(neg, val)), val)
+                for i in range(1, n):
+                    yield (key[:i - 1] + (W.mul(key[i - 1], key[i]),)
+                           + key[i + 1:]), signed[(i - 1) % 2]
+                # last term: (-1)^n at (w_1..w_{n-1})
+                yield key[:-1], signed[(n - 1) % 2]
+        return _summed(W, n - 1, self.rank, terms())
+
+
+def _summed(domain, degree, rank, terms):
+    """The chain whose value at each key is the sum of the vectors that
+    terms, a sequence of (key, vector), gives it: summed in a plain dict,
+    with the zero sums dropped once at the end."""
+    acc = {}
+    for key, vec in terms:
+        cur = acc.get(key)
+        acc[key] = vec if cur is None else tuple(map(add, cur, vec))
+    out = FiniteSupportChain(domain, degree, rank)
+    out.support = {k: v for k, v in acc.items() if any(v)}
+    return out
 
 
 def coinflation(chain, projection, target_domain):
     """Push a chain along w -> projection(w) coordinatewise: the value of the
     image at a tuple is the sum over the fiber, which for finite-support
     chains is the pushforward of the support."""
-    out = FiniteSupportChain(target_domain, chain.degree, chain.rank)
-    for key, val in chain.support.items():
-        out.add_into(tuple(projection(w) for w in key), val)
-    return out
+    return _summed(target_domain, chain.degree, chain.rank,
+                   ((tuple(map(projection, key)), val)
+                    for key, val in chain.support.items()))

@@ -415,17 +415,46 @@ def hnf_image_basis(A):
 
 
 def unimodular_inverse(M):
-    """Exact inverse V U of a unimodular matrix M, from its SNF U M V = I.
+    """Exact inverse of a unimodular matrix M, by fraction-free
+    Gauss-Jordan elimination on [M | I].  Step k clears column k in every
+    other row with r -> (p r - r[k] p_row) / p_prev, an exact division
+    that leaves a row with r[k] = 0 as it is when p = p_prev; each entry
+    stays a minor of [M | I] (rows permuted), so none outgrows Hadamard's
+    bound.  The elimination ends at [d I | d M^-1] with d = +-det M, and
+    M^-1 is its right half times d when d = +-1.
 
-    Raises ValueError for a singular or non-square M.
+    Raises ValueError for a singular, non-square or non-unimodular M.
 
     >>> unimodular_inverse(IntMatrix([[2, 1], [1, 1]]))
     IntMatrix([[1, -1], [-1, 2]])
     """
-    U, D, V = snf_cached(M)
-    if D != IntMatrix.identity(M.rows):
+    n = M.rows
+    if M.cols != n:
         raise ValueError("matrix is not unimodular")
-    return V * U
+    m = []
+    for i, row in enumerate(M.data):
+        m.append([*row] + [0] * n)
+        m[i][n + i] = 1
+    prev = 1
+    for k in range(n):
+        for piv in range(k, n):
+            if m[piv][k]:
+                break
+        else:
+            raise ValueError("matrix is not unimodular")
+        m[k], m[piv] = m[piv], m[k]
+        pivot_row = m[k]
+        p = pivot_row[k]
+        for i in range(n):
+            row = m[i]
+            c = row[k]
+            if i != k and (c or p != prev):
+                m[i] = [(p * x - c * y) // prev
+                        for x, y in zip(row, pivot_row)]
+        prev = p
+    if abs(prev) != 1:
+        raise ValueError("matrix is not unimodular")
+    return IntMatrix([[prev * x for x in row[n:]] for row in m])
 
 
 class FGAbelian:

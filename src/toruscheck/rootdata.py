@@ -19,7 +19,7 @@ from .lattice import IntMatrix, FGAbelian, Memo, Subquotient, \
     block_diagonal, block_matrix, smith_normal_form, solve_integer, solve_snf
 from .groups import FiniteGroup
 from .cohomology import GModule, Cochain, CohomologyGroup, d_matrix, \
-    tate_group, tuples
+    tate_group
 
 
 def cartan_matrix(label):
@@ -265,21 +265,6 @@ class TwistData:
             rows.append(tuple(row))
         return tuple(rows), den
 
-    def dual_from_factors(self, factors, m_coords):
-        """Coordinates in this datum's Hom(P/Q, Q/Z) of the element that
-        restricts to the factor datum f as m_f, given the concatenated
-        coordinates (m_f) of the factors.  Raises ValueError when the
-        values on a generator of P/Q of order d are not of order d."""
-        rows, den = self.factor_dual_map(*factors)
-        vals = []
-        for row, d in zip(rows, self.datum.center.torsion):
-            num, rem = divmod(sum(map(mul, row, m_coords)) * d, den)
-            if rem:
-                raise ValueError("dual element out of range")
-            vals.append(num % d)
-        return tuple(vals)
-
-
 class SignPresentation(NamedTuple):
     """What twisted_sign needs of a twist datum, whatever the class xi.
 
@@ -424,6 +409,30 @@ def twisted_sign(twist, xi):
     return 1 if value % pres.den == 0 else -1
 
 
+def dual_coordinates(twist, factors, m_coords):
+    """Coordinates in twist's Hom(P/Q, Q/Z) of the elements that restrict
+    to each factor datum f as m_f, block by block: m_coords is a flat
+    sequence of blocks, each the concatenated coordinates (m_f) of the
+    factors, and the result is the flat sequence of the blocks' images.
+    The weight rows (factor_dual_map) are looked up once per call.  Raises
+    ValueError when the values on a generator of P/Q of order d are not of
+    order d."""
+    rows, den = twist.factor_dual_map(*factors)
+    if not rows:
+        return []
+    width = len(rows[0])
+    pairs = list(zip(rows, twist.datum.center.torsion))
+    out = []
+    for i in range(0, len(m_coords), width):
+        block = m_coords[i:i + width]
+        for row, d in pairs:
+            num, rem = divmod(sum(map(mul, row, block)) * d, den)
+            if rem:
+                raise ValueError("dual element out of range")
+            out.append(num % d)
+    return out
+
+
 def sign_product(twist1, xi1, twist2, xi2):
     """e on the product datum, computed independently, together with the
     factor signs (multiplicativity check data)."""
@@ -434,10 +443,12 @@ def sign_product(twist1, xi1, twist2, xi2):
     # the canonical representatives of the factor classes induce, keywise
     rep1 = twist1.sign_presentation().H2.representative(tuple(xi1))
     rep2 = twist2.sign_presentation().H2.representative(tuple(xi2))
-    factors = (twist1, twist2)
-    vec = []
-    for key in tuples(rep1.gmod.group, 2):
-        vec.extend(tw.dual_from_factors(factors, rep1(*key) + rep2(*key)))
+    g1, g2 = rep1.gmod.ngens, rep2.gmod.ngens
+    coords = []
+    for i in range(rep1.gmod.group.order ** 2):
+        coords += rep1.vec[i * g1:(i + 1) * g1]
+        coords += rep2.vec[i * g2:(i + 1) * g2]
+    vec = dual_coordinates(tw, (twist1, twist2), coords)
     e12 = twisted_sign(tw, Cochain(tw.xi_module(), 2, vec))
     return e1, e2, e12
 
@@ -449,10 +460,11 @@ def sign_induction(twist, xi, blocks):
     tw = twist.induced(blocks)
     # diagonal xi
     rep = twist.sign_presentation().H2.representative(tuple(xi))
-    factors = (twist,) * blocks
-    vec = []
-    for key in tuples(rep.gmod.group, 2):
-        vec.extend(tw.dual_from_factors(factors, rep(*key) * blocks))
+    g = rep.gmod.ngens
+    coords = []
+    for i in range(rep.gmod.group.order ** 2):
+        coords += rep.vec[i * g:(i + 1) * g] * blocks
+    vec = dual_coordinates(tw, (twist,) * blocks, coords)
     e_ind = twisted_sign(tw, Cochain(tw.xi_module(), 2, vec))
     return e_base, e_ind
 

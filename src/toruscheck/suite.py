@@ -117,6 +117,27 @@ def _templates():
     return tuple(choices)
 
 
+def draws(rng, lo, hi, count):
+    """[rng.randint(lo, hi) for _ in range(count)] for a random.Random,
+    drawn from the same stream.  randint(lo, hi) takes getrandbits(k), for
+    k the bit length of the width hi - lo + 1, again while the value is at
+    least the width, and adds lo (CPython's _randbelow_with_getrandbits);
+    this does the same without randint's three calls per draw.  Raises
+    ValueError for an empty range."""
+    width = hi - lo + 1
+    if width < 1:
+        raise ValueError("empty range [%d, %d]" % (lo, hi))
+    bits = rng.getrandbits
+    k = width.bit_length()
+    out = []
+    for _ in range(count):
+        x = bits(k)
+        while x >= width:
+            x = bits(k)
+        out.append(lo + x)
+    return out
+
+
 def random_z(torus, rng):
     """A random cocycle: random class representative plus a random
     coboundary shift."""
@@ -125,7 +146,7 @@ def random_z(torus, rng):
     classes = list(H1.elements())
     coords = rng.choice(classes)
     z = H1.representative(coords)
-    shift = tuple(rng.randint(-2, 2) for _ in range(torus.rank))
+    shift = tuple(draws(rng, -2, 2, torus.rank))
     dx = Cochain(gm, 0, shift).d()
     return z.add(dx)
 

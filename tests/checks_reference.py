@@ -1,21 +1,30 @@
-"""Two self-checks as toruscheck computed them before they kept their
-repeated values within a call, kept as oracles for tests/test_checks.py:
+"""Self-checks as toruscheck computed them before they kept their repeated
+values within a call, or drew their samples in one stream, kept as oracles
+for tests/test_checks.py:
 
 - `product_induction` builds the A1 inner form and the sampled twist datum
   afresh for every sample, and lists the datum's H^2 classes every time;
-- `induced_cocycle_check` calls `data.alpha` once per (b1, b2, coset).
+- `induced_cocycle_check` calls `data.alpha` once per (b1, b2, coset);
+- `coinflation_boundary` and `block_twisted_traces` draw each value with
+  its own `randrange` or `randint` call (the chain maps are the
+  package's), and `block_twisted_trace` takes its products as `IntMatrix`
+  products.
 
 The code below is that version's, unchanged, so the oracles do not move
-when the package's checks do.  Both draw from the rng, and raise, exactly
+when the package's checks do.  They draw from the rng, and raise, exactly
 as that version did.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from toruscheck.characters import _scalar_ratio, _tensor_operator
 from toruscheck.checks import Verdict
-from toruscheck.cohomology import tate_group
-from toruscheck.groups import coset_section
+from toruscheck.cohomology import FiniteDomain, FiniteSupportChain, \
+    coinflation, tate_group
+from toruscheck.groups import FiniteGroup, coset_section
+from toruscheck.lattice import IntMatrix
 from toruscheck.qz import Cyc
 from toruscheck.rootdata import BasedRootDatum, TwistData, diagram_flip, \
     sign_induction, sign_product
@@ -114,3 +123,63 @@ def induced_cocycle_check(data, B, A_elems, section):
             cores[(b1, b2)] = prod
     equal = all(beta[key] == cores[key] for key in beta)
     return beta, cores, equal
+
+
+def coinflation_boundary(rng, samples):
+    """Coinflation from C4 to C2 (sign action) commutes with the boundary
+    on random finite-support 2-chains."""
+    signs = [IntMatrix.identity(1), IntMatrix([[-1]])]
+    dom4 = FiniteDomain(FiniteGroup.cyclic(4), signs * 2)
+    dom2 = FiniteDomain(FiniteGroup.cyclic(2), signs)
+    for i in range(samples):
+        supp = {(rng.randrange(4), rng.randrange(4)): (rng.randint(-3, 3),)
+                for _ in range(5)}
+        y = FiniteSupportChain(dom4, 2, 1, supp)
+        lhs = coinflation(y, lambda w: w % 2, dom2).boundary()
+        rhs = coinflation(y.boundary(), lambda w: w % 2, dom2)
+        if lhs.support != rhs.support:
+            return Verdict(False, {"sample": i}, {"samples": i + 1})
+    return Verdict(True, None, {"samples": samples})
+
+
+def block_twisted_trace(phis, T):
+    """Both sides of the block-twisted trace identity: the trace of
+    (Phi_0 (x) ... (x) Phi_{n-1}) composed with the cyclic-shift-then-T
+    operator versus tr(Phi_0 ... Phi_{n-1} T), for integer matrices.
+
+    Returns (lhs, rhs, equal)."""
+    n = len(phis)
+    dim = phis[0].rows
+    if any(not m.rows == m.cols == dim for m in [*phis, T]):
+        raise ValueError("dimension mismatch")
+    last = phis[n - 1] * T
+    lhs = 0
+    for idx in itertools.product(range(dim), repeat=n):
+        term = 1
+        for kk in range(n - 1):
+            term *= phis[kk].data[idx[kk]][idx[kk + 1]]
+            if term == 0:
+                break
+        if term:
+            lhs += term * last.data[idx[n - 1]][idx[0]]
+    prod = phis[0]
+    for m in phis[1:]:
+        prod = prod * m
+    prod = prod * T
+    rhs = sum(prod.data[i][i] for i in range(dim))
+    return lhs, rhs, lhs == rhs
+
+
+def block_twisted_traces(rng, samples, bound):
+    """The block-twisted trace identity on random tuples of up to four
+    square blocks of dimension up to three, entries in [-bound, bound]."""
+    for i in range(samples):
+        nblk = rng.randint(1, 4)
+        dim = rng.randint(1, 3)
+        phis = [IntMatrix([[rng.randint(-bound, bound) for _ in range(dim)]
+                           for _ in range(dim)]) for _ in range(nblk)]
+        T = IntMatrix([[rng.randint(-bound, bound) for _ in range(dim)]
+                       for _ in range(dim)])
+        if not block_twisted_trace(phis, T)[2]:
+            return Verdict(False, {"sample": i}, {"samples": i + 1})
+    return Verdict(True, None, {"samples": samples})

@@ -7,6 +7,9 @@ functions for tests/test_cohomology.py and tests/test_weil.py.
   generators;
 * ``coinflation_pointwise`` evaluates coinflation by explicit fiber
   enumeration, against the support pushforward ``coinflation``;
+* ``boundary_by_terms`` and ``coinflation_by_terms`` are the chain maps as
+  they were computed before they summed into a plain dict: one
+  ``add_into`` per term, which drops a key as soon as its sum is zero;
 * ``is_normalized`` tests whether a cochain vanishes (modulo relations)
   whenever an argument is the identity.
 """
@@ -157,4 +160,30 @@ def coinflation_pointwise(chain, fibers, target_domain, keys):
         for lifted in itertools.product(*fib_lists):
             total = tuple(a + b for a, b in zip(total, chain.value(lifted)))
         out.add_into(key, total)
+    return out
+
+
+def boundary_by_terms(chain):
+    """The three-term alternating-sum homology differential, one add_into
+    per term."""
+    W = chain.domain
+    n = chain.degree
+    out = FiniteSupportChain(W, n - 1, chain.rank)
+    for key, val in chain.support.items():
+        x = key[0]
+        out.add_into(key[1:], W.act(W.inv(x), val))
+        sign = -1
+        for i in range(1, n):
+            merged = key[:i - 1] + (W.mul(key[i - 1], key[i]),) + key[i + 1:]
+            out.add_into(merged, tuple(sign * a for a in val))
+            sign = -sign
+        out.add_into(key[:-1], tuple(sign * a for a in val))
+    return out
+
+
+def coinflation_by_terms(chain, projection, target_domain):
+    """Coinflation as a pushforward of the support, one add_into per key."""
+    out = FiniteSupportChain(target_domain, chain.degree, chain.rank)
+    for key, val in chain.support.items():
+        out.add_into(tuple(projection(w) for w in key), val)
     return out

@@ -322,3 +322,106 @@ def test_induced_cocycle_check_raises_where_the_reference_raises(
         induced_cocycle_check(data, B4, [0, 2], section)
     assert str(got.value) == str(want.value)
     assert log == _first_uses(ref_log)
+
+
+@pytest.mark.parametrize("lo", [-4, 0, 3])
+@pytest.mark.parametrize("width", range(1, 10))
+def test_draws_are_the_randint_stream(width, lo):
+    """draws(rng, lo, hi, count) gives the values of count randint(lo, hi)
+    calls and leaves the rng where they leave it, for widths 1-9 (1, 2, 4
+    and 8 among them, where no draw is rejected)."""
+    from toruscheck.suite import draws
+
+    hi = lo + width - 1
+    for seed in (0, 1, 41):
+        ref_rng, rng = random.Random(seed), random.Random(seed)
+        want = [ref_rng.randint(lo, hi) for _ in range(200)]
+        got = draws(rng, lo, hi, 150) + draws(rng, lo, hi, 0) \
+            + draws(rng, lo, hi, 50)
+        assert got == want
+        assert rng.getstate() == ref_rng.getstate()
+    with pytest.raises(ValueError, match="empty range"):
+        draws(random.Random(0), lo, lo - 1, 1)
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_sampling_checks_match_the_per_entry_draws(seed):
+    """Drawing each sample's values in one flat draw keeps the verdicts and
+    every draw: the rng ends where the per-entry randint loops leave it."""
+    import checks_reference
+
+    for name, args in (("coinflation_boundary", (30,)),
+                       ("block_twisted_traces", (100, 3))):
+        ref_rng, rng = random.Random(seed), random.Random(seed)
+        want = getattr(checks_reference, name)(ref_rng, *args)
+        assert want.ok and want.counts == {"samples": args[0]}
+        assert getattr(checks, name)(rng, *args) == want
+        assert rng.getstate() == ref_rng.getstate()
+
+
+def _mutated_trace(trace):
+    """The block-twisted trace with its identity broken on a sample with
+    three blocks whose T has corner entry 2: lhs moved by one."""
+    def mutated(phis, T):
+        lhs, rhs, _ = trace(phis, T)
+        if len(phis) == 3 and T.data[0][0] == 2:
+            lhs += 1
+        return lhs, rhs, lhs == rhs
+    return mutated
+
+
+def _mutated_coinflation(push):
+    """Coinflation that drops the value at (1, 1) of a 2-chain's image when
+    it is (2,), so the square fails on such a sample unless the boundary
+    cancels it."""
+    def mutated(chain, projection, target):
+        out = push(chain, projection, target)
+        if chain.degree == 2 and out.support.get((1, 1)) == (2,):
+            del out.support[1, 1]
+        return out
+    return mutated
+
+
+@pytest.mark.parametrize("seed", [7, 11, 41])
+def test_sampling_check_failures_match_the_per_entry_draws(seed,
+                                                           monkeypatch):
+    """A broken identity fails both forms on the same sample, with the same
+    witness, and leaves the rng in the same state."""
+    import checks_reference
+
+    for name, args, target, mutate in (
+            ("coinflation_boundary", (30,), "coinflation",
+             _mutated_coinflation),
+            ("block_twisted_traces", (100, 3), "block_twisted_trace",
+             _mutated_trace)):
+        for module in (checks, checks_reference):
+            monkeypatch.setattr(module, target,
+                                mutate(getattr(module, target)))
+        ref_rng, rng = random.Random(seed), random.Random(seed)
+        want = getattr(checks_reference, name)(ref_rng, *args)
+        assert not want.ok and want.counts["samples"] < args[0]
+        assert getattr(checks, name)(rng, *args) == want
+        assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_block_twisted_trace_matches_the_matrix_products(seed):
+    """Both sides of the identity, and the verdict, equal those of the
+    IntMatrix-product version; blocks of another size raise in both."""
+    import checks_reference
+    from toruscheck.characters import block_twisted_trace
+    from toruscheck.lattice import IntMatrix
+
+    rng = random.Random(seed)
+    for _ in range(60):
+        nblk, dim = rng.randint(1, 4), rng.randint(1, 3)
+        mats = [IntMatrix([[rng.randint(-5, 5) for _ in range(dim)]
+                           for _ in range(dim)]) for _ in range(nblk + 1)]
+        *phis, T = mats
+        got = block_twisted_trace(phis, T)
+        assert got == checks_reference.block_twisted_trace(phis, T)
+        assert got[2]
+    bad = IntMatrix([[1, 2], [3, 4]]), IntMatrix.identity(3)
+    for trace in (block_twisted_trace, checks_reference.block_twisted_trace):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            trace([bad[0]], bad[1])

@@ -412,6 +412,41 @@ def test_coinflation_commutes_with_boundary():
         assert lhs.support == rhs.support
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_chain_maps_match_the_per_term_sums(seed):
+    """boundary and coinflation, summed in one dict with zero sums dropped
+    at the end, give the supports of one add_into per term: on chains of
+    degree 1-3 over Z (rank 1 and 2) and over C4, with values small enough
+    that many sums cancel, including to an empty chain."""
+    rng = random.Random(seed)
+    C4 = FiniteGroup.cyclic(4)
+    doms = [ZDomain(4, IntMatrix([[-1]])),
+            ZDomain(3, IntMatrix([[0, -1], [1, -1]])),
+            FiniteDomain(C4, [IntMatrix([[(-1) ** w]]) for w in range(4)])]
+    dom2 = FiniteDomain(FiniteGroup.cyclic(2),
+                        [IntMatrix([[1]]), IntMatrix([[-1]])])
+    emptied = 0
+    for _ in range(30):
+        for dom in doms:
+            rank = dom.mats[0].rows
+            keys = range(4) if isinstance(dom, FiniteDomain) else range(-2, 3)
+            for degree in (1, 2, 3):
+                supp = {tuple(rng.choice(keys) for _ in range(degree)):
+                        tuple(rng.randint(-1, 1) for _ in range(rank))
+                        for _ in range(rng.randint(0, 6))}
+                y = FiniteSupportChain(dom, degree, rank, supp)
+                got = y.boundary().support
+                assert got == ref.boundary_by_terms(y).support
+                assert all(any(v) for v in got.values())
+                emptied += bool(supp) and not got
+                if isinstance(dom, FiniteDomain):
+                    push = coinflation(y, lambda w: w % 2, dom2).support
+                    assert push == ref.coinflation_by_terms(
+                        y, lambda w: w % 2, dom2).support
+                    assert all(any(v) for v in push.values())
+    assert emptied
+
+
 def test_coinflation_fiber_example():
     C4 = FiniteGroup.cyclic(4)
     C2 = FiniteGroup.cyclic(2)

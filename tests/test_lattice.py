@@ -332,6 +332,37 @@ def test_unimodular_inverse_rejects_other_matrices(rows):
         unimodular_inverse(IntMatrix(rows))
 
 
+#: Entries at most 334 and invariant factors 2, 6, 6, 6, but the transforms
+#: of its SNF have entries up to about 1e11; inverting U through a second
+#: SNF ran for minutes.
+WIDE_TRANSFORMS = [[-94, -148, 332, -112], [-88, -130, 308, -100],
+                   [-50, -68, 178, -56], [92, 104, -334, 98]]
+
+TIMED_GROUP = """
+import sys, time
+from toruscheck.lattice import FGAbelian, IntMatrix
+M = IntMatrix(%r)
+start = time.perf_counter()
+G = FGAbelian(4, M)
+print(G.torsion, time.perf_counter() - start < 1.0)
+""" % (WIDE_TRANSFORMS,)
+
+
+def test_group_with_wide_transforms_inverts_quickly():
+    """FGAbelian on WIDE_TRANSFORMS is built within a second (in a child
+    process, so that a slow inverse cannot hang the suite), and its U^-1 is
+    the exact inverse of its U."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toruscheck.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", TIMED_GROUP],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0] == "(2, 6, 6, 6) True"
+    G = FGAbelian(4, IntMatrix(WIDE_TRANSFORMS))
+    assert max(abs(x) for row in G.U.data for x in row) > 10 ** 10
+    assert G.Uinv * G.U == G.U * G.Uinv == IntMatrix.identity(4)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
 def test_hnf_image_basis_spans_the_column_lattice(r, c, data):

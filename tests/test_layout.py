@@ -1,4 +1,5 @@
-"""A guard against regrowth of code that nothing in the package calls.
+"""A guard against regrowth of code that nothing in the package calls, and
+against a second way to draw a random integer (see the last test).
 
 Every top-level function or class of ``src/toruscheck`` and every public
 method must be named somewhere in ``src/`` outside its own definition, or
@@ -160,3 +161,21 @@ def test_benchmark_only_names_are_named_in_perfbench():
     assert [q for q in sorted(BENCHMARK_ONLY)
             if not any(re.search(r"\b%s\b" % q.rsplit(".", 1)[1], text)
                        for text in texts)] == []
+
+
+def _integer_draws(sources):
+    """[(file, line)] of every `.randint(...)` or `.randrange(...)` call in
+    the sources."""
+    return [(fn, n.lineno) for fn, text in sources.items()
+            for n in ast.walk(ast.parse(text))
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr in ("randint", "randrange")]
+
+
+def test_integers_are_drawn_one_way():
+    """The package draws its random integers through `suite.draws`, whose
+    stream is that of `randint`; no module calls `randint` or `randrange`
+    itself (a docstring may name them)."""
+    assert _integer_draws(_package_sources()) == []
+    sample = "def f(rng):\n    return rng.randint(1, 2) + r.randrange(3)\n"
+    assert _integer_draws({"suite.py": sample}) == [("suite.py", 2)] * 2

@@ -316,7 +316,8 @@ def test_xi_module_h0_and_h2_share_invariants(label, n, flip):
 OPTIMIZED_CHECKS = """
 import sys
 from toruscheck.rootdata import (BasedRootDatum, TwistData, diagram_flip,
-                                 levi_restriction, sign_product, twisted_sign)
+                                 dual_coordinates, levi_restriction,
+                                 sign_product, twisted_sign)
 
 if __debug__:
     sys.exit("asserts are still enabled")
@@ -337,10 +338,11 @@ def twist(label, n, galois=None, a=None):
 
 a1, a2 = twist("A1", 2), twist("A2", 2)
 attempt("product", lambda: sign_product(a1, (1,), twist("A1", 3), ()))
-attempt("product coordinates", lambda: a2.dual_from_factors((a1, a1), (0, 1)))
+attempt("product coordinates",
+        lambda: dual_coordinates(a2, (a1, a1), (0, 1)))
 attempt("diagonal coordinates",
-        lambda: a2.dual_from_factors((a1,) * 2, (1,) * 2))
-attempt("factor ranks", lambda: a2.dual_from_factors((a1,), (1,)))
+        lambda: dual_coordinates(a2, (a1,) * 2, (1,) * 2))
+attempt("factor ranks", lambda: dual_coordinates(a2, (a1,), (1,)))
 attempt("Galois-stable", lambda: levi_restriction(
     twist("A3", 2, galois=diagram_flip("A3")), [0]))
 attempt("a-stable", lambda: levi_restriction(

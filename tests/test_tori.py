@@ -214,6 +214,53 @@ def _h_and_iso(case):
     return dict(compute_h(case)), verify_iso(case)
 
 
+def _asymmetric_bars(which):
+    """A case of the S3 component on the A2 lattice whose alpha-bar, or
+    beta-bar, is not symmetric on its stabilizer, with the bar computed
+    directly.  alpha: Q trivial of order 3, z = 0 and phi = (1/3, 1/3),
+    which S3 fixes, with t_1 retwisted by (1, 0).  beta: Q = -1 on the A2
+    lattice plus a trivial line, lam_z = e_3, phi = 0, with s_1 retwisted
+    by (0, 0, 1/2)."""
+    if which == "alpha":
+        torus = TorusModel(LocalModel(3),
+                           GroupAction.cyclic(3, IntMatrix.identity(2)),
+                           s3_action())
+        phi = Parameter(torus, (QZ(1, 3), QZ(1, 3)))
+        case = build_case(torus, Cochain.zero(torus.gmodule(), 1), phi)
+        t2 = dict(case.t)
+        t2[1] = tuple(x + y for x, y in zip(t2[1], (1, 0)))
+        return retwisted(case, t=t2), lambda c, a, b: langlands_character(
+            torus, phi, c.alpha(a, b))
+    torus = TorusModel(LocalModel(2), GroupAction.cyclic(2, IntMatrix(
+        [[-1, 0, 0], [0, -1, 0], [0, 0, -1]])), s3_action(extra_rank=1))
+    case = build_case(torus, tn_iso(torus, (0, 0, 1)),
+                      Parameter(torus, (QZ(0),) * 3))
+    s2 = dict(case.s)
+    s2[1] = torus.dual_add(s2[1], (QZ(0), QZ(0), QZ(1, 2)))
+    return retwisted(case, s=s2), lambda c, a, b: torus.dual_eval(
+        c.beta(a, b), c.lam_z)
+
+
+@pytest.mark.parametrize("which", ["alpha", "beta"])
+def test_bars_are_kept_per_ordered_pair(which):
+    """On a case whose bar(a, b) and bar(b, a) differ on eight pairs of
+    the stabilizer, h and verify_iso pass and equal those of a fresh case,
+    and every kept bar, whichever order of a pair is asked for first, is
+    the bar of its own ordered pair."""
+    case, direct = _asymmetric_bars(which)
+    assert case.A_phi_z == list(range(6))
+    h, iso = _h_and_iso(case)
+    assert all(v[2] for v in iso.values())
+    assert (h, iso) == _h_and_iso(_fresh_copy(case))
+    pairs = [(a, b) for a in case.A_phi_z for b in case.A_phi_z]
+    for kept, order in ((case, pairs), (_fresh_copy(case), pairs[::-1])):
+        bar = getattr(kept, which + "_bar")
+        for a, b in order:
+            assert bar(a, b) == direct(kept, a, b)
+    bar = getattr(case, which + "_bar")
+    assert sum(bar(a, b) != bar(b, a) for a, b in pairs) == 8
+
+
 def test_retwisted_copies_keep_no_bars():
     """A retwist that moves alpha-bar(a^-1, a), or beta-bar, on a copy of a
     case that has kept its bars: h and verify_iso on the copy equal those
