@@ -278,32 +278,19 @@ def solve_integer(A, b):
     to zero, so downstream constructions built on it are reproducible.
     The solve plan of A is built once per matrix and kept (_plan_cache).
     """
-    return _solve(_plan_cache.get_or_compute(A.data, _plan_of, A), b)
+    return _solve(_plan_cache.get_or_compute(A.data, solve_plan, A), b)
 
 
-def _plan_of(A):
-    return solve_plan(snf_cached(A))
+def solve_plan(A):
+    """The sparse form of the SNF (U, D, V) of A that _solve reads: the
+    number of rows and columns, the rows of U with d_i = 0 as (columns,
+    entries), and for each row with d_i != 0 its (columns, entries) in U,
+    d_i and column i of V as (rows, entries).  Zero entries are dropped.
 
-
-def solve_snf(snf, b):
-    """solve_integer for the matrix A whose smith_normal_form is snf, for a
-    caller that keeps the SNF itself.  With U A V = D and c = U b, every row
-    must have d_i | c_i, and c_i = 0 where d_i = 0; then x = V y with
-    y_i = c_i / d_i where d_i != 0 and every free coordinate zero.  The
-    plan of snf is built on each call."""
-    return _solve(solve_plan(snf), b)
-
-
-def solve_plan(snf):
-    """The sparse form of an SNF (U, D, V) that _solve reads: the number of
-    rows and columns, the rows of U with d_i = 0 as (columns, entries), and
-    for each row with d_i != 0 its (columns, entries) in U, d_i and column i
-    of V as (rows, entries).  Zero entries are dropped.
-
-    >>> solve_plan(smith_normal_form(IntMatrix([[2], [0]])))
+    >>> solve_plan(IntMatrix([[2], [0]]))
     (2, 1, (((1,), (1,)),), (((0,), (1,), 2, (0,), (1,)),))
     """
-    U, D, V = snf
+    U, D, V = snf_cached(A)
     n = min(D.rows, D.cols)
     vcols = list(zip(*V.data))
     zero_rows, pivots = [], []
@@ -323,7 +310,7 @@ def _nonzero(vec):
 
 
 def _solve(plan, b):
-    """The canonical solution of solve_snf from the plan of the SNF."""
+    """The canonical solution of solve_integer from the plan of the SNF."""
     nrows, ncols, zero_rows, pivots = plan
     b = tuple(map(int, b))
     if len(b) != nrows:

@@ -16,7 +16,7 @@ from operator import mul, sub
 from typing import NamedTuple
 
 from .lattice import IntMatrix, FGAbelian, Memo, Subquotient, \
-    block_diagonal, block_matrix, smith_normal_form, solve_integer, solve_snf
+    block_diagonal, block_matrix, solve_integer
 from .groups import FiniteGroup
 from .cohomology import GModule, Cochain, CohomologyGroup, d_matrix, \
     tate_group
@@ -272,14 +272,14 @@ class SignPresentation(NamedTuple):
     of the a-coinvariant image of lambda_T, scaled so that a 2-cochain value
     m pairs with it to sum(m_i w_i) / den in Q/Z; they are None when that
     image vanishes, and then so are the rest.  amat is a on the xi module,
-    and system the Smith normal form of the a-fixed system of
+    and system the matrix of the a-fixed system of
     _exactly_fixed_representative."""
     gm: GModule
     H2: CohomologyGroup
     weights: tuple | None
     den: int
     amat: IntMatrix | None
-    system: tuple | None
+    system: IntMatrix | None
 
 
 def lambda_T(twist):
@@ -346,14 +346,13 @@ def coinvariant_class(twist, center_coords):
 
 
 def _fixed_system(gm, amat):
-    """Smith normal form of the matrix of (A - I)(d(u))(s, t) = slack,
-    one row per pair key (s, t) and module coordinate, in the unknowns u
-    (a 1-cochain) and one slack per row, a multiple of that coordinate's
-    modulus."""
+    """The matrix of (A - I)(d(u))(s, t) = slack, one row per pair key
+    (s, t) and module coordinate, in the unknowns u (a 1-cochain) and one
+    slack per row, a multiple of that coordinate's modulus."""
     pairs = gm.group.order ** 2
     B = block_diagonal([amat - IntMatrix.identity(gm.ngens)] * pairs)
-    return smith_normal_form(block_matrix(
-        [[B * d_matrix(gm, 1), block_diagonal([gm.rels] * pairs)]]))
+    return block_matrix(
+        [[B * d_matrix(gm, 1), block_diagonal([gm.rels] * pairs)]])
 
 
 def _exactly_fixed_representative(pres, coords):
@@ -370,7 +369,7 @@ def _exactly_fixed_representative(pres, coords):
     for i in range(0, len(rep.vec), g):
         v = rep.vec[i:i + g]
         target.extend(map(sub, v, pres.amat.apply(v)))
-    sol = solve_snf(pres.system, target)
+    sol = solve_integer(pres.system, target)
     if sol is None:
         return None
     gm = pres.gm

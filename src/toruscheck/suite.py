@@ -5,7 +5,7 @@ order at most 8 including the nonabelian one on six elements.
 The generator draws from templates of commuting (Galois, component) action
 pairs, then samples a cocycle class for z and a norm-zero dual value for
 the parameter.  Everything is driven by a seeded Random instance so suites
-are reproducible."""
+are reproducible; `checks.suite` sweeps every case it draws in full."""
 
 from __future__ import annotations
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from math import lcm
+from operator import add
 
 from .lattice import FGAbelian, IntMatrix, block_matrix, solve_integer
 from .qz import QZ, Cyc, cyc_from_pairs, qz_ints
@@ -49,13 +50,13 @@ class CaseError(ValueError):
     or a delta that does not map to the given norm class."""
 
 
-@dataclass
+@dataclass(slots=True)
 class ToriCase:
     """The full case bundle for a pure inner form of a disconnected torus.
 
-    The fields from h on keep values computed from the others, each under
-    what it depends on (see the method or function named beside it), so a
-    copy with other t, s, z or phi must start them empty."""
+    h (see compute_h) and kept hold values computed from the others: kept
+    maps (kind, ...) to a value kept under what it depends on.  A copy with
+    other t, s, z or phi must start both empty."""
 
     torus: TorusModel
     z: Cochain
@@ -67,20 +68,8 @@ class ToriCase:
     lam_z: tuple         # canonical norm-zero inverse of z under the TN map
     z_inv: Cochain       # z^-1 and phi0^-1, the inverses every pairing reads
     phi_inv: Parameter
-    h: dict = field(default_factory=dict)         # see compute_h()
-    alpha_bars: dict = field(default_factory=dict)  # see alpha_bar()
-    beta_bars: dict = field(default_factory=dict)   # see beta_bar()
-    pairings: dict = field(default_factory=dict)  # see pairing()
-    sweep: dict = field(default_factory=dict)     # see conjugates()
-    inner: dict = field(default_factory=dict)     # see theta_value()
-    reps: dict = field(default_factory=dict)      # see theta_value()
-    kottwitz_values: dict = field(default_factory=dict)  # see theta_value()
-    complexes: dict = field(default_factory=dict)  # see pair_complex_matrix()
-    duals: dict = field(default_factory=dict)     # see endoscopic_value()
-    lifts: dict = field(default_factory=dict)     # see endoscopic_value()
-    pair_values: dict = field(default_factory=dict)  # see endoscopic_value()
-    columns: dict | None = None                   # see theta_value()
-    packet_data: tuple | None = None              # see packet()
+    h: dict = field(default_factory=dict)
+    kept: dict = field(default_factory=dict)
 
     @property
     def A(self):
@@ -88,31 +77,11 @@ class ToriCase:
 
     def pairing(self, a):
         """pair_for_h(self, a), computed once per case."""
-        if a not in self.pairings:
-            self.pairings[a] = pair_for_h(self, a)
-        return self.pairings[a]
-
-    def conjugates(self, a, t_vec):
-        """(c a c^-1, delta0, phi(delta0)) with delta0 = c.t_vec + zeta(c, a),
-        for the c in A_z that keep a in A_phi_z: the data both sums of the
-        character identity read at (a, t_vec), built once per pair.  They
-        are kept only for a Galois-invariant t_vec, so a bad t_vec leaves
-        the case as it was."""
-        key = (a, tuple(t_vec))
-        out = self.sweep.get(key)
-        if out is None:
-            A, stab = self.A, set(self.A_phi_z)
-            out = []
-            for c in self.A_z:
-                cac = A.mul(A.mul(c, a), A.inv(c))
-                if cac in stab:
-                    delta0 = tuple(x + y for x, y in
-                                   zip(self.act(c, t_vec), self.zeta(c, a)))
-                    out.append((cac, delta0, langlands_character(
-                        self.torus, self.phi, delta0)))
-            if _is_invariant_vec(self.torus, t_vec):
-                self.sweep[key] = out
-        return out
+        key = ("pairing", a)
+        v = self.kept.get(key)
+        if v is None:
+            v = self.kept[key] = pair_for_h(self, a)
+        return v
 
     def act(self, a, vec):
         return self.torus.comp.act(a, vec)
@@ -121,10 +90,11 @@ class ToriCase:
         """Matrix of 1 - aut on X: the complex map for a commuting pair
         (z, delta) whose defining relation is  aut.z - z = d(delta), built
         once per aut."""
-        f = self.complexes.get(aut)
+        key = ("complex", aut)
+        f = self.kept.get(key)
         if f is None:
-            f = self.complexes[aut] = (IntMatrix.identity(self.torus.rank)
-                                       - self.torus.comp.matrices[aut])
+            f = self.kept[key] = (IntMatrix.identity(self.torus.rank)
+                                  - self.torus.comp.matrices[aut])
         return f
 
     def f_complex(self, a):
@@ -146,18 +116,20 @@ class ToriCase:
 
     def alpha_bar(self, a, b):
         """[phi](alpha(a, b)), kept per (a, b)."""
-        v = self.alpha_bars.get((a, b))
+        key = ("alpha_bar", a, b)
+        v = self.kept.get(key)
         if v is None:
-            v = self.alpha_bars[a, b] = langlands_character(
+            v = self.kept[key] = langlands_character(
                 self.torus, self.phi, self.alpha(a, b))
         return v
 
     def beta_bar(self, a, b):
         """beta(a, b) evaluated at lam_z, kept per (a, b)."""
-        v = self.beta_bars.get((a, b))
+        key = ("beta_bar", a, b)
+        v = self.kept.get(key)
         if v is None:
-            v = self.beta_bars[a, b] = self.torus.dual_eval(self.beta(a, b),
-                                                            self.lam_z)
+            v = self.kept[key] = self.torus.dual_eval(self.beta(a, b),
+                                                      self.lam_z)
         return v
 
     def kottwitz(self, s):
@@ -341,8 +313,9 @@ def packet(case):
     trivial, the member whose centralizer-side character is trivial carries
     the generic flag.  Raises CaseError when the packet fails its size,
     dimension, generic-member or h-bijection check."""
-    if case.packet_data is not None:
-        return case.packet_data
+    data = case.kept.get(("packet",))
+    if data is not None:
+        return data
     ext_phi, elems = _extension(case, "beta")
     table, sel = irr_with_central_char(ext_phi, QZ(1, ext_phi.m))
     # packet size and dimensions: as many members as regular classes, with
@@ -365,8 +338,8 @@ def packet(case):
     if z_trivial and sum(1 for e in out if e.generic) != 1:
         raise CaseError("exactly one generic member expected when z is "
                         "trivial")
-    case.packet_data = (out, table, sel, ext_phi, elems)
-    return case.packet_data
+    data = case.kept["packet",] = (out, table, sel, ext_phi, elems)
+    return data
 
 
 def _check_h_bijection(case, ext_phi, table, sel, elems):
@@ -439,31 +412,32 @@ def theta_value(case, s_dot, b, t_vec, a):
     without that factor is kept per (b, a, t), as exponents and
     numerators, and each s shifts the exponents by kz: a bijection of Q/Z,
     so the terms stay apart and equal those of the whole sum.  The
-    Kottwitz value is kept per s, and S and the closed-form roots per
-    (a, t); a value is kept only after its guard passes, so a bad s or t
-    raises on every call and leaves the case as it was.  P is kept on the
-    table, by column_product."""
+    Kottwitz value is kept per s, and the conjugates per (a, t); a value
+    is kept only after its guard passes, so a bad s or t raises on every
+    call and leaves the case as it was.  P is kept on the table, by
+    column_product."""
     torus = case.torus
     if a not in case.A_phi_z or b not in case.A_phi_z:
         raise ValueError("element outside the packet group")
-    s_key = tuple(s_dot)
-    kz = case.kottwitz_values.get(s_key)
+    kept = case.kept
+    s_key = ("kottwitz", tuple(s_dot))
+    kz = kept.get(s_key)
     if kz is None:
         if not _is_invariant_dual(torus, s_dot):
             raise ValueError("s must be Galois-invariant")
         kz = case.kottwitz(s_dot)
-    t_key = (a, tuple(t_vec))
-    sums = case.inner.get(t_key)
+    t_key = ("conjugates", a, tuple(t_vec))
+    sums = kept.get(t_key)
     if sums is None:
         if not _is_invariant_vec(torus, t_vec):
             raise ValueError("t must be Galois-invariant")
-        sums = case.inner[t_key] = _inner_sums(case, a, t_vec)
-    case.kottwitz_values[s_key] = kz
-    data = packet(case)
-    kept = case.reps.get((b, t_key))
-    if kept is None:
-        kept = case.reps[b, t_key] = _rep_sum(case, data, b, sums)
-    N, den, exps, nums = kept
+        sums = kept[t_key] = _conjugates(case, a, t_vec)
+    kept[s_key] = kz
+    rep_key = ("rep", b, t_key)
+    rep = kept.get(rep_key)
+    if rep is None:
+        rep = kept[rep_key] = _rep_sum(case, packet(case), b, sums)
+    N, den, exps, nums = rep
     n = lcm(N, kz.den)
     step, kzs = n // N, kz.num * (n // kz.den)
     rep = cyc_from_pairs([((k * step + kzs) % n, c)
@@ -481,9 +455,9 @@ def _rep_sum(case, data, b, sums):
     """(N, den, exponents, numerators): the representation sum without its
     factor e(kz), (1/|Abar|) sum_x S[x] P[b][x], as the terms
     (c / den) e(k/N) at the level N = lcm(L, M), zeros dropped, from the
-    packet data and the (a, t) entry sums = (M, by_class).  Tuples of ints
-    take far less memory than a Cyc's dict of QZ keys, which a large sweep
-    would keep by the thousand.
+    packet data and the (a, t) record sums = (M, by_class) of conjugates.
+    Tuples of ints take far less memory than a Cyc's dict of QZ keys,
+    which a large sweep would keep by the thousand.
 
     chi_i((0, y)) is the table's exponent form (level L, denominator D) at
     the class of (0, y), which is element j in the k|Abar| + j encoding of
@@ -491,14 +465,15 @@ def _rep_sum(case, data, b, sums):
     M, by_class = sums
     _, table, sel, _, elems = data
     L, D, _ = table.exponent_forms()
-    if case.columns is None:
-        case.columns = {y: table.class_index[j] for j, y in enumerate(elems)}
-    col = case.columns
+    col = case.kept.get(("columns",))
+    if col is None:
+        col = case.kept["columns",] = {y: table.class_index[j]
+                                       for j, y in enumerate(elems)}
     N = lcm(L, M)
     step, sstep = N // L, N // M
     acc = {}
     get = acc.get
-    for x, (_, roots) in by_class.items():
+    for x, (_, roots, _) in by_class.items():
         prod = column_product(table, sel, col[b], col[x])
         for e, m in roots:
             shift = e * sstep
@@ -509,20 +484,30 @@ def _rep_sum(case, data, b, sums):
     return N, D * D * len(elems), exps, tuple(acc[k] for k in exps)
 
 
-def _inner_sums(case, a, t_vec):
-    """(M, {x: (vals, roots)}) over the classes x = cac of the conjugates at
-    (a, t_vec): vals lists val_c over the c with cac = x, in the order of
-    ToriCase.conjugates, and roots is S[x] as (exponent, count) pairs at the
-    level M of all the roots val_c + h(x)."""
+def _conjugates(case, a, t_vec):
+    """(M, {x: (vals, roots, deltas)}): the data both sums of the character
+    identity read at (a, t_vec), grouped by the classes x = c a c^-1 of the
+    c in A_z that keep a in A_phi_z.  For each such c, in the order of
+    A_z, delta0 = c.t_vec + zeta(c, a); vals lists phi(delta0), deltas
+    lists delta0 + t_x, the element written over the base point, and roots
+    is S[x] as (exponent, count) pairs at the level M of all the roots
+    val + h(x).  Its callers keep it per (a, t_vec) for a Galois-invariant
+    t_vec only, so a bad t_vec leaves the case as it was."""
+    A, stab = case.A, set(case.A_phi_z)
     by_class = {}
-    for cac, _, val in case.conjugates(a, t_vec):
-        by_class.setdefault(cac, []).append(val)
+    for c in case.A_z:
+        x = A.mul(A.mul(c, a), A.inv(c))
+        if x in stab:
+            delta0 = tuple(map(add, case.act(c, t_vec), case.zeta(c, a)))
+            vals, deltas = by_class.setdefault(x, ([], []))
+            vals.append(langlands_character(case.torus, case.phi, delta0))
+            deltas.append(tuple(map(add, delta0, case.t[x])))
     counts = {x: Counter(val + case.h[x] for val in vals)
-              for x, vals in by_class.items()}
+              for x, (vals, _) in by_class.items()}
     M = lcm(1, *(q.den for roots in counts.values() for q in roots))
     return M, {x: (vals, [(q.num * (M // q.den), m)
-                          for q, m in counts[x].items()])
-               for x, vals in by_class.items()}
+                          for q, m in counts[x].items()], deltas)
+               for x, (vals, deltas) in by_class.items()}
 
 
 def endoscopic_value(case, s_dot, b, t_vec, a):
@@ -534,18 +519,18 @@ def endoscopic_value(case, s_dot, b, t_vec, a):
 
         sum_{c in A^[z], c a c^-1 = b^-1} e(-<(z^-1, delta_c), (phi0^-1, s s_b)>)
 
-    with delta_c the twisted-conjugated element written over the base point.
-    The dual pair is kept per (s, b), the lift per (b^-1, delta) and its
-    pairing value per ((s, b), delta), each once its checks have passed.
+    with delta_c the twisted-conjugated element written over the base point,
+    read from the b^-1 group of _conjugates(case, a, t_vec).  The dual pair
+    is kept per (s, b), the lift per (b^-1, delta) and its pairing value
+    per ((s, b), delta), each once its checks have passed.
     """
     torus = case.torus
-    A = case.A
     if a not in case.A_phi_z or b not in case.A_phi_z:
         raise ValueError("element outside the packet group")
     if any(v != 1 for v in TRIVIAL_FACTORS.values()):
         raise ValueError("the classical transfer-factor terms of a torus "
                          "must be trivial")
-    binv = A.inv(b)
+    binv = case.A.inv(b)
     # the conjugated elements sit in the b^-1 coset, so their pairs live on
     # the complex with map 1 - b^-1.  A new dual pair (phi0^-1, s s_b) is
     # checked first and kept per (s, b) once the call succeeds.  The lift
@@ -554,25 +539,32 @@ def endoscopic_value(case, s_dot, b, t_vec, a):
     # the dual pair is kept per ((s, b), delta) once pair_with_lift has
     # checked the dual pair again
     fT = case.pair_complex_matrix(binv)
-    key = (tuple(s_dot), b)
-    dual = case.duals.get(key)
+    kept = case.kept
+    key = ("dual", tuple(s_dot), b)
+    dual = kept.get(key)
     if dual is None:
         dual = (case.phi_inv, torus.dual_add(s_dot, case.s[b]))
         validate_hyper_pair_dual(torus, fT, *dual)
+    t_key = ("conjugates", a, tuple(t_vec))
+    sums = kept.get(t_key)
+    if sums is None:
+        sums = _conjugates(case, a, t_vec)
+        if _is_invariant_vec(torus, t_vec):
+            kept[t_key] = sums
+    group = sums[1].get(binv)
     roots = {}
-    for cac, delta0, _ in case.conjugates(a, t_vec):
-        if cac == binv:
-            delta = tuple(x + y for x, y in zip(delta0, case.t[binv]))
-            q = case.pair_values.get((key, delta))
-            if q is None:
-                lift = case.lifts.get((binv, delta))
-                if lift is None:
-                    lift = case.lifts[binv, delta] = hyper_lift(
-                        torus, fT, (case.z_inv, delta), dual)
-                q = case.pair_values[key, delta] = -pair_with_lift(
-                    torus, fT, lift, dual)
-            roots[q] = roots.get(q, 0) + 1
-    case.duals[key] = dual
+    for delta in (group[2] if group else ()):
+        q_key = ("pair_value", key, delta)
+        q = kept.get(q_key)
+        if q is None:
+            lift_key = ("lift", binv, delta)
+            lift = kept.get(lift_key)
+            if lift is None:
+                lift = kept[lift_key] = hyper_lift(
+                    torus, fT, (case.z_inv, delta), dual)
+            q = kept[q_key] = -pair_with_lift(torus, fT, lift, dual)
+        roots[q] = roots.get(q, 0) + 1
+    kept[key] = dual
     return Cyc(roots)
 
 

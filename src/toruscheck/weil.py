@@ -328,9 +328,14 @@ def hyper_lift(torus, fT, pair_T, dual_pair):
         cup(lam) - d0(t) = u,
         boundary(mu1) = fT lam,
         D*phi(mu1) - fT(p) = D*v      (t = p/D),
-    with mu1 supported on a finite window.  The matrix of this system
-    depends only on the Galois action, fT, D and the window, and is built
-    once per such key.  Raises LiftNotFound when no window admits a lift.
+    with mu1 supported on the window [-n, n).  The matrix of this system
+    depends only on the Galois action, fT and D, and is built once per
+    such key.  Raises LiftNotFound when it has no solution, and no wider
+    window has one then: at w = j + kn, j in [0, n), mu1(w) has boundary
+    block sigma^-j - 1 and phi column -sum_i sigma^i (c(i, j) + k), so a
+    chain enters only through A_j = sum_k mu1(j + kn) and
+    B_j = sum_k k mu1(j + kn), which the chain with A_j + B_j at j and
+    -B_j at j - n on [-n, n) shares.
     """
     u, v = pair_T
     r = torus.rank
@@ -342,19 +347,17 @@ def hyper_lift(torus, fT, pair_T, dual_pair):
 
     target = [0] * r + [D * x for x in u.vec] + [0] * r + Dv
     galois = tuple(m.data for m in torus.galois.matrices)
-    for halfwidth in (n, 2 * n, 4 * n):
-        A, dom = _lift_cache.get_or_compute(
-            (galois, fT.data, D, halfwidth), _lift_system, torus, fT, D,
-            halfwidth)
-        sol = solve_integer(A, target)
-        if sol is None:
-            continue
-        lam = tuple(sol[:r])
-        mu = FiniteSupportChain(dom, 1, r)
-        for wi, w in enumerate(range(-halfwidth, halfwidth)):
-            mu.add_into((w,), tuple(sol[2 * r + wi * r: 2 * r + (wi + 1) * r]))
-        return lam, mu
-    raise LiftNotFound("no chain-level lift found for the hyper pairing input")
+    A, dom = _lift_cache.get_or_compute((galois, fT.data, D), _lift_system,
+                                        torus, fT, D)
+    sol = solve_integer(A, target)
+    if sol is None:
+        raise LiftNotFound(
+            "no chain-level lift found for the hyper pairing input")
+    lam = tuple(sol[:r])
+    mu = FiniteSupportChain(dom, 1, r)
+    for wi, w in enumerate(range(-n, n)):
+        mu.add_into((w,), tuple(sol[2 * r + wi * r: 2 * r + (wi + 1) * r]))
+    return lam, mu
 
 
 def pair_with_lift(torus, fT, lift, dual_pair):
@@ -364,13 +367,12 @@ def pair_with_lift(torus, fT, lift, dual_pair):
     return elementary_pairing(torus, dual_pair, lift)
 
 
-def _lift_system(torus, fT, D, halfwidth):
-    """The matrix of hyper_pairing's lift system on the window
-    [-halfwidth, halfwidth), in the unknowns (lam, p, mu1), with the chain
-    domain mu1 lives on."""
+def _lift_system(torus, fT, D):
+    """The matrix of hyper_pairing's lift system on the window [-n, n), in
+    the unknowns (lam, p, mu1), with the chain domain mu1 lives on."""
     r = torus.rank
     n = torus.model.n
-    window = list(range(-halfwidth, halfwidth))
+    window = list(range(-n, n))
     dom = ZDomain(n, torus.galois.matrices[1] if n > 1
                   else IntMatrix.identity(r))
     A = block_matrix([

@@ -1,9 +1,9 @@
 """Reference implementation for differential tests: the dense solve of
-``lattice.solve_snf`` as it was before the solve plan, with c = U b and
+``lattice.solve_integer`` as it was before the solve plan, with c = U b and
 x = V y as full matrix-vector products.
 
 Nothing in the package imports this module.  test_lattice.py checks
-``lattice.solve_integer`` and ``lattice.solve_snf`` against it.
+``lattice.solve_integer`` against it.
 """
 
 

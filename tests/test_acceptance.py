@@ -73,14 +73,12 @@ def test_criterion_1_extension_isomorphism():
 
 def test_criterion_2_character_identity():
     """Three-way agreement on the same suite for every stabilizer pair
-    (a, b) with |A| <= 6, over the documented element test sets; includes
+    (a, b) of every case, over the documented element test sets; includes
     the vanishing branch."""
     ok = True
     triples = 0
     vanishing = 0
     for case in suite():
-        if len(case.A_phi_z) > checks.SWEEP_MAX_STABILIZER:
-            continue
         v = checks.character_identity(case)
         ok = ok and v.ok
         triples += v.counts["triples"]

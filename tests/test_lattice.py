@@ -14,7 +14,6 @@ from toruscheck.lattice import (
     IntMatrix,
     smith_normal_form,
     solve_integer,
-    solve_snf,
     kernel_basis,
     hnf_image_basis,
     unimodular_inverse,
@@ -193,8 +192,8 @@ def _right_hand_sides(rng, L, diag):
 
 
 def test_solve_plan_matches_the_dense_solve():
-    """solve_integer and solve_snf, which solve from the sparse plan of the
-    SNF, return the very tuple the dense U/D/V solve returns, or None in the
+    """solve_integer, which solves from the sparse plan of the SNF,
+    returns the very tuple the dense U/D/V solve returns, or None in the
     same cases, on every kind of matrix and right-hand side."""
     rng = random.Random(21)
     seen = set()
@@ -203,7 +202,6 @@ def test_solve_plan_matches_the_dense_solve():
         for rhs, b in _right_hand_sides(rng, L, diag):
             want = solve_dense(snf, b)
             assert solve_integer(A, b) == want, (kind, rhs, A, b)
-            assert solve_snf(snf, b) == want, (kind, rhs, A, b)
             if rhs == "solvable":
                 assert want is not None and A.apply(want) == tuple(b)
             elif rhs != "random":
@@ -228,8 +226,7 @@ def test_solve_plan_matches_the_dense_solve_on_lift_systems(monkeypatch):
 
     monkeypatch.setattr(weil, "solve_integer", recording)
     for case in checks.random_cases(random.Random(1), 12):
-        if len(case.A_phi_z) <= checks.SWEEP_MAX_STABILIZER:
-            assert checks.character_identity(case).ok
+        assert checks.character_identity(case).ok
     systems = {A.data for A, _, _ in solved}
     assert len(systems) >= 10 and len(solved) >= 50
     # each right-hand side also moved by one in its first and last entry,
@@ -430,8 +427,8 @@ def test_block_matrix_takes_no_width_from_a_matrix_without_rows():
 OPTIMIZED_CHECKS = """
 import sys
 from toruscheck.lattice import (FGAbelian, IntMatrix, Subquotient,
-                                block_matrix, smith_normal_form,
-                                solve_integer, solve_snf, unimodular_inverse)
+                                block_matrix, solve_integer,
+                                unimodular_inverse)
 
 if __debug__:
     sys.exit("asserts are still enabled")
@@ -466,12 +463,10 @@ attempt("widths", lambda: block_matrix([[I1], [I2]]))
 attempt("zero row", lambda: block_matrix([[I1, 0], [0, 0]]))
 attempt("zero column", lambda: block_matrix([[I1, 0], [I1, 0]]))
 # SNF diag(2, 4): c = U b = (1, 3) fails d_0 | c_0
-print("residue", solve_integer(A, (1, 0)),
-      solve_snf(smith_normal_form(A), (1, 0)))
+print("residue", solve_integer(A, (1, 0)))
 # rank 1 of 2 rows: the second row of c = U b must be 0
 B = IntMatrix([[2], [0]])
-print("past the rank", solve_integer(B, (0, 1)),
-      solve_snf(smith_normal_form(B), (0, 1)))
+print("past the rank", solve_integer(B, (0, 1)))
 """
 
 
@@ -499,6 +494,6 @@ def test_lattice_checks_run_under_python_O():
         "widths rejected: blocks of sizes [1, 2] in one block column",
         "zero row rejected: a block row of zeros only",
         "zero column rejected: a block column of zeros only",
-        "residue None None",
-        "past the rank None None",
+        "residue None",
+        "past the rank None",
     ]

@@ -1,5 +1,6 @@
-"""A guard against regrowth of code that nothing in the package calls, and
-against a second way to draw a random integer (see the last test).
+"""A guard against regrowth of code that nothing in the package calls,
+against a second way to draw a random integer, and against a second
+per-case store (see the last two tests).
 
 Every top-level function or class of ``src/toruscheck`` and every public
 method must be named somewhere in ``src/`` outside its own definition, or
@@ -13,10 +14,12 @@ and must be named in its README section.
 """
 
 import ast
+import dataclasses
 import os
 import re
 
 import toruscheck
+from toruscheck.tori import ToriCase
 
 SRC = os.path.dirname(os.path.abspath(toruscheck.__file__))
 ROOT = os.path.dirname(os.path.dirname(SRC))
@@ -179,3 +182,16 @@ def test_integers_are_drawn_one_way():
     assert _integer_draws(_package_sources()) == []
     sample = "def f(rng):\n    return rng.randint(1, 2) + r.randrange(3)\n"
     assert _integer_draws({"suite.py": sample}) == [("suite.py", 2)] * 2
+
+
+def test_a_case_keeps_values_in_one_store():
+    """The fields of ToriCase are its constructor fields without a default,
+    plus h and kept: whatever a case keeps goes into kept under a
+    (kind, ...) key, and with slots an attribute of another name cannot be
+    set on a case at all."""
+    fields = dataclasses.fields(ToriCase)
+    with_default = [f.name for f in fields
+                    if f.default is not dataclasses.MISSING
+                    or f.default_factory is not dataclasses.MISSING]
+    assert with_default == ["h", "kept"]
+    assert ToriCase.__slots__ == tuple(f.name for f in fields)

@@ -141,15 +141,15 @@ def test_lift_systems_are_keyed_by_fT_and_D(fresh_memos, monkeypatch):
     built = []
     build = weil._lift_system
 
-    def recording(torus, fT, D, halfwidth):
-        built.append((fT.data, D, halfwidth))
-        return build(torus, fT, D, halfwidth)
+    def recording(torus, fT, D):
+        built.append((fT.data, D))
+        return build(torus, fT, D)
 
     monkeypatch.setattr(weil, "_lift_system", recording)
     shared = [hyper_pairing(t, *x) for x in inputs]
     assert shared[0] == QZ(1, 2)
-    # one system per (fT, D), each solved in the first window, then reused
-    assert built == [(((2,),), 1, 2), (((1,),), 2, 2), (((1,),), 1, 2)]
+    # one system per (fT, D), then reused
+    assert built == [(((2,),), 1), (((1,),), 2), (((1,),), 1)]
     assert [hyper_pairing(t, *x) for x in inputs] == shared
     assert len(built) == len(weil._lift_cache) == 3
     for x, value in zip(inputs, shared):

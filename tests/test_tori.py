@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -131,26 +132,23 @@ def test_stabilizer_swapped_z3_classes():
 
 
 def retwisted(case, **changes):
-    """dataclasses.replace(case, **changes) with every field that has a
-    default reset to it: the fields a case keeps values in, read from
-    dataclasses.fields, so one added later is reset too.  The copy shares
-    no kept value with the case."""
-    fresh = {}
-    for f in dataclasses.fields(case):
-        if f.default_factory is not dataclasses.MISSING:
-            fresh[f.name] = f.default_factory()
-        elif f.default is not dataclasses.MISSING:
-            fresh[f.name] = f.default
-    return dataclasses.replace(case, **{**fresh, **changes})
+    """dataclasses.replace(case, **changes) with h and kept, the fields a
+    case keeps values in, reset to empty: the copy shares no kept value
+    with the case."""
+    return dataclasses.replace(case, **{"h": {}, "kept": {}, **changes})
 
 
 def _fresh_copy(case):
-    """A ToriCase built from the fields of case that have no default, so it
-    has kept nothing yet."""
+    """A ToriCase built from the fields of case other than h and kept, so
+    it has kept nothing yet."""
     return ToriCase(**{f.name: getattr(case, f.name)
                        for f in dataclasses.fields(case)
-                       if f.default is dataclasses.MISSING
-                       and f.default_factory is dataclasses.MISSING})
+                       if f.name not in ("h", "kept")})
+
+
+def _kinds(case):
+    """How many values case keeps of each kind."""
+    return Counter(key[0] for key in case.kept)
 
 
 def test_h_choice_retwist_properties():
@@ -271,7 +269,7 @@ def test_retwisted_copies_keep_no_bars():
     case = _trivially_acting(2, 1, 3, None, (QZ(1, 2),))
     assert case.A_phi_z == [0, 1, 2]
     h, iso = _h_and_iso(case)
-    assert case.alpha_bars and case.beta_bars
+    assert _kinds(case)["alpha_bar"] and _kinds(case)["beta_bar"]
     t2 = dict(case.t)
     t2[1] = tuple(x + 1 for x in t2[1])
     copy = retwisted(case, t=t2)
@@ -405,7 +403,8 @@ def test_theta_value_matches_cyc_arithmetic(scaled):
     for case in random_cases(random.Random(11), 12):
         if scaled:
             pkt, table, sel, ext, elems = packet(case)
-            case.packet_data = (pkt, _ScaledTable(table), sel, ext, elems)
+            case.kept["packet",] = (pkt, _ScaledTable(table), sel, ext,
+                                    elems)
         for s in invariant_duals(case.torus)[:2]:
             for t in invariant_vectors(case.torus)[:2]:
                 for a in case.A_phi_z:
@@ -446,7 +445,8 @@ def test_theta_value_matches_per_character_convolution(scaled):
         pkt, table, sel, ext, elems = packet(case)
         nonabelian = nonabelian or any(p.dim > 1 for p in pkt)
         if scaled:
-            case.packet_data = (pkt, _ScaledTable(table), sel, ext, elems)
+            case.kept["packet",] = (pkt, _ScaledTable(table), sel, ext,
+                                    elems)
         for s in invariant_duals(case.torus)[:3]:
             for t in invariant_vectors(case.torus)[:2]:
                 for a in case.A_phi_z:
@@ -620,11 +620,8 @@ def test_swept_case_still_rejects_bad_inputs():
 
 
 def _kept(case):
-    """Every field of the case, with its dicts copied: what a call keeps
-    shows as a difference."""
-    return {f.name: (dict(v) if isinstance(v, dict) else v)
-            for f in dataclasses.fields(case)
-            for v in [getattr(case, f.name)]}
+    """Copies of h and kept: what a call keeps shows as a difference."""
+    return dict(case.h), dict(case.kept)
 
 
 def test_bad_s_or_t_raise_on_every_call_and_keep_nothing():
@@ -663,7 +660,8 @@ def test_bad_s_or_t_raise_on_every_call_and_keep_nothing():
             for s in invariant_duals(torus):
                 for t in invariant_vectors(torus):
                     assert character_identity_report(case, s, b, t, a).all_equal
-    assert case.kottwitz_values and case.inner and case.duals
+    kinds = _kinds(case)
+    assert kinds["kottwitz"] and kinds["conjugates"] and kinds["dual"]
     rejected()
 
 
@@ -728,7 +726,8 @@ def test_kept_rep_sums_shift_by_the_kottwitz_value():
         assert got == [encode_cyc(v) for v in _theta_by_cyc(case, *args)]
         assert character_identity_report(case, *args).all_equal
         shifted += args[0] == duals[1] and bool(got[0])
-    assert len(case.reps) == len(calls) // 2 and shifted == len(calls) // 2
+    assert _kinds(case)["rep"] == len(calls) // 2
+    assert shifted == len(calls) // 2
 
 
 #: Bad inputs for the guards of theta_value and endoscopic_value, the

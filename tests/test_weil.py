@@ -8,8 +8,10 @@ import pytest
 
 from cohomology_reference import is_normalized
 from lemmas import fundamental_cochain
-from toruscheck import weil
-from toruscheck.lattice import IntMatrix
+from lift_reference import fold, lift_system
+from toruscheck import checks, weil
+from toruscheck.cli import main
+from toruscheck.lattice import IntMatrix, Memo, solve_integer
 from toruscheck.qz import QZ
 from toruscheck.groups import FiniteGroup, GroupAction
 from toruscheck.cohomology import (
@@ -456,6 +458,72 @@ def test_hyper_pairing_error_precedence(monkeypatch):
     with pytest.raises(LiftNotFound):
         hyper_pairing(t, fT, (z, (1,)), (phi.neg(), (QZ(1, 4),)))
     assert solves
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CASE_FILES = [os.path.join(ROOT, "fixtures", "norm_one_torus.json"),
+              os.path.join(ROOT, "fixtures", "s3_component.json"),
+              os.path.join(ROOT, "tests", "galois6_case.json")]
+
+
+def _lift_solves(monkeypatch, tmp_path):
+    """[(torus, fT, D, b)]: every distinct lift system hyper_lift solves,
+    with its right-hand side, over the character-identity sweep of twelve
+    seeded suite cases, and tori-verify and pairing on both fixtures and
+    the Galois-order-6 case."""
+    built, solved = {}, {}
+    build, solve = weil._lift_system, weil.solve_integer
+
+    def recording_build(torus, fT, D):
+        A, dom = build(torus, fT, D)
+        built[A.data] = (torus, fT, D)
+        return A, dom
+
+    def recording_solve(A, b):
+        if A.data in built:
+            solved.setdefault((A.data, tuple(b)), (*built[A.data], tuple(b)))
+        return solve(A, b)
+
+    monkeypatch.setattr(weil, "_lift_cache", Memo())
+    monkeypatch.setattr(weil, "_lift_system", recording_build)
+    monkeypatch.setattr(weil, "solve_integer", recording_solve)
+    for case in checks.random_cases(random.Random(1), 12):
+        assert checks.character_identity(case).ok
+    for command in ("tori-verify", "pairing"):
+        for path in CASE_FILES:
+            assert main([command, "--input", path,
+                         "--output", str(tmp_path / "out.json")]) == 0
+    return list(solved.values())
+
+
+def test_no_wider_window_admits_a_lift(monkeypatch, tmp_path):
+    """hyper_lift solves on [-n, n) only.  On every lift system of a swept
+    suite case and of the case files, with its own right-hand side and with
+    its first and last entries moved by one either way, the systems at
+    half-widths n, 2n and 4n are solvable alike, and a solution at 2n or
+    4n folded onto [-n, n) solves the system there."""
+    solves = _lift_solves(monkeypatch, tmp_path)
+    assert len({(t.rank, t.model.n) for t, _, _, _ in solves}) >= 3
+    n_values = {t.model.n for t, _, _, _ in solves}
+    assert 1 in n_values or 2 in n_values
+    assert max(n_values) >= 3
+    verdicts = set()
+    for torus, fT, D, b in solves:
+        r, n = torus.rank, torus.model.n
+        narrow = weil._lift_system(torus, fT, D)[0]
+        assert lift_system(torus, fT, D, n) == narrow
+        wide = [(h, lift_system(torus, fT, D, h)) for h in (2 * n, 4 * n)]
+        moved = [b[:j] + (b[j] + e,) + b[j + 1:]
+                 for j in (0, len(b) - 1) for e in (-1, 1)]
+        for rhs in [b] + moved:
+            x = solve_integer(narrow, rhs)
+            verdicts.add(x is not None)
+            for h, A in wide:
+                y = solve_integer(A, rhs)
+                assert (y is None) == (x is None), (n, h, rhs)
+                if y is not None:
+                    assert narrow.apply(fold(y, r, n, h)) == rhs
+    assert verdicts == {True, False}
 
 
 def test_hyper_pairing_is_lift_then_evaluation():

@@ -11,6 +11,7 @@ from math import lcm
 
 from toruscheck.qz import Cyc, convolve, cyc_from_vector
 from toruscheck.tori import packet
+from toruscheck.weil import langlands_character
 
 
 def theta_by_convolution(case, s_dot, b, t_vec, a):
@@ -20,14 +21,24 @@ def theta_by_convolution(case, s_dot, b, t_vec, a):
 
     with the inner sum over the conjugators c built for each packet member i
     as an exponent vector at level N, then multiplied by the row of b.  It
-    reads the case's packet, h, pairings and conjugates and keeps no sums of
-    its own; the inputs must already be valid."""
+    enumerates the conjugators c in A_z itself, with
+    delta0 = c.t_vec + zeta(c, a) and val_c = phi(delta0), reads the case's
+    packet, h and pairings, and keeps no sums of its own; the inputs must
+    already be valid."""
     pkt, table, sel, ext, elems = packet(case)
     L, D, forms = table.exponent_forms()
     col = {x: table.class_index[i] for i, x in enumerate(elems)}
     kz = case.kottwitz(s_dot)
-    conjugates = case.conjugates(a, t_vec)
-    roots = [(col[cac], val + case.h[cac]) for cac, _, val in conjugates]
+    A = case.A
+    conjugates = []
+    for c in case.A_z:
+        cac = A.mul(A.mul(c, a), A.inv(c))
+        if cac in col:
+            delta0 = tuple(x + y for x, y in zip(case.torus.comp.act(c, t_vec),
+                                                 case.zeta(c, a)))
+            conjugates.append(
+                (cac, langlands_character(case.torus, case.phi, delta0)))
+    roots = [(col[cac], val + case.h[cac]) for cac, val in conjugates]
     N = lcm(L, kz.den, *(q.den for _, q in roots))
     step = N // L
     roots = [(x, q.num * (N // q.den)) for x, q in roots]
@@ -45,7 +56,7 @@ def theta_by_convolution(case, s_dot, b, t_vec, a):
     binv = case.A.inv(b)
     shift = kz - case.pairing(b)
     closed = {}
-    for cac, _, val in conjugates:
+    for cac, val in conjugates:
         if cac == binv:
             q = val + shift
             closed[q] = closed.get(q, 0) + 1
