@@ -5,8 +5,10 @@ relation, and finite-group models of the induction lemmas the checks run
 
 A character table is computed over a prime field GF(p) with p = 1 mod the
 group exponent (Dixon, with Schneider's echelonized eigenspaces and Galois
-orbits); eigenvalue multiplicities are lifted to honest cyclotomic integers
-and every orthogonality relation is then re-verified exactly.
+orbits, and each eigenvector projected out of the identity class);
+eigenvalue multiplicities are lifted to honest cyclotomic integers, which
+also give the table's exponent forms, and every orthogonality relation is
+then re-verified exactly.
 """
 
 from __future__ import annotations
@@ -285,79 +287,114 @@ def _eigenvectors(G, p, maps):
     scaled to 1 at the identity class: one per irreducible character chi,
     whose entry k is |C_k| chi(g_k) / chi(1) mod p.
 
-    Dixon's split, with Schneider's refinements.  Each eigenspace is kept
-    as an echelon basis, so the class matrix M restricted to it, T, is read
-    off the images M b_i at the pivots; an image outside the space raises
-    ValueError.  The identity class matrix splits nothing and is skipped,
-    and so is a space on which T is a scalar lambda I.
-    When an eigenvector w is found, each w o pi_l over the power maps is
-    the eigenvector of a Galois conjugate chi^(l); it takes the place of a
-    nullspace when its eigenvalue w[pi_l(K)] is a simple root of T's
-    characteristic polynomial, it lies in the space, and M w' = lambda w'."""
+    Dixon's split, with Schneider's refinements, by projection.  Column
+    orthogonality gives sum_chi chi(1)^2 w_chi = |G| e_0, and p > 2|G|, so
+    the identity class e_0 has a nonzero part on every eigenvector.  Each
+    eigenspace S still to split is kept as an echelon basis with one such
+    vector v_S, and the full space carries e_0.  The class matrices split
+    in order of decreasing element order (the identity class matrix splits
+    nothing and is skipped).  For a class matrix M, its restriction T to S
+    is read off the images M b_i at the pivots; an image outside S raises
+    ValueError, and a space on which T is a scalar lambda I is kept.  With
+    sf the product of (X - mu) over the distinct roots of T's
+    characteristic polynomial, u = (sf / (X - lambda))(M) v_S is nonzero
+    exactly on the eigenvectors in S with M-eigenvalue lambda; it is summed
+    from v_S, M v_S, M^2 v_S, ... with the sparse M, and a u that vanishes
+    raises ValueError.  For a simple root u is the eigenvector, checked by
+    M w = lambda w; for a repeated one the eigenspace is the nullspace of
+    T - lambda, carrying u.  A space of dimension 1 is an eigenvector
+    found.  When one is found, each w o pi_l over the power maps is the
+    eigenvector of a Galois conjugate chi^(l); it takes the place of a
+    projection when its eigenvalue w[pi_l(K)] is a simple root, it lies in
+    the space, and M w' = lambda w'."""
     classes = G.conjugacy_classes()
     reps = [cls[0] for cls in classes]
     r = len(classes)
-    spaces = [_echelon([[int(i == j) for i in range(r)] for j in range(r)],
-                       r, p)]
-    found = set()
+    orders = [G.element_order(g) for g in reps]
+    found = {}  # the eigenvectors, in the order they are found
     pending = set()  # conjugates of found eigenvectors, not yet placed
-    for K in range(1, r):
-        if all(len(space[0]) == 1 for space in spaces):
+    by_value = {}  # the pending conjugates by their eigenvalue at class K
+    spaces = []  # (echelon basis, v_S) for each space still to split
+    K = 0  # the class whose matrix splits the spaces
+
+    def place(basis, v):
+        """Keep the span of basis, carrying v, or find its one vector."""
+        if len(basis) != 1:
+            if basis:
+                spaces.append((_echelon(basis, r, p), v))
+            return
+        w = _normalized(basis[0], p)
+        found[w] = None
+        for _, pi in maps:
+            u = tuple(w[k] for k in pi)
+            if u not in found and u not in pending:
+                pending.add(u)
+                by_value.setdefault(u[K], []).append(u)
+
+    place([[int(i == j) for i in range(r)] for j in range(r)],
+          [1] + [0] * (r - 1))
+    for K in sorted(range(1, r), key=lambda k: (-orders[k], k)):
+        if not spaces:
             break
         M = _class_matrix(G, classes[K], reps)
         by_value = {}
         for u in pending:
             by_value.setdefault(u[K], []).append(u)
-        regrouped = []
-        for space in spaces:
+        split, spaces = spaces, []
+        for space, v in split:
             rows, pivots, _ = space
-            if len(rows) == 1:
-                regrouped.append(space)
-                continue
             d = len(rows)
             images = [_apply(M, b, p) for b in rows]
-            if not all(_in_span(v, space, p) for v in images):
+            if not all(_in_span(x, space, p) for x in images):
                 raise ValueError("class matrix must preserve the space")
-            T = [[v[c] for v in images] for c in pivots]
+            T = [[x[c] for x in images] for c in pivots]
             lam = T[0][0]
             if all(x == (lam if i == j else 0)
                    for i, row in enumerate(T) for j, x in enumerate(row)):
                 # T = lambda I: M splits nothing here, and the space is
                 # already in echelon form
-                regrouped.append(space)
+                spaces.append((space, v))
                 continue
             poly = _charpoly(T, p)
             slope = [i * c % p for i, c in enumerate(poly)][1:]
-            for lam in _poly_roots(poly, p):
-                w = None
-                if _poly_eval(slope, lam, p):  # a simple root
+            roots = _poly_roots(poly, p)
+            sf = [1]
+            for mu in roots:
+                sf = [(a - mu * b) % p for a, b in zip([0] + sf, sf + [0])]
+            krylov = None  # the columns of v, M v, ..., M^(len(roots)-1) v
+            for lam in roots:
+                simple = _poly_eval(slope, lam, p) != 0
+                if simple:
                     w = next((u for u in by_value.get(lam, ())
                               if u in pending and _in_span(u, space, p)
                               and _apply(M, u, p)
                               == [lam * x % p for x in u]), None)
-                if w is None:
-                    Tm = [[(T[i][j] - (lam if i == j else 0)) % p
-                           for j in range(d)] for i in range(d)]
-                    cols = list(zip(*rows))
-                    sub = [[sum(map(mul, col, nv)) % p for col in cols]
-                           for nv in _nullspace(Tm, p)]
-                    if len(sub) != 1:
-                        if sub:
-                            regrouped.append(_echelon(sub, r, p))
+                    if w is not None:
+                        pending.discard(w)
+                        found[w] = None
                         continue
-                    w = _normalized(sub[0], p)
-                    for _, pi in maps:
-                        u = tuple(w[k] for k in pi)
-                        if u not in found and u not in pending:
-                            pending.add(u)
-                            by_value.setdefault(u[K], []).append(u)
-                pending.discard(w)
-                found.add(w)
-                regrouped.append(_echelon([w], r, p))
-        spaces = regrouped
-    if len(spaces) != r or any(len(space[0]) != 1 for space in spaces):
+                if krylov is None:
+                    powers = [v]
+                    for _ in range(len(roots) - 1):
+                        powers.append(_apply(M, powers[-1], p))
+                    krylov = list(zip(*powers))
+                q, _ = _divide_root(sf, lam, p)
+                u = [sum(map(mul, q, col)) % p for col in krylov]
+                if not any(u):
+                    raise ValueError("projection vanishes on an eigenspace")
+                if simple:
+                    if _apply(M, u, p) != [lam * x % p for x in u]:
+                        raise ValueError("projection is not an eigenvector")
+                    place([u], None)
+                    continue
+                Tm = [[(T[i][j] - (lam if i == j else 0)) % p
+                       for j in range(d)] for i in range(d)]
+                cols = list(zip(*rows))
+                place([[sum(map(mul, col, nv)) % p for col in cols]
+                       for nv in _nullspace(Tm, p)], u)
+    if spaces or len(found) != r:
         raise ValueError("eigenspace splitting incomplete")
-    return [_normalized(space[0][0], p) for space in spaces]
+    return list(found)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +407,7 @@ class CharacterTable:
 
     MAX_ORDER = 400
 
-    def __init__(self, group, chars, dims):
+    def __init__(self, group, chars, dims, forms=None):
         self.group = group
         self.classes = group.conjugacy_classes()
         self.class_index = group.class_index()
@@ -380,7 +417,10 @@ class CharacterTable:
         self.central = {}
         # column_product pairs, by (tuple(sel), k1, k2) with k1 <= k2
         self.products = {}
-        self._forms = None
+        # twisted_orthogonality left sides (lhs, vanishes), by the same key
+        self.lhs = {}
+        # exponent_forms(chars), when the builder of the table knows them
+        self._forms = forms
 
     def value(self, i, g):
         return self.chars[i][self.class_index[g]]
@@ -448,7 +488,9 @@ class CharacterTable:
 def character_table(group):
     """Dixon's method: split class-matrix eigenspaces over GF(p) with
     p = 1 mod exp(G), then lift eigenvalue multiplicities to cyclotomics,
-    once per Galois orbit of characters and of classes."""
+    once per Galois orbit of characters and of classes.  The integer
+    multiplicities give the table's exponent forms as well, so verify()
+    reads them without taking the values apart again."""
     G = group
     if G.order > CharacterTable.MAX_ORDER:
         raise ValueError("group order %d exceeds the configured bound %d"
@@ -585,8 +627,15 @@ def character_table(group):
         return 0
 
     order = sorted(range(r), key=cmp_to_key(compare))
+    # exponent_forms(chars) read off the multiplicities: e(j/h) has order
+    # h / gcd(j, h), so the level n is their lcm, D = 1, and e(j/h) is
+    # e(k/n) with k = j n / h
+    n = lcm(1, *(orders[c] // gcd(j, orders[c])
+                 for row in pairs for c, cp in enumerate(row) for j, _ in cp))
+    forms = [[[(j * n // orders[c], x) for j, x in cp]
+              for c, cp in enumerate(pairs[i])] for i in order]
     table = CharacterTable(G, [chars[i] for i in order],
-                           [dims[i] for i in order])
+                           [dims[i] for i in order], (n, 1, forms))
     table.verify()
     return table
 
@@ -712,14 +761,22 @@ def twisted_orthogonality(ext, psi1, e, e2, cache=None):
                                        = 0    if e-bar^-1 not conjugate to e2-bar
 
     Returns (lhs, rhs, verdict); rhs and verdict are None outside the two
-    covered branches.  Raises ValueError when e is not psi-centralizing."""
+    covered branches.  Raises ValueError when e is not psi-centralizing.
+    The left side, a Cyc, and whether it is zero (its column product pairs
+    are zero mod Phi_n) are kept on the table (`lhs`) under column_product's
+    key, so a sweep builds them once per pair of classes."""
     if not is_psi_centralizing(ext, psi1, e):
         raise ValueError("element is not psi-centralizing; lemma inapplicable")
     table, sel = irr_with_central_char(ext, psi1, cache)
-    n, D, _ = table.exponent_forms()
-    pairs = column_product(table, sel, table.class_index[e],
-                           table.class_index[e2])
-    lhs = cyc_from_pairs(pairs, n, D * D)
+    k1, k2 = table.class_index[e], table.class_index[e2]
+    key = (tuple(sel), k1, k2) if k1 <= k2 else (tuple(sel), k2, k1)
+    side = table.lhs.get(key)
+    if side is None:
+        n, D, _ = table.exponent_forms()
+        pairs = column_product(table, sel, k1, k2)
+        side = table.lhs[key] = (cyc_from_pairs(pairs, n, D * D),
+                                 not any(residue(pairs, n)))
+    lhs, vanishes = side
     A = ext.base
     prod = ext.group.mul(e, e2)
     # the A-parts a of the elements k |A| + a
@@ -729,8 +786,7 @@ def twisted_orthogonality(ext, psi1, e, e2, cache=None):
         return lhs, rhs, lhs == rhs
     index = A.class_index()
     if index[A.inv(ebar)] != index[e2bar]:
-        # lhs is zero iff its exponent pairs are zero mod Phi_n
-        return lhs, Cyc.zero(), not any(residue(pairs, n))
+        return lhs, Cyc.zero(), vanishes
     return lhs, None, None
 
 

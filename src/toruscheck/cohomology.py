@@ -344,22 +344,27 @@ def cup(x, y, pairing, out_gmod):
     pairing(x(g_1..g_p), (g_1...g_p) . y(g_{p+1}..g_{p+q})) in out_gmod.
 
     `pairing` takes (value of x, value of y) to a value of out_gmod and must
-    be bi-additive and equivariant for the three actions.
+    be bi-additive and equivariant for the three actions.  The values
+    g . y(...) are computed once per product g of the left keys.
     """
     Q = x.gmod.group
     p, q = x.degree, y.degree
     gx, gy = x.gmod.ngens, y.gmod.ngens
     ys = [y.vec[j * gy:(j + 1) * gy] for j in range(Q.order ** q)]
+    acted = {}
     out = []
     for i, left in enumerate(tuples(Q, p)):
         g = 0
         for s in left:
             g = Q.mul(g, s)
         xv = x.vec[i * gx:(i + 1) * gx]
-        rows = y.gmod.mats[g].data
-        for yv in ys:
-            out.extend(pairing(xv, tuple([sum(map(mul, row, yv))
-                                          for row in rows])))
+        gys = acted.get(g)
+        if gys is None:
+            rows = y.gmod.mats[g].data
+            gys = acted[g] = [tuple([sum(map(mul, row, yv)) for row in rows])
+                              for yv in ys]
+        for gyv in gys:
+            out.extend(pairing(xv, gyv))
     return Cochain(out_gmod, p + q, out)
 
 

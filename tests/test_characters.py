@@ -14,12 +14,12 @@ from lemmas import (block_rotation_class_bijection, canonical_tensor_extension,
                     class_in_h2, frobenius_induced_value,
                     mackey_multiplicity_transfer, restriction_multiplicity,
                     subgroup_closure)
-from toruscheck import characters
+from toruscheck import characters, qz
 from toruscheck.casefile import encode_cyc
 from toruscheck.cli import DiskTableCache
 from toruscheck.checks import scalar_datum
 from toruscheck.lattice import IntMatrix
-from toruscheck.qz import QZ, Cyc, cyc_div, residue
+from toruscheck.qz import QZ, Cyc, cyc_div, cyc_from_pairs, residue
 from toruscheck.groups import FiniteGroup, Cocycle2, CentralExtension
 from toruscheck.characters import (
     character_table,
@@ -874,21 +874,96 @@ def test_table_matches_reference(family):
             == [[list(v.terms.items()) for v in row] for row in old.chars], G
 
 
-def test_one_nullspace_per_galois_orbit(monkeypatch):
-    """C30 has one Galois orbit of characters per divisor of 30, so its
-    table takes 8 nullspaces, not 30; S4 is rational and has no power map
-    but the identity."""
-    calls = []
-    nullspace = characters._nullspace
+def _count_split_calls(monkeypatch):
+    """Counters of the nullspaces and characteristic polynomials the split
+    takes, patched into characters."""
+    calls = {"nullspace": 0, "charpoly": 0}
+    nullspace, charpoly = characters._nullspace, characters._charpoly
 
-    def counted(A, p):
-        calls.append(len(A))
+    def counted_nullspace(A, p):
+        calls["nullspace"] += 1
         return nullspace(A, p)
 
-    monkeypatch.setattr(characters, "_nullspace", counted)
+    def counted_charpoly(A, p):
+        calls["charpoly"] += 1
+        return charpoly(A, p)
+
+    monkeypatch.setattr(characters, "_nullspace", counted_nullspace)
+    monkeypatch.setattr(characters, "_charpoly", counted_charpoly)
+    return calls
+
+
+def test_cyclic_split_takes_no_nullspace(monkeypatch):
+    """A class matrix of a generator of C30 has 30 simple eigenvalues on the
+    full space, so one characteristic polynomial splits it: each eigenvector
+    is a projection of the identity class or a Galois conjugate of one, and
+    no nullspace is taken (the split by nullspaces took 8, one per Galois
+    orbit).  S4 is rational and has no power map but the identity."""
+    calls = _count_split_calls(monkeypatch)
     character_table(FiniteGroup.cyclic(30))
-    assert len(calls) == 8
+    assert calls == {"nullspace": 0, "charpoly": 1}
     assert characters._power_maps(FiniteGroup.symmetric(4), 12) == []
+
+
+@pytest.mark.parametrize("family",
+                         ["table_items", "cyclic", "dihedral", "others"])
+def test_identity_class_is_a_unit_sum_of_eigenvectors(family):
+    """What the split by projection rests on: over the eigenvectors w_i that
+    _eigenvectors returns, sum_i chi_i(1)^2 w_i = |G| e_0 mod p (column
+    orthogonality at (1, g_k)), with chi_i(1)^2 read off w_i as
+    |G| / sum_k w_i[k] w_i[k^-1] / |C_k| and, as a multiset, the squared
+    dims of the table."""
+    for G in _reference_groups(family):
+        classes = G.conjugacy_classes()
+        index = G.class_index()
+        exponent = math.lcm(*(G.element_order(g) for g in range(G.order)))
+        p = characters._find_prime(exponent, 2 * G.order + 1)
+        vectors = characters._eigenvectors(
+            G, p, characters._power_maps(G, exponent))
+        inv = [index[G.inv(cls[0])] for cls in classes]
+        squares = []
+        for w in vectors:
+            s = sum(w[k] * w[inv[k]] * pow(len(cls), -1, p)
+                    for k, cls in enumerate(classes))
+            squares.append(G.order * pow(s, -1, p) % p)
+        assert sorted(squares) == sorted(
+            d * d % p for d in character_table(G).dims), G
+        total = [sum(d2 * w[k] for d2, w in zip(squares, vectors)) % p
+                 for k in range(len(classes))]
+        assert total == [G.order % p] + [0] * (len(classes) - 1), G
+
+
+@pytest.mark.parametrize("family",
+                         ["table_items", "cyclic", "dihedral", "others"])
+def test_lifted_forms_are_the_exponent_forms(family, tmp_path,
+                                            monkeypatch):
+    """The exponent forms character_table fills from the lifted
+    multiplicities, with the forms of values out of reach, equal
+    qz.exponent_forms of the table's values, on every group of the
+    reference families (C1 included), and a table reloaded through
+    DiskTableCache builds its forms from its values: the same pairs, in
+    the order of its stored terms."""
+    groups = _reference_groups(family)
+    if family == "cyclic":
+        assert groups[0].order == 1
+
+    def unreachable(rows):
+        raise AssertionError("forms built from the values")
+
+    for G in groups:
+        with monkeypatch.context() as m:
+            m.setattr(characters, "exponent_forms", unreachable)
+            table = character_table(G)
+        assert table.exponent_forms() == qz.exponent_forms(table.chars), G
+    G = groups[-1]
+    DiskTableCache(str(tmp_path)).get_or_compute(G)
+    loaded = DiskTableCache(str(tmp_path)).get_or_compute(G)
+    n, D, forms = loaded.exponent_forms()
+    assert (n, D, forms) == qz.exponent_forms(loaded.chars)
+    n_, D_, lifted = character_table(G).exponent_forms()
+    assert (n, D) == (n_, D_)
+    assert [[sorted(v) for v in row] for row in forms] == \
+        [[sorted(v) for v in row] for row in lifted]
 
 
 def _table_primes():
@@ -930,26 +1005,16 @@ def test_poly_roots_match_the_scan():
 
 
 @pytest.mark.parametrize("name, nullspaces, charpolys",
-                         [("C2xD4", 17, 8), ("C2xS4", 15, 6)])
+                         [("C2xD4", 7, 8), ("C2xS4", 5, 6)])
 def test_scalar_spaces_take_no_nullspace(monkeypatch, name, nullspaces,
                                          charpolys):
     """A class matrix acting on an eigenspace as a scalar splits nothing
     there, so the space is kept without a characteristic polynomial or a
     nullspace (the split without that test took 28 and 19 on C2 x D4, 30
-    and 21 on C2 x S4)."""
-    calls = {"nullspace": 0, "charpoly": 0}
-    nullspace, charpoly = characters._nullspace, characters._charpoly
-
-    def counted_nullspace(A, p):
-        calls["nullspace"] += 1
-        return nullspace(A, p)
-
-    def counted_charpoly(A, p):
-        calls["charpoly"] += 1
-        return charpoly(A, p)
-
-    monkeypatch.setattr(characters, "_nullspace", counted_nullspace)
-    monkeypatch.setattr(characters, "_charpoly", counted_charpoly)
+    and 21 on C2 x S4), and a simple eigenvalue is split off by projection,
+    so only repeated ones take a nullspace (the split by nullspaces took
+    17 on C2 x D4 and 15 on C2 x S4)."""
+    calls = _count_split_calls(monkeypatch)
     C2 = FiniteGroup.cyclic(2)
     other = {"C2xD4": FiniteGroup.dihedral(4),
              "C2xS4": FiniteGroup.symmetric(4)}[name]
@@ -960,18 +1025,34 @@ def test_scalar_spaces_take_no_nullspace(monkeypatch, name, nullspaces,
 def test_kept_column_products_equal_a_fresh_sum():
     """After a twisted-orthogonality sweep, every pair list kept on the
     table equals the sum over the selection read from the exponent forms,
-    with the classes in either order, and both orders read one entry."""
-    for ext in [TWISTED_ORACLE["mu4.C4"](), q8_extension()]:
+    with the classes in either order, and both orders read one entry.
+    Every kept left side (lhs, vanishes) is the one the sweep returned for
+    its pair of classes, and equals the Cyc built afresh from its column
+    product and the zero test of those pairs mod Phi_L."""
+    for ext in [TWISTED_ORACLE["mu4.C4"](), TWISTED_ORACLE["mu2xD6"](),
+                q8_extension()]:
         cache = TableCache()
         table = cache.get_or_compute(ext.group)
-        assert table.products == {}
+        assert table.products == {} and table.lhs == {}
         psi = QZ(1, ext.m)
+        _, sel = irr_with_central_char(ext, psi, cache)
+        read = set()
         for e in range(ext.group.order):
             if is_psi_centralizing(ext, psi, e):
                 for e2 in range(ext.group.order):
-                    twisted_orthogonality(ext, psi, e, e2, cache)
-        L, _, forms = table.exponent_forms()
-        assert table.products
+                    lhs, _, _ = twisted_orthogonality(ext, psi, e, e2, cache)
+                    key = (tuple(sel), *sorted((table.class_index[e],
+                                                table.class_index[e2])))
+                    assert table.lhs[key][0] is lhs
+                    read.add(key)
+        assert set(table.lhs) == read == set(table.products)
+        L, D, forms = table.exponent_forms()
+        for (sel, k1, k2), (lhs, vanishes) in table.lhs.items():
+            pairs = characters.column_product(table, list(sel), k1, k2)
+            fresh = cyc_from_pairs(pairs, L, D * D)
+            assert lhs.terms == fresh.terms
+            assert vanishes == (not any(residue(pairs, L))) \
+                == (fresh == Cyc.zero())
         for (sel, k1, k2), kept in list(table.products.items()):
             assert k1 <= k2
             for a, b in [(k1, k2), (k2, k1)]:
@@ -986,8 +1067,8 @@ def test_kept_column_products_equal_a_fresh_sum():
 
 
 def test_disk_cache_keeps_no_column_products(tmp_path):
-    """Kept column products are not written to a table's file, and a table
-    loaded from the file starts with none."""
+    """Kept column products and twisted left sides are not written to a
+    table's file, and a table loaded from the file starts with none."""
     ext = TWISTED_ORACLE["mu4.C4"]()
     cache = DiskTableCache(str(tmp_path))
     table = cache.get_or_compute(ext.group)
@@ -997,19 +1078,20 @@ def test_disk_cache_keeps_no_column_products(tmp_path):
     psi = QZ(1, ext.m)
     for e2 in range(ext.group.order):
         twisted_orthogonality(ext, psi, 0, e2, cache)
-    assert table.products
+    assert table.products and table.lhs
     cache._store(cache.key(ext.group), table)
     with open(path, "rb") as f:
         assert f.read() == before
     loaded = DiskTableCache(str(tmp_path)).get_or_compute(ext.group)
-    assert loaded is not table and loaded.products == {}
+    assert loaded is not table
+    assert loaded.products == {} and loaded.lhs == {}
     assert [[v.terms for v in row] for row in loaded.chars] == \
         [[v.terms for v in row] for row in table.chars]
 
 
 #: Bad inputs for every guard of characters.py that an input can reach and
 #: for the Mackey and restriction guards of tests/lemmas.py, run with
-#: asserts stripped, and two guards of character_table that only a patched
+#: asserts stripped, and four guards of character_table that only a patched
 #: helper reaches.
 OPTIMIZED_GUARDS = """
 import sys
@@ -1090,19 +1172,34 @@ class_matrix = characters._class_matrix
 
 
 def into_identity(G, cls, reps):
-    # the true class matrix for class 1, then one sending every class to
-    # the identity class
-    if cls == G.conjugacy_classes()[1]:
-        return class_matrix(G, cls, reps)
+    # one sending every class to the identity class
     return [((0, 1),)] * len(reps)
 
 
-characters._class_matrix = into_identity
+def first_true(G, cls, reps):
+    # the true class matrix for class 1 of D4 (the rotations of order 4,
+    # which split first), then into_identity
+    if cls == G.conjugacy_classes()[1]:
+        return class_matrix(G, cls, reps)
+    return into_identity(G, cls, reps)
+
+
+characters._class_matrix = first_true
 raises("invariance", lambda: character_table(D4))
+# on the full space into_identity has the simple eigenvalue 1 and the
+# eigenvalue 0 four times, and kills M e_0 - e_0 = (X - 1)(M) e_0
+characters._class_matrix = into_identity
+raises("vanishing", lambda: character_table(D4))
 characters._class_matrix = class_matrix
+# a root scan that misses the last root of C3's generator: the projection
+# for the first root keeps a part on the missed eigenvector
+poly_roots = characters._poly_roots
+characters._poly_roots = lambda poly, p: poly_roots(poly, p)[:-1]
+raises("projection", lambda: character_table(FiniteGroup.cyclic(3)))
+characters._poly_roots = poly_roots
 # a class permutation of C5 that is not a power map: its vectors fail their
-# class-matrix check, so the split takes nullspaces, and the lift then finds
-# no row for them
+# class-matrix check, so the split projects instead, and the lift then
+# finds no row for them
 characters._power_maps = lambda G, exponent: [(2, (0, 2, 1, 3, 4))]
 raises("conjugate", lambda: character_table(FiniteGroup.cyclic(5)))
 """
@@ -1133,6 +1230,8 @@ def test_guards_raise_under_python_O():
         "raised order bound - group order 401 exceeds the configured "
         "bound 400",
         "raised invariance - class matrix must preserve the space",
+        "raised vanishing - projection vanishes on an eigenspace",
+        "raised projection - projection is not an eigenvector",
         "raised conjugate - Galois conjugate eigenvector missing from the "
         "table",
     ]

@@ -11,6 +11,7 @@ from cochain_reference import from_table
 
 import toruscheck
 from toruscheck import checks
+from toruscheck.casefile import load_case_file
 from toruscheck.lattice import IntMatrix
 from toruscheck.groups import FiniteGroup, GroupAction
 from toruscheck.cohomology import (
@@ -168,6 +169,48 @@ def test_sampled_checks_fail_on_a_non_homomorphism():
     assert checks.dd_zero(gm, 1, random.Random(0), 20, 3) == \
         checks.Verdict(False, {"sample": 0}, {"samples": 1})
     assert not checks.cup_leibniz(gm, random.Random(0), 20).ok
+
+
+def _case_modules():
+    """The Galois modules X of the two fixtures and of the order-6 case."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    paths = {"norm one": os.path.join(root, "fixtures", "norm_one_torus.json"),
+             "S3 component": os.path.join(root, "fixtures",
+                                          "s3_component.json"),
+             "Galois order 6": os.path.join(root, "tests",
+                                            "galois6_case.json")}
+    return {name: load_case_file(path)[0].gmodule()
+            for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("name", ["norm one", "S3 component",
+                                  "Galois order 6"])
+def test_cup_matches_reference(name):
+    """cup, which acts on the values of y once per product of a left key,
+    equals the key-at-a-time cup of tests/cochain_reference.py on random
+    cochains of degrees 0-2 each, with integer cochains on the left
+    (n . v) and on the right (v . n)."""
+    gm = _case_modules()[name]
+    ints = GModule.trivial_ints(gm.group)
+    rng = random.Random(name)
+
+    def times(a, b):
+        return tuple(b[0] * c for c in a)
+
+    def cochain(module, degree):
+        size = module.ngens * module.group.order ** degree
+        return Cochain(module, degree, [rng.randint(-5, 5)
+                                        for _ in range(size)])
+
+    for p in range(3):
+        for q in range(3):
+            for left, right, pairing in [(ints, gm, lambda a, b: times(b, a)),
+                                         (gm, ints, times)]:
+                x, y = cochain(left, p), cochain(right, q)
+                got = cup(x, y, pairing, gm)
+                want = cochain_reference.cup(x, y, pairing, gm)
+                assert got.degree == want.degree == p + q
+                assert got.vec == want.vec, (p, q)
 
 
 def test_tate_examples():
