@@ -282,10 +282,11 @@ def solve_integer(A, b):
 
 
 def solve_plan(A):
-    """The sparse form of the SNF (U, D, V) of A that _solve reads: the
-    number of rows and columns, the rows of U with d_i = 0 as (columns,
-    entries), and for each row with d_i != 0 its (columns, entries) in U,
-    d_i and column i of V as (rows, entries).  Zero entries are dropped.
+    """The sparse form of the SNF (U, D, V) of A that _solve and
+    Subquotient read: the number of rows and columns, the rows of U with
+    d_i = 0 as (columns, entries), and for each row with d_i != 0 its
+    (columns, entries) in U, d_i and column i of V as (rows, entries).
+    Zero entries are dropped.
 
     >>> solve_plan(IntMatrix([[2], [0]]))
     (2, 1, (((1,), (1,)),), (((0,), (1,), 2, (0,), (1,)),))
@@ -310,8 +311,25 @@ def _nonzero(vec):
 
 
 def _solve(plan, b):
-    """The canonical solution of solve_integer from the plan of the SNF."""
-    nrows, ncols, zero_rows, pivots = plan
+    """solve_integer's canonical solution x = V y, y from _pivot_step."""
+    y = _pivot_step(plan, b)
+    if y is None:
+        return None
+    x = [0] * plan[1]
+    for (_, _, _, rows, vvals), yi in zip(plan[3], y):
+        if yi:
+            for r, e in zip(rows, vvals):
+                x[r] += e * yi
+    return tuple(x)
+
+
+def _pivot_step(plan, b):
+    """With U A V = D the SNF of the plan's A and c = U b: the list of
+    y_i = c_i / d_i over the rows with d_i != 0, or None when some c_i with
+    d_i = 0 is nonzero or some d_i does not divide c_i.  These y_i are the
+    coordinates of b in the basis A V e_i = d_i U^-1 e_i of the column
+    lattice of A."""
+    nrows, _, zero_rows, pivots = plan
     b = tuple(map(int, b))
     if len(b) != nrows:
         raise ValueError("a right-hand side of length %d for %d rows"
@@ -320,16 +338,13 @@ def _solve(plan, b):
     for cols, vals in zero_rows:
         if sum(map(mul, vals, map(at, cols))):
             return None
-    x = [0] * ncols
-    for cols, vals, d, rows, vvals in pivots:
+    y = []
+    for cols, vals, d, _, _ in pivots:
         c = sum(map(mul, vals, map(at, cols)))
         if c % d:
             return None
-        y = c // d
-        if y:
-            for r, e in zip(rows, vvals):
-                x[r] += e * y
-    return tuple(x)
+        y.append(c // d)
+    return y
 
 
 def block_matrix(grid):
@@ -385,20 +400,6 @@ def kernel_basis(A):
     n = min(A.rows, A.cols)
     rank = sum(1 for i in range(n) if D.data[i][i] != 0)
     return [V.column(j) for j in range(rank, A.cols)]
-
-
-def hnf_image_basis(A):
-    """Basis of the column span of A (image lattice): with U A V = D from
-    its SNF, column j of U^-1 D, that is d_j times column j of U^-1."""
-    U, D, V = snf_cached(A)
-    Uinv = unimodular_inverse(U)
-    basis = []
-    for j in range(min(A.rows, A.cols)):
-        d = D.data[j][j]
-        if d == 0:
-            break
-        basis.append(tuple(d * x for x in Uinv.column(j)))
-    return basis
 
 
 def unimodular_inverse(M):
@@ -529,28 +530,36 @@ class Subquotient:
 
     Provides classify (ambient vector -> normal form in the quotient) and
     representative (normal form -> ambient vector), the presentation engine
-    behind all Tate and hypercohomology groups.
+    behind all Tate and hypercohomology groups.  Both are read off the SNF
+    U S V = D of the generator matrix S alone: the basis L is the columns
+    S V e_j = d_j U^-1 e_j over the nonzero d_j, and v in L has there the
+    coordinates (U v)_j / d_j (_pivot_step).  Subquotients live in memoized
+    values, so the plan of S is held here, not kept in _plan_cache.
     """
 
-    __slots__ = ("ambient_dim", "L", "group", "_Lmat")
+    __slots__ = ("ambient_dim", "L", "group", "_plan", "_Lmat")
 
     def __init__(self, ambient_dim, sub_gens, bdry_gens):
         self.ambient_dim = ambient_dim
-        basis = hnf_image_basis(IntMatrix.from_columns(sub_gens, ambient_dim))
-        self._Lmat = IntMatrix.from_columns(basis, ambient_dim)
-        self.L = basis
+        S = IntMatrix.from_columns(sub_gens, ambient_dim)
+        self._plan = plan = solve_plan(S)
+        # column j of S V, from the nonzero entries of column j of V
+        self.L = [tuple([sum(map(mul, vals, map(row.__getitem__, rows)))
+                         for row in S.data])
+                  for _, _, _, rows, vals in plan[3]]
+        self._Lmat = IntMatrix.from_columns(self.L, ambient_dim)
         rels_in_L = []
         for v in bdry_gens:
-            c = solve_integer(self._Lmat, v)
+            c = _pivot_step(plan, v)
             if c is None:
                 raise ValueError("boundary vector outside the cycle lattice")
             rels_in_L.append(c)
-        R = IntMatrix.from_columns(rels_in_L, len(basis))
-        self.group = FGAbelian(len(basis), R)
+        R = IntMatrix.from_columns(rels_in_L, len(self.L))
+        self.group = FGAbelian(len(self.L), R)
 
     def classify(self, vec):
         """Normal form of a vector of the sublattice; None if outside it."""
-        c = solve_integer(self._Lmat, vec)
+        c = _pivot_step(self._plan, vec)
         if c is None:
             return None
         return self.group.nf(c)

@@ -288,46 +288,31 @@ def lambda_T(twist):
     independent of the representative choice.
 
     Returns (weight vector, center coordinates).  The representative of
-    each a-orbit is its first Galois orbit in index order.
+    each a-orbit is its first Galois orbit in index order: galois_perm and
+    a_perm commute, so that is the Galois orbit of the least weight of each
+    orbit of the group they generate.
     """
-    datum = twist.datum
-    r = datum.rank
-    # Galois orbits of the weights
+    r = twist.datum.rank
+    lam = [0] * r
     seen = [False] * r
-    gorbits = []
     for w in range(r):
         if seen[w]:
             continue
-        orb = set()
+        # w is the least weight of its orbit under galois_perm and a_perm
+        seen[w] = True
+        stack = [w]
+        while stack:
+            x = stack.pop()
+            for y in (twist.galois_perm[x], twist.a_perm[x]):
+                if not seen[y]:
+                    seen[y] = True
+                    stack.append(y)
         x = w
-        while x not in orb:
-            orb.add(x)
-            seen[x] = True
+        while not lam[x]:
+            lam[x] = 1
             x = twist.galois_perm[x]
-        gorbits.append(tuple(sorted(orb)))
-    # a-orbits on the set of Galois orbits
-    index_of = {orb: i for i, orb in enumerate(gorbits)}
-    a_on_orbits = {}
-    for orb in gorbits:
-        img = tuple(sorted(twist.a_perm[w] for w in orb))
-        a_on_orbits[index_of[orb]] = index_of[img]
-    chosen = []
-    seen_o = set()
-    for i in range(len(gorbits)):
-        if i in seen_o:
-            continue
-        chosen.append(i)
-        j = i
-        while j not in seen_o:
-            seen_o.add(j)
-            j = a_on_orbits[j]
-    lam = [0] * r
-    for i in chosen:
-        for w in gorbits[i]:
-            lam[w] += 1
     lam = tuple(lam)
-    center_coords = datum.center_class(lam)
-    return lam, center_coords
+    return lam, twist.datum.center_class(lam)
 
 
 def coinvariant_class(twist, center_coords):

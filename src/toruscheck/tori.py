@@ -426,14 +426,9 @@ def theta_value(case, s_dot, b, t_vec, a):
         if not _is_invariant_dual(torus, s_dot):
             raise ValueError("s must be Galois-invariant")
         kz = case.kottwitz(s_dot)
-    t_key = ("conjugates", a, tuple(t_vec))
-    sums = kept.get(t_key)
-    if sums is None:
-        if not _is_invariant_vec(torus, t_vec):
-            raise ValueError("t must be Galois-invariant")
-        sums = kept[t_key] = _conjugates(case, a, t_vec)
+    sums = _conjugates(case, a, t_vec)
     kept[s_key] = kz
-    rep_key = ("rep", b, t_key)
+    rep_key = ("rep", b, ("conjugates", a, tuple(t_vec)))
     rep = kept.get(rep_key)
     if rep is None:
         rep = kept[rep_key] = _rep_sum(case, packet(case), b, sums)
@@ -491,8 +486,14 @@ def _conjugates(case, a, t_vec):
     A_z, delta0 = c.t_vec + zeta(c, a); vals lists phi(delta0), deltas
     lists delta0 + t_x, the element written over the base point, and roots
     is S[x] as (exponent, count) pairs at the level M of all the roots
-    val + h(x).  Its callers keep it per (a, t_vec) for a Galois-invariant
-    t_vec only, so a bad t_vec leaves the case as it was."""
+    val + h(x).  It is kept on the case per (a, t_vec) once t_vec has
+    passed its Galois-invariance guard, so a bad t_vec raises ValueError
+    on every call and leaves the case as it was."""
+    key = ("conjugates", a, tuple(t_vec))
+    if key in case.kept:
+        return case.kept[key]
+    if not _is_invariant_vec(case.torus, t_vec):
+        raise ValueError("t must be Galois-invariant")
     A, stab = case.A, set(case.A_phi_z)
     by_class = {}
     for c in case.A_z:
@@ -505,9 +506,11 @@ def _conjugates(case, a, t_vec):
     counts = {x: Counter(val + case.h[x] for val in vals)
               for x, (vals, _) in by_class.items()}
     M = lcm(1, *(q.den for roots in counts.values() for q in roots))
-    return M, {x: (vals, [(q.num * (M // q.den), m)
-                          for q, m in counts[x].items()], deltas)
-               for x, (vals, deltas) in by_class.items()}
+    sums = case.kept[key] = (M, {x: (vals, [(q.num * (M // q.den), m)
+                                            for q, m in counts[x].items()],
+                                     deltas)
+                                 for x, (vals, deltas) in by_class.items()})
+    return sums
 
 
 def endoscopic_value(case, s_dot, b, t_vec, a):
@@ -522,7 +525,8 @@ def endoscopic_value(case, s_dot, b, t_vec, a):
     with delta_c the twisted-conjugated element written over the base point,
     read from the b^-1 group of _conjugates(case, a, t_vec).  The dual pair
     is kept per (s, b), the lift per (b^-1, delta) and its pairing value
-    per ((s, b), delta), each once its checks have passed.
+    per ((s, b), delta), each once its checks have passed.  _conjugates
+    guards t, so a bad t raises even where no conjugate lands on b^-1.
     """
     torus = case.torus
     if a not in case.A_phi_z or b not in case.A_phi_z:
@@ -545,13 +549,7 @@ def endoscopic_value(case, s_dot, b, t_vec, a):
     if dual is None:
         dual = (case.phi_inv, torus.dual_add(s_dot, case.s[b]))
         validate_hyper_pair_dual(torus, fT, *dual)
-    t_key = ("conjugates", a, tuple(t_vec))
-    sums = kept.get(t_key)
-    if sums is None:
-        sums = _conjugates(case, a, t_vec)
-        if _is_invariant_vec(torus, t_vec):
-            kept[t_key] = sums
-    group = sums[1].get(binv)
+    group = _conjugates(case, a, t_vec)[1].get(binv)
     roots = {}
     for delta in (group[2] if group else ()):
         q_key = ("pair_value", key, delta)

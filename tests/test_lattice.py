@@ -8,20 +8,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import toruscheck
-from lattice_reference import solve_dense
-from toruscheck import checks, weil
+from lattice_reference import ReferenceSubquotient, solve_dense
+from toruscheck import checks, cohomology, suite, weil
+from toruscheck.casefile import load_case_file
+from toruscheck.cohomology import tate_group
+from toruscheck.groups import GroupAction
 from toruscheck.lattice import (
     IntMatrix,
+    Memo,
     smith_normal_form,
     solve_integer,
     kernel_basis,
-    hnf_image_basis,
     unimodular_inverse,
     FGAbelian,
     Subquotient,
     block_diagonal,
     block_matrix,
 )
+from toruscheck.weil import LocalModel, TorusModel
 
 
 def diag_entries(D):
@@ -362,11 +366,11 @@ def test_group_with_wide_transforms_inverts_quickly():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
-def test_hnf_image_basis_spans_the_column_lattice(r, c, data):
+def test_subquotient_basis_spans_the_column_lattice(r, c, data):
     entries = [[data.draw(st.integers(-9, 9)) for _ in range(c)]
                for _ in range(r)]
     A = IntMatrix(entries)
-    basis = hnf_image_basis(A)
+    basis = Subquotient(r, A.columns(), []).L
     B = IntMatrix.from_columns(basis, r)
     # each lattice holds the other's generators, and the basis has rank
     # many vectors, so it is a basis of the column lattice of A
@@ -374,6 +378,78 @@ def test_hnf_image_basis_spans_the_column_lattice(r, c, data):
     assert all(solve_integer(A, v) is not None for v in basis)
     _, D, _ = smith_normal_form(A)
     assert len(basis) == sum(1 for d in diag_entries(D) if d)
+
+
+def _assert_same_presentation(sq, ref, probes):
+    """sq and the reference construction ref agree on the basis, the
+    group, classify of every probe and representative of the first 64
+    normal forms (free coordinates from -2 to 2)."""
+    assert sq.L == ref.L
+    assert sq.group.torsion == ref.group.torsion
+    assert sq.group.free_rank == ref.group.free_rank
+    for v in probes:
+        assert sq.classify(v) == ref.classify(v), v
+    for coords in itertools.islice(G_coords(sq.group), 64):
+        assert sq.representative(coords) == ref.representative(coords)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3), st.data())
+def test_subquotient_matches_reference_on_random_presentations(g, k, m, data):
+    """On small random presentations, Subquotient read off the SNF of its
+    generators gives the basis, group, normal forms and representatives of
+    the construction that factored its basis matrix a second time."""
+    entry = st.integers(-6, 6)
+    sub = [tuple(data.draw(entry) for _ in range(g)) for _ in range(k)]
+    coeffs = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+    bdry = [tuple(map(sum, zip((0,) * g, *(
+        [c * x for x in v] for c, v in zip(data.draw(coeffs), sub)))))
+        for _ in range(m)]
+    sq, ref = Subquotient(g, sub, bdry), ReferenceSubquotient(g, sub, bdry)
+    probes = sub + bdry + [tuple(data.draw(entry) for _ in range(g))
+                           for _ in range(4)]
+    _assert_same_presentation(sq, ref, probes)
+
+
+def _tate_modules():
+    """The Galois modules of both fixtures, of tests/galois6_case.json and
+    of every suite template."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    paths = [os.path.join(os.path.dirname(tests), "fixtures", name)
+             for name in ("norm_one_torus.json", "s3_component.json")]
+    paths.append(os.path.join(tests, "galois6_case.json"))
+    out = [load_case_file(path)[0].gmodule() for path in paths]
+    return out + [TorusModel(LocalModel(n), GroupAction.cyclic(n, gmat),
+                             comp).gmodule()
+                  for n, gmat, comp in suite._templates()]
+
+
+def test_subquotient_matches_reference_on_tate_groups(monkeypatch):
+    """Every Subquotient behind Tate degrees -1 to 2 of the fixtures, the
+    order-6 case and the suite templates, built afresh, agrees with the
+    reference construction on its generators, its boundaries, its basis,
+    the unit vectors and its representatives."""
+    built = []
+
+    def recording(ambient_dim, sub_gens, bdry_gens):
+        args = (ambient_dim, list(sub_gens), list(bdry_gens))
+        sq = Subquotient(*args)
+        built.append((args, sq))
+        return sq
+
+    modules = _tate_modules()
+    assert len(modules) == 21
+    monkeypatch.setattr(cohomology, "Subquotient", recording)
+    monkeypatch.setattr(cohomology, "_tate_cache", Memo())
+    for gm in modules:
+        for degree in (-1, 0, 1, 2):
+            tate_group(gm, degree)
+    assert len(built) == 4 * len({cohomology._module_key(gm)
+                                  for gm in modules})
+    for (g, sub, bdry), sq in built:
+        units = [tuple(int(i == j) for j in range(g)) for i in range(g)]
+        _assert_same_presentation(sq, ReferenceSubquotient(g, sub, bdry),
+                                  sub + bdry + sq.L + units)
 
 
 def test_subquotient_basic():
@@ -455,6 +531,8 @@ G = FGAbelian(2, IntMatrix([[2], [0]]))
 attempt("lift", lambda: G.lift((1,)))
 attempt("elements", lambda: G.elements())
 attempt("boundary", lambda: Subquotient(2, [(2, 0), (0, 1)], [(1, 0)]))
+S = Subquotient(2, [(2, 0), (0, 1)], [(4, 0)])
+attempt("classify", lambda: S.classify((2, 0, 0)))
 attempt("det", lambda: IntMatrix([[1, 2]]).det())
 I1, I2 = IntMatrix.identity(1), IntMatrix.identity(2)
 attempt("grid", lambda: block_matrix([[I1], [I1, 0]]))
@@ -467,6 +545,8 @@ print("residue", solve_integer(A, (1, 0)))
 # rank 1 of 2 rows: the second row of c = U b must be 0
 B = IntMatrix([[2], [0]])
 print("past the rank", solve_integer(B, (0, 1)))
+# (1, 0) is outside L = 2Z x Z
+print("outside", S.classify((1, 0)))
 """
 
 
@@ -488,6 +568,7 @@ def test_lattice_checks_run_under_python_O():
         "lift rejected: 1 coordinates for 2 invariants",
         "elements rejected: cannot list the elements of an infinite group",
         "boundary rejected: boundary vector outside the cycle lattice",
+        "classify rejected: a right-hand side of length 3 for 2 rows",
         "det rejected: determinant of a non-square matrix",
         "grid rejected: block rows of different lengths",
         "heights rejected: blocks of sizes [1, 2] in one block row",
@@ -496,4 +577,5 @@ def test_lattice_checks_run_under_python_O():
         "zero column rejected: a block column of zeros only",
         "residue None",
         "past the rank None",
+        "outside None",
     ]

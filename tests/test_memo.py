@@ -87,6 +87,35 @@ def _modules():
     }
 
 
+def test_cold_tate_group_factors_no_basis(monkeypatch):
+    """A cold tate_group(gm, 1) of the norm-one fixture inverts only the U
+    of each FGAbelian it builds, once per group, and never a basis; it
+    keeps no solve plan, and takes three SNFs: the cocycle system, the
+    generator matrix of the Subquotient and its relation matrix."""
+    from toruscheck.casefile import load_case_file
+    gm = load_case_file(FIXTURES[0])[0].gmodule()
+    for module, name in MEMOS:
+        monkeypatch.setattr(module, name, Memo())
+    inverted, factored, groups = [], [], []
+    inverse, snf = lattice.unimodular_inverse, lattice.smith_normal_form
+    build = lattice.FGAbelian.__init__
+
+    def counted_build(self, ngens, rels):
+        build(self, ngens, rels)
+        groups.append(self)
+
+    monkeypatch.setattr(lattice, "unimodular_inverse",
+                        lambda M: inverted.append(M) or inverse(M))
+    monkeypatch.setattr(lattice, "smith_normal_form",
+                        lambda M: factored.append(M) or snf(M))
+    monkeypatch.setattr(lattice.FGAbelian, "__init__", counted_build)
+    H1 = tate_group(gm, 1)
+    assert H1.order == 2
+    assert groups == [H1.group]
+    assert inverted == [G.U for G in groups]
+    assert len(factored) == 3 and len(lattice._plan_cache) == 0
+
+
 def test_tate_groups_are_keyed_by_module_content(fresh_memos):
     m = _modules()
     # one action-matrix entry apart, and one invariant factor apart

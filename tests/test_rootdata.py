@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -6,6 +7,8 @@ import sys
 import pytest
 
 import toruscheck
+from rootdata_reference import lambda_T_two_level
+from test_sign_pins import all_data
 from toruscheck import rootdata
 from toruscheck.lattice import IntMatrix
 from toruscheck.qz import QZ
@@ -87,6 +90,50 @@ def test_lambda_representative_independence():
     other = (0, 1)
     assert lam == (1, 0)
     assert sq.classify(cc) == sq.classify(d.center_class(other))
+
+
+def _lambda_data():
+    """A1-A5, D4, D5 and E6 with n = 2 and each of galois_perm and a_perm
+    trivial or the diagram flip; each datum, its products with the A1 inner
+    form and its inductions with 2 and 3 blocks: 128 data."""
+    inner = TwistData(BasedRootDatum.from_label("A1"), 2, (0,), (0,))
+    out = []
+    for label in ("A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"):
+        d = BasedRootDatum.from_label(label)
+        perms = (trivial_perm(d.rank), diagram_flip(label))
+        for gp in perms:
+            for ap in perms:
+                tw = TwistData(d, 2, gp, ap)
+                out += [tw, tw.product(inner), tw.induced(2), tw.induced(3)]
+    return out
+
+
+def test_lambda_T_matches_the_two_level_rule():
+    """lambda_T, the Galois orbit of the least weight of each orbit of the
+    group galois_perm and a_perm generate, equals the two-level choice (the
+    first Galois orbit of each a-orbit of Galois orbits) on the 128 data of
+    _lambda_data, on every datum of checks.sign_squares and of the sign
+    pins, and on every commuting pair of permutations of A1^4."""
+    data = _lambda_data()
+    assert len(data) == 128
+    for label in ("A1", "A2", "A3", "D4", "E6"):
+        d = BasedRootDatum.from_label(label)
+        ident = trivial_perm(d.rank)
+        data += [TwistData(d, 2, ident, ap)
+                 for ap in (ident, diagram_flip(label))]
+    data += [tw for _, tw in all_data()]
+    # every commuting pair on the four nodes of A1^4, over n = 12: some
+    # a-orbit there meets a Galois orbit only away from its least weight
+    a1_4 = BasedRootDatum(IntMatrix.identity(4) * 2)
+    perms = list(itertools.permutations(range(4)))
+    data += [TwistData(a1_4, 12, g, a) for g in perms for a in perms
+             if all(g[a[i]] == a[g[i]] for i in range(4))]
+    for tw in data:
+        assert lambda_T(tw) == lambda_T_two_level(tw), tw.key
+    # both rules pick more than one orbit somewhere, and differ from the
+    # all-ones weight somewhere
+    assert any(sum(lambda_T(tw)[0]) > 1 for tw in data)
+    assert any(0 in lambda_T(tw)[0] for tw in data)
 
 
 def test_e6_flip_action_is_negation():

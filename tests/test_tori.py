@@ -611,10 +611,10 @@ def test_swept_case_still_rejects_bad_inputs():
         for args in bad:
             want = _error(lambda: fn(fresh, *args))
             assert _error(lambda: fn(swept, *args)) == want, (fn, args)
-    # the swept case still rejects through the lift path, not only the
-    # theta_value guards
+    # endoscopic_value rejects a bad t with theta_value's guard and a bad
+    # s through the dual pair check, on the swept case too
     assert _error(lambda: endoscopic_value(swept, zero, 1, bad_t, 1)) == \
-        "T-side pair not a hypercocycle"
+        "t must be Galois-invariant"
     assert _error(lambda: endoscopic_value(swept, bad_s, 1, (0,), 1)) == \
         "dual-side pair not on the dual complex"
 
@@ -642,10 +642,10 @@ def test_bad_s_or_t_raise_on_every_call_and_keep_nothing():
            (endoscopic_value, (bad_s, 0, (0,), 0), dual_msg),
            # no conjugator of a lands on b^-1, so no lift is evaluated
            (endoscopic_value, (bad_s, 1, (0,), 0), dual_msg),
-           (endoscopic_value, (zero, 0, bad_t, 0),
-            "T-side pair not a hypercocycle"),
-           (endoscopic_value, (zero, 1, bad_t, 1),
-            "T-side pair not a hypercocycle")]
+           (endoscopic_value, (zero, 0, bad_t, 0), t_msg),
+           (endoscopic_value, (zero, 1, bad_t, 1), t_msg),
+           # no conjugator of a lands on b^-1, and t is still rejected
+           (endoscopic_value, (zero, 1, bad_t, 0), t_msg)]
 
     def rejected():
         for fn, args, msg in bad:
