@@ -6,6 +6,7 @@ Q/Z are "p/q" strings.  Validation errors carry the offending field."""
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .lattice import IntMatrix
@@ -63,15 +64,24 @@ def _as_matrix(v, field, size=None):
     return m
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def parse_rational(v):
+    """The Fraction of an int or an integer or "p/q" string; else ValueError.
+    Fraction also reads exponents, as in "1e-1000000000", in unbounded time."""
+    if isinstance(v, str) and _RATIONAL.fullmatch(v) \
+            or isinstance(v, int) and not isinstance(v, bool):
+        return Fraction(v)
+    raise ValueError("expected an integer or a 'p/q' string, not %r" % (v,))
+
+
 def _as_qz(v, field):
-    if isinstance(v, str):
-        try:
-            return QZ(Fraction(v))
-        except (ValueError, ZeroDivisionError):
-            raise CaseFileError(field, "bad rational %r" % (v,))
-    if isinstance(v, int):
-        return QZ(v)
-    raise CaseFileError(field, "expected a 'p/q' string")
+    try:
+        return QZ(parse_rational(v))
+    except (ValueError, ZeroDivisionError):
+        raise CaseFileError(field, "bad rational %r: expected an integer or "
+                            "a 'p/q' string" % (v,))
 
 
 def _component_action(spec, rank):
@@ -226,11 +236,15 @@ def load_case(doc):
 
 
 def load_case_file(path):
+    """load_case of the file's JSON; text that is not UTF-8 or JSON, or past
+    the nesting or integer digit limits, is an input error of field json."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             doc = json.load(f)
         except json.JSONDecodeError as e:
             raise CaseFileError("json", "line %d: %s" % (e.lineno, e.msg))
+        except (ValueError, RecursionError) as e:
+            raise CaseFileError("json", str(e))
     return load_case(doc)
 
 
@@ -249,4 +263,4 @@ def encode_cyc(c):
 
 def decode_cyc(terms):
     """Inverse of encode_cyc."""
-    return Cyc({QZ(Fraction(q)): Fraction(c) for q, c in terms})
+    return Cyc({QZ(parse_rational(q)): parse_rational(c) for q, c in terms})

@@ -21,6 +21,7 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from .groups import coset_section
+from .lattice import Memo
 from .qz import (QZ, Cyc, _cyc, _qz, cyc_div, cyc_from_pairs, exponent_forms,
                  residue)
 
@@ -641,10 +642,11 @@ def character_table(group):
 
 
 class TableCache:
-    """Keyed cache of character tables: concurrent reads, exclusive insert."""
+    """Keyed cache of character tables, kept in a Memo: concurrent reads,
+    and a miss built and inserted under the lock, once per key."""
 
     def __init__(self):
-        self._tables = {}
+        self._tables = Memo()
         self._lock = threading.Lock()
 
     @staticmethod
@@ -658,11 +660,10 @@ class TableCache:
     def get_or_compute(self, group):
         k = self.key(group)
         t = self._tables.get(k)
-        if t is not None:
-            return t
-        t = self._miss(k, group)
-        with self._lock:
-            return self._tables.setdefault(k, t)
+        if t is None:
+            with self._lock:
+                t = self._tables.get_or_compute(k, self._miss, k, group)
+        return t
 
     def _miss(self, key, group):
         """The table of a group whose key is not in the cache."""

@@ -14,7 +14,6 @@ import os
 import random
 import sys
 import threading
-from functools import cached_property
 from types import SimpleNamespace
 
 from . import checks
@@ -137,7 +136,8 @@ class DiskTableCache(TableCache):
             table = CharacterTable(group, chars, [int(d) for d in doc["dims"]])
             table.verify()
             return table
-        except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        except (KeyError, TypeError, ValueError, ZeroDivisionError,
+                RecursionError):
             return None  # corruption: fall through to recomputation
 
 
@@ -148,15 +148,17 @@ class DiskTableCache(TableCache):
 class Inputs(SimpleNamespace):
     """What the checks of one command read: the parsed case file (torus, z,
     phi, extras) or the suite size, the seeded rng, the table cache, and
-    the values several checks share, each built on first use."""
+    the values several checks share (case, suite), each built on first use."""
 
-    @cached_property
-    def case(self):
-        return build_case(self.torus, self.z, self.phi)
-
-    @cached_property
-    def suite(self):
-        return checks.suite(self.rng, self.size)
+    def __getattr__(self, name):
+        if name == "case":
+            value = build_case(self.torus, self.z, self.phi)
+        elif name == "suite":
+            value = checks.suite(self.rng, self.size)
+        else:
+            raise AttributeError(name)
+        setattr(self, name, value)
+        return value
 
 
 #: command -> its checks in report order, as (check id, anchor, run) with

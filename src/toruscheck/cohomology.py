@@ -18,11 +18,11 @@ from operator import add, mul, neg, sub
 from .lattice import (
     IntMatrix,
     FGAbelian,
-    Memo,
     Subquotient,
     block_diagonal,
     block_matrix,
     kernel_basis,
+    memoized,
 )
 
 
@@ -68,9 +68,6 @@ class GModule:
 
     def fg(self):
         return FGAbelian(self.ngens, self.rels)
-
-    def zero(self):
-        return (0,) * self.ngens
 
 
 def tuples(group, n):
@@ -143,29 +140,19 @@ class Cochain:
                         for js, cs in coboundary_rows(self.gmod, self.degree)])
 
 
-_rows_cache = Memo()
-_dd_cache = Memo()
-_d_matrix_cache = Memo()
-_tate_cache = Memo()
-
-
-def _module_key(gmod):
-    """Content key of a coefficient module: group table, relations and
-    action matrices."""
+def _module_key(gmod, *args):
+    """Content key of a coefficient module (group table, relations and
+    action matrices), followed by args."""
     return (gmod.group.table, gmod.rels.data,
-            tuple(m.data for m in gmod.mats))
+            tuple(m.data for m in gmod.mats)) + args
 
 
+@memoized(_module_key)
 def coboundary_rows(gmod, n):
     """The coboundary C^n -> C^(n+1) as sparse integer rows, built once per
     module content and degree: for each entry of dx in vector order, the
     pair (js, cs) of the entries of x it reads and their coefficients,
     zeros dropped, so that (dx)[r] = sum(c * x[j] for j, c in zip(js, cs))."""
-    return _rows_cache.get_or_compute(_module_key(gmod) + (n,),
-                                      _build_rows, gmod, n)
-
-
-def _build_rows(gmod, n):
     g, N, law = gmod.ngens, gmod.group.order, gmod.group.table
     rows = []
     for t in itertools.product(range(N), repeat=n + 1):
@@ -190,16 +177,12 @@ def _sparse_row(acc):
     return tuple(j for j, _ in row), tuple(c for _, c in row)
 
 
+@memoized(_module_key)
 def dd_rows(gmod, n):
     """The nonzero rows of the composite d o d: C^n -> C^(n+2), as (js, cs)
     pairs like coboundary_rows, multiplied out exactly and built once per
     module content and degree.  A coboundary with d o d = 0 on all of C^n
     gives none."""
-    return _dd_cache.get_or_compute(_module_key(gmod) + (n,),
-                                    _build_dd_rows, gmod, n)
-
-
-def _build_dd_rows(gmod, n):
     inner = coboundary_rows(gmod, n)
     rows = []
     for js, cs in coboundary_rows(gmod, n + 1):
@@ -213,14 +196,10 @@ def _build_dd_rows(gmod, n):
     return tuple(rows)
 
 
+@memoized(_module_key)
 def d_matrix(gmod, n):
     """Matrix of the coboundary C^n -> C^(n+1) on ambient coordinates: the
     rows of coboundary_rows, written densely."""
-    return _d_matrix_cache.get_or_compute(_module_key(gmod) + (n,),
-                                          _build_d_matrix, gmod, n)
-
-
-def _build_d_matrix(gmod, n):
     width = gmod.ngens * gmod.group.order ** n
     dense = []
     for js, cs in coboundary_rows(gmod, n):
@@ -229,6 +208,10 @@ def _build_d_matrix(gmod, n):
             row[j] = c
         dense.append(row)
     return IntMatrix(dense)
+
+
+#: d_matrix's memo, by the name under which the benchmark reports its size
+_d_matrix_cache = d_matrix.memo
 
 
 def _rels(gmod, n):
@@ -320,6 +303,7 @@ def tate_zero(gmod):
                     group_norm(gmod), gmod.rels)
 
 
+@memoized(_module_key)
 def tate_group(gmod, n):
     """Tate cohomology in degree n of a finite group with f.g. coefficients.
 
@@ -329,14 +313,12 @@ def tate_group(gmod, n):
     content and degree and then shared (see lattice.Memo).
     """
     if n == -1:
-        build, args = tate_minus1, (gmod,)
-    elif n == 0:
-        build, args = tate_zero, (gmod,)
-    elif n in (1, 2):
-        build, args = CohomologyGroup, (gmod, n)
-    else:
-        raise ValueError("degree outside {-1, 0, 1, 2}: %r" % (n,))
-    return _tate_cache.get_or_compute(_module_key(gmod) + (n,), build, *args)
+        return tate_minus1(gmod)
+    if n == 0:
+        return tate_zero(gmod)
+    if n in (1, 2):
+        return CohomologyGroup(gmod, n)
+    raise ValueError("degree outside {-1, 0, 1, 2}: %r" % (n,))
 
 
 def cup(x, y, pairing, out_gmod):
@@ -506,9 +488,6 @@ class FiniteSupportChain:
             if any(v):
                 self.support[tuple(k)] = v
 
-    def value(self, key):
-        return self.support.get(tuple(key), (0,) * self.rank)
-
     def add_into(self, key, vec):
         key = tuple(key)
         cur = self.support.get(key, (0,) * self.rank)
@@ -517,11 +496,6 @@ class FiniteSupportChain:
             self.support[key] = new
         elif key in self.support:
             del self.support[key]
-
-    def neg(self):
-        return FiniteSupportChain(
-            self.domain, self.degree, self.rank,
-            {k: tuple(-a for a in v) for k, v in self.support.items()})
 
     def boundary(self):
         """The three-term alternating-sum homology differential."""

@@ -8,10 +8,10 @@ exhaustively at construction time.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
 from .lattice import IntMatrix, block_matrix, unimodular_inverse
-from .qz import QZ, qz_ints, qz_tuple
+from .qz import QZ, qz_ints
 
 
 class FiniteGroup:
@@ -377,12 +377,6 @@ class Cocycle2:
     def __call__(self, a, b):
         return QZ(self.ints[a][b], self.m)
 
-    @property
-    def values(self):
-        n = self.group.order
-        return dict(zip(((a, b) for a in range(n) for b in range(n)),
-                        qz_tuple([x for r in self.ints for x in r], self.m)))
-
     def validate(self):
         c, m = self.ints, self.m
         for a in range(self.group.order):
@@ -401,17 +395,6 @@ class Cocycle2:
     @classmethod
     def zero(cls, group):
         return cls._from_ints(group, [[0] * group.order] * group.order, 1)
-
-    def add(self, other):
-        m = lcm(self.m, other.m)
-        s, o = m // self.m, m // other.m
-        return Cocycle2._from_ints(self.group, [
-            [s * x + o * y for x, y in zip(r, q)]
-            for r, q in zip(self.ints, other.ints)], m)
-
-    def neg(self):
-        return Cocycle2._from_ints(
-            self.group, [[-x for x in row] for row in self.ints], self.m)
 
 
 def coset_section(B, A_elems, section):

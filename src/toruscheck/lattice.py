@@ -8,6 +8,7 @@ All entries are arbitrary-precision Python ints.  Matrices are immutable
 
 from __future__ import annotations
 
+import functools
 import itertools
 from operator import mul
 
@@ -226,49 +227,70 @@ def smith_normal_form(M):
 MEMO_LIMIT = 4096
 
 
-class Memo:
-    """Bounded memo from a content key to a value built once per process.
+class Memo(dict):
+    """Bounded memo from a content key to a value built once per process,
+    the one process-level cache of the package: a dict that is read as
+    one and written only through put.
 
-    Keys are built from the content of the inputs (tuples of ints, never
-    object identity), so equal inputs share one entry however often they
-    are rebuilt.  The value is shared by every caller and must not be
-    mutated.  A full memo is emptied before its next insert, so it never
-    holds more than MEMO_LIMIT entries.
+    Keys are built from the content of the inputs (ints, strs and tuples
+    of them, never object identity), so equal inputs share one entry
+    however often they are rebuilt.  The value is shared by every caller
+    and must not be mutated; put replaces it.  A full memo is emptied
+    before its next insert, so it holds at most MEMO_LIMIT entries.
 
     >>> m = Memo()
     >>> m.get_or_compute((2, 3), pow, 2, 3), m.get_or_compute((2, 3), pow, 0, 0)
     (8, 8)
     """
 
-    __slots__ = ("_entries",)
-
-    def __init__(self):
-        self._entries = {}
-
-    def __len__(self):
-        return len(self._entries)
+    __slots__ = ()
 
     def get_or_compute(self, key, compute, *args):
         """The value under key, computed as compute(*args) on a miss."""
         try:
-            return self._entries[key]
+            return self[key]
         except KeyError:
-            pass
-        value = compute(*args)
-        if len(self._entries) >= MEMO_LIMIT:
-            self._entries.clear()
-        self._entries[key] = value
+            return self.put(key, compute(*args))
+
+    def put(self, key, value):
+        """Store value under key, in place of any value there; return it."""
+        if len(self) >= MEMO_LIMIT and key not in self:
+            self.clear()
+        self[key] = value
         return value
 
 
+def memoized(key=None):
+    """Decorator: keep fn(*args) in a Memo of its own under key(*args), or
+    under args itself when key is None.  The result is a plain function,
+    which carries that Memo as its attribute memo."""
+    def decorate(fn):
+        memo = Memo()
+
+        def lookup(*args):
+            k = args if key is None else key(*args)
+            try:
+                return memo[k]
+            except KeyError:
+                return memo.put(k, fn(*args))
+        lookup.memo = memo
+        return functools.update_wrapper(lookup, fn)
+    return decorate
+
+
+#: One record per matrix content: (its SNF or None, its solve plan or
+#: None), holding what callers have asked of that matrix.
 _snf_cache = Memo()
 
 
 def snf_cached(M):
-    return _snf_cache.get_or_compute(M.data, smith_normal_form, M)
-
-
-_plan_cache = Memo()
+    """The SNF (U, D, V) of M, computed once per matrix and kept in its
+    record."""
+    snf, plan = _snf_cache.get(M.data, (None, None))
+    if snf is None:
+        snf = smith_normal_form(M)
+        _snf_cache.put(M.data, (snf, plan))
+    return snf
 
 
 def solve_integer(A, b):
@@ -276,22 +298,27 @@ def solve_integer(A, b):
 
     The solution is deterministic: it has all free SNF coordinates equal
     to zero, so downstream constructions built on it are reproducible.
-    The solve plan of A is built once per matrix and kept (_plan_cache).
+    The solve plan of A is built once per matrix and kept in its record,
+    from the SNF there if one was asked for, else from an SNF not kept.
     """
-    return _solve(_plan_cache.get_or_compute(A.data, solve_plan, A), b)
+    snf, plan = _snf_cache.get(A.data, (None, None))
+    if plan is None:
+        plan = solve_plan(A, snf)
+        _snf_cache.put(A.data, (snf, plan))
+    return _solve(plan, b)
 
 
-def solve_plan(A):
+def solve_plan(A, snf=None):
     """The sparse form of the SNF (U, D, V) of A that _solve and
     Subquotient read: the number of rows and columns, the rows of U with
     d_i = 0 as (columns, entries), and for each row with d_i != 0 its
     (columns, entries) in U, d_i and column i of V as (rows, entries).
-    Zero entries are dropped.
+    Zero entries are dropped.  The SNF is computed unless snf gives it.
 
     >>> solve_plan(IntMatrix([[2], [0]]))
     (2, 1, (((1,), (1,)),), (((0,), (1,), 2, (0,), (1,)),))
     """
-    U, D, V = snf_cached(A)
+    U, D, V = snf or smith_normal_form(A)
     n = min(D.rows, D.cols)
     vcols = list(zip(*V.data))
     zero_rows, pivots = [], []
@@ -534,7 +561,7 @@ class Subquotient:
     U S V = D of the generator matrix S alone: the basis L is the columns
     S V e_j = d_j U^-1 e_j over the nonzero d_j, and v in L has there the
     coordinates (U v)_j / d_j (_pivot_step).  Subquotients live in memoized
-    values, so the plan of S is held here, not kept in _plan_cache.
+    values, so the plan of S is held here, built from S's recorded SNF.
     """
 
     __slots__ = ("ambient_dim", "L", "group", "_plan", "_Lmat")
@@ -542,7 +569,7 @@ class Subquotient:
     def __init__(self, ambient_dim, sub_gens, bdry_gens):
         self.ambient_dim = ambient_dim
         S = IntMatrix.from_columns(sub_gens, ambient_dim)
-        self._plan = plan = solve_plan(S)
+        self._plan = plan = solve_plan(S, snf_cached(S))
         # column j of S V, from the nonzero entries of column j of V
         self.L = [tuple([sum(map(mul, vals, map(row.__getitem__, rows)))
                          for row in S.data])

@@ -18,8 +18,9 @@ of x^k mod Phi_n.  Phi_n is monic, so the reduction stays in the integers.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
+
+from .lattice import memoized
 
 _new = object.__new__
 
@@ -146,7 +147,7 @@ def qz_tuple(nums, den):
     return tuple(_qz(x % den, den) for x in nums)
 
 
-@lru_cache(maxsize=None)
+@memoized()
 def cyclotomic_poly(n):
     """Coefficients (low degree first) of the n-th cyclotomic polynomial.
     For squarefree n: exact division of x^n - 1 by the lower Phi_d.
@@ -197,26 +198,26 @@ def _polydiv_exact(num, den):
     return out
 
 
-@lru_cache(maxsize=None)
-def _power_residues(n):
+@memoized()
+def _level(n):
     """The reduction of level n to an odd squarefree level s, as (m, even,
-    s, deg, rows): n = m r with r the radical of n, s = r / 2 if r is even
-    (even true) and r otherwise, deg the degree of Phi_n, and rows a list of
-    n slots whose slot k holds x^k mod Phi_n once a residue call has read
-    it (see _power_residue).  A filled slot never changes."""
+    s, deg): n = m r with r the radical of n, s = r / 2 if r is even (even
+    true) and r otherwise, and deg the degree of Phi_n."""
     r = _radical(n)
     even = r % 2 == 0
     s = r // 2 if even else r
-    return (n // r, even, s, (n // r) * (len(cyclotomic_poly(s)) - 1),
-            [None] * n)
+    return n // r, even, s, (n // r) * (len(cyclotomic_poly(s)) - 1)
 
 
-def _power_residue(m, even, s, k):
-    """x^k mod Phi_n as sparse (index, coefficient) pairs, for (m, even, s)
-    from _power_residues(n).  Phi_n(x) = Phi_r(x^m), and Phi_r(y) =
-    +-Phi_s(-y) when r = 2s, so with k = q m + j and y = x^m, x^k = x^j y^q
-    reduces to row q mod s of the odd level s, its i-th entry moved to
-    x^(m i + j) and multiplied by (-1)^(q + i) when r is even."""
+@memoized()
+def _power_residue(n, k):
+    """x^k mod Phi_n as sparse (index, coefficient) pairs, built when a
+    residue call first reads it.  With (m, even, s) from _level(n),
+    Phi_n(x) = Phi_r(x^m), and Phi_r(y) = +-Phi_s(-y) when r = 2s, so with
+    k = q m + j and y = x^m, x^k = x^j y^q reduces to row q mod s of the
+    odd level s, its i-th entry moved to x^(m i + j) and multiplied by
+    (-1)^(q + i) when r is even."""
+    m, even, s, _ = _level(n)
     q, j = divmod(k, m)
     row = _odd_level_rows(s)[q % s]
     if even:
@@ -224,7 +225,7 @@ def _power_residue(m, even, s, k):
     return tuple((m * i + j, a) for i, a in row)
 
 
-@lru_cache(maxsize=None)
+@memoized()
 def _odd_level_rows(n):
     """Row k (for k in range(n)) is x^k mod Phi_n as sparse (index,
     coefficient) pairs, built by x^(k+1) = x x^k.  Phi_n is monic, so every
@@ -300,14 +301,10 @@ def residue(pairs, n):
     >>> residue([(3, 1)], 4)                  # x^3 = -x mod x^2 + 1
     [0, -1]
     """
-    m, even, s, deg, rows = _power_residues(n)
-    acc = [0] * deg
+    acc = [0] * _level(n)[3]
     for k, c in pairs:
         if c:
-            row = rows[k]
-            if row is None:
-                row = rows[k] = _power_residue(m, even, s, k)
-            for i, a in row:
+            for i, a in _power_residue(n, k):
                 acc[i] += a * c
     return acc
 

@@ -10,13 +10,12 @@ class of the cyclic model has invariant 1/n.
 
 from __future__ import annotations
 
-import functools
 from math import lcm
-from operator import mul, sub
+from operator import attrgetter, mul, sub
 from typing import NamedTuple
 
-from .lattice import IntMatrix, FGAbelian, Memo, Subquotient, \
-    block_diagonal, block_matrix, solve_integer
+from .lattice import IntMatrix, FGAbelian, Subquotient, \
+    block_diagonal, block_matrix, memoized, solve_integer
 from .groups import FiniteGroup
 from .cohomology import GModule, Cochain, CohomologyGroup, d_matrix, \
     tate_group
@@ -78,9 +77,11 @@ class BasedRootDatum:
         self.label = label
         self.center = FGAbelian(self.rank, cartan)
 
-    @classmethod
-    def from_label(cls, label):
-        return cls(cartan_matrix(label), label)
+    @staticmethod
+    @memoized()
+    def from_label(label):
+        """The datum of a wired Cartan type, built once per label."""
+        return BasedRootDatum(cartan_matrix(label), label)
 
     def center_class(self, weight_vec):
         """Image of a weight in P/Q, as normal-form coordinates."""
@@ -91,20 +92,17 @@ class BasedRootDatum:
                               "%sx%s" % (self.label, other.label))
 
 
-_twist_cache = Memo()
+#: Memo keys of the TwistData methods: the datum's key, then the arguments
+#: (tuples and ints, or twist data by their keys).
+_datum_key = attrgetter("key")
 
 
-def _per_twist(method):
-    """Memoize a TwistData method on the twist datum's content (its Cartan
-    matrix, n, galois_perm and a_perm) and the method's arguments:
-    permutations, ints, and twist data, the last again by content."""
-    @functools.wraps(method)
-    def memoized(self, *args):
-        key = (method.__name__, self.key) + tuple(
-            a.key if isinstance(a, TwistData)
-            else a if isinstance(a, int) else tuple(a) for a in args)
-        return _twist_cache.get_or_compute(key, method, self, *args)
-    return memoized
+def _twist_key(twist, *args):
+    return twist.key, *args
+
+
+def _twists_key(*twists):
+    return tuple(map(_datum_key, twists))
 
 
 class TwistData:
@@ -139,9 +137,11 @@ class TwistData:
             p = [g[i] for i in p]
         if p != list(range(r)):
             raise ValueError("the order of galois_perm must divide n")
-        self.key = (C, n, g, a)
+        # the content as a str, whose hash Python computes once; the memo
+        # keys of this datum's methods start with it
+        self.key = repr((C, n, g, a))
 
-    @_per_twist
+    @memoized(_twist_key)
     def center_action_matrix(self, perm):
         """Matrix of the permutation action on the coordinates of P/Q."""
         fg = self.datum.center
@@ -154,7 +154,7 @@ class TwistData:
             cols.append(fg.nf(P.apply(vec)))
         return IntMatrix.from_columns(cols, k) if k else IntMatrix.zero(0, 0)
 
-    @_per_twist
+    @memoized(_twist_key)
     def dual_center_action_matrix(self, perm):
         """Action on M = Hom(P/Q, Q/Z) in the coordinates m_i/d_i:
         (sigma.m)(x) = m(sigma^-1 x)."""
@@ -176,7 +176,7 @@ class TwistData:
             rows.append(row)
         return IntMatrix(rows)
 
-    @_per_twist
+    @memoized(_datum_key)
     def xi_module(self):
         """GModule of M = Hom(P/Q, Q/Z) over the cyclic Galois group."""
         ds = self.datum.center.torsion
@@ -186,7 +186,7 @@ class TwistData:
             mats.append(g1 * mats[-1])
         return GModule.finite(FiniteGroup.cyclic(self.n), ds, mats)
 
-    @_per_twist
+    @memoized(_twists_key)
     def product(self, other):
         """The product datum, self's simple roots first, over the common
         Galois group.  Raises ValueError unless both have the same n."""
@@ -198,7 +198,7 @@ class TwistData:
                                                   other.galois_perm),
                          self.a_perm + tuple(r + i for i in other.a_perm))
 
-    @_per_twist
+    @memoized(_twist_key)
     def induced(self, blocks):
         """blocks copies of this datum, Galois acting on each, and a sending
         block b to block b - 1 and block 0 to the last block through a."""
@@ -212,7 +212,7 @@ class TwistData:
             + tuple(range(r * (blocks - 1)))
         return TwistData(big, self.n, gp, ap)
 
-    @_per_twist
+    @memoized(_datum_key)
     def sign_presentation(self):
         """The parts of twisted_sign that do not depend on the class xi;
         see SignPresentation."""
@@ -230,7 +230,7 @@ class TwistData:
         return SignPresentation(gm, H2, weights, den, amat,
                                 _fixed_system(gm, amat))
 
-    @_per_twist
+    @memoized(_twist_key)
     def fixed_representative(self, coords):
         """_exactly_fixed_representative of the class with H^2 coordinates
         coords against this datum's SignPresentation, kept per datum and
@@ -238,7 +238,7 @@ class TwistData:
         rejects such a class on every call."""
         return _exactly_fixed_representative(self.sign_presentation(), coords)
 
-    @_per_twist
+    @memoized(_twists_key)
     def factor_dual_map(self, *factors):
         """Rows W_j and a denominator D such that the factor data's
         Hom(P/Q, Q/Z) coordinates m, concatenated, take the j-th generator

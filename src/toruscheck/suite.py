@@ -10,9 +10,8 @@ are reproducible; `checks.suite` sweeps every case it draws in full."""
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
-from .lattice import IntMatrix, block_diagonal
+from .lattice import IntMatrix, block_diagonal, memoized
 from .qz import QZ
 from .groups import FiniteGroup, GroupAction
 from .cohomology import Cochain, tate_group
@@ -65,7 +64,7 @@ def action_templates(rng):
     return rng.choice(_templates())
 
 
-@lru_cache(maxsize=None)
+@memoized()
 def _templates():
     """The wired (Galois order, Galois matrix, component action) templates,
     built and checked once per process.  Every case drawn from one shares

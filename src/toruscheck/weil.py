@@ -21,7 +21,7 @@ from __future__ import annotations
 from math import lcm
 from operator import mul
 
-from .lattice import IntMatrix, Memo, block_matrix, kernel_basis, \
+from .lattice import IntMatrix, block_matrix, kernel_basis, memoized, \
     solve_integer
 from .qz import QZ, qz_ints, qz_tuple
 from .cohomology import (
@@ -299,9 +299,6 @@ def validate_hyper_pair_dual(torus, fT, d, s):
                 raise ValueError("dual-side pair not on the dual complex")
 
 
-_lift_cache = Memo()
-
-
 def hyper_pairing(torus, fT, pair_T, dual_pair):
     """Pairing of a class in H^1(Q, T --fT--> T) against a class on the
     dual complex: the chain-level lift of the T-side class (hyper_lift),
@@ -346,9 +343,7 @@ def hyper_lift(torus, fT, pair_T, dual_pair):
     validate_hyper_pair_dual(torus, fT, *dual_pair)
 
     target = [0] * r + [D * x for x in u.vec] + [0] * r + Dv
-    galois = tuple(m.data for m in torus.galois.matrices)
-    A, dom = _lift_cache.get_or_compute((galois, fT.data, D), _lift_system,
-                                        torus, fT, D)
+    A, dom = _lift_system(torus, fT, D)
     sol = solve_integer(A, target)
     if sol is None:
         raise LiftNotFound(
@@ -367,6 +362,12 @@ def pair_with_lift(torus, fT, lift, dual_pair):
     return elementary_pairing(torus, dual_pair, lift)
 
 
+def _lift_key(torus, fT, D):
+    """What a lift system depends on: the Galois action, fT and D."""
+    return tuple(m.data for m in torus.galois.matrices), fT.data, D
+
+
+@memoized(_lift_key)
 def _lift_system(torus, fT, D):
     """The matrix of hyper_pairing's lift system on the window [-n, n), in
     the unknowns (lam, p, mu1), with the chain domain mu1 lives on."""

@@ -31,7 +31,7 @@ from toruscheck.lattice import IntMatrix, solve_integer
 def is_normalized(x):
     if x.degree == 0:
         return True
-    zero = x.gmod.zero()
+    zero = (0,) * x.gmod.ngens
     for t, v in table(x).items():
         if 0 in t and tuple(v) != zero:
             if any(x.gmod.fg().nf(v)):
@@ -158,7 +158,8 @@ def coinflation_pointwise(chain, fibers, target_domain, keys):
             fib_lists.append(list(f))
         total = (0,) * chain.rank
         for lifted in itertools.product(*fib_lists):
-            total = tuple(a + b for a, b in zip(total, chain.value(lifted)))
+            total = tuple(a + b for a, b in zip(total, chain.support.get(
+                lifted, (0,) * chain.rank)))
         out.add_into(key, total)
     return out
 

@@ -782,8 +782,8 @@ def test_twisted_lhs_matches_cyc_sum(name, scaled):
     if scaled:
         t = character_table(ext.group)
         c = Cyc.integer(1) + Cyc.root(QZ(1, 5), Fraction(1, 3))
-        cache._tables[cache.key(ext.group)] = CharacterTable(
-            ext.group, [[v * c for v in row] for row in t.chars], t.dims)
+        cache._tables.put(cache.key(ext.group), CharacterTable(
+            ext.group, [[v * c for v in row] for row in t.chars], t.dims))
     compared = 0
     for k in range(ext.m):
         psi = QZ(k, ext.m)
@@ -814,8 +814,8 @@ def test_zero_branch_verdict_matches_cyc_equality(name):
     chars = [[v + shift if len(cls) > 1 else v
               for v, cls in zip(row, t.classes)] for row in t.chars]
     cache = TableCache()
-    cache._tables[cache.key(ext.group)] = CharacterTable(ext.group, chars,
-                                                         t.dims)
+    cache._tables.put(cache.key(ext.group), CharacterTable(ext.group, chars,
+                                                           t.dims))
     psi = QZ(1, ext.m)
     seen = set()
     for e in range(ext.group.order):

@@ -97,9 +97,15 @@ def test_cache_corruption_detected(tmp_path):
     short["chars"][1] = short["chars"][1][:-1]
     zero = json.loads(p.read_text())
     zero["chars"][0][0][0][1] = "1/0"
-    for doc in [short, zero, dict(good, dims=[None] * len(good["dims"])),
-                dict(good, chars=7), [good]]:
-        p.write_text(json.dumps(doc))
+    # a rational in exponent form, which Fraction would take without
+    # bound to read, and a document nested past the recursion limit too
+    exponent = json.loads(p.read_text())
+    exponent["chars"][0][0][0][1] = "1e-1000000000"
+    texts = [json.dumps(doc) for doc in [
+        short, zero, dict(good, dims=[None] * len(good["dims"])),
+        dict(good, chars=7), [good], exponent]] + ["[" * 100000]
+    for text in texts:
+        p.write_text(text)
         t3 = DiskTableCache(str(cdir)).get_or_compute(FiniteGroup.dihedral(4))
         assert t3.dims == t1.dims
         assert all(a == b for x, y in zip(t3.chars, t1.chars)
@@ -196,6 +202,41 @@ def test_casefile_validation_messages():
         with pytest.raises(CaseFileError) as e:
             load_case(bad5)
         assert e.value.field == field
+
+
+@pytest.mark.parametrize("raw", [
+    b'{"schema": 1, "rank": 1\xff}',
+    b"[" * 100000,
+    b'{"schema": 1, "rank": ' + b"1" * 5001 + b"}",
+], ids=["not-utf-8", "nested", "long-integer"])
+def test_unreadable_json_is_an_input_error(raw, tmp_path, capsys):
+    """A case file that is not UTF-8, nests past the recursion limit or
+    holds an integer literal past int's digit limit exits 2 with a message
+    naming json, not with a traceback."""
+    path = tmp_path / "case.json"
+    path.write_bytes(raw)
+    assert main(["cohomology", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: json: ")
+
+
+def test_phi_is_an_integer_or_p_over_q(tmp_path):
+    """phi takes integers and "p/q" only: an exponent or a decimal is an
+    input error naming phi, at once even for "1e-100000000", which
+    Fraction would take without bound to read (run in a fresh process, so
+    that a hang fails the test)."""
+    for value in ("1e-5", "0.25", "1/4.0", " 1/4", "1_0", "1/-4"):
+        with pytest.raises(CaseFileError) as e:
+            load_case(dict(FIXTURE, phi=[value]))
+        assert e.value.field == "phi"
+    for value in ("1/4", "-3/4", "5/4", "0", 1, "7"):
+        load_case(dict(FIXTURE, phi=[value]))
+    path = write_fixture(tmp_path, dict(FIXTURE, phi=["1e-100000000"]))
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-m", "toruscheck.cli",
+                           "tori-verify", "--input", path],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: phi: ")
 
 
 @pytest.mark.parametrize("doc", [[1, 2], "case", 3, None])

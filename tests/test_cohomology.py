@@ -432,7 +432,7 @@ def test_homology_differential_one_point():
     dom = ZDomain(2, IntMatrix([[-1]]))
     y = FiniteSupportChain(dom, 1, 1, {(3,): (2,)})
     b = y.boundary()
-    assert b.value(()) == (-2 - 2,)  # sigma^-3 = -1: (-2) - 2
+    assert b.support.get(()) == (-2 - 2,)  # sigma^-3 = -1: (-2) - 2
 
 
 def test_coinflation_commutes_with_boundary():
@@ -497,10 +497,10 @@ def test_coinflation_fiber_example():
     dom2 = FiniteDomain(C2, [IntMatrix.identity(1)] * 2)
     y = FiniteSupportChain(dom4, 1, 1, {(1,): (5,), (3,): (5,)})
     out = coinflation(y, lambda w: w % 2, dom2)
-    assert out.value((1,)) == (10,)  # fiber size 2 combines values
+    assert out.support.get((1,)) == (10,)  # fiber size 2 combines values
     # pointwise evaluator agrees
     out2 = ref.coinflation_pointwise(y, lambda w: [w, w + 2], dom2, [(1,), (0,)])
-    assert out2.value((1,)) == (10,)
+    assert out2.support.get((1,)) == (10,)
     with pytest.raises(ValueError):
         ref.coinflation_pointwise(y, lambda w: None, dom2, [(1,)])
 

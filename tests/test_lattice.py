@@ -15,7 +15,6 @@ from toruscheck.cohomology import tate_group
 from toruscheck.groups import GroupAction
 from toruscheck.lattice import (
     IntMatrix,
-    Memo,
     smith_normal_form,
     solve_integer,
     kernel_basis,
@@ -424,7 +423,8 @@ def _tate_modules():
                   for n, gmat, comp in suite._templates()]
 
 
-def test_subquotient_matches_reference_on_tate_groups(monkeypatch):
+def test_subquotient_matches_reference_on_tate_groups(monkeypatch,
+                                                    empty_memos):
     """Every Subquotient behind Tate degrees -1 to 2 of the fixtures, the
     order-6 case and the suite templates, built afresh, agrees with the
     reference construction on its generators, its boundaries, its basis,
@@ -440,7 +440,7 @@ def test_subquotient_matches_reference_on_tate_groups(monkeypatch):
     modules = _tate_modules()
     assert len(modules) == 21
     monkeypatch.setattr(cohomology, "Subquotient", recording)
-    monkeypatch.setattr(cohomology, "_tate_cache", Memo())
+    empty_memos(cohomology.tate_group.memo)
     for gm in modules:
         for degree in (-1, 0, 1, 2):
             tate_group(gm, degree)

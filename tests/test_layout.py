@@ -1,6 +1,7 @@
 """A guard against regrowth of code that nothing in the package calls,
-against a second way to draw a random integer, and against a second
-per-case store (see the last two tests).
+against a second way to draw a random integer, against a second cache
+mechanism, and against a second per-case store (see the last three
+tests).
 
 Every top-level function or class of ``src/toruscheck`` and every public
 method must be named somewhere in ``src/`` outside its own definition, or
@@ -182,6 +183,37 @@ def test_integers_are_drawn_one_way():
     assert _integer_draws(_package_sources()) == []
     sample = "def f(rng):\n    return rng.randint(1, 2) + r.randrange(3)\n"
     assert _integer_draws({"suite.py": sample}) == [("suite.py", 2)] * 2
+
+
+#: functools' caching decorators: unbounded, or tied to no Memo.
+FUNCTOOLS_CACHES = {"lru_cache", "cache", "cached_property"}
+
+
+def _functools_caches(sources):
+    """[(file, line)] of every import of a FUNCTOOLS_CACHES name from
+    functools and every functools.<name> attribute in the sources."""
+    out = []
+    for fn, text in sources.items():
+        for n in ast.walk(ast.parse(text)):
+            if isinstance(n, ast.ImportFrom) and n.module == "functools" \
+                    and any(a.name in FUNCTOOLS_CACHES for a in n.names) \
+                    or isinstance(n, ast.Attribute) \
+                    and n.attr in FUNCTOOLS_CACHES \
+                    and isinstance(n.value, ast.Name) \
+                    and n.value.id == "functools":
+                out.append((fn, n.lineno))
+    return out
+
+
+def test_caches_are_memos():
+    """Every process-level cache of the package is a lattice.Memo, bounded
+    by MEMO_LIMIT: no module imports or uses functools' caching
+    decorators (test_memo.py covers each Memo)."""
+    assert _functools_caches(_package_sources()) == []
+    sample = ("import functools\nfrom functools import lru_cache, wraps\n"
+              "\n\n@functools.cache\ndef f():\n    pass\n")
+    assert _functools_caches({"qz.py": sample}) == [("qz.py", 2),
+                                                    ("qz.py", 5)]
 
 
 def test_a_case_keeps_values_in_one_store():

@@ -1,14 +1,22 @@
-"""The bounded content-keyed memos: keys separate inputs that differ in
-one entry, cached values equal fresh builds, callers never mutate them, and
-no memo outgrows its limit."""
+"""The bounded content-keyed memos: every process-level cache is one,
+keys separate inputs that differ in one entry, cached values equal fresh
+builds, callers never mutate them, no memo outgrows its limit, and a solved
+matrix keeps one record."""
 
+import importlib
+import inspect
+import io
 import os
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
-from toruscheck import cohomology, lattice, rootdata, weil
+import toruscheck
+from toruscheck import characters, cohomology, lattice, qz, rootdata, \
+    suite, weil
+from toruscheck.characters import CharacterTable
 from toruscheck.cli import main
 from toruscheck.cohomology import (
     CohomologyGroup,
@@ -20,7 +28,7 @@ from toruscheck.cohomology import (
     tate_zero,
 )
 from toruscheck.groups import FiniteGroup, GroupAction
-from toruscheck.lattice import IntMatrix, Memo
+from toruscheck.lattice import IntMatrix, Memo, solve_integer
 from toruscheck.qz import QZ
 from toruscheck.rootdata import BasedRootDatum, TwistData
 from toruscheck.weil import LocalModel, Parameter, TorusModel, hyper_pairing, \
@@ -29,22 +37,68 @@ from toruscheck.weil import LocalModel, Parameter, TorusModel, hyper_pairing, \
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = [os.path.join(ROOT, "fixtures", name)
             for name in ("norm_one_torus.json", "s3_component.json")]
-MEMOS = [(lattice, "_snf_cache"), (lattice, "_plan_cache"),
-         (cohomology, "_rows_cache"),
-         (cohomology, "_dd_cache"), (cohomology, "_d_matrix_cache"),
-         (cohomology, "_tate_cache"),
-         (rootdata, "_twist_cache"), (weil, "_lift_cache")]
+#: Every process-level cache, by name: a memoized build carries its Memo
+#: as its attribute memo; the solved matrices and the character tables of
+#: TABLE_CACHE keep theirs.
+MEMOS = {
+    "lattice._snf_cache": lattice._snf_cache,
+    "cohomology.coboundary_rows": coboundary_rows.memo,
+    "cohomology.dd_rows": dd_rows.memo,
+    "cohomology.d_matrix": cohomology._d_matrix_cache,
+    "cohomology.tate_group": tate_group.memo,
+    "weil._lift_system": weil._lift_system.memo,
+    "rootdata.BasedRootDatum.from_label": BasedRootDatum.from_label.memo,
+    **{"rootdata.TwistData.%s" % name: f.memo
+       for name, f in vars(TwistData).items() if hasattr(f, "memo")},
+    "qz.cyclotomic_poly": qz.cyclotomic_poly.memo,
+    "qz._level": qz._level.memo,
+    "qz._power_residue": qz._power_residue.memo,
+    "qz._odd_level_rows": qz._odd_level_rows.memo,
+    "suite._templates": suite._templates.memo,
+    "characters.TABLE_CACHE": characters.TABLE_CACHE._tables,
+}
 
 
 @pytest.fixture
-def fresh_memos(monkeypatch):
-    """Empty memos for the test, so it sees every entry it causes."""
-    for module, name in MEMOS:
-        monkeypatch.setattr(module, name, Memo())
-    return [getattr(module, name) for module, name in MEMOS]
+def fresh_memos(empty_memos):
+    """Every memo emptied for the test (see conftest.empty_memos)."""
+    empty_memos(*MEMOS.values())
+    return MEMOS
 
 
-def test_memo_never_exceeds_its_limit(monkeypatch):
+def _held_memos():
+    """{id: Memo} of every Memo a module of the package holds: as a module
+    attribute, as the memo of a function or of a class attribute, or as
+    the store of a TableCache."""
+    held = {}
+    for info in pkgutil.iter_modules(toruscheck.__path__):
+        module = importlib.import_module("toruscheck." + info.name)
+        values = list(vars(module).values())
+        values += [v for cls in values
+                   if inspect.isclass(cls) and cls.__module__ == module.__name__
+                   for v in vars(cls).values()]
+        for v in values:
+            v = getattr(v, "__func__", v)
+            for memo in (v, getattr(v, "memo", None),
+                         getattr(v, "_tables", None)):
+                if isinstance(memo, Memo):
+                    held[id(memo)] = memo
+    return held
+
+
+def test_every_process_cache_is_a_listed_memo():
+    """The memos the modules hold are exactly those MEMOS lists: a new
+    cache is a Memo, and these tests cover it."""
+    held = _held_memos()
+    assert len(MEMOS) == 21
+    assert set(held) == {id(m) for m in MEMOS.values()}
+
+
+def test_memo_never_exceeds_its_limit(fresh_memos, monkeypatch, tmp_path):
+    """Under a limit of 3 no memo ever holds more than 3 entries, a cleared
+    entry is rebuilt rather than lost, replacing a value does not clear a
+    full memo, and the file commands on both fixtures and a random suite,
+    which fill every memo, still give their golden reports."""
     monkeypatch.setattr(lattice, "MEMO_LIMIT", 3)
     memo = Memo()
     for k in range(10):
@@ -52,24 +106,98 @@ def test_memo_never_exceeds_its_limit(monkeypatch):
         assert len(memo) <= 3
     # a cleared entry is rebuilt, not lost
     assert memo.get_or_compute(("k", 0), pow, 0, 2) == 0
+    memo = Memo()
+    for k in range(3):
+        memo.put(("k", k), k * k)
+    memo.put(("k", 0), "zero")
+    assert len(memo) == 3 and memo["k", 0] == "zero"
+    peak, puts = {}, {}
+    put = Memo.put
+
+    def recording(self, key, value):
+        out = put(self, key, value)
+        peak[id(self)] = max(peak.get(id(self), 0), len(self))
+        puts[id(self)] = puts.get(id(self), 0) + 1
+        return out
+
+    monkeypatch.setattr(Memo, "put", recording)
+    for path in FIXTURES:
+        fixture = os.path.splitext(os.path.basename(path))[0]
+        for command in ("cohomology", "pairing", "sign", "projirr",
+                        "tori-verify"):
+            out = tmp_path / "out.json"
+            assert main([command, "--input", path, "--output", str(out)]) == 0
+            with open(os.path.join(ROOT, "perfbench", "golden", "cli",
+                                   "%s.%s.json" % (command, fixture))) as f:
+                assert out.read_text() == f.read(), (command, fixture)
+    out = tmp_path / "suite.json"
+    assert main(["random-suite", "--seed", "7", "--suite-size", "10",
+                 "--output", str(out)]) == 0
+    with open(os.path.join(ROOT, "tests", "golden",
+                           "random-suite.seed7.size10.json")) as f:
+        assert out.read_text() == f.read()
+    # every memo took entries, and each filled up to the limit when it
+    # took more
+    assert all(puts.get(id(m)) for m in MEMOS.values())
+    assert {name: peak[id(m)] for name, m in MEMOS.items()} == \
+        {name: min(3, puts[id(m)]) for name, m in MEMOS.items()}
 
 
 def test_solve_plans_are_keyed_by_matrix_content(fresh_memos, monkeypatch):
-    """An equal matrix built again shares the solve plan and the SNF of the
-    first; a matrix one entry apart gets its own; an emptied plan memo
-    gives the same solutions."""
+    """solve_integer alone leaves a matrix its plan and no SNF; an SNF read
+    then adds the SNF and keeps that plan; the plan of a matrix whose SNF
+    is kept is built from it, with no second SNF; an equal matrix built
+    again shares the record, and one entry apart gets its own; emptied
+    records give the same solutions."""
+    factored = []
+    snf = lattice.smith_normal_form
+    monkeypatch.setattr(lattice, "smith_normal_form",
+                        lambda M: factored.append(M.data) or snf(M))
+    records = lattice._snf_cache
     A, again = IntMatrix([[2, 4], [6, 8]]), IntMatrix([[2, 4], [6, 8]])
     other = IntMatrix([[2, 4], [6, 9]])
-    assert lattice.solve_integer(A, (2, 6)) == (1, 0)
-    assert lattice.solve_integer(again, (4, 12)) == (2, 0)
-    assert len(lattice._plan_cache) == len(lattice._snf_cache) == 1
-    assert lattice.solve_integer(other, (2, 6)) == (1, 0)
-    assert lattice.solve_integer(other, (1, 6)) is None
-    assert len(lattice._plan_cache) == len(lattice._snf_cache) == 2
-    monkeypatch.setattr(lattice, "_plan_cache", Memo())
-    assert lattice.solve_integer(again, (4, 12)) == (2, 0)
-    assert lattice.solve_integer(other, (1, 6)) is None
-    assert len(lattice._plan_cache) == 2
+    assert solve_integer(A, (2, 6)) == (1, 0)
+    assert solve_integer(again, (4, 12)) == (2, 0)
+    (kept, plan), = records.values()
+    assert kept is None and plan is not None and len(factored) == 1
+    U, D, V = lattice.snf_cached(again)
+    assert records[A.data][0] == (U, D, V) and records[A.data][1] is plan
+    assert len(factored) == 2
+    lattice.snf_cached(other)
+    assert solve_integer(other, (2, 6)) == (1, 0)
+    assert solve_integer(other, (1, 6)) is None
+    assert len(factored) == 3 and len(records) == 2
+    assert records[other.data][0] is lattice.snf_cached(other)
+    records.clear()
+    assert solve_integer(again, (4, 12)) == (2, 0)
+    assert solve_integer(other, (1, 6)) is None
+    assert len(lattice._snf_cache) == 2
+
+
+def test_only_snf_reads_keep_an_snf(fresh_memos, monkeypatch, tmp_path):
+    """Over the file commands on both fixtures and a random suite, a record
+    holds a dense SNF exactly when snf_cached was asked for its matrix: a
+    matrix that only solve_integer reads keeps its plan alone."""
+    read = set()
+    snf_cached = lattice.snf_cached
+
+    def recording(M):
+        read.add(M.data)
+        return snf_cached(M)
+
+    monkeypatch.setattr(lattice, "snf_cached", recording)
+    for path in FIXTURES:
+        for command in ("cohomology", "pairing", "sign", "projirr",
+                        "tori-verify"):
+            assert main([command, "--input", path,
+                         "--output", str(tmp_path / "out.json")]) == 0
+    assert main(["random-suite", "--seed", "1", "--suite-size", "5",
+                 "--output", str(tmp_path / "out.json")]) == 0
+    records = lattice._snf_cache
+    solved_only = [k for k, (snf, plan) in records.items() if snf is None]
+    assert len(solved_only) >= 20
+    assert all(records[k][1] is not None for k in solved_only)
+    assert {k for k, (snf, _) in records.items() if snf is not None} == read
 
 
 def _modules():
@@ -87,15 +215,14 @@ def _modules():
     }
 
 
-def test_cold_tate_group_factors_no_basis(monkeypatch):
+def test_cold_tate_group_factors_no_basis(monkeypatch, empty_memos):
     """A cold tate_group(gm, 1) of the norm-one fixture inverts only the U
     of each FGAbelian it builds, once per group, and never a basis; it
     keeps no solve plan, and takes three SNFs: the cocycle system, the
     generator matrix of the Subquotient and its relation matrix."""
     from toruscheck.casefile import load_case_file
     gm = load_case_file(FIXTURES[0])[0].gmodule()
-    for module, name in MEMOS:
-        monkeypatch.setattr(module, name, Memo())
+    empty_memos(*MEMOS.values())
     inverted, factored, groups = [], [], []
     inverse, snf = lattice.unimodular_inverse, lattice.smith_normal_form
     build = lattice.FGAbelian.__init__
@@ -113,7 +240,9 @@ def test_cold_tate_group_factors_no_basis(monkeypatch):
     assert H1.order == 2
     assert groups == [H1.group]
     assert inverted == [G.U for G in groups]
-    assert len(factored) == 3 and len(lattice._plan_cache) == 0
+    assert len(factored) == 3
+    assert all(plan is None
+               for _, plan in lattice._snf_cache.values())
 
 
 def test_tate_groups_are_keyed_by_module_content(fresh_memos):
@@ -122,12 +251,12 @@ def test_tate_groups_are_keyed_by_module_content(fresh_memos):
     for left, right, n in [("Z trivial", "Z sign", 1), ("Z/2", "Z/3", 2)]:
         a, b = tate_group(m[left], n), tate_group(m[right], n)
         assert a is not b and a.order != b.order
-    assert len(cohomology._tate_cache) == 4
+    assert len(tate_group.memo) == 4
     # an equal module built again shares the entry
     again = GModule(FiniteGroup.cyclic(2), 1, None,
                     [IntMatrix.identity(1), IntMatrix([[-1]])])
     assert tate_group(again, 1) is tate_group(m["Z sign"], 1)
-    assert len(cohomology._tate_cache) == 4
+    assert len(tate_group.memo) == 4
 
 
 def _plain(rep):
@@ -165,24 +294,20 @@ def _lift_inputs():
     ]
 
 
-def test_lift_systems_are_keyed_by_fT_and_D(fresh_memos, monkeypatch):
+def test_lift_systems_are_keyed_by_fT_and_D(fresh_memos):
     t, inputs = _lift_inputs()
-    built = []
-    build = weil._lift_system
-
-    def recording(torus, fT, D):
-        built.append((fT.data, D))
-        return build(torus, fT, D)
-
-    monkeypatch.setattr(weil, "_lift_system", recording)
+    memo = weil._lift_system.memo
     shared = [hyper_pairing(t, *x) for x in inputs]
     assert shared[0] == QZ(1, 2)
     # one system per (fT, D), then reused
-    assert built == [(((2,),), 1), (((1,),), 2), (((1,),), 1)]
+    assert [key[1:] for key in memo] == \
+        [(((2,),), 1), (((1,),), 2), (((1,),), 1)]
+    systems = list(memo.values())
     assert [hyper_pairing(t, *x) for x in inputs] == shared
-    assert len(built) == len(weil._lift_cache) == 3
+    assert len(memo) == 3
+    assert all(a is b for a, b in zip(memo.values(), systems))
     for x, value in zip(inputs, shared):
-        monkeypatch.setattr(weil, "_lift_cache", Memo())
+        memo.clear()
         assert hyper_pairing(t, *x) == value
 
 
@@ -198,6 +323,11 @@ def test_twist_data_is_keyed_by_content(fresh_memos):
     assert other.xi_module() is not tw.xi_module()
     assert same.sign_presentation() is tw.sign_presentation()
     assert other.sign_presentation() is not tw.sign_presentation()
+    # one datum per label, and one key string per twist datum
+    assert tw.datum is other.datum
+    assert list(BasedRootDatum.from_label.memo) == [("A2",)]
+    assert tw.key == same.key and tw.key is not same.key
+    assert tw.key != other.key
 
 
 def test_coboundary_rows_are_keyed_by_module_content(fresh_memos):
@@ -216,36 +346,63 @@ def test_coboundary_rows_are_keyed_by_module_content(fresh_memos):
     c4 = FiniteGroup.cyclic(4)
     assert coboundary_rows(GModule.trivial_ints(klein), 1) != \
         coboundary_rows(GModule.trivial_ints(c4), 1)
-    assert len(cohomology._rows_cache) == 5
+    assert len(coboundary_rows.memo) == 5
     assert dd_rows(again, 1) is dd_rows(m["Z sign"], 1) == ()
-    assert len(cohomology._rows_cache) == 5
-    assert len(cohomology._dd_cache) == 1
+    assert len(coboundary_rows.memo) == 5
+    assert len(dd_rows.memo) == 1
+
+
+#: The per-object stores of memo values: what a group or a character
+#: table derives from its own content on first use and keeps for the
+#: object's lifetime.  They may fill after the value is stored.
+PER_OBJECT = {FiniteGroup: ("_classes", "_class_index", "_powers", "_gens",
+                            "table_key"),
+              CharacterTable: ("central", "products", "lhs", "_forms")}
+
+
+class _ContentPickler(pickle.Pickler):
+    """Pickles a value with the per-object stores of its groups and tables
+    left out."""
+
+    def reducer_override(self, obj):
+        skip = PER_OBJECT.get(type(obj))
+        if skip is None:
+            return NotImplemented
+        names = getattr(type(obj), "__slots__", None) or sorted(vars(obj))
+        return tuple, (tuple((n, getattr(obj, n)) for n in names
+                             if n not in skip),)
+
+
+def _content(value):
+    out = io.BytesIO()
+    _ContentPickler(out).dump(value)
+    return out.getvalue()
 
 
 def test_cached_values_are_not_mutated(fresh_memos, monkeypatch, tmp_path):
-    """Every value a memo stores during full cohomology, sign and
-    tori-verify runs reads
-    the same at the end as when it was stored, and no memo outgrows its
-    limit."""
+    """Every value a memo stores during full cohomology, sign, tori-verify
+    and random-suite runs has the same content at the end as when it was
+    stored, and every memo holds entries, none more than its limit."""
     stored = []
-    original = Memo.get_or_compute
+    put = Memo.put
 
-    def recording(self, key, compute, *args):
-        miss = key not in self._entries
-        value = original(self, key, compute, *args)
-        if miss:
-            stored.append((value, pickle.dumps(value)))
-        return value
+    def recording(self, key, value):
+        stored.append((value, _content(value)))
+        return put(self, key, value)
 
-    monkeypatch.setattr(Memo, "get_or_compute", recording)
+    monkeypatch.setattr(Memo, "put", recording)
     for command in ("cohomology", "sign", "tori-verify"):
         for path in FIXTURES:
             assert main([command, "--input", path,
                          "--output", str(tmp_path / "out.json")]) == 0
+    assert main(["random-suite", "--seed", "1", "--suite-size", "3",
+                 "--output", str(tmp_path / "out.json")]) == 0
     assert len(stored) > 100
     for value, at_store in stored:
-        assert pickle.dumps(value) == at_store
-    assert all(0 < len(memo) <= lattice.MEMO_LIMIT for memo in fresh_memos)
+        assert _content(value) == at_store
+    assert {name: 0 < len(memo) <= lattice.MEMO_LIMIT
+            for name, memo in fresh_memos.items()} == \
+        {name: True for name in fresh_memos}
 
 
 def _sign_data():
@@ -297,8 +454,8 @@ def test_kept_fixed_representatives_equal_fresh_ones(fresh_memos,
             if pres.weights is None:
                 # the sign is +1 for every class; no representative is kept
                 assert rootdata.twisted_sign(tw, xi) == 1
-                assert ("fixed_representative", tw.key, xi) \
-                    not in rootdata._twist_cache._entries
+                assert (tw.key, xi) \
+                    not in TwistData.fixed_representative.memo
                 continue
             want = fresh(pres, xi)
             got = tw.fixed_representative(xi)
@@ -317,5 +474,7 @@ def test_kept_fixed_representatives_equal_fresh_ones(fresh_memos,
     assert (len(kept), len(rejected)) == (7, 3)
     assert len(built) == len(set(built)) == 10
     assert _signs(data) == signs
-    monkeypatch.setattr(rootdata, "_twist_cache", Memo())
+    for f in vars(TwistData).values():
+        if hasattr(f, "memo"):
+            f.memo.clear()
     assert _signs(data) == signs

@@ -163,10 +163,11 @@ def _recurrence_rows(n):
     return rows
 
 
-def test_power_residue_rows_match_the_recurrence():
+def test_power_residue_rows_match_the_recurrence(empty_memos):
     """Each residue row, reduced through the odd squarefree level, is the
     row the recurrence at level n gives; a row is built only when a
-    residue call reads it, and a row handed out stays the same object."""
+    residue call reads it, as its own memo entry, and a row handed out
+    stays the same object while its entry lives."""
     for n in list(range(1, 121)) + [360, 1155, 2310]:
         rows = _recurrence_rows(n)
         for k in range(n):
@@ -174,10 +175,12 @@ def test_power_residue_rows_match_the_recurrence():
             for i, a in rows[k].items():
                 want[i] = a
             assert qz.residue([(k, 1)], n) == want, (n, k)
-    qz._power_residues.cache_clear()
-    slots = qz._power_residues(13860)[4]
+    memo = qz._power_residue.memo
+    empty_memos(memo)
     assert qz.residue([(13859, 2), (7, 0)], 13860)
-    assert [k for k, row in enumerate(slots) if row is not None] == [13859]
-    row = slots[13859]
-    qz.residue([(k, 1) for k in range(0, 13860, 7)], 13860)
-    assert slots[13859] is row
+    assert list(memo) == [(13860, 13859)]
+    row = memo[13860, 13859]
+    read = range(0, 13860, 7)
+    qz.residue([(k, 1) for k in read], 13860)
+    assert set(memo) == {(13860, k) for k in [*read, 13859]}
+    assert qz._power_residue(13860, 13859) is row

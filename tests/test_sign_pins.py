@@ -14,17 +14,19 @@ the per-datum sign presentation and the face-table coboundary existed; see
 import json
 import os
 
-from toruscheck import cohomology, rootdata
+from toruscheck import cohomology
 from toruscheck.cohomology import tate_group
-from toruscheck.lattice import Memo
 from toruscheck.rootdata import BasedRootDatum, TwistData, diagram_flip, \
     sign_induction, sign_product, twisted_sign
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 with open(os.path.join(ROOT, "tests", "golden", "signs.json")) as f:
     PINS = json.load(f)
-MEMOS = [(rootdata, "_twist_cache"), (cohomology, "_rows_cache"),
-         (cohomology, "_d_matrix_cache"), (cohomology, "_tate_cache")]
+#: The memos the cold pass empties: those of the TwistData methods, of the
+#: coboundary and its matrix, and of the Tate groups.
+MEMOS = [f.memo for f in vars(TwistData).values() if hasattr(f, "memo")] + [
+    cohomology.coboundary_rows.memo, cohomology.d_matrix.memo,
+    cohomology.tate_group.memo]
 #: The cold pass makes every call that returns signs but only the first
 #: few calls per datum that reject the class: each cold call rebuilds the
 #: datum's presentation, and all 1,575 rejections would take most of a
@@ -100,15 +102,16 @@ def test_pins_cover_the_family():
     assert sum(map(len, PINS["twisted_sign"].values())) == 1779
 
 
-def test_signs_match_pins_cold(monkeypatch):
+def test_signs_match_pins_cold(empty_memos):
+    empty_memos(*MEMOS)
     rejections = {}
     for path, fn, args in sign_cases():
         if pinned(path) == "r":
             rejections[path[:-1]] = seen = rejections.get(path[:-1], 0) + 1
             if seen > COLD_REJECTIONS:
                 continue
-        for module, name in MEMOS:
-            monkeypatch.setattr(module, name, Memo())
+        for memo in MEMOS:
+            memo.clear()
         assert outcome(fn, *args) == pinned(path), path
 
 
