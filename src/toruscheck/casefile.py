@@ -24,6 +24,10 @@ SCHEMA_VERSION = 1
 #: grows steeply with its order.
 MAX_GALOIS_ORDER = 6
 
+#: The largest rank a Cartan `root_datum.label` may name: the datum is built
+#: when the file loads, at a cost that grows about as the cube of the rank.
+MAX_LABEL_RANK = 8
+
 #: The top-level fields of a case file, and those of its root_datum block;
 #: any other key is an input error.
 FIELDS = ("schema", "rank", "galois", "component", "z", "phi", "root_datum",
@@ -137,6 +141,10 @@ def load_root_datum(spec):
     label = spec.get("label", "custom" if "cartan" in spec else "A1")
     if not isinstance(label, str):
         raise CaseFileError("root_datum.label", "expected a string")
+    rank = label[1:]
+    if rank.isdecimal() and (len(rank) > 3 or int(rank) > MAX_LABEL_RANK):
+        raise CaseFileError("root_datum.label", "rank %s exceeds the bound %d"
+                            % (rank, MAX_LABEL_RANK))
     if "cartan" in spec:
         cartan = _as_matrix(spec["cartan"], "root_datum.cartan")
         if cartan.rows != cartan.cols or cartan.rows == 0 \
@@ -253,12 +261,10 @@ def encode_qz(q):
 
 
 def encode_cyc(c):
-    terms = []
-    for q in sorted(c.terms, key=lambda t: t.sort_key()):
-        coeff = c.terms[q]
-        terms.append([encode_qz(q), "%d/%d" % (coeff.numerator,
-                                               coeff.denominator)])
-    return terms
+    """The terms of c as ["j/d", "a/b"] pairs for (a / b) e(j/d), each
+    fraction in lowest terms, sorted by the root's (d, j)."""
+    return [["%d/%d" % (j, d), "%d/%d" % (a, b)]
+            for d, j, a, b in c.reduced_terms()]
 
 
 def decode_cyc(terms):

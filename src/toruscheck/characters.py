@@ -22,8 +22,7 @@ from operator import mul
 
 from .groups import coset_section
 from .lattice import Memo
-from .qz import (QZ, Cyc, _cyc, _qz, cyc_div, cyc_from_pairs, exponent_forms,
-                 residue)
+from .qz import Cyc, cyc_div, exponent_forms, residue
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +407,7 @@ class CharacterTable:
 
     MAX_ORDER = 400
 
-    def __init__(self, group, chars, dims, forms=None):
+    def __init__(self, group, chars, dims):
         self.group = group
         self.classes = group.conjugacy_classes()
         self.class_index = group.class_index()
@@ -420,8 +419,8 @@ class CharacterTable:
         self.products = {}
         # twisted_orthogonality left sides (lhs, vanishes), by the same key
         self.lhs = {}
-        # exponent_forms(chars), when the builder of the table knows them
-        self._forms = forms
+        # exponent_forms(chars), built at the first read
+        self._forms = None
 
     def value(self, i, g):
         return self.chars[i][self.class_index[g]]
@@ -489,9 +488,7 @@ class CharacterTable:
 def character_table(group):
     """Dixon's method: split class-matrix eigenspaces over GF(p) with
     p = 1 mod exp(G), then lift eigenvalue multiplicities to cyclotomics,
-    once per Galois orbit of characters and of classes.  The integer
-    multiplicities give the table's exponent forms as well, so verify()
-    reads them without taking the values apart again."""
+    once per Galois orbit of characters and of classes."""
     G = group
     if G.order > CharacterTable.MAX_ORDER:
         raise ValueError("group order %d exceeds the configured bound %d"
@@ -546,24 +543,21 @@ def character_table(group):
     level = exponent if exponent % 2 == 0 else 2 * exponent
 
     def row_of(mults, l):
-        """The values of chi^(l) and its nonzero multiplicities (j, m) at
-        each class, from chi's at the first class of each class orbit."""
+        """The values of chi^(l) at each class, from chi's nonzero
+        multiplicities (j, m) at the first class of each class orbit."""
         values = []
-        row_pairs = []
         for c, (k, lc) in enumerate(source):
             h = orders[c]
             pairs = mults[k]
             scale = lc * l % h
             if scale != 1:
                 pairs = sorted((j * scale % h, x) for j, x in pairs)
-            values.append(_cyc({_qz(j, h): x for j, x in pairs}))
-            row_pairs.append(pairs)
-        return values, row_pairs
+            values.append(Cyc.from_pairs(pairs, h))
+        return values
 
     position = {w: i for i, w in enumerate(vectors)}
     chars = [None] * r
     dims = [None] * r
-    pairs = [None] * r
     for i, w in enumerate(vectors):
         if chars[i] is not None:
             continue
@@ -595,20 +589,19 @@ def character_table(group):
                 raise ValueError("Galois conjugate eigenvector missing "
                                  "from the table")
             if chars[j] is None:
-                chars[j], pairs[j] = row_of(mults, l)
+                chars[j] = row_of(mults, l)
                 dims[j] = dim
 
     keys = {}
 
     def key(i, c):
-        """The residue of chi_i at class c mod Phi_level with trailing zeros
-        dropped, built once per (row, class): the multiplicities are ints,
-        so this is Cyc.reduced_key(level) without its level and with ints
-        in place of Fractions."""
+        """Cyc.reduced_key(level) of chi_i at class c without its level,
+        built once per (row, class), in ints: the values have den 1."""
         res = keys.get((i, c))
         if res is None:
-            step = level // orders[c]
-            res = residue([(j * step, x) for j, x in pairs[i][c]], level)
+            v = chars[i][c]
+            step = level // v.n
+            res = residue([(k * step, x) for k, x in v.pairs.items()], level)
             while res and res[-1] == 0:
                 res.pop()
             keys[i, c] = res
@@ -616,27 +609,20 @@ def character_table(group):
 
     def compare(i, j):
         """Rows by dims, then by their residue keys class by class.  Equal
-        multiplicities give equal values, so a key is built only at the
-        classes where the multiplicities differ."""
+        stored forms are equal values, so a key is built only at the
+        classes where the stored forms differ."""
         if dims[i] != dims[j]:
             return -1 if dims[i] < dims[j] else 1
-        for c, (p_i, p_j) in enumerate(zip(pairs[i], pairs[j])):
-            if p_i != p_j:
+        for c, (v_i, v_j) in enumerate(zip(chars[i], chars[j])):
+            if v_i.n != v_j.n or v_i.pairs != v_j.pairs:
                 k_i, k_j = key(i, c), key(j, c)
                 if k_i != k_j:
                     return -1 if k_i < k_j else 1
         return 0
 
     order = sorted(range(r), key=cmp_to_key(compare))
-    # exponent_forms(chars) read off the multiplicities: e(j/h) has order
-    # h / gcd(j, h), so the level n is their lcm, D = 1, and e(j/h) is
-    # e(k/n) with k = j n / h
-    n = lcm(1, *(orders[c] // gcd(j, orders[c])
-                 for row in pairs for c, cp in enumerate(row) for j, _ in cp))
-    forms = [[[(j * n // orders[c], x) for j, x in cp]
-              for c, cp in enumerate(pairs[i])] for i in order]
     table = CharacterTable(G, [chars[i] for i in order],
-                           [dims[i] for i in order], (n, 1, forms))
+                           [dims[i] for i in order])
     table.verify()
     return table
 
@@ -775,7 +761,7 @@ def twisted_orthogonality(ext, psi1, e, e2, cache=None):
     if side is None:
         n, D, _ = table.exponent_forms()
         pairs = column_product(table, sel, k1, k2)
-        side = table.lhs[key] = (cyc_from_pairs(pairs, n, D * D),
+        side = table.lhs[key] = (Cyc.from_pairs(pairs, n, D * D),
                                  not any(residue(pairs, n)))
     lhs, vanishes = side
     A = ext.base

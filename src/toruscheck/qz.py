@@ -5,14 +5,15 @@ pair of Python ints ``num/den`` in lowest terms with ``0 <= num < den``, so
 the group law, equality and hashing need nothing beyond integer arithmetic
 and ``math.gcd``.
 
-A Cyc value is a formal Q-linear combination of such roots, kept as the dict
-``terms: {QZ: coefficient}`` exactly as it was built (reports serialize this
-formal sum verbatim, so it is never rewritten into a canonical basis).
-Coefficients are ints when they are integral and Fractions otherwise.
-Equality is decided exactly by reduction modulo the cyclotomic polynomial of
-the common level n: after scaling by the lcm of the coefficient denominators
-the sum is integral, and each e(k/n) is replaced by its row in a cached table
-of x^k mod Phi_n.  Phi_n is monic, so the reduction stays in the integers.
+A Cyc value is a formal Q-linear combination of roots of unity, stored in
+ints and in lowest terms: its level ``n`` (the least common order of its
+roots), its least common denominator ``den`` and the dict ``pairs = {k: c}``
+of nonzero coefficients, for the sum of (c / den) e(k/n), 0 <= k < n.  So
+equal formal sums are stored equally.  Reports serialize this formal sum
+verbatim, so it is never rewritten into a canonical basis.  Equality is
+decided exactly by reduction modulo the cyclotomic polynomial of a common
+level n: each e(k/n) is replaced by its row in a cached table of
+x^k mod Phi_n.  Phi_n is monic, so the reduction stays in the integers.
 """
 
 from __future__ import annotations
@@ -68,11 +69,6 @@ class QZ:
     def order(self):
         return self.den
 
-    @property
-    def frac(self):
-        """The canonical lift in [0, 1) as a Fraction."""
-        return Fraction(self.num, self.den)
-
     def __add__(self, other):
         if type(other) is not QZ:
             other = QZ(other)
@@ -119,9 +115,6 @@ class QZ:
         if self.den == 1:
             return "QZ(%d)" % self.num
         return "QZ(%d/%d)" % (self.num, self.den)
-
-    def sort_key(self):
-        return (self.den, self.num)
 
 
 def qz_ints(values):
@@ -249,46 +242,20 @@ def _odd_level_rows(n):
     return tuple(rows)
 
 
-def exponent_form(terms, n):
-    """A formal sum {QZ: coefficient} at level n, in integers: (pairs, den)
-    with den the lcm of the coefficient denominators and pairs the (k, c)
-    with c * e(k/n) the terms scaled by den, 0 <= k < n, c an int.  n must
-    be a multiple of the order of every root.
-
-    >>> exponent_form({QZ(1, 2): Fraction(1, 2), QZ(1, 3): 2}, 6)
-    ([(3, 1), (2, 4)], 2)
-    """
-    den = 1
-    for c in terms.values():
-        if type(c) is not int:
-            den = lcm(den, c.denominator)
-    pairs = []
-    for q, c in terms.items():
-        step, r = divmod(n, q.den)
-        if r:
-            raise ValueError("level %d is not a multiple of the order %d"
-                             % (n, q.den))
-        if den != 1:
-            c = c.numerator * (den // c.denominator)
-        pairs.append((q.num * step, c))
-    return pairs, den
-
-
 def exponent_forms(rows):
-    """Rows of Cyc values in integers: (n, D, forms) with n the lcm of the
-    values' levels, D the lcm of their coefficient denominators, and
-    forms[i][k] the (e, c) pairs with c * e(e/n) the terms of D * rows[i][k],
-    0 <= e < n.
+    """Rows of Cyc values at one level and over one denominator: (n, D,
+    forms) with n the lcm of the values' levels, D the lcm of their
+    denominators, and forms[i][k] the stored pairs of rows[i][k] rescaled,
+    the (e, c) with c * e(e/n) the terms of D * rows[i][k], 0 <= e < n.
 
     >>> exponent_forms([[Cyc.root(QZ(1, 2), Fraction(1, 3))], [Cyc.integer(2)]])
     (2, 3, [[[(1, 1)]], [[(0, 6)]]])
     """
-    rows = [list(row) for row in rows]
-    n = lcm(1, *(v.level() for row in rows for v in row))
-    forms = [[exponent_form(v.terms, n) for v in row] for row in rows]
-    D = lcm(1, *(den for row in forms for _, den in row))
-    return n, D, [[[(k, c * (D // den)) for k, c in pairs]
-                   for pairs, den in row] for row in forms]
+    n = lcm(1, *(v.n for row in rows for v in row))
+    D = lcm(1, *(v.den for row in rows for v in row))
+    return n, D, [[[(k * (n // v.n), c * (D // v.den))
+                    for k, c in v.pairs.items()] for v in row]
+                  for row in rows]
 
 
 def residue(pairs, n):
@@ -328,200 +295,186 @@ def convolve(vec, pairs, acc=None):
     return out
 
 
-def cyc_from_vector(vec, den=1):
-    """The Cyc  sum_k (vec[k] / den) e(k/n)  with n = len(vec), from an int
-    list indexed by exponent at level n and one common denominator den >= 1.
-
-    Its terms are this element of the group ring Q[Q/Z] with the zero
-    coefficients dropped, so they equal the terms that adding and
-    multiplying the same roots as Cyc values gives, in any order.
-
-    >>> cyc_from_vector([0, 2, 0, -1], 2)
-    Cyc(e(1/4) + -1/2*e(3/4))
-    >>> cyc_from_vector([1, 0, 0, 0, 2, 0], 1)
-    Cyc(1 + 2*e(2/3))
-    """
-    return cyc_from_pairs(enumerate(vec), len(vec), den)
-
-
-def cyc_from_pairs(pairs, n, den=1):
-    """cyc_from_vector from the (k, c) pairs of the vector's entries, each k
-    at most once: the Cyc  sum (c / den) e(k/n), zero coefficients dropped.
-
-    >>> cyc_from_pairs([(1, 2), (3, -1)], 4, 2)
-    Cyc(e(1/4) + -1/2*e(3/4))
-    """
-    terms = {}
-    for k, c in pairs:
-        if c:
-            if den != 1:
-                g = gcd(c, den)
-                c = c // g if g == den else Fraction(c // g, den // g)
-            terms[_qz(k, n)] = c
-    return _cyc(terms)
+def _lowest(n, den, pairs):
+    """(n, den, {k: c}) of the sum of (c / den) e(k/n) over (k, c) pairs,
+    each k at most once with 0 <= k < n, in lowest terms: zero coefficients
+    dropped, then n divided by its gcd with the exponents (the subgroup of
+    Q/Z the roots generate is cyclic, so that is the least common order)
+    and den by its gcd with the coefficients."""
+    pairs = {k: c for k, c in pairs if c}
+    if not pairs:
+        return 1, 1, pairs
+    g = gcd(n, *pairs)
+    if g > 1:
+        n //= g
+        pairs = {k // g: c for k, c in pairs.items()}
+    g = gcd(den, *pairs.values()) if den > 1 else 1
+    if g > 1:
+        den //= g
+        pairs = {k: c // g for k, c in pairs.items()}
+    return n, den, pairs
 
 
-def _coeff(c):
-    """A coefficient as an int when integral, else as a Fraction."""
-    if type(c) is int:
-        return c
-    if type(c) is not Fraction:
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
-def _add_into(terms, pairs):
-    """Add (root, coefficient) pairs into a clean terms dict in place,
-    dropping roots whose coefficient cancels."""
-    get = terms.get
-    for q, c in pairs:
-        s = get(q)
-        if s is None:
-            terms[q] = c
-            continue
-        s += c
-        if s:
-            terms[q] = s if type(s) is int else _coeff(s)
-        else:
-            del terms[q]
-    return terms
-
-
-def _cyc(terms):
-    """A Cyc from terms already clean: distinct QZ keys, nonzero
-    coefficients, integral ones as ints."""
-    v = _new(Cyc)
-    v.terms = terms
-    return v
+def _sum(x, y, sign):
+    """x + sign * y at the lcm of the levels and of the denominators."""
+    n, den = lcm(x.n, y.n), lcm(x.den, y.den)
+    s, f = n // x.n, den // x.den
+    acc = {k * s: c * f for k, c in x.pairs.items()}
+    get = acc.get
+    s, f = n // y.n, sign * (den // y.den)
+    for k, c in y.pairs.items():
+        k *= s
+        acc[k] = get(k, 0) + c * f
+    return Cyc.from_pairs(acc.items(), n, den)
 
 
 class Cyc:
-    """Exact cyclotomic number: a formal sum  sum_q  c_q * e(q)  with q in
-    Q/Z and c_q rational, compared via reduction mod the cyclotomic
-    polynomial.
+    """Exact cyclotomic number: a formal sum  sum_k  (c_k / den) e(k/n),
+    stored in lowest terms as its level n, its denominator den and the
+    dict pairs = {k: c_k} of nonzero ints, and compared via reduction mod
+    the cyclotomic polynomial.
 
     >>> Cyc.root(QZ(1, 3)) + Cyc.root(QZ(2, 3)) == Cyc.integer(-1)
     True
+    >>> v = Cyc({QZ(1, 2): Fraction(1, 2), QZ(1, 3): 2})
+    >>> v.n, v.den, v.pairs
+    (6, 2, {3: 1, 2: 4})
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("n", "den", "pairs")
 
     def __init__(self, terms=None):
-        clean = {}
-        for q, c in (terms or {}).items():
-            q = QZ(q)
-            c = _coeff(c)
-            if c:
-                clean[q] = clean.get(q, 0) + c
-        self.terms = {q: _coeff(c) for q, c in clean.items() if c}
+        """The sum of c * e(q) over a {q: c} dict, q a QZ or anything QZ
+        reads and c an int or a rational."""
+        roots = [(QZ(q), Fraction(c)) for q, c in (terms or {}).items()]
+        n = lcm(1, *(q.den for q, _ in roots))
+        den = lcm(1, *(c.denominator for _, c in roots))
+        acc = {}
+        for q, c in roots:
+            k = q.num * (n // q.den)
+            acc[k] = acc.get(k, 0) + c.numerator * (den // c.denominator)
+        self.n, self.den, self.pairs = _lowest(n, den, acc.items())
+
+    @classmethod
+    def from_pairs(cls, pairs, n, den=1):
+        """The sum of (c / den) e(k/n) over (k, c) pairs of ints, each k at
+        most once with 0 <= k < n, and den >= 1; zero coefficients are
+        dropped, and no QZ is built.
+
+        >>> Cyc.from_pairs([(1, 2), (3, -1)], 4, 2)
+        Cyc(e(1/4) + -1/2*e(3/4))
+        >>> Cyc.from_pairs(enumerate([1, 0, 0, 0, 2, 0]), 6)
+        Cyc(1 + 2*e(2/3))
+        """
+        v = _new(cls)
+        v.n, v.den, v.pairs = _lowest(n, den, pairs)
+        return v
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls.from_pairs((), 1)
 
     @classmethod
-    def integer(cls, n):
-        return cls({QZ(0): n})
-
-    @classmethod
-    def rational(cls, r):
-        return cls({QZ(0): r})
+    def integer(cls, m):
+        return cls.from_pairs(((0, m),), 1)
 
     @classmethod
     def root(cls, q, coeff=1):
-        return cls({QZ(q): coeff})
+        if type(q) is not QZ:
+            q = QZ(q)
+        c = coeff if type(coeff) is int else Fraction(coeff)
+        return cls.from_pairs(((q.num, c.numerator),), q.den, c.denominator)
 
     def __add__(self, other):
-        return _cyc(_add_into(dict(self.terms), other.terms.items()))
+        return _sum(self, other, 1)
 
     def __sub__(self, other):
-        return _cyc(_add_into(dict(self.terms),
-                              ((q, -c) for q, c in other.terms.items())))
-
-    def __neg__(self):
-        return _cyc({q: -c for q, c in self.terms.items()})
+        return _sum(self, other, -1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            out = {q: c * other for q, c in self.terms.items()}
-        else:
-            out = {}
-            get = out.get
-            for q1, c1 in self.terms.items():
-                for q2, c2 in other.terms.items():
-                    q = q1 + q2
-                    out[q] = get(q, 0) + c1 * c2
-        return _cyc({q: c if type(c) is int else _coeff(c)
-                     for q, c in out.items() if c})
+        if type(other) is int:
+            return Cyc.from_pairs([(k, c * other) for k, c in
+                                   self.pairs.items()], self.n, self.den)
+        if not isinstance(other, Cyc):
+            return NotImplemented
+        n = lcm(self.n, other.n)
+        s, t = n // self.n, n // other.n
+        right = [(k * t, c) for k, c in other.pairs.items()]
+        acc = {}
+        get = acc.get
+        for k1, c1 in self.pairs.items():
+            k1 *= s
+            for k2, c2 in right:
+                k = (k1 + k2) % n
+                acc[k] = get(k, 0) + c1 * c2
+        return Cyc.from_pairs(acc.items(), n, self.den * other.den)
 
     __rmul__ = __mul__
 
-    def conj(self):
-        """Complex conjugate: e(q) -> e(-q)."""
-        return _cyc({-q: c for q, c in self.terms.items()})
-
-    def level(self):
-        n = 1
-        for q in self.terms:
-            d = q.den
-            if n % d:
-                n = lcm(n, d)
-        return n
-
-    def _residue(self, n):
-        """(acc, den) with acc the integer coefficients of den * self mod
-        Phi_n in the power basis 1, x, ..., x^(deg - 1), x = e(1/n); den is
-        the lcm of the coefficient denominators and n a multiple of the
-        level."""
-        pairs, den = exponent_form(self.terms, n)
-        return residue(pairs, n), den
-
     def is_zero(self):
-        if not self.terms:
-            return True
-        acc, _ = self._residue(self.level())
-        return not any(acc)
+        return not self.pairs or not any(residue(self.pairs.items(), self.n))
 
     def __eq__(self, other):
+        """Equal stored forms are equal values; otherwise the difference is
+        reduced mod Phi_n at the common level n, in one residue call."""
         if isinstance(other, (int, Fraction)):
-            other = Cyc.rational(other)
-        if not isinstance(other, Cyc):
+            other = Cyc.from_pairs(((0, other.numerator),), 1,
+                                   other.denominator)
+        elif not isinstance(other, Cyc):
             return NotImplemented
-        return (self - other).is_zero()
+        if self.n == other.n and self.den == other.den \
+                and self.pairs == other.pairs:
+            return True
+        n, den = lcm(self.n, other.n), lcm(self.den, other.den)
+        s, f = n // self.n, den // self.den
+        t, g = n // other.n, -(den // other.den)
+        return not any(residue(
+            [(k * s, c * f) for k, c in self.pairs.items()]
+            + [(k * t, c * g) for k, c in other.pairs.items()], n))
 
     # values are compared by exact reduction, not hashed
     __hash__ = None
 
     def reduced_key(self, n=None):
-        """Canonical form relative to a level n (residue mod Phi_n).  Two
-        values compare equal iff their keys at a common level agree."""
-        n = n or self.level()
-        acc, den = self._residue(n)
+        """Canonical form relative to a level n, a multiple of the level
+        (residue mod Phi_n).  Two values compare equal iff their keys at a
+        common level agree."""
+        n = n or self.n
+        if n % self.n:
+            raise ValueError("level %d is not a multiple of the level %d"
+                             % (n, self.n))
+        s = n // self.n
+        acc = residue([(k * s, c) for k, c in self.pairs.items()], n)
         while acc and acc[-1] == 0:
             acc.pop()
-        return (n, tuple(Fraction(a, den) for a in acc))
+        return (n, tuple(Fraction(a, self.den) for a in acc))
 
     def as_rational(self):
         """The value as a Fraction if it is rational, else None.  Rationality
         is read off the power-basis representation mod Phi_n."""
-        acc, den = self._residue(self.level())
+        acc = residue(self.pairs.items(), self.n)
         if any(acc[1:]):
             return None
-        return Fraction(acc[0], den)
+        return Fraction(acc[0], self.den)
+
+    def reduced_terms(self):
+        """The terms as (d, j, a, b) for (a / b) e(j/d), the root j/d and the
+        coefficient a/b each in lowest terms (b >= 1), sorted by (d, j)."""
+        n, den = self.n, self.den
+        out = []
+        for k, c in self.pairs.items():
+            g, h = gcd(k, n), gcd(c, den)
+            out.append((n // g, k // g, c // h, den // h))
+        out.sort()
+        return out
 
     def __repr__(self):
-        if not self.terms:
-            return "Cyc(0)"
         bits = []
-        for q in sorted(self.terms, key=QZ.sort_key):
-            c = self.terms[q]
-            if q.is_zero():
-                bits.append(str(c))
-            elif c == 1:
-                bits.append("e(%s)" % q.frac)
-            else:
-                bits.append("%s*e(%s)" % (c, q.frac))
-        return "Cyc(%s)" % " + ".join(bits)
+        for d, j, a, b in self.reduced_terms():
+            c = "%d" % a if b == 1 else "%d/%d" % (a, b)
+            bits.append(c if j == 0 else "e(%d/%d)" % (j, d) if c == "1"
+                        else "%s*e(%d/%d)" % (c, j, d))
+        return "Cyc(%s)" % (" + ".join(bits) or "0")
 
 
 def cyc_div(num, den):
@@ -531,9 +484,9 @@ def cyc_div(num, den):
     exponent vectors."""
     if den.is_zero():
         raise ZeroDivisionError("cyclotomic division by zero")
-    m = den.level()
-    n = lcm(num.level(), m)
-    pairs, d = exponent_form(den.terms, m)
+    m, d = den.n, den.den
+    n = lcm(num.n, m)
+    pairs = list(den.pairs.items())
     # conj is d^count times the product of the conjugates e(q) -> e(kq), k
     # a unit mod n other than 1: each relabels the exponents of d * den,
     # so the product stays at den's level m
@@ -543,15 +496,17 @@ def cyc_div(num, den):
         if gcd(k, n) == 1:
             conj = convolve(conj, [(j * k % m, c) for j, c in pairs])
             count += 1
-    q = cyc_from_vector(convolve(conj, pairs), d ** (count + 1)).as_rational()
+    q = Cyc.from_pairs(enumerate(convolve(conj, pairs)), m,
+                       d ** (count + 1)).as_rational()
     if q is None or q == 0:
         raise ArithmeticError("norm must be a nonzero rational")
     # num * conj / (d^count q), with q = a/b and the denominator kept positive
-    npairs, nd = exponent_form(num.terms, n)
+    s = n // num.n
+    npairs = [(k * s, c) for k, c in num.pairs.items()]
     a, b = q.numerator, q.denominator
     if a < 0:
         a, b = -a, -b
     lifted = [0] * n
     lifted[::n // m] = conj
-    return cyc_from_vector([x * b for x in convolve(lifted, npairs)],
-                           nd * d ** count * a)
+    return Cyc.from_pairs(enumerate([x * b for x in convolve(lifted, npairs)]),
+                          n, num.den * d ** count * a)

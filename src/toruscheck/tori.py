@@ -22,7 +22,7 @@ from math import lcm
 from operator import add
 
 from .lattice import FGAbelian, IntMatrix, block_matrix, solve_integer
-from .qz import QZ, Cyc, cyc_from_pairs, qz_ints
+from .qz import QZ, Cyc, qz_ints
 from .cohomology import Cochain, d_matrix
 from .weil import (
     TorusModel,
@@ -388,12 +388,8 @@ class CharIdentityReport:
 
     @property
     def all_equal(self):
-        """Equal formal sums are equal values, so the values are reduced
-        mod Phi_n only where their terms differ."""
-        rep, closed, endo = (self.rep_value.terms, self.closed_value.terms,
-                             self.endoscopic_value.terms)
-        return ((closed == endo or self.closed_value == self.endoscopic_value)
-                and (rep == closed or self.rep_value == self.closed_value))
+        return (self.closed_value == self.endoscopic_value
+                and self.rep_value == self.closed_value)
 
 
 def theta_value(case, s_dot, b, t_vec, a):
@@ -433,17 +429,19 @@ def theta_value(case, s_dot, b, t_vec, a):
     if rep is None:
         rep = kept[rep_key] = _rep_sum(case, packet(case), b, sums)
     N, den, exps, nums = rep
-    n = lcm(N, kz.den)
-    step, kzs = n // N, kz.num * (n // kz.den)
-    rep = cyc_from_pairs([((k * step + kzs) % n, c)
-                          for k, c in zip(exps, nums)], n, den)
+    group = sums[1].get(case.A.inv(b))
+    return (_shifted(zip(exps, nums), N, kz, den),
+            _shifted(group[0] if group else (), sums[0],
+                     kz - case.pairing(b)))
 
-    binv = case.A.inv(b)
-    shift = kz - case.pairing(b)
-    by_class = sums[1]
-    closed = Counter(val + shift for val in
-                     (by_class[binv][0] if binv in by_class else ()))
-    return rep, Cyc(closed)
+
+def _shifted(pairs, N, q, den=1):
+    """The Cyc e(q) sum (c / den) e(k/N) over (k, c) pairs, each k at most
+    once with 0 <= k < N: the shift by q is a bijection of Q/Z, so the
+    terms stay apart."""
+    n = lcm(N, q.den)
+    step, s = n // N, q.num * (n // q.den)
+    return Cyc.from_pairs([((k * step + s) % n, c) for k, c in pairs], n, den)
 
 
 def _rep_sum(case, data, b, sums):
@@ -451,8 +449,8 @@ def _rep_sum(case, data, b, sums):
     factor e(kz), (1/|Abar|) sum_x S[x] P[b][x], as the terms
     (c / den) e(k/N) at the level N = lcm(L, M), zeros dropped, from the
     packet data and the (a, t) record sums = (M, by_class) of conjugates.
-    Tuples of ints take far less memory than a Cyc's dict of QZ keys,
-    which a large sweep would keep by the thousand.
+    Tuples of ints take less memory than a Cyc's dict, which a large
+    sweep would keep by the thousand.
 
     chi_i((0, y)) is the table's exponent form (level L, denominator D) at
     the class of (0, y), which is element j in the k|Abar| + j encoding of
@@ -483,12 +481,13 @@ def _conjugates(case, a, t_vec):
     """(M, {x: (vals, roots, deltas)}): the data both sums of the character
     identity read at (a, t_vec), grouped by the classes x = c a c^-1 of the
     c in A_z that keep a in A_phi_z.  For each such c, in the order of
-    A_z, delta0 = c.t_vec + zeta(c, a); vals lists phi(delta0), deltas
-    lists delta0 + t_x, the element written over the base point, and roots
-    is S[x] as (exponent, count) pairs at the level M of all the roots
-    val + h(x).  It is kept on the case per (a, t_vec) once t_vec has
-    passed its Galois-invariance guard, so a bad t_vec raises ValueError
-    on every call and leaves the case as it was."""
+    A_z, delta0 = c.t_vec + zeta(c, a); deltas lists delta0 + t_x, the
+    element written over the base point, vals is the sum of the
+    e(phi(delta0)) and roots is S[x], that sum times e(h(x)), each as
+    (exponent, count) pairs at the level M of all the phi(delta0) and
+    h(x).  It is kept on the case per (a, t_vec) once t_vec has passed
+    its Galois-invariance guard, so a bad t_vec raises ValueError on every
+    call and leaves the case as it was."""
     key = ("conjugates", a, tuple(t_vec))
     if key in case.kept:
         return case.kept[key]
@@ -503,13 +502,14 @@ def _conjugates(case, a, t_vec):
             vals, deltas = by_class.setdefault(x, ([], []))
             vals.append(langlands_character(case.torus, case.phi, delta0))
             deltas.append(tuple(map(add, delta0, case.t[x])))
-    counts = {x: Counter(val + case.h[x] for val in vals)
-              for x, (vals, _) in by_class.items()}
-    M = lcm(1, *(q.den for roots in counts.values() for q in roots))
-    sums = case.kept[key] = (M, {x: (vals, [(q.num * (M // q.den), m)
-                                            for q, m in counts[x].items()],
-                                     deltas)
-                                 for x, (vals, deltas) in by_class.items()})
+    h = case.h
+    M = lcm(1, *(q.den for x, (vals, _) in by_class.items()
+                 for q in (h[x], *vals)))
+    for x, (vals, deltas) in by_class.items():
+        vals = list(Counter(q.num * (M // q.den) for q in vals).items())
+        hx = h[x].num * (M // h[x].den)
+        by_class[x] = (vals, [((k + hx) % M, m) for k, m in vals], deltas)
+    sums = case.kept[key] = (M, by_class)
     return sums
 
 
@@ -550,7 +550,7 @@ def endoscopic_value(case, s_dot, b, t_vec, a):
         dual = (case.phi_inv, torus.dual_add(s_dot, case.s[b]))
         validate_hyper_pair_dual(torus, fT, *dual)
     group = _conjugates(case, a, t_vec)[1].get(binv)
-    roots = {}
+    qs = []
     for delta in (group[2] if group else ()):
         q_key = ("pair_value", key, delta)
         q = kept.get(q_key)
@@ -561,9 +561,10 @@ def endoscopic_value(case, s_dot, b, t_vec, a):
                 lift = kept[lift_key] = hyper_lift(
                     torus, fT, (case.z_inv, delta), dual)
             q = kept[q_key] = -pair_with_lift(torus, fT, lift, dual)
-        roots[q] = roots.get(q, 0) + 1
+        qs.append(q)
     kept[key] = dual
-    return Cyc(roots)
+    n = lcm(1, *(q.den for q in qs))
+    return Cyc.from_pairs(Counter(q.num * (n // q.den) for q in qs).items(), n)
 
 
 def character_identity_report(case, s_dot, b, t_vec, a):

@@ -1,4 +1,6 @@
-"""Reference implementations for differential tests, in ``Cyc`` arithmetic:
+"""Reference implementations for differential tests, in ``Cyc`` arithmetic,
+the two ``Cyc`` operations only tests use (``conj`` and ``scaled``) and
+the stored form of a ``Cyc``:
 
 * the earlier ``CharacterTable.verify`` (one ``Cyc`` inner product per pair
   of rows, each compared by ``Cyc`` equality), kept apart from returning
@@ -12,17 +14,41 @@ integer left side of ``twisted_orthogonality`` against it on extensions.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from toruscheck.characters import irr_with_central_char
 from toruscheck.qz import Cyc
+
+
+def conj(x):
+    """The complex conjugate of a Cyc: e(k/n) -> e(-k/n)."""
+    return Cyc.from_pairs([(-k % x.n, c) for k, c in x.pairs.items()],
+                          x.n, x.den)
+
+
+def scaled(x, r):
+    """The Cyc x times the rational r."""
+    r = Fraction(r)
+    return x * Cyc.from_pairs([(0, r.numerator)], 1, r.denominator)
+
+
+def stored(x):
+    """(n, den, pairs): what a Cyc stores, equal for equal formal sums,
+    after checking that it is in lowest terms: nonzero coefficients at
+    exponents 0 <= k < n, with no common factor of n and the exponents and
+    none of den >= 1 and the coefficients."""
+    n, den, pairs = x.n, x.den, x.pairs
+    assert den >= 1 and all(c and 0 <= k < n for k, c in pairs.items())
+    assert gcd(n, *pairs) == 1 and gcd(den, *pairs.values()) == 1
+    return n, den, pairs
 
 
 def inner(table, f1, f2):
     """|G|^-1 sum_g f1(g) conj(f2(g)) for per-class value lists."""
     total = Cyc.zero()
     for ci, cls in enumerate(table.classes):
-        total = total + (f1[ci] * f2[ci].conj()) * len(cls)
-    return total * Fraction(1, table.group.order)
+        total = total + (f1[ci] * conj(f2[ci])) * len(cls)
+    return scaled(total, Fraction(1, table.group.order))
 
 
 def verify(table):

@@ -1,6 +1,8 @@
 """Reference implementation for differential tests: the original
 Fraction-backed QZ and Cyc, kept verbatim apart from the ``num``/``den``
-properties that let ``casefile.encode_qz`` read an oracle QZ, and from
+properties that let ``casefile.encode_qz`` read an oracle QZ, from
+``encode_cyc``, the report encoding of a formal sum as ``casefile`` wrote
+it when ``Cyc`` stored these terms, and from
 ``cyc_div``, which takes the norm of the denominator as one product with the
 product of its conjugates instead of a second running product (the norm is
 read only as a value; the conjugate product's terms are compared with
@@ -220,6 +222,13 @@ class Cyc:
             else:
                 bits.append("%s*e(%s)" % (c, q.frac))
         return "Cyc(%s)" % " + ".join(bits)
+
+
+def encode_cyc(v):
+    """["j/d", "a/b"] for each term (a / b) e(j/d), sorted by the root's
+    sort_key."""
+    return [["%d/%d" % (q.num, q.den), "%d/%d" % (c.numerator, c.denominator)]
+            for q, c in sorted(v.terms.items(), key=lambda t: t[0].sort_key())]
 
 
 def _polyrem(num, den):

@@ -9,6 +9,7 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
+from cyc_verify import conj, scaled
 from toruscheck.characters import TABLE_CACHE
 from toruscheck.cohomology import Cochain, GModule, hyper_h1, tate_group
 from toruscheck.groups import Cocycle2, FiniteGroup, coset_section
@@ -150,7 +151,7 @@ def frobenius_induced_value(group, sub_elems, values, g):
         y = group.mul(group.mul(group.inv(x), g), x)
         if y in H:
             total = total + values[y]
-    return total * Fraction(1, len(sub_elems))
+    return scaled(total, Fraction(1, len(sub_elems)))
 
 
 def canonical_tensor_extension(big, sub_elems, x_char, twist=None):
@@ -277,7 +278,7 @@ def mackey_multiplicity_transfer(data, cache=None):
                 if (y1, y2) in small_set:
                     total = total + xt(y1, y2)
             xt_values[(g1, g2)] = xt_values[(g1, g2)] \
-                + total * Fraction(1, len(small))
+                + scaled(total, Fraction(1, len(small)))
 
     def irr_over(table, big, sub, xs):
         out = []
@@ -285,7 +286,7 @@ def mackey_multiplicity_transfer(data, cache=None):
             for x in xs:
                 total = sum((Cyc.root(-x[h]) * table.value(i, h)
                              for h in sub), Cyc.zero())
-                if (total * Fraction(1, len(sub))).as_rational():
+                if scaled(total, Fraction(1, len(sub))).as_rational():
                     out.append(i)
                     break
         return out
@@ -299,8 +300,8 @@ def mackey_multiplicity_transfer(data, cache=None):
             total = Cyc.zero()
             for (e1, e2) in fiber:
                 total = total + (xt_values[(e1, e2)]
-                                 * t1.value(i, e1).conj() * t2.value(j, e2))
-            m = (total * Fraction(1, len(fiber))).as_rational()
+                                 * conj(t1.value(i, e1)) * t2.value(j, e2))
+            m = scaled(total, Fraction(1, len(fiber))).as_rational()
             if m is None or m.denominator != 1 or m < 0:
                 raise ValueError("multiplicity must be a nonnegative integer")
             if m > 1:
@@ -322,8 +323,8 @@ def restriction_multiplicity(table_big, big, sub_group, sub_elems, i, table_sub,
     restriction of the i-th irreducible of the big group."""
     total = Cyc.zero()
     for si, g in enumerate(sub_elems):
-        total = total + table_big.value(i, g) * table_sub.value(j, si).conj()
-    m = (total * Fraction(1, len(sub_elems))).as_rational()
+        total = total + table_big.value(i, g) * conj(table_sub.value(j, si))
+    m = scaled(total, Fraction(1, len(sub_elems))).as_rational()
     if m is None or m.denominator != 1 or m < 0:
         raise ValueError("multiplicity must be a nonnegative integer")
     return int(m)

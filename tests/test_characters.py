@@ -19,7 +19,7 @@ from toruscheck.casefile import encode_cyc
 from toruscheck.cli import DiskTableCache
 from toruscheck.checks import scalar_datum
 from toruscheck.lattice import IntMatrix
-from toruscheck.qz import QZ, Cyc, cyc_div, cyc_from_pairs, residue
+from toruscheck.qz import QZ, Cyc, cyc_div, residue
 from toruscheck.groups import FiniteGroup, Cocycle2, CentralExtension
 from toruscheck.characters import (
     character_table,
@@ -153,7 +153,8 @@ def perturbed_tables(G, rng, count):
                 chars[i][k] = chars[i][k] + Cyc({q: c, q + QZ(1, 2): c})
             else:
                 j = rng.randrange(r)
-                chars[i], chars[j] = chars[j], [v.conj() for v in chars[i]]
+                chars[i], chars[j] = chars[j], [cyc_verify.conj(v)
+                                                for v in chars[i]]
                 dims[i], dims[j] = dims[j], dims[i]
         yield CharacterTable(G, chars, dims)
 
@@ -794,7 +795,7 @@ def test_twisted_lhs_matches_cyc_sum(name, scaled):
                 lhs, rhs, verdict = twisted_orthogonality(ext, psi, e, e2,
                                                           cache)
                 old = cyc_verify.twisted_lhs(ext, psi, e, e2, cache)
-                assert lhs.terms == old.terms
+                assert cyc_verify.stored(lhs) == cyc_verify.stored(old)
                 assert encode_cyc(lhs) == encode_cyc(old)
                 if rhs is not None:
                     assert verdict == (old == rhs)
@@ -823,7 +824,7 @@ def test_zero_branch_verdict_matches_cyc_equality(name):
             continue
         for e2 in range(ext.group.order):
             lhs, rhs, verdict = twisted_orthogonality(ext, psi, e, e2, cache)
-            if rhs is not None and rhs.terms == {}:
+            if rhs is not None and not rhs.pairs:
                 assert verdict == (lhs == Cyc.zero())
                 seen.add(verdict)
     assert False in seen
@@ -870,8 +871,11 @@ def test_table_matches_reference(family):
         new = character_table(G)
         old = characters_reference.character_table(G)
         assert new.dims == old.dims, G
-        assert [[list(v.terms.items()) for v in row] for row in new.chars] \
-            == [[list(v.terms.items()) for v in row] for row in old.chars], G
+        assert [[(v.n, v.den, list(v.pairs.items())) for v in row]
+                for row in new.chars] \
+            == [[(v.n, v.den, list(v.pairs.items())) for v in row]
+                for row in old.chars], G
+        assert new.exponent_forms() == qz.exponent_forms(new.chars), G
 
 
 def _count_split_calls(monkeypatch):
@@ -931,39 +935,6 @@ def test_identity_class_is_a_unit_sum_of_eigenvectors(family):
         total = [sum(d2 * w[k] for d2, w in zip(squares, vectors)) % p
                  for k in range(len(classes))]
         assert total == [G.order % p] + [0] * (len(classes) - 1), G
-
-
-@pytest.mark.parametrize("family",
-                         ["table_items", "cyclic", "dihedral", "others"])
-def test_lifted_forms_are_the_exponent_forms(family, tmp_path,
-                                            monkeypatch):
-    """The exponent forms character_table fills from the lifted
-    multiplicities, with the forms of values out of reach, equal
-    qz.exponent_forms of the table's values, on every group of the
-    reference families (C1 included), and a table reloaded through
-    DiskTableCache builds its forms from its values: the same pairs, in
-    the order of its stored terms."""
-    groups = _reference_groups(family)
-    if family == "cyclic":
-        assert groups[0].order == 1
-
-    def unreachable(rows):
-        raise AssertionError("forms built from the values")
-
-    for G in groups:
-        with monkeypatch.context() as m:
-            m.setattr(characters, "exponent_forms", unreachable)
-            table = character_table(G)
-        assert table.exponent_forms() == qz.exponent_forms(table.chars), G
-    G = groups[-1]
-    DiskTableCache(str(tmp_path)).get_or_compute(G)
-    loaded = DiskTableCache(str(tmp_path)).get_or_compute(G)
-    n, D, forms = loaded.exponent_forms()
-    assert (n, D, forms) == qz.exponent_forms(loaded.chars)
-    n_, D_, lifted = character_table(G).exponent_forms()
-    assert (n, D) == (n_, D_)
-    assert [[sorted(v) for v in row] for row in forms] == \
-        [[sorted(v) for v in row] for row in lifted]
 
 
 def _table_primes():
@@ -1049,8 +1020,8 @@ def test_kept_column_products_equal_a_fresh_sum():
         L, D, forms = table.exponent_forms()
         for (sel, k1, k2), (lhs, vanishes) in table.lhs.items():
             pairs = characters.column_product(table, list(sel), k1, k2)
-            fresh = cyc_from_pairs(pairs, L, D * D)
-            assert lhs.terms == fresh.terms
+            fresh = Cyc.from_pairs(pairs, L, D * D)
+            assert cyc_verify.stored(lhs) == cyc_verify.stored(fresh)
             assert vanishes == (not any(residue(pairs, L))) \
                 == (fresh == Cyc.zero())
         for (sel, k1, k2), kept in list(table.products.items()):
@@ -1085,8 +1056,33 @@ def test_disk_cache_keeps_no_column_products(tmp_path):
     loaded = DiskTableCache(str(tmp_path)).get_or_compute(ext.group)
     assert loaded is not table
     assert loaded.products == {} and loaded.lhs == {}
-    assert [[v.terms for v in row] for row in loaded.chars] == \
-        [[v.terms for v in row] for row in table.chars]
+    assert [[cyc_verify.stored(v) for v in row] for row in loaded.chars] == \
+        [[cyc_verify.stored(v) for v in row] for row in table.chars]
+
+
+def test_committed_table_file_loads_without_a_computation(tmp_path,
+                                                          monkeypatch):
+    """tests/table_cache/ holds the file DiskTableCache wrote for the S3
+    component group of fixtures/s3_component.json before Cyc stored int
+    exponent pairs.  It still has the table's key as its name, loads and
+    verifies with no character_table call, and storing the loaded table
+    writes the same bytes, so the cache format holds across the change."""
+    from toruscheck.casefile import load_case_file
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    G = load_case_file(os.path.join(root, "fixtures",
+                                    "s3_component.json"))[0].comp.group
+    name = "table-%s.json" % TableCache.key(G)
+    with open(os.path.join(root, "tests", "table_cache", name), "rb") as f:
+        committed = f.read()
+    (tmp_path / name).write_bytes(committed)
+    calls = []
+    monkeypatch.setattr(characters, "character_table", calls.append)
+    cache = DiskTableCache(str(tmp_path))
+    table = cache.get_or_compute(G)
+    assert calls == [] and table.verify() and table.dims == [1, 1, 2]
+    cache._store(cache.key(G), table)
+    assert (tmp_path / name).read_bytes() == committed
 
 
 #: Bad inputs for every guard of characters.py that an input can reach and

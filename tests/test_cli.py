@@ -257,6 +257,10 @@ def test_case_file_must_be_an_object(doc, tmp_path, capsys):
     ({"label": "A0"}, "root_datum.label"),
     ({"label": "A1", "n": 2, "xi": "x"}, "root_datum.xi"),
     ({"label": "A1", "n": 2, "xi": [5]}, "root_datum.xi"),
+    # ranks above MAX_LABEL_RANK (8), rejected before the datum is built
+    ({"label": "A400"}, "root_datum.label"),
+    ({"label": "D9"}, "root_datum.label"),
+    ({"label": "A" + "9" * 5000}, "root_datum.label"),
 ])
 def test_root_datum_is_validated(root_datum, field, tmp_path, capsys):
     bad = dict(FIXTURE, root_datum=root_datum)
@@ -279,6 +283,15 @@ def test_galois_order_is_bounded(field, doc, tmp_path, capsys):
     assert e.value.field == field
     assert main(["sign", "--input", write_fixture(tmp_path, doc)]) == 2
     assert capsys.readouterr().err.startswith("error: %s: " % field)
+
+
+def test_cartan_labels_up_to_the_rank_bound_load():
+    """MAX_LABEL_RANK (8) admits E6, the largest label in use, and A_n and
+    D_n up to rank 8."""
+    for label in ("E6", "A8", "D8"):
+        doc = dict(FIXTURE, root_datum={"label": label, "n": 2})
+        twist, _ = load_case(doc)[3]["root_datum"]
+        assert twist.datum.rank == int(label[1:])
 
 
 @pytest.mark.parametrize("table,message", [

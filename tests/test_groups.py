@@ -167,7 +167,7 @@ def test_corestriction_after_restriction_is_index_multiple():
             sub_vals[(i, j)] = res(i, j)
     res_on_sub = Cocycle2(C2, sub_vals)
     cores = corestriction_cocycle(res_on_sub, C4, [0, 2], sec)
-    back = from_table(gm, 2, {k: (int(v.frac * 2),)
+    back = from_table(gm, 2, {k: (v.num * 2 // v.den,)
                               for k, v in _values(cores).items()})
     assert H2.classify(back) == H2.classify(Cochain.zero(gm, 2))
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 import toruscheck
+from cyc_verify import conj, scaled
 from toruscheck import qz
 from toruscheck.qz import QZ, Cyc, cyclotomic_poly, cyc_div, _polydiv_exact
 
@@ -36,14 +37,17 @@ def test_cyc_root_sums():
     assert Cyc.root(QZ(1, 2)) == Cyc.integer(-1)
     # e(1/6) - e(1/3) - ... relations at level 6 hold exactly
     assert Cyc.root(QZ(1, 6)) == Cyc.root(QZ(1, 3)) + Cyc.integer(1)
+    # the same exponent pairs at two levels are two values
+    assert Cyc.root(QZ(1, 2)) != Cyc.root(QZ(1, 3))
+    assert Cyc.root(QZ(1, 4), Fraction(1, 2)) != Cyc.root(QZ(1, 3), Fraction(1, 2))
 
 
 def test_cyc_ring_ops():
     a = Cyc.root(QZ(1, 4))  # i
     assert a * a == Cyc.integer(-1)
-    assert a.conj() * a == Cyc.integer(1)
-    assert (a + a.conj()).is_zero()
-    b = Cyc.rational(Fraction(1, 2)) * Cyc.integer(4)
+    assert conj(a) * a == Cyc.integer(1)
+    assert (a + conj(a)).is_zero()
+    b = scaled(Cyc.integer(4), Fraction(1, 2))
     assert b == Cyc.integer(2)
 
 
@@ -69,7 +73,7 @@ def test_cyc_ring_laws(x, y, z):
     assert x * y == y * x
     assert (x * y) * z == x * (y * z)
     assert (x - x).is_zero()
-    assert x.conj().conj() == x
+    assert conj(conj(x)) == x
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,9 @@
 """Differential tests: toruscheck.qz against the Fraction-backed reference in
-fraction_qz.py.  Formal sums are compared byte for byte through the casefile
-encoders, not only by value, since reports serialize them verbatim.
+fraction_qz.py.  Formal sums are compared byte for byte, not only by value,
+since reports serialize them verbatim: ``casefile.encode_cyc`` against the
+reference's own encoding of its terms, and the stored form against the one
+``Cyc(terms)`` builds from those terms, since equal formal sums are stored
+equally.
 
 Each example draws one level L <= 60 and builds every value from roots whose
 orders divide L, so sums mix several orders but stay at a level the
@@ -13,8 +16,9 @@ from math import lcm
 from hypothesis import given, settings, strategies as st
 
 import fraction_qz as ref
+from cyc_verify import conj, scaled, stored
 from toruscheck.casefile import encode_cyc, encode_qz
-from toruscheck.qz import QZ, Cyc, convolve, cyc_div, cyc_from_vector
+from toruscheck.qz import QZ, Cyc, convolve, cyc_div
 
 
 def divisors(n):
@@ -67,8 +71,11 @@ def cyc_pair(draw, level):
 
 
 def same(new, old):
-    assert encode_cyc(new) == encode_cyc(old)
+    """new has old's encoding and repr, and stores what Cyc(terms) of
+    old's terms stores: equal formal sums are stored equally."""
+    assert encode_cyc(new) == ref.encode_cyc(old)
     assert repr(new) == repr(old)
+    assert stored(new) == stored(Cyc({q.frac: c for q, c in old.terms.items()}))
 
 
 @st.composite
@@ -85,8 +92,8 @@ def test_qz_matches_reference(data, m):
                      (a * m, ra * m), (m * a, m * ra), (a + m, ra + m)):
         assert encode_qz(new) == encode_qz(old)
         assert repr(new) == repr(old)
-        assert new.sort_key() == old.sort_key()
-        assert new.order == old.order and new.frac == old.frac
+        assert (new.den, new.num) == old.sort_key()
+        assert new.order == old.order and Fraction(new.num, new.den) == old.frac
     assert (a == b) == (ra == rb)
     assert (a == m) == (ra == m)
     assert a.is_zero() == ra.is_zero()
@@ -102,14 +109,14 @@ def test_cyc_ring_ops_match_reference(data, k, r):
     same(x + y, rx + ry)
     same(x - y, rx - ry)
     same(x - x, rx - rx)
-    same(-x, -rx)
+    same(x * -1, -rx)
     same(x * y, rx * ry)
     same(x * k, rx * k)
     same(k * x, k * rx)
-    same(x * r, rx * r)
-    same(x.conj(), rx.conj())
+    same(scaled(x, r), rx * r)
+    same(conj(x), rx.conj())
     same(x * Cyc.root(q), rx.scale_root(rq))
-    assert x.level() == rx.level()
+    assert x.n == rx.level()
 
 
 @settings(max_examples=100, deadline=None)
@@ -122,7 +129,7 @@ def test_cyc_predicates_match_reference(data, k, r):
     assert (x == y) == (rx == ry)
     assert (x == k) == (rx == k)
     assert (x == r) == (rx == r)
-    assert (x == Cyc.rational(r)) == (rx == ref.Cyc.rational(r))
+    assert (x == scaled(Cyc.integer(1), r)) == (rx == ref.Cyc.rational(r))
     for n in (None, level, 2 * level):
         key, rkey = x.reduced_key(n), rx.reduced_key(n)
         assert key == rkey
@@ -175,11 +182,13 @@ def products(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(products(), st.integers(1, 12))
-def test_cyc_from_vector_matches_repeated_arithmetic(data, m):
-    """One accumulator over a common denominator against repeated Cyc +, *
-    and multiplication by a root (and the reference's scale_root), compared
-    as encode_cyc bytes: sum x * y * e(k/n) / m."""
+@given(products(), st.integers(1, 12), st.integers(1, 4))
+def test_cyc_from_pairs_matches_repeated_arithmetic(data, m, w):
+    """One accumulator over a common denominator, read by Cyc.from_pairs at
+    the level n and at its multiple w n and by Cyc(terms), against repeated
+    Cyc +, * and multiplication by a root (and the reference's
+    scale_root): sum x * y * e(k/n) / m.  All four store the same (n, den,
+    pairs), and each encodes as the reference does."""
     n, prods = data
     new, old = Cyc.zero(), ref.Cyc.zero()
     for x, y, k in prods:
@@ -192,7 +201,7 @@ def test_cyc_from_vector_matches_repeated_arithmetic(data, m):
         for j, c in y:
             oy = oy + ref.Cyc.root(ref.QZ(j, n), c)
         old = old + (ox * oy).scale_root(ref.QZ(k, n))
-    new, old = new * Fraction(1, m), old * Fraction(1, m)
+    new, old = scaled(new, Fraction(1, m)), old * Fraction(1, m)
     D = lcm(*(Fraction(c).denominator for x, y, _ in prods for _, c in x + y))
     acc = [0] * n
     for x, y, k in prods:
@@ -200,7 +209,10 @@ def test_cyc_from_vector_matches_repeated_arithmetic(data, m):
         for j, c in x:
             vx[j % n] += int(c * D)
         acc = convolve(vx, [(j + k, int(c * D)) for j, c in y], acc)
-    got = cyc_from_vector(acc, D * D * m)
-    assert encode_cyc(got) == encode_cyc(new) == encode_cyc(old)
-    assert repr(got) == repr(old)
-    assert got.terms == new.terms
+    got = Cyc.from_pairs(enumerate(acc), n, D * D * m)
+    wide = Cyc.from_pairs([(k * w, c) for k, c in enumerate(acc)], n * w,
+                          D * D * m)
+    terms = Cyc({QZ(k, n): Fraction(c, D * D * m) for k, c in enumerate(acc)})
+    for v in (got, new, wide, terms):
+        same(v, old)
+    assert stored(got) == stored(new) == stored(wide) == stored(terms)

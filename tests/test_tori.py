@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from cochain_reference import from_table, table
+from cyc_verify import scaled
 from lemmas import invariant_of, stabilizer_of_class
 from tori_reference import theta_by_convolution
 from toruscheck.lattice import IntMatrix, block_diagonal
@@ -369,7 +370,7 @@ def _theta_by_cyc(case, s_dot, b, t_vec, a):
         inner = Cyc.zero()
         for cac, val in conjugates:
             inner = inner + chi(i, val + case.h[cac], pos[cac])
-        rep = rep + chi(i, kz, pos[b]) * inner * Fraction(1, len(elems))
+        rep = rep + scaled(chi(i, kz, pos[b]) * inner, Fraction(1, len(elems)))
     closed = Cyc.zero()
     for cac, val in conjugates:
         if cac == A.inv(b):
@@ -382,7 +383,7 @@ class _ScaledTable:
     exponent forms have nonzero exponents at a level finer than the roots
     theta_value shifts by, and a common denominator above 1."""
 
-    FACTOR = Cyc({QZ(0): 1, QZ(1, 5): Fraction(1, 3)})
+    FACTOR = Cyc.from_pairs([(0, 3), (1, 1)], 5, 3)
 
     def __init__(self, table):
         self.table = table

@@ -9,7 +9,7 @@ Nothing in the package imports this module.  test_tori.py checks
 
 from math import lcm
 
-from toruscheck.qz import Cyc, convolve, cyc_from_vector
+from toruscheck.qz import Cyc, convolve
 from toruscheck.tori import packet
 from toruscheck.weil import langlands_character
 
@@ -51,7 +51,7 @@ def theta_by_convolution(case, s_dot, b, t_vec, a):
                 inner[(k * step + shift) % N] += c
         acc = convolve(inner,
                        [(k * step + kzs, c) for k, c in forms[i][col[b]]], acc)
-    rep = cyc_from_vector(acc, D * D * len(elems))
+    rep = Cyc.from_pairs(enumerate(acc), N, D * D * len(elems))
 
     binv = case.A.inv(b)
     shift = kz - case.pairing(b)
