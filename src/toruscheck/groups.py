@@ -50,16 +50,19 @@ class FiniteGroup:
         generators."""
         n = self.order
         t = self.table
-        ident = tuple(range(n))
-        if n == 0 or any(tuple(sorted(row)) != ident for row in t) or \
-                any(tuple(sorted(col)) != ident for col in zip(*t)):
+        # rows, columns and products are compared as lists: a throwaway
+        # tuple of fewer than 20 items would stay on CPython's free lists
+        # (zip reuses its one result tuple while list() releases it)
+        ident = list(range(n))
+        if n == 0 or any(sorted(row) != ident for row in t) or \
+                any(sorted(col) != ident for col in map(list, zip(*t))):
             raise ValueError("rows and columns must be permutations")
-        if t[0] != ident or tuple(row[0] for row in t) != ident:
+        if list(t[0]) != ident or [row[0] for row in t] != ident:
             raise ValueError("index 0 must be the identity")
         for a in self.generators():
             ta = t[a]
             for tx in t:
-                if t[tx[a]] != tuple(map(tx.__getitem__, ta)):
+                if list(t[tx[a]]) != list(map(tx.__getitem__, ta)):
                     raise ValueError("associativity fails")
 
     def generators(self):

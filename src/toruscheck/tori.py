@@ -29,9 +29,11 @@ from .weil import (
     Parameter,
     tn_inverse,
     langlands_character,
-    hyper_pairing,
-    hyper_lift,
-    pair_with_lift,
+    check_pair_T_cocycle,
+    check_pair_T_relation,
+    elementary_pairing,
+    hyper_pairing,  # re-exported: relative_pairing is its kept form
+    solve_lift,
     validate_hyper_pair_dual,
 )
 from .characters import (alpha_regular_class_count, column_product,
@@ -75,13 +77,45 @@ class ToriCase:
     def A(self):
         return self.torus.comp.group
 
-    def pairing(self, a):
-        """pair_for_h(self, a), computed once per case."""
-        key = ("pairing", a)
-        v = self.kept.get(key)
-        if v is None:
-            v = self.kept[key] = pair_for_h(self, a)
-        return v
+    def check_z_inv(self):
+        """z^-1's cocycle test, the half of the T-side check every pair of
+        the case shares, run once per case: ("cocycle",) marks a pass."""
+        if ("cocycle",) not in self.kept:
+            check_pair_T_cocycle(self.z_inv)
+            self.kept["cocycle",] = True
+
+    def dual_pair(self, aut, s):
+        """(dual, values): the dual pair (phi0^-1, s) on the complex with
+        map 1 - aut and its pairing values by delta (relative_pairing),
+        kept per (aut, s) once validate_hyper_pair_dual has passed it."""
+        key = ("dual", aut, s)
+        record = self.kept.get(key)
+        if record is None:
+            validate_hyper_pair_dual(self.torus, self.pair_complex_matrix(aut),
+                                     self.phi_inv, s)
+            record = self.kept[key] = ((self.phi_inv, s), {})
+        return record
+
+    def relative_pairing(self, aut, delta, s):
+        """hyper_pairing(torus, 1 - aut, (z^-1, delta), (phi0^-1, s)), kept
+        by delta with the dual pair (dual_pair), from the lift kept per
+        (aut, delta).  In hyper_pairing's order, a new lift is checked
+        T-side, then a new dual pair, then the lift is solved."""
+        kept = self.kept
+        record = kept.get(("dual", aut, s))
+        if record is not None and delta in record[1]:
+            return record[1][delta]
+        torus, fT = self.torus, self.pair_complex_matrix(aut)
+        pair_T = (self.z_inv, delta)
+        lift = kept.get(("lift", aut, delta))
+        if lift is None:
+            self.check_z_inv()
+            check_pair_T_relation(torus, fT, pair_T)
+        dual, values = record or self.dual_pair(aut, s)
+        if lift is None:
+            lift = kept["lift", aut, delta] = solve_lift(torus, fT, pair_T)
+        q = values[delta] = elementary_pairing(torus, dual, lift)
+        return q
 
     def act(self, a, vec):
         return self.torus.comp.act(a, vec)
@@ -96,11 +130,6 @@ class ToriCase:
             f = self.kept[key] = (IntMatrix.identity(self.torus.rank)
                                   - self.torus.comp.matrices[aut])
         return f
-
-    def f_complex(self, a):
-        """Matrix of 1 - a^-1 on X: the complex carrying (z^-1, t_{a^-1}),
-        indexed by the packet element a."""
-        return self.pair_complex_matrix(self.A.inv(a))
 
     def alpha(self, a, b):
         """t_a + a.t_b - t_ab, a Galois-invariant lattice vector."""
@@ -254,17 +283,19 @@ def _check_case_invariants(case):
 
 def pair_for_h(case, a):
     """The pairing <(z^-1, t_{a^-1}), (phi0^-1, s_a)> on the complex with
-    map 1 - a^-1."""
-    t = case.t[case.A.inv(a)]
-    return hyper_pairing(case.torus, case.f_complex(a), (case.z_inv, t),
-                         (case.phi_inv, case.s[a]))
+    map 1 - a^-1, by case.relative_pairing, whose lifts endoscopic_value
+    reads too."""
+    ainv = case.A.inv(a)
+    return case.relative_pairing(ainv, case.t[ainv], case.s[a])
 
 
 def compute_h(case):
     """h(a) = alpha-bar(a^-1, a) + <(z^-1, t_{a^-1}), (phi0^-1, s_a)>, kept
-    as case.h and returned.  The pairings come from case.pairing, which
-    keeps them for theta_value."""
-    case.h = {a: case.alpha_bar(case.A.inv(a), a) + case.pairing(a)
+    as case.h and returned.  The pairings come from pair_for_h, which keeps
+    them on the case for theta_value.  z^-1's cocycle test runs first, so
+    a copy with a bad z keeps nothing."""
+    case.check_z_inv()
+    case.h = {a: case.alpha_bar(case.A.inv(a), a) + pair_for_h(case, a)
               for a in case.A_phi_z}
     return case.h
 
@@ -410,11 +441,13 @@ def theta_value(case, s_dot, b, t_vec, a):
     so the terms stay apart and equal those of the whole sum.  The
     Kottwitz value is kept per s, and the conjugates per (a, t); a value
     is kept only after its guard passes, so a bad s or t raises on every
-    call and leaves the case as it was.  P is kept on the table, by
-    column_product."""
+    call and leaves the case as it was.  The closed form reads
+    pair_for_h(case, b), so z^-1's cocycle test runs first.  P is kept on
+    the table, by column_product."""
     torus = case.torus
     if a not in case.A_phi_z or b not in case.A_phi_z:
         raise ValueError("element outside the packet group")
+    case.check_z_inv()
     kept = case.kept
     s_key = ("kottwitz", tuple(s_dot))
     kz = kept.get(s_key)
@@ -432,7 +465,7 @@ def theta_value(case, s_dot, b, t_vec, a):
     group = sums[1].get(case.A.inv(b))
     return (_shifted(zip(exps, nums), N, kz, den),
             _shifted(group[0] if group else (), sums[0],
-                     kz - case.pairing(b)))
+                     kz - pair_for_h(case, b)))
 
 
 def _shifted(pairs, N, q, den=1):
@@ -523,46 +556,28 @@ def endoscopic_value(case, s_dot, b, t_vec, a):
         sum_{c in A^[z], c a c^-1 = b^-1} e(-<(z^-1, delta_c), (phi0^-1, s s_b)>)
 
     with delta_c the twisted-conjugated element written over the base point,
-    read from the b^-1 group of _conjugates(case, a, t_vec).  The dual pair
-    is kept per (s, b), the lift per (b^-1, delta) and its pairing value
-    per ((s, b), delta), each once its checks have passed.  _conjugates
-    guards t, so a bad t raises even where no conjugate lands on b^-1.
+    read from the b^-1 group of _conjugates(case, a, t_vec), each pairing
+    on the complex with map 1 - b^-1 by case.relative_pairing.  The dual
+    record of (s, b) is found again through ("dual", s, b).  z^-1's cocycle
+    test and the dual pair are checked before _conjugates guards t, so a
+    bad z, s or t raises even where no conjugate lands on b^-1.
     """
-    torus = case.torus
     if a not in case.A_phi_z or b not in case.A_phi_z:
         raise ValueError("element outside the packet group")
     if any(v != 1 for v in TRIVIAL_FACTORS.values()):
         raise ValueError("the classical transfer-factor terms of a torus "
                          "must be trivial")
+    case.check_z_inv()
     binv = case.A.inv(b)
-    # the conjugated elements sit in the b^-1 coset, so their pairs live on
-    # the complex with map 1 - b^-1.  A new dual pair (phi0^-1, s s_b) is
-    # checked first and kept per (s, b) once the call succeeds.  The lift
-    # of each pair is kept per (b^-1, delta); a new pair is checked, then
-    # the dual pair, then solved, as in hyper_pairing.  Its value against
-    # the dual pair is kept per ((s, b), delta) once pair_with_lift has
-    # checked the dual pair again
-    fT = case.pair_complex_matrix(binv)
-    kept = case.kept
     key = ("dual", tuple(s_dot), b)
-    dual = kept.get(key)
-    if dual is None:
-        dual = (case.phi_inv, torus.dual_add(s_dot, case.s[b]))
-        validate_hyper_pair_dual(torus, fT, *dual)
+    record = case.kept.get(key) or case.dual_pair(
+        binv, case.torus.dual_add(s_dot, case.s[b]))
     group = _conjugates(case, a, t_vec)[1].get(binv)
-    qs = []
-    for delta in (group[2] if group else ()):
-        q_key = ("pair_value", key, delta)
-        q = kept.get(q_key)
-        if q is None:
-            lift_key = ("lift", binv, delta)
-            lift = kept.get(lift_key)
-            if lift is None:
-                lift = kept[lift_key] = hyper_lift(
-                    torus, fT, (case.z_inv, delta), dual)
-            q = kept[q_key] = -pair_with_lift(torus, fT, lift, dual)
-        qs.append(q)
-    kept[key] = dual
+    case.kept[key] = record
+    (_, s), values = record
+    qs = [-(values[delta] if delta in values else
+            case.relative_pairing(binv, delta, s))
+          for delta in (group[2] if group else ())]
     n = lcm(1, *(q.den for q in qs))
     return Cyc.from_pairs(Counter(q.num * (n // q.den) for q in qs).items(), n)
 

@@ -301,24 +301,48 @@ def validate_hyper_pair_dual(torus, fT, d, s):
 
 def hyper_pairing(torus, fT, pair_T, dual_pair):
     """Pairing of a class in H^1(Q, T --fT--> T) against a class on the
-    dual complex: the chain-level lift of the T-side class (hyper_lift),
-    evaluated against the dual pair (pair_with_lift).
+    dual complex: the chain-level lift of the T-side class (solve_lift),
+    evaluated against the dual pair (elementary_pairing).  It keeps
+    nothing, so it runs every check on every call.
 
     pair_T = (u, v): u a 1-cocycle of Q in X (a Cochain), v a vector over X
     (integers or Fractions) with fT(u(s)) = s.v - v.
     dual_pair = (d, s): d a Parameter-like dual cocycle, s a dual point with
     s.sigma - s = d(sigma) o fT.
     Raises ValueError when either pair fails its defining relation,
-    checking the T-side pair first, then the dual pair, then solving.
+    checking the T-side pair (its cocycle test, then its relation) first,
+    then the dual pair, then solving.
     """
-    return elementary_pairing(torus, dual_pair,
-                              hyper_lift(torus, fT, pair_T, dual_pair))
+    check_pair_T_cocycle(pair_T[0])
+    check_pair_T_relation(torus, fT, pair_T)
+    validate_hyper_pair_dual(torus, fT, *dual_pair)
+    return elementary_pairing(torus, dual_pair, solve_lift(torus, fT, pair_T))
 
 
-def hyper_lift(torus, fT, pair_T, dual_pair):
-    """The chain-level lift (lam, mu1) of the T-side class pair_T, which
-    depends on pair_T alone, not on the dual class it is paired with.
-    Checks pair_T and then dual_pair before solving.
+def check_pair_T_cocycle(u):
+    """The first half of the T-side check, which reads u alone: u is a
+    1-cocycle.  Raises ValueError when it fails."""
+    if any(u.d().vec):
+        raise ValueError("T-side pair not a hypercocycle")
+
+
+def check_pair_T_relation(torus, fT, pair_T):
+    """The second half of the T-side check: fT(u(s)) = s.v - v for every s,
+    compared in ints as D*fT(u(s)) = (s - 1)(D*v) with D clearing the
+    denominators of v.  Raises ValueError when it fails."""
+    u, v = pair_T
+    D = lcm(*(x.denominator for x in v))
+    Dv = [x.numerator * (D // x.denominator) for x in v]
+    for i, m in enumerate(torus.galois.matrices):
+        lhs = fT.apply(u(i))
+        if any(D * x != y - w for x, y, w in zip(lhs, m.apply(Dv), Dv)):
+            raise ValueError("T-side pair not a hypercocycle")
+
+
+def solve_lift(torus, fT, pair_T):
+    """The chain-level lift (lam, mu1) of a T-side pair, which depends on
+    that pair alone, so one lift serves every dual pair.  It checks nothing:
+    its callers run both halves of the T-side check first.
 
     The lift solves, over Z (after clearing the denominator D of v):
         N lam = 0,
@@ -339,9 +363,6 @@ def hyper_lift(torus, fT, pair_T, dual_pair):
     n = torus.model.n
     D = lcm(*(x.denominator for x in v))
     Dv = [x.numerator * (D // x.denominator) for x in v]
-    _check_pair_T(torus, fT, u, Dv, D)
-    validate_hyper_pair_dual(torus, fT, *dual_pair)
-
     target = [0] * r + [D * x for x in u.vec] + [0] * r + Dv
     A, dom = _lift_system(torus, fT, D)
     sol = solve_integer(A, target)
@@ -353,13 +374,6 @@ def hyper_lift(torus, fT, pair_T, dual_pair):
     for wi, w in enumerate(range(-n, n)):
         mu.add_into((w,), tuple(sol[2 * r + wi * r: 2 * r + (wi + 1) * r]))
     return lam, mu
-
-
-def pair_with_lift(torus, fT, lift, dual_pair):
-    """Evaluate a hyper_lift against a dual pair on the dual complex of fT:
-    the dual pair is checked, then s(lam) - sum_w d(w)(mu1(w))."""
-    validate_hyper_pair_dual(torus, fT, *dual_pair)
-    return elementary_pairing(torus, dual_pair, lift)
 
 
 def _lift_key(torus, fT, D):
@@ -386,15 +400,3 @@ def _lift_system(torus, fT, D):
         # D PHI mu - fT p = D v
         [0, -fT, D * _phi_matrix(torus, window, dom)]])
     return A, dom
-
-
-def _check_pair_T(torus, fT, u, Dv, D):
-    """Check (u, v) on the complex, given Dv = D*v with D clearing the
-    denominators of v: u a cocycle and D*fT(u(s)) = (s - 1)(D*v), in ints.
-    Raises ValueError when it fails."""
-    if any(u.d().vec):
-        raise ValueError("T-side pair not a hypercocycle")
-    for i, m in enumerate(torus.galois.matrices):
-        lhs = fT.apply(u(i))
-        if any(D * x != y - w for x, y, w in zip(lhs, m.apply(Dv), Dv)):
-            raise ValueError("T-side pair not a hypercocycle")

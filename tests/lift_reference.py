@@ -1,9 +1,9 @@
 """Reference builder for differential tests: the matrix of
-``weil.hyper_lift``'s lift system on any window [-halfwidth, halfwidth),
+``weil.solve_lift``'s lift system on any window [-halfwidth, halfwidth),
 written entry by entry from the formulas, and the fold that carries a
 chain on a wider window onto [-n, n).
 
-``hyper_lift`` solves on [-n, n) only.  test_weil.py builds the same
+``solve_lift`` solves on [-n, n) only.  test_weil.py builds the same
 systems at half-widths 2n and 4n here and checks that a wider window
 never admits a lift that [-n, n) does not.
 

@@ -11,7 +11,6 @@ so both accepting and rejecting inputs are compared.
 
 import os
 from fractions import Fraction
-from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
@@ -186,9 +185,8 @@ def test_validate_hyper_pair_dual_matches_oracle(data):
 
 
 def _check_T(torus, fT, u, v):
-    D = lcm(*(Fraction(x).denominator for x in v))
-    Dv = [int(x * D) for x in v]
-    return weil._check_pair_T(torus, fT, u, Dv, D)
+    weil.check_pair_T_cocycle(u)
+    return weil.check_pair_T_relation(torus, fT, (u, v))
 
 
 @settings(max_examples=150, deadline=None)

@@ -53,6 +53,35 @@ def test_bad_table_rejected():
         FiniteGroup([[0, 1], [1, 1]])
 
 
+PERMUTATIONS = "rows and columns must be permutations"
+IDENTITY = "index 0 must be the identity"
+
+
+@pytest.mark.parametrize("table,message", [
+    # a row holding every element, with one repeated
+    ([[0, 1, 2], [1, 2, 0, 2], [2, 0, 1]], PERMUTATIONS),
+    # a column holding one element twice, under rows that are permutations
+    ([[0, 1, 2], [1, 2, 0], [1, 0, 2]], PERMUTATIONS),
+    # ragged tables: a short row, and a long one
+    ([[0, 1], [1]], PERMUTATIONS),
+    ([[0, 1, 2], [1, 2, 0], [2, 0, 1, 1]], PERMUTATIONS),
+    ([], PERMUTATIONS),
+    # Latin squares whose row 0, or whose column 0, is not the identity
+    ([[1, 0], [0, 1]], IDENTITY),
+    ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], IDENTITY),
+    # a Latin square with identity 0 that is not associative
+    ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0],
+      [4, 2, 0, 1, 3]], "associativity fails"),
+])
+def test_table_axioms_reject_with_the_first_failing_message(table, message):
+    """The three checks of FiniteGroup run in order, permutations, then the
+    identity, then associativity, and each rejection names the first that
+    fails."""
+    with pytest.raises(ValueError) as info:
+        FiniteGroup(table)
+    assert str(info.value) == message
+
+
 def test_subgroup_and_cosets():
     C4 = FiniteGroup.cyclic(4)
     H = subgroup_closure(C4, [2])

@@ -218,7 +218,7 @@ def test_solve_plan_matches_the_dense_solve():
 
 def test_solve_plan_matches_the_dense_solve_on_lift_systems(monkeypatch):
     """Every integer system weil solves in a swept suite case, the
-    hyper_lift systems of the suite templates among them, gets from the
+    solve_lift systems of the suite templates among them, gets from the
     plan the tuple the dense solve gives, or None in the same cases."""
     solved = []
 

@@ -374,7 +374,7 @@ def _theta_by_cyc(case, s_dot, b, t_vec, a):
     closed = Cyc.zero()
     for cac, val in conjugates:
         if cac == A.inv(b):
-            closed = closed + Cyc.root(val + kz - case.pairing(b))
+            closed = closed + Cyc.root(val + kz - pair_for_h(case, b))
     return rep, closed
 
 
@@ -901,3 +901,177 @@ def test_suite_templates_are_shared_and_left_unchanged():
         packet(case)
     assert suite._templates() is templates
     assert snapshot(templates) == before
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CASE_FILES = [os.path.join(ROOT, "fixtures", "norm_one_torus.json"),
+              os.path.join(ROOT, "fixtures", "s3_component.json"),
+              os.path.join(ROOT, "tests", "galois6_case.json")]
+
+
+def test_each_pair_is_checked_and_solved_once_per_case(monkeypatch,
+                                                       tmp_path):
+    """Over the character-identity sweep of twelve seeded suite cases and
+    tori-verify on both fixtures and the Galois-order-6 case, each case
+    validates each distinct dual pair once, solves each distinct lift once
+    and runs z^-1's cocycle test once, and every endoscopic value is the
+    sum over its deltas of e(-hyper_pairing(...)) on a fresh copy of its
+    case, with every check run on every call."""
+    from toruscheck import checks, tori
+    from toruscheck.cli import main
+    from toruscheck.weil import hyper_pairing
+
+    calls = {"dual": Counter(), "lift": Counter(), "cocycle": Counter()}
+    kept_alive = []
+    validate, solve, cocycle = (tori.validate_hyper_pair_dual,
+                                tori.solve_lift, tori.check_pair_T_cocycle)
+    endoscopic = tori.endoscopic_value
+    values = []
+
+    # a case is told apart by its z^-1 and phi0^-1, which build_case makes
+    # for it alone, and an aut by its matrix 1 - aut, which the case builds
+    # once per aut; kept_alive holds them, so no id is reused
+    def recording_validate(torus, fT, d, s):
+        kept_alive.append((d, fT))
+        calls["dual"][id(d), id(fT), s] += 1
+        return validate(torus, fT, d, s)
+
+    def recording_solve(torus, fT, pair_T):
+        kept_alive.append((pair_T[0], fT))
+        calls["lift"][id(pair_T[0]), id(fT), tuple(pair_T[1])] += 1
+        return solve(torus, fT, pair_T)
+
+    def recording_cocycle(u):
+        kept_alive.append(u)
+        calls["cocycle"][id(u)] += 1
+        return cocycle(u)
+
+    def recording_endoscopic(case, *args):
+        value = endoscopic(case, *args)
+        values.append((case, args, value))
+        return value
+
+    monkeypatch.setattr(tori, "validate_hyper_pair_dual", recording_validate)
+    monkeypatch.setattr(tori, "solve_lift", recording_solve)
+    monkeypatch.setattr(tori, "check_pair_T_cocycle", recording_cocycle)
+    monkeypatch.setattr(tori, "endoscopic_value", recording_endoscopic)
+    cases = list(checks.random_cases(random.Random(1), 12))
+    for case in cases:
+        assert checks.character_identity(case).ok
+    for path in CASE_FILES:
+        assert main(["tori-verify", "--input", path,
+                     "--output", str(tmp_path / "out.json")]) == 0
+    for kind, counts in calls.items():
+        assert counts and set(counts.values()) == {1}, kind
+    swept = {id(case.z_inv) for case, _, _ in values}
+    assert len(swept) == len(cases) + len(CASE_FILES)
+    assert {u for u, *_ in calls["lift"]} == set(calls["cocycle"]) >= swept
+    monkeypatch.undo()
+    for case, (s_dot, b, t_vec, a), value in values:
+        fresh = dataclasses.replace(case, kept={})
+        binv = case.A.inv(b)
+        fT = IntMatrix.identity(case.torus.rank) - \
+            case.torus.comp.matrices[binv]
+        s = case.torus.dual_add(s_dot, case.s[b])
+        group = tori._conjugates(fresh, a, t_vec)[1].get(binv)
+        want = sum((Cyc.root(-hyper_pairing(case.torus, fT,
+                                            (case.z_inv, delta),
+                                            (case.phi_inv, s)))
+                    for delta in (group[2] if group else ())),
+                   Cyc.integer(0))
+        assert value == want, (s_dot, b, t_vec, a)
+
+
+#: Under python -O, on a fresh case: a non-invariant t, a non-invariant s
+#: and a copy whose z is not a cocycle raise ValueError on every call and
+#: keep nothing, and a bad dual pair raises before any integer solve.
+OPTIMIZED_PAIR_GUARDS = """
+import dataclasses
+import sys
+
+from toruscheck import tori, weil
+from toruscheck.cohomology import Cochain
+from toruscheck.groups import GroupAction
+from toruscheck.lattice import IntMatrix
+from toruscheck.qz import QZ
+from toruscheck.tori import build_case, compute_h, endoscopic_value, \\
+    theta_value
+from toruscheck.weil import LocalModel, Parameter, TorusModel
+
+if __debug__:
+    sys.exit("asserts are still enabled")
+
+solves = []
+
+
+def counting(solve):
+    def wrapper(*args):
+        solves.append(args)
+        return solve(*args)
+    return wrapper
+
+
+weil.solve_integer = counting(weil.solve_integer)
+tori.solve_integer = counting(tori.solve_integer)
+swap = IntMatrix([[0, 1], [1, 0]])
+torus = TorusModel(LocalModel(2), GroupAction.cyclic(2, swap),
+                   GroupAction.cyclic(2, IntMatrix([[-1, 0], [0, -1]])))
+gm = torus.gmodule()
+case = build_case(torus, Cochain(gm, 1, (0, 0, 1, -1)),
+                  Parameter(torus, (QZ(1, 4), QZ(3, 4))))
+bad_z = Cochain(gm, 1, (1, 0, 0, 0))
+copy = dataclasses.replace(case, z=bad_z, z_inv=bad_z.neg(), kept={})
+zero, bad_s, bad_t, t = torus.dual_zero(), (QZ(1, 3), QZ(0)), (1, 0), (1, 1)
+
+
+def rejects(label, c, fn, *args):
+    before = dict(c.kept), dict(c.h)
+    del solves[:]
+    messages = []
+    for _ in range(2):
+        try:
+            fn(c, *args)
+        except ValueError as e:
+            messages.append(str(e))
+        else:
+            messages.append("silent")
+    kept = "kept" if (dict(c.kept), dict(c.h)) != before else "kept nothing"
+    print(label, "|", " | ".join(messages), "|", kept, "|", len(solves))
+
+
+rejects("theta t", case, theta_value, zero, 1, bad_t, 1)
+rejects("endoscopic t", case, endoscopic_value, zero, 1, bad_t, 1)
+rejects("theta s", case, theta_value, bad_s, 1, t, 1)
+rejects("endoscopic s", case, endoscopic_value, bad_s, 1, t, 1)
+rejects("theta z", copy, theta_value, zero, 1, t, 1)
+rejects("endoscopic z", copy, endoscopic_value, zero, 1, t, 1)
+rejects("h z", copy, compute_h)
+del solves[:]
+endoscopic_value(case, zero, 1, t, 1)
+print("good s solves", bool(solves))
+"""
+
+
+def test_pair_guards_raise_and_keep_nothing_under_python_O():
+    """The guards of the kept pairings raise ValueError, so with asserts
+    stripped a bad t, s or z still raises on every call, leaves the case as
+    it was, and a bad dual pair is rejected before any integer solve."""
+    import subprocess
+    import sys
+
+    import toruscheck
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toruscheck.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_PAIR_GUARDS],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    t_msg, s_msg = "t must be Galois-invariant", "s must be Galois-invariant"
+    dual_msg = "dual-side pair not on the dual complex"
+    z_msg = "T-side pair not a hypercocycle"
+    assert proc.stdout.splitlines() == [
+        "%s | %s | %s | kept nothing | 0" % (label, msg, msg)
+        for label, msg in [("theta t", t_msg), ("endoscopic t", t_msg),
+                           ("theta s", s_msg), ("endoscopic s", dual_msg),
+                           ("theta z", z_msg), ("endoscopic z", z_msg),
+                           ("h z", z_msg)]] + ["good s solves True"]

@@ -430,7 +430,8 @@ def test_hyper_pairing_reports_missing_lift(monkeypatch):
     gm = t.gmodule()
     garbage = Cochain(gm, 1, (1, 0))  # z(1) != 0
     phi = Parameter(t, (QZ(0),))
-    monkeypatch.setattr(weil, "_check_pair_T", lambda *args: None)
+    monkeypatch.setattr(weil, "check_pair_T_cocycle", lambda *args: None)
+    monkeypatch.setattr(weil, "check_pair_T_relation", lambda *args: None)
     with pytest.raises(LiftNotFound):
         hyper_pairing(t, fT, (garbage, (0,)), (phi, t.dual_zero()))
 
@@ -453,8 +454,6 @@ def test_hyper_pairing_error_precedence(monkeypatch):
         with pytest.raises(ValueError, match=side) as info:
             hyper_pairing(t, fT, pair_T, dual)
         assert not isinstance(info.value, LiftNotFound)
-        with pytest.raises(ValueError, match=side):
-            weil.hyper_lift(t, fT, pair_T, dual)
     assert solves == []
     # with every check passing, the stubbed solve is reached and finds none
     with pytest.raises(LiftNotFound):
@@ -469,7 +468,7 @@ CASE_FILES = [os.path.join(ROOT, "fixtures", "norm_one_torus.json"),
 
 
 def _lift_solves(monkeypatch, tmp_path):
-    """[(torus, fT, D, b)]: every distinct lift system hyper_lift solves,
+    """[(torus, fT, D, b)]: every distinct lift system solve_lift solves,
     with its right-hand side, over the character-identity sweep of twelve
     seeded suite cases, and tori-verify and pairing on both fixtures and
     the Galois-order-6 case."""
@@ -498,7 +497,7 @@ def _lift_solves(monkeypatch, tmp_path):
 
 
 def test_no_wider_window_admits_a_lift(monkeypatch, tmp_path):
-    """hyper_lift solves on [-n, n) only.  On every lift system of a swept
+    """solve_lift solves on [-n, n) only.  On every lift system of a swept
     suite case and of the case files, with its own right-hand side and with
     its first and last entries moved by one either way, the systems at
     half-widths n, 2n and 4n are solvable alike, and a solution at 2n or
@@ -527,25 +526,38 @@ def test_no_wider_window_admits_a_lift(monkeypatch, tmp_path):
     assert verdicts == {True, False}
 
 
-def test_hyper_pairing_is_lift_then_evaluation():
-    """One lift of the T-side class serves every dual pair, and each
-    evaluation still checks its dual pair."""
+def test_hyper_pairing_is_lift_then_evaluation(monkeypatch):
+    """hyper_pairing evaluates the lift of its T-side pair against its dual
+    pair: every dual pair of one T-side pair gets the same lift, so one
+    lift serves them all, and a dual pair off the dual complex raises
+    before any lift is solved."""
     t = norm_one_torus(2)
     fT = IntMatrix([[2]])
     z = tn_iso(t, (1,)).neg()
-    lift = weil.hyper_lift(t, fT, (z, (1,)),
-                           (Parameter(t, (QZ(1, 4),)).neg(), (QZ(1, 4),)))
+    lifts = []
+    solve = weil.solve_lift
+
+    def recording_solve(*args):
+        lifts.append(solve(*args))
+        return lifts[-1]
+
+    monkeypatch.setattr(weil, "solve_lift", recording_solve)
     values = set()
     for q in (QZ(1, 4), QZ(3, 4), QZ(1, 8), QZ(0)):
         # s on the dual complex of fT = 2: -2 s = 2 d(sigma) = -2 q
         d = Parameter(t, (q,)).neg()
         for s in ((q,), (q + QZ(1, 2),)):
-            value = weil.pair_with_lift(t, fT, lift, (d, s))
-            assert value == hyper_pairing(t, fT, (z, (1,)), (d, s))
+            value = hyper_pairing(t, fT, (z, (1,)), (d, s))
+            assert value == elementary_pairing(t, (d, s), lifts[0])
             values.add(value)
+        solved = len(lifts)
         with pytest.raises(ValueError, match="dual-side"):
-            weil.pair_with_lift(t, fT, lift, (d, (q + QZ(1, 3),)))
-    assert len(values) > 1
+            hyper_pairing(t, fT, (z, (1,)), (d, (q + QZ(1, 3),)))
+        assert len(lifts) == solved
+    assert len(values) > 1 and len(lifts) == 8
+    lam, mu = lifts[0]
+    assert all(other == lam and chain.support == mu.support
+               for other, chain in lifts)
 
 
 #: An invalid dual-side pair: fT = 0 forces s.sigma = s, but sigma acts by -1

@@ -10,7 +10,7 @@ Nothing in the package imports this module.  test_tori.py checks
 from math import lcm
 
 from toruscheck.qz import Cyc, convolve
-from toruscheck.tori import packet
+from toruscheck.tori import packet, pair_for_h
 from toruscheck.weil import langlands_character
 
 
@@ -54,7 +54,7 @@ def theta_by_convolution(case, s_dot, b, t_vec, a):
     rep = Cyc.from_pairs(enumerate(acc), N, D * D * len(elems))
 
     binv = case.A.inv(b)
-    shift = kz - case.pairing(b)
+    shift = kz - pair_for_h(case, b)
     closed = {}
     for cac, val in conjugates:
         if cac == binv:
