@@ -119,7 +119,7 @@ def level_square(torus, rng, samples, bound):
     agree through inflation, on up to three norm-zero lattice elements and
     on random 1-chains supported in [-bound, bound]."""
     n, r = torus.model.n, torus.rank
-    gen = torus.galois.matrices[1] if n > 1 else IntMatrix.identity(r)
+    gen = torus.galois.matrices[1 % n]
     big = TorusModel(LocalModel(2 * n), GroupAction.cyclic(2 * n, gen))
     for lam in kernel_basis(torus.norm_matrix())[:3]:
         za = tn_iso(torus, lam)

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 from . import checks
 from .qz import QZ
 from .groups import FiniteGroup
-from .characters import CharacterTable, TableCache
+from .characters import CharacterTable, TableCache, TABLE_CACHE
 from .tori import build_case, packet
 from .casefile import (
     CaseFileError,
@@ -102,17 +102,15 @@ class DiskTableCache(TableCache):
         return t
 
     def _store(self, key, table):
+        """Write the table as JSON to a temp file beside its path (named per
+        process and thread), then move it over the path, so a write cut
+        short leaves the old file whole."""
         doc = {
             "order": table.group.order,
             "chars": [[encode_cyc(v) for v in row] for row in table.chars],
             "dims": table.dims,
         }
-        self._write(self._path(key), doc)
-
-    def _write(self, path, doc):
-        """Write doc as JSON to a temp file beside path (named per process
-        and thread), then move it over path, so a write cut short leaves
-        the old file whole."""
+        path = self._path(key)
         tmp = os.path.join(self.directory, ".%s.%d.%d.tmp" % (
             os.path.basename(path), os.getpid(), threading.get_ident()))
         try:
@@ -260,7 +258,8 @@ def main(argv=None):
     parser.add_argument("--check-filter", help="glob over check ids")
     args = parser.parse_args(argv)
 
-    cache = DiskTableCache(args.cache_dir) if args.cache_dir else TableCache()
+    # without a directory, the process cache that tori.packet reads too
+    cache = DiskTableCache(args.cache_dir) if args.cache_dir else TABLE_CACHE
 
     if args.command == "random-suite":
         if args.suite_size < 0:

@@ -63,12 +63,6 @@ class GModule:
         rels = block_diagonal([IntMatrix([[d]]) for d in invariants])
         return cls(group, len(invariants), rels, mats)
 
-    def act(self, g, vec):
-        return self.mats[g].apply(vec)
-
-    def fg(self):
-        return FGAbelian(self.ngens, self.rels)
-
 
 def tuples(group, n):
     return list(itertools.product(range(group.order), repeat=n))
@@ -394,15 +388,15 @@ class HyperH1:
     def is_pair(self, z, c):
         """Check the defining relation f(z(s)) = s.c - c and dz = 0, both in
         the quotient modules."""
-        cx = self.cx
-        fgT = cx.T.fg()
+        T, U, f = self.cx.T, self.cx.U, self.cx.f
+        fgT = FGAbelian(T.ngens, T.rels)
         dz = z.d()
-        if any(any(fgT.nf(dz(*t))) for t in tuples(cx.T.group, 2)):
+        if any(any(fgT.nf(dz(*t))) for t in tuples(T.group, 2)):
             return False
-        fgU = cx.U.fg()
-        for s in range(cx.T.group.order):
-            lhs = cx.f.apply(z(s))
-            rhs = tuple(a - b for a, b in zip(cx.U.act(s, c), c))
+        fgU = FGAbelian(U.ngens, U.rels)
+        for s in range(T.group.order):
+            lhs = f.apply(z(s))
+            rhs = tuple(a - b for a, b in zip(U.mats[s].apply(c), c))
             if any(fgU.nf(tuple(x - y for x, y in zip(lhs, rhs)))):
                 return False
         return True
@@ -434,7 +428,8 @@ def hyper_h1(T, U, f):
 
 class ZDomain:
     """The model Weil group W = Z mapping onto Q = Z/n; w acts on the
-    coefficient lattice through sigma^w."""
+    coefficient lattice through sigma^w.  No chain on a ZDomain takes a
+    boundary, so it has no mul, inv or act (a FiniteDomain has)."""
 
     def __init__(self, n, sigma_matrix):
         self.n = n
@@ -445,15 +440,6 @@ class ZDomain:
         if sigma_matrix * mats[-1] != mats[0]:
             raise ValueError("matrix order must divide n")
         self.mats = mats
-
-    def mul(self, a, b):
-        return a + b
-
-    def inv(self, a):
-        return -a
-
-    def act(self, w, vec):
-        return self.mats[w % self.n].apply(vec)
 
 
 class FiniteDomain:

@@ -40,12 +40,8 @@ class IntMatrix:
         return cls([[0] * cols for _ in range(rows)])
 
     @classmethod
-    def from_columns(cls, columns, rows=None):
+    def from_columns(cls, columns, rows):
         columns = [tuple(c) for c in columns]
-        if rows is None:
-            if not columns:
-                raise ValueError("need rows for an empty column list")
-            rows = len(columns[0])
         return cls([[c[i] for c in columns] for i in range(rows)])
 
     def column(self, j):

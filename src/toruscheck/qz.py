@@ -276,19 +276,16 @@ def residue(pairs, n):
     return acc
 
 
-def convolve(vec, pairs, acc=None):
+def convolve(vec, pairs):
     """The product of  sum_k vec[k] x^k  and  sum c x^k  over the (k, c)
     pairs, in Z[x]/(x^n - 1) with n = len(vec): the group-ring product of
-    two exponent vectors at level n.  With acc (a list of length n) the
-    product is added to acc, returned as a new list.
+    two exponent vectors at level n, as a new list.
 
     >>> convolve([1, 2, 0], [(1, 1), (2, -1)])  # (1 + 2x)(x - x^2)
     [-2, 1, 1]
-    >>> convolve([1, 2, 0], [(0, 1)], [5, 0, 0])
-    [6, 2, 0]
     """
     n = len(vec)
-    out = [0] * n if acc is None else acc
+    out = [0] * n
     for k, c in pairs:
         k %= n
         out = [o + c * x for o, x in zip(out, vec[n - k:] + vec[:n - k])]

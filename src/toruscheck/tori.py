@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from math import lcm
-from operator import add
+from operator import add, sub
 
 from .lattice import FGAbelian, IntMatrix, block_matrix, solve_integer
 from .qz import QZ, Cyc, qz_ints
@@ -193,7 +193,7 @@ def solve_s(torus, phi, a, denominator):
     """Canonical dual vector s with (sigma - 1) s = a.phi0 - phi0 at the
     generator, solved at the given denominator level, or None."""
     r = torus.rank
-    psi = torus.dual_sub(torus.dual_comp(a, phi.psi), phi.psi)
+    psi = tuple(map(sub, torus.dual_comp(a, phi.psi), phi.psi))
     M = denominator
     ident = IntMatrix.identity(r)
     target = []
@@ -262,23 +262,23 @@ def build_case(torus, z, phi):
 
 
 def _check_case_invariants(case):
+    """Each t_a and s_a solves its coboundary equation, checked as the pair
+    (z, t_a) on the complex a - 1 and the dual pair (phi0, s_a) on the
+    complex a^-1 - 1.  Raises CaseError when one fails."""
     torus = case.torus
-    n = torus.model.n
+    ident = IntMatrix.identity(torus.rank)
+    mats = torus.comp.matrices
     for a in case.A_z:
-        for i in range(n):
-            lhs = tuple(x - y for x, y in zip(torus.sigma(i, case.t[a]), case.t[a]))
-            zi = case.z(i)
-            rhs = tuple(x - y for x, y in zip(torus.comp.act(a, zi), zi))
-            if lhs != rhs:
-                raise CaseError("t_a does not solve its coboundary equation")
+        try:
+            check_pair_T_relation(torus, mats[a] - ident, (case.z, case.t[a]))
+        except ValueError:
+            raise CaseError("t_a does not solve its coboundary equation")
     for a in case.A_phi_z:
-        for i in range(n):
-            lhs = torus.dual_sub(torus.dual_sigma(i, case.s[a]), case.s[a])
-            rhs = torus.dual_sub(torus.dual_comp(a, case.phi.value(i)),
-                                 case.phi.value(i))
-            if not all((x - y).is_zero() for x, y in zip(lhs, rhs)):
-                raise CaseError(
-                    "s_a does not solve its dual coboundary equation")
+        try:
+            validate_hyper_pair_dual(torus, mats[case.A.inv(a)] - ident,
+                                     case.phi, case.s[a])
+        except ValueError:
+            raise CaseError("s_a does not solve its dual coboundary equation")
 
 
 def pair_for_h(case, a):
@@ -571,7 +571,7 @@ def endoscopic_value(case, s_dot, b, t_vec, a):
     binv = case.A.inv(b)
     key = ("dual", tuple(s_dot), b)
     record = case.kept.get(key) or case.dual_pair(
-        binv, case.torus.dual_add(s_dot, case.s[b]))
+        binv, tuple(map(add, s_dot, case.s[b])))
     group = _conjugates(case, a, t_vec)[1].get(binv)
     case.kept[key] = record
     (_, s), values = record

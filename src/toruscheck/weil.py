@@ -107,20 +107,9 @@ class TorusModel:
         nums, den = qz_ints(s)
         return QZ(sum(map(mul, nums, vec)), den)
 
-    def dual_sigma(self, i, s):
-        """Galois action on the dual torus: (sigma.s)(x) = s(sigma^-1 x)."""
-        nums, den = qz_ints(s)
-        return qz_tuple(self._galois_dualT[i % self.model.n].apply(nums), den)
-
     def dual_comp(self, a, s):
         nums, den = qz_ints(s)
         return qz_tuple(self._comp_dualT[a].apply(nums), den)
-
-    def dual_add(self, s, t):
-        return tuple(a + b for a, b in zip(s, t))
-
-    def dual_sub(self, s, t):
-        return tuple(a - b for a, b in zip(s, t))
 
     def invariant_lattice(self):
         """Basis of X^Q."""
@@ -388,8 +377,7 @@ def _lift_system(torus, fT, D):
     r = torus.rank
     n = torus.model.n
     window = list(range(-n, n))
-    dom = ZDomain(n, torus.galois.matrices[1] if n > 1
-                  else IntMatrix.identity(r))
+    dom = ZDomain(n, torus.galois.matrices[1 % n])
     A = block_matrix([
         # N lam = 0
         [torus.norm_matrix(), 0, 0],

@@ -43,7 +43,7 @@ def coboundary(x):
     n = x.degree
     out = {}
     for t in tuples(Q, n + 1):
-        acc = list(gm.act(t[0], x(*t[1:])))
+        acc = list(gm.mats[t[0]].apply(x(*t[1:])))
         sign = -1
         for i in range(n):
             merged = t[:i] + (Q.mul(t[i], t[i + 1]),) + t[i + 2:]
@@ -81,7 +81,7 @@ def cup(x, y, pairing, out_gmod):
         g = 0
         for s in left:
             g = Q.mul(g, s)
-        out[t] = pairing(x(*left), y.gmod.act(g, y(*t[p:])))
+        out[t] = pairing(x(*left), y.gmod.mats[g].apply(y(*t[p:])))
     return from_table(out_gmod, p + q, out)
 
 

@@ -7,6 +7,10 @@ functions for tests/test_cohomology.py and tests/test_weil.py.
   generators;
 * ``coinflation_pointwise`` evaluates coinflation by explicit fiber
   enumeration, against the support pushforward ``coinflation``;
+* ``WeilZ`` is the model Weil group W = Z with the group law and action
+  that ``FiniteSupportChain.boundary`` reads, which the package's
+  ``ZDomain`` leaves out because no chain of the package over Z takes a
+  boundary;
 * ``boundary_by_terms`` and ``coinflation_by_terms`` are the chain maps as
   they were computed before they summed into a plain dict: one
   ``add_into`` per term, which drops a key as soon as its sum is zero;
@@ -21,11 +25,17 @@ from toruscheck.cohomology import (
     Cochain,
     CohomologyGroup,
     FiniteSupportChain,
+    ZDomain,
     cocycle_sublattice,
     _rels,
     tuples,
 )
-from toruscheck.lattice import IntMatrix, solve_integer
+from toruscheck.lattice import FGAbelian, IntMatrix, solve_integer
+
+
+def quotient(gmod):
+    """The coefficient module Z^ngens modulo its relations."""
+    return FGAbelian(gmod.ngens, gmod.rels)
 
 
 def is_normalized(x):
@@ -34,7 +44,7 @@ def is_normalized(x):
     zero = (0,) * x.gmod.ngens
     for t, v in table(x).items():
         if 0 in t and tuple(v) != zero:
-            if any(x.gmod.fg().nf(v)):
+            if any(quotient(x.gmod).nf(v)):
                 return False
     return True
 
@@ -113,7 +123,7 @@ def enumerate_h_classes(gmod, degree, limit=200000):
     under coboundary shifts.  Exponential; guarded by `limit` on the number
     of tables."""
     assert degree in (1, 2)
-    fg = gmod.fg()
+    fg = quotient(gmod)
     assert fg.free_rank == 0, "enumeration needs a finite module"
     elements = [fg.lift(c) for c in fg.elements()]
     keys = tuples(gmod.group, degree)
@@ -162,6 +172,20 @@ def coinflation_pointwise(chain, fibers, target_domain, keys):
                 lifted, (0,) * chain.rank)))
         out.add_into(key, total)
     return out
+
+
+class WeilZ(ZDomain):
+    """A ZDomain whose chains take boundaries: W = Z under addition, w
+    acting through sigma^(w mod n)."""
+
+    def mul(self, a, b):
+        return a + b
+
+    def inv(self, a):
+        return -a
+
+    def act(self, w, vec):
+        return self.mats[w % self.n].apply(vec)
 
 
 def boundary_by_terms(chain):

@@ -158,6 +158,20 @@ def test_criterion_5_duality_perfectness():
     announce(5, "duality perfectness", ok, "%d modules" % checked)
 
 
+def cohomology_modules():
+    """The cyclic modules of criterion 6's d d = 0 and Leibniz samples."""
+    return [
+        GModule.from_action(GroupAction.cyclic(2, IntMatrix([[-1]]))),
+        GModule.from_action(GroupAction.cyclic(4, IntMatrix([[0, -1], [1, 0]]))),
+        GModule.from_action(GroupAction.cyclic(3, IntMatrix([[0, -1], [1, -1]]))),
+        GModule.from_action(GroupAction.cyclic(6, IntMatrix([[0, -1], [1, 1]]))),
+    ]
+
+
+#: (Galois matrix, level n) of criterion 6's squares between levels n and 2n
+LEVEL_SQUARES = [(IntMatrix([[-1]]), 2), (IntMatrix([[0, -1], [1, -1]]), 3)]
+
+
 def test_criterion_6_cohomology_algebra():
     """d after d vanishes on at least 1000 random cochains; the cup Leibniz
     rule holds; coinflation commutes with the differential and the two-level
@@ -165,12 +179,7 @@ def test_criterion_6_cohomology_algebra():
     rng = random.Random(6)
     ok = True
     count = 0
-    modules = [
-        GModule.from_action(GroupAction.cyclic(2, IntMatrix([[-1]]))),
-        GModule.from_action(GroupAction.cyclic(4, IntMatrix([[0, -1], [1, 0]]))),
-        GModule.from_action(GroupAction.cyclic(3, IntMatrix([[0, -1], [1, -1]]))),
-        GModule.from_action(GroupAction.cyclic(6, IntMatrix([[0, -1], [1, 1]]))),
-    ]
+    modules = cohomology_modules()
     while count < 1000:
         gm = rng.choice(modules)
         v = checks.dd_zero(gm, rng.choice((1, 2)), rng, 1, 5)
@@ -185,8 +194,7 @@ def test_criterion_6_cohomology_algebra():
 
     ok = checks.coinflation_boundary(rng, 50).ok and ok
 
-    # the two-level square between levels n and 2n
-    for mat, n in [(IntMatrix([[-1]]), 2), (IntMatrix([[0, -1], [1, -1]]), 3)]:
+    for mat, n in LEVEL_SQUARES:
         small = TorusModel(LocalModel(n), GroupAction.cyclic(n, mat))
         ok = checks.level_square(small, rng, 20, 6).ok and ok
     announce(6, "cohomology algebra", ok,

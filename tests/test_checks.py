@@ -9,7 +9,7 @@ import random
 import pytest
 
 from toruscheck import checks
-from toruscheck.characters import CharacterTable
+from toruscheck.characters import CharacterTable, TABLE_CACHE
 from toruscheck.qz import Cyc
 from toruscheck.cli import COMMANDS, main
 
@@ -65,7 +65,10 @@ def test_character_identity_failure_has_a_witness(monkeypatch):
 
 
 def test_engine_value_error_fails_and_ends_the_command(monkeypatch, tmp_path,
-                                                       capsys):
+                                                       capsys, empty_memos):
+    """A table above MAX_ORDER fails projirr.table and ends the command;
+    the process table cache starts empty, so the table is built."""
+    empty_memos(TABLE_CACHE._tables)
     monkeypatch.setattr(CharacterTable, "MAX_ORDER", 1)
     out = tmp_path / "report.json"
     assert main(["projirr", "--input", FIXTURE, "--output", str(out)]) == 1

@@ -32,6 +32,20 @@ def write_fixture(tmp_path, doc=None, name="case.json"):
     return str(path)
 
 
+def bad_inputs():
+    """(command, case file bytes) of every bad input the tests below
+    parametrize, each with the command its test runs."""
+    docs = ([("tori-verify", doc) for doc in NOT_OBJECTS]
+            + [("sign", dict(FIXTURE, root_datum=rd))
+               for rd, _ in BAD_ROOT_DATA]
+            + [("sign", doc) for _, doc in UNBOUNDED_GALOIS]
+            + [("tori-verify", table_fixture(t)) for t, _ in BAD_TABLES]
+            + [("tori-verify", dict(FIXTURE, **{key: 3}))
+               for key in UNKNOWN_KEYS])
+    return ([("cohomology", raw) for raw in UNREADABLE_JSON]
+            + [(c, json.dumps(doc).encode()) for c, doc in docs])
+
+
 def run_main(args, tmp_path, name="out.json"):
     out = tmp_path / name
     code = main(args + ["--output", str(out)])
@@ -74,6 +88,28 @@ def test_cache_transparency(tmp_path):
     assert code1 == code2 == code3 == 0
     assert out1 == out2 == out3
     assert any(f.startswith("table-") for f in os.listdir(cdir))
+
+
+def test_projirr_builds_each_table_once_per_process(monkeypatch, tmp_path,
+                                                    empty_memos):
+    """Without --cache-dir, projirr reads the process table cache, which
+    tori.packet fills too: on the norm-one fixture the first run builds one
+    table (the component C2's, which is also the extension's) and a second
+    run in the same process builds none."""
+    from toruscheck import characters
+    empty_memos(characters.TABLE_CACHE._tables)
+    built = []
+
+    def counted(group):
+        built.append(group.order)
+        return character_table(group)
+
+    monkeypatch.setattr(characters, "character_table", counted)
+    path = os.path.join(ROOT, "fixtures", "norm_one_torus.json")
+    assert run_main(["projirr", "--input", path], tmp_path, "a.json")[0] == 0
+    assert built == [2]
+    assert run_main(["projirr", "--input", path], tmp_path, "b.json")[0] == 0
+    assert built == [2]
 
 
 def test_cache_corruption_detected(tmp_path):
@@ -204,11 +240,17 @@ def test_casefile_validation_messages():
         assert e.value.field == field
 
 
-@pytest.mark.parametrize("raw", [
+#: Case files json cannot read: not UTF-8, nested past the recursion limit,
+#: an integer literal past int's digit limit.
+UNREADABLE_JSON = [
     b'{"schema": 1, "rank": 1\xff}',
     b"[" * 100000,
     b'{"schema": 1, "rank": ' + b"1" * 5001 + b"}",
-], ids=["not-utf-8", "nested", "long-integer"])
+]
+
+
+@pytest.mark.parametrize("raw", UNREADABLE_JSON,
+                         ids=["not-utf-8", "nested", "long-integer"])
 def test_unreadable_json_is_an_input_error(raw, tmp_path, capsys):
     """A case file that is not UTF-8, nests past the recursion limit or
     holds an integer literal past int's digit limit exits 2 with a message
@@ -239,7 +281,10 @@ def test_phi_is_an_integer_or_p_over_q(tmp_path):
     assert proc.stderr.startswith("error: phi: ")
 
 
-@pytest.mark.parametrize("doc", [[1, 2], "case", 3, None])
+NOT_OBJECTS = [[1, 2], "case", 3, None]
+
+
+@pytest.mark.parametrize("doc", NOT_OBJECTS)
 def test_case_file_must_be_an_object(doc, tmp_path, capsys):
     path = tmp_path / "case.json"
     path.write_text(json.dumps(doc))
@@ -250,7 +295,8 @@ def test_case_file_must_be_an_object(doc, tmp_path, capsys):
     assert "case: expected a JSON object" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("root_datum,field", [
+#: (root_datum, the field its error names)
+BAD_ROOT_DATA = [
     ({"label": "A2", "n": 1, "a_perm": [0, 0]}, "root_datum"),
     ({"label": "A2", "n": 1, "galois_perm": [0]}, "root_datum"),
     ({"label": "A1", "n": 0}, "root_datum"),
@@ -261,7 +307,10 @@ def test_case_file_must_be_an_object(doc, tmp_path, capsys):
     ({"label": "A400"}, "root_datum.label"),
     ({"label": "D9"}, "root_datum.label"),
     ({"label": "A" + "9" * 5000}, "root_datum.label"),
-])
+]
+
+
+@pytest.mark.parametrize("root_datum,field", BAD_ROOT_DATA)
 def test_root_datum_is_validated(root_datum, field, tmp_path, capsys):
     bad = dict(FIXTURE, root_datum=root_datum)
     with pytest.raises(CaseFileError) as e:
@@ -271,10 +320,13 @@ def test_root_datum_is_validated(root_datum, field, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: " + field)
 
 
-@pytest.mark.parametrize("field,doc", [
+UNBOUNDED_GALOIS = [
     ("galois.order", dict(FIXTURE, galois={"order": 7, "matrix": [[-1]]})),
     ("root_datum.n", dict(FIXTURE, root_datum={"label": "A1", "n": 7})),
-])
+]
+
+
+@pytest.mark.parametrize("field,doc", UNBOUNDED_GALOIS)
 def test_galois_order_is_bounded(field, doc, tmp_path, capsys):
     """Galois orders above MAX_GALOIS_ORDER (6) exit 2 before any Tate
     group of the cyclic Galois group is built."""
@@ -294,22 +346,35 @@ def test_cartan_labels_up_to_the_rank_bound_load():
         assert twist.datum.rank == int(label[1:])
 
 
-@pytest.mark.parametrize("table,message", [
+#: (component table, the message it exits 2 with)
+BAD_TABLES = [
     ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0],
       [4, 2, 0, 1, 3]], "associativity fails"),
     ([], "rows and columns must be permutations"),
     ([[0, 1], [1]], "rows and columns must be permutations"),
-])
+]
+
+
+def table_fixture(table):
+    """FIXTURE with a component of kind table, one 1 x 1 identity matrix
+    per row."""
+    return dict(FIXTURE, component={"kind": "table", "table": table,
+                                    "matrices": [[[1]]] * len(table)})
+
+
+@pytest.mark.parametrize("table,message", BAD_TABLES)
 def test_bad_component_table_exits_2(table, message, tmp_path, capsys):
     """A non-associative Latin square, an empty table and a ragged one as
     the component group's table."""
-    doc = dict(FIXTURE, component={"kind": "table", "table": table,
-                                   "matrices": [[[1]]] * len(table)})
+    doc = table_fixture(table)
     assert main(["tori-verify", "--input", write_fixture(tmp_path, doc)]) == 2
     assert capsys.readouterr().err == "error: component.table: %s\n" % message
 
 
-@pytest.mark.parametrize("key", ["suite_size", "comment"])
+UNKNOWN_KEYS = ["suite_size", "comment"]
+
+
+@pytest.mark.parametrize("key", UNKNOWN_KEYS)
 def test_unknown_top_level_key_is_rejected(key, tmp_path):
     bad = dict(FIXTURE, **{key: 3})
     with pytest.raises(CaseFileError) as e:
@@ -379,6 +444,26 @@ def test_galois_order_6_reports_match_golden(command, tmp_path):
     code, out = run_main([command, "--input", path], tmp_path)
     assert code == 0
     with open(os.path.join(GOLDEN, "galois6", command + ".json"), "rb") as f:
+        assert out == f.read()
+
+
+@pytest.mark.parametrize("command", ["cohomology", "pairing", "sign",
+                                     "projirr", "tori-verify"])
+@pytest.mark.parametrize("name", ["a3_flip", "d4_table", "trivial"])
+def test_case_file_reports_match_golden(name, command, tmp_path):
+    """Case files that enter code no fixture reaches, each JSON report
+    equal to its golden copy in tests/golden/<name>:
+
+    * trivial: no component key, so the component action is
+      GroupAction.trivial;
+    * d4_table: a table component, D4 on Z^2 by signed permutations, with
+      the Galois generator acting by -1;
+    * a3_flip: the A3 root datum under the flip, whose H^2 class xi = (1)
+      has a representative that normalize_cocycle must shift."""
+    path = os.path.join(ROOT, "tests", name + "_case.json")
+    code, out = run_main([command, "--input", path], tmp_path)
+    assert code == 0
+    with open(os.path.join(GOLDEN, name, command + ".json"), "rb") as f:
         assert out == f.read()
 
 

@@ -1,17 +1,26 @@
-"""A guard against regrowth of code that nothing in the package calls,
-against a second way to draw a random integer, against a second cache
-mechanism, and against a second per-case store (see the last three
-tests).
+"""A guard against regrowth of code that no real run reaches, against a
+second way to draw a random integer, against a second cache mechanism, and
+against a second per-case store (see the last three tests).
 
-Every top-level function or class of ``src/toruscheck`` and every public
-method must be named somewhere in ``src/`` outside its own definition, or
-be listed below with the reason it stays: a check only the acceptance gate
-runs, or a definition the benchmark under perfbench/ names.  A top-level
-definition counts as named through a name, an attribute or an import; a
-method only through an attribute (``obj.name``), so a local variable of the
-same name does not hide an uncalled method.  A listed name must still be
-defined, must still have no caller in ``src/`` (else it leaves the list),
-and must be named in its README section.
+The reach rule: every top-level function of ``src/toruscheck`` and every
+public method of its top-level classes is entered by the reach set of
+tests/reach.py, or is listed below with the reason it stays.  The set is
+the five file commands on every case file, the output and cache options,
+random-suite, the bad inputs tests/test_cli.py parametrizes, and the
+checks of each acceptance criterion; it runs once, in a fresh process
+traced from before the package is imported.  A definition only a test
+calls is not reached: it moves to a test oracle or goes.  The lists:
+
+* GATE_ONLY names the checks that only the acceptance criteria run: the
+  gate half of the set enters each, the command half none;
+* BENCHMARK_ONLY names what only the benchmark under perfbench/ reaches,
+  with the definitions only it reaches in turn: the set enters none of
+  them.
+
+A listed name must still be defined and must still be as listed (else it
+leaves the list), and must be named in its README section; each
+BENCHMARK_ONLY name is also named under perfbench/.  A top-level class
+must be named somewhere in ``src/`` outside its own definition.
 """
 
 import ast
@@ -19,13 +28,13 @@ import dataclasses
 import os
 import re
 
-import toruscheck
+import pytest
+
+import reach
 from toruscheck.tori import ToriCase
 
-SRC = os.path.dirname(os.path.abspath(toruscheck.__file__))
-ROOT = os.path.dirname(os.path.dirname(SRC))
-README = os.path.join(ROOT, "README.md")
-PERFBENCH = os.path.join(ROOT, "perfbench")
+README = os.path.join(reach.ROOT, "README.md")
+PERFBENCH = os.path.join(reach.ROOT, "perfbench")
 
 #: Checks only the acceptance gate calls (no CLI command runs them); the
 #: README section "Checks and the acceptance gate" names each.
@@ -37,73 +46,107 @@ GATE_ONLY = {
         "criterion 8: decompose after reconstruct is the identity",
 }
 
-#: Definitions only the benchmark reaches; the README table "Library code
-#: the checks do not reach" names each, and some file under perfbench/
-#: names each.  A lemma that only a test states lives in tests/lemmas.py.
+#: Definitions only the benchmark reaches: name -> (reason, the definitions
+#: only it reaches).  The README table "Library code the checks do not
+#: reach" names each, and some file under perfbench/ names each.  A lemma
+#: that only a test states lives in tests/lemmas.py.
 BENCHMARK_ONLY = {
-    "groups.FiniteGroup.dihedral": "a constructor perfbench's tables use",
-    "groups.FiniteGroup.power": "perfbench's tracer counts its calls",
-    "qz.Cyc.reduced_key": "canonical forms perfbench's tests compare",
-    "cohomology.hyper_h1":
-        "perfbench's tracer wraps it; H^1 of a two-term complex",
+    "groups.FiniteGroup.power": ("perfbench's tracer counts its calls", ()),
+    "qz.Cyc.reduced_key": ("canonical forms perfbench's tests compare", ()),
+    "cohomology.hyper_h1": (
+        "perfbench's tracer wraps it; H^1 of a two-term complex, which it "
+        "builds as a TwoTermComplex and returns as a HyperH1",
+        ("cohomology.HyperH1.classify", "cohomology.HyperH1.elements",
+         "cohomology.HyperH1.is_pair", "cohomology.HyperH1.order",
+         "cohomology.HyperH1.representative")),
 }
 
 
-def _package_sources():
-    """{file name: source} over src/toruscheck."""
-    out = {}
-    for fn in sorted(os.listdir(SRC)):
-        if fn.endswith(".py"):
-            with open(os.path.join(SRC, fn), encoding="utf-8") as f:
-                out[fn] = f.read()
-    return out
+@pytest.fixture(scope="module")
+def reached(tmp_path_factory):
+    """reach.entered: what the command half and the gate half enter."""
+    return reach.entered(str(tmp_path_factory.mktemp("reach")))
 
 
-def _definitions_and_names(sources):
-    """({qualified name: (file, first line, last line)}, [(file, line,
-    name, is_attribute)]) over the sources: their top-level functions and
-    classes and the public methods of those classes, and every name,
-    attribute and imported name they mention."""
-    defs, names = {}, []
+def _benchmark_only():
+    return set(BENCHMARK_ONLY) | {q for _, under in BENCHMARK_ONLY.values()
+                                  for q in under}
+
+
+def test_every_definition_has_a_caller_or_a_reason(reached):
+    commands, gate, _ = reached
+    sources = reach.package_sources()
+    defs = reach.definitions(sources)
+    missed = reach.unreached(sources, commands | gate)
+    benchmark = _benchmark_only()
+    assert sorted(missed - benchmark) == [], "no run of the reach set enters"
+    assert sorted((benchmark | set(GATE_ONLY)) - set(defs)) == [], \
+        "listed but no longer defined"
+    assert sorted(benchmark - missed) == [], "listed but now reached"
+    assert [q for q in sorted(GATE_ONLY)
+            if defs[q] in commands or defs[q] not in gate] == [], \
+        "listed as gate-only but a command runs it, or the gate does not"
+
+
+ADD = """
+class Group:
+    def add(self, g):
+        return g
+
+    def mul(self, a, b):
+        return a
+
+
+def closure(group, elems):
+    seen = set()
+    for a in elems:
+        seen.add(group.mul(a, a))
+    return seen
+"""
+
+
+def test_an_uncalled_method_is_unreached_though_its_name_is_called(tmp_path):
+    """Group.add is never entered, though `seen.add(...)` calls a method of
+    that name, which a rule by attribute names would count as its call;
+    Group.mul and closure are entered."""
+    path = str(tmp_path / "groups.py")
+    ns = {}
+    exec(compile(ADD, path, "exec"), ns)
+    entered = reach.record(lambda: ns["closure"](ns["Group"](), [1, 2]),
+                           str(tmp_path))
+    assert reach.unreached({"groups.py": ADD}, entered) == {"groups.Group.add"}
+    assert "add" in {n.attr for n in ast.walk(ast.parse(ADD))
+                     if isinstance(n, ast.Attribute)}
+
+
+def _unnamed_classes(sources):
+    """The qualified names of the top-level classes of the sources that no
+    name, attribute or import in them mentions outside the class itself."""
+    classes, names = {}, []
     for fn, text in sources.items():
         tree = ast.parse(text)
-        mod = fn[:-3]
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            defs["%s.%s" % (mod, node.name)] = (fn, node.lineno,
-                                                node.end_lineno)
             if isinstance(node, ast.ClassDef):
-                for sub in node.body:
-                    if isinstance(sub, ast.FunctionDef) \
-                            and not sub.name.startswith("_"):
-                        defs["%s.%s.%s" % (mod, node.name, sub.name)] = (
-                            fn, sub.lineno, sub.end_lineno)
+                classes["%s.%s" % (fn[:-3], node.name)] = (
+                    fn, node.lineno, node.end_lineno)
         for n in ast.walk(tree):
             if isinstance(n, ast.Name):
-                names.append((fn, n.lineno, n.id, False))
+                names.append((fn, n.lineno, n.id))
             elif isinstance(n, ast.Attribute):
-                names.append((fn, n.lineno, n.attr, True))
+                names.append((fn, n.lineno, n.attr))
             elif isinstance(n, (ast.Import, ast.ImportFrom)):
-                names.extend((fn, n.lineno, a.name.split(".")[-1], False)
+                names.extend((fn, n.lineno, a.name.split(".")[-1])
                              for a in n.names)
-    return defs, names
+    return {q for q, (fn, first, last) in classes.items()
+            if not any(name == q.rsplit(".", 1)[1]
+                       and not (f == fn and first <= line <= last)
+                       for f, line, name in names)}
 
 
-def _uncalled(sources=None):
-    """The definitions (as _definitions_and_names gives them) and the
-    qualified names of those nothing else in the sources (default: src/)
-    names."""
-    defs, names = _definitions_and_names(sources or _package_sources())
-    out = set()
-    for qual, (fn, first, last) in defs.items():
-        short = qual.rsplit(".", 1)[1]
-        method = qual.count(".") == 2
-        if not any(name == short and (attr or not method)
-                   and not (f == fn and first <= line <= last)
-                   for f, line, name, attr in names):
-            out.add(qual)
-    return defs, out
+def test_every_class_is_named():
+    assert sorted(_unnamed_classes(reach.package_sources())) == []
+    sample = "class Used:\n    pass\n\n\nclass Unused:\n    x = Used\n"
+    assert _unnamed_classes({"groups.py": sample}) == {"groups.Unused"}
 
 
 def _readme_section(title):
@@ -112,36 +155,6 @@ def _readme_section(title):
     start = text.index("\n## %s\n" % title)
     end = text.find("\n## ", start + 1)
     return text[start:] if end < 0 else text[start:end]
-
-
-def test_every_definition_has_a_caller_or_a_reason():
-    defs, uncalled = _uncalled()
-    listed = set(GATE_ONLY) | set(BENCHMARK_ONLY)
-    assert sorted(uncalled - listed) == [], "defined but never called in src/"
-    assert sorted(listed - set(defs)) == [], "listed but no longer defined"
-    assert sorted(listed - uncalled) == [], "listed but now called in src/"
-
-
-CLASS_OF = """
-class Group:
-    def class_of(self, g):
-        return g
-
-
-def bijection(classes):
-    class_of = {d: i for i, d in enumerate(classes)}
-    return [class_of[d] for d in classes]
-"""
-
-
-def test_a_local_name_does_not_call_a_method():
-    """A method counts as called only through an attribute: a local dict of
-    the same name leaves it uncalled, and obj.class_of(...) calls it."""
-    _, uncalled = _uncalled({"groups.py": CLASS_OF})
-    assert "groups.Group.class_of" in uncalled
-    called = CLASS_OF + "\n\nprint(Group().class_of(0))\n"
-    _, uncalled = _uncalled({"groups.py": called})
-    assert "groups.Group.class_of" not in uncalled
 
 
 def test_listed_names_are_in_the_readme():
@@ -180,7 +193,7 @@ def test_integers_are_drawn_one_way():
     """The package draws its random integers through `suite.draws`, whose
     stream is that of `randint`; no module calls `randint` or `randrange`
     itself (a docstring may name them)."""
-    assert _integer_draws(_package_sources()) == []
+    assert _integer_draws(reach.package_sources()) == []
     sample = "def f(rng):\n    return rng.randint(1, 2) + r.randrange(3)\n"
     assert _integer_draws({"suite.py": sample}) == [("suite.py", 2)] * 2
 
@@ -209,7 +222,7 @@ def test_caches_are_memos():
     """Every process-level cache of the package is a lattice.Memo, bounded
     by MEMO_LIMIT: no module imports or uses functools' caching
     decorators (test_memo.py covers each Memo)."""
-    assert _functools_caches(_package_sources()) == []
+    assert _functools_caches(reach.package_sources()) == []
     sample = ("import functools\nfrom functools import lru_cache, wraps\n"
               "\n\n@functools.cache\ndef f():\n    pass\n")
     assert _functools_caches({"qz.py": sample}) == [("qz.py", 2),

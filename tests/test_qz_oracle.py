@@ -12,6 +12,7 @@ reference can reduce quickly.
 
 from fractions import Fraction
 from math import lcm
+from operator import add
 
 from hypothesis import given, settings, strategies as st
 
@@ -208,7 +209,8 @@ def test_cyc_from_pairs_matches_repeated_arithmetic(data, m, w):
         vx = [0] * n
         for j, c in x:
             vx[j % n] += int(c * D)
-        acc = convolve(vx, [(j + k, int(c * D)) for j, c in y], acc)
+        acc = list(map(add, acc, convolve(
+            vx, [(j + k, int(c * D)) for j, c in y])))
     got = Cyc.from_pairs(enumerate(acc), n, D * D * m)
     wide = Cyc.from_pairs([(k * w, c) for k, c in enumerate(acc)], n * w,
                           D * D * m)

@@ -4,14 +4,16 @@ import os
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import add
 
 import pytest
 
+import fraction_dual
 from cochain_reference import from_table, table
 from cyc_verify import scaled
 from lemmas import invariant_of, stabilizer_of_class
 from tori_reference import theta_by_convolution
-from toruscheck.lattice import IntMatrix, block_diagonal
+from toruscheck.lattice import FGAbelian, IntMatrix, block_diagonal
 from toruscheck.qz import QZ, Cyc, exponent_forms
 from toruscheck.groups import FiniteGroup, GroupAction
 from toruscheck.cohomology import Cochain, tate_group
@@ -180,7 +182,7 @@ def test_h_choice_retwist_properties():
     # y = (q, q) is invariant
     y = (QZ(1, 2), QZ(1, 2))
     s2 = dict(case.s)
-    s2[1] = torus.dual_add(s2[1], y)
+    s2[1] = fraction_dual.dual_add(s2[1], y)
     h3 = compute_h(retwisted(case, s=s2))
     assert h3[1] == h[1] - case.kottwitz(y)
     # the copies left the case's own h as it was
@@ -235,7 +237,7 @@ def _asymmetric_bars(which):
     case = build_case(torus, tn_iso(torus, (0, 0, 1)),
                       Parameter(torus, (QZ(0),) * 3))
     s2 = dict(case.s)
-    s2[1] = torus.dual_add(s2[1], (QZ(0), QZ(0), QZ(1, 2)))
+    s2[1] = fraction_dual.dual_add(s2[1], (QZ(0), QZ(0), QZ(1, 2)))
     return retwisted(case, s=s2), lambda c, a, b: torus.dual_eval(
         c.beta(a, b), c.lam_z)
 
@@ -283,7 +285,7 @@ def test_retwisted_copies_keep_no_bars():
     assert case.A_phi_z == [0, 1, 2, 3]
     h, iso = _h_and_iso(case)
     s2 = dict(case.s)
-    s2[1] = case.torus.dual_add(s2[1], (QZ(1, 2),))
+    s2[1] = fraction_dual.dual_add(s2[1], (QZ(1, 2),))
     copy = retwisted(case, s=s2)
     got = _h_and_iso(copy)
     assert got == _h_and_iso(_fresh_copy(copy))
@@ -495,7 +497,7 @@ def test_invariant_duals_one_invariant_dual_per_torsion_factor():
         zero, *duals = invariant_duals(torus)
         assert zero == torus.dual_zero()
         for s in duals:
-            assert all(torus.dual_sigma(i, s) == s
+            assert all(fraction_dual.dual_sigma(torus, i, s) == s
                        for i in range(torus.model.n))
         torsion = tate_group(torus.gmodule(), -1).group.torsion
         assert [math.lcm(*(q.order for q in s)) for s in duals] \
@@ -572,7 +574,8 @@ def test_invariant_of():
     # norm mismatch is rejected
     with pytest.raises(CaseError):
         invariant_of(case, aut, case.z, case.t[1],
-                     gamma=tuple(x + 1 for x in H1.cx.T.fg().nf(case.t[1])))
+                     gamma=tuple(x + 1 for x in FGAbelian(
+                         H1.cx.T.ngens, H1.cx.T.rels).nf(case.t[1])))
 
 
 def test_invariant_pairs_nontrivially():
@@ -802,9 +805,9 @@ def test_guards_raise_under_python_O():
     ]
 
 
-#: Under python -O: a wrong t_a and a wrong h on the norm-one fixture,
-#: first through build_case and packet, then through cli.main, which must
-#: fail a check with the message as witness.
+#: Under python -O: a wrong t_a, a wrong s_a and a wrong h on the norm-one
+#: fixture, first through build_case and packet, then through cli.main,
+#: which must fail a check with the message as witness.
 OPTIMIZED_CASE_CHECKS = """
 import contextlib, io, json, os, sys
 
@@ -816,13 +819,19 @@ if __debug__:
     sys.exit("asserts are still enabled")
 
 FIXTURE = sys.argv[1]
-solve_t, compute_h = tori.solve_t, tori.compute_h
+solve_t, solve_s, compute_h = tori.solve_t, tori.solve_s, tori.compute_h
 
 
 def wrong_t(torus, z, a):
     # t_a plus a vector sigma does not fix, for a != 1
     x = solve_t(torus, z, a)
     return x if x is None or a == 0 else tuple(v + 1 for v in x)
+
+
+def wrong_s(torus, phi, a, denominator):
+    # s_a plus a dual point sigma does not fix, for a != 1
+    s = solve_s(torus, phi, a, denominator)
+    return s if s is None or a == 0 else tuple(q + QZ(1, 3) for q in s)
 
 
 def wrong_h(case):
@@ -849,14 +858,17 @@ torus, z, phi, _ = load_case_file(FIXTURE)
 tori.solve_t = wrong_t
 run("t_a", lambda: tori.build_case(torus, z, phi))
 tori.solve_t = solve_t
+tori.solve_s = wrong_s
+run("s_a", lambda: tori.build_case(torus, z, phi))
+tori.solve_s = solve_s
 tori.compute_h = wrong_h
 run("h", lambda: tori.packet(tori.build_case(torus, z, phi)))
 """
 
 
 def test_case_checks_fail_under_python_O():
-    """A wrong t_a or h raises CaseError with asserts stripped, and the CLI
-    turns it into a failed check with a witness."""
+    """A wrong t_a, s_a or h raises CaseError with asserts stripped, and
+    the CLI turns it into a failed check with a witness."""
     import os
     import subprocess
     import sys
@@ -875,6 +887,9 @@ def test_case_checks_fail_under_python_O():
         "t_a rejected: t_a does not solve its coboundary equation",
         "t_a exit 1 tori.h_computed fail "
         "{'error': 't_a does not solve its coboundary equation'}",
+        "s_a rejected: s_a does not solve its dual coboundary equation",
+        "s_a exit 1 tori.h_computed fail "
+        "{'error': 's_a does not solve its dual coboundary equation'}",
         "h rejected: h does not induce a character bijection",
         "h exit 1 tori.packet fail "
         "{'error': 'h does not induce a character bijection'}",
@@ -972,7 +987,7 @@ def test_each_pair_is_checked_and_solved_once_per_case(monkeypatch,
         binv = case.A.inv(b)
         fT = IntMatrix.identity(case.torus.rank) - \
             case.torus.comp.matrices[binv]
-        s = case.torus.dual_add(s_dot, case.s[b])
+        s = tuple(map(add, s_dot, case.s[b]))
         group = tori._conjugates(fresh, a, t_vec)[1].get(binv)
         want = sum((Cyc.root(-hyper_pairing(case.torus, fT,
                                             (case.z_inv, delta),

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from cohomology_reference import is_normalized
+import fraction_dual
+from cohomology_reference import WeilZ, is_normalized
 from lemmas import fundamental_cochain
 from lift_reference import fold, lift_system
 from toruscheck import checks, weil
@@ -51,12 +52,12 @@ def norm_one_torus(n=2):
 @pytest.mark.parametrize("n", [3, 4])
 def test_boundary_matrix_is_the_chain_boundary(n):
     """The lift system's boundary block sends a window chain's coordinates
-    to FiniteSupportChain.boundary of that chain over the lift's ZDomain:
+    to FiniteSupportChain.boundary of that chain over W = Z (WeilZ):
     sum_w (sigma^-w - 1) mu(w).  At Galois order 3 and 4 sigma^w and
     sigma^-w differ, so this pins the orientation."""
     torus = norm_one_torus(n)
     r = torus.rank
-    dom = ZDomain(n, torus.galois.matrices[1])
+    dom = WeilZ(n, torus.galois.matrices[1])
     window = list(range(-2 * n, 2 * n))
     B = weil._boundary_matrix(torus, window)
     rng = random.Random("boundary-%d" % n)
@@ -281,7 +282,7 @@ def test_chain_map_phi_basics():
 def test_phi_kills_boundaries():
     random.seed(8)
     for t, n in [(norm_one_torus(2), 2), (norm_one_torus(3), 3)]:
-        dom = ZDomain(n, t.galois.matrices[1])
+        dom = WeilZ(n, t.galois.matrices[1])
         for _ in range(20):
             supp = {(random.randint(-4, 4), random.randint(-4, 4)):
                     tuple(random.randint(-3, 3) for _ in range(t.rank))
@@ -294,7 +295,7 @@ def test_phi_psi_boundary_compatibility():
     # d0(phi(mu1)) = tn_iso(boundary(mu1)) as cocycles
     random.seed(13)
     for t, n in [(norm_one_torus(2), 2), (norm_one_torus(4), 4)]:
-        dom = ZDomain(n, t.galois.matrices[1])
+        dom = WeilZ(n, t.galois.matrices[1])
         gm = t.gmodule()
         for _ in range(15):
             supp = {(random.randint(-5, 5),):
@@ -379,7 +380,8 @@ def test_hyper_pairing_two_representative_agreement():
     assert val_double == val1 + val1
     # dual-side coboundary invariance: (d + du, s + u o fT) for u in X-hat
     u_dual = (QZ(1, 8),)
-    du = t.dual_sub(t.dual_sigma(1, u_dual), u_dual)
+    du = fraction_dual.dual_sub(fraction_dual.dual_sigma(t, 1, u_dual),
+                                u_dual)
     d3 = Parameter(t, (d.psi[0] + du[0],))
     # rank 1: the one coordinate of u o fT is its value at the basis vector
     s3 = (s[0] + t.dual_eval(u_dual, fT.apply((1,))),)
@@ -392,7 +394,7 @@ def test_elementary_pairing_kills_boundaries():
     # genuine dual pair; here f = 0 so the chain side is (d(lam1), -d(mu2))
     random.seed(21)
     t = norm_one_torus(2)
-    dom = ZDomain(2, IntMatrix([[-1]]))
+    dom = WeilZ(2, IntMatrix([[-1]]))
     phi = Parameter(t, (QZ(1, 4),))
     s = t.dual_zero()  # (phi, 0) is a valid pair for f = 0
     for _ in range(20):

@@ -8,6 +8,7 @@ Nothing in the package imports this module.  test_tori.py checks
 """
 
 from math import lcm
+from operator import add
 
 from toruscheck.qz import Cyc, convolve
 from toruscheck.tori import packet, pair_for_h
@@ -49,8 +50,8 @@ def theta_by_convolution(case, s_dot, b, t_vec, a):
         for x, shift in roots:
             for k, c in forms[i][x]:
                 inner[(k * step + shift) % N] += c
-        acc = convolve(inner,
-                       [(k * step + kzs, c) for k, c in forms[i][col[b]]], acc)
+        acc = list(map(add, acc, convolve(
+            inner, [(k * step + kzs, c) for k, c in forms[i][col[b]]])))
     rep = Cyc.from_pairs(enumerate(acc), N, D * D * len(elems))
 
     binv = case.A.inv(b)
