@@ -24,8 +24,9 @@ SCHEMA_VERSION = 1
 #: grows steeply with its order.
 MAX_GALOIS_ORDER = 6
 
-#: The largest rank a Cartan `root_datum.label` may name: the datum is built
-#: when the file loads, at a cost that grows about as the cube of the rank.
+#: The largest rank a Cartan `root_datum.label` may name, and the most rows
+#: a raw `root_datum.cartan` may have: the datum is built when the file
+#: loads, at a cost that grows about as the cube of the rank.
 MAX_LABEL_RANK = 8
 
 #: The top-level fields of a case file, and those of its root_datum block;
@@ -147,6 +148,9 @@ def load_root_datum(spec):
                             % (rank, MAX_LABEL_RANK))
     if "cartan" in spec:
         cartan = _as_matrix(spec["cartan"], "root_datum.cartan")
+        if cartan.rows > MAX_LABEL_RANK:
+            raise CaseFileError("root_datum.cartan", "rank %d exceeds the "
+                                "bound %d" % (cartan.rows, MAX_LABEL_RANK))
         if cartan.rows != cartan.cols or cartan.rows == 0 \
                 or cartan.det() == 0:
             raise CaseFileError("root_datum.cartan",

@@ -351,8 +351,8 @@ class Cocycle2:
     ...          + QZ((a % 3 + b % 3) // 3, 3)
     ...          for a in range(6) for b in range(6)}
     >>> alpha = Cocycle2(G, carry)
-    >>> alpha(3, 3), alpha(1, 2), alpha.m
-    (QZ(1/2), QZ(1/3), 6)
+    >>> alpha.ints[3][3], alpha.ints[1][2], alpha.m
+    (3, 2, 6)
     """
 
     __slots__ = ("group", "m", "ints")
@@ -376,9 +376,6 @@ class Cocycle2:
         self.m = m // g
         self.ints = tuple(tuple(x // g for x in row) for row in rows)
         return self
-
-    def __call__(self, a, b):
-        return QZ(self.ints[a][b], self.m)
 
     def validate(self):
         c, m = self.ints, self.m

@@ -57,9 +57,6 @@ class IntMatrix:
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.data == other.data
 
-    def __hash__(self):
-        return hash(self.data)
-
     def __repr__(self):
         return "IntMatrix(%s)" % [list(r) for r in self.data]
 

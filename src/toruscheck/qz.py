@@ -102,11 +102,8 @@ class QZ:
         return self.num == 0
 
     def __eq__(self, other):
-        if isinstance(other, QZ):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, int):
-            return self.num == 0
-        return False
+        return isinstance(other, QZ) and self.num == other.num \
+            and self.den == other.den
 
     def __hash__(self):
         return self.num * 1000003 ^ self.den
@@ -142,18 +139,10 @@ def qz_tuple(nums, den):
 
 @memoized()
 def cyclotomic_poly(n):
-    """Coefficients (low degree first) of the n-th cyclotomic polynomial.
-    For squarefree n: exact division of x^n - 1 by the lower Phi_d.
-    Otherwise Phi_n(x) = Phi_r(x^(n/r)), with r the product of the primes
-    dividing n."""
+    """Coefficients (low degree first) of the n-th cyclotomic polynomial:
+    the exact division of x^n - 1 by the lower Phi_d."""
     if n < 1:
         raise ValueError("cyclotomic_poly needs n >= 1, got %r" % (n,))
-    r = _radical(n)
-    if r < n:
-        phi, step = cyclotomic_poly(r), n // r
-        poly = [0] * ((len(phi) - 1) * step + 1)
-        poly[::step] = phi
-        return tuple(poly)
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
@@ -385,9 +374,6 @@ class Cyc:
     def __add__(self, other):
         return _sum(self, other, 1)
 
-    def __sub__(self, other):
-        return _sum(self, other, -1)
-
     def __mul__(self, other):
         if type(other) is int:
             return Cyc.from_pairs([(k, c * other) for k, c in
@@ -414,10 +400,7 @@ class Cyc:
     def __eq__(self, other):
         """Equal stored forms are equal values; otherwise the difference is
         reduced mod Phi_n at the common level n, in one residue call."""
-        if isinstance(other, (int, Fraction)):
-            other = Cyc.from_pairs(((0, other.numerator),), 1,
-                                   other.denominator)
-        elif not isinstance(other, Cyc):
+        if not isinstance(other, Cyc):
             return NotImplemented
         if self.n == other.n and self.den == other.den \
                 and self.pairs == other.pairs:

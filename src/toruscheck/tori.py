@@ -96,25 +96,32 @@ class ToriCase:
             record = self.kept[key] = ((self.phi_inv, s), {})
         return record
 
+    def check_pair_T(self, aut, delta):
+        """Check the T-side pair (z^-1, delta) on 1 - aut once: ("lift",
+        aut, delta) holds None from the pass until its lift is solved."""
+        key = ("lift", aut, delta)
+        if key not in self.kept:
+            self.check_z_inv()
+            check_pair_T_relation(self.torus, self.pair_complex_matrix(aut),
+                                  (self.z_inv, delta))
+            self.kept[key] = None
+
     def relative_pairing(self, aut, delta, s):
         """hyper_pairing(torus, 1 - aut, (z^-1, delta), (phi0^-1, s)), kept
         by delta with the dual pair (dual_pair), from the lift kept per
-        (aut, delta).  In hyper_pairing's order, a new lift is checked
-        T-side, then a new dual pair, then the lift is solved."""
+        (aut, delta).  In hyper_pairing's order: check_pair_T, then a new
+        dual pair is checked, then a new lift is solved."""
         kept = self.kept
         record = kept.get(("dual", aut, s))
         if record is not None and delta in record[1]:
             return record[1][delta]
-        torus, fT = self.torus, self.pair_complex_matrix(aut)
-        pair_T = (self.z_inv, delta)
-        lift = kept.get(("lift", aut, delta))
-        if lift is None:
-            self.check_z_inv()
-            check_pair_T_relation(torus, fT, pair_T)
+        self.check_pair_T(aut, delta)
         dual, values = record or self.dual_pair(aut, s)
+        lift = kept["lift", aut, delta]
         if lift is None:
-            lift = kept["lift", aut, delta] = solve_lift(torus, fT, pair_T)
-        q = values[delta] = elementary_pairing(torus, dual, lift)
+            lift = kept["lift", aut, delta] = solve_lift(
+                self.torus, self.pair_complex_matrix(aut), (self.z_inv, delta))
+        q = values[delta] = elementary_pairing(self.torus, dual, lift)
         return q
 
     def act(self, a, vec):
@@ -227,9 +234,14 @@ def build_case(torus, z, phi):
     Raises CaseError when z is not a cocycle, when an element passes the
     stabilizer solvability test for [z] but the dual-side system is
     inconsistent in a way that breaks the subgroup structure (model
-    inconsistency), or when a solution fails its equation."""
+    inconsistency), or when a solution fails its equation.  Each relation
+    is checked once, in the records the pairings read: z^-1's cocycle test,
+    check_pair_T(a, t_a) for a in A_z and dual_pair(a^-1, s_a) in A_phi_z."""
     A = torus.comp.group
-    if any(z.d().vec):
+    z_inv = z.neg()
+    try:
+        check_pair_T_cocycle(z_inv)
+    except ValueError:
         raise CaseError("z is not a cocycle")
     t = {}
     A_z = []
@@ -250,35 +262,23 @@ def build_case(torus, z, phi):
             s[a] = sv
     if not A.is_subgroup(A_phi_z):
         raise CaseError("class not fixed: stabilizer data inconsistent")
-    lam_z = tn_inverse(torus, z)
     case = ToriCase(torus=torus, z=z, phi=phi, A_z=A_z, A_phi_z=A_phi_z,
-                    t=t, s=s, lam_z=lam_z, z_inv=z.neg(),
-                    phi_inv=phi.neg())
+                    t=t, s=s, lam_z=tn_inverse(torus, z), z_inv=z_inv,
+                    phi_inv=phi.neg(), kept={("cocycle",): True})
     if any(case.t[0]) or not all(q.is_zero() for q in case.s[0]):
         raise CaseError("the identity must have t = 0 and s = 0")
-    _check_case_invariants(case)
-    compute_h(case)
-    return case
-
-
-def _check_case_invariants(case):
-    """Each t_a and s_a solves its coboundary equation, checked as the pair
-    (z, t_a) on the complex a - 1 and the dual pair (phi0, s_a) on the
-    complex a^-1 - 1.  Raises CaseError when one fails."""
-    torus = case.torus
-    ident = IntMatrix.identity(torus.rank)
-    mats = torus.comp.matrices
-    for a in case.A_z:
+    for a in A_z:
         try:
-            check_pair_T_relation(torus, mats[a] - ident, (case.z, case.t[a]))
+            case.check_pair_T(a, t[a])
         except ValueError:
             raise CaseError("t_a does not solve its coboundary equation")
-    for a in case.A_phi_z:
+    for a in A_phi_z:
         try:
-            validate_hyper_pair_dual(torus, mats[case.A.inv(a)] - ident,
-                                     case.phi, case.s[a])
+            case.dual_pair(A.inv(a), s[a])
         except ValueError:
             raise CaseError("s_a does not solve its dual coboundary equation")
+    compute_h(case)
+    return case
 
 
 def pair_for_h(case, a):

@@ -127,16 +127,15 @@ class Parameter:
     marked generator; the cocycle condition is N(psi) = 0 for the dual
     action.
 
-    The value at sigma^i is kept twice: as a tuple of QZ in table[i], and
-    as the int vector nums[i] over the common denominator den."""
+    The value at sigma^i is kept as the int vector nums[i] over the common
+    denominator den."""
 
-    __slots__ = ("torus", "psi", "table", "nums", "den")
+    __slots__ = ("torus", "psi", "nums", "den")
 
     def __init__(self, torus, psi):
         self.torus = torus
         self.psi = tuple(QZ(q) for q in psi)
         psi_nums, den = qz_ints(self.psi)
-        n = torus.model.n
         nums = [(0,) * torus.rank]
         for m in torus._galois_dualT:
             nums.append(tuple((x + y) % den for x, y in
@@ -146,12 +145,6 @@ class Parameter:
                              "(cocycle identity)")
         self.nums = nums
         self.den = den
-        self.table = {i: qz_tuple(nums[i], den) for i in range(n)}
-
-    def value(self, i):
-        """The value at sigma^i; on the model Weil group W = Z, the
-        inflation."""
-        return self.table[i % self.torus.model.n]
 
     def neg(self):
         return Parameter(self.torus, tuple(-q for q in self.psi))
@@ -208,7 +201,7 @@ def langlands_character(torus, phi, vec):
     """Single-Frobenius evaluation: the character of X^Q (the F-points
     model) attached to an unramified parameter, extended Q-linearly to
     rational invariant vectors via the canonical [0,1)-lift."""
-    return torus.dual_eval(phi.value(1), vec)
+    return QZ(sum(map(mul, phi.nums[1 % torus.model.n], vec)), phi.den)
 
 
 def chain_map_phi(torus, mu1):

@@ -307,6 +307,11 @@ BAD_ROOT_DATA = [
     ({"label": "A400"}, "root_datum.label"),
     ({"label": "D9"}, "root_datum.label"),
     ({"label": "A" + "9" * 5000}, "root_datum.label"),
+    # a raw Cartan matrix with more rows than MAX_LABEL_RANK, rejected
+    # before its determinant is taken
+    ({"cartan": [[2 if i == j else -1 if abs(i - j) == 1 else 0
+                  for j in range(9)] for i in range(9)]},
+     "root_datum.cartan"),
 ]
 
 
@@ -344,6 +349,21 @@ def test_cartan_labels_up_to_the_rank_bound_load():
         doc = dict(FIXTURE, root_datum={"label": label, "n": 2})
         twist, _ = load_case(doc)[3]["root_datum"]
         assert twist.datum.rank == int(label[1:])
+
+
+def test_raw_cartan_matrix_gives_the_sign_of_its_label(tmp_path):
+    """A raw 1 x 1 Cartan matrix loads as label A1 does and gives its
+    sign.value -1 at the nontrivial class."""
+    signs = []
+    for root_datum in ({"cartan": [[2]], "n": 2, "xi": [1]},
+                       {"label": "A1", "n": 2, "xi": [1]}):
+        code, out = run_main(["sign", "--input", write_fixture(
+            tmp_path, dict(FIXTURE, root_datum=root_datum))], tmp_path)
+        assert code == 0
+        check = json.loads(out)["checks"][0]
+        assert check["id"] == "sign.value"
+        signs.append(check["witness"]["sign"])
+    assert signs == [-1, -1]
 
 
 #: (component table, the message it exits 2 with)

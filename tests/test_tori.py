@@ -806,14 +806,17 @@ def test_guards_raise_under_python_O():
 
 
 #: Under python -O: a wrong t_a, a wrong s_a and a wrong h on the norm-one
-#: fixture, first through build_case and packet, then through cli.main,
-#: which must fail a check with the message as witness.
+#: fixture, then a wrong t_a for the a outside A_phi_z of the 153rd case of
+#: random_case_data under Random(0), written as a case file, each first
+#: through build_case and packet, then through cli.main, which must fail a
+#: check with the message as witness.
 OPTIMIZED_CASE_CHECKS = """
-import contextlib, io, json, os, sys
+import contextlib, io, json, os, random, sys, tempfile
 
 from toruscheck import cli, tori
-from toruscheck.casefile import load_case_file
+from toruscheck.casefile import encode_qz, load_case_file
 from toruscheck.qz import QZ
+from toruscheck.suite import random_case_data
 
 if __debug__:
     sys.exit("asserts are still enabled")
@@ -841,7 +844,7 @@ def wrong_h(case):
     return out
 
 
-def run(label, make):
+def run(label, make, path=FIXTURE):
     try:
         make()
         print(label, "accepted")
@@ -849,7 +852,7 @@ def run(label, make):
         print(label, "rejected:", e)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main(["tori-verify", "--input", FIXTURE])
+        code = cli.main(["tori-verify", "--input", path])
     last = json.loads(out.getvalue())["checks"][-1]
     print(label, "exit", code, last["id"], last["status"], last["witness"])
 
@@ -863,12 +866,31 @@ run("s_a", lambda: tori.build_case(torus, z, phi))
 tori.solve_s = solve_s
 tori.compute_h = wrong_h
 run("h", lambda: tori.packet(tori.build_case(torus, z, phi)))
+tori.compute_h = compute_h
+rng = random.Random(0)
+for _ in range(153):
+    torus, z, phi = random_case_data(rng)
+case = tori.build_case(torus, z, phi)
+print("outside A_phi_z: A_z", case.A_z, "A_phi_z", case.A_phi_z)
+n = torus.model.n
+doc = {"schema": 1, "rank": torus.rank,
+       "galois": {"order": n, "matrix": torus.galois.matrices[1].data},
+       "component": {"kind": "cyclic", "order": case.A.order,
+                     "matrix": torus.comp.matrices[1].data},
+       "z": [z(i) for i in range(n)], "phi": [encode_qz(q) for q in phi.psi]}
+tori.solve_t = wrong_t
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "outside.json")
+    with open(path, "w") as f:
+        json.dump(doc, f)
+    run("t_a outside A_phi_z", lambda: tori.build_case(torus, z, phi), path)
 """
 
 
 def test_case_checks_fail_under_python_O():
-    """A wrong t_a, s_a or h raises CaseError with asserts stripped, and
-    the CLI turns it into a failed check with a witness."""
+    """A wrong t_a, s_a or h raises CaseError with asserts stripped, also a
+    wrong t_a for an a that fixes [z] but not [phi], and the CLI turns each
+    into a failed check with a witness."""
     import os
     import subprocess
     import sys
@@ -893,6 +915,11 @@ def test_case_checks_fail_under_python_O():
         "h rejected: h does not induce a character bijection",
         "h exit 1 tori.packet fail "
         "{'error': 'h does not induce a character bijection'}",
+        "outside A_phi_z: A_z [0, 1] A_phi_z [0]",
+        "t_a outside A_phi_z rejected: t_a does not solve its coboundary "
+        "equation",
+        "t_a outside A_phi_z exit 1 tori.h_computed fail "
+        "{'error': 't_a does not solve its coboundary equation'}",
     ]
 
 
@@ -926,61 +953,96 @@ CASE_FILES = [os.path.join(ROOT, "fixtures", "norm_one_torus.json"),
 
 def test_each_pair_is_checked_and_solved_once_per_case(monkeypatch,
                                                        tmp_path):
-    """Over the character-identity sweep of twelve seeded suite cases and
-    tori-verify on both fixtures and the Galois-order-6 case, each case
-    validates each distinct dual pair once, solves each distinct lift once
-    and runs z^-1's cocycle test once, and every endoscopic value is the
-    sum over its deltas of e(-hyper_pairing(...)) on a fresh copy of its
-    case, with every check run on every call."""
-    from toruscheck import checks, tori
-    from toruscheck.cli import main
+    """Over build_case and the character-identity sweep of the 25 seed-1
+    suite cases, then tori-verify on both fixtures and the Galois-order-6
+    case: every relation check a case runs reads its z^-1 or phi0^-1 and
+    one of its kept matrices 1 - aut; each case checks each T-side pair
+    (aut, delta) and each dual pair (aut, s) once, solves each lift once
+    and tests z's cocycle identity once (the 25 cases make 138 T-side
+    checks, 120 dual checks and 138 solves); and every endoscopic value is
+    the sum over its deltas of e(-hyper_pairing(...)) on a fresh copy of
+    its case, with every check run on every call."""
+    from toruscheck import checks, cli, tori
     from toruscheck.weil import hyper_pairing
 
-    calls = {"dual": Counter(), "lift": Counter(), "cocycle": Counter()}
-    kept_alive = []
-    validate, solve, cocycle = (tori.validate_hyper_pair_dual,
-                                tori.solve_lift, tori.check_pair_T_cocycle)
-    endoscopic = tori.endoscopic_value
-    values = []
+    calls = {"T": [], "dual": [], "lift": []}
+    built, coboundaries, values = [], [], []
+    relation, validate, solve, build, endoscopic, d = (
+        tori.check_pair_T_relation, tori.validate_hyper_pair_dual,
+        tori.solve_lift, tori.build_case, tori.endoscopic_value, Cochain.d)
 
-    # a case is told apart by its z^-1 and phi0^-1, which build_case makes
-    # for it alone, and an aut by its matrix 1 - aut, which the case builds
-    # once per aut; kept_alive holds them, so no id is reused
+    # every call keeps its arguments and every case is kept, so no id is
+    # reused while the records are read
+    def recording_relation(torus, fT, pair_T):
+        calls["T"].append((pair_T[0], fT, tuple(pair_T[1])))
+        return relation(torus, fT, pair_T)
+
     def recording_validate(torus, fT, d, s):
-        kept_alive.append((d, fT))
-        calls["dual"][id(d), id(fT), s] += 1
+        calls["dual"].append((d, fT, s))
         return validate(torus, fT, d, s)
 
     def recording_solve(torus, fT, pair_T):
-        kept_alive.append((pair_T[0], fT))
-        calls["lift"][id(pair_T[0]), id(fT), tuple(pair_T[1])] += 1
+        calls["lift"].append((pair_T[0], fT, tuple(pair_T[1])))
         return solve(torus, fT, pair_T)
 
-    def recording_cocycle(u):
-        kept_alive.append(u)
-        calls["cocycle"][id(u)] += 1
-        return cocycle(u)
+    def recording_build(*args):
+        case = build(*args)
+        built.append(case)
+        return case
+
+    def recording_d(cochain):
+        coboundaries.append(cochain)
+        return d(cochain)
 
     def recording_endoscopic(case, *args):
         value = endoscopic(case, *args)
         values.append((case, args, value))
         return value
 
-    monkeypatch.setattr(tori, "validate_hyper_pair_dual", recording_validate)
-    monkeypatch.setattr(tori, "solve_lift", recording_solve)
-    monkeypatch.setattr(tori, "check_pair_T_cocycle", recording_cocycle)
-    monkeypatch.setattr(tori, "endoscopic_value", recording_endoscopic)
-    cases = list(checks.random_cases(random.Random(1), 12))
-    for case in cases:
+    for name, fn in [("check_pair_T_relation", recording_relation),
+                     ("validate_hyper_pair_dual", recording_validate),
+                     ("solve_lift", recording_solve),
+                     ("endoscopic_value", recording_endoscopic)]:
+        monkeypatch.setattr(tori, name, fn)
+    monkeypatch.setattr(checks, "build_case", recording_build)
+    monkeypatch.setattr(cli, "build_case", recording_build)
+    monkeypatch.setattr(Cochain, "d", recording_d)
+
+    def tally():
+        """{kind: Counter of (case, aut, value)}, each call traced to the
+        case whose inverse it reads and the aut whose kept matrix it reads."""
+        owner = {id(c.z_inv): c for c in built}
+        owner.update((id(c.phi_inv), c) for c in built)
+        out = {kind: Counter() for kind in calls}
+        for kind, records in calls.items():
+            for inverse, fT, value in records:
+                case = owner.get(id(inverse))
+                assert case is not None and inverse is (
+                    case.phi_inv if kind == "dual" else case.z_inv), kind
+                auts = [key[1] for key, m in case.kept.items()
+                        if key[0] == "complex" and m is fT]
+                assert len(auts) == 1, kind
+                out[kind][id(case), auts[0], value] += 1
+        return out
+
+    for case in checks.random_cases(random.Random(1), 25):
         assert checks.character_identity(case).ok
+    counts = tally()
+    assert [len(calls[kind]) for kind in ("T", "dual", "lift")] \
+        == [len(counts[kind]) for kind in ("T", "dual", "lift")] \
+        == [138, 120, 138]
     for path in CASE_FILES:
-        assert main(["tori-verify", "--input", path,
-                     "--output", str(tmp_path / "out.json")]) == 0
-    for kind, counts in calls.items():
-        assert counts and set(counts.values()) == {1}, kind
-    swept = {id(case.z_inv) for case, _, _ in values}
-    assert len(swept) == len(cases) + len(CASE_FILES)
-    assert {u for u, *_ in calls["lift"]} == set(calls["cocycle"]) >= swept
+        assert cli.main(["tori-verify", "--input", path,
+                         "--output", str(tmp_path / "out.json")]) == 0
+    assert len(built) == 25 + len(CASE_FILES)
+    for kind, counter in tally().items():
+        assert set(counter.values()) == {1}, kind
+    # casefile.load_case tests z of a case file once more, to exit 2
+    # naming the field
+    tested = Counter(map(id, coboundaries))
+    assert [tested[id(c.z)] + tested[id(c.z_inv)] for c in built] \
+        == [1] * 25 + [2] * len(CASE_FILES)
+    assert {id(case) for case, _, _ in values} == set(map(id, built))
     monkeypatch.undo()
     for case, (s_dot, b, t_vec, a), value in values:
         fresh = dataclasses.replace(case, kept={})

@@ -319,7 +319,7 @@ def test_elementary_pairing_degenerations():
     # lam = 0, single-point chain -> pure -<d(w), mu1(w)> term
     mu = FiniteSupportChain(dom, 1, 1, {(1,): (1,)})
     val = elementary_pairing(t, (phi, t.dual_zero()), ((0,), mu))
-    assert val == -phi.value(1)[0]
+    assert val == -phi.psi[0]  # phi's value at sigma is psi
 
 
 def test_hyper_pairing_trivial_and_kottwitz_edge():
