@@ -242,7 +242,7 @@ COMMANDS = {
 }
 
 
-def main(argv=None):
+def _parser():
     parser = argparse.ArgumentParser(
         prog="toruscheck",
         description="exact verification of cohomological pairings, "
@@ -256,7 +256,17 @@ def main(argv=None):
     parser.add_argument("--suite-size", type=int, default=10)
     parser.add_argument("--cache-dir", help="character table cache directory")
     parser.add_argument("--check-filter", help="glob over check ids")
-    args = parser.parse_args(argv)
+    return parser
+
+
+#: The one parser of the process: parse_args reads argv into a new
+#: namespace and leaves the parser as it was, so every call of main in a
+#: process shares it.  A process that runs main once gains nothing.
+PARSER = _parser()
+
+
+def main(argv=None):
+    args = PARSER.parse_args(argv)
 
     # without a directory, the process cache that tori.packet reads too
     cache = DiskTableCache(args.cache_dir) if args.cache_dir else TABLE_CACHE

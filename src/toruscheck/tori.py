@@ -21,11 +21,13 @@ from dataclasses import dataclass, field
 from math import lcm
 from operator import add, sub
 
-from .lattice import FGAbelian, IntMatrix, block_matrix, solve_integer
+from .lattice import FGAbelian, IntMatrix, block_matrix, memoized, \
+    solve_integer
 from .qz import QZ, Cyc, qz_ints
-from .cohomology import Cochain, d_matrix
+from .cohomology import Cochain
 from .weil import (
     TorusModel,
+    _torus_key,
     Parameter,
     tn_inverse,
     langlands_character,
@@ -129,13 +131,12 @@ class ToriCase:
 
     def pair_complex_matrix(self, aut):
         """Matrix of 1 - aut on X: the complex map for a commuting pair
-        (z, delta) whose defining relation is  aut.z - z = d(delta), built
-        once per aut."""
+        (z, delta) whose defining relation is  aut.z - z = d(delta), kept
+        per aut from the memo of _complex_matrix."""
         key = ("complex", aut)
         f = self.kept.get(key)
         if f is None:
-            f = self.kept[key] = (IntMatrix.identity(self.torus.rank)
-                                  - self.torus.comp.matrices[aut])
+            f = self.kept[key] = _complex_matrix(self.torus, aut)
         return f
 
     def alpha(self, a, b):
@@ -183,17 +184,21 @@ class ToriCase:
                      zip(v1, v2, v3, v4))
 
 
+@memoized(_torus_key)
+def _complex_matrix(torus, aut):
+    """1 - aut on X, built once per torus and aut."""
+    return IntMatrix.identity(torus.rank) - torus.comp.matrices[aut]
+
+
 def solve_t(torus, z, a):
     """Canonical integral x with (sigma - 1) x = a.z(sigma) - z(sigma) for
     all sigma, or None when the class of z is not fixed by a."""
-    gm = torus.gmodule()
-    D0 = d_matrix(gm, 0)
     target = []
     n = torus.model.n
     for i in range(n):
         zi = z(i)
         target.extend(x - y for x, y in zip(torus.comp.act(a, zi), zi))
-    return solve_integer(D0, target)
+    return solve_integer(torus.coboundary_matrix(), target)
 
 
 def solve_s(torus, phi, a, denominator):
@@ -202,20 +207,25 @@ def solve_s(torus, phi, a, denominator):
     r = torus.rank
     psi = tuple(map(sub, torus.dual_comp(a, phi.psi), phi.psi))
     M = denominator
-    ident = IntMatrix.identity(r)
     target = []
     for q in psi:
         num, rem = divmod(q.num * M, q.den)
         if rem:
             return None
         target.append(num)
-    # (T - 1) x + M y = M psi in ints, with s = x / M
-    A = block_matrix([[torus._galois_dualT[1 % torus.model.n] - ident,
-                       M * ident]])
-    sol = solve_integer(A, target)
+    sol = solve_integer(_s_system(torus, M), target)
     if sol is None:
         return None
     return tuple(QZ(k, M) for k in sol[:r])
+
+
+@memoized(_torus_key)
+def _s_system(torus, M):
+    """The matrix of solve_s's system at level M: (T - 1) x + M y = M psi
+    in ints, with s = x / M and T the dual action of the generator."""
+    ident = IntMatrix.identity(torus.rank)
+    return block_matrix([[torus._galois_dualT[1 % torus.model.n] - ident,
+                          M * ident]])
 
 
 def s_denominator(torus, phi):
@@ -605,9 +615,11 @@ def _is_invariant_vec(torus, v):
     return True
 
 
+@memoized(_torus_key)
 def invariant_duals(torus):
-    """Generators-style list of Galois-invariant torsion dual points: the
-    characters of the torsion of the coinvariants, pulled back to X."""
+    """Generators-style tuple of Galois-invariant torsion dual points: the
+    characters of the torsion of the coinvariants, pulled back to X, built
+    once per torus."""
     r = torus.rank
     ident = IntMatrix.identity(r)
     gens = [m - ident for m in torus.galois.matrices[1:]]
@@ -615,5 +627,5 @@ def invariant_duals(torus):
                       else IntMatrix.zero(r, 0))
     # one dual per torsion factor d: s(e_j) = (coordinate of e_j) / d
     coords = [coinv.nf(e) for e in ident.data]
-    return [torus.dual_zero()] + [tuple(QZ(c[t], d) for c in coords)
-                                  for t, d in enumerate(coinv.torsion)]
+    return (torus.dual_zero(),) + tuple(tuple(QZ(c[t], d) for c in coords)
+                                        for t, d in enumerate(coinv.torsion))

@@ -56,6 +56,10 @@ class LocalModel:
         return ((i % n) + (j % n)) // n
 
 
+def _torus_key(torus, *args):
+    return torus.key, *args
+
+
 class TorusModel:
     """Cocharacter lattice X with a Q-action (through the marked generator)
     and a commuting action of a finite component group A.
@@ -63,7 +67,8 @@ class TorusModel:
     Raises ValueError unless the Galois action has the model's order and
     the component action has its rank and commutes with it."""
 
-    __slots__ = ("model", "galois", "comp", "rank", "_galois_dualT", "_comp_dualT")
+    __slots__ = ("model", "galois", "comp", "rank", "_galois_dualT",
+                 "_comp_dualT", "key")
 
     def __init__(self, model, galois_action, comp_action=None):
         if galois_action.group.order != model.n:
@@ -87,9 +92,22 @@ class TorusModel:
         self._comp_dualT = None if comp_action is None else tuple(
             comp_action.matrices[g].transpose()
             for g in comp_action.group.inverse)
+        # the content as a str, whose hash Python computes once: the model
+        # order and both actions' group tables and matrices; the memo keys
+        # of what only the torus determines start with it
+        self.key = repr((model.n,) + tuple(
+            None if act is None else
+            (act.group.table, tuple(m.data for m in act.matrices))
+            for act in (galois_action, comp_action)))
 
+    @memoized(_torus_key)
     def gmodule(self):
         return GModule.from_action(self.galois)
+
+    @memoized(_torus_key)
+    def coboundary_matrix(self):
+        """d_matrix(gmodule(), 0): the matrix of x -> (s.x - x)_s."""
+        return d_matrix(self.gmodule(), 0)
 
     def sigma(self, i, vec):
         """Action of sigma^i on X."""
@@ -183,15 +201,20 @@ def _cup_matrix(torus):
     return IntMatrix.from_columns(cols, r * torus.model.n)
 
 
+@memoized(_torus_key)
+def _tn_system(torus):
+    """The matrix of tn_inverse's system in the unknowns (lam, x):
+    CUP lam - D0 x = z, N lam = 0."""
+    return block_matrix([[_cup_matrix(torus), -torus.coboundary_matrix()],
+                         [torus.norm_matrix(), 0]])
+
+
 def tn_inverse(torus, z):
     """Inverse of tn_iso on classes: the canonical norm-zero lam with
     tn_iso(lam) cohomologous to z.  Raises LiftNotFound when z is not a
     cocycle class hit by the map (never, by bijectivity, for valid input)."""
     r = torus.rank
-    # unknowns (lam, x): CUP lam - D0 x = z, N lam = 0
-    A = block_matrix([[_cup_matrix(torus), -d_matrix(torus.gmodule(), 0)],
-                      [torus.norm_matrix(), 0]])
-    sol = solve_integer(A, z.vec + (0,) * r)
+    sol = solve_integer(_tn_system(torus), z.vec + (0,) * r)
     if sol is None:
         raise LiftNotFound("no norm-zero preimage under the TN map")
     return tuple(sol[:r])
@@ -359,8 +382,8 @@ def solve_lift(torus, fT, pair_T):
 
 
 def _lift_key(torus, fT, D):
-    """What a lift system depends on: the Galois action, fT and D."""
-    return tuple(m.data for m in torus.galois.matrices), fT.data, D
+    """What a lift system depends on: the torus, fT and D."""
+    return torus.key, fT.data, D
 
 
 @memoized(_lift_key)
@@ -375,7 +398,7 @@ def _lift_system(torus, fT, D):
         # N lam = 0
         [torus.norm_matrix(), 0, 0],
         # CUP lam - (1/D) D0 p = u  ->  D CUP lam - D0 p = D u
-        [D * _cup_matrix(torus), -d_matrix(torus.gmodule(), 0), 0],
+        [D * _cup_matrix(torus), -torus.coboundary_matrix(), 0],
         # BD mu - fT lam = 0
         [-fT, 0, _boundary_matrix(torus, window)],
         # D PHI mu - fT p = D v

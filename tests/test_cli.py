@@ -428,6 +428,31 @@ def test_missing_input_is_input_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_the_shared_parser_answers_as_a_fresh_one(monkeypatch, tmp_path,
+                                                  capsys):
+    """The process's one parser gives a bad command line, and -h, the
+    output and exit code a parser built afresh gives, on every call; a
+    good line after a bad one parses as before; and main(None) reads
+    sys.argv."""
+    from toruscheck import cli
+
+    def refusal(parse, argv):
+        with pytest.raises(SystemExit) as e:
+            parse(argv)
+        return e.value.code, tuple(capsys.readouterr())
+
+    for argv in (["bogus"], ["random-suite", "--seed", "x"], ["-h"]):
+        fresh = refusal(cli._parser().parse_args, argv)
+        assert refusal(main, argv) == refusal(main, argv) == fresh
+    code, out = run_main(["random-suite", "--suite-size", "0"], tmp_path)
+    path = tmp_path / "argv.json"
+    monkeypatch.setattr(sys, "argv", ["toruscheck", "random-suite",
+                                      "--suite-size", "0",
+                                      "--output", str(path)])
+    assert main(None) == code == 0
+    assert path.read_bytes() == out
+
+
 def test_big_integer_encoding():
     # integer strings are accepted on input
     doc = dict(FIXTURE)

@@ -9,13 +9,14 @@ import io
 import os
 import pickle
 import pkgutil
+import random
 from fractions import Fraction
 
 import pytest
 
 import toruscheck
 from toruscheck import characters, cohomology, lattice, qz, rootdata, \
-    suite, weil
+    suite, tori, weil
 from toruscheck.characters import CharacterTable
 from toruscheck.cli import main
 from toruscheck.cohomology import (
@@ -31,6 +32,7 @@ from toruscheck.groups import FiniteGroup, GroupAction
 from toruscheck.lattice import IntMatrix, Memo, solve_integer
 from toruscheck.qz import QZ
 from toruscheck.rootdata import BasedRootDatum, TwistData
+from toruscheck.suite import random_case_data
 from toruscheck.weil import LocalModel, Parameter, TorusModel, hyper_pairing, \
     tn_iso
 
@@ -47,6 +49,12 @@ MEMOS = {
     "cohomology.d_matrix": cohomology._d_matrix_cache,
     "cohomology.tate_group": tate_group.memo,
     "weil._lift_system": weil._lift_system.memo,
+    "weil.TorusModel.gmodule": TorusModel.gmodule.memo,
+    "weil.TorusModel.coboundary_matrix": TorusModel.coboundary_matrix.memo,
+    "weil._tn_system": weil._tn_system.memo,
+    "tori._s_system": tori._s_system.memo,
+    "tori._complex_matrix": tori._complex_matrix.memo,
+    "tori.invariant_duals": tori.invariant_duals.memo,
     "rootdata.BasedRootDatum.from_label": BasedRootDatum.from_label.memo,
     **{"rootdata.TwistData.%s" % name: f.memo
        for name, f in vars(TwistData).items() if hasattr(f, "memo")},
@@ -90,7 +98,7 @@ def test_every_process_cache_is_a_listed_memo():
     """The memos the modules hold are exactly those MEMOS lists: a new
     cache is a Memo, and these tests cover it."""
     held = _held_memos()
-    assert len(MEMOS) == 21
+    assert len(MEMOS) == 27
     assert set(held) == {id(m) for m in MEMOS.values()}
 
 
@@ -309,6 +317,75 @@ def test_lift_systems_are_keyed_by_fT_and_D(fresh_memos):
     for x, value in zip(inputs, shared):
         memo.clear()
         assert hyper_pairing(t, *x) == value
+
+
+def _diagonal(*entries):
+    return IntMatrix([[x if i == j else 0 for j in range(len(entries))]
+                      for i, x in enumerate(entries)])
+
+
+def _tori():
+    """Tori on Z^2 that differ from the first in one Galois-matrix entry
+    (the second) or in one component-matrix entry (the third), and two
+    (the last) that differ only in the component group's table: trivial
+    actions of C4 and of C2 x C2."""
+    model, one = LocalModel(2), IntMatrix.identity(2)
+    gal = GroupAction.cyclic(2, _diagonal(1, -1))
+    klein = FiniteGroup.direct_product(FiniteGroup.cyclic(2),
+                                       FiniteGroup.cyclic(2))
+    return [
+        TorusModel(model, gal, GroupAction.cyclic(2, _diagonal(-1, -1))),
+        TorusModel(model, GroupAction.cyclic(2, _diagonal(-1, -1)),
+                   GroupAction.cyclic(2, _diagonal(-1, -1))),
+        TorusModel(model, gal, GroupAction.cyclic(2, _diagonal(1, -1))),
+        TorusModel(model, gal, GroupAction(FiniteGroup.cyclic(4), [one] * 4)),
+        TorusModel(model, gal, GroupAction(klein, [one] * 4)),
+    ]
+
+
+#: The builds keyed by the content of a torus, each with the arguments
+#: that follow the torus.
+TORUS_BUILDS = [(TorusModel.gmodule, ()), (TorusModel.coboundary_matrix, ()),
+                (weil._tn_system, ()), (tori._s_system, (4,)),
+                (tori._complex_matrix, (1,)), (tori.invariant_duals, ())]
+
+
+def _torus_value(value):
+    """A torus-level build as comparable data: a module by its content."""
+    return cohomology._module_key(value) if isinstance(value, GModule) \
+        else value
+
+
+def test_torus_builds_are_keyed_by_torus_content(fresh_memos):
+    """Tori one Galois-matrix entry, one component-matrix entry or only the
+    component group's table apart get their own key and their own entry
+    in every torus-level memo; a torus built again shares every entry."""
+    tori_, again = _tori(), _tori()
+    keys = [t.key for t in tori_]
+    assert len(set(keys)) == len(keys)
+    assert [t.key for t in again] == keys
+    assert not any(a.key is b.key for a, b in zip(tori_, again))
+    for build, args in TORUS_BUILDS:
+        values = [build(t, *args) for t in tori_]
+        assert all(build(t, *args) is v for t, v in zip(again, values))
+        assert len(build.memo) == len(tori_), build.__name__
+
+
+def test_cached_torus_builds_match_fresh_builds(fresh_memos):
+    """Every torus-level memo, filled from the tori of _tori and of 25
+    seed-1 suite cases, gives for an equal torus built again what a fresh
+    build on that torus gives."""
+    def everything():
+        rng = random.Random(1)
+        return _tori() + [random_case_data(rng)[0] for _ in range(25)]
+
+    for torus in everything():
+        for build, args in TORUS_BUILDS:
+            build(torus, *args)
+    for torus in everything():
+        for build, args in TORUS_BUILDS:
+            assert _torus_value(build(torus, *args)) == \
+                _torus_value(build.__wrapped__(torus, *args)), build.__name__
 
 
 def test_twist_data_is_keyed_by_content(fresh_memos):

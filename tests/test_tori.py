@@ -13,7 +13,7 @@ from cochain_reference import from_table, table
 from cyc_verify import scaled
 from lemmas import invariant_of, stabilizer_of_class
 from tori_reference import theta_by_convolution
-from toruscheck.lattice import FGAbelian, IntMatrix, block_diagonal
+from toruscheck.lattice import FGAbelian, IntMatrix, Memo, block_diagonal
 from toruscheck.qz import QZ, Cyc, exponent_forms
 from toruscheck.groups import FiniteGroup, GroupAction
 from toruscheck.cohomology import Cochain, tate_group
@@ -1057,6 +1057,56 @@ def test_each_pair_is_checked_and_solved_once_per_case(monkeypatch,
                     for delta in (group[2] if group else ())),
                    Cyc.integer(0))
         assert value == want, (s_dot, b, t_vec, a)
+
+
+def test_each_torus_level_build_runs_once_per_torus(monkeypatch,
+                                                    empty_memos):
+    """From empty memos, the 25 seed-1 suite cases and their character-
+    identity sweeps sit on 14 distinct tori, and each torus-level build
+    runs once per distinct content however often it is looked up: the
+    TN-inverse system (25 lookups, 14 builds), the s_a system per level M
+    (72, 20), 1 - aut per component element (72, 41), the D0 matrix (80
+    from solve_t, 14), the G-module (14) and the invariant duals (25,
+    14).  Every build is a put into its memo, so builds count puts."""
+    from toruscheck import checks, tori, weil
+
+    memos = {"tn": weil._tn_system, "s": tori._s_system,
+             "complex": tori._complex_matrix,
+             "d0": TorusModel.coboundary_matrix,
+             "gmodule": TorusModel.gmodule, "duals": tori.invariant_duals}
+    empty_memos(*(f.memo for f in memos.values()))
+    kind = {id(f.memo): k for k, f in memos.items()}
+    lookups, puts = Counter(), Counter()
+    put = Memo.put
+
+    def recording_put(self, key, value):
+        puts[kind.get(id(self))] += 1
+        return put(self, key, value)
+
+    def counting(k, f):
+        def lookup(*args):
+            lookups[k] += 1
+            return f(*args)
+        return lookup
+
+    monkeypatch.setattr(Memo, "put", recording_put)
+    for owner, name, k in [(weil, "_tn_system", "tn"),
+                           (tori, "_s_system", "s"),
+                           (tori, "_complex_matrix", "complex"),
+                           (tori, "solve_t", "d0"),
+                           (checks, "invariant_duals", "duals")]:
+        monkeypatch.setattr(owner, name, counting(k, getattr(owner, name)))
+    tori_seen = set()
+    for case in random_cases(random.Random(1), 25):
+        tori_seen.add(case.torus.key)
+        assert checks.character_identity(case).ok
+    assert len(tori_seen) == 14
+    assert {k: len(f.memo) for k, f in memos.items()} == \
+        {k: puts[k] for k in memos} == \
+        {"tn": 14, "s": 20, "complex": 41, "d0": 14, "gmodule": 14,
+         "duals": 14}
+    assert {k: lookups[k] for k in ("tn", "s", "complex", "d0", "duals")} \
+        == {"tn": 25, "s": 72, "complex": 72, "d0": 80, "duals": 25}
 
 
 #: Under python -O, on a fresh case: a non-invariant t, a non-invariant s
