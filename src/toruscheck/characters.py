@@ -419,6 +419,8 @@ class CharacterTable:
         self.products = {}
         # twisted_orthogonality left sides (lhs, vanishes), by the same key
         self.lhs = {}
+        # is_psi_centralizing verdicts, by (m, |A|, psi1, class of e)
+        self.centralizing = {}
         # exponent_forms(chars), built at the first read
         self._forms = None
 
@@ -751,11 +753,17 @@ def twisted_orthogonality(ext, psi1, e, e2, cache=None):
     covered branches.  Raises ValueError when e is not psi-centralizing.
     The left side, a Cyc, and whether it is zero (its column product pairs
     are zero mod Phi_n) are kept on the table (`lhs`) under column_product's
-    key, so a sweep builds them once per pair of classes."""
-    if not is_psi_centralizing(ext, psi1, e):
-        raise ValueError("element is not psi-centralizing; lemma inapplicable")
+    key, so a sweep builds them once per pair of classes, and beside them
+    the is_psi_centralizing verdict per (m, |A|, psi1, class of e): since
+    conjugating e conjugates its commutators, and conjugation fixes the
+    central ones, the verdict depends on e only through its class."""
     table, sel = irr_with_central_char(ext, psi1, cache)
     k1, k2 = table.class_index[e], table.class_index[e2]
+    guard = (ext.m, ext.base.order, psi1, k1)
+    if guard not in table.centralizing:
+        table.centralizing[guard] = is_psi_centralizing(ext, psi1, e)
+    if not table.centralizing[guard]:
+        raise ValueError("element is not psi-centralizing; lemma inapplicable")
     key = (tuple(sel), k1, k2) if k1 <= k2 else (tuple(sel), k2, k1)
     side = table.lhs.get(key)
     if side is None:

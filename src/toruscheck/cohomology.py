@@ -82,14 +82,16 @@ class Cochain:
     flat int vector: the ngens coordinates of the value at each key of Q^n,
     keys in `tuples` order.  For n = 0 the single key is ().  The vector is
     the ambient coordinate vector every integer presentation (d_matrix,
-    classify) reads."""
+    classify) reads.  A cochain never changes, so is_cocycle keeps its
+    verdict."""
 
-    __slots__ = ("gmod", "degree", "vec")
+    __slots__ = ("gmod", "degree", "vec", "_closed")
 
     def __init__(self, gmod, degree, vec):
         self.gmod = gmod
         self.degree = degree
         self.vec = tuple(vec)
+        self._closed = None
         if len(self.vec) != gmod.ngens * gmod.group.order ** degree:
             raise ValueError("a cochain vector of the wrong length")
 
@@ -124,6 +126,12 @@ class Cochain:
 
     def neg(self):
         return Cochain(self.gmod, self.degree, map(neg, self.vec))
+
+    def is_cocycle(self):
+        """Whether d of this cochain is zero, decided at the first call."""
+        if self._closed is None:
+            self._closed = not any(self.d().vec)
+        return self._closed
 
     def d(self):
         """Coboundary: (dx)(g0..gn) = g0.x(g1..gn) + sum (-1)^i x(..gi gi+1..)
@@ -473,15 +481,6 @@ class FiniteSupportChain:
             v = tuple(v)
             if any(v):
                 self.support[tuple(k)] = v
-
-    def add_into(self, key, vec):
-        key = tuple(key)
-        cur = self.support.get(key, (0,) * self.rank)
-        new = tuple(a + b for a, b in zip(cur, vec))
-        if any(new):
-            self.support[key] = new
-        elif key in self.support:
-            del self.support[key]
 
     def boundary(self):
         """The three-term alternating-sum homology differential."""

@@ -181,30 +181,24 @@ def _polydiv_exact(num, den):
 
 
 @memoized()
-def _level(n):
-    """The reduction of level n to an odd squarefree level s, as (m, even,
-    s, deg): n = m r with r the radical of n, s = r / 2 if r is even (even
-    true) and r otherwise, and deg the degree of Phi_n."""
+def _level_rows(n):
+    """(m, deg, rows) for residue, with n = m r, r the radical of n, deg the
+    degree of Phi_n and rows[q] = x^(q m) mod Phi_n as sparse (index,
+    coefficient) pairs for q in range(2s) if r = 2s is even and range(r)
+    else, so x^(q m + j) is rows[q mod len(rows)] moved up by j < m.  As
+    Phi_n(x) = Phi_r(x^m) and Phi_r(y) = +-Phi_s(-y) for r = 2s, rows[q]
+    is row q mod s of the odd level s, entry i moved to x^(m i) and
+    multiplied by (-1)^(q + i) when r is even."""
     r = _radical(n)
-    even = r % 2 == 0
+    m, even = n // r, r % 2 == 0
     s = r // 2 if even else r
-    return n // r, even, s, (n // r) * (len(cyclotomic_poly(s)) - 1)
-
-
-@memoized()
-def _power_residue(n, k):
-    """x^k mod Phi_n as sparse (index, coefficient) pairs, built when a
-    residue call first reads it.  With (m, even, s) from _level(n),
-    Phi_n(x) = Phi_r(x^m), and Phi_r(y) = +-Phi_s(-y) when r = 2s, so with
-    k = q m + j and y = x^m, x^k = x^j y^q reduces to row q mod s of the
-    odd level s, its i-th entry moved to x^(m i + j) and multiplied by
-    (-1)^(q + i) when r is even."""
-    m, even, s, _ = _level(n)
-    q, j = divmod(k, m)
-    row = _odd_level_rows(s)[q % s]
+    rows = _odd_level_rows(s)
     if even:
-        return tuple((m * i + j, -a if (q + i) % 2 else a) for i, a in row)
-    return tuple((m * i + j, a) for i, a in row)
+        rows = tuple(tuple((m * i, -a if (q + i) % 2 else a)
+                           for i, a in rows[q % s]) for q in range(2 * s))
+    elif m > 1:
+        rows = tuple(tuple((m * i, a) for i, a in row) for row in rows)
+    return m, m * (len(cyclotomic_poly(s)) - 1), rows
 
 
 @memoized()
@@ -257,11 +251,14 @@ def residue(pairs, n):
     >>> residue([(3, 1)], 4)                  # x^3 = -x mod x^2 + 1
     [0, -1]
     """
-    acc = [0] * _level(n)[3]
+    m, deg, rows = _level_rows(n)
+    p = len(rows)
+    acc = [0] * deg
     for k, c in pairs:
         if c:
-            for i, a in _power_residue(n, k):
-                acc[i] += a * c
+            q, j = divmod(k, m)
+            for i, a in rows[q % p]:
+                acc[i + j] += a * c
     return acc
 
 

@@ -19,22 +19,22 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from math import lcm
-from operator import add, sub
+from operator import add, mul, sub
 
 from .lattice import FGAbelian, IntMatrix, block_matrix, memoized, \
     solve_integer
-from .qz import QZ, Cyc, qz_ints
+from .qz import QZ, Cyc, qz_ints, residue
 from .cohomology import Cochain
 from .weil import (
     TorusModel,
     _torus_key,
     Parameter,
     tn_inverse,
-    langlands_character,
     check_pair_T_cocycle,
     check_pair_T_relation,
     elementary_pairing,
     hyper_pairing,  # re-exported: relative_pairing is its kept form
+    pairing_form,
     solve_lift,
     validate_hyper_pair_dual,
 )
@@ -87,21 +87,23 @@ class ToriCase:
             self.kept["cocycle",] = True
 
     def dual_pair(self, aut, s):
-        """(dual, values): the dual pair (phi0^-1, s) on the complex with
-        map 1 - aut and its pairing values by delta (relative_pairing),
-        kept per (aut, s) once validate_hyper_pair_dual has passed it."""
+        """(s, form, values): the dual pair (phi0^-1, s) on 1 - aut, its
+        pairing_form and its pairing values by delta (relative_pairing),
+        kept per (1 - aut, s) once validate_hyper_pair_dual passes it."""
+        aut = self.matrix_rep(aut)
         key = ("dual", aut, s)
         record = self.kept.get(key)
         if record is None:
             validate_hyper_pair_dual(self.torus, self.pair_complex_matrix(aut),
                                      self.phi_inv, s)
-            record = self.kept[key] = ((self.phi_inv, s), {})
+            record = self.kept[key] = (
+                s, pairing_form(self.torus, (self.phi_inv, s)), {})
         return record
 
     def check_pair_T(self, aut, delta):
         """Check the T-side pair (z^-1, delta) on 1 - aut once: ("lift",
-        aut, delta) holds None from the pass until its lift is solved."""
-        key = ("lift", aut, delta)
+        matrix_rep(aut), delta) holds None until its lift is solved."""
+        key = ("lift", self.matrix_rep(aut), delta)
         if key not in self.kept:
             self.check_z_inv()
             check_pair_T_relation(self.torus, self.pair_complex_matrix(aut),
@@ -111,63 +113,77 @@ class ToriCase:
     def relative_pairing(self, aut, delta, s):
         """hyper_pairing(torus, 1 - aut, (z^-1, delta), (phi0^-1, s)), kept
         by delta with the dual pair (dual_pair), from the lift kept per
-        (aut, delta).  In hyper_pairing's order: check_pair_T, then a new
-        dual pair is checked, then a new lift is solved."""
+        (1 - aut, delta).  In hyper_pairing's order: check_pair_T, then a
+        new dual pair is checked, then a new lift is solved."""
         kept = self.kept
+        aut = self.matrix_rep(aut)
         record = kept.get(("dual", aut, s))
-        if record is not None and delta in record[1]:
-            return record[1][delta]
+        if record is not None and delta in record[2]:
+            return record[2][delta]
         self.check_pair_T(aut, delta)
-        dual, values = record or self.dual_pair(aut, s)
+        _, form, values = record or self.dual_pair(aut, s)
         lift = kept["lift", aut, delta]
         if lift is None:
             lift = kept["lift", aut, delta] = solve_lift(
                 self.torus, self.pair_complex_matrix(aut), (self.z_inv, delta))
-        q = values[delta] = elementary_pairing(self.torus, dual, lift)
+        q = values[delta] = elementary_pairing(form, lift)
         return q
 
     def act(self, a, vec):
         return self.torus.comp.act(a, vec)
 
+    def matrix_rep(self, aut):
+        """The first element with aut's matrix, which keys the kept 1 - aut,
+        dual pairs and lifts by content; the map is kept at the first read,
+        so no matrix is hashed per lookup."""
+        reps = self.kept.get(("reps",))
+        if reps is None:
+            first = {}
+            reps = self.kept["reps",] = tuple(
+                first.setdefault(m.data, a)
+                for a, m in enumerate(self.torus.comp.matrices))
+        return reps[aut]
+
     def pair_complex_matrix(self, aut):
         """Matrix of 1 - aut on X: the complex map for a commuting pair
         (z, delta) whose defining relation is  aut.z - z = d(delta), kept
-        per aut from the memo of _complex_matrix."""
-        key = ("complex", aut)
+        per matrix_rep(aut) from the memo of _complex_matrix."""
+        key = ("complex", self.matrix_rep(aut))
         f = self.kept.get(key)
         if f is None:
-            f = self.kept[key] = _complex_matrix(self.torus, aut)
+            f = self.kept[key] = _complex_matrix(self.torus, key[1])
         return f
 
-    def alpha(self, a, b):
-        """t_a + a.t_b - t_ab, a Galois-invariant lattice vector."""
-        tab = self.t[self.A.mul(a, b)]
-        v = tuple(x + y - w for x, y, w in
-                  zip(self.t[a], self.act(a, self.t[b]), tab))
-        return v
-
-    def beta(self, a, b):
-        sab = self.s[self.A.mul(a, b)]
-        return tuple(x + y - w for x, y, w in
-                     zip(self.s[a], self.torus.dual_comp(a, self.s[b]), sab))
+    def forms(self):
+        """(den, S, {a: (<L, t_a>, M_a^T L, S s_a, <S s_a, lam_z>,
+        M_(a^-1) lam_z)} over A_phi_z), kept at the first read: L / den is
+        phi0 at the generator, so [phi](a.v) = <M_a^T L, v> / den, S is
+        the lcm of the orders of the s_a and <a.s, lam_z> is
+        <s, M_(a^-1) lam_z>."""
+        record = self.kept.get(("forms",))
+        if record is None:
+            torus, inv = self.torus, self.A.inv
+            L = self.phi.nums[1 % torus.model.n]
+            S = lcm(1, *(q.den for a in self.A_phi_z for q in self.s[a]))
+            f = {}
+            for a in self.A_phi_z:
+                sa = [q.num * (S // q.den) for q in self.s[a]]
+                f[a] = (sum(map(mul, L, self.t[a])),
+                        torus._comp_dualT[inv(a)].apply(L),
+                        sa, sum(map(mul, sa, self.lam_z)),
+                        self.act(inv(a), self.lam_z))
+            record = self.kept["forms",] = (self.phi.den, S, f)
+        return record
 
     def alpha_bar(self, a, b):
-        """[phi](alpha(a, b)), kept per (a, b)."""
-        key = ("alpha_bar", a, b)
-        v = self.kept.get(key)
-        if v is None:
-            v = self.kept[key] = langlands_character(
-                self.torus, self.phi, self.alpha(a, b))
-        return v
+        """[phi](t_a + a.t_b - t_ab), from the kept forms."""
+        den, _, f = self.forms()
+        return QZ(_alpha(f, self.t, a, b, self.A.mul(a, b)), den)
 
     def beta_bar(self, a, b):
-        """beta(a, b) evaluated at lam_z, kept per (a, b)."""
-        key = ("beta_bar", a, b)
-        v = self.kept.get(key)
-        if v is None:
-            v = self.kept[key] = self.torus.dual_eval(self.beta(a, b),
-                                                      self.lam_z)
-        return v
+        """(s_a + a.s_b - s_ab)(lam_z), from the kept forms."""
+        _, S, f = self.forms()
+        return QZ(_beta(f, a, b, self.A.mul(a, b)), S)
 
     def kottwitz(self, s):
         return self.torus.dual_eval(s, self.lam_z)
@@ -176,12 +192,19 @@ class ToriCase:
         """The conjugation defect: c.t_a + t_c - (cac^-1).t_c - t_{cac^-1},
         a Galois-invariant lattice vector."""
         cac = self.A.mul(self.A.mul(c, a), self.A.inv(c))
-        v1 = self.act(c, self.t[a])
-        v2 = self.t[c]
-        v3 = self.act(cac, self.t[c])
-        v4 = self.t[cac]
-        return tuple(x1 + x2 - x3 - x4 for x1, x2, x3, x4 in
-                     zip(v1, v2, v3, v4))
+        return tuple(x1 + x2 - x3 - x4 for x1, x2, x3, x4 in zip(
+            self.act(c, self.t[a]), self.t[c], self.act(cac, self.t[c]),
+            self.t[cac]))
+
+
+def _alpha(f, t, a, b, ab):
+    """alpha-bar(a, b) as its numerator over den, from the forms f."""
+    return f[a][0] + sum(map(mul, f[a][1], t[b])) - f[ab][0]
+
+
+def _beta(f, a, b, ab):
+    """beta-bar(a, b) as its numerator over S, from the forms f."""
+    return f[a][3] + sum(map(mul, f[b][2], f[a][4])) - f[ab][3]
 
 
 @memoized(_torus_key)
@@ -245,12 +268,13 @@ def build_case(torus, z, phi):
     stabilizer solvability test for [z] but the dual-side system is
     inconsistent in a way that breaks the subgroup structure (model
     inconsistency), or when a solution fails its equation.  Each relation
-    is checked once, in the records the pairings read: z^-1's cocycle test,
-    check_pair_T(a, t_a) for a in A_z and dual_pair(a^-1, s_a) in A_phi_z."""
+    is checked once, in the records the pairings read: z's cocycle test
+    (kept on z, so casefile.load_case's test of it counts), check_pair_T(a,
+    t_a) for a in A_z and dual_pair(a^-1, s_a) in A_phi_z."""
     A = torus.comp.group
     z_inv = z.neg()
     try:
-        check_pair_T_cocycle(z_inv)
+        check_pair_T_cocycle(z)
     except ValueError:
         raise CaseError("z is not a cocycle")
     t = {}
@@ -301,25 +325,36 @@ def pair_for_h(case, a):
 
 def compute_h(case):
     """h(a) = alpha-bar(a^-1, a) + <(z^-1, t_{a^-1}), (phi0^-1, s_a)>, kept
-    as case.h and returned.  The pairings come from pair_for_h, which keeps
-    them on the case for theta_value.  z^-1's cocycle test runs first, so
-    a copy with a bad z keeps nothing."""
+    as case.h and returned, each added in ints.  The pairings come from
+    pair_for_h, which keeps them on the case for theta_value.  z^-1's
+    cocycle test runs first, so a copy with a bad z keeps nothing."""
     case.check_z_inv()
-    case.h = {a: case.alpha_bar(case.A.inv(a), a) + pair_for_h(case, a)
-              for a in case.A_phi_z}
-    return case.h
+    den, _, f = case.forms()
+    h = {}
+    for a in case.A_phi_z:
+        q = pair_for_h(case, a)
+        m = lcm(den, q.den)
+        h[a] = QZ(_alpha(f, case.t, case.A.inv(a), a, 0) * (m // den)
+                  + q.num * (m // q.den), m)
+    case.h = h
+    return h
 
 
 def verify_iso(case):
     """The extension-isomorphism identity for every pair, exactly in Q/Z.
 
-    Returns {(a, b): (lhs, rhs, equal)}."""
+    Returns {(a, b): (lhs, rhs, equal)}, each side added in ints."""
+    den, S, f = case.forms()
+    H = lcm(1, *(q.den for q in case.h.values()))
+    hn = {a: q.num * (H // q.den) for a, q in case.h.items()}
+    R = lcm(den, S)
+    ka, kb, t = R // den, R // S, case.t
     report = {}
     for a in case.A_phi_z:
         for b in case.A_phi_z:
             ab = case.A.mul(a, b)
-            lhs = case.h[a] + case.h[b] - case.h[ab]
-            rhs = case.alpha_bar(a, b) - case.beta_bar(a, b)
+            lhs = QZ(hn[a] + hn[b] - hn[ab], H)
+            rhs = QZ(_alpha(f, t, a, b, ab) * ka - _beta(f, a, b, ab) * kb, R)
             report[(a, b)] = (lhs, rhs, lhs == rhs)
     return report
 
@@ -386,24 +421,36 @@ def packet(case):
 def _check_h_bijection(case, ext_phi, table, sel, elems):
     """Twisting a centralizer-side character by h must land exactly in the
     identity-central-character characters of the torus-side extension: the
-    concrete content of the extension isomorphism on representations."""
+    concrete content of the extension isomorphism on representations.
+    A row's key is the residues of its values at the (0, a), a = elems[j]
+    (element j), at one level and denominator, from the tables' exponent
+    forms shifted by h(a); equal values have equal keys, so a key two
+    torus-side rows share counts as two hits."""
     ext_z, elems_z = _extension(case, "alpha")
     table_z, sel_z = irr_with_central_char(ext_z, QZ(1, ext_z.m))
     if elems_z != elems or len(sel_z) != len(sel):
         raise CaseError("the two extensions disagree in size")
-    rows_z = []
-    for i in sel_z:
-        rows_z.append([table_z.value(i, ext_z.element(QZ(0), ei))
-                       for ei in range(len(elems))])
+    h = [case.h[a] for a in elems]
+    (L, D, forms), (Lz, Dz, forms_z) = (table.exponent_forms(),
+                                        table_z.exponent_forms())
+    N, den = lcm(L, Lz, *(q.den for q in h)), lcm(D, Dz)
+
+    def key(table, L, D, row, shifts):
+        return tuple(x for j, shift in enumerate(shifts) for x in residue(
+            [((k * (N // L) + shift) % N, c * (den // D))
+             for k, c in row[table.class_index[j]]], N))
+
+    hits = {}
+    for k in sel_z:
+        hits.setdefault(key(table_z, Lz, Dz, forms_z[k], [0] * len(h)),
+                        []).append(k)
+    shifts = [q.num * (N // q.den) for q in h]
     matched = set()
     for i in sel:
-        twisted = [Cyc.root(case.h[a]) * table.value(i, ext_phi.element(QZ(0), ei))
-                   for ei, a in enumerate(elems)]
-        hits = [k for k, row in enumerate(rows_z)
-                if all(x == y for x, y in zip(twisted, row))]
-        if len(hits) != 1:
+        found = hits.get(key(table, L, D, forms[i], shifts), ())
+        if len(found) != 1:
             raise CaseError("h does not induce a character bijection")
-        matched.add(hits[0])
+        matched.add(found[0])
     if len(matched) != len(sel):
         raise CaseError("h does not induce a character bijection")
 
@@ -527,29 +574,29 @@ def _conjugates(case, a, t_vec):
     A_z, delta0 = c.t_vec + zeta(c, a); deltas lists delta0 + t_x, the
     element written over the base point, vals is the sum of the
     e(phi(delta0)) and roots is S[x], that sum times e(h(x)), each as
-    (exponent, count) pairs at the level M of all the phi(delta0) and
-    h(x).  It is kept on the case per (a, t_vec) once t_vec has passed
-    its Galois-invariance guard, so a bad t_vec raises ValueError on every
-    call and leaves the case as it was."""
+    (exponent, count) pairs at the lcm M of phi's denominator and the
+    orders of the h(x).  It is kept on the case per (a, t_vec) once t_vec
+    has passed its Galois-invariance guard, so a bad t_vec raises
+    ValueError on every call and leaves the case as it was."""
     key = ("conjugates", a, tuple(t_vec))
     if key in case.kept:
         return case.kept[key]
     if not _is_invariant_vec(case.torus, t_vec):
         raise ValueError("t must be Galois-invariant")
     A, stab = case.A, set(case.A_phi_z)
+    L = case.phi.nums[1 % case.torus.model.n]
     by_class = {}
     for c in case.A_z:
         x = A.mul(A.mul(c, a), A.inv(c))
         if x in stab:
             delta0 = tuple(map(add, case.act(c, t_vec), case.zeta(c, a)))
             vals, deltas = by_class.setdefault(x, ([], []))
-            vals.append(langlands_character(case.torus, case.phi, delta0))
+            vals.append(sum(map(mul, L, delta0)))
             deltas.append(tuple(map(add, delta0, case.t[x])))
-    h = case.h
-    M = lcm(1, *(q.den for x, (vals, _) in by_class.items()
-                 for q in (h[x], *vals)))
+    h, den = case.h, case.phi.den
+    M = lcm(den, *(h[x].den for x in by_class))
     for x, (vals, deltas) in by_class.items():
-        vals = list(Counter(q.num * (M // q.den) for q in vals).items())
+        vals = list(Counter(v * (M // den) % M for v in vals).items())
         hx = h[x].num * (M // h[x].den)
         by_class[x] = (vals, [((k + hx) % M, m) for k, m in vals], deltas)
     sums = case.kept[key] = (M, by_class)
@@ -584,7 +631,7 @@ def endoscopic_value(case, s_dot, b, t_vec, a):
         binv, tuple(map(add, s_dot, case.s[b])))
     group = _conjugates(case, a, t_vec)[1].get(binv)
     case.kept[key] = record
-    (_, s), values = record
+    s, _, values = record
     qs = [-(values[delta] if delta in values else
             case.relative_pairing(binv, delta, s))
           for delta in (group[2] if group else ())]

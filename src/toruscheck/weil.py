@@ -24,14 +24,7 @@ from operator import mul
 from .lattice import IntMatrix, block_matrix, kernel_basis, memoized, \
     solve_integer
 from .qz import QZ, qz_ints, qz_tuple
-from .cohomology import (
-    GModule,
-    Cochain,
-    d_matrix,
-    ZDomain,
-    FiniteSupportChain,
-    group_norm,
-)
+from .cohomology import GModule, Cochain, d_matrix, group_norm
 
 
 class LiftNotFound(ValueError):
@@ -68,7 +61,7 @@ class TorusModel:
     the component action has its rank and commutes with it."""
 
     __slots__ = ("model", "galois", "comp", "rank", "_galois_dualT",
-                 "_comp_dualT", "key")
+                 "_comp_dualT", "galois_key", "key")
 
     def __init__(self, model, galois_action, comp_action=None):
         if galois_action.group.order != model.n:
@@ -94,11 +87,12 @@ class TorusModel:
             for g in comp_action.group.inverse)
         # the content as a str, whose hash Python computes once: the model
         # order and both actions' group tables and matrices; the memo keys
-        # of what only the torus determines start with it
-        self.key = repr((model.n,) + tuple(
-            None if act is None else
-            (act.group.table, tuple(m.data for m in act.matrices))
-            for act in (galois_action, comp_action)))
+        # of what only the torus determines start with it, and those of
+        # what only the Galois action determines with galois_key
+        self.galois_key, comp = (repr(None if act is None else (
+            act.group.table, tuple(m.data for m in act.matrices)))
+            for act in (galois_action, comp_action))
+        self.key = "%d%s%s" % (model.n, self.galois_key, comp)
 
     @memoized(_torus_key)
     def gmodule(self):
@@ -249,17 +243,14 @@ def chain_map_phi(torus, mu1):
     return acc
 
 
-def _phi_matrix(torus, window, dom):
-    """Matrix of chain_map_phi on chains over dom on the given window."""
-    r = torus.rank
-    cols = []
-    for w in window:
-        for k in range(r):
-            e = [0] * r
-            e[k] = 1
-            mu = FiniteSupportChain(dom, 1, r, {(w,): tuple(e)})
-            cols.append(chain_map_phi(torus, mu))
-    return IntMatrix.from_columns(cols, r)
+def _phi_matrix(torus, window):
+    """Matrix of chain_map_phi on the window: mu1(w), w = j + kn with j in
+    [0, n), enters through the block -sum_i (c(i, j) + k) sigma^i."""
+    model, mats = torus.model, torus.galois.matrices
+    zero = IntMatrix.zero(torus.rank, torus.rank)
+    return block_matrix([[sum(((model.c(i, w % model.n) + w // model.n)
+                               * -mats[i] for i in range(model.n)), zero)
+                          for w in window]])
 
 
 def _boundary_matrix(torus, window):
@@ -270,24 +261,30 @@ def _boundary_matrix(torus, window):
     return block_matrix([[mats[-w % torus.model.n] - ident for w in window]])
 
 
-def elementary_pairing(torus, dual_pair, chain_pair):
+def pairing_form(torus, dual_pair):
     """The chain-level pairing
 
         <(d, s), (lam, mu1)>  =  s(lam) - sum_w d(w)(mu1(w))
 
     between a dual-side hypercocycle (d an unramified dual cocycle given by
-    a Parameter, s a dual point) and a chain-side hypercycle (lam a
-    norm-zero lattice element, mu1 a finite-support 1-chain)."""
+    a Parameter, s a dual point) and a chain-side hypercycle (lam, mu1) as
+    solve_lift returns it, as ints: (form, L), the pairing <form, lift> / L."""
     d, s = dual_pair
-    lam, mu1 = chain_pair
     nums, den = qz_ints(s)
     L = lcm(den, d.den)
-    dk = L // d.den
+    sk, dk = L // den, L // d.den
     n = torus.model.n
-    total = sum(map(mul, nums, lam)) * (L // den)
-    for (w,), val in mu1.support.items():
-        total -= sum(map(mul, d.nums[w % n], val)) * dk
-    return QZ(total, L)
+    form = [x * sk for x in nums]
+    for w in range(-n, n):
+        form.extend(-x * dk for x in d.nums[w % n])
+    return tuple(form), L
+
+
+def elementary_pairing(form, lift):
+    """The pairing of a dual pair, given by its pairing_form, with a flat
+    lift (lam, mu1): one dot product."""
+    form, L = form
+    return QZ(sum(map(mul, form, lift)), L)
 
 
 def validate_hyper_pair_dual(torus, fT, d, s):
@@ -321,13 +318,14 @@ def hyper_pairing(torus, fT, pair_T, dual_pair):
     check_pair_T_cocycle(pair_T[0])
     check_pair_T_relation(torus, fT, pair_T)
     validate_hyper_pair_dual(torus, fT, *dual_pair)
-    return elementary_pairing(torus, dual_pair, solve_lift(torus, fT, pair_T))
+    return elementary_pairing(pairing_form(torus, dual_pair),
+                              solve_lift(torus, fT, pair_T))
 
 
 def check_pair_T_cocycle(u):
     """The first half of the T-side check, which reads u alone: u is a
     1-cocycle.  Raises ValueError when it fails."""
-    if any(u.d().vec):
+    if not u.is_cocycle():
         raise ValueError("T-side pair not a hypercocycle")
 
 
@@ -345,9 +343,10 @@ def check_pair_T_relation(torus, fT, pair_T):
 
 
 def solve_lift(torus, fT, pair_T):
-    """The chain-level lift (lam, mu1) of a T-side pair, which depends on
-    that pair alone, so one lift serves every dual pair.  It checks nothing:
-    its callers run both halves of the T-side check first.
+    """The chain-level lift of a T-side pair as one int tuple: lam, then
+    mu1(w) for w in [-n, n).  It depends on that pair alone, so one lift
+    serves every dual pair.  It checks nothing: its callers run both
+    halves of the T-side check first.
 
     The lift solves, over Z (after clearing the denominator D of v):
         N lam = 0,
@@ -365,36 +364,28 @@ def solve_lift(torus, fT, pair_T):
     """
     u, v = pair_T
     r = torus.rank
-    n = torus.model.n
     D = lcm(*(x.denominator for x in v))
     Dv = [x.numerator * (D // x.denominator) for x in v]
     target = [0] * r + [D * x for x in u.vec] + [0] * r + Dv
-    A, dom = _lift_system(torus, fT, D)
-    sol = solve_integer(A, target)
+    sol = solve_integer(_lift_system(torus, fT, D), target)
     if sol is None:
         raise LiftNotFound(
             "no chain-level lift found for the hyper pairing input")
-    lam = tuple(sol[:r])
-    mu = FiniteSupportChain(dom, 1, r)
-    for wi, w in enumerate(range(-n, n)):
-        mu.add_into((w,), tuple(sol[2 * r + wi * r: 2 * r + (wi + 1) * r]))
-    return lam, mu
+    return sol[:r] + sol[2 * r:]
 
 
 def _lift_key(torus, fT, D):
-    """What a lift system depends on: the torus, fT and D."""
-    return torus.key, fT.data, D
+    """What a lift system depends on: the Galois action, fT and D."""
+    return torus.galois_key, fT.data, D
 
 
 @memoized(_lift_key)
 def _lift_system(torus, fT, D):
     """The matrix of hyper_pairing's lift system on the window [-n, n), in
-    the unknowns (lam, p, mu1), with the chain domain mu1 lives on."""
-    r = torus.rank
+    the unknowns (lam, p, mu1)."""
     n = torus.model.n
     window = list(range(-n, n))
-    dom = ZDomain(n, torus.galois.matrices[1 % n])
-    A = block_matrix([
+    return block_matrix([
         # N lam = 0
         [torus.norm_matrix(), 0, 0],
         # CUP lam - (1/D) D0 p = u  ->  D CUP lam - D0 p = D u
@@ -402,5 +393,4 @@ def _lift_system(torus, fT, D):
         # BD mu - fT lam = 0
         [-fT, 0, _boundary_matrix(torus, window)],
         # D PHI mu - fT p = D v
-        [0, -fT, D * _phi_matrix(torus, window, dom)]])
-    return A, dom
+        [0, -fT, D * _phi_matrix(torus, window)]])

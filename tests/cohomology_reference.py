@@ -13,7 +13,9 @@ functions for tests/test_cohomology.py and tests/test_weil.py.
   boundary;
 * ``boundary_by_terms`` and ``coinflation_by_terms`` are the chain maps as
   they were computed before they summed into a plain dict: one
-  ``add_into`` per term, which drops a key as soon as its sum is zero;
+  ``add_into`` per term, which drops a key as soon as its sum is zero
+  (``add_into`` was a method of ``FiniteSupportChain`` until nothing in
+  the package called it);
 * ``is_normalized`` tests whether a cochain vanishes (modulo relations)
   whenever an argument is the identity.
 """
@@ -170,8 +172,20 @@ def coinflation_pointwise(chain, fibers, target_domain, keys):
         for lifted in itertools.product(*fib_lists):
             total = tuple(a + b for a, b in zip(total, chain.support.get(
                 lifted, (0,) * chain.rank)))
-        out.add_into(key, total)
+        add_into(out, key, total)
     return out
+
+
+def add_into(chain, key, vec):
+    """Add vec to the chain's value at key, dropping the key when the sum
+    is zero."""
+    key = tuple(key)
+    cur = chain.support.get(key, (0,) * chain.rank)
+    new = tuple(a + b for a, b in zip(cur, vec))
+    if any(new):
+        chain.support[key] = new
+    elif key in chain.support:
+        del chain.support[key]
 
 
 class WeilZ(ZDomain):
@@ -196,13 +210,13 @@ def boundary_by_terms(chain):
     out = FiniteSupportChain(W, n - 1, chain.rank)
     for key, val in chain.support.items():
         x = key[0]
-        out.add_into(key[1:], W.act(W.inv(x), val))
+        add_into(out, key[1:], W.act(W.inv(x), val))
         sign = -1
         for i in range(1, n):
             merged = key[:i - 1] + (W.mul(key[i - 1], key[i]),) + key[i + 1:]
-            out.add_into(merged, tuple(sign * a for a in val))
+            add_into(out, merged, tuple(sign * a for a in val))
             sign = -sign
-        out.add_into(key[:-1], tuple(sign * a for a in val))
+        add_into(out, key[:-1], tuple(sign * a for a in val))
     return out
 
 
@@ -210,5 +224,5 @@ def coinflation_by_terms(chain, projection, target_domain):
     """Coinflation as a pushforward of the support, one add_into per key."""
     out = FiniteSupportChain(target_domain, chain.degree, chain.rank)
     for key, val in chain.support.items():
-        out.add_into(tuple(projection(w) for w in key), val)
+        add_into(out, tuple(projection(w) for w in key), val)
     return out

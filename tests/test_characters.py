@@ -1231,3 +1231,40 @@ def test_guards_raise_under_python_O():
         "raised conjugate - Galois conjugate eigenvector missing from the "
         "table",
     ]
+
+
+def test_psi_guard_verdict_is_kept_per_class(monkeypatch):
+    """Over every (e, e2) of the quaternion extension (5 classes, some e
+    not psi-centralizing) and of mu2xD6 (12 classes), twisted_orthogonality
+    decides is_psi_centralizing once per class of e, each verdict the
+    guard's own for that e: a non-centralizing e raises the same
+    ValueError on every call, a centralizing one never."""
+    for ext, verdicts in [(q8_extension(), {False, True}),
+                          (TWISTED_ORACLE["mu2xD6"](), {True})]:
+        psi = QZ(1, ext.m)
+        G = ext.group
+        want = [is_psi_centralizing(ext, psi, e) for e in range(G.order)]
+        assert set(want) == verdicts
+        calls = []
+        guard = characters.is_psi_centralizing
+
+        def counting(ext, psi1, e):
+            calls.append(e)
+            return guard(ext, psi1, e)
+
+        monkeypatch.setattr(characters, "is_psi_centralizing", counting)
+        cache = characters.TableCache()
+        for e in range(G.order):
+            for e2 in range(G.order):
+                try:
+                    twisted_orthogonality(ext, psi, e, e2, cache)
+                    got = True
+                except ValueError as err:
+                    assert str(err) == ("element is not psi-centralizing; "
+                                        "lemma inapplicable")
+                    got = False
+                assert got == want[e], (e, e2)
+        monkeypatch.undo()
+        assert len(calls) == len(G.conjugacy_classes())
+        assert sorted(G.class_index()[e] for e in calls) == \
+            list(range(len(calls)))

@@ -59,8 +59,7 @@ MEMOS = {
     **{"rootdata.TwistData.%s" % name: f.memo
        for name, f in vars(TwistData).items() if hasattr(f, "memo")},
     "qz.cyclotomic_poly": qz.cyclotomic_poly.memo,
-    "qz._level": qz._level.memo,
-    "qz._power_residue": qz._power_residue.memo,
+    "qz._level_rows": qz._level_rows.memo,
     "qz._odd_level_rows": qz._odd_level_rows.memo,
     "suite._templates": suite._templates.memo,
     "characters.TABLE_CACHE": characters.TABLE_CACHE._tables,
@@ -98,7 +97,7 @@ def test_every_process_cache_is_a_listed_memo():
     """The memos the modules hold are exactly those MEMOS lists: a new
     cache is a Memo, and these tests cover it."""
     held = _held_memos()
-    assert len(MEMOS) == 27
+    assert len(MEMOS) == 26
     assert set(held) == {id(m) for m in MEMOS.values()}
 
 
@@ -356,6 +355,19 @@ def _torus_value(value):
         else value
 
 
+def test_lift_systems_are_keyed_by_the_galois_action(fresh_memos):
+    """A lift system reads the Galois action, fT and D alone: the tori of
+    _tori that differ from the first only in their component action (the
+    third to fifth) share its system, and the second, whose Galois action
+    differs, gets its own."""
+    fT = IntMatrix([[1, 0], [0, 2]])
+    systems = [weil._lift_system(t, fT, 1) for t in _tori()]
+    assert [s is systems[0] for s in systems] == [True, False, True, True,
+                                                   True]
+    assert len(weil._lift_system.memo) == 2
+    assert systems[0] == weil._lift_system.__wrapped__(_tori()[4], fT, 1)
+
+
 def test_torus_builds_are_keyed_by_torus_content(fresh_memos):
     """Tori one Galois-matrix entry, one component-matrix entry or only the
     component group's table apart get their own key and their own entry
@@ -434,7 +446,8 @@ def test_coboundary_rows_are_keyed_by_module_content(fresh_memos):
 #: object's lifetime.  They may fill after the value is stored.
 PER_OBJECT = {FiniteGroup: ("_classes", "_class_index", "_powers", "_gens",
                             "table_key"),
-              CharacterTable: ("central", "products", "lhs", "_forms")}
+              CharacterTable: ("central", "products", "lhs", "centralizing",
+                               "_forms")}
 
 
 class _ContentPickler(pickle.Pickler):

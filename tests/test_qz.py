@@ -156,9 +156,10 @@ def _recurrence_rows(n):
 
 def test_power_residue_rows_match_the_recurrence(empty_memos):
     """Each residue row, reduced through the odd squarefree level, is the
-    row the recurrence at level n gives; a row is built only when a
-    residue call reads it, as its own memo entry, and a row handed out
-    stays the same object while its entry lives."""
+    row the recurrence at level n gives; a level's rows are built at its
+    first residue call, as one memo entry read once per call, from the
+    rows of its odd squarefree level, and stay the same object while
+    their entry lives."""
     for n in list(range(1, 121)) + [360, 1155, 2310]:
         rows = _recurrence_rows(n)
         for k in range(n):
@@ -166,12 +167,14 @@ def test_power_residue_rows_match_the_recurrence(empty_memos):
             for i, a in rows[k].items():
                 want[i] = a
             assert qz.residue([(k, 1)], n) == want, (n, k)
-    memo = qz._power_residue.memo
-    empty_memos(memo)
+    memo, odd = qz._level_rows.memo, qz._odd_level_rows.memo
+    empty_memos(memo, odd)
     assert qz.residue([(13859, 2), (7, 0)], 13860)
-    assert list(memo) == [(13860, 13859)]
-    row = memo[13860, 13859]
-    read = range(0, 13860, 7)
-    qz.residue([(k, 1) for k in read], 13860)
-    assert set(memo) == {(13860, k) for k in [*read, 13859]}
-    assert qz._power_residue(13860, 13859) is row
+    # 13860 = 6 * 2310 with 2310 = 2 * 1155: one row per power of x^6
+    # below 2 * 1155
+    assert list(memo) == [(13860,)] and list(odd) == [(1155,)]
+    level = memo[13860,]
+    assert level[:2] == (6, 6 * 480) and len(level[2]) == 2310
+    qz.residue([(k, 1) for k in range(0, 13860, 7)], 13860)
+    assert list(memo) == [(13860,)]
+    assert qz._level_rows(13860) is level

@@ -12,6 +12,7 @@ import fraction_dual
 from cochain_reference import from_table, table
 from cyc_verify import scaled
 from lemmas import invariant_of, stabilizer_of_class
+import tori_reference
 from tori_reference import theta_by_convolution
 from toruscheck.lattice import FGAbelian, IntMatrix, Memo, block_diagonal
 from toruscheck.qz import QZ, Cyc, exponent_forms
@@ -230,24 +231,22 @@ def _asymmetric_bars(which):
         case = build_case(torus, Cochain.zero(torus.gmodule(), 1), phi)
         t2 = dict(case.t)
         t2[1] = tuple(x + y for x, y in zip(t2[1], (1, 0)))
-        return retwisted(case, t=t2), lambda c, a, b: langlands_character(
-            torus, phi, c.alpha(a, b))
+        return retwisted(case, t=t2), tori_reference.alpha_bar
     torus = TorusModel(LocalModel(2), GroupAction.cyclic(2, IntMatrix(
         [[-1, 0, 0], [0, -1, 0], [0, 0, -1]])), s3_action(extra_rank=1))
     case = build_case(torus, tn_iso(torus, (0, 0, 1)),
                       Parameter(torus, (QZ(0),) * 3))
     s2 = dict(case.s)
     s2[1] = fraction_dual.dual_add(s2[1], (QZ(0), QZ(0), QZ(1, 2)))
-    return retwisted(case, s=s2), lambda c, a, b: torus.dual_eval(
-        c.beta(a, b), c.lam_z)
+    return retwisted(case, s=s2), tori_reference.beta_bar
 
 
 @pytest.mark.parametrize("which", ["alpha", "beta"])
 def test_bars_are_kept_per_ordered_pair(which):
     """On a case whose bar(a, b) and bar(b, a) differ on eight pairs of
     the stabilizer, h and verify_iso pass and equal those of a fresh case,
-    and every kept bar, whichever order of a pair is asked for first, is
-    the bar of its own ordered pair."""
+    and every bar read from the kept forms, whichever order of a pair is
+    asked for first, is the vector route's bar of its own ordered pair."""
     case, direct = _asymmetric_bars(which)
     assert case.A_phi_z == list(range(6))
     h, iso = _h_and_iso(case)
@@ -264,15 +263,15 @@ def test_bars_are_kept_per_ordered_pair(which):
 
 def test_retwisted_copies_keep_no_bars():
     """A retwist that moves alpha-bar(a^-1, a), or beta-bar, on a copy of a
-    case that has kept its bars: h and verify_iso on the copy equal those
-    of a case built fresh from the copy's data, and differ from the
-    original's where the retwist moves them, so a kept bar carried over to
-    the copy would show."""
+    case that has kept the forms its bars are read from: h and verify_iso
+    on the copy equal those of a case built fresh from the copy's data,
+    and differ from the original's where the retwist moves them, so kept
+    forms carried over to the copy would show."""
     # Q trivial of order 2 on Z, psi = 1/2; C3 trivial; t_1 moved by 1
     case = _trivially_acting(2, 1, 3, None, (QZ(1, 2),))
     assert case.A_phi_z == [0, 1, 2]
     h, iso = _h_and_iso(case)
-    assert _kinds(case)["alpha_bar"] and _kinds(case)["beta_bar"]
+    assert _kinds(case)["forms"]
     t2 = dict(case.t)
     t2[1] = tuple(x + 1 for x in t2[1])
     copy = retwisted(case, t=t2)
@@ -956,12 +955,15 @@ def test_each_pair_is_checked_and_solved_once_per_case(monkeypatch,
     """Over build_case and the character-identity sweep of the 25 seed-1
     suite cases, then tori-verify on both fixtures and the Galois-order-6
     case: every relation check a case runs reads its z^-1 or phi0^-1 and
-    one of its kept matrices 1 - aut; each case checks each T-side pair
-    (aut, delta) and each dual pair (aut, s) once, solves each lift once
-    and tests z's cocycle identity once (the 25 cases make 138 T-side
-    checks, 120 dual checks and 138 solves); and every endoscopic value is
-    the sum over its deltas of e(-hyper_pairing(...)) on a fresh copy of
-    its case, with every check run on every call."""
+    one of its kept matrices 1 - aut, kept once per content (the first
+    element with aut's matrix); each case checks each T-side pair
+    (1 - aut, delta) and each dual pair (1 - aut, s) once, solves each
+    lift once and tests z's cocycle identity once, a case file's z too
+    (the 25 cases make 128 T-side checks, 100 dual checks and 128 solves:
+    10 of their 72 elements of A_z act as an earlier element of their
+    case does); and every endoscopic value is the sum over its deltas of
+    e(-hyper_pairing(...)) on a fresh copy of its case, with every check
+    run on every call."""
     from toruscheck import checks, cli, tori
     from toruscheck.weil import hyper_pairing
 
@@ -1030,18 +1032,18 @@ def test_each_pair_is_checked_and_solved_once_per_case(monkeypatch,
     counts = tally()
     assert [len(calls[kind]) for kind in ("T", "dual", "lift")] \
         == [len(counts[kind]) for kind in ("T", "dual", "lift")] \
-        == [138, 120, 138]
+        == [128, 100, 128]
     for path in CASE_FILES:
         assert cli.main(["tori-verify", "--input", path,
                          "--output", str(tmp_path / "out.json")]) == 0
     assert len(built) == 25 + len(CASE_FILES)
     for kind, counter in tally().items():
         assert set(counter.values()) == {1}, kind
-    # casefile.load_case tests z of a case file once more, to exit 2
-    # naming the field
+    # casefile.load_case tests z of a case file, to exit 2 naming the
+    # field, and build_case reads the verdict z keeps
     tested = Counter(map(id, coboundaries))
     assert [tested[id(c.z)] + tested[id(c.z_inv)] for c in built] \
-        == [1] * 25 + [2] * len(CASE_FILES)
+        == [1] * (25 + len(CASE_FILES))
     assert {id(case) for case, _, _ in values} == set(map(id, built))
     monkeypatch.undo()
     for case, (s_dot, b, t_vec, a), value in values:
@@ -1065,8 +1067,9 @@ def test_each_torus_level_build_runs_once_per_torus(monkeypatch,
     identity sweeps sit on 14 distinct tori, and each torus-level build
     runs once per distinct content however often it is looked up: the
     TN-inverse system (25 lookups, 14 builds), the s_a system per level M
-    (72, 20), 1 - aut per component element (72, 41), the D0 matrix (80
-    from solve_t, 14), the G-module (14) and the invariant duals (25,
+    (72, 20), 1 - aut per first element with its matrix (62, 33: 10 of
+    the 72 elements act as an earlier one of their case), the D0 matrix
+    (80 from solve_t, 14), the G-module (14) and the invariant duals (25,
     14).  Every build is a put into its memo, so builds count puts."""
     from toruscheck import checks, tori, weil
 
@@ -1103,10 +1106,10 @@ def test_each_torus_level_build_runs_once_per_torus(monkeypatch,
     assert len(tori_seen) == 14
     assert {k: len(f.memo) for k, f in memos.items()} == \
         {k: puts[k] for k in memos} == \
-        {"tn": 14, "s": 20, "complex": 41, "d0": 14, "gmodule": 14,
+        {"tn": 14, "s": 20, "complex": 33, "d0": 14, "gmodule": 14,
          "duals": 14}
     assert {k: lookups[k] for k in ("tn", "s", "complex", "d0", "duals")} \
-        == {"tn": 25, "s": 72, "complex": 72, "d0": 80, "duals": 25}
+        == {"tn": 25, "s": 72, "complex": 62, "d0": 80, "duals": 25}
 
 
 #: Under python -O, on a fresh case: a non-invariant t, a non-invariant s
@@ -1202,3 +1205,143 @@ def test_pair_guards_raise_and_keep_nothing_under_python_O():
                            ("theta s", s_msg), ("endoscopic s", dual_msg),
                            ("theta z", z_msg), ("endoscopic z", z_msg),
                            ("h z", z_msg)]] + ["good s solves True"]
+
+
+def _vector_route_report():
+    """The differential test against the vector route of tori_reference,
+    as lines: for the 25 seed-1 suite cases, every tests/*_case.json and
+    both fixtures (each swept as tori-verify sweeps it) and the two
+    retwisted cases of _asymmetric_bars, how many alpha-bars, beta-bars,
+    verify_iso reports, kept pairings and h-bijection verdicts agree and
+    which differ; then, for every case whose stabilizer has two or more
+    elements, h moved by 1/3 at its last element: the packet's error and
+    the vector route's verdict.  It uses no assert, so it runs alike
+    under python -O."""
+    from glob import glob
+
+    from toruscheck import checks
+    from toruscheck.casefile import load_case_file
+
+    suite = list(random_cases(random.Random(1), 25))
+    files = [build_case(*load_case_file(path)[:3]) for path in
+             sorted(glob(os.path.join(ROOT, "tests", "*_case.json")))
+             + [os.path.join(ROOT, "fixtures", name) for name in
+                ("norm_one_torus.json", "s3_component.json")]]
+    for case in suite + files:
+        checks.character_identity(case)
+    bars = [_asymmetric_bars(which)[0] for which in ("alpha", "beta")]
+    for case in bars:
+        compute_h(case)
+    lines = []
+    for label, cases in (("suite", suite), ("files", files),
+                         ("retwisted", bars)):
+        compared, bad = 0, []
+        for case in cases:
+            n, mismatches = tori_reference.vector_route_mismatches(case)
+            compared, bad = compared + n, bad + mismatches
+        lines.append("%s: %d cases, %d values, mismatches %r"
+                     % (label, len(cases), compared, bad))
+    moved = Counter()
+    for case in suite + files:
+        if len(case.A_phi_z) < 2:
+            continue
+        h = dict(case.h)
+        h[case.A_phi_z[-1]] += QZ(1, 3)
+        copy = dataclasses.replace(case, h=h, kept={})
+        verdict = tori_reference.h_bijection(copy)[-1]
+        try:
+            packet(copy)
+            error = "accepted"
+        except CaseError as e:
+            error = str(e)
+        moved[error, verdict] += 1
+    lines.append("h moved: %r" % sorted(moved.items()))
+    return lines
+
+
+def test_int_forms_match_the_vector_route():
+    """alpha-bar, beta-bar, verify_iso, every kept pairing and the
+    h-bijection verdict, which the case computes from int forms (dot
+    products, one lift per relation, residue keys), equal the vector
+    route's on every case of _vector_route_report, and every h moved at
+    one element is rejected by both routes."""
+    assert _vector_route_report() == [
+        "suite: 25 cases, 770 values, mismatches []",
+        "files: 6 cases, 282 values, mismatches []",
+        "retwisted: 2 cases, 160 values, mismatches []",
+        "h moved: [(('h does not induce a character bijection', False), 26)]"]
+
+
+def test_a_key_two_torus_side_rows_share_counts_twice(monkeypatch):
+    """With the torus-side selection listing one row of E^z in every place,
+    the row the first twisted row matches among them has two hits (and
+    any other none), so the h-bijection check raises for each choice, as
+    the row-by-row comparison did; with the true selection it passes."""
+    from toruscheck import tori
+
+    case = next(c for c in random_cases(random.Random(1), 25)
+                if len(packet(c)[2]) >= 2)
+    ext, table, sel, elems, verdict = tori_reference.h_bijection(case)
+    assert verdict
+    tori._check_h_bijection(case, ext, table, sel, elems)
+    real = tori.irr_with_central_char
+    ext_z = tori._extension(case, "alpha")[0]
+    _, sel_z = real(ext_z, QZ(1, ext_z.m))
+    for k in sel_z:
+        monkeypatch.setattr(tori, "irr_with_central_char", lambda e, psi, k=k:
+                            (real(e, psi)[0], [k] * len(sel_z)))
+        with pytest.raises(CaseError, match="h does not induce a character "
+                                            "bijection"):
+            tori._check_h_bijection(case, ext, table, sel, elems)
+
+
+def test_int_forms_match_the_vector_route_under_python_O():
+    """The same report with asserts stripped."""
+    import subprocess
+    import sys
+
+    import toruscheck
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toruscheck.__file__)))
+    tests = os.path.join(os.path.dirname(src), "tests")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+    script = ("import sys, test_tori\n"
+              "if __debug__:\n"
+              "    sys.exit('asserts are still enabled')\n"
+              "print('\\n'.join(test_tori._vector_route_report()))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == _vector_route_report()
+
+
+def test_records_are_kept_per_content_of_1_minus_aut(monkeypatch):
+    """A cyclic component of order 6 acting trivially on Z, with Galois
+    -1: every element has the identity's matrix, so the case keeps one
+    1 - aut, under the identity, and over build_case and the character-
+    identity sweep it checks each T-side pair and each dual pair and
+    solves each lift once per value, not once per element."""
+    from toruscheck import checks, tori
+
+    calls = Counter()
+    for name in ("check_pair_T_relation", "validate_hyper_pair_dual",
+                 "solve_lift"):
+        def counting(*args, name=name, real=getattr(tori, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(tori, name, counting)
+    case = _trivially_acting(2, -1, 6, (1,), (QZ(1, 4),))
+    assert case.A_phi_z == list(range(6))
+    assert checks.character_identity(case).ok
+    kept = [key for key in case.kept
+            if key[0] in ("complex", "lift", "dual")
+            and type(key[1]) is int]
+    assert {key[1] for key in kept} == {0}
+    assert case.matrix_rep(5) == 0
+    # keyed by the element, the case kept 6 matrices, 6 lifts and 12 dual
+    # pairs, each checked or solved once
+    assert Counter(key[0] for key in kept) == \
+        {"complex": 1, "lift": 1, "dual": 2}
+    assert calls == {"check_pair_T_relation": 1,
+                     "validate_hyper_pair_dual": 2, "solve_lift": 1}

@@ -31,6 +31,7 @@ from toruscheck.weil import (
     chain_map_phi,
     elementary_pairing,
     hyper_pairing,
+    pairing_form,
     LiftNotFound,
 )
 
@@ -309,16 +310,31 @@ def test_phi_psi_boundary_compatibility():
             assert lhs.vec == rhs.vec
 
 
+def _flat_lift(t, lam, mu1):
+    """(lam, mu1), mu1 a 1-chain of any finite support, as a flat lift on
+    [-n, n): mu1 folded there by lift_reference.fold, which keeps
+    sum_k mu1(j + kn) for each j, all that the pairing reads of mu1."""
+    r, n = t.rank, t.model.n
+    half = n * (1 + max([abs(w) for (w,) in mu1.support] + [0]))
+    mu = [0] * (2 * half * r)
+    for (w,), val in mu1.support.items():
+        mu[(w + half) * r:(w + half + 1) * r] = val
+    x = fold(tuple(lam) + (0,) * r + tuple(mu), r, n, half)
+    return x[:r] + x[2 * r:]
+
+
 def test_elementary_pairing_degenerations():
     t = norm_one_torus(2)
     dom = ZDomain(2, IntMatrix([[-1]]))
     phi = Parameter(t, (QZ(1, 4),))
+    form = pairing_form(t, (phi, t.dual_zero()))
     # both trivial -> 0
     mu0 = FiniteSupportChain(dom, 1, 1)
-    assert elementary_pairing(t, (phi, t.dual_zero()), ((0,), mu0)).is_zero()
+    assert elementary_pairing(form, _flat_lift(t, (0,), mu0)).is_zero()
     # lam = 0, single-point chain -> pure -<d(w), mu1(w)> term
     mu = FiniteSupportChain(dom, 1, 1, {(1,): (1,)})
-    val = elementary_pairing(t, (phi, t.dual_zero()), ((0,), mu))
+    assert _flat_lift(t, (0,), mu) == (0, 0, 0, 0, 1)
+    val = elementary_pairing(form, _flat_lift(t, (0,), mu))
     assert val == -phi.psi[0]  # phi's value at sigma is psi
 
 
@@ -408,7 +424,8 @@ def test_elementary_pairing_kills_boundaries():
         mu1 = FiniteSupportChain(dom, 1, 1, {
             k: tuple(-a for a in v)
             for k, v in mu2.boundary().support.items()})
-        val = elementary_pairing(t, (phi, s), (lam, mu1))
+        val = elementary_pairing(pairing_form(t, (phi, s)),
+                                 _flat_lift(t, lam, mu1))
         assert val.is_zero()
 
 
@@ -478,9 +495,9 @@ def _lift_solves(monkeypatch, tmp_path):
     build, solve = weil._lift_system, weil.solve_integer
 
     def recording_build(torus, fT, D):
-        A, dom = build(torus, fT, D)
+        A = build(torus, fT, D)
         built[A.data] = (torus, fT, D)
-        return A, dom
+        return A
 
     def recording_solve(A, b):
         if A.data in built:
@@ -512,7 +529,7 @@ def test_no_wider_window_admits_a_lift(monkeypatch, tmp_path):
     verdicts = set()
     for torus, fT, D, b in solves:
         r, n = torus.rank, torus.model.n
-        narrow = weil._lift_system(torus, fT, D)[0]
+        narrow = weil._lift_system(torus, fT, D)
         assert lift_system(torus, fT, D, n) == narrow
         wide = [(h, lift_system(torus, fT, D, h)) for h in (2 * n, 4 * n)]
         moved = [b[:j] + (b[j] + e,) + b[j + 1:]
@@ -550,16 +567,15 @@ def test_hyper_pairing_is_lift_then_evaluation(monkeypatch):
         d = Parameter(t, (q,)).neg()
         for s in ((q,), (q + QZ(1, 2),)):
             value = hyper_pairing(t, fT, (z, (1,)), (d, s))
-            assert value == elementary_pairing(t, (d, s), lifts[0])
+            assert value == elementary_pairing(pairing_form(t, (d, s)),
+                                               lifts[0])
             values.add(value)
         solved = len(lifts)
         with pytest.raises(ValueError, match="dual-side"):
             hyper_pairing(t, fT, (z, (1,)), (d, (q + QZ(1, 3),)))
         assert len(lifts) == solved
     assert len(values) > 1 and len(lifts) == 8
-    lam, mu = lifts[0]
-    assert all(other == lam and chain.support == mu.support
-               for other, chain in lifts)
+    assert all(other == lifts[0] for other in lifts)
 
 
 #: An invalid dual-side pair: fT = 0 forces s.sigma = s, but sigma acts by -1
